@@ -50,16 +50,16 @@ from .span import (
     verify_span_lemmas,
 )
 from .switch import (
-    TwoSlotProcess,
+    Process,
+    apply_one_slot,
     apply_two_slot,
     build_switch_choi,
     fast_w0_action,
+    link,
     switch_kraus_output,
     verify_unitary_action,
 )
 from .uniqueness import (
-    OneSlotProcess,
-    apply_one_slot,
     build_cp_family,
     build_derived_one_slot,
     build_identity_process,

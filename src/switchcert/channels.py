@@ -239,8 +239,6 @@ def flip_operator(d: int) -> Operator:
     """Swap operator F on C^d (x) C^d: F |psi phi> = |phi psi>."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            f[a * d + b, b * d + a] = 1.0
+    # F[(a, b), (c, e)] = delta_ae delta_bc: the identity with the row pair swapped
+    f = np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, -1)
     return Operator(SpaceLayout((("A", d), ("B", d))), f)

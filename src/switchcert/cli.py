@@ -29,13 +29,9 @@ SUBCOMMANDS = ("switch-verify", "identity-verify", "corollary-verify",
                "span-verify", "counterexamples", "probe", "all")
 
 
-def _default_span_samples(d: int) -> int:
-    return 3 * span_dimension_formula(d) + 30
-
-
 def _span_dimension_certificate(d: int, samples: int | None, seed: int) -> CertificateReport:
     timer = Timer()
-    n = samples if samples is not None else _default_span_samples(d)
+    n = samples if samples is not None else 3 * span_dimension_formula(d) + 30
     est = estimate_span_dimension(d, n, seed=seed)
     checks = [check_exact_int("estimated_span_dimension", est,
                               span_dimension_formula(d))]
@@ -193,12 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(cfg) -> None:
-    if cfg.dim < 2:
-        raise SystemExit("error: --dim must be at least 2")
-    if cfg.tol_psd <= 0 or cfg.tol_cert <= 0:
-        raise SystemExit("error: tolerances must be positive")
-    if cfg.probe_starts < 1:
-        raise SystemExit("error: --probe-starts must be at least 1")
+    """Reject an unsupported configuration with one line on stderr and exit 2."""
+    for bad, message in (
+            (cfg.dim < 2, "--dim must be at least 2"),
+            (cfg.subcommand in ("switch-verify", "all") and cfg.dim > 4,
+             f"{cfg.subcommand} supports --dim 2 to 4"),
+            (cfg.tol_psd <= 0 or cfg.tol_cert <= 0, "tolerances must be positive"),
+            (cfg.probe_starts < 1, "--probe-starts must be at least 1")):
+        if bad:
+            sys.stderr.write(f"switchcert: error: {message}\n")
+            raise SystemExit(2)
 
 
 def run(cfg) -> tuple[int, dict]:

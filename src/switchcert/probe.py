@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import CertificateReport, Timer, check_leq, check_true, make_report
+from .report import CertificateReport, Timer, check_leq, check_true, make_report, nan_max
 from .span import span_dimension_formula, unitary_span_basis
-from .switch import build_switch_choi
+from .switch import build_switch_choi, link
 from .uniqueness import (
     build_cp_family,
     build_derived_one_slot,
@@ -54,23 +54,17 @@ class ConstraintSystem:
             object.__setattr__(self, name, arr)
 
 
-def _contract_in(x4: np.ndarray, slot_op: np.ndarray) -> np.ndarray:
-    return np.einsum("aobp,ab->op", x4, slot_op)
-
-
 def build_constraint_system(kind: str, d: int, seed: int = 0,
-                            process=None, samples: int | None = None,
-                            allow_large_switch: bool = False) -> ConstraintSystem:
+                            process=None, samples: int | None = None) -> ConstraintSystem:
     """Assemble the spanning family, its target actions, and the projector.
 
-    The switch probe is restricted to d = 2 by default (the process matrix is
-    256 x 256 there; each extra dimension multiplies the eigensolve cost).
+    The switch probe supports d = 2 only: its dense process matrix is 256 x 256
+    there, and each extra dimension multiplies the eigensolve cost.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
-    if kind == "switch" and d != 2 and not allow_large_switch:
-        raise ValueError("switch probe is restricted to d = 2 by default "
-                         "(pass allow_large_switch=True to override)")
+    if kind == "switch" and d != 2:
+        raise ValueError("the switch probe supports d = 2 only")
     if kind in ("conjugate_qubit", "cp_family") and d != 2:
         raise ValueError(f"{kind} probe is a qubit construction (d = 2)")
 
@@ -78,9 +72,6 @@ def build_constraint_system(kind: str, d: int, seed: int = 0,
     slot_ops = [row.reshape(d * d, d * d) for row in basis]
     if kind == "switch":
         ref_proc = process if process is not None else build_switch_choi(d)
-        reference = ref_proc.op.entries
-        nin, nout = d ** 4, 4 * d * d
-        rows = np.array([np.kron(a, b).reshape(-1) for a in slot_ops for b in slot_ops])
         family = tuple(np.kron(a, b) for a in slot_ops for b in slot_ops)
     else:
         if process is not None:
@@ -91,13 +82,12 @@ def build_constraint_system(kind: str, d: int, seed: int = 0,
             ref_proc = build_cp_family(1.0)
         else:
             ref_proc = build_derived_one_slot(kind, d)
-        reference = ref_proc.op.entries
-        nin, nout = d * d, d * d
-        rows = basis
         family = tuple(slot_ops)
-
-    ref4 = reference.reshape(nin, nout, nin, nout)
-    targets = tuple(_contract_in(ref4, b) for b in family)
+    reference = ref_proc.op.entries
+    nin = family[0].shape[0]
+    nout = reference.shape[0] // nin
+    rows = np.array([b.reshape(-1) for b in family])
+    targets = tuple(link(reference, b) for b in family)
     # constraints say (X - ref) is orthogonal to conj(span) (x) L(out);
     # rows are orthonormal, so the projector onto the conjugated row span is
     in_projector = rows.conj().T @ rows
@@ -132,11 +122,8 @@ def psd_project(x: np.ndarray) -> np.ndarray:
 
 def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
     """Largest Frobenius deviation of the action of x from the targets."""
-    x4 = x.reshape(sys.nin, sys.nout, sys.nin, sys.nout)
-    worst = 0.0
-    for b, t in zip(sys.family, sys.targets):
-        worst = max(worst, float(np.linalg.norm(_contract_in(x4, b) - t)))
-    return worst
+    return nan_max(*(np.linalg.norm(link(x, b) - t)
+                     for b, t in zip(sys.family, sys.targets)))
 
 
 def random_hermitian_direction(n: int, rng) -> np.ndarray:
@@ -239,12 +226,12 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
         ]
         notes.append(f"witness_distance={wdist:.4f} polish_iterations={polish_iters}")
     else:
-        feas_resid = max(constraint_residual(sys, r[0]) for r in results)
-        worst_eig = min(_min_eig(r[0]) for r in results)
+        feas_resid = nan_max(*(constraint_residual(sys, r[0]) for r in results))
+        neg_eig = nan_max(*(-_min_eig(r[0]) for r in results))
         checks += [
             check_leq("final_constraint_residual", feas_resid, feas_tol),
-            check_leq("final_negative_eigenvalue", -worst_eig, feas_tol),
-            check_leq("max_distance_to_reference", max(dists), tol),
+            check_leq("final_negative_eigenvalue", neg_eig, feas_tol),
+            check_leq("max_distance_to_reference", nan_max(*dists), tol),
         ]
     return make_report(f"probe_{sys.kind}_d{sys.d}", checks, timer,
                        notes=tuple(notes))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -15,6 +16,12 @@ class Check:
     target: float
     tolerance: float
     passed: bool
+
+
+def nan_max(*values) -> float:
+    """Largest of ``values``, or NaN if any is NaN (``max(0.0, nan)`` is 0.0)."""
+    values = [float(v) for v in values]
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def check_close(name: str, measured, target, tolerance) -> Check:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import haar_random_unitary, unitary_choi
 from .linalg import Operator, SpaceLayout, frobenius
-from .report import Timer, check_exact_int, check_leq, check_true, make_report
+from .report import Timer, check_exact_int, check_leq, check_true, make_report, nan_max
 
 SQ2 = sqrt(2.0)
 
@@ -518,24 +518,24 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
 
     worst_resid = 0.0
     worst_scale_im = 0.0
-    min_scale_re = np.inf
+    neg_scale_re = -np.inf
     worst_double = 0.0
     worst_unitary = 0.0
     worst_member = 0.0
     for gen in gens:
         avg = phase_average(gen)
         resid, s = scale_match_residual(avg, gen.target)
-        worst_resid = max(worst_resid, resid)
-        worst_scale_im = max(worst_scale_im, abs(s.imag))
-        min_scale_re = min(min_scale_re, s.real)
+        worst_resid = nan_max(worst_resid, resid)
+        worst_scale_im = nan_max(worst_scale_im, abs(s.imag))
+        neg_scale_re = nan_max(neg_scale_re, -s.real)
         doubled = phase_average(gen, 2 * gen.default_grid)
-        worst_double = max(worst_double, frobenius(avg, doubled))
+        worst_double = nan_max(worst_double, frobenius(avg, doubled))
         for b in range(len(gen.branches)):
             for _ in range(3):
                 phases = rng.uniform(0.0, 2 * np.pi, size=gen.phase_count)
-                worst_unitary = max(worst_unitary,
-                                    scaled_unitary_deviation(gen.state(b, phases), d))
-        worst_member = max(worst_member, membership_residual(gen.target, d, seed=seed))
+                worst_unitary = nan_max(worst_unitary,
+                                        scaled_unitary_deviation(gen.state(b, phases), d))
+        worst_member = nan_max(worst_member, membership_residual(gen.target, d, seed=seed))
 
     stacked = np.array([op.reshape(-1) for op in stated_list_operators(d)])
     svals = np.linalg.svd(stacked, compute_uv=False)
@@ -544,7 +544,7 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
     checks = [
         check_leq("max_target_residual", worst_resid, 1e-10),
         check_leq("max_scale_imag", worst_scale_im, 1e-10),
-        check_true("scales_positive", min_scale_re > 0),
+        check_true("scales_positive", neg_scale_re < 0),
         check_leq("max_grid_doubling_change", worst_double, 1e-13),
         check_leq("max_scaled_unitary_deviation", worst_unitary, 1e-10),
         check_leq("max_target_span_residual", worst_member, 1e-9),
@@ -558,7 +558,7 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
         checks.append(check_exact_int("stated_list_rank_d2", stacked_rank, 10))
     else:
         lone = _same_side_lone_ketbras(d)
-        min_lone = min(membership_residual(op, d, seed=seed) for op in lone)
+        min_lone = -nan_max(*(-membership_residual(op, d, seed=seed) for op in lone))
         checks.append(check_true("same_side_lone_ketbras_outside_span",
                                  min_lone > 0.1))
         notes.append(f"lone_same_side_ketbras={len(lone)} "

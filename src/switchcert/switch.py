@@ -1,6 +1,7 @@
-"""Quantum-switch process matrix construction and two-slot supermap application.
+"""Process matrices, the link product, and the quantum switch.
 
-The process matrix acts on eight subsystems: the two operation slots
+A one-slot process acts on I (x) O (x) P (x) F.  A two-slot process, such
+as the switch, acts on eight subsystems: the two operation slots
 (I1, O1) and (I2, O2) of dimension d each, a d-dimensional target register
 (PT past, FT future) and a control qubit (PC past, FC future).  Canonical
 storage order is (I1, O1, I2, O2, PT, FT, PC, FC); the global past and
@@ -11,14 +12,14 @@ channel, and control state |0> means the slot-1 operation acts first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import ChoiChannel, KrausChannel, choi_from_kraus, choi_matrix, \
     haar_random_unitary, unitary_choi
 from .linalg import Operator, SpaceLayout, frobenius, permute_systems
-from .report import Timer, check_leq, check_close, make_report
+from .report import Timer, check_leq, check_close, make_report, nan_max
 
 CANONICAL_ORDER = ("I1", "O1", "I2", "O2", "PT", "FT", "PC", "FC")
 SECTION_ORDER = ("PC", "PT", "I1", "O1", "I2", "O2", "FC", "FT")
@@ -33,17 +34,87 @@ def output_layout(d: int) -> SpaceLayout:
     return SpaceLayout((("PT", d), ("FT", d), ("PC", 2), ("FC", 2)))
 
 
+def one_slot_layout(d: int) -> SpaceLayout:
+    return SpaceLayout((("I", d), ("O", d), ("P", d), ("F", d)))
+
+
 @dataclass(frozen=True)
-class TwoSlotProcess:
-    """Process matrix of a two-slot supermap in canonical storage order."""
+class Process:
+    """Process matrix of a one- or two-slot supermap in canonical storage order.
+
+    A pure process W = |w><w| is stored as its vector ``vector``; any other
+    process as the dense Operator ``dense``.  Exactly one of the two is set.
+    The layout (one slot on I, O, P, F or two slots in CANONICAL_ORDER) is
+    read off the operator, or off the vector's length.
+    """
 
     d: int
-    op: Operator
+    dense: Operator | None = None
+    vector: np.ndarray | None = None
+    layout: SpaceLayout = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.op.layout != process_layout(self.d):
-            raise ValueError("operator layout does not match the canonical "
-                             f"two-slot layout for d = {self.d}")
+        if (self.dense is None) == (self.vector is None):
+            raise ValueError("a process is given by exactly one of dense or vector")
+        layouts = (process_layout(self.d), one_slot_layout(self.d))
+        if self.vector is None:
+            lay = self.dense.layout
+        else:
+            w = np.array(self.vector, dtype=complex, copy=True)
+            if not np.all(np.isfinite(w)):
+                raise ValueError("process vector entries must be finite")
+            w.flags.writeable = False
+            object.__setattr__(self, "vector", w)
+            lay = next((x for x in layouts if w.shape == (x.dim,)), None)
+        if lay not in layouts:
+            raise ValueError("process does not match the one- or two-slot "
+                             f"layout for d = {self.d}")
+        object.__setattr__(self, "layout", lay)
+
+    @property
+    def op(self) -> Operator:
+        """The dense process matrix, built from the vector on each call if pure."""
+        if self.dense is not None:
+            return self.dense
+        return Operator(self.layout, np.outer(self.vector, self.vector.conj()))
+
+    @property
+    def data(self) -> np.ndarray:
+        """What ``link`` contracts: the vector if pure, else the dense entries."""
+        return self.vector if self.vector is not None else self.dense.entries
+
+    def block(self, row: int, col: int) -> np.ndarray:
+        """The output block W[(row, .), (col, .)] at input basis indices row, col."""
+        nin = self.d ** (len(self.layout.dims) // 2)  # the slot systems come first
+        if self.vector is not None:
+            wm = self.vector.reshape(nin, -1)
+            return np.outer(wm[row], wm[col].conj())
+        nout = self.layout.dim // nin
+        return self.dense.entries[row * nout:(row + 1) * nout, col * nout:(col + 1) * nout]
+
+    def entry(self, row: int, col: int) -> complex:
+        if self.vector is not None:
+            return complex(self.vector[row] * np.conj(self.vector[col]))
+        return complex(self.dense.entries[row, col])
+
+    def diagonal(self) -> np.ndarray:
+        if self.vector is not None:
+            return (self.vector * self.vector.conj()).real
+        return np.diag(self.dense.entries).real.copy()
+
+
+def link(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The link product Tr_in[W (X^t (x) 1_out)] for an input-space operator X.
+
+    ``w`` is either the process vector of a pure W = |w><w|, contracted as
+    Wm^T X conj(Wm) with Wm = w.reshape(nin, nout), or the dense matrix W.
+    """
+    nin = x.shape[0]
+    if w.ndim == 1:
+        wm = w.reshape(nin, -1)
+        return wm.T @ x @ wm.conj()
+    nout = w.shape[0] // nin
+    return np.einsum("aobp,ab->op", w.reshape(nin, nout, nin, nout), x)
 
 
 def switch_choi_vector(d: int) -> np.ndarray:
@@ -54,28 +125,20 @@ def switch_choi_vector(d: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError("the switch needs slot dimension d >= 2")
-    dims = (d, d, d, d, d, d, 2, 2)
-    w = np.zeros(int(np.prod(dims)), dtype=complex)
-    strides = np.cumprod((dims + (1,))[::-1])[::-1][1:]
-
-    def flat(idx):
-        return int(sum(i * s for i, s in zip(idx, strides)))
-
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                w[flat((i, j, j, k, i, k, 0, 0))] = 1.0
-                w[flat((j, k, i, j, i, k, 1, 1))] = 1.0
-    return w
+    w = np.zeros((d, d, d, d, d, d, 2, 2), dtype=complex)
+    i, j, k = np.indices((d, d, d)).reshape(3, -1)
+    w[i, j, j, k, i, k, 0, 0] = 1.0
+    w[j, k, i, j, i, k, 1, 1] = 1.0
+    return w.reshape(-1)
 
 
-def build_switch_choi(d: int) -> TwoSlotProcess:
+def build_switch_choi(d: int) -> Process:
     """Dense process matrix W0 = |W0><W0| of the quantum switch."""
     w = switch_choi_vector(d)
-    return TwoSlotProcess(d, Operator(process_layout(d), np.outer(w, w.conj())))
+    return Process(d, Operator(process_layout(d), np.outer(w, w.conj())))
 
 
-def to_section_order(proc: TwoSlotProcess) -> Operator:
+def to_section_order(proc: Process) -> Operator:
     """Reindex a process matrix to the global order P (x) slots (x) F."""
     return permute_systems(proc.op, SECTION_ORDER)
 
@@ -100,7 +163,7 @@ def _slot_matrix(x, d: int, slot: int) -> np.ndarray:
     return m
 
 
-def apply_two_slot(proc: TwoSlotProcess, a, b) -> ChoiChannel:
+def apply_two_slot(proc: Process, a, b) -> ChoiChannel:
     """Choi operator of the output channel, Tr_in[W (I (x) A (x) B (x) I)^t].
 
     Only the slot systems are transposed; the identity factors on the global
@@ -109,24 +172,29 @@ def apply_two_slot(proc: TwoSlotProcess, a, b) -> ChoiChannel:
     (linearity in each slot holds for arbitrary operators).
     """
     d = proc.d
+    if proc.layout != process_layout(d):
+        raise ValueError("apply_two_slot needs a two-slot process")
     amat = _slot_matrix(a, d, 1)
     bmat = _slot_matrix(b, d, 2)
-    nin, nout = d ** 4, 4 * d * d
-    w4 = proc.op.entries.reshape(nin, nout, nin, nout)
-    ab = np.kron(amat, bmat)
-    out = np.einsum("aobp,ab->op", w4, ab)
+    out = link(proc.data, np.kron(amat, bmat))
     # reorder output from (PT, FT, PC, FC) to P (x) F with P = (PC, PT)
     out = out.reshape(d, d, 2, 2, d, d, 2, 2)
-    out = out.transpose(2, 0, 3, 1, 6, 4, 7, 5).reshape(nout, nout)
+    out = out.transpose(2, 0, 3, 1, 6, 4, 7, 5).reshape(4 * d * d, 4 * d * d)
     return choi_matrix(2 * d, 2 * d, out)
+
+
+def apply_one_slot(proc: Process, j) -> ChoiChannel:
+    """Output Choi operator Tr_IO[C (J^t (x) I_PF)] on the past/future pair."""
+    d = proc.d
+    if proc.layout != one_slot_layout(d):
+        raise ValueError("apply_one_slot needs a one-slot process")
+    return choi_matrix(d, d, link(proc.data, _slot_matrix(j, d, 1)))
 
 
 def switch_kraus_output(k: KrausChannel, l: KrausChannel) -> ChoiChannel:
     """Kraus-level switch output: W_ij = |0><0| (x) L_j K_i + |1><1| (x) K_i L_j."""
     if not (k.dim_in == k.dim_out == l.dim_in == l.dim_out):
         raise ValueError("both slot channels must be square and equal-dimensional")
-    if k.dim_in != l.dim_in:
-        raise ValueError("slot channels must share the same dimension")
     d = k.dim_in
     ops = []
     for ki in k.kraus:
@@ -186,7 +254,7 @@ def fast_w0_action(d: int, ket, bra) -> Operator:
     return Operator(output_layout(d), m)
 
 
-def verify_unitary_action(d: int, trials: int, seed, process: TwoSlotProcess | None = None,
+def verify_unitary_action(d: int, trials: int, seed, process: Process | None = None,
                           tol: float = 1e-9) -> "CertificateReport":
     """Check the switch turns Haar pairs (U1, U2) into the controlled-order unitary.
 
@@ -195,14 +263,14 @@ def verify_unitary_action(d: int, trials: int, seed, process: TwoSlotProcess | N
     """
     timer = Timer()
     rng = np.random.default_rng(seed)
-    proc = process if process is not None else build_switch_choi(d)
+    proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
     worst = 0.0
     for _ in range(trials):
         u1 = haar_random_unitary(d, rng)
         u2 = haar_random_unitary(d, rng)
         got = apply_two_slot(proc, unitary_choi(u1), unitary_choi(u2))
         want = unitary_choi(controlled_order_unitary(u1, u2))
-        worst = max(worst, frobenius(got.matrix, want.matrix))
+        worst = nan_max(worst, frobenius(got.matrix, want.matrix))
     eye = np.eye(d)
     exact = frobenius(
         apply_two_slot(proc, unitary_choi(eye), unitary_choi(eye)).matrix,

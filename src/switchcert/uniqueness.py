@@ -11,14 +11,11 @@ so corrupted processes demonstrably fail.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (
-    ChoiChannel,
     choi_from_kraus,
-    choi_matrix,
     compose_channels,
     flip_operator,
     fourier_matrix,
@@ -28,7 +25,6 @@ from .channels import (
 )
 from .linalg import (
     Operator,
-    SpaceLayout,
     frobenius,
     min_eigenvalue,
     numerical_rank,
@@ -41,10 +37,13 @@ from .report import (
     check_leq,
     check_true,
     make_report,
+    nan_max,
 )
 from .span import build_group
 from .switch import (
-    TwoSlotProcess,
+    Process,
+    apply_one_slot,
+    one_slot_layout,
     switch_choi_vector,
     verify_unitary_action,
     w0_action_pairs,
@@ -53,52 +52,20 @@ from .switch import (
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
-def one_slot_layout(d: int) -> SpaceLayout:
-    return SpaceLayout((("I", d), ("O", d), ("P", d), ("F", d)))
-
-
-@dataclass(frozen=True)
-class OneSlotProcess:
-    """Process matrix of a one-slot supermap on I (x) O (x) P (x) F."""
-
-    d: int
-    op: Operator
-
-    def __post_init__(self):
-        if self.op.layout != one_slot_layout(self.d):
-            raise ValueError(f"operator layout does not match the one-slot "
-                             f"layout for d = {self.d}")
-
-
-def build_identity_process(d: int) -> OneSlotProcess:
+def build_identity_process(d: int) -> Process:
     """The rank-1 process C0 = sum |ij><kl| (x) |ij><kl| acting as Lambda -> Lambda."""
     if d < 2:
         raise ValueError("identity process needs d >= 2")
-    c = np.zeros(d ** 4, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros(d * d)
-            e[i * d + j] = 1.0
-            c += np.kron(e, e)
-    return OneSlotProcess(d, Operator(one_slot_layout(d), np.outer(c, c.conj())))
-
-
-def apply_one_slot(proc: OneSlotProcess, j) -> ChoiChannel:
-    """Output Choi operator Tr_IO[C (J^t (x) I_PF)] on the past/future pair."""
-    d = proc.d
-    jmat = j.matrix if isinstance(j, ChoiChannel) else np.asarray(j, dtype=complex)
-    if jmat.shape != (d * d, d * d):
-        raise ValueError(f"slot operator must be {d * d} x {d * d}")
-    c4 = proc.op.entries.reshape(d * d, d * d, d * d, d * d)
-    return choi_matrix(d, d, np.einsum("aobp,ab->op", c4, jmat))
+    return Process(d, vector=np.eye(d * d).reshape(-1))
 
 
 def build_derived_one_slot(kind: str, d: int, a: np.ndarray | None = None,
-                           b: np.ndarray | None = None) -> OneSlotProcess:
-    """One-slot processes derived from C0 by a change of variables.
+                           b: np.ndarray | None = None) -> Process:
+    """One-slot processes derived from C0 = |c><c| by a change of variables m.
 
-    ``sandwich``: (A_I (x) B_F) C0 (.)^dag realizes U -> B U A.
-    ``transpose``: F_IO C0 F_IO realizes U -> U^T.
+    Each is the pure process of m c, i.e. m C0 m^dag:
+    ``sandwich``: m = A_I (x) B_F realizes U -> B U A.
+    ``transpose``: m = F_IO realizes U -> U^T.
     ``conjugate_qubit``: the Y,Y sandwich realizing qubit U -> U* (d = 2).
     """
     c0 = build_identity_process(d)
@@ -120,11 +87,10 @@ def build_derived_one_slot(kind: str, d: int, a: np.ndarray | None = None,
         return build_derived_one_slot("sandwich", 2, PAULI_Y, PAULI_Y)
     else:
         raise ValueError(f"unknown derived process kind {kind!r}")
-    return OneSlotProcess(d, Operator(one_slot_layout(d),
-                                      m @ c0.op.entries @ m.conj().T))
+    return Process(d, vector=m @ c0.vector)
 
 
-def build_cp_family(p: float) -> OneSlotProcess:
+def build_cp_family(p: float) -> Process:
     """Qubit process family C_p = M_p (x) phi+ with identical action on unitaries.
 
     M_p has 1 on the corners and p elsewhere; phi+ is the maximally entangled
@@ -139,8 +105,8 @@ def build_cp_family(p: float) -> OneSlotProcess:
                   [1, p, p, 1]], dtype=complex)
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
-    return OneSlotProcess(2, Operator(one_slot_layout(2),
-                                      np.kron(m, np.outer(phi, phi.conj()))))
+    return Process(2, Operator(one_slot_layout(2),
+                               np.kron(m, np.outer(phi, phi.conj()))))
 
 
 def cp_factor_matrix(p: float) -> np.ndarray:
@@ -150,7 +116,7 @@ def cp_factor_matrix(p: float) -> np.ndarray:
 # --- identity-supermap certificate -------------------------------------------
 
 
-def certify_identity_uniqueness(d: int, process: OneSlotProcess | None = None,
+def certify_identity_uniqueness(d: int, process: Process | None = None,
                                 seed: int = 0, tol: float = 1e-12,
                                 trials: int = 20) -> CertificateReport:
     """Replay the five concrete facts forcing C = C0 for the identity supermap.
@@ -176,8 +142,8 @@ def certify_identity_uniqueness(d: int, process: OneSlotProcess | None = None,
     dev_iii = 0.0
     for i, j in itertools.permutations(range(d), 2):
         ij, ji, ii, jj = i * d + j, j * d + i, i * d + i, j * d + j
-        dev_iii = max(dev_iii, abs(c4[ij, ij, ji, ji] - 1.0),
-                      abs(c4[ii, ii, jj, jj] - 1.0))
+        dev_iii = nan_max(dev_iii, abs(c4[ij, ij, ji, ji] - 1.0),
+                          abs(c4[ii, ii, jj, jj] - 1.0))
     # (iv) diagonal support is exactly {(ij, ij)}
     diag = np.einsum("aoao->ao", c4).real
     support_dev = float(np.abs(np.diag(diag) - 1.0).max())
@@ -188,18 +154,15 @@ def certify_identity_uniqueness(d: int, process: OneSlotProcess | None = None,
     min_entry = float(np.abs(jf).min())
     out = apply_one_slot(proc, jf).matrix
     action_dev = frobenius(out, jf)
-    chain_dev = 0.0
-    forced_dev = 0.0
-    for r in range(n):
-        for c in range(n):
-            chain_dev = max(chain_dev, abs(out[r, c] - c4[r, r, c, c] * jf[r, c]))
-            forced_dev = max(forced_dev, abs(c4[r, r, c, c] - 1.0))
+    pair = np.einsum("rrcc->rc", c4)
+    chain_dev = float(np.abs(out - pair * jf).max())
+    forced_dev = float(np.abs(pair - 1.0).max())
     # defining action on Haar samples
     rng = np.random.default_rng(seed)
     action_haar = 0.0
     for _ in range(trials):
         ju = unitary_choi(haar_random_unitary(d, rng)).matrix
-        action_haar = max(action_haar, frobenius(apply_one_slot(proc, ju).matrix, ju))
+        action_haar = nan_max(action_haar, frobenius(apply_one_slot(proc, ju).matrix, ju))
 
     checks = [
         check_leq("in_diagonal_group_sums_dev", dev_i, tol),
@@ -247,13 +210,6 @@ def diagonal_support_sets(d: int) -> dict:
     return sets
 
 
-def _flat_index(idx, dims) -> int:
-    out = 0
-    for v, dim in zip(idx, dims):
-        out = out * dim + v
-    return out
-
-
 def _displayed_action(d: int, case: int, i: int, j: int, k: int, l: int) -> np.ndarray:
     """The four displayed ket-bra actions, built directly from their factored form."""
     n = 4 * d * d
@@ -294,7 +250,7 @@ def _displayed_ketbra(case: int, i: int, j: int, k: int, l: int):
     return (i, i, k, k), (j, j, l, l)
 
 
-def diagonal_certificate(d: int, process: TwoSlotProcess | None = None,
+def diagonal_certificate(d: int, process: Process | None = None,
                          tol: float = 1e-12) -> CertificateReport:
     """Replay the diagonal-forcing facts for the switch process matrix.
 
@@ -306,33 +262,19 @@ def diagonal_certificate(d: int, process: TwoSlotProcess | None = None,
     """
     timer = Timer()
     dims = (d, d, d, d, d, d, 2, 2)
-    nin, nout = d ** 4, 4 * d * d
-    if process is None:
-        w = switch_choi_vector(d)
-        wmat = w.reshape(nin, nout)
+    if process is not None and process.d != d:
+        raise ValueError("process dimension mismatch")
+    proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
 
-        def action(ket, bra):
-            return np.outer(wmat[_flat_index(ket, dims[:4]), :],
-                            wmat[_flat_index(bra, dims[:4]), :].conj())
+    flat = np.ravel_multi_index
 
-        def entry(idx_row, idx_col):
-            return complex(w[_flat_index(idx_row, dims)]
-                           * np.conj(w[_flat_index(idx_col, dims)]))
+    def action(ket, bra):
+        return proc.block(flat(ket, dims[:4]), flat(bra, dims[:4]))
 
-        diag = (w.real ** 2 + w.imag ** 2)
-    else:
-        if process.d != d:
-            raise ValueError("process dimension mismatch")
-        w4 = process.op.entries.reshape(nin, nout, nin, nout)
+    def entry(idx_row, idx_col):
+        return proc.entry(flat(idx_row, dims), flat(idx_col, dims))
 
-        def action(ket, bra):
-            return w4[_flat_index(ket, dims[:4]), :, _flat_index(bra, dims[:4]), :]
-
-        def entry(idx_row, idx_col):
-            return complex(process.op.entries[_flat_index(idx_row, dims),
-                                              _flat_index(idx_col, dims)])
-
-        diag = np.diag(process.op.entries).real.copy()
+    diag = proc.diagonal()
 
     # (i) displayed ket-bra actions against the process action
     action_dev = 0.0
@@ -340,7 +282,7 @@ def diagonal_certificate(d: int, process: TwoSlotProcess | None = None,
         for i, j in itertools.permutations(range(d), 2):
             for k, l in itertools.permutations(range(d), 2):
                 ket, bra = _displayed_ketbra(case, i, j, k, l)
-                action_dev = max(action_dev, float(np.abs(
+                action_dev = nan_max(action_dev, float(np.abs(
                     action(ket, bra) - _displayed_action(d, case, i, j, k, l)).max()))
 
     # (ii) + (iii) forced diagonal families and their counts
@@ -349,8 +291,8 @@ def diagonal_certificate(d: int, process: TwoSlotProcess | None = None,
     support = set()
     for members in sets.values():
         for idx in members:
-            fam_dev = max(fam_dev, abs(entry(idx, idx) - 1.0))
-            support.add(_flat_index(idx, dims))
+            fam_dev = nan_max(fam_dev, abs(entry(idx, idx) - 1.0))
+            support.add(flat(idx, dims))
     counts = {name: len(m) for name, m in sets.items()}
     paired = (counts["S1"], counts["S2"] + counts["S3"],
               counts["S4"] + counts["S5"], counts["S6"] + counts["S7"])
@@ -368,9 +310,9 @@ def diagonal_certificate(d: int, process: TwoSlotProcess | None = None,
     def minor(idx_a, idx_b):
         nonlocal minor_cross_dev, minor_prod_dev
         cross = entry(idx_a, idx_b)
-        minor_cross_dev = max(minor_cross_dev, abs(cross - 1.0))
+        minor_cross_dev = nan_max(minor_cross_dev, abs(cross - 1.0))
         prod = entry(idx_a, idx_a).real * entry(idx_b, idx_b).real
-        minor_prod_dev = max(minor_prod_dev, abs(prod - 1.0))
+        minor_prod_dev = nan_max(minor_prod_dev, abs(prod - 1.0))
 
     for i, k, l in itertools.product(range(d), repeat=3):
         if i != k and k != l:
@@ -429,11 +371,11 @@ def grouped_sum_formulas(d: int) -> dict:
     }
 
 
-def _group_pair_sum(d: int, ga, gb, w4=None):
+def _group_pair_sum(d: int, ga, gb, process: Process | None = None):
     """Brute-force sum of output 1-norms over one ordered group pair.
 
-    Uses the closed-form delta action by default, or dense slices of a
-    supplied process 4-tensor.  Returns (integer sum, max deviation of the
+    Uses the closed-form delta action by default, or the output blocks of a
+    supplied process.  Returns (integer sum, max deviation of the
     accumulated entries from integers).
     """
     total = 0
@@ -447,27 +389,27 @@ def _group_pair_sum(d: int, ga, gb, w4=None):
                     ket = (ta[0], ta[1], tb[0], tb[1])
                     bra = (ta[2], ta[3], tb[2], tb[3])
                     coeff = ca * cb
-                    if w4 is None:
+                    if process is None:
                         for rc in w0_action_pairs(d, ket, bra):
                             acc[rc] = acc.get(rc, 0.0) + coeff
                     else:
-                        ri = _flat_index(ket, (d, d, d, d))
-                        ci = _flat_index(bra, (d, d, d, d))
-                        block = coeff * w4[ri, :, ci, :]
+                        ri = np.ravel_multi_index(ket, (d, d, d, d))
+                        ci = np.ravel_multi_index(bra, (d, d, d, d))
+                        block = coeff * process.block(ri, ci)
                         for (r, c) in zip(*np.nonzero(np.abs(block) > 1e-14)):
                             acc[(r, c)] = acc.get((r, c), 0.0) + block[r, c]
             for v in acc.values():
                 av = abs(v)
-                nonint = max(nonint, abs(av - round(av)))
+                nonint = nan_max(nonint, abs(av - round(av)))
                 total += int(round(av))
     return total, nonint
 
 
-def offdiagonal_certificate(d: int, process: TwoSlotProcess | None = None) -> CertificateReport:
+def offdiagonal_certificate(d: int, process: Process | None = None) -> CertificateReport:
     """Exact integer reproduction of the six grouped 1-norm sums.
 
     Enumerates every ordered pair of group elements, evaluates the process
-    action through the closed-form deltas (or dense slices of an override),
+    action through the closed-form deltas (or the blocks of an override),
     and compares each unordered sum with its closed form; the ordered total
     must saturate the (2 d^3)^2 bound on the entrywise 1-norm.
     """
@@ -475,15 +417,12 @@ def offdiagonal_certificate(d: int, process: TwoSlotProcess | None = None) -> Ce
         raise ValueError("group-sum enumeration is supported for 2 <= d <= 4")
     timer = Timer()
     groups = {gid: build_group(gid, d) for gid in ("G1", "G2", "G3")}
-    w4 = None
-    if process is not None:
-        w4 = process.op.entries.reshape(d ** 4, 4 * d * d, d ** 4, 4 * d * d)
     sums = {}
     nonint = 0.0
     for a, b in itertools.product(("G1", "G2", "G3"), repeat=2):
-        s, ni = _group_pair_sum(d, groups[a], groups[b], w4)
+        s, ni = _group_pair_sum(d, groups[a], groups[b], process)
         sums[(a, b)] = s
-        nonint = max(nonint, ni)
+        nonint = nan_max(nonint, ni)
     forms = grouped_sum_formulas(d)
     checks = [check_leq("entries_integer_dev", nonint, 1e-12)]
     for (a, b), target in forms.items():
@@ -504,7 +443,7 @@ def offdiagonal_certificate(d: int, process: TwoSlotProcess | None = None) -> Ce
 
 def verify_corollary(kind: str, d: int, trials: int, seed,
                      a: np.ndarray | None = None, b: np.ndarray | None = None,
-                     process: OneSlotProcess | None = None,
+                     process: Process | None = None,
                      tol: float = 1e-9) -> CertificateReport:
     """Check a derived one-slot process acts correctly on unitaries and beyond.
 
@@ -528,8 +467,8 @@ def verify_corollary(kind: str, d: int, trials: int, seed,
             target = unitary_choi(u.T).matrix
         else:
             target = unitary_choi(PAULI_Y @ u @ PAULI_Y).matrix
-        worst = max(worst, frobenius(apply_one_slot(proc, unitary_choi(u).matrix).matrix,
-                                     target))
+        worst = nan_max(worst, frobenius(apply_one_slot(proc, unitary_choi(u).matrix).matrix,
+                                         target))
 
     lam = standard_channel("replace_zero", d)
     jlam = choi_from_kraus(lam).matrix
@@ -579,8 +518,8 @@ def fig_circuits_certificate(trials: int = 100, seed: int = 0) -> CertificateRep
         ju = unitary_choi(haar_random_unitary(2, rng))
         out1 = compose_channels(dep, compose_channels(ju, dep)).matrix
         out2 = compose_channels(ju, dep).matrix
-        worst1 = max(worst1, frobenius(out1, jd))
-        worst2 = max(worst2, frobenius(out2, jd))
+        worst1 = nan_max(worst1, frobenius(out1, jd))
+        worst2 = nan_max(worst2, frobenius(out2, jd))
 
     lam = standard_channel("replace_zero", 2)
     jlam = choi_from_kraus(lam).matrix
@@ -615,7 +554,7 @@ def cp_family_certificate(trials: int = 50, seed: int = 0,
     timer = Timer()
     rng = np.random.default_rng(seed)
     ps = np.linspace(0.0, 1.0, grid_points)
-    min_eig = min(min_eigenvalue(build_cp_family(p).op) for p in ps)
+    neg_eig = nan_max(*(-min_eigenvalue(build_cp_family(p).op) for p in ps))
     rank_c1 = numerical_rank(build_cp_family(1.0).op, tol=1e-10)
 
     jid = unitary_choi(np.eye(2)).matrix
@@ -629,19 +568,19 @@ def cp_family_certificate(trials: int = 50, seed: int = 0,
         outs = [apply_one_slot(pr, ju).matrix for pr in procs]
         for out in outs:
             coeff = np.vdot(jid_hat, out)
-            prop_dev = max(prop_dev, float(np.linalg.norm(out - coeff * jid_hat)))
+            prop_dev = nan_max(prop_dev, np.linalg.norm(out - coeff * jid_hat))
         for out in outs[1:]:
-            p_dev = max(p_dev, frobenius(out, outs[0]))
+            p_dev = nan_max(p_dev, frobenius(out, outs[0]))
         consts.append(float(np.vdot(jid_hat, outs[0]).real))
-    spread = max(consts) - min(consts)
+    spread = float(np.ptp(consts))
 
     eig_dev = 0.0
     for p in (0.0, 0.3, 1.0):
         w = np.linalg.eigvalsh(cp_factor_matrix(p))[::-1]
-        eig_dev = max(eig_dev, float(np.abs(w - np.array([2 + 2 * p, 2 - 2 * p, 0, 0])).max()))
+        eig_dev = nan_max(eig_dev, np.abs(w - np.array([2 + 2 * p, 2 - 2 * p, 0, 0])).max())
 
     checks = [
-        check_leq("min_eigenvalue_over_grid", -min_eig, 1e-12),
+        check_leq("min_eigenvalue_over_grid", neg_eig, 1e-12),
         check_exact_int("rank_c1", rank_c1, 1),
         check_leq("output_proportional_to_identity_choi", prop_dev, 1e-10),
         check_leq("action_p_independence_dev", p_dev, 1e-10),
@@ -657,7 +596,7 @@ def cp_family_certificate(trials: int = 50, seed: int = 0,
 
 
 def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
-                              process: TwoSlotProcess | None = None,
+                              process: Process | None = None,
                               include_probe: bool | None = None,
                               probe_starts: int = 10,
                               tol: float = 1e-9) -> list[CertificateReport]:
@@ -694,7 +633,7 @@ def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
 
 
 def certify_switch_uniqueness(d: int, seed: int = 0, trials: int | None = None,
-                              process: TwoSlotProcess | None = None,
+                              process: Process | None = None,
                               include_probe: bool | None = None,
                               probe_starts: int = 10) -> CertificateReport:
     """Single pass/fail aggregate over the full switch verification suite."""

@@ -67,10 +67,17 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["not-a-subcommand"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit):
-        cli.main(["identity-verify", "--dim", "1"])
-    with pytest.raises(SystemExit):
-        cli.main(["identity-verify", "--tol-psd", "-1"])
+    for args in (["identity-verify", "--dim", "1"],
+                 ["identity-verify", "--tol-psd", "-1"],
+                 ["switch-verify", "--dim", "5"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            cli.main(args)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("switchcert: error: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):

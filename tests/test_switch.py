@@ -16,6 +16,8 @@ from switchcert.linalg import (
     numerical_rank,
 )
 from switchcert.switch import (
+    Process,
+    apply_one_slot,
     apply_two_slot,
     build_switch_choi,
     controlled_order_unitary,
@@ -250,7 +252,50 @@ def test_verify_unitary_action_negative_control():
     bump = g @ g.conj().T
     bump /= np.linalg.norm(bump)
     from switchcert.linalg import Operator
-    from switchcert.switch import TwoSlotProcess
-    bad = TwoSlotProcess(2, Operator(proc.op.layout, proc.op.entries + 0.1 * bump))
+    bad = Process(2, Operator(proc.op.layout, proc.op.entries + 0.1 * bump))
     rep = verify_unitary_action(2, trials=10, seed=0, process=bad)
     assert not rep.passed
+
+
+def random_slot_operator(n, rng):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_vector_kernel_matches_dense_oracle():
+    # the rank-1 link Wm^T (A (x) B) conj(Wm) against the dense W0 contraction
+    rng = np.random.default_rng(9)
+    for d in (2, 3):
+        pure = Process(d, vector=switch_choi_vector(d))
+        dense = build_switch_choi(d)
+        for _ in range(5):
+            a = random_slot_operator(d * d, rng)
+            b = random_slot_operator(d * d, rng)
+            assert frobenius(apply_two_slot(pure, a, b).matrix,
+                             apply_two_slot(dense, a, b).matrix) <= 1e-12
+        for row, col in rng.integers(0, d ** 4, size=(20, 2)):
+            assert np.array_equal(pure.block(row, col), dense.block(row, col))
+        for row, col in rng.integers(0, pure.layout.dim, size=(20, 2)):
+            assert pure.entry(row, col) == dense.entry(row, col)
+        assert np.array_equal(pure.diagonal(), dense.diagonal())
+        assert np.array_equal(pure.op.entries, dense.op.entries)
+
+
+def test_process_validation():
+    w = switch_choi_vector(2)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        corrupted = w.copy()
+        corrupted[3] = bad
+        with pytest.raises(ValueError):
+            Process(2, vector=corrupted)
+    with pytest.raises(ValueError):
+        Process(2, vector=w[:-1])
+    with pytest.raises(ValueError):
+        Process(3, vector=w)
+    with pytest.raises(ValueError):
+        Process(2)
+    with pytest.raises(ValueError):
+        Process(2, build_switch_choi(2).op, vector=w)
+    pure = Process(2, vector=w)
+    assert not pure.vector.flags.writeable
+    with pytest.raises(ValueError):
+        apply_one_slot(pure, np.eye(4))

@@ -9,9 +9,8 @@ from switchcert.channels import (
     unitary_choi,
 )
 from switchcert.linalg import Operator, frobenius, min_eigenvalue, numerical_rank
-from switchcert.switch import TwoSlotProcess, build_switch_choi
+from switchcert.switch import Process, build_switch_choi
 from switchcert.uniqueness import (
-    OneSlotProcess,
     apply_one_slot,
     grouped_sum_formulas,
     build_cp_family,
@@ -20,6 +19,7 @@ from switchcert.uniqueness import (
     certify_identity_uniqueness,
     certify_switch_uniqueness,
     cp_family_certificate,
+    switch_verification_suite,
     diagonal_certificate,
     diagonal_support_sets,
     fig_circuits_certificate,
@@ -38,7 +38,7 @@ def perturbed_one_slot(proc, scale, seed):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     bump = g @ g.conj().T
     bump *= scale / np.linalg.norm(bump)
-    return OneSlotProcess(proc.d, Operator(proc.op.layout, proc.op.entries + bump))
+    return Process(proc.d, Operator(proc.op.layout, proc.op.entries + bump))
 
 
 def test_identity_process_basics():
@@ -83,7 +83,7 @@ def test_identity_certificate_negative_control():
     c = (1 * 2 + 0) * 4 + (1 * 2 + 0)
     m[r, c] = 0.0
     m[c, r] = 0.0
-    bad = OneSlotProcess(2, Operator(one_slot_layout(2), m))
+    bad = Process(2, Operator(one_slot_layout(2), m))
     rep = certify_identity_uniqueness(2, process=bad)
     assert not rep.passed
     assert not rep.check("forced_offdiagonal_dev").passed
@@ -109,7 +109,7 @@ def test_diagonal_certificate_negative_control():
     g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     bump = g @ g.conj().T
     bump *= 1e-3 / np.linalg.norm(bump)
-    bad = TwoSlotProcess(2, Operator(proc.op.layout, proc.op.entries + bump))
+    bad = Process(2, Operator(proc.op.layout, proc.op.entries + bump))
     rep = diagonal_certificate(2, process=bad)
     assert not rep.passed
 
@@ -241,3 +241,29 @@ def test_certify_switch_uniqueness_aggregate():
     rep = certify_switch_uniqueness(3, seed=0, trials=10)
     assert rep.passed
     assert any("probe skipped" in n for n in rep.notes)
+
+
+def test_pure_one_slot_kernel_matches_dense_oracle():
+    rng = np.random.default_rng(13)
+    for d in (2, 3):
+        a = haar_random_unitary(d, rng)
+        b = haar_random_unitary(d, rng)
+        procs = [build_identity_process(d), build_derived_one_slot("transpose", d),
+                 build_derived_one_slot("sandwich", d, a=a, b=b)]
+        if d == 2:
+            procs.append(build_derived_one_slot("conjugate_qubit", 2))
+        for proc in procs:
+            assert proc.vector is not None
+            w = proc.vector
+            dense = Process(d, Operator(one_slot_layout(d), np.outer(w, w.conj())))
+            for _ in range(5):
+                m = rng.standard_normal((d * d, d * d)) \
+                    + 1j * rng.standard_normal((d * d, d * d))
+                assert frobenius(apply_one_slot(proc, m).matrix,
+                                 apply_one_slot(dense, m).matrix) <= 1e-12
+
+
+def test_switch_suite_d4():
+    reports = switch_verification_suite(4)
+    assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
+    assert reports[-1].name == "switch_uniqueness_d4"
