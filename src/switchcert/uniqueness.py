@@ -400,6 +400,9 @@ def _group_pair_sum(d: int, ga, gb, process: Process | None = None):
                             acc[(r, c)] = acc.get((r, c), 0.0) + block[r, c]
             for v in acc.values():
                 av = abs(v)
+                if not av < 2.0 ** 53:  # inf/NaN, or too large to tell integrality
+                    nonint = np.nan
+                    continue
                 nonint = nan_max(nonint, abs(av - round(av)))
                 total += int(round(av))
     return total, nonint
@@ -603,13 +606,15 @@ def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
     """All switch certificates plus a final aggregate report.
 
     The alternating-projection probe is included at d = 2 by default and
-    skipped (with a note) at larger dimensions, where the dense projection
-    cost dominates.
+    skipped (with a note) at larger dimensions; the switch probe supports
+    d = 2 only, so ``include_probe=True`` elsewhere raises before any work.
     """
     from .probe import alternating_projection_probe, build_constraint_system
     from .span import verify_span_lemmas
 
     timer = Timer()
+    if include_probe and d != 2:
+        raise ValueError("the switch probe supports d = 2 only")
     if trials is None:
         trials = 200 if d == 2 else 100
     if include_probe is None:
@@ -624,8 +629,8 @@ def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
     if include_probe:
         sys = build_constraint_system("switch", d, seed=seed, process=process)
         parts.append(alternating_projection_probe(sys, starts=probe_starts, seed=seed))
-    else:
-        notes.append("probe skipped at this dimension (config override available)")
+    elif d != 2:
+        notes.append("probe skipped: the switch probe supports d = 2 only")
     checks = [check_true(part.name, part.passed) for part in parts]
     aggregate = make_report(f"switch_uniqueness_d{d}", checks, timer,
                             notes=tuple(notes))

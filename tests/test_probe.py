@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from switchcert import probe
 from switchcert.linalg import frobenius
 from switchcert.probe import (
     affine_project,
@@ -90,9 +93,67 @@ def test_probe_determinism():
     assert a.checks == b.checks and a.notes == b.notes
 
 
-@pytest.mark.slow
-def test_probe_cp_family_witness():
-    # covered at default scale by the acceptance suite; kept here for direct runs
+@pytest.fixture(scope="module")
+def cp_family_run():
+    """The default cp_family probe (seed 0), with the polish start recorded."""
     sys = build_constraint_system("cp_family", 2, seed=0)
-    rep = alternating_projection_probe(sys, starts=10, seed=0)
+    starts = []
+    polish = probe._polish_witness
+
+    def spy(sys_, start, feas_tol, max_iter):
+        starts.append(start)
+        return polish(sys_, start, feas_tol, max_iter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probe, "_polish_witness", spy)
+        rep = alternating_projection_probe(sys, starts=10, seed=0)
+    assert len(starts) == 1
+    return sys, starts[0], rep
+
+
+def test_probe_cp_family_witness(cp_family_run):
+    _, _, rep = cp_family_run
     assert rep.passed, [c for c in rep.checks if not c.passed]
+    # the benchmark harness parses these two note formats
+    assert any(re.fullmatch(r"iterations=\[([\d, ]*)\]", n) for n in rep.notes)
+    assert any(re.search(r"polish_iterations=(\d+)", n) for n in rep.notes)
+
+
+def test_polish_witness_is_fast_and_feasible(cp_family_run):
+    sys, start, _ = cp_family_run
+    witness, evals = probe._polish_witness(sys, start, 1e-6, 400_000)
+    # plain alternating projections need about 168,000 evaluations here
+    assert 1 <= evals <= 5000
+    assert np.linalg.norm(witness - sys.reference) >= 0.1
+    assert constraint_residual(sys, witness) <= 1e-6
+    assert np.linalg.eigvalsh(witness)[0] >= -1e-6
+
+
+def test_probe_cp_family_witness_budget_too_small_fails():
+    sys = build_constraint_system("cp_family", 2, seed=0)
+    rep = alternating_projection_probe(sys, starts=10, seed=0, witness_max_iter=3)
+    assert not rep.passed
+    assert not rep.check("witness_negative_eigenvalue").passed
+    assert "polish_iterations=3" in rep.notes[-1]
+
+
+def _nan_lstsq(a, b, rcond=None):
+    return np.full(a.shape[1], np.nan), None, 0, None
+
+
+def _failing_lstsq(a, b, rcond=None):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize("lstsq", [_nan_lstsq, _failing_lstsq])
+def test_polish_witness_falls_back_to_plain_steps(cp_family_run, monkeypatch, lstsq):
+    sys, start, _ = cp_family_run
+    monkeypatch.setattr(probe.np.linalg, "lstsq", lstsq)
+    witness, evals = probe._polish_witness(sys, start, 1e-6, 50)
+    assert evals == 50
+    assert np.isfinite(witness).all()
+    # every step fell back to the plain map affine o psd
+    x = affine_project(sys, start)
+    for _ in range(50):
+        x = affine_project(sys, psd_project(x))
+    assert frobenius(witness, x) <= 1e-12

@@ -146,6 +146,16 @@ def test_offdiagonal_dense_route_agrees():
     assert rep.check("ordered_total_saturates_bound").measured == 256
 
 
+def test_offdiagonal_overflowing_override_fails_cleanly():
+    # entries that overflow to inf must fail the integer check, not crash round()
+    w0 = build_switch_choi(2).op
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = offdiagonal_certificate(2, process=Process(2, Operator(w0.layout,
+                                                                     w0.entries * 1e308)))
+    assert not rep.passed
+    assert not rep.check("entries_integer_dev").passed
+
+
 def test_derived_transpose_and_conjugate_examples():
     proc = build_derived_one_slot("transpose", 2)
     js = unitary_choi(S_GATE).matrix
@@ -240,7 +250,18 @@ def test_certificate_determinism():
 def test_certify_switch_uniqueness_aggregate():
     rep = certify_switch_uniqueness(3, seed=0, trials=10)
     assert rep.passed
-    assert any("probe skipped" in n for n in rep.notes)
+    assert "probe skipped: the switch probe supports d = 2 only" in rep.notes
+
+
+def test_switch_suite_probe_override_rejected_before_work(monkeypatch):
+    import switchcert.uniqueness as uniqueness
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a certificate ran before the probe check")
+
+    monkeypatch.setattr(uniqueness, "verify_unitary_action", must_not_run)
+    with pytest.raises(ValueError, match="d = 2 only"):
+        switch_verification_suite(3, trials=2, include_probe=True)
 
 
 def test_pure_one_slot_kernel_matches_dense_oracle():
