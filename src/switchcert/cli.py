@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 from . import __version__
@@ -80,14 +81,14 @@ def _run_counterexamples(cfg) -> list[CertificateReport]:
 
 def _run_probe(cfg) -> list[CertificateReport]:
     certs = []
-    sys_id = build_constraint_system("identity", cfg.dim, seed=cfg.seed)
+    sys_id = build_constraint_system("identity", cfg.dim)
     certs.append(alternating_projection_probe(
         sys_id, starts=cfg.probe_starts, seed=cfg.seed, feas_tol=cfg.tol_psd))
     if cfg.dim == 2:
-        sys_sw = build_constraint_system("switch", 2, seed=cfg.seed)
+        sys_sw = build_constraint_system("switch", 2)
         certs.append(alternating_projection_probe(
             sys_sw, starts=cfg.probe_starts, seed=cfg.seed, feas_tol=cfg.tol_psd))
-        sys_cp = build_constraint_system("cp_family", 2, seed=cfg.seed)
+        sys_cp = build_constraint_system("cp_family", 2)
         certs.append(alternating_projection_probe(
             sys_cp, starts=max(cfg.probe_starts, 10), seed=cfg.seed,
             feas_tol=cfg.tol_psd))
@@ -128,6 +129,11 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        # JSON has no NaN or infinity literals, so those are written as strings
+        if math.isnan(value):
+            return '"NaN"'
+        if math.isinf(value):
+            return '"Infinity"' if value > 0 else '"-Infinity"'
         return format(value, ".17g")
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
@@ -194,6 +200,8 @@ def _validate(cfg) -> None:
             (cfg.dim < 2, "--dim must be at least 2"),
             (cfg.subcommand in ("switch-verify", "all") and cfg.dim > 4,
              f"{cfg.subcommand} supports --dim 2 to 4"),
+            (cfg.subcommand == "span-verify" and cfg.dim > 6,
+             "span-verify supports --dim 2 to 6"),
             (cfg.tol_psd <= 0 or cfg.tol_cert <= 0, "tolerances must be positive"),
             (cfg.probe_starts < 1, "--probe-starts must be at least 1")):
         if bad:

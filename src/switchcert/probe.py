@@ -9,8 +9,8 @@ reference; for the deliberately non-unique family they land on feasible
 points far from it.
 
 The affine projection uses the tensor-factor structure of the constraints:
-the row space of the constraint map is (conjugated slot span) (x) L(out), so
-projecting the slot-pair index of the difference with one small precomputed
+the row space of the constraint map is (slot span) (x) L(out), so projecting
+the slot-pair index of the difference with the closed-form span{J_U}
 projector is the exact orthogonal projection onto the affine set.
 """
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import CertificateReport, Timer, check_leq, check_true, make_report, nan_max
-from .span import span_dimension_formula, unitary_span_basis
-from .switch import build_switch_choi, link
+from .span import span_dimension_formula, span_projector, vec_kron
+from .switch import build_switch_choi
 from .uniqueness import (
     build_cp_family,
     build_derived_one_slot,
@@ -43,8 +43,6 @@ class ConstraintSystem:
     nin: int
     nout: int
     reference: np.ndarray
-    family: tuple[np.ndarray, ...]
-    targets: tuple[np.ndarray, ...]
     in_projector: np.ndarray
     family_rank: int
 
@@ -55,12 +53,13 @@ class ConstraintSystem:
             object.__setattr__(self, name, arr)
 
 
-def build_constraint_system(kind: str, d: int, seed: int = 0,
-                            process=None, samples: int | None = None) -> ConstraintSystem:
-    """Assemble the spanning family, its target actions, and the projector.
+def build_constraint_system(kind: str, d: int, process=None, *,
+                            seed=None) -> ConstraintSystem:
+    """The reference process and the projector onto span{J_U} in each slot.
 
-    The switch probe supports d = 2 only: its dense process matrix is 256 x 256
-    there, and each extra dimension multiplies the eigensolve cost.
+    The system is exact, so ``seed`` is unused.  The switch probe supports
+    d = 2 only: its dense process matrix is 256 x 256 there, and each extra
+    dimension multiplies the eigensolve cost.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
@@ -69,11 +68,10 @@ def build_constraint_system(kind: str, d: int, seed: int = 0,
     if kind in ("conjugate_qubit", "cp_family") and d != 2:
         raise ValueError(f"{kind} probe is a qubit construction (d = 2)")
 
-    basis = unitary_span_basis(d, samples=samples, seed=seed)
-    slot_ops = [row.reshape(d * d, d * d) for row in basis]
+    slot = span_projector(d)
     if kind == "switch":
         ref_proc = process if process is not None else build_switch_choi(d)
-        family = tuple(np.kron(a, b) for a in slot_ops for b in slot_ops)
+        nin, in_projector = d ** 4, vec_kron(slot, slot)
     else:
         if process is not None:
             ref_proc = process
@@ -83,18 +81,11 @@ def build_constraint_system(kind: str, d: int, seed: int = 0,
             ref_proc = build_cp_family(1.0)
         else:
             ref_proc = build_derived_one_slot(kind, d)
-        family = tuple(slot_ops)
+        nin, in_projector = d * d, slot
     reference = ref_proc.op.entries
-    nin = family[0].shape[0]
-    nout = reference.shape[0] // nin
-    rows = np.array([b.reshape(-1) for b in family])
-    targets = tuple(link(reference, b) for b in family)
-    # constraints say (X - ref) is orthogonal to conj(span) (x) L(out);
-    # rows are orthonormal, so the projector onto the conjugated row span is
-    in_projector = rows.conj().T @ rows
-    return ConstraintSystem(kind=kind, d=d, nin=nin, nout=nout,
-                            reference=reference, family=family, targets=targets,
-                            in_projector=in_projector, family_rank=len(family))
+    return ConstraintSystem(kind=kind, d=d, nin=nin, nout=reference.shape[0] // nin,
+                            reference=reference, in_projector=in_projector,
+                            family_rank=round(float(np.trace(in_projector))))
 
 
 def expected_family_rank(sys: ConstraintSystem) -> int:
@@ -102,14 +93,18 @@ def expected_family_rank(sys: ConstraintSystem) -> int:
     return per_slot ** 2 if sys.kind == "switch" else per_slot
 
 
+def _constrained_part(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
+    """P_in applied to the input index pair of x - reference, in matrix layout."""
+    n, m = sys.nin, sys.nout
+    d4 = (x - sys.reference).reshape(n, m, n, m).transpose(0, 2, 1, 3) \
+        .reshape(n * n, m * m)
+    return (sys.in_projector @ d4).reshape(n, n, m, m).transpose(0, 2, 1, 3) \
+        .reshape(n * m, n * m)
+
+
 def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     """Exact orthogonal projection onto {X Hermitian : action constraints hold}."""
-    diff = x - sys.reference
-    n, m = sys.nin, sys.nout
-    d4 = diff.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
-    removed = (sys.in_projector @ d4).reshape(n, n, m, m) \
-        .transpose(0, 2, 1, 3).reshape(n * m, n * m)
-    out = x - removed
+    out = x - _constrained_part(sys, x)
     return (out + out.conj().T) / 2
 
 
@@ -122,9 +117,9 @@ def psd_project(x: np.ndarray) -> np.ndarray:
 
 
 def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
-    """Largest Frobenius deviation of the action of x from the targets."""
-    return nan_max(*(np.linalg.norm(link(x, b) - t)
-                     for b, t in zip(sys.family, sys.targets)))
+    """||P_in(x - reference)||_F, the root sum of squared action deviations over
+    any orthonormal spanning family: at least the largest single deviation."""
+    return float(np.linalg.norm(_constrained_part(sys, x)))
 
 
 def random_hermitian_direction(n: int, rng) -> np.ndarray:

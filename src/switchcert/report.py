@@ -38,9 +38,17 @@ def check_leq(name: str, measured, bound) -> Check:
     return Check(name, measured, float(bound), float(bound), measured <= bound)
 
 
+def _int_as_float(value: int) -> float:
+    """float(value), or +/-inf for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_exact_int(name: str, measured: int, target: int) -> Check:
     """Exact integer equality, tolerance 0."""
-    return Check(name, float(measured), float(target), 0.0,
+    return Check(name, _int_as_float(measured), _int_as_float(target), 0.0,
                  int(measured) == int(target))
 
 

@@ -76,12 +76,16 @@ class SpanGenerator:
         phases = np.asarray(phases, dtype=float)
         if phases.shape != (self.phase_count,):
             raise ValueError(f"expected {self.phase_count} phases")
-        psi = np.zeros(self.d * self.d, dtype=complex)
-        for term in self.branches[branch][1]:
-            a, b = term.ket
-            psi[a * self.d + b] += term.coeff * np.exp(
-                1j * float(np.dot(term.degrees, phases)))
-        return psi
+        return _branch_states(self, branch, phases[None, :])[0]
+
+
+def _branch_states(gen: SpanGenerator, branch: int, phases: np.ndarray) -> np.ndarray:
+    """States of one branch at each row of the (points x phase_count) array."""
+    psi = np.zeros((phases.shape[0], gen.d * gen.d), dtype=complex)
+    for term in gen.branches[branch][1]:
+        a, b = term.ket
+        psi[:, a * gen.d + b] += term.coeff * np.exp(1j * (phases @ term.degrees))
+    return psi
 
 
 def _complement_diag(d: int, excluded, degrees) -> list[StateTerm]:
@@ -267,15 +271,13 @@ def phase_average(gen: SpanGenerator, n: int | None = None) -> np.ndarray:
     if n < gen.min_grid:
         raise ValueError(f"grid {n} below exactness threshold {gen.min_grid} "
                          f"for {gen.lemma_id}")
-    dim = gen.d * gen.d
-    acc = np.zeros((dim, dim), dtype=complex)
     grid = 2.0 * np.pi * np.arange(n) / n
-    for combo in itertools.product(range(n), repeat=gen.phase_count):
-        phases = grid[list(combo)]
-        w = np.exp(1j * float(np.dot(gen.weight_degrees, phases)))
-        for b, (bc, _) in enumerate(gen.branches):
-            psi = gen.state(b, phases)
-            acc += (bc * w) * np.outer(psi, psi.conj())
+    phases = grid[np.indices((n,) * gen.phase_count).reshape(gen.phase_count, -1).T]
+    w = np.exp(1j * (phases @ gen.weight_degrees))
+    acc = 0
+    for b, (bc, _) in enumerate(gen.branches):
+        psi = _branch_states(gen, b, phases)
+        acc = acc + bc * ((w[:, None] * psi).T @ psi.conj())
     return acc / float(n ** gen.phase_count)
 
 
@@ -352,42 +354,42 @@ def stated_list_operators(d: int) -> list[np.ndarray]:
     return ops
 
 
-# --- span basis from Haar samples -------------------------------------------
-
-_BASIS_CACHE: dict = {}
+# --- span{J_U} in closed form ------------------------------------------------
 
 
-def default_sample_count(d: int) -> int:
-    return 4 * (d * d - 1) ** 2 + 4
+def vec_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (x) b reordered to act on vec(A (x) B); a, b act on row-major vec(A), vec(B)."""
+    k = round(a.shape[0] ** 0.5)
+    # (i j i2 j2, ...) -> (i i2 j j2, ...) on each side, for k x k matrices A, B
+    return np.kron(a, b).reshape((k,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7) \
+        .reshape(k ** 4, k ** 4)
 
 
-def unitary_span_basis(d: int, samples: int | None = None, seed: int = 0,
-                       rank_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal rows spanning vec(span{J_U}), built from Haar samples."""
-    if samples is None:
-        samples = default_sample_count(d)
-    key = (d, samples, seed, rank_tol)
-    if key not in _BASIS_CACHE:
-        rng = np.random.default_rng(seed)
-        mat = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
-                        for _ in range(samples)])
-        _, s, vh = np.linalg.svd(mat, full_matrices=False)
-        rank = int(np.count_nonzero(s > rank_tol * s[0]))
-        basis = vh[:rank].copy()
-        basis.flags.writeable = False
-        _BASIS_CACHE[key] = basis
-    return _BASIS_CACHE[key]
+def span_projector(d: int) -> np.ndarray:
+    """Real orthogonal projector onto vec(span{J_U}) in row-major vec order.
+
+    As an element of L(I) (x) L(O), span{J_U} is C.1 (+) (traceless (x)
+    traceless), so the projector is Pi (x) Pi + Q (x) Q with Pi = |I><I|/d and
+    Q = 1 - Pi on L(C^d).
+    """
+    vec_id = np.eye(d).reshape(-1)
+    pi = np.outer(vec_id, vec_id) / d
+    q = np.eye(d * d) - pi
+    return vec_kron(pi, pi) + vec_kron(q, q)
 
 
-def membership_residual(op, d: int, samples: int | None = None, seed: int = 0) -> float:
-    """Frobenius distance from op to span{J_U} (least squares against the basis)."""
+def _span_residuals(mats, d: int) -> np.ndarray:
+    """Frobenius distance from each d^2 x d^2 matrix to span{J_U}."""
+    x = np.array([m.reshape(-1) for m in mats], dtype=complex)
+    return np.linalg.norm(x - x @ span_projector(d), axis=1)
+
+
+def membership_residual(op, d: int) -> float:
+    """Frobenius distance from op to span{J_U}."""
     mat = op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
     if mat.shape != (d * d, d * d):
         raise ValueError(f"operator must be {d * d} x {d * d}")
-    v = unitary_span_basis(d, samples, seed)
-    x = mat.reshape(-1)
-    proj = v.T @ (v.conj() @ x)
-    return float(np.linalg.norm(x - proj))
+    return float(_span_residuals([mat], d)[0])
 
 
 def estimate_span_dimension(d: int, samples: int, seed: int = 0,
@@ -521,7 +523,6 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
     neg_scale_re = -np.inf
     worst_double = 0.0
     worst_unitary = 0.0
-    worst_member = 0.0
     for gen in gens:
         avg = phase_average(gen)
         resid, s = scale_match_residual(avg, gen.target)
@@ -535,7 +536,7 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
                 phases = rng.uniform(0.0, 2 * np.pi, size=gen.phase_count)
                 worst_unitary = nan_max(worst_unitary,
                                         scaled_unitary_deviation(gen.state(b, phases), d))
-        worst_member = nan_max(worst_member, membership_residual(gen.target, d, seed=seed))
+    worst_member = nan_max(0.0, *_span_residuals([g.target for g in gens], d))
 
     stacked = np.array([op.reshape(-1) for op in stated_list_operators(d)])
     svals = np.linalg.svd(stacked, compute_uv=False)
@@ -558,7 +559,7 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
         checks.append(check_exact_int("stated_list_rank_d2", stacked_rank, 10))
     else:
         lone = _same_side_lone_ketbras(d)
-        min_lone = -nan_max(*(-membership_residual(op, d, seed=seed) for op in lone))
+        min_lone = -nan_max(*(-_span_residuals(lone, d)))
         checks.append(check_true("same_side_lone_ketbras_outside_span",
                                  min_lone > 0.1))
         notes.append(f"lone_same_side_ketbras={len(lone)} "

@@ -627,7 +627,7 @@ def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
     ]
     notes = []
     if include_probe:
-        sys = build_constraint_system("switch", d, seed=seed, process=process)
+        sys = build_constraint_system("switch", d, process=process)
         parts.append(alternating_projection_probe(sys, starts=probe_starts, seed=seed))
     elif d != 2:
         notes.append("probe skipped: the switch probe supports d = 2 only")

@@ -165,15 +165,15 @@ def test_criterion_10_counterexamples():
 
 def test_criterion_11_probe():
     reports = []
-    sys_id2 = build_constraint_system("identity", 2, seed=SEED)
+    sys_id2 = build_constraint_system("identity", 2)
     reports.append(alternating_projection_probe(sys_id2, starts=20, seed=SEED))
-    sys_id3 = build_constraint_system("identity", 3, seed=SEED)
+    sys_id3 = build_constraint_system("identity", 3)
     reports.append(alternating_projection_probe(sys_id3, starts=10, seed=SEED))
-    sys_sw = build_constraint_system("switch", 2, seed=SEED)
+    sys_sw = build_constraint_system("switch", 2)
     reports.append(alternating_projection_probe(sys_sw, starts=10, seed=SEED))
     conv = max(r.check("max_distance_to_reference").measured for r in reports)
 
-    sys_cp = build_constraint_system("cp_family", 2, seed=SEED)
+    sys_cp = build_constraint_system("cp_family", 2)
     cp = alternating_projection_probe(sys_cp, starts=10, seed=SEED)
     ok = all(r.passed for r in reports) and cp.passed
     announce(11, ok, f"projection probe: uniqueness runs within {conv:.2e} <= 1e-6; "

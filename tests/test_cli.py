@@ -69,7 +69,8 @@ def test_usage_errors_exit_2(capsys):
     assert err.value.code == 2
     for args in (["identity-verify", "--dim", "1"],
                  ["identity-verify", "--tol-psd", "-1"],
-                 ["switch-verify", "--dim", "5"]):
+                 ["switch-verify", "--dim", "5"],
+                 ["span-verify", "--dim", "7"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
             cli.main(args)
@@ -97,3 +98,17 @@ def test_float_serialization_17_digits():
                      "l": [1.5e-300]})
     assert "0.10000000000000001" in text
     assert json.loads(text)["x"] == 0.1
+
+
+def test_non_finite_floats_are_json_strings():
+    text = cli.render_json({"m": {"a": float("nan"), "b": float("inf"),
+                                  "c": float("-inf")}, "passed": False})
+    assert json.loads(text)["m"] == {"a": "NaN", "b": "Infinity", "c": "-Infinity"}
+
+
+def test_finite_float_bytes_unchanged():
+    report = {"measured": {"x": 0.1, "y": 1e-300, "z": -2.5, "w": 4.0,
+                           "v": 1 / 3}, "passed": True}
+    assert cli.render_json(report) == (
+        '{"measured": {"x": 0.10000000000000001, "y": 1e-300, '
+        '"z": -2.5, "w": 4, "v": 0.33333333333333331}, "passed": true}\n')

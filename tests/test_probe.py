@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchcert import probe
+from switchcert.channels import haar_random_unitary, unitary_choi
 from switchcert.linalg import frobenius
 from switchcert.probe import (
     affine_project,
@@ -15,16 +16,57 @@ from switchcert.probe import (
     random_hermitian_direction,
 )
 from switchcert.span import span_dimension_formula
+from switchcert.switch import link
 
 
 def test_constraint_system_shapes():
-    sys2 = build_constraint_system("identity", 2, seed=0)
+    sys2 = build_constraint_system("identity", 2)
     assert sys2.family_rank == 10 == expected_family_rank(sys2)
-    assert len(sys2.targets) == 10
-    sys3 = build_constraint_system("identity", 3, seed=0)
+    assert sys2.in_projector.shape == (16, 16)
+    sys3 = build_constraint_system("identity", 3)
     assert sys3.family_rank == 65
-    sw = build_constraint_system("switch", 2, seed=0)
+    sw = build_constraint_system("switch", 2)
     assert sw.family_rank == 100 == span_dimension_formula(2) ** 2
+    assert sw.in_projector.shape == (256, 256)
+
+
+def haar_slot_basis(d, seed=0):
+    """Orthonormal d^2 x d^2 operators spanning sampled span{J_U}, via an SVD."""
+    rng = np.random.default_rng(seed)
+    mat = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
+                    for _ in range(4 * span_dimension_formula(d))])
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
+    return [row.reshape(d * d, d * d) for row in vh[:rank]]
+
+
+def family_gram(family):
+    rows = np.array([b.reshape(-1) for b in family])
+    return rows.conj().T @ rows
+
+
+def test_switch_in_projector_is_product_family_gram():
+    slot = haar_slot_basis(2)
+    family = [np.kron(a, b) for a in slot for b in slot]
+    sw = build_constraint_system("switch", 2)
+    assert frobenius(sw.in_projector, family_gram(family)) <= 1e-12
+    ident = build_constraint_system("identity", 2)
+    assert frobenius(ident.in_projector, family_gram(slot)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["identity", "switch"])
+def test_constraint_residual_bounds_family_maximum(kind):
+    slot = haar_slot_basis(2)
+    family = slot if kind == "identity" else \
+        [np.kron(a, b) for a in slot for b in slot]
+    sys = build_constraint_system(kind, 2)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = sys.reference + random_hermitian_direction(sys.reference.shape[0], rng)
+        per_family = max(np.linalg.norm(link(x, b) - link(sys.reference, b))
+                         for b in family)
+        assert constraint_residual(sys, x) >= per_family - 1e-12
+        assert per_family > 1e-3
 
 
 def test_constraint_system_errors():
@@ -37,20 +79,20 @@ def test_constraint_system_errors():
 
 
 def test_targets_match_reference_action():
-    sys = build_constraint_system("identity", 2, seed=0)
+    sys = build_constraint_system("identity", 2)
     assert constraint_residual(sys, sys.reference) <= 1e-12
 
 
 def test_reference_is_fixed_point():
     for kind in ("identity", "cp_family"):
-        sys = build_constraint_system(kind, 2, seed=0)
+        sys = build_constraint_system(kind, 2)
         x = sys.reference
         y = affine_project(sys, psd_project(x))
         assert frobenius(y, x) <= 1e-11
 
 
 def test_affine_projection_idempotent_and_exact():
-    sys = build_constraint_system("identity", 2, seed=3)
+    sys = build_constraint_system("identity", 2)
     rng = np.random.default_rng(3)
     x = sys.reference + 3.0 * random_hermitian_direction(16, rng)
     y = affine_project(sys, x)
@@ -74,20 +116,20 @@ def test_psd_projection_firmly_nonexpansive():
 
 
 def test_probe_identity_converges():
-    sys = build_constraint_system("identity", 2, seed=0)
-    rep = alternating_projection_probe(sys, starts=5, seed=0)
+    sys = build_constraint_system("identity", 2)
+    rep = alternating_projection_probe(sys, starts=5)
     assert rep.passed, [c for c in rep.checks if not c.passed]
     assert rep.check("max_distance_to_reference").measured <= 1e-6
 
 
 def test_probe_derived_kind_converges():
-    sys = build_constraint_system("transpose", 2, seed=0)
-    rep = alternating_projection_probe(sys, starts=3, seed=0)
+    sys = build_constraint_system("transpose", 2)
+    rep = alternating_projection_probe(sys, starts=3)
     assert rep.passed
 
 
 def test_probe_determinism():
-    sys = build_constraint_system("identity", 2, seed=1)
+    sys = build_constraint_system("identity", 2)
     a = alternating_projection_probe(sys, starts=3, seed=9)
     b = alternating_projection_probe(sys, starts=3, seed=9)
     assert a.checks == b.checks and a.notes == b.notes
@@ -96,7 +138,7 @@ def test_probe_determinism():
 @pytest.fixture(scope="module")
 def cp_family_run():
     """The default cp_family probe (seed 0), with the polish start recorded."""
-    sys = build_constraint_system("cp_family", 2, seed=0)
+    sys = build_constraint_system("cp_family", 2)
     starts = []
     polish = probe._polish_witness
 
@@ -106,7 +148,7 @@ def cp_family_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(probe, "_polish_witness", spy)
-        rep = alternating_projection_probe(sys, starts=10, seed=0)
+        rep = alternating_projection_probe(sys, starts=10)
     assert len(starts) == 1
     return sys, starts[0], rep
 
@@ -130,7 +172,7 @@ def test_polish_witness_is_fast_and_feasible(cp_family_run):
 
 
 def test_probe_cp_family_witness_budget_too_small_fails():
-    sys = build_constraint_system("cp_family", 2, seed=0)
+    sys = build_constraint_system("cp_family", 2)
     rep = alternating_projection_probe(sys, starts=10, seed=0, witness_max_iter=3)
     assert not rep.passed
     assert not rep.check("witness_negative_eigenvalue").passed

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from switchcert.span import (
     scale_match_residual,
     scaled_unitary_deviation,
     span_dimension_formula,
-    unitary_span_basis,
+    span_projector,
     verify_group_combinatorics,
     verify_span_lemmas,
 )
@@ -164,12 +166,46 @@ def test_estimate_span_dimension():
         estimate_span_dimension(2, 8, seed=0)
 
 
-def test_unitary_span_basis_rank():
+def haar_span_projector(d, seed=0):
+    """V^H V for an orthonormal row basis V of sampled vec(J_U), via an SVD."""
+    rng = np.random.default_rng(seed)
+    samples = 4 * span_dimension_formula(d)
+    mat = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
+                    for _ in range(samples)])
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    v = vh[:int(np.count_nonzero(s > 1e-10 * s[0]))]
+    return v.conj().T @ v
+
+
+def test_span_projector_closed_form():
     for d in (2, 3):
-        basis = unitary_span_basis(d, seed=0)
-        assert basis.shape[0] == span_dimension_formula(d)
-        gram = basis.conj() @ basis.T
-        assert frobenius(gram, np.eye(basis.shape[0])) <= 1e-10
+        p = span_projector(d)
+        assert p.dtype == np.float64
+        assert np.array_equal(p, p.T)
+        assert frobenius(p @ p, p) <= 1e-12
+        assert abs(np.trace(p) - ((d * d - 1) ** 2 + 1)) <= 1e-12
+        assert frobenius(p, haar_span_projector(d)) <= 1e-10
+
+
+def pointwise_phase_average(gen, n):
+    """The defining grid sum, one point and one outer product at a time."""
+    grid = 2.0 * np.pi * np.arange(n) / n
+    acc = np.zeros((gen.d ** 2, gen.d ** 2), dtype=complex)
+    for combo in itertools.product(range(n), repeat=gen.phase_count):
+        phases = grid[list(combo)]
+        w = np.exp(1j * np.dot(gen.weight_degrees, phases))
+        for b, (bc, _) in enumerate(gen.branches):
+            psi = gen.state(b, phases)
+            acc += bc * w * np.outer(psi, psi.conj())
+    return acc / n ** gen.phase_count
+
+
+def test_phase_average_matches_pointwise_loop():
+    for d in (2, 3):
+        for gen in enumerate_generators(d):
+            for n in (gen.default_grid, 2 * gen.default_grid):
+                assert frobenius(phase_average(gen, n),
+                                 pointwise_phase_average(gen, n)) <= 1e-13
 
 
 def test_enumerate_generators_count():
