@@ -54,7 +54,6 @@ from .switch import (
     apply_one_slot,
     apply_two_slot,
     build_switch_choi,
-    fast_w0_action,
     link,
     switch_kraus_output,
     verify_unitary_action,
@@ -64,7 +63,6 @@ from .uniqueness import (
     build_derived_one_slot,
     build_identity_process,
     certify_identity_uniqueness,
-    certify_switch_uniqueness,
     cp_family_certificate,
     diagonal_certificate,
     fig_circuits_certificate,

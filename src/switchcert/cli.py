@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -194,19 +195,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: str):
+    """Report an unsupported request with one line on stderr and exit 2."""
+    sys.stderr.write(f"switchcert: error: {message}\n")
+    raise SystemExit(2)
+
+
 def _validate(cfg) -> None:
-    """Reject an unsupported configuration with one line on stderr and exit 2."""
+    """Reject an unsupported configuration before any work."""
+    min_samples = span_dimension_formula(cfg.dim) + 1
     for bad, message in (
             (cfg.dim < 2, "--dim must be at least 2"),
             (cfg.subcommand in ("switch-verify", "all") and cfg.dim > 4,
              f"{cfg.subcommand} supports --dim 2 to 4"),
             (cfg.subcommand == "span-verify" and cfg.dim > 6,
              "span-verify supports --dim 2 to 6"),
+            (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
+             and cfg.samples < min_samples,
+             f"--samples must be at least {min_samples} at --dim {cfg.dim}"),
             (cfg.tol_psd <= 0 or cfg.tol_cert <= 0, "tolerances must be positive"),
             (cfg.probe_starts < 1, "--probe-starts must be at least 1")):
         if bad:
-            sys.stderr.write(f"switchcert: error: {message}\n")
-            raise SystemExit(2)
+            _usage_error(message)
 
 
 def run(cfg) -> tuple[int, dict]:
@@ -237,13 +247,14 @@ def run(cfg) -> tuple[int, dict]:
 def main(argv=None) -> int:
     cfg = build_parser().parse_args(argv)
     _validate(cfg)
-    code, report = run(cfg)
-    rendered = render_json(report) if cfg.format == "json" else render_text(report)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    try:  # open --out before the work, so a bad path fails at once
+        out = open(cfg.out, "w", encoding="utf-8") if cfg.out \
+            else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        _usage_error(f"cannot write --out {cfg.out}: {exc.strerror}")
+    with out as fh:
+        code, report = run(cfg)
+        fh.write(render_json(report) if cfg.format == "json" else render_text(report))
     return code
 
 

@@ -32,6 +32,10 @@ from .uniqueness import (
 UNIQUE_KINDS = ("identity", "switch", "transpose", "conjugate_qubit")
 KINDS = UNIQUE_KINDS + ("cp_family",)
 ANDERSON_MEMORY = 5  # residual differences kept by the witness polish
+MAX_ITER = 5000  # Dykstra iterations per start
+TOL = 1e-6  # distance to the reference at which a unique-kind start has converged
+WITNESS_AMPLITUDE = 0.25  # norm of the escape direction the witness polish starts from
+WITNESS_THRESHOLD = 0.1  # distance from the reference a cp_family witness must reach
 
 
 @dataclass(frozen=True)
@@ -128,20 +132,19 @@ def random_hermitian_direction(n: int, rng) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
-def _run_single(sys: ConstraintSystem, start: np.ndarray, max_iter: int, tol: float,
-                stop_at_tol: bool):
+def _run_single(sys: ConstraintSystem, start: np.ndarray, stop_at_tol: bool):
     x = affine_project(sys, start)
     p = np.zeros_like(x)
     dist = float(np.linalg.norm(x - sys.reference))
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, MAX_ITER + 1):
         y = psd_project(x + p)
         p = x + p - y
         x_new = affine_project(sys, y)
         step = float(np.linalg.norm(x_new - x))
         x = x_new
         dist = float(np.linalg.norm(x - sys.reference))
-        if stop_at_tol and dist <= tol:
+        if stop_at_tol and dist <= TOL:
             break
         if step <= 1e-13:
             break
@@ -189,20 +192,17 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
 
 
 def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
-                                 max_iter: int = 5000, tol: float = 1e-6,
                                  seed: int = 0, feas_tol: float = 1e-6,
-                                 witness_threshold: float = 0.1,
-                                 witness_amplitude: float = 0.25,
                                  witness_max_iter: int = 400_000) -> CertificateReport:
     """Run the probe from several perturbed starts and certify the outcome.
 
     Each start is the reference plus a random Hermitian perturbation of unit
     Frobenius norm, projected onto the affine set.  Unique kinds pass when
-    every start converges back to the reference within tol.  The cp_family
+    every start converges back to the reference within TOL.  The cp_family
     kind instead certifies a non-uniqueness witness: the escape direction
-    found by the random starts is rescaled to ``witness_amplitude`` and
-    polished into a feasible point whose distance from the reference must
-    exceed ``witness_threshold``.
+    found by the random starts is rescaled to WITNESS_AMPLITUDE and polished
+    into a feasible point whose distance from the reference must exceed
+    WITNESS_THRESHOLD.
     """
     timer = Timer()
     seeds = np.random.SeedSequence(seed).spawn(starts)
@@ -211,8 +211,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     for s in seeds:
         rng = np.random.default_rng(s)
         start = sys.reference + random_hermitian_direction(n, rng)
-        results.append(_run_single(sys, start, max_iter, tol,
-                                   stop_at_tol=sys.kind != "cp_family"))
+        results.append(_run_single(sys, start, stop_at_tol=sys.kind != "cp_family"))
     dists = [r[1] for r in results]
     iters_used = [r[2] for r in results]
 
@@ -226,13 +225,13 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
         scale = float(np.linalg.norm(escape))
         if scale > 0:
             escape = escape / scale
-        witness_start = sys.reference + witness_amplitude * escape
+        witness_start = sys.reference + WITNESS_AMPLITUDE * escape
         witness, polish_iters = _polish_witness(sys, witness_start, feas_tol,
                                                 witness_max_iter)
         wdist = float(np.linalg.norm(witness - sys.reference))
         checks += [
             check_true("witness_distance_exceeds_threshold",
-                       wdist >= witness_threshold),
+                       wdist >= WITNESS_THRESHOLD),
             check_leq("witness_constraint_residual",
                       constraint_residual(sys, witness), feas_tol),
             check_leq("witness_negative_eigenvalue", -_min_eig(witness), feas_tol),
@@ -244,7 +243,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
         checks += [
             check_leq("final_constraint_residual", feas_resid, feas_tol),
             check_leq("final_negative_eigenvalue", neg_eig, feas_tol),
-            check_leq("max_distance_to_reference", nan_max(*dists), tol),
+            check_leq("max_distance_to_reference", nan_max(*dists), TOL),
         ]
     return make_report(f"probe_{sys.kind}_d{sys.d}", checks, timer,
                        notes=tuple(notes))

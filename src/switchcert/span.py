@@ -29,6 +29,7 @@ from .linalg import Operator, SpaceLayout, frobenius
 from .report import Timer, check_exact_int, check_leq, check_true, make_report, nan_max
 
 SQ2 = sqrt(2.0)
+RANK_TOL = 1e-10  # relative cut below which a singular value counts as zero
 
 
 def _ketbra(d: int, a: int, b: int, c: int, e: int) -> np.ndarray:
@@ -59,7 +60,6 @@ class SpanGenerator:
     lemma_id: str
     indices: tuple[int, ...]
     d: int
-    phase_count: int
     weight_degrees: tuple[int, ...]
     branches: tuple[tuple[complex, tuple[StateTerm, ...]], ...]
     target: np.ndarray
@@ -70,6 +70,10 @@ class SpanGenerator:
         t = np.array(self.target, dtype=complex, copy=True)
         t.flags.writeable = False
         object.__setattr__(self, "target", t)
+
+    @property
+    def phase_count(self) -> int:
+        return len(self.weight_degrees)
 
     def state(self, branch: int, phases) -> np.ndarray:
         """The sampled state vector of one branch at the given phases."""
@@ -228,9 +232,15 @@ def _build_a5(indices, d, variant: bool):
     return (1, -1, 0), branches, target
 
 
-_BUILDERS = {"A1": _build_a1, "A2": _build_a2, "A3": _build_a3, "A4": _build_a4}
-_MIN_GRID = {"A1": 3, "A2": 3, "A3": 4, "A4": 2, "A5": 4, "A5-variant": 4}
-_DEFAULT_GRID = {"A1": 4, "A2": 4, "A3": 4, "A4": 3, "A5": 4, "A5-variant": 4}
+# lemma id -> (builder, exactness threshold of the grid, default grid)
+_LEMMAS = {
+    "A1": (_build_a1, 3, 4),
+    "A2": (_build_a2, 3, 4),
+    "A3": (_build_a3, 4, 4),
+    "A4": (_build_a4, 2, 3),
+    "A5": (lambda indices, d: _build_a5(indices, d, variant=False), 4, 4),
+    "A5-variant": (lambda indices, d: _build_a5(indices, d, variant=True), 4, 4),
+}
 
 
 def build_span_generator(lemma_id: str, indices, d: int) -> SpanGenerator:
@@ -245,18 +255,14 @@ def build_span_generator(lemma_id: str, indices, d: int) -> SpanGenerator:
         raise ValueError("span generators need d >= 2")
     if any(v < 0 or v >= d for v in indices):
         raise ValueError(f"indices {indices} out of range for d = {d}")
-    if lemma_id in ("A5", "A5-variant"):
-        weight, branches, target = _build_a5(indices, d, lemma_id == "A5-variant")
-        phase_count = 3
-    elif lemma_id in _BUILDERS:
-        weight, branches, target = _BUILDERS[lemma_id](indices, d)
-        phase_count = len(weight)
-    else:
+    if lemma_id not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
+    build, min_grid, default_grid = _LEMMAS[lemma_id]
+    weight, branches, target = build(indices, d)
     return SpanGenerator(
-        lemma_id=lemma_id, indices=indices, d=d, phase_count=phase_count,
-        weight_degrees=weight, branches=branches, target=target,
-        min_grid=_MIN_GRID[lemma_id], default_grid=_DEFAULT_GRID[lemma_id])
+        lemma_id=lemma_id, indices=indices, d=d, weight_degrees=weight,
+        branches=branches, target=target, min_grid=min_grid,
+        default_grid=default_grid)
 
 
 def phase_average(gen: SpanGenerator, n: int | None = None) -> np.ndarray:
@@ -288,14 +294,9 @@ def scale_match_residual(avg: np.ndarray, target: np.ndarray):
     return float(resid), s
 
 
-def reshape_to_matrix(psi: np.ndarray, d: int) -> np.ndarray:
-    """Reshape a vector on C^d (x) C^d into the d x d matrix M with M[a,b] = psi[ab]."""
-    return np.asarray(psi).reshape(d, d)
-
-
 def scaled_unitary_deviation(psi: np.ndarray, d: int) -> float:
     """How far the reshaped state is from a scaled unitary: ||MM^dag - c I|| / ||MM^dag||."""
-    m = reshape_to_matrix(psi, d)
+    m = np.asarray(psi).reshape(d, d)  # M[a, b] = psi[ab]
     g = m @ m.conj().T
     c = np.trace(g) / d
     return float(np.linalg.norm(g - c * np.eye(d)) / max(np.linalg.norm(g), 1e-300))
@@ -331,27 +332,12 @@ def listed_operator_count(d: int) -> int:
     return d * (d ** 3 - 3 * d + 3)
 
 
-def stated_list_operators(d: int) -> list[np.ndarray]:
-    """The operator list exactly as stated (lone ket-bras for every A3 pattern)."""
-    ops = []
-    rng = range(d)
-    for i, j in itertools.permutations(rng, 2):
-        ops.append(_ketbra(d, i, i, j, j))
-        ops.append(_ketbra(d, i, j, j, i))
-    for a, b, c, e in itertools.permutations(rng, 4):
-        ops.append(_ketbra(d, a, b, c, e))
-    patterns = [lambda x, y, z: (x, x, y, z), lambda x, y, z: (x, y, y, z),
-                lambda x, y, z: (x, y, x, z), lambda x, y, z: (x, y, z, y),
-                lambda x, y, z: (x, y, z, z), lambda x, y, z: (x, y, z, x)]
-    for pat in patterns:
-        for x, y, z in itertools.permutations(rng, 3):
-            ops.append(_ketbra(d, *pat(x, y, z)))
-    for k in rng:
-        ops.append(sum(_ketbra(d, i, (i + k) % d, i, (i + k) % d) for i in rng))
-    for i, j in itertools.permutations(rng, 2):
-        ops.append(_ketbra(d, i, j, i, i) - _ketbra(d, j, j, j, i))
-        ops.append(_ketbra(d, j, i, i, i) - _ketbra(d, j, j, i, j))
-    return ops
+def stated_list_operators(gens: list[SpanGenerator]) -> list[np.ndarray]:
+    """The operator list as stated, from ``enumerate_generators``: the lone
+    ket-bra of every A1-A3 instance (not the compensated A3 targets), and the
+    A4/A5 targets."""
+    return [_ketbra(g.d, *g.indices) if g.lemma_id in ("A1", "A2", "A3") else g.target
+            for g in gens]
 
 
 # --- span{J_U} in closed form ------------------------------------------------
@@ -392,8 +378,7 @@ def membership_residual(op, d: int) -> float:
     return float(_span_residuals([mat], d)[0])
 
 
-def estimate_span_dimension(d: int, samples: int, seed: int = 0,
-                            rank_tol: float = 1e-10) -> int:
+def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:
     """Numerical rank of the Gram matrix of vectorized Haar-sampled J_U."""
     if d == 1:
         return 1
@@ -405,7 +390,7 @@ def estimate_span_dimension(d: int, samples: int, seed: int = 0,
                      for _ in range(samples)])
     gram = vecs.conj() @ vecs.T
     w = np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2))
-    return int(np.count_nonzero(w > rank_tol * w.max()))
+    return int(np.count_nonzero(w > RANK_TOL * w.max()))
 
 
 def span_dimension_formula(d: int) -> int:
@@ -538,9 +523,9 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
                                         scaled_unitary_deviation(gen.state(b, phases), d))
     worst_member = nan_max(0.0, *_span_residuals([g.target for g in gens], d))
 
-    stacked = np.array([op.reshape(-1) for op in stated_list_operators(d)])
+    stacked = np.array([op.reshape(-1) for op in stated_list_operators(gens)])
     svals = np.linalg.svd(stacked, compute_uv=False)
-    stacked_rank = int(np.count_nonzero(svals > 1e-10 * svals[0]))
+    stacked_rank = int(np.count_nonzero(svals > RANK_TOL * svals[0]))
 
     checks = [
         check_leq("max_target_residual", worst_resid, 1e-10),

@@ -13,25 +13,21 @@ channel, and control state |0> means the slot-1 operation acts first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .channels import ChoiChannel, KrausChannel, choi_from_kraus, choi_matrix, \
     haar_random_unitary, unitary_choi
-from .linalg import Operator, SpaceLayout, frobenius, permute_systems
+from .linalg import Operator, SpaceLayout, frobenius
 from .report import Timer, check_leq, check_close, make_report, nan_max
 
 CANONICAL_ORDER = ("I1", "O1", "I2", "O2", "PT", "FT", "PC", "FC")
-SECTION_ORDER = ("PC", "PT", "I1", "O1", "I2", "O2", "FC", "FT")
 
 
 def process_layout(d: int) -> SpaceLayout:
     dims = {"PC": 2, "FC": 2}
     return SpaceLayout(tuple((lbl, dims.get(lbl, d)) for lbl in CANONICAL_ORDER))
-
-
-def output_layout(d: int) -> SpaceLayout:
-    return SpaceLayout((("PT", d), ("FT", d), ("PC", 2), ("FC", 2)))
 
 
 def one_slot_layout(d: int) -> SpaceLayout:
@@ -83,14 +79,41 @@ class Process:
         """What ``link`` contracts: the vector if pure, else the dense entries."""
         return self.vector if self.vector is not None else self.dense.entries
 
+    @property
+    def nin(self) -> int:
+        """Dimension of the slot (input) systems, which come first."""
+        return self.d ** (len(self.layout.dims) // 2)
+
     def block(self, row: int, col: int) -> np.ndarray:
         """The output block W[(row, .), (col, .)] at input basis indices row, col."""
-        nin = self.d ** (len(self.layout.dims) // 2)  # the slot systems come first
         if self.vector is not None:
-            wm = self.vector.reshape(nin, -1)
+            wm = self.vector.reshape(self.nin, -1)
             return np.outer(wm[row], wm[col].conj())
-        nout = self.layout.dim // nin
+        nout = self.layout.dim // self.nin
         return self.dense.entries[row * nout:(row + 1) * nout, col * nout:(col + 1) * nout]
+
+    @cached_property
+    def _row_entries(self) -> tuple:
+        """Per row of Wm = w.reshape(nin, nout), its nonzero (column, value) pairs."""
+        wm = self.vector.reshape(self.nin, -1)
+        rows = [[] for _ in range(self.nin)]
+        for r, o in zip(*np.nonzero(wm)):
+            rows[r].append((int(o), complex(wm[r, o])))
+        return tuple(rows)
+
+    def block_entries(self, row: int, col: int) -> list:
+        """The nonzero entries of ``block(row, col)`` as (o, p, value) triples.
+
+        For a pure process these are the products of the nonzero entries of
+        rows ``row`` and ``col`` of Wm (at most 2 x 2 for the switch); for a
+        dense one, the block entries of modulus above 1e-14.
+        """
+        if self.vector is not None:
+            rows = self._row_entries
+            return [(o, p, a * b.conjugate()) for o, a in rows[row] for p, b in rows[col]]
+        block = self.block(row, col)
+        o, p = np.nonzero(np.abs(block) > 1e-14)
+        return list(zip(o.tolist(), p.tolist(), block[o, p]))
 
     def entry(self, row: int, col: int) -> complex:
         if self.vector is not None:
@@ -136,11 +159,6 @@ def build_switch_choi(d: int) -> Process:
     """Dense process matrix W0 = |W0><W0| of the quantum switch."""
     w = switch_choi_vector(d)
     return Process(d, Operator(process_layout(d), np.outer(w, w.conj())))
-
-
-def to_section_order(proc: Process) -> Operator:
-    """Reindex a process matrix to the global order P (x) slots (x) F."""
-    return permute_systems(proc.op, SECTION_ORDER)
 
 
 def controlled_order_unitary(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -204,54 +222,6 @@ def switch_kraus_output(k: KrausChannel, l: KrausChannel) -> ChoiChannel:
             w[d:, d:] = ki @ lj
             ops.append(w)
     return choi_from_kraus(KrausChannel(2 * d, 2 * d, tuple(ops)))
-
-
-def _check_indices(d: int, idx) -> tuple[int, ...]:
-    idx = tuple(int(v) for v in idx)
-    if len(idx) != 4 or any(v < 0 or v >= d for v in idx):
-        raise ValueError(f"indices {idx} out of range for dimension {d}")
-    return idx
-
-
-def w0_action_pairs(d: int, ket, bra):
-    """Nonzero entries of Tr_in[W0 (|ket><bra|)^t] as flat (row, col) pairs.
-
-    Rows and columns index the output space in (PT, FT, PC, FC) order; every
-    listed entry has value exactly 1.  At most four pairs fire, one per
-    surviving Kronecker-delta term.
-    """
-    i, j, k, l = _check_indices(d, ket)
-    i2, j2, k2, l2 = _check_indices(d, bra)
-
-    def flat00(a, b):
-        return (a * d + b) * 4
-
-    def flat11(a, b):
-        return (a * d + b) * 4 + 3
-
-    pairs = []
-    if j == k and j2 == k2:
-        pairs.append((flat00(i, l), flat00(i2, l2)))
-    if i == l and i2 == l2:
-        pairs.append((flat11(k, j), flat11(k2, j2)))
-    if j == k and i2 == l2:
-        pairs.append((flat00(i, l), flat11(k2, j2)))
-    if i == l and j2 == k2:
-        pairs.append((flat11(k, j), flat00(i2, l2)))
-    return pairs
-
-
-def fast_w0_action(d: int, ket, bra) -> Operator:
-    """Closed-form action of W0 on a slot basis ket-bra, no dense contraction.
-
-    Evaluates Tr_in[W0 (|ijkl><i'j'k'l'|)^t] on the output space
-    PT (x) FT (x) PC (x) FC via the four-delta formula.
-    """
-    n = 4 * d * d
-    m = np.zeros((n, n), dtype=complex)
-    for r, c in w0_action_pairs(d, ket, bra):
-        m[r, c] += 1.0
-    return Operator(output_layout(d), m)
 
 
 def verify_unitary_action(d: int, trials: int, seed, process: Process | None = None,

@@ -46,10 +46,10 @@ from .switch import (
     one_slot_layout,
     switch_choi_vector,
     verify_unitary_action,
-    w0_action_pairs,
 )
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+CP_GRID_POINTS = 101  # p values on [0, 1] at which C_p >= 0 is checked
 
 
 def build_identity_process(d: int) -> Process:
@@ -63,12 +63,15 @@ def build_derived_one_slot(kind: str, d: int, a: np.ndarray | None = None,
                            b: np.ndarray | None = None) -> Process:
     """One-slot processes derived from C0 = |c><c| by a change of variables m.
 
-    Each is the pure process of m c, i.e. m C0 m^dag:
-    ``sandwich``: m = A_I (x) B_F realizes U -> B U A.
-    ``transpose``: m = F_IO realizes U -> U^T.
+    Each is the pure process of m c, i.e. m C0 m^dag; as c is vec(1) on
+    (I O) x (P F), m c is read off in closed form, never building m:
+    ``sandwich``: m = A_I (x) B_F realizes U -> B U A, and m c has the
+    entries A[i, p] B[f, o] at (i, o, p, f).
+    ``transpose``: m = F_IO realizes U -> U^T, and m c is vec(F).
     ``conjugate_qubit``: the Y,Y sandwich realizing qubit U -> U* (d = 2).
     """
-    c0 = build_identity_process(d)
+    if d < 2:
+        raise ValueError("derived processes need d >= 2")
     eye = np.eye(d, dtype=complex)
     if kind == "sandwich":
         if a is None or b is None:
@@ -78,16 +81,16 @@ def build_derived_one_slot(kind: str, d: int, a: np.ndarray | None = None,
         for name, u in (("A", a), ("B", b)):
             if u.shape != (d, d) or frobenius(u.conj().T @ u, eye) > 1e-10:
                 raise ValueError(f"{name} must be a {d} x {d} unitary")
-        m = np.kron(np.kron(a, eye), np.kron(eye, b))
+        vec = a[:, None, :, None] * b.T[None, :, None, :]
     elif kind == "transpose":
-        m = np.kron(flip_operator(d).entries, np.eye(d * d, dtype=complex))
+        vec = flip_operator(d).entries
     elif kind == "conjugate_qubit":
         if d != 2:
             raise ValueError("conjugate_qubit is a qubit construction (d = 2)")
         return build_derived_one_slot("sandwich", 2, PAULI_Y, PAULI_Y)
     else:
         raise ValueError(f"unknown derived process kind {kind!r}")
-    return Process(d, vector=m @ c0.vector)
+    return Process(d, vector=vec.reshape(-1))
 
 
 def build_cp_family(p: float) -> Process:
@@ -371,13 +374,14 @@ def grouped_sum_formulas(d: int) -> dict:
     }
 
 
-def _group_pair_sum(d: int, ga, gb, process: Process | None = None):
+def _group_pair_sum(process: Process, ga, gb):
     """Brute-force sum of output 1-norms over one ordered group pair.
 
-    Uses the closed-form delta action by default, or the output blocks of a
-    supplied process.  Returns (integer sum, max deviation of the
-    accumulated entries from integers).
+    Accumulates the nonzero output-block entries of the process over the
+    ket-bra terms of each element pair.  Returns (integer sum, max deviation
+    of the accumulated entries from integers).
     """
+    d = process.d
     total = 0
     nonint = 0.0
     acc: dict = {}
@@ -386,18 +390,11 @@ def _group_pair_sum(d: int, ga, gb, process: Process | None = None):
             acc.clear()
             for ca, ta in ea.terms:
                 for cb, tb in eb.terms:
-                    ket = (ta[0], ta[1], tb[0], tb[1])
-                    bra = (ta[2], ta[3], tb[2], tb[3])
+                    row = (ta[0] * d + ta[1]) * d * d + tb[0] * d + tb[1]
+                    col = (ta[2] * d + ta[3]) * d * d + tb[2] * d + tb[3]
                     coeff = ca * cb
-                    if process is None:
-                        for rc in w0_action_pairs(d, ket, bra):
-                            acc[rc] = acc.get(rc, 0.0) + coeff
-                    else:
-                        ri = np.ravel_multi_index(ket, (d, d, d, d))
-                        ci = np.ravel_multi_index(bra, (d, d, d, d))
-                        block = coeff * process.block(ri, ci)
-                        for (r, c) in zip(*np.nonzero(np.abs(block) > 1e-14)):
-                            acc[(r, c)] = acc.get((r, c), 0.0) + block[r, c]
+                    for o, p, v in process.block_entries(row, col):
+                        acc[(o, p)] = acc.get((o, p), 0.0) + coeff * v
             for v in acc.values():
                 av = abs(v)
                 if not av < 2.0 ** 53:  # inf/NaN, or too large to tell integrality
@@ -411,19 +408,23 @@ def _group_pair_sum(d: int, ga, gb, process: Process | None = None):
 def offdiagonal_certificate(d: int, process: Process | None = None) -> CertificateReport:
     """Exact integer reproduction of the six grouped 1-norm sums.
 
-    Enumerates every ordered pair of group elements, evaluates the process
-    action through the closed-form deltas (or the blocks of an override),
-    and compares each unordered sum with its closed form; the ordered total
-    must saturate the (2 d^3)^2 bound on the entrywise 1-norm.
+    Enumerates every ordered pair of group elements, reads the process
+    action off the nonzero entries of its output blocks (for the rank-1
+    switch, products of two rows of its vector), and compares each unordered
+    sum with its closed form; the ordered total must saturate the (2 d^3)^2
+    bound on the entrywise 1-norm.
     """
     if not 2 <= d <= 4:
         raise ValueError("group-sum enumeration is supported for 2 <= d <= 4")
+    if process is not None and process.d != d:
+        raise ValueError("process dimension mismatch")
     timer = Timer()
+    proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
     groups = {gid: build_group(gid, d) for gid in ("G1", "G2", "G3")}
     sums = {}
     nonint = 0.0
     for a, b in itertools.product(("G1", "G2", "G3"), repeat=2):
-        s, ni = _group_pair_sum(d, groups[a], groups[b], process)
+        s, ni = _group_pair_sum(proc, groups[a], groups[b])
         sums[(a, b)] = s
         nonint = nan_max(nonint, ni)
     forms = grouped_sum_formulas(d)
@@ -544,8 +545,7 @@ def fig_circuits_certificate(trials: int = 100, seed: int = 0) -> CertificateRep
                        notes=(f"trials={trials}", f"oracle_distance={oracle!r}"))
 
 
-def cp_family_certificate(trials: int = 50, seed: int = 0,
-                          grid_points: int = 101) -> CertificateReport:
+def cp_family_certificate(trials: int = 50, seed: int = 0) -> CertificateReport:
     """Non-uniqueness witness: the C_p family shares its action on all unitaries.
 
     Checks C_p >= 0 across the p grid, rank(C_1) = 1, that every Haar unitary
@@ -556,7 +556,7 @@ def cp_family_certificate(trials: int = 50, seed: int = 0,
     """
     timer = Timer()
     rng = np.random.default_rng(seed)
-    ps = np.linspace(0.0, 1.0, grid_points)
+    ps = np.linspace(0.0, 1.0, CP_GRID_POINTS)
     neg_eig = nan_max(*(-min_eigenvalue(build_cp_family(p).op) for p in ps))
     rank_c1 = numerical_rank(build_cp_family(1.0).op, tol=1e-10)
 
@@ -590,7 +590,7 @@ def cp_family_certificate(trials: int = 50, seed: int = 0,
         check_leq("factor_eigenvalue_dev", eig_dev, 1e-12),
         check_true("constant_depends_on_unitary", spread > 0.1),
     ]
-    notes = (f"grid_points={grid_points}", f"trials={trials}",
+    notes = (f"grid_points={CP_GRID_POINTS}", f"trials={trials}",
              f"constant_spread={spread:.3f}")
     return make_report("cp_family_nonuniqueness", checks, timer, notes=notes)
 
@@ -600,25 +600,19 @@ def cp_family_certificate(trials: int = 50, seed: int = 0,
 
 def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
                               process: Process | None = None,
-                              include_probe: bool | None = None,
                               probe_starts: int = 10,
                               tol: float = 1e-9) -> list[CertificateReport]:
     """All switch certificates plus a final aggregate report.
 
-    The alternating-projection probe is included at d = 2 by default and
-    skipped (with a note) at larger dimensions; the switch probe supports
-    d = 2 only, so ``include_probe=True`` elsewhere raises before any work.
+    The alternating-projection probe runs at d = 2 only, where the dense
+    switch process is 256 x 256; elsewhere it is skipped with a note.
     """
     from .probe import alternating_projection_probe, build_constraint_system
     from .span import verify_span_lemmas
 
     timer = Timer()
-    if include_probe and d != 2:
-        raise ValueError("the switch probe supports d = 2 only")
     if trials is None:
         trials = 200 if d == 2 else 100
-    if include_probe is None:
-        include_probe = d == 2
     parts = [
         verify_unitary_action(d, trials=trials, seed=seed, process=process, tol=tol),
         verify_span_lemmas(d, seed=seed),
@@ -626,22 +620,12 @@ def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
         offdiagonal_certificate(d, process=process),
     ]
     notes = []
-    if include_probe:
+    if d == 2:
         sys = build_constraint_system("switch", d, process=process)
         parts.append(alternating_projection_probe(sys, starts=probe_starts, seed=seed))
-    elif d != 2:
+    else:
         notes.append("probe skipped: the switch probe supports d = 2 only")
     checks = [check_true(part.name, part.passed) for part in parts]
     aggregate = make_report(f"switch_uniqueness_d{d}", checks, timer,
                             notes=tuple(notes))
     return parts + [aggregate]
-
-
-def certify_switch_uniqueness(d: int, seed: int = 0, trials: int | None = None,
-                              process: Process | None = None,
-                              include_probe: bool | None = None,
-                              probe_starts: int = 10) -> CertificateReport:
-    """Single pass/fail aggregate over the full switch verification suite."""
-    return switch_verification_suite(d, seed=seed, trials=trials, process=process,
-                                     include_probe=include_probe,
-                                     probe_starts=probe_starts)[-1]

@@ -153,7 +153,7 @@ def test_criterion_10_counterexamples():
         np.kron(np.eye(2), np.eye(2) / 2 - np.diag([1.0, 0.0]))))
     dist_ok = abs(fig.check("replace_output_distance").measured - oracle) <= 1e-10
 
-    cp = cp_family_certificate(trials=50, seed=SEED, grid_points=101)
+    cp = cp_family_certificate(trials=50, seed=SEED)
     grid_ok = cp.check("min_eigenvalue_over_grid").passed
     prop_ok = cp.check("output_proportional_to_identity_choi").passed
     rank_ok = numerical_rank(build_cp_family(1.0).op, tol=1e-10) == 1

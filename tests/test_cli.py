@@ -60,7 +60,7 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["passed"] is True
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["identity-verify", "--format", "yaml"])
     assert err.value.code == 2
@@ -70,7 +70,11 @@ def test_usage_errors_exit_2(capsys):
     for args in (["identity-verify", "--dim", "1"],
                  ["identity-verify", "--tol-psd", "-1"],
                  ["switch-verify", "--dim", "5"],
-                 ["span-verify", "--dim", "7"]):
+                 ["span-verify", "--dim", "7"],
+                 ["span-verify", "--dim", "2", "--samples", "5"],
+                 ["all", "--dim", "2", "--samples", "10"],
+                 ["identity-verify", "--out", str(tmp_path / "missing" / "x.json")],
+                 ["identity-verify", "--out", str(tmp_path)]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as err:
             cli.main(args)

@@ -20,7 +20,7 @@ from switchcert.linalg import (
     relabel,
     tensor_product,
 )
-from switchcert.switch import SECTION_ORDER, build_switch_choi
+from switchcert.switch import build_switch_choi
 from switchcert.uniqueness import build_cp_family, cp_factor_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -164,8 +164,12 @@ def test_permute_systems():
 
 
 def test_permute_switch_round_trip_bit_exact():
+    # the global order P (x) slots (x) F, with P = (PC, PT) and F = (FC, FT)
+    section_order = ("PC", "PT", "I1", "O1", "I2", "O2", "FC", "FT")
     proc = build_switch_choi(2)
-    there = permute_systems(proc.op, SECTION_ORDER)
+    there = permute_systems(proc.op, section_order)
+    assert there.layout.labels == section_order
+    assert abs(np.trace(there.entries) - 16.0) < 1e-14
     back = permute_systems(there, proc.op.layout.labels)
     assert np.array_equal(back.entries, proc.op.entries)
 

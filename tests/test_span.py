@@ -19,6 +19,7 @@ from switchcert.span import (
     scaled_unitary_deviation,
     span_dimension_formula,
     span_projector,
+    stated_list_operators,
     verify_group_combinatorics,
     verify_span_lemmas,
 )
@@ -212,6 +213,33 @@ def test_enumerate_generators_count():
     for d in (2, 3, 4):
         gens = enumerate_generators(d)
         assert len(gens) == listed_operator_count(d) == d * (d ** 3 - 3 * d + 3)
+
+
+def written_out_stated_list(d):
+    """The stated operator list, index loop by index loop."""
+    rng = range(d)
+    ops = [ketbra(d, *t) for i, j in itertools.permutations(rng, 2)
+           for t in ((i, i, j, j), (i, j, j, i))]
+    ops += [ketbra(d, *t) for t in itertools.permutations(rng, 4)]
+    ops += [ketbra(d, *t) for x, y, z in itertools.permutations(rng, 3)
+            for t in ((x, x, y, z), (x, y, y, z), (x, y, x, z), (x, y, z, y),
+                      (x, y, z, z), (x, y, z, x))]
+    ops += [sum(ketbra(d, i, (i + k) % d, i, (i + k) % d) for i in rng) for k in rng]
+    for i, j in itertools.permutations(rng, 2):
+        ops.append(ketbra(d, i, j, i, i) - ketbra(d, j, j, j, i))
+        ops.append(ketbra(d, j, i, i, i) - ketbra(d, j, j, i, j))
+    return ops
+
+
+def test_stated_list_matches_written_out_list():
+    # same operators up to order and the 1/4 of the A5 targets
+    def key(op):
+        v = op.reshape(-1) / np.abs(op).max()
+        return tuple(np.round(np.concatenate([v.real, v.imag]), 12))
+
+    for d in (2, 3, 4):
+        got = sorted(key(op) for op in stated_list_operators(enumerate_generators(d)))
+        assert got == sorted(key(op) for op in written_out_stated_list(d))
 
 
 def test_verify_span_lemmas():

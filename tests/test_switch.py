@@ -10,6 +10,7 @@ from switchcert.channels import (
     unitary_choi,
 )
 from switchcert.linalg import (
+    Operator,
     entrywise_one_norm,
     frobenius,
     min_eigenvalue,
@@ -21,12 +22,10 @@ from switchcert.switch import (
     apply_two_slot,
     build_switch_choi,
     controlled_order_unitary,
-    fast_w0_action,
+    process_layout,
     switch_choi_vector,
     switch_kraus_output,
-    to_section_order,
     verify_unitary_action,
-    w0_action_pairs,
 )
 
 
@@ -161,45 +160,97 @@ def test_bilinearity():
     assert frobenius(lhs, rhs) <= 1e-11 * max(1.0, np.linalg.norm(lhs))
 
 
+def switch_vector_process(d):
+    return Process(d, vector=switch_choi_vector(d))
+
+
+def entries_as_block(proc, ket, bra):
+    """Scatter block_entries into a dense output block."""
+    d = proc.d
+    ri = np.ravel_multi_index(ket, (d, d, d, d))
+    ci = np.ravel_multi_index(bra, (d, d, d, d))
+    nout = 4 * d * d
+    out = np.zeros((nout, nout), dtype=complex)
+    for o, p, v in proc.block_entries(ri, ci):
+        assert out[o, p] == 0  # each entry is listed once
+        out[o, p] = v
+    return out
+
+
 def test_fast_action_examples():
-    out = fast_w0_action(2, (0, 1, 1, 0), (0, 1, 1, 0)).entries
+    out = entries_as_block(switch_vector_process(2), (0, 1, 1, 0), (0, 1, 1, 0))
     v = np.zeros(16)
     v[0] = 1.0   # |0000> on PT FT PC FC
     v[15] = 1.0  # |1111>
     assert np.array_equal(out, np.outer(v, v))
 
     # all deltas vanish: j != k and i != l on both sides
-    out = fast_w0_action(3, (0, 1, 2, 1), (0, 1, 2, 1)).entries
-    assert np.abs(out).max() == 0.0
+    proc3 = switch_vector_process(3)
+    ri = np.ravel_multi_index((0, 1, 2, 1), (3, 3, 3, 3))
+    assert proc3.block_entries(ri, ri) == []
 
-    with pytest.raises(ValueError):
-        fast_w0_action(2, (0, 1, 2, 0), (0, 0, 0, 0))
+    with pytest.raises(IndexError):
+        switch_vector_process(2).block_entries(16, 0)
 
 
 def test_fast_action_matches_dense_random():
     rng = np.random.default_rng(4)
     proc = build_switch_choi(3)
+    pure = switch_vector_process(3)
     for _ in range(1000):
         ket = tuple(rng.integers(0, 3, size=4))
         bra = tuple(rng.integers(0, 3, size=4))
-        fast = fast_w0_action(3, ket, bra).entries
-        assert np.array_equal(fast, dense_action(proc, ket, bra))
+        assert np.array_equal(entries_as_block(pure, ket, bra),
+                              dense_action(proc, ket, bra))
 
 
 def test_fast_action_full_basis_reconstruction():
     proc = build_switch_choi(2)
+    pure = switch_vector_process(2)
     idx = [(i, j, k, l) for i in range(2) for j in range(2)
            for k in range(2) for l in range(2)]
     for ket in idx:
         for bra in idx:
-            fast = fast_w0_action(2, ket, bra).entries
-            assert np.array_equal(fast, dense_action(proc, ket, bra))
+            assert np.array_equal(entries_as_block(pure, ket, bra),
+                                  dense_action(proc, ket, bra))
 
 
 def test_w0_action_pairs_count():
     # at most four unit entries, exactly four on fully matched diagonals
-    assert len(w0_action_pairs(2, (0, 1, 1, 0), (0, 1, 1, 0))) == 4
-    assert len(w0_action_pairs(2, (0, 1, 1, 1), (0, 1, 1, 1))) == 1
+    proc = switch_vector_process(2)
+    for ket, count in (((0, 1, 1, 0), 4), ((0, 1, 1, 1), 1)):
+        ri = np.ravel_multi_index(ket, (2, 2, 2, 2))
+        entries = proc.block_entries(ri, ri)
+        assert len(entries) == count
+        assert all(v == 1.0 for _, _, v in entries)
+
+
+def test_block_entries_dense_branch_matches_block():
+    # a dense process with entries of every size: only |x| > 1e-14 is listed
+    rng = np.random.default_rng(6)
+    n = process_layout(2).dim
+    g = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-17, 1, size=(n, n))
+    proc = Process(2, Operator(process_layout(2), g.astype(complex)))
+    for ri, ci in ((0, 0), (3, 9), (15, 2)):
+        block = proc.block(ri, ci)
+        want = {(o, p): block[o, p] for o, p in zip(*np.nonzero(np.abs(block) > 1e-14))}
+        got = {(o, p): v for o, p, v in proc.block_entries(ri, ci)}
+        assert got == want
+        assert 0 < len(got) < block.size
+
+
+def test_block_entries_complex_vector_matches_block():
+    from switchcert.uniqueness import build_derived_one_slot
+    rng = np.random.default_rng(7)
+    a, b = haar_random_unitary(2, rng), haar_random_unitary(2, rng)
+    proc = build_derived_one_slot("sandwich", 2, a=a, b=b)
+    for ri in range(4):
+        for ci in range(4):
+            block = proc.block(ri, ci)
+            got = np.zeros_like(block)
+            for o, p, v in proc.block_entries(ri, ci):
+                got[o, p] = v
+            assert np.abs(got - block).max() <= 1e-15
 
 
 def test_apply_two_slot_matches_global_transpose_route():
@@ -225,13 +276,6 @@ def test_apply_two_slot_matches_global_transpose_route():
         got = permute_systems(traced, ("PC", "PT", "FC", "FT")).entries
         want = apply_two_slot(proc, a, b).matrix
         assert frobenius(got, want) <= 1e-12
-
-
-def test_section_order_round_trip():
-    proc = build_switch_choi(2)
-    ordered = to_section_order(proc)
-    assert ordered.layout.labels == ("PC", "PT", "I1", "O1", "I2", "O2", "FC", "FT")
-    assert abs(np.trace(ordered.entries) - 16.0) < 1e-14
 
 
 def test_verify_unitary_action_reports():

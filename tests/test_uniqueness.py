@@ -17,7 +17,6 @@ from switchcert.uniqueness import (
     build_derived_one_slot,
     build_identity_process,
     certify_identity_uniqueness,
-    certify_switch_uniqueness,
     cp_family_certificate,
     switch_verification_suite,
     diagonal_certificate,
@@ -140,10 +139,12 @@ def test_offdiagonal_formula_values():
 
 
 def test_offdiagonal_dense_route_agrees():
-    # the dense slice oracle reproduces the delta-formula sums
+    # the dense slice oracle reproduces the sums read off the vector
     rep = offdiagonal_certificate(2, process=build_switch_choi(2))
     assert rep.passed
     assert rep.check("ordered_total_saturates_bound").measured == 256
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        offdiagonal_certificate(2, process=build_switch_choi(3))
 
 
 def test_offdiagonal_overflowing_override_fails_cleanly():
@@ -171,6 +172,23 @@ def test_derived_transpose_and_conjugate_examples():
         build_derived_one_slot("sandwich", 2)
     with pytest.raises(ValueError):
         build_derived_one_slot("sandwich", 2, a=np.eye(2), b=np.ones((2, 2)))
+
+
+def test_derived_vectors_match_change_of_variables():
+    # oracle: the d^4 x d^4 change of variables m applied to C0's vector
+    from switchcert.channels import flip_operator
+    rng = np.random.default_rng(21)
+    for d in (2, 3, 4):
+        eye = np.eye(d)
+        c0 = build_identity_process(d).vector
+        a, b = haar_random_unitary(d, rng), haar_random_unitary(d, rng)
+        m = np.kron(np.kron(a, eye), np.kron(eye, b))
+        got = build_derived_one_slot("sandwich", d, a=a, b=b).vector
+        assert np.abs(got - m @ c0).max() <= 1e-15
+        m = np.kron(flip_operator(d).entries, np.eye(d * d))
+        assert np.array_equal(build_derived_one_slot("transpose", d).vector, m @ c0)
+    with pytest.raises(ValueError):
+        build_derived_one_slot("transpose", 1)
 
 
 def test_sandwich_identity_reduces_to_identity_process():
@@ -248,20 +266,9 @@ def test_certificate_determinism():
 
 
 def test_certify_switch_uniqueness_aggregate():
-    rep = certify_switch_uniqueness(3, seed=0, trials=10)
+    rep = switch_verification_suite(3, seed=0, trials=10)[-1]
     assert rep.passed
     assert "probe skipped: the switch probe supports d = 2 only" in rep.notes
-
-
-def test_switch_suite_probe_override_rejected_before_work(monkeypatch):
-    import switchcert.uniqueness as uniqueness
-
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a certificate ran before the probe check")
-
-    monkeypatch.setattr(uniqueness, "verify_unitary_action", must_not_run)
-    with pytest.raises(ValueError, match="d = 2 only"):
-        switch_verification_suite(3, trials=2, include_probe=True)
 
 
 def test_pure_one_slot_kernel_matches_dense_oracle():
