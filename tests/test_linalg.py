@@ -164,12 +164,9 @@ def test_permute_systems():
 
 
 def test_permute_switch_round_trip_bit_exact():
-    # the global order P (x) slots (x) F, with P = (PC, PT) and F = (FC, FT)
     section_order = ("PC", "PT", "I1", "O1", "I2", "O2", "FC", "FT")
     proc = build_switch_choi(2)
     there = permute_systems(proc.op, section_order)
-    assert there.layout.labels == section_order
-    assert abs(np.trace(there.entries) - 16.0) < 1e-14
     back = permute_systems(there, proc.op.layout.labels)
     assert np.array_equal(back.entries, proc.op.entries)
 

@@ -15,6 +15,7 @@ from switchcert.linalg import (
     frobenius,
     min_eigenvalue,
     numerical_rank,
+    permute_systems,
 )
 from switchcert.switch import (
     Process,
@@ -276,6 +277,15 @@ def test_apply_two_slot_matches_global_transpose_route():
         got = permute_systems(traced, ("PC", "PT", "FC", "FT")).entries
         want = apply_two_slot(proc, a, b).matrix
         assert frobenius(got, want) <= 1e-12
+
+
+def test_section_order_round_trip():
+    # the global order P (x) slots (x) F, with P = (PC, PT) and F = (FC, FT)
+    order = ("PC", "PT", "I1", "O1", "I2", "O2", "FC", "FT")
+    proc = build_switch_choi(2)
+    ordered = permute_systems(proc.op, order)
+    assert ordered.layout.labels == order
+    assert abs(np.trace(ordered.entries) - 16.0) < 1e-14
 
 
 def test_verify_unitary_action_reports():
