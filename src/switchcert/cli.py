@@ -210,6 +210,8 @@ def _validate(cfg) -> None:
              f"{cfg.subcommand} supports --dim 2 to 4"),
             (cfg.subcommand == "span-verify" and cfg.dim > 6,
              "span-verify supports --dim 2 to 6"),
+            (cfg.subcommand == "probe" and cfg.dim > 4,
+             "probe supports --dim 2 to 4"),
             (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
              and cfg.samples < min_samples,
              f"--samples must be at least {min_samples} at --dim {cfg.dim}"),

@@ -16,7 +16,9 @@ projector is the exact orthogonal projection onto the affine set.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +38,7 @@ MAX_ITER = 5000  # Dykstra iterations per start
 TOL = 1e-6  # distance to the reference at which a unique-kind start has converged
 WITNESS_AMPLITUDE = 0.25  # norm of the escape direction the witness polish starts from
 WITNESS_THRESHOLD = 0.1  # distance from the reference a cp_family witness must reach
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,56 @@ def _run_single(sys: ConstraintSystem, start: np.ndarray, stop_at_tol: bool):
     return x, dist, iters
 
 
+def _run_start(sys: ConstraintSystem, stop_at_tol: bool, seed):
+    """One probe start: the reference plus a random unit Hermitian direction."""
+    rng = np.random.default_rng(seed)
+    start = sys.reference + random_hermitian_direction(sys.reference.shape[0], rng)
+    return _run_single(sys, start, stop_at_tol)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_starts(run, seeds) -> list:
+    """``run`` over ``seeds``, results in start order.
+
+    On one usable CPU this is a plain loop.  Otherwise the starts go to a pool
+    of min(starts, CPUs) spawned workers, each with one BLAS thread: the BLAS
+    variables are set in ``os.environ`` while the pool lives, since a worker
+    reads them when it imports numpy, and restored afterwards.  Spawned, not
+    forked, workers start with a fresh BLAS instead of the parent's threads,
+    and the executor raises ``BrokenProcessPool`` when a worker dies, where
+    ``multiprocessing.Pool`` would hang.  A spawned worker re-runs the
+    parent's ``__main__`` from its file, so a script read from standard
+    input, which has none, runs its starts in the plain loop too.
+    """
+    import __main__
+
+    main_file = getattr(__main__, "__file__", None)
+    workers = min(len(seeds), _usable_cpus())
+    if workers <= 1 or (main_file is not None and not os.path.isfile(main_file)):
+        return [run(s) for s in seeds]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(run, seeds))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _min_eig(x: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((x + x.conj().T) / 2)[0])
 
@@ -197,7 +250,8 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     """Run the probe from several perturbed starts and certify the outcome.
 
     Each start is the reference plus a random Hermitian perturbation of unit
-    Frobenius norm, projected onto the affine set.  Unique kinds pass when
+    Frobenius norm, projected onto the affine set; the starts run in parallel
+    across the usable CPUs (``_map_starts``).  Unique kinds pass when
     every start converges back to the reference within TOL.  The cp_family
     kind instead certifies a non-uniqueness witness: the escape direction
     found by the random starts is rescaled to WITNESS_AMPLITUDE and polished
@@ -206,12 +260,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     """
     timer = Timer()
     seeds = np.random.SeedSequence(seed).spawn(starts)
-    n = sys.reference.shape[0]
-    results = []
-    for s in seeds:
-        rng = np.random.default_rng(s)
-        start = sys.reference + random_hermitian_direction(n, rng)
-        results.append(_run_single(sys, start, stop_at_tol=sys.kind != "cp_family"))
+    results = _map_starts(partial(_run_start, sys, sys.kind != "cp_family"), seeds)
     dists = [r[1] for r in results]
     iters_used = [r[2] for r in results]
 

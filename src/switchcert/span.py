@@ -379,7 +379,11 @@ def membership_residual(op, d: int) -> float:
 
 
 def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:
-    """Numerical rank of the Gram matrix of vectorized Haar-sampled J_U."""
+    """Numerical rank of the matrix of vectorized Haar-sampled J_U.
+
+    Its singular values s count when s > sqrt(RANK_TOL) s_max, the rule
+    w > RANK_TOL w_max on the eigenvalues w = s^2 of its Gram matrix, without
+    squaring the condition number."""
     if d == 1:
         return 1
     if samples <= span_dimension_formula(d):
@@ -388,9 +392,8 @@ def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:
     rng = np.random.default_rng(seed)
     vecs = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
                      for _ in range(samples)])
-    gram = vecs.conj() @ vecs.T
-    w = np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2))
-    return int(np.count_nonzero(w > RANK_TOL * w.max()))
+    s = np.linalg.svd(vecs, compute_uv=False)
+    return int(np.count_nonzero(s > np.sqrt(RANK_TOL) * s.max()))
 
 
 def span_dimension_formula(d: int) -> int:

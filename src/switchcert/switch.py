@@ -34,7 +34,7 @@ def one_slot_layout(d: int) -> SpaceLayout:
     return SpaceLayout((("I", d), ("O", d), ("P", d), ("F", d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Process:
     """Process matrix of a one- or two-slot supermap in canonical storage order.
 

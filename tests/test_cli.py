@@ -71,6 +71,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["identity-verify", "--tol-psd", "-1"],
                  ["switch-verify", "--dim", "5"],
                  ["span-verify", "--dim", "7"],
+                 ["probe", "--dim", "5"],
                  ["span-verify", "--dim", "2", "--samples", "5"],
                  ["all", "--dim", "2", "--samples", "10"],
                  ["identity-verify", "--out", str(tmp_path / "missing" / "x.json")],

@@ -1,4 +1,10 @@
+import concurrent.futures
+import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,9 +141,31 @@ def test_probe_determinism():
     assert a.checks == b.checks and a.notes == b.notes
 
 
+SRC = str(Path(probe.__file__).resolve().parents[1])
+
+
+def _usable_cpus(mp, count):
+    mp.setattr(probe.os, "sched_getaffinity", lambda pid: set(range(count)),
+               raising=False)
+
+
+def _spy_pools(mp):
+    """Record (max_workers, start method) of every process pool the probe makes."""
+    created = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            created.append((max_workers, kwargs["mp_context"].get_start_method()))
+            super().__init__(max_workers, **kwargs)
+
+    mp.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return created
+
+
 @pytest.fixture(scope="module")
 def cp_family_run():
-    """The default cp_family probe (seed 0), with the polish start recorded."""
+    """The default cp_family probe (seed 0) on two workers, with the polish
+    start recorded."""
     sys = build_constraint_system("cp_family", 2)
     starts = []
     polish = probe._polish_witness
@@ -148,9 +176,93 @@ def cp_family_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(probe, "_polish_witness", spy)
+        _usable_cpus(mp, 2)
+        pools = _spy_pools(mp)
         rep = alternating_projection_probe(sys, starts=10)
-    assert len(starts) == 1
+    assert pools == [(2, "spawn")]
+    assert len(starts) == 1  # the polish runs once, in this process
     return sys, starts[0], rep
+
+
+def test_probe_serial_matches_pool(cp_family_run, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    pools = _spy_pools(monkeypatch)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    ident = build_constraint_system("identity", 2)
+    pooled = {"identity": alternating_projection_probe(ident, starts=10),
+              "cp_family": cp_family_run[2]}
+    assert pools == [(2, "spawn")]
+    # the BLAS variables are set for the workers only
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+    assert "MKL_NUM_THREADS" not in os.environ
+    _usable_cpus(monkeypatch, 1)
+    for kind, rep in pooled.items():
+        serial = alternating_projection_probe(build_constraint_system(kind, 2),
+                                              starts=10)
+        assert serial.checks == rep.checks and serial.notes == rep.notes
+    assert len(pools) == 1  # one CPU: a plain loop, no pool
+
+
+def test_pool_workers_have_one_blas_thread(monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    names = list(probe.BLAS_THREAD_VARS)
+    assert probe._map_starts(os.getenv, names) == ["1"] * len(names)
+
+
+def test_failed_start_raises_without_hanging(monkeypatch):
+    broken = dataclasses.replace(build_constraint_system("identity", 2),
+                                 in_projector=np.eye(3))
+    _usable_cpus(monkeypatch, 1)
+    with pytest.raises(ValueError):
+        alternating_projection_probe(broken, starts=4)
+    # Pooled, in a child interpreter so that a hang fails on the timeout: an
+    # error in a start is raised in the parent, and so is a worker's death.
+    code = """
+import dataclasses, os
+import numpy as np
+from concurrent.futures.process import BrokenProcessPool
+from switchcert import probe
+os.sched_getaffinity = lambda pid: {0, 1}
+broken = dataclasses.replace(probe.build_constraint_system("identity", 2),
+                             in_projector=np.eye(3))
+try:
+    probe.alternating_projection_probe(broken, starts=4)
+except ValueError:
+    print("start error raised")
+try:
+    probe._map_starts(os._exit, [3, 3, 3])
+except BrokenProcessPool:
+    print("dead worker raised")
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == ["start error raised", "dead worker raised", ""]
+
+
+def test_probe_runs_from_a_stdin_script():
+    # a spawned worker cannot re-run a __main__ read from standard input
+    code = """
+import os
+from switchcert import probe
+os.sched_getaffinity = lambda pid: {0, 1}
+sys_ = probe.build_constraint_system("identity", 2)
+print(probe.alternating_projection_probe(sys_, starts=2).passed)
+"""
+    out = subprocess.run([sys.executable, "-"], input=code, capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True\n"
+
+
+def test_cli_import_loads_no_pool_modules():
+    code = ("import sys, switchcert.cli; print([m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent'))])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def test_probe_cp_family_witness(cp_family_run):

@@ -167,6 +167,20 @@ def test_estimate_span_dimension():
         estimate_span_dimension(2, 8, seed=0)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_span_dimension_svd_rank_matches_gram_rank(d):
+    # the eigvalsh-of-the-Gram rank the singular-value rule replaced
+    samples, seed = 3 * span_dimension_formula(d) + 30, 0
+    rng = np.random.default_rng(seed)
+    vecs = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
+                     for _ in range(samples)])
+    gram = vecs.conj() @ vecs.T
+    w = np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2))
+    gram_rank = int(np.count_nonzero(w > 1e-10 * w.max()))
+    assert gram_rank == span_dimension_formula(d)
+    assert estimate_span_dimension(d, samples, seed=seed) == gram_rank
+
+
 def haar_span_projector(d, seed=0):
     """V^H V for an orthonormal row basis V of sampled vec(J_U), via an SVD."""
     rng = np.random.default_rng(seed)

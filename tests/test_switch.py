@@ -353,3 +353,13 @@ def test_process_validation():
     assert not pure.vector.flags.writeable
     with pytest.raises(ValueError):
         apply_one_slot(pure, np.eye(4))
+
+
+def test_process_equality_is_identity_and_hashable():
+    a = Process(2, vector=switch_choi_vector(2))
+    b = Process(2, vector=switch_choi_vector(2))
+    dense = build_switch_choi(2)
+    assert a == a and dense == dense
+    assert a != b and a != dense
+    assert len({a, b, dense, a}) == 3
+    assert hash(a) == hash(a)
