@@ -173,20 +173,30 @@ def unitary_choi(u: np.ndarray, tol: float = 1e-10) -> ChoiChannel:
     return choi_matrix(d, d, np.outer(phi, phi.conj()))
 
 
-def haar_random_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+def haar_random_unitaries(d: int, n: int, seed) -> np.ndarray:
+    """n Haar-distributed d x d unitaries, stacked, via QR of complex Ginibre matrices.
 
-    ``seed`` may be an integer or a ``numpy.random.Generator``; an integer
-    seed makes the draw reproducible bit-for-bit.
+    ``seed`` may be an integer or a ``numpy.random.Generator``.  The draws and
+    the generator's final state match n successive ``haar_random_unitary``
+    calls bit-for-bit: each unitary takes its real part and then its
+    imaginary part from the stream, and the QR runs matrix by matrix.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
+    g = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    ph = np.diagonal(r, axis1=1, axis2=2).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[:, None, :]
+
+
+def haar_random_unitary(d: int, seed) -> np.ndarray:
+    """One Haar-distributed unitary: the n = 1 case of ``haar_random_unitaries``.
+
+    An integer seed makes the draw reproducible bit-for-bit.
+    """
+    return haar_random_unitaries(d, 1, seed)[0]
 
 
 def random_kraus_channel(d: int, kraus_rank: int, seed) -> KrausChannel:

@@ -195,10 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str):
-    """Report an unsupported request with one line on stderr and exit 2."""
-    sys.stderr.write(f"switchcert: error: {message}\n")
-    raise SystemExit(2)
+def _error_exit(message: str, code: int = 2):
+    """Report an unsupported request (or, with code 3, an internal error) with
+    one line on stderr and exit with ``code``."""
+    line = " ".join(message.splitlines())
+    sys.stderr.write(f"switchcert: error: {line}\n")
+    raise SystemExit(code)
 
 
 def _validate(cfg) -> None:
@@ -212,13 +214,15 @@ def _validate(cfg) -> None:
              "span-verify supports --dim 2 to 6"),
             (cfg.subcommand == "probe" and cfg.dim > 4,
              "probe supports --dim 2 to 4"),
+            (cfg.subcommand == "identity-verify" and cfg.dim > 9,
+             "identity-verify supports --dim 2 to 9"),
             (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
              and cfg.samples < min_samples,
              f"--samples must be at least {min_samples} at --dim {cfg.dim}"),
             (cfg.tol_psd <= 0 or cfg.tol_cert <= 0, "tolerances must be positive"),
             (cfg.probe_starts < 1, "--probe-starts must be at least 1")):
         if bad:
-            _usage_error(message)
+            _error_exit(message)
 
 
 def run(cfg) -> tuple[int, dict]:
@@ -253,9 +257,12 @@ def main(argv=None) -> int:
         out = open(cfg.out, "w", encoding="utf-8") if cfg.out \
             else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        _usage_error(f"cannot write --out {cfg.out}: {exc.strerror}")
+        _error_exit(f"cannot write --out {cfg.out}: {exc.strerror}")
     with out as fh:
-        code, report = run(cfg)
+        try:
+            code, report = run(cfg)
+        except Exception as exc:  # a fault of the program, not of the request
+            _error_exit(f"internal error: {type(exc).__name__}: {exc}", code=3)
         fh.write(render_json(report) if cfg.format == "json" else render_text(report))
     return code
 

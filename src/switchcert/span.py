@@ -24,12 +24,13 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import haar_random_unitary, unitary_choi
+from .channels import haar_random_unitaries
 from .linalg import Operator, SpaceLayout, frobenius
 from .report import Timer, check_exact_int, check_leq, check_true, make_report, nan_max
 
 SQ2 = sqrt(2.0)
 RANK_TOL = 1e-10  # relative cut below which a singular value counts as zero
+STACK_ENTRIES = 2 ** 16  # complex entries of one stacked block of sampled states (1 MiB)
 
 
 def _ketbra(d: int, a: int, b: int, c: int, e: int) -> np.ndarray:
@@ -80,16 +81,41 @@ class SpanGenerator:
         phases = np.asarray(phases, dtype=float)
         if phases.shape != (self.phase_count,):
             raise ValueError(f"expected {self.phase_count} phases")
-        return _branch_states(self, branch, phases[None, :])[0]
+        return _branch_states([self], phases[None, :])[0, branch, 0]
 
 
-def _branch_states(gen: SpanGenerator, branch: int, phases: np.ndarray) -> np.ndarray:
-    """States of one branch at each row of the (points x phase_count) array."""
-    psi = np.zeros((phases.shape[0], gen.d * gen.d), dtype=complex)
-    for term in gen.branches[branch][1]:
-        a, b = term.ket
-        psi[:, a * gen.d + b] += term.coeff * np.exp(1j * (phases @ term.degrees))
-    return psi
+def _term_tables(gens):
+    """Padded term tables of generators that share a phase and branch count.
+
+    Returns the coefficients (G, B, T), the phase degrees (G, B, T, phases)
+    and the kets as one-hot rows (G, B, T, d^2); a padding term has
+    coefficient 0 and an all-zero ket row.
+    """
+    d = gens[0].d
+    shape = (len(gens), len(gens[0].branches),
+             max(len(terms) for g in gens for _, terms in g.branches))
+    coeffs = np.zeros(shape, dtype=complex)
+    degrees = np.zeros(shape + (gens[0].phase_count,))
+    kets = np.zeros(shape + (d * d,))
+    for g, gen in enumerate(gens):
+        for b, (_, terms) in enumerate(gen.branches):
+            for t, term in enumerate(terms):
+                coeffs[g, b, t] = term.coeff
+                degrees[g, b, t] = term.degrees
+                kets[g, b, t, term.ket[0] * d + term.ket[1]] = 1.0
+    return coeffs, degrees, kets
+
+
+def _branch_states(gens, phases: np.ndarray) -> np.ndarray:
+    """States (G, B, S, d^2) of every generator branch at S phase points.
+
+    ``phases`` is (S, phase_count), shared by all, or (G, B, S, phase_count).
+    Each amplitude is coeff * exp(i phases . degrees); a product with the 0/1
+    ket rows sums it into its ket, and multiplying by 0 or 1 is exact.
+    """
+    coeffs, degrees, kets = _term_tables(gens)
+    amps = coeffs[..., None] * np.exp(1j * (degrees @ np.swapaxes(phases, -1, -2)))
+    return np.swapaxes(amps, -1, -2) @ kets
 
 
 def _complement_diag(d: int, excluded, degrees) -> list[StateTerm]:
@@ -272,19 +298,45 @@ def phase_average(gen: SpanGenerator, n: int | None = None) -> np.ndarray:
     generator's exactness threshold, because all integrands are Laurent
     polynomials of bounded degree.
     """
-    if n is None:
-        n = gen.default_grid
-    if n < gen.min_grid:
-        raise ValueError(f"grid {n} below exactness threshold {gen.min_grid} "
-                         f"for {gen.lemma_id}")
+    return _phase_averages([gen], n)[0]
+
+
+def _phase_averages(gens, n: int | None = None) -> np.ndarray:
+    """``phase_average(gen, n)`` of generators of one lemma id, in one stacked pass.
+
+    The states of every generator at every grid point come from one pass over
+    the padded term tables, and the weighted outer products from one stacked
+    product.
+    """
+    first = gens[0]
+    n = first.default_grid if n is None else n
+    if n < first.min_grid:
+        raise ValueError(f"grid {n} below exactness threshold {first.min_grid} "
+                         f"for {first.lemma_id}")
+    p = first.phase_count
     grid = 2.0 * np.pi * np.arange(n) / n
-    phases = grid[np.indices((n,) * gen.phase_count).reshape(gen.phase_count, -1).T]
-    w = np.exp(1j * (phases @ gen.weight_degrees))
-    acc = 0
-    for b, (bc, _) in enumerate(gen.branches):
-        psi = _branch_states(gen, b, phases)
-        acc = acc + bc * ((w[:, None] * psi).T @ psi.conj())
-    return acc / float(n ** gen.phase_count)
+    phases = grid[np.indices((n,) * p).reshape(p, -1).T]
+    psi = _branch_states(gens, phases)
+    weights = np.array([g.weight_degrees for g in gens], dtype=float)
+    w = np.exp(1j * (weights @ phases.T))
+    prods = np.swapaxes(w[:, None, :, None] * psi, -1, -2) @ psi.conj()
+    bcs = np.array([[bc for bc, _ in g.branches] for g in gens])
+    return (bcs[..., None, None] * prods).sum(axis=1) / float(n ** p)
+
+
+def _lemma_blocks(gens):
+    """Positions of the generators in blocks of one lemma id, each small
+    enough that its states on the doubled default grid fit STACK_ENTRIES."""
+    groups: dict = {}
+    for i, gen in enumerate(gens):
+        groups.setdefault(gen.lemma_id, []).append(i)
+    for members in groups.values():
+        first = gens[members[0]]
+        size = len(first.branches) * (2 * first.default_grid) ** first.phase_count \
+            * first.d ** 2
+        step = max(1, STACK_ENTRIES // size)
+        for start in range(0, len(members), step):
+            yield members[start:start + step]
 
 
 def scale_match_residual(avg: np.ndarray, target: np.ndarray):
@@ -296,10 +348,23 @@ def scale_match_residual(avg: np.ndarray, target: np.ndarray):
 
 def scaled_unitary_deviation(psi: np.ndarray, d: int) -> float:
     """How far the reshaped state is from a scaled unitary: ||MM^dag - c I|| / ||MM^dag||."""
-    m = np.asarray(psi).reshape(d, d)  # M[a, b] = psi[ab]
-    g = m @ m.conj().T
-    c = np.trace(g) / d
-    return float(np.linalg.norm(g - c * np.eye(d)) / max(np.linalg.norm(g), 1e-300))
+    return float(_scaled_unitary_deviations(np.asarray(psi)[None], d)[0])
+
+
+def _frobenius_rows(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each x[i], bit-for-bit: the same two dot products."""
+    f = x.reshape(len(x), 1, -1)
+    re, im = f.real, f.imag
+    return np.sqrt((re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
+
+
+def _scaled_unitary_deviations(psi: np.ndarray, d: int) -> np.ndarray:
+    """``scaled_unitary_deviation`` of each row of the (states x d^2) array."""
+    m = psi.reshape(-1, d, d)  # M[a, b] = psi[ab]
+    g = m @ np.swapaxes(m.conj(), 1, 2)
+    c = np.trace(g, axis1=1, axis2=2) / d
+    return _frobenius_rows(g - c[:, None, None] * np.eye(d)) \
+        / np.maximum(_frobenius_rows(g), 1e-300)
 
 
 def enumerate_generators(d: int) -> list[SpanGenerator]:
@@ -365,8 +430,9 @@ def span_projector(d: int) -> np.ndarray:
 
 
 def _span_residuals(mats, d: int) -> np.ndarray:
-    """Frobenius distance from each d^2 x d^2 matrix to span{J_U}."""
-    x = np.array([m.reshape(-1) for m in mats], dtype=complex)
+    """Frobenius distance from each d^2 x d^2 matrix (or d^4 vector) to span{J_U}."""
+    x = np.asarray(mats)
+    x = x.reshape(len(x), -1)
     return np.linalg.norm(x - x @ span_projector(d), axis=1)
 
 
@@ -389,9 +455,9 @@ def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:
     if samples <= span_dimension_formula(d):
         raise ValueError(f"need more than {span_dimension_formula(d)} samples "
                          f"to resolve the span at d = {d}, got {samples}")
-    rng = np.random.default_rng(seed)
-    vecs = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
-                     for _ in range(samples)])
+    # vec(J_U) = phi (x) conj(phi) with phi = vec(U^T), for all samples at once
+    phi = np.swapaxes(haar_random_unitaries(d, samples, seed), 1, 2).reshape(samples, -1)
+    vecs = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(samples, -1)
     s = np.linalg.svd(vecs, compute_uv=False)
     return int(np.count_nonzero(s > np.sqrt(RANK_TOL) * s.max()))
 
@@ -414,10 +480,22 @@ class GroupElement:
 
     @property
     def operator(self) -> Operator:
-        m = np.zeros((self.d ** 2, self.d ** 2), dtype=complex)
-        for coeff, (a, b, c, e) in self.terms:
-            m += coeff * _ketbra(self.d, a, b, c, e)
+        m = _group_vectors([self], self.d).reshape(self.d ** 2, self.d ** 2)
         return Operator(SpaceLayout((("I", self.d), ("O", self.d))), m)
+
+
+def _group_vectors(elements, d: int) -> np.ndarray:
+    """Row-major vec of each element's operator, (elements x d^4), from one
+    scatter of all the terms."""
+    rows, cols, coeffs = [], [], []
+    for r, el in enumerate(elements):
+        for coeff, (a, b, c, e) in el.terms:
+            rows.append(r)
+            cols.append(((a * d + b) * d + c) * d + e)
+            coeffs.append(coeff)
+    x = np.zeros((len(elements), d ** 4))
+    np.add.at(x, (rows, cols), coeffs)
+    return x
 
 
 def _g1_index_tuples(d: int):
@@ -471,9 +549,17 @@ def group_size_formulas(d: int) -> dict:
 
 
 def verify_group_combinatorics(d: int) -> "CertificateReport":
-    """Certify the group sizes and the covering identity |G1| + d|G2| + 2|G3| = d^4."""
+    """Certify the group sizes, the covering identity |G1| + d|G2| + 2|G3| = d^4,
+    and which elements lie in span{J_U}.
+
+    Every G2 and G3 element lies in the span, and so does every G1 element
+    except the 2d(d-1)(d-2) same-side lone ket-bras |ij><ik| and |ij><kj|.
+    The membership checks see the signs of the G3 terms: flipping one leaves
+    the span by a residual of at least 1.
+    """
     timer = Timer()
-    sizes = {gid: len(build_group(gid, d)) for gid in ("G1", "G2", "G3")}
+    groups = {gid: build_group(gid, d) for gid in ("G1", "G2", "G3")}
+    sizes = {gid: len(els) for gid, els in groups.items()}
     forms = group_size_formulas(d)
     checks = [check_exact_int(f"size_{gid}", sizes[gid], forms[gid])
               for gid in ("G1", "G2", "G3")]
@@ -482,6 +568,17 @@ def verify_group_combinatorics(d: int) -> "CertificateReport":
     checks.append(check_exact_int("halves_of_G3",
                                   len(build_group("G3p", d)) + len(build_group("G3pp", d)),
                                   sizes["G3"]))
+    resid = _span_residuals(_group_vectors(
+        groups["G1"] + groups["G2"] + groups["G3"], d), d)
+    g1_resid = resid[:sizes["G1"]]
+    outside = 2 * d * (d - 1) * (d - 2)
+    checks += [
+        check_leq("max_G2_G3_span_residual", nan_max(0.0, *resid[sizes["G1"]:]), 1e-9),
+        check_exact_int("G1_outside_span_count",
+                        int(np.count_nonzero(g1_resid > 0.1)), outside),
+        check_exact_int("G1_inside_span_count",
+                        int(np.count_nonzero(g1_resid <= 1e-9)), sizes["G1"] - outside),
+    ]
     return make_report(f"group_combinatorics_d{d}", checks, timer)
 
 
@@ -511,19 +608,22 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
     neg_scale_re = -np.inf
     worst_double = 0.0
     worst_unitary = 0.0
-    for gen in gens:
-        avg = phase_average(gen)
-        resid, s = scale_match_residual(avg, gen.target)
-        worst_resid = nan_max(worst_resid, resid)
-        worst_scale_im = nan_max(worst_scale_im, abs(s.imag))
-        neg_scale_re = nan_max(neg_scale_re, -s.real)
-        doubled = phase_average(gen, 2 * gen.default_grid)
-        worst_double = nan_max(worst_double, frobenius(avg, doubled))
-        for b in range(len(gen.branches)):
-            for _ in range(3):
-                phases = rng.uniform(0.0, 2 * np.pi, size=gen.phase_count)
-                worst_unitary = nan_max(worst_unitary,
-                                        scaled_unitary_deviation(gen.state(b, phases), d))
+    # three random phase rows per (generator, branch), drawn in generator order
+    phases = [rng.uniform(0.0, 2 * np.pi, size=(len(g.branches), 3, g.phase_count))
+              for g in gens]
+    for block in _lemma_blocks(gens):
+        sub = [gens[i] for i in block]
+        n = sub[0].default_grid
+        for gen, avg, doubled in zip(sub, _phase_averages(sub, n),
+                                     _phase_averages(sub, 2 * n)):
+            resid, s = scale_match_residual(avg, gen.target)
+            worst_resid = nan_max(worst_resid, resid)
+            worst_scale_im = nan_max(worst_scale_im, abs(s.imag))
+            neg_scale_re = nan_max(neg_scale_re, -s.real)
+            worst_double = nan_max(worst_double, frobenius(avg, doubled))
+        states = _branch_states(sub, np.array([phases[i] for i in block]))
+        worst_unitary = nan_max(worst_unitary, *_scaled_unitary_deviations(
+            states.reshape(-1, d * d), d))
     worst_member = nan_max(0.0, *_span_residuals([g.target for g in gens], d))
 
     stacked = np.array([op.reshape(-1) for op in stated_list_operators(gens)])

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChoiChannel, KrausChannel, choi_from_kraus, choi_matrix, \
-    haar_random_unitary, unitary_choi
+    haar_random_unitaries, unitary_choi
 from .linalg import Operator, SpaceLayout, frobenius
 from .report import Timer, check_leq, check_close, make_report, nan_max
 
@@ -232,12 +232,10 @@ def verify_unitary_action(d: int, trials: int, seed, process: Process | None = N
     operator of |0><0| (x) U2 U1 + |1><1| (x) U1 U2 in Frobenius norm.
     """
     timer = Timer()
-    rng = np.random.default_rng(seed)
     proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
+    us = haar_random_unitaries(d, 2 * trials, seed)  # u1 then u2 per trial
     worst = 0.0
-    for _ in range(trials):
-        u1 = haar_random_unitary(d, rng)
-        u2 = haar_random_unitary(d, rng)
+    for u1, u2 in zip(us[0::2], us[1::2]):
         got = apply_two_slot(proc, unitary_choi(u1), unitary_choi(u2))
         want = unitary_choi(controlled_order_unitary(u1, u2))
         worst = nan_max(worst, frobenius(got.matrix, want.matrix))

@@ -19,7 +19,7 @@ from .channels import (
     compose_channels,
     flip_operator,
     fourier_matrix,
-    haar_random_unitary,
+    haar_random_unitaries,
     standard_channel,
     unitary_choi,
 )
@@ -161,10 +161,9 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     chain_dev = float(np.abs(out - pair * jf).max())
     forced_dev = float(np.abs(pair - 1.0).max())
     # defining action on Haar samples
-    rng = np.random.default_rng(seed)
     action_haar = 0.0
-    for _ in range(trials):
-        ju = unitary_choi(haar_random_unitary(d, rng)).matrix
+    for u in haar_random_unitaries(d, trials, seed):
+        ju = unitary_choi(u).matrix
         action_haar = nan_max(action_haar, frobenius(apply_one_slot(proc, ju).matrix, ju))
 
     checks = [
@@ -457,14 +456,12 @@ def verify_corollary(kind: str, d: int, trials: int, seed,
     composition (or flip conjugation) oracle.
     """
     timer = Timer()
-    rng = np.random.default_rng(seed)
     if kind == "sandwich" and (a is None or b is None):
         raise ValueError("sandwich needs the two fixed unitaries")
     proc = process if process is not None else build_derived_one_slot(kind, d, a, b)
 
     worst = 0.0
-    for _ in range(trials):
-        u = haar_random_unitary(d, rng)
+    for u in haar_random_unitaries(d, trials, seed):
         if kind == "sandwich":
             target = unitary_choi(b @ u @ a).matrix
         elif kind == "transpose":
@@ -513,13 +510,12 @@ def fig_circuits_certificate(trials: int = 100, seed: int = 0) -> CertificateRep
     channel they differ, with output Choi distance ||I (x) (I/2 - |0><0|)||_F.
     """
     timer = Timer()
-    rng = np.random.default_rng(seed)
     dep = standard_channel("depolarizing", 2)
     jd = choi_from_kraus(dep).matrix
 
     worst1 = worst2 = 0.0
-    for _ in range(trials):
-        ju = unitary_choi(haar_random_unitary(2, rng))
+    for u in haar_random_unitaries(2, trials, seed):
+        ju = unitary_choi(u)
         out1 = compose_channels(dep, compose_channels(ju, dep)).matrix
         out2 = compose_channels(ju, dep).matrix
         worst1 = nan_max(worst1, frobenius(out1, jd))
@@ -555,7 +551,6 @@ def cp_family_certificate(trials: int = 50, seed: int = 0) -> CertificateReport:
     unique.
     """
     timer = Timer()
-    rng = np.random.default_rng(seed)
     ps = np.linspace(0.0, 1.0, CP_GRID_POINTS)
     neg_eig = nan_max(*(-min_eigenvalue(build_cp_family(p).op) for p in ps))
     rank_c1 = numerical_rank(build_cp_family(1.0).op, tol=1e-10)
@@ -566,8 +561,8 @@ def cp_family_certificate(trials: int = 50, seed: int = 0) -> CertificateReport:
     prop_dev = 0.0
     p_dev = 0.0
     consts = []
-    for _ in range(trials):
-        ju = unitary_choi(haar_random_unitary(2, rng)).matrix
+    for u in haar_random_unitaries(2, trials, seed):
+        ju = unitary_choi(u).matrix
         outs = [apply_one_slot(pr, ju).matrix for pr in procs]
         for out in outs:
             coeff = np.vdot(jid_hat, out)

@@ -10,6 +10,7 @@ from switchcert.channels import (
     compose_channels,
     flip_operator,
     fourier_matrix,
+    haar_random_unitaries,
     haar_random_unitary,
     kraus_from_choi,
     random_kraus_channel,
@@ -180,6 +181,32 @@ def test_haar_unitary_properties():
         assert frobenius(u.conj().T @ u, np.eye(d)) <= 1e-12
     with pytest.raises(ValueError):
         haar_random_unitary(0, 1)
+
+
+def ginibre_qr_unitary(d, rng):
+    """One Haar unitary the textbook way: QR of a complex Ginibre matrix, with
+    the phases of diag(R) moved into Q."""
+    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_haar_sampler_matches_successive_draws(d):
+    n = 25
+    stacked_rng, single_rng, ref_rng = (np.random.default_rng(11) for _ in range(3))
+    stacked = haar_random_unitaries(d, n, stacked_rng)
+    assert stacked.shape == (n, d, d)
+    assert np.array_equal(stacked, [haar_random_unitary(d, single_rng) for _ in range(n)])
+    assert np.array_equal(stacked, [ginibre_qr_unitary(d, ref_rng) for _ in range(n)])
+    # the generators are left in the same state
+    assert stacked_rng.standard_normal() == single_rng.standard_normal() \
+        == ref_rng.standard_normal()
+    # an integer seed is a fresh generator
+    assert np.array_equal(haar_random_unitaries(d, n, 11), stacked)
+    assert haar_random_unitaries(d, 0, 11).shape == (0, d, d)
 
 
 def test_haar_first_moment():

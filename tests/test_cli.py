@@ -72,6 +72,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["switch-verify", "--dim", "5"],
                  ["span-verify", "--dim", "7"],
                  ["probe", "--dim", "5"],
+                 ["identity-verify", "--dim", "10"],
                  ["span-verify", "--dim", "2", "--samples", "5"],
                  ["all", "--dim", "2", "--samples", "10"],
                  ["identity-verify", "--out", str(tmp_path / "missing" / "x.json")],
@@ -84,6 +85,26 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("switchcert: error: ")
         assert captured.err.count("\n") == 1
+
+
+def test_span_verify_d3_reports_are_byte_identical(capsys):
+    args = ["span-verify", "--dim", "3", "--no-timestamp", "--format", "json"]
+    code, first = run_cli(args, capsys)
+    assert code == 0
+    assert run_cli(args, capsys) == (0, first)
+
+
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setitem(cli._RUNNERS, "identity-verify", broken)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["identity-verify", "--format", "json", "--no-timestamp"])
+    assert err.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "switchcert: error: internal error: RuntimeError: boom second line\n"
 
 
 def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):

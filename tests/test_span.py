@@ -7,6 +7,8 @@ from switchcert.channels import choi_from_kraus, haar_random_unitary, \
     standard_channel, unitary_choi
 from switchcert.linalg import frobenius
 from switchcert.span import (
+    _phase_averages,
+    _scaled_unitary_deviations,
     build_group,
     build_span_generator,
     enumerate_generators,
@@ -223,6 +225,60 @@ def test_phase_average_matches_pointwise_loop():
                                  pointwise_phase_average(gen, n)) <= 1e-13
 
 
+def per_generator_phase_average(gen, n):
+    """The grid sum of one generator, branch by branch and term by term."""
+    grid = 2.0 * np.pi * np.arange(n) / n
+    phases = grid[np.indices((n,) * gen.phase_count).reshape(gen.phase_count, -1).T]
+    w = np.exp(1j * (phases @ np.array(gen.weight_degrees)))
+    acc = np.zeros((gen.d ** 2, gen.d ** 2), dtype=complex)
+    for bc, terms in gen.branches:
+        psi = np.zeros((len(phases), gen.d ** 2), dtype=complex)
+        for term in terms:
+            psi[:, term.ket[0] * gen.d + term.ket[1]] += \
+                term.coeff * np.exp(1j * (phases @ np.array(term.degrees)))
+        acc += bc * ((w[:, None] * psi).T @ psi.conj())
+    return acc / n ** gen.phase_count
+
+
+def lemma_groups(d):
+    groups = {}
+    for gen in enumerate_generators(d):
+        groups.setdefault(gen.lemma_id, []).append(gen)
+    return groups.values()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_grouped_phase_averages_match_per_generator_loop(d):
+    for gens in lemma_groups(d):
+        for n in (gens[0].default_grid, 2 * gens[0].default_grid):
+            avgs = _phase_averages(gens, n)
+            assert len(avgs) == len(gens)
+            for gen, avg in zip(gens, avgs):
+                assert frobenius(avg, per_generator_phase_average(gen, n)) <= 1e-13
+                assert np.array_equal(avg, phase_average(gen, n))
+    with pytest.raises(ValueError):
+        _phase_averages(enumerate_generators(d)[:3], 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_scaled_unitary_check_matches_per_state_loop(d):
+    rng = np.random.default_rng(5)
+    for gens in lemma_groups(d):
+        states = np.array([gen.state(b, rng.uniform(0, 2 * np.pi, gen.phase_count))
+                           for gen in gens for b in range(len(gen.branches))])
+        stacked = _scaled_unitary_deviations(states, d)
+        for psi, dev in zip(states, stacked):
+            g = psi.reshape(d, d) @ psi.reshape(d, d).conj().T
+            c = np.trace(g) / d
+            want = np.linalg.norm(g - c * np.eye(d)) / np.linalg.norm(g)
+            assert abs(dev - want) <= 1e-13
+            assert dev == scaled_unitary_deviation(psi, d)
+    # a non-unitary reshaping is seen
+    bad = np.zeros((1, d * d), dtype=complex)
+    bad[0, 0] = 1.0
+    assert _scaled_unitary_deviations(bad, d)[0] > 0.5
+
+
 def test_enumerate_generators_count():
     for d in (2, 3, 4):
         gens = enumerate_generators(d)
@@ -293,3 +349,13 @@ def test_group_membership_in_span():
         else:
             assert membership_residual(el.operator, d) <= 1e-9
     assert outside == 2 * d * (d - 1) * (d - 2)
+
+
+def test_group_combinatorics_certifies_membership():
+    for d, outside in ((2, 0), (3, 12), (4, 48)):
+        rep = verify_group_combinatorics(d)
+        assert rep.passed
+        assert rep.check("G1_outside_span_count").measured == outside
+        assert rep.check("G1_inside_span_count").measured \
+            == group_size_formulas(d)["G1"] - outside
+        assert rep.check("max_G2_G3_span_residual").measured <= 1e-9
