@@ -7,6 +7,7 @@ import contextlib
 import datetime
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -250,19 +251,35 @@ def run(cfg) -> tuple[int, dict]:
     return (0 if report["passed"] else 1), report
 
 
+def _open_out(path: str):
+    """Open ``path`` for the report before any work, so that a bad path fails
+    at once.  It is opened for appending, which leaves an existing file as it
+    is until the report is written; returns the file and whether this call
+    created it."""
+    created = not os.path.lexists(path)
+    try:
+        return open(path, "a", encoding="utf-8"), created
+    except OSError as exc:
+        _error_exit(f"cannot write --out {path}: {exc.strerror}")
+
+
 def main(argv=None) -> int:
     cfg = build_parser().parse_args(argv)
     _validate(cfg)
-    try:  # open --out before the work, so a bad path fails at once
-        out = open(cfg.out, "w", encoding="utf-8") if cfg.out \
-            else contextlib.nullcontext(sys.stdout)
-    except OSError as exc:
-        _error_exit(f"cannot write --out {cfg.out}: {exc.strerror}")
+    out, created = _open_out(cfg.out) if cfg.out \
+        else (contextlib.nullcontext(sys.stdout), False)
     with out as fh:
         try:
             code, report = run(cfg)
-        except Exception as exc:  # a fault of the program, not of the request
-            _error_exit(f"internal error: {type(exc).__name__}: {exc}", code=3)
+        except BaseException as exc:
+            if created:  # a run that ends without a report leaves no file
+                fh.close()
+                os.remove(cfg.out)
+            if isinstance(exc, Exception):  # a fault of the program, not of the request
+                _error_exit(f"internal error: {type(exc).__name__}: {exc}", code=3)
+            raise
+        if cfg.out and fh.seekable():
+            fh.truncate(0)
         fh.write(render_json(report) if cfg.format == "json" else render_text(report))
     return code
 

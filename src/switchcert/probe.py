@@ -9,9 +9,16 @@ reference; for the deliberately non-unique family they land on feasible
 points far from it.
 
 The affine projection uses the tensor-factor structure of the constraints:
-the row space of the constraint map is (slot span) (x) L(out), so projecting
-the slot-pair index of the difference with the closed-form span{J_U}
-projector is the exact orthogonal projection onto the affine set.
+the row space of the constraint map is (slot span)^(x slots) (x) L(out), so
+applying the closed-form span{J_U} projector of one slot, a real d^2 x d^2
+matrix, to each slot's input index pair of the difference is the exact
+orthogonal projection onto the affine set.  For the switch that is two small
+real products instead of one with the dense d^8 projector.  The PSD
+projection rebuilds the clipped matrix from its positive eigenpairs only.
+
+The independent starts of all probe calls in a process share one pool of
+spawned workers, made on the first pooled call and kept until the process
+exits or a worker dies.
 """
 
 from __future__ import annotations
@@ -49,15 +56,24 @@ class ConstraintSystem:
     d: int
     nin: int
     nout: int
+    slots: int
     reference: np.ndarray
-    in_projector: np.ndarray
+    slot_projector: np.ndarray
     family_rank: int
 
     def __post_init__(self):
-        for name in ("reference", "in_projector"):
-            arr = np.array(getattr(self, name), dtype=complex, copy=True)
+        for name, dtype in (("reference", complex), ("slot_projector", float)):
+            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def in_projector(self) -> np.ndarray:
+        """The dense projector on the whole input index pair (the tensor square
+        of the slot projector for the switch); a reference, never formed by
+        the probe itself."""
+        slot = self.slot_projector.astype(complex)
+        return slot if self.slots == 1 else vec_kron(slot, slot)
 
 
 def build_constraint_system(kind: str, d: int, process=None, *,
@@ -78,7 +94,7 @@ def build_constraint_system(kind: str, d: int, process=None, *,
     slot = span_projector(d)
     if kind == "switch":
         ref_proc = process if process is not None else build_switch_choi(d)
-        nin, in_projector = d ** 4, vec_kron(slot, slot)
+        slots = 2
     else:
         if process is not None:
             ref_proc = process
@@ -88,11 +104,12 @@ def build_constraint_system(kind: str, d: int, process=None, *,
             ref_proc = build_cp_family(1.0)
         else:
             ref_proc = build_derived_one_slot(kind, d)
-        nin, in_projector = d * d, slot
+        slots = 1
     reference = ref_proc.op.entries
+    nin = (d * d) ** slots
     return ConstraintSystem(kind=kind, d=d, nin=nin, nout=reference.shape[0] // nin,
-                            reference=reference, in_projector=in_projector,
-                            family_rank=round(float(np.trace(in_projector))))
+                            slots=slots, reference=reference, slot_projector=slot,
+                            family_rank=round(float(np.trace(slot))) ** slots)
 
 
 def expected_family_rank(sys: ConstraintSystem) -> int:
@@ -100,27 +117,60 @@ def expected_family_rank(sys: ConstraintSystem) -> int:
     return per_slot ** 2 if sys.kind == "switch" else per_slot
 
 
+# Axis orders that bring each slot's row and column input index together,
+# (a, [b,] o, a', [b',] o') -> (a, a', [b, b',] o, o'), and back.
+_SLOT_PAIR_AXES = {1: ((0, 2, 1, 3), (0, 2, 1, 3)),
+                   2: ((0, 3, 1, 4, 2, 5), (0, 2, 4, 1, 3, 5))}
+
+
 def _constrained_part(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
-    """P_in applied to the input index pair of x - reference, in matrix layout."""
-    n, m = sys.nin, sys.nout
-    d4 = (x - sys.reference).reshape(n, m, n, m).transpose(0, 2, 1, 3) \
-        .reshape(n * n, m * m)
-    return (sys.in_projector @ d4).reshape(n, n, m, m).transpose(0, 2, 1, 3) \
-        .reshape(n * m, n * m)
+    """P_in applied to the input index pair of x - reference, in matrix layout.
+
+    P_in is the slot projector on each slot's index pair.  One slot keeps the
+    complex product of the dense path, so its arithmetic is unchanged.  With
+    two slots the real projector acts on the float view of the complex
+    difference, where each output column index o' carries its real and
+    imaginary parts side by side.
+    """
+    k, m, slots = sys.d * sys.d, sys.nout, sys.slots
+    proj, diff, cols = sys.slot_projector, x - sys.reference, m
+    if slots == 1:
+        proj = proj.astype(complex)
+    else:
+        diff, cols = diff.view(float), 2 * m
+    order, inverse = _SLOT_PAIR_AXES[slots]
+    t = diff.reshape((k,) * slots + (m,) + (k,) * slots + (cols,)).transpose(order)
+    shape = t.shape
+    for j in range(slots):  # slot j: batched over the index pairs before it
+        t = np.matmul(proj, t.reshape((k * k) ** j, k * k, -1))
+    return t.reshape(shape).transpose(inverse).reshape(diff.shape).view(complex)
+
+
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(x + x^H) / 2, bit for bit.  The conjugate transpose is made as one
+    C-order copy and the rest is done in place: adding a transposed view
+    instead is several times slower at 256 x 256."""
+    h = np.conj(x.T, order="C")
+    h += x
+    h *= 0.5
+    return h
 
 
 def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     """Exact orthogonal projection onto {X Hermitian : action constraints hold}."""
-    out = x - _constrained_part(sys, x)
-    return (out + out.conj().T) / 2
+    return _hermitian_part(x - _constrained_part(sys, x))
 
 
 def psd_project(x: np.ndarray) -> np.ndarray:
-    """Projection onto the PSD cone by eigenvalue clipping."""
-    h = (x + x.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * w) @ v.conj().T
+    """Projection onto the PSD cone by eigenvalue clipping.
+
+    The clip V diag(max(w, 0)) V^H is rebuilt from the eigenpairs with
+    w > 0 alone: the rest contribute exact zeros.
+    """
+    w, v = np.linalg.eigh(_hermitian_part(x))
+    cut = int(np.searchsorted(w, 0.0, side="right"))  # w[:cut] <= 0 < w[cut:]
+    pos = v[:, cut:]
+    return (pos * w[cut:]) @ pos.conj().T
 
 
 def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
@@ -131,7 +181,7 @@ def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
 
 def random_hermitian_direction(n: int, rng) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2
+    h = _hermitian_part(g)
     return h / np.linalg.norm(h)
 
 
@@ -141,8 +191,9 @@ def _run_single(sys: ConstraintSystem, start: np.ndarray, stop_at_tol: bool):
     dist = float(np.linalg.norm(x - sys.reference))
     iters = 0
     for iters in range(1, MAX_ITER + 1):
-        y = psd_project(x + p)
-        p = x + p - y
+        shifted = x + p
+        y = psd_project(shifted)
+        p = shifted - y
         x_new = affine_project(sys, y)
         step = float(np.linalg.norm(x_new - x))
         x = x_new
@@ -168,34 +219,57 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+_POOL = None  # the spawn pool shared by the probe calls of this process
+
+
+def _drop_pool() -> None:
+    """Shut the shared pool down without waiting; the next pooled call
+    makes a new one."""
+    global _POOL
+    if _POOL is not None:
+        _POOL.shutdown(wait=False, cancel_futures=True)
+        _POOL = None
+
+
 def _map_starts(run, seeds) -> list:
     """``run`` over ``seeds``, results in start order.
 
-    On one usable CPU this is a plain loop.  Otherwise the starts go to a pool
-    of min(starts, CPUs) spawned workers, each with one BLAS thread: the BLAS
-    variables are set in ``os.environ`` while the pool lives, since a worker
-    reads them when it imports numpy, and restored afterwards.  Spawned, not
-    forked, workers start with a fresh BLAS instead of the parent's threads,
-    and the executor raises ``BrokenProcessPool`` when a worker dies, where
-    ``multiprocessing.Pool`` would hang.  A spawned worker re-runs the
+    On one usable CPU, or for a single start, this is a plain loop.
+    Otherwise the starts go to one pool of spawned workers, one per usable
+    CPU, made on the first such call and reused by every later one, so
+    numpy and switchcert are imported once per worker and not once per
+    probe.  Workers are spawned when a map first needs them and read the
+    BLAS variables then, so every map sets them to one thread in
+    ``os.environ`` and restores them afterwards.  Spawned, not forked,
+    workers start with a fresh BLAS instead of the parent's threads, and
+    the executor raises ``BrokenProcessPool`` when a worker dies, where
+    ``multiprocessing.Pool`` would hang; the broken pool is then dropped
+    and the next call makes a new one.  A spawned worker re-runs the
     parent's ``__main__`` from its file, so a script read from standard
     input, which has none, runs its starts in the plain loop too.
     """
     import __main__
 
+    global _POOL
     main_file = getattr(__main__, "__file__", None)
-    workers = min(len(seeds), _usable_cpus())
-    if workers <= 1 or (main_file is not None and not os.path.isfile(main_file)):
+    cpus = _usable_cpus()
+    if min(len(seeds), cpus) <= 1 or \
+            (main_file is not None and not os.path.isfile(main_file)):
         return [run(s) for s in seeds]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(run, seeds))
+        if _POOL is None:
+            _POOL = ProcessPoolExecutor(
+                cpus, mp_context=multiprocessing.get_context("spawn"))
+        return list(_POOL.map(run, seeds))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
     finally:
         for name, value in saved.items():
             if value is None:
@@ -205,7 +279,7 @@ def _map_starts(run, seeds) -> list:
 
 
 def _min_eig(x: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((x + x.conj().T) / 2)[0])
+    return float(np.linalg.eigvalsh(_hermitian_part(x))[0])
 
 
 def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
@@ -240,7 +314,7 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
                 step = None
         if step is None or not np.isfinite(step).all():
             step, d_f, d_g = g, [], []
-        x = (step + step.conj().T) / 2
+        x = _hermitian_part(step)
     return g, evals
 
 

@@ -627,6 +627,8 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
     worst_member = nan_max(0.0, *_span_residuals([g.target for g in gens], d))
 
     stacked = np.array([op.reshape(-1) for op in stated_list_operators(gens)])
+    if not stacked.imag.any():  # the usual case: a real SVD costs far less
+        stacked = stacked.real
     svals = np.linalg.svd(stacked, compute_uv=False)
     stacked_rank = int(np.count_nonzero(svals > RANK_TOL * svals[0]))
 

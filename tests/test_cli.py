@@ -107,6 +107,67 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     assert captured.err == "switchcert: error: internal error: RuntimeError: boom second line\n"
 
 
+def _raising_runner(cfg):
+    raise RuntimeError("boom")
+
+
+def test_internal_error_leaves_no_out_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._RUNNERS, "identity-verify", _raising_runner)
+    path = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["identity-verify", "--out", str(path)])
+    assert err.value.code == 3
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupted_run_leaves_no_out_file(tmp_path, monkeypatch):
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._RUNNERS, "identity-verify", interrupted)
+    path = tmp_path / "report.json"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["identity-verify", "--out", str(path)])
+    assert not path.exists()
+
+
+def test_internal_error_leaves_an_existing_out_file_untouched(tmp_path, capsys,
+                                                             monkeypatch):
+    monkeypatch.setitem(cli._RUNNERS, "identity-verify", _raising_runner)
+    path = tmp_path / "report.json"
+    path.write_text("an earlier report\n")
+    stamp = path.stat().st_mtime_ns
+    with pytest.raises(SystemExit) as err:
+        cli.main(["identity-verify", "--out", str(path)])
+    assert err.value.code == 3
+    assert path.read_text() == "an earlier report\n"
+    assert path.stat().st_mtime_ns == stamp
+
+
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli._RUNNERS, "identity-verify", calls.append)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["identity-verify", "--out", str(path)])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("switchcert: error: cannot write --out")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_file_replaces_a_longer_existing_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("x" * 100_000)
+    code, _ = run_cli(["identity-verify", "--format", "json", "--no-timestamp",
+                       "--out", str(path)], capsys)
+    assert code == 0
+    assert json.loads(path.read_text())["passed"] is True
+
+
 def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):
     failed = CertificateReport(
         name="stub", passed=False,

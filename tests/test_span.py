@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from switchcert import span
 from switchcert.channels import choi_from_kraus, haar_random_unitary, \
     standard_channel, unitary_choi
 from switchcert.linalg import frobenius
@@ -318,6 +319,18 @@ def test_verify_span_lemmas():
         assert rep.passed, [c for c in rep.checks if not c.passed]
     rep2 = verify_span_lemmas(2, seed=0)
     assert rep2.check("listed_item_count").measured == 10
+
+
+@pytest.mark.parametrize("d,rank", [(2, 10), (3, 63), (4, 220), (5, 565)])
+def test_stated_list_rank(d, rank, monkeypatch):
+    # the stated list is real, so its rank comes from a real SVD; a complex
+    # list (here the same list times a phase) takes the complex SVD
+    assert f"stated_list_rank={rank}" in verify_span_lemmas(d).notes
+    if d == 3:
+        stated = span.stated_list_operators
+        monkeypatch.setattr(span, "stated_list_operators",
+                            lambda gens: [np.exp(0.3j) * op for op in stated(gens)])
+        assert f"stated_list_rank={rank}" in verify_span_lemmas(d).notes
 
 
 def test_group_sizes_and_cover():
