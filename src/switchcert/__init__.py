@@ -12,27 +12,14 @@ __version__ = "0.1.0"
 from .channels import (
     ChoiChannel,
     KrausChannel,
-    apply_channel,
     choi_from_kraus,
     compose_channels,
     flip_operator,
     haar_random_unitary,
-    kraus_from_choi,
     standard_channel,
     unitary_choi,
 )
-from .linalg import (
-    Operator,
-    SpaceLayout,
-    entrywise_one_norm,
-    hermitian_eigen,
-    min_eigenvalue,
-    numerical_rank,
-    partial_trace,
-    partial_transpose,
-    permute_systems,
-    tensor_product,
-)
+from .linalg import Operator, SpaceLayout, min_eigenvalue, numerical_rank
 from .probe import (
     ConstraintSystem,
     alternating_projection_probe,
@@ -55,7 +42,6 @@ from .switch import (
     apply_two_slot,
     build_switch_choi,
     link,
-    switch_kraus_output,
     verify_unitary_action,
 )
 from .uniqueness import (

@@ -1,6 +1,9 @@
-"""Quantum channels in Kraus and Choi form, standard constructors, Haar sampling.
+"""Channels as Choi operators: standard channels, composition, Haar sampling.
 
-Choi operators follow the unnormalized convention ``J = sum_ij |i><j| (x)
+A channel is given either by Kraus operators (the standard channels are
+built that way) or by its Choi operator; ``choi_from_kraus`` turns the first
+into the second, and every computation here and in ``switch`` runs on Choi
+operators.  They follow the unnormalized convention ``J = sum_ij |i><j| (x)
 Lambda(|i><j|)``, so a trace-preserving channel on ``C^d`` has ``Tr J = d``
 and the Choi operator of a unitary channel has entries built from plain
 products of matrix elements (0/1 patterns for permutation-like unitaries).
@@ -12,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    Operator,
-    SpaceLayout,
-    _as_matrix,
-    frobenius,
-    hermitian_eigen,
-    is_psd,
-    min_eigenvalue,
-)
+from .linalg import Operator, SpaceLayout, frobenius
 
 PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -52,10 +47,6 @@ class KrausChannel:
             ops.append(arr)
         object.__setattr__(self, "kraus", tuple(ops))
 
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
-        acc = sum(k.conj().T @ k for k in self.kraus)
-        return frobenius(acc, np.eye(self.dim_in)) <= tol
-
 
 @dataclass(frozen=True)
 class ChoiChannel:
@@ -79,14 +70,6 @@ class ChoiChannel:
     def matrix(self) -> np.ndarray:
         return self.op.entries
 
-    def is_cp(self, tol_psd: float = 1e-9) -> bool:
-        return is_psd(self.op, tol_psd=tol_psd)
-
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
-        j4 = self.matrix.reshape(self.dim_in, self.dim_out,
-                                 self.dim_in, self.dim_out)
-        return frobenius(np.einsum("iaka->ik", j4), np.eye(self.dim_in)) <= tol
-
 
 def choi_matrix(din: int, dout: int, entries: np.ndarray) -> ChoiChannel:
     return ChoiChannel(Operator(SpaceLayout((("I", din), ("O", dout))), entries))
@@ -101,47 +84,6 @@ def choi_from_kraus(ch: KrausChannel) -> ChoiChannel:
     return choi_matrix(ch.dim_in, ch.dim_out, j)
 
 
-def kraus_from_choi(j: ChoiChannel, tol: float = 1e-10) -> KrausChannel:
-    """Kraus operators from the eigendecomposition of a PSD Choi operator.
-
-    Eigenvalues below ``tol * lambda_max`` are discarded, so the number of
-    Kraus operators equals the numerical rank at the same cut.
-    """
-    if min_eigenvalue(j.op) < -1e-9:
-        raise ValueError("Choi operator is not positive semidefinite")
-    w, v = hermitian_eigen(j.op)
-    top = max(w.max(), 0.0)
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > tol * top:
-            ops.append(np.sqrt(lam) * vec.reshape(j.dim_in, j.dim_out).T)
-    if not ops:
-        ops = [np.zeros((j.dim_out, j.dim_in), dtype=complex)]
-    return KrausChannel(j.dim_in, j.dim_out, tuple(ops))
-
-
-def apply_channel(ch, rho):
-    """Apply a channel to a state (plain matrix or Operator accepted).
-
-    Kraus route: sum_k K rho K^dag.  Choi route: Tr_I[J (rho^t (x) I_O)].
-    """
-    mat = _as_matrix(rho)
-    if isinstance(ch, KrausChannel):
-        if mat.shape != (ch.dim_in, ch.dim_in):
-            raise ValueError(f"state dimension {mat.shape} != {ch.dim_in}")
-        out = sum(k @ mat @ k.conj().T for k in ch.kraus)
-    elif isinstance(ch, ChoiChannel):
-        if mat.shape != (ch.dim_in, ch.dim_in):
-            raise ValueError(f"state dimension {mat.shape} != {ch.dim_in}")
-        j4 = ch.matrix.reshape(ch.dim_in, ch.dim_out, ch.dim_in, ch.dim_out)
-        out = np.einsum("iakb,ik->ab", j4, mat)
-    else:
-        raise TypeError(f"not a channel: {type(ch).__name__}")
-    if isinstance(rho, Operator):
-        return Operator(rho.layout, out)
-    return out
-
-
 def _as_choi(ch) -> ChoiChannel:
     return choi_from_kraus(ch) if isinstance(ch, KrausChannel) else ch
 
@@ -153,13 +95,16 @@ def compose_channels(second, first) -> ChoiChannel:
         raise ValueError(
             f"cannot compose: first outputs dim {a.dim_out}, second expects {b.dim_in}")
     d = a.dim_in
+    # a channel's output on rho is Tr_I[J (rho^t (x) 1_O)]
+    a4 = a.matrix.reshape(d, a.dim_out, d, a.dim_out)
+    b4 = b.matrix.reshape(b.dim_in, b.dim_out, b.dim_in, b.dim_out)
     j = np.zeros((d * b.dim_out,) * 2, dtype=complex)
     basis = np.eye(d)
     for i in range(d):
         for k in range(d):
             e = np.outer(basis[i], basis[k])
-            out = apply_channel(b, apply_channel(a, e))
-            j += np.kron(e, out)
+            mid = np.einsum("iakb,ik->ab", a4, e)
+            j += np.kron(e, np.einsum("iakb,ik->ab", b4, mid))
     return choi_matrix(d, b.dim_out, j)
 
 
@@ -197,19 +142,6 @@ def haar_random_unitary(d: int, seed) -> np.ndarray:
     An integer seed makes the draw reproducible bit-for-bit.
     """
     return haar_random_unitaries(d, 1, seed)[0]
-
-
-def random_kraus_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
-    """Random CPTP channel on C^d with the given number of Kraus operators.
-
-    Built from a Haar-random isometry C^d -> C^(kraus_rank * d), the standard
-    construction for sampling channels of bounded Kraus rank.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = (rng.standard_normal((kraus_rank * d, d))
-         + 1j * rng.standard_normal((kraus_rank * d, d))) / np.sqrt(2)
-    q, _ = np.linalg.qr(g)
-    return KrausChannel(d, d, tuple(q[k * d:(k + 1) * d, :] for k in range(kraus_rank)))
 
 
 def fourier_matrix(d: int) -> np.ndarray:

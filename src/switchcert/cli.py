@@ -217,6 +217,8 @@ def _validate(cfg) -> None:
              "probe supports --dim 2 to 4"),
             (cfg.subcommand == "identity-verify" and cfg.dim > 9,
              "identity-verify supports --dim 2 to 9"),
+            (cfg.subcommand == "corollary-verify" and cfg.dim > 16,
+             "corollary-verify supports --dim 2 to 16"),
             (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
              and cfg.samples < min_samples,
              f"--samples must be at least {min_samples} at --dim {cfg.dim}"),

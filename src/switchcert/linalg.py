@@ -1,24 +1,21 @@
-"""Dense complex linear algebra over labeled tensor-product spaces.
+"""Dense complex operators on labeled tensor-product spaces.
 
-Every operator carries a :class:`SpaceLayout` naming its subsystems, so that
-partial traces, partial transposes and system permutations can be requested
-by label instead of by hand-computed index arithmetic.  Basis ordering is
-row-major over the layout: the first system is the most significant index,
-matching ``numpy.kron``.
+Every operator carries a :class:`SpaceLayout` naming its subsystems and
+their dimensions; processes and channels read their slot structure off it.
+Basis ordering is row-major over the layout: the first system is the most
+significant index, matching ``numpy.kron``.  Besides the Frobenius distance
+the module holds the two spectral checks the certificates use: the smallest
+eigenvalue and the numerical rank of a Hermitian operator.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
-# Default tolerances.  Hermiticity and eigendecomposition checks are relative
-# to the Frobenius norm; the PSD cut on the smallest eigenvalue is absolute.
+# Hermiticity is checked relative to the Frobenius norm.
 TOL_HERM = 1e-10
-TOL_EIG = 1e-10
-TOL_PSD = 1e-9
 
 
 class LayoutError(ValueError):
@@ -67,11 +64,6 @@ class SpaceLayout:
         return self.systems[self.position(label)][1]
 
 
-def layout(*systems) -> SpaceLayout:
-    """Shorthand: ``layout(("A", 2), ("B", 3))``."""
-    return SpaceLayout(tuple(systems))
-
-
 @dataclass(frozen=True)
 class Operator:
     """Square complex matrix on the tensor-product space of ``layout``."""
@@ -90,31 +82,6 @@ class Operator:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.layout != other.layout:
-            raise LayoutError("matrix product requires identical layouts")
-        return Operator(self.layout, self.entries @ other.entries)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.layout, self.entries.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-
-def identity_operator(lay: SpaceLayout) -> Operator:
-    return Operator(lay, np.eye(lay.dim, dtype=complex))
-
-
-def relabel(op: Operator, mapping: dict) -> Operator:
-    """Rename subsystems; dimensions and entries are untouched."""
-    systems = tuple((mapping.get(lbl, lbl), dim) for lbl, dim in op.layout.systems)
-    return Operator(SpaceLayout(systems), op.entries)
-
 
 def _as_matrix(op) -> np.ndarray:
     return op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
@@ -126,73 +93,6 @@ def frobenius(a, b=None) -> float:
     if b is not None:
         m = m - _as_matrix(b)
     return float(np.linalg.norm(m))
-
-
-def tensor_product(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with concatenated layouts; labels must be disjoint."""
-    clash = set(a.layout.labels) & set(b.layout.labels)
-    if clash:
-        raise LayoutError(f"duplicate labels across factors: {sorted(clash)}")
-    lay = SpaceLayout(a.layout.systems + b.layout.systems)
-    return Operator(lay, np.kron(a.entries, b.entries))
-
-
-def _tensorized(op: Operator) -> np.ndarray:
-    dims = op.layout.dims
-    return op.entries.reshape(dims + dims)
-
-
-def partial_trace(op: Operator, labels) -> Operator:
-    """Trace out the named subsystems, keeping the rest in layout order."""
-    labels = set([labels] if isinstance(labels, str) else labels)
-    for lbl in labels:
-        op.layout.position(lbl)
-    keep = [s for s in op.layout.systems if s[0] not in labels]
-    if not keep:
-        raise LayoutError("cannot trace out every subsystem")
-    n = len(op.layout.systems)
-    letters = string.ascii_letters
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    out = []
-    for k, (lbl, _) in enumerate(op.layout.systems):
-        if lbl in labels:
-            col[k] = row[k]
-        else:
-            out.append(k)
-    subscripts = "".join(row + col) + "->" + "".join(row[k] for k in out) + \
-        "".join(col[k] for k in out)
-    m = int(np.prod([op.layout.dims[k] for k in out]))
-    return Operator(SpaceLayout(tuple(keep)),
-                    np.einsum(subscripts, _tensorized(op)).reshape(m, m))
-
-
-def partial_transpose(op: Operator, labels) -> Operator:
-    """Transpose the selected subsystems in the computational basis."""
-    labels = set([labels] if isinstance(labels, str) else labels)
-    for lbl in labels:
-        op.layout.position(lbl)
-    n = len(op.layout.systems)
-    axes = list(range(2 * n))
-    for k, (lbl, _) in enumerate(op.layout.systems):
-        if lbl in labels:
-            axes[k], axes[n + k] = axes[n + k], axes[k]
-    out = _tensorized(op).transpose(axes).reshape(op.dim, op.dim)
-    return Operator(op.layout, out)
-
-
-def permute_systems(op: Operator, new_order) -> Operator:
-    """Reindex entries so subsystems appear in ``new_order``."""
-    new_order = tuple(new_order)
-    if sorted(new_order) != sorted(op.layout.labels):
-        raise LayoutError(
-            f"{new_order} is not a permutation of {op.layout.labels}")
-    perm = [op.layout.position(lbl) for lbl in new_order]
-    n = len(perm)
-    axes = perm + [n + p for p in perm]
-    out = _tensorized(op).transpose(axes).reshape(op.dim, op.dim)
-    systems = tuple(op.layout.systems[p] for p in perm)
-    return Operator(SpaceLayout(systems), out)
 
 
 def is_hermitian(op, tol: float = TOL_HERM) -> bool:
@@ -209,35 +109,10 @@ def _hermitian_part(op, tol: float):
     return (m + m.conj().T) / 2
 
 
-def hermitian_eigen(op, tol_herm: float = TOL_HERM):
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted in
-    descending order and each eigenvector phase-fixed so its first
-    significant component is real positive.
-    """
-    h = _hermitian_part(op, tol_herm)
-    w, v = np.linalg.eigh(h)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-8 * np.abs(col).max())
-        if nz.size:
-            pivot = col[nz[0]]
-            v[:, k] = col * (pivot.conj() / abs(pivot))
-    return w, v
-
-
 def min_eigenvalue(op, tol_herm: float = TOL_HERM) -> float:
-    """Smallest eigenvalue; the operator counts as PSD iff it is >= -TOL_PSD."""
+    """Smallest eigenvalue of a Hermitian operator."""
     h = _hermitian_part(op, tol_herm)
     return float(np.linalg.eigvalsh(h)[0])
-
-
-def is_psd(op, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM) -> bool:
-    return min_eigenvalue(op, tol_herm) >= -tol_psd
 
 
 def numerical_rank(op, tol: float = 1e-10, tol_herm: float = TOL_HERM) -> int:
@@ -248,8 +123,3 @@ def numerical_rank(op, tol: float = 1e-10, tol_herm: float = TOL_HERM) -> int:
     if top == 0.0:
         return 0
     return int(np.count_nonzero(w > tol * top))
-
-
-def entrywise_one_norm(op) -> float:
-    """Sum of absolute values of all matrix elements."""
-    return float(np.abs(_as_matrix(op)).sum())

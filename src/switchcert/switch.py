@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ChoiChannel, KrausChannel, choi_from_kraus, choi_matrix, \
-    haar_random_unitaries, unitary_choi
+from .channels import ChoiChannel, choi_matrix, haar_random_unitaries, unitary_choi
 from .linalg import Operator, SpaceLayout, frobenius
 from .report import Timer, check_leq, check_close, make_report, nan_max
 
@@ -207,21 +206,6 @@ def apply_one_slot(proc: Process, j) -> ChoiChannel:
     if proc.layout != one_slot_layout(d):
         raise ValueError("apply_one_slot needs a one-slot process")
     return choi_matrix(d, d, link(proc.data, _slot_matrix(j, d, 1)))
-
-
-def switch_kraus_output(k: KrausChannel, l: KrausChannel) -> ChoiChannel:
-    """Kraus-level switch output: W_ij = |0><0| (x) L_j K_i + |1><1| (x) K_i L_j."""
-    if not (k.dim_in == k.dim_out == l.dim_in == l.dim_out):
-        raise ValueError("both slot channels must be square and equal-dimensional")
-    d = k.dim_in
-    ops = []
-    for ki in k.kraus:
-        for lj in l.kraus:
-            w = np.zeros((2 * d, 2 * d), dtype=complex)
-            w[:d, :d] = lj @ ki
-            w[d:, d:] = ki @ lj
-            ops.append(w)
-    return choi_from_kraus(KrausChannel(2 * d, 2 * d, tuple(ops)))
 
 
 def verify_unitary_action(d: int, trials: int, seed, process: Process | None = None,

@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from switchcert import cli
-from switchcert.channels import (
-    choi_from_kraus,
-    haar_random_unitary,
-    random_kraus_channel,
-)
+from switchcert.channels import choi_from_kraus, haar_random_unitary
 from switchcert.linalg import frobenius, numerical_rank
 from switchcert.probe import alternating_projection_probe, build_constraint_system
 from switchcert.span import (
@@ -21,12 +17,7 @@ from switchcert.span import (
     verify_group_combinatorics,
     verify_span_lemmas,
 )
-from switchcert.switch import (
-    apply_two_slot,
-    build_switch_choi,
-    switch_kraus_output,
-    verify_unitary_action,
-)
+from switchcert.switch import apply_two_slot, build_switch_choi, verify_unitary_action
 from switchcert.uniqueness import (
     build_cp_family,
     certify_identity_uniqueness,
@@ -36,6 +27,8 @@ from switchcert.uniqueness import (
     offdiagonal_certificate,
     verify_corollary,
 )
+
+from oracles import random_kraus_channel, switch_kraus_output
 
 SEED = 2024
 

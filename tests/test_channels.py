@@ -3,27 +3,36 @@ import pytest
 
 from switchcert.channels import (
     PAULI,
-    ChoiChannel,
     KrausChannel,
-    apply_channel,
     choi_from_kraus,
     compose_channels,
     flip_operator,
     fourier_matrix,
     haar_random_unitaries,
     haar_random_unitary,
-    kraus_from_choi,
-    random_kraus_channel,
     standard_channel,
     unitary_choi,
 )
-from switchcert.linalg import Operator, frobenius, numerical_rank
+from switchcert.linalg import frobenius, numerical_rank
+from switchcert.switch import link
+
+from oracles import is_cptp, random_kraus_channel
 
 
 def rand_state(rng, d):
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     psi /= np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
+
+
+def apply_kraus(ch, rho):
+    return sum(k @ rho @ k.conj().T for k in ch.kraus)
+
+
+def apply_choi(ch, rho):
+    """A channel's output Tr_I[J (rho^t (x) 1_O)], through the link kernel."""
+    j = choi_from_kraus(ch) if isinstance(ch, KrausChannel) else ch
+    return link(j.matrix, rho)
 
 
 def test_choi_of_identity_channel():
@@ -34,7 +43,7 @@ def test_choi_of_identity_channel():
         for k in (0, 3):
             want[i, k] = 1.0
     assert np.array_equal(j.matrix, want)
-    assert j.is_cp() and j.is_trace_preserving()
+    assert is_cptp(j)
 
 
 def test_choi_of_depolarizing_via_pauli_kraus():
@@ -51,64 +60,27 @@ def test_choi_of_replace_channel():
     assert frobenius(j.matrix, np.kron(np.eye(2), np.diag([1.0, 0.0]))) <= 1e-12
 
 
-def test_kraus_from_choi_unitary_is_rank_one():
-    rng = np.random.default_rng(0)
-    u = haar_random_unitary(3, rng)
-    k = kraus_from_choi(unitary_choi(u))
-    assert len(k.kraus) == 1
-    # same channel: K proportional to U by a phase
-    ratio = k.kraus[0] / u
-    assert np.abs(np.abs(ratio) - 1.0).max() < 1e-9
-    assert np.abs(ratio - ratio[0, 0]).max() < 1e-9
-
-
-def test_kraus_from_choi_depolarizing_rank():
-    k = kraus_from_choi(choi_from_kraus(standard_channel("depolarizing", 2)))
-    assert len(k.kraus) == 4
-
-
-def test_kraus_choi_round_trip_random():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        d = int(rng.integers(2, 4))
-        rank = int(rng.integers(1, d * d + 1))
-        ch = random_kraus_channel(d, rank, rng)
-        j = choi_from_kraus(ch)
-        back = choi_from_kraus(kraus_from_choi(j))
-        assert frobenius(j.matrix, back.matrix) <= 1e-9
-        assert len(kraus_from_choi(j).kraus) == numerical_rank(j.op, tol=1e-10)
-
-
-def test_kraus_from_choi_rejects_non_psd():
-    good = unitary_choi(np.eye(2))
-    m = good.matrix.copy()
-    m[0, 0] = -1.0
-    with pytest.raises(ValueError):
-        kraus_from_choi(ChoiChannel(Operator(good.op.layout, m)))
-
-
 def test_apply_channel_routes_agree():
     rng = np.random.default_rng(1)
     for _ in range(10):
         d = int(rng.integers(2, 4))
         ch = random_kraus_channel(d, int(rng.integers(1, d * d)), rng)
         rho = rand_state(rng, d)
-        via_kraus = apply_channel(ch, rho)
-        via_choi = apply_channel(choi_from_kraus(ch), rho)
+        via_kraus = apply_kraus(ch, rho)
+        via_choi = apply_choi(ch, rho)
         assert frobenius(via_kraus, via_choi) <= 1e-10
 
 
 def test_apply_channel_examples():
     rng = np.random.default_rng(2)
     rho = rand_state(rng, 2)
-    assert frobenius(apply_channel(standard_channel("identity", 2), rho), rho) <= 1e-12
-    out = apply_channel(standard_channel("depolarizing", 2), rho)
-    assert frobenius(out, np.eye(2) / 2) <= 1e-12
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    out = apply_channel(standard_channel("replace_zero", 2), plus)
-    assert frobenius(out, np.diag([1.0, 0.0])) <= 1e-12
-    with pytest.raises(ValueError):
-        apply_channel(standard_channel("identity", 2), np.eye(3))
+    for apply in (apply_kraus, apply_choi):
+        assert frobenius(apply(standard_channel("identity", 2), rho), rho) <= 1e-12
+        out = apply(standard_channel("depolarizing", 2), rho)
+        assert frobenius(out, np.eye(2) / 2) <= 1e-12
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        out = apply(standard_channel("replace_zero", 2), plus)
+        assert frobenius(out, np.diag([1.0, 0.0])) <= 1e-12
 
 
 def test_apply_unitary_channel_matches_conjugation():
@@ -116,7 +88,7 @@ def test_apply_unitary_channel_matches_conjugation():
     for _ in range(10):
         u = haar_random_unitary(3, rng)
         rho = rand_state(rng, 3)
-        out = apply_channel(unitary_choi(u), rho)
+        out = apply_choi(unitary_choi(u), rho)
         assert frobenius(out, u @ rho @ u.conj().T) <= 1e-10
 
 
@@ -229,17 +201,17 @@ def test_haar_first_moment():
 def test_standard_channels_are_tp():
     for kind in ("identity", "depolarizing", "replace_zero", "fourier_unitary"):
         for d in (2, 3):
-            assert standard_channel(kind, d).is_trace_preserving()
-    assert standard_channel("pauli_y", 2).is_trace_preserving()
+            assert is_cptp(standard_channel(kind, d))
+    assert is_cptp(standard_channel("pauli_y", 2))
     for d in (2, 3):
-        assert unitary_choi(haar_random_unitary(d, d)).is_trace_preserving()
+        assert is_cptp(unitary_choi(haar_random_unitary(d, d)))
 
 
 def test_standard_channel_examples_and_errors():
     rng = np.random.default_rng(8)
     dep3 = standard_channel("depolarizing", 3)
-    assert frobenius(apply_channel(dep3, rand_state(rng, 3)), np.eye(3) / 3) <= 1e-12
-    non_unital = apply_channel(standard_channel("replace_zero", 2), np.eye(2))
+    assert frobenius(apply_choi(dep3, rand_state(rng, 3)), np.eye(3) / 3) <= 1e-12
+    non_unital = apply_choi(standard_channel("replace_zero", 2), np.eye(2))
     assert frobenius(non_unital, 2 * np.diag([1.0, 0.0])) <= 1e-12
     assert frobenius(non_unital, np.eye(2)) > 0.5
     jy = choi_from_kraus(standard_channel("pauli_y", 2))
@@ -267,17 +239,6 @@ def test_flip_operator():
         u = haar_random_unitary(d, rng)
         assert frobenius(fd @ unitary_choi(u).matrix @ fd,
                          unitary_choi(u.T).matrix) <= 1e-12
-
-
-def test_choi_kraus_fixed_point():
-    rng = np.random.default_rng(9)
-    for kind in ("identity", "depolarizing", "replace_zero", "fourier_unitary"):
-        j = choi_from_kraus(standard_channel(kind, 3))
-        again = choi_from_kraus(kraus_from_choi(j))
-        assert frobenius(j.matrix, again.matrix) <= 1e-9
-    ch = random_kraus_channel(3, 4, rng)
-    j = choi_from_kraus(ch)
-    assert frobenius(j.matrix, choi_from_kraus(kraus_from_choi(j)).matrix) <= 1e-9
 
 
 def test_kraus_validation():

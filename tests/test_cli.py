@@ -73,6 +73,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["span-verify", "--dim", "7"],
                  ["probe", "--dim", "5"],
                  ["identity-verify", "--dim", "10"],
+                 ["corollary-verify", "--dim", "17"],
                  ["span-verify", "--dim", "2", "--samples", "5"],
                  ["all", "--dim", "2", "--samples", "10"],
                  ["identity-verify", "--out", str(tmp_path / "missing" / "x.json")],

@@ -2,26 +2,13 @@ import numpy as np
 import pytest
 
 from switchcert.channels import unitary_choi
-from switchcert.linalg import (
-    LayoutError,
-    Operator,
-    SpaceLayout,
-    entrywise_one_norm,
-    frobenius,
-    hermitian_eigen,
-    identity_operator,
-    is_hermitian,
-    is_psd,
-    min_eigenvalue,
-    numerical_rank,
-    partial_trace,
-    partial_transpose,
-    permute_systems,
-    relabel,
-    tensor_product,
-)
+from switchcert.linalg import (LayoutError, Operator, SpaceLayout, frobenius, is_hermitian,
+                               min_eigenvalue, numerical_rank)
 from switchcert.switch import build_switch_choi
 from switchcert.uniqueness import build_cp_family, cp_factor_matrix
+
+from oracles import (identity_operator, partial_trace, partial_transpose, permute_systems,
+                     tensor_product)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -80,7 +67,7 @@ def test_tensor_product_identity_and_basis():
 
 def test_tensor_product_choi_example_and_errors():
     jx = unitary_choi(X).op
-    jz = relabel(unitary_choi(Z).op, {"I": "I2", "O": "O2"})
+    jz = Operator(SpaceLayout((("I2", 2), ("O2", 2))), unitary_choi(Z).matrix)
     t = tensor_product(jx, jz)
     assert numerical_rank(t) == 1
     assert abs(np.trace(t.entries) - 4.0) < 1e-12
@@ -120,7 +107,8 @@ def test_partial_trace_switch_on_identity_slots():
         SpaceLayout((("PT", 2), ("FT", 2), ("PC", 2), ("FC", 2))))
     big = partial_transpose(tensor_product(slots, rest),
                             {"I1", "O1", "I2", "O2"})
-    traced = partial_trace(proc.op @ big, {"I1", "O1", "I2", "O2"})
+    traced = partial_trace(Operator(big.layout, proc.op.entries @ big.entries),
+                           {"I1", "O1", "I2", "O2"})
     reordered = permute_systems(traced, ("PC", "PT", "FC", "FT"))
     want = unitary_choi(np.eye(4)).matrix
     assert frobenius(reordered.entries, want) <= 1e-12
@@ -171,69 +159,18 @@ def test_permute_switch_round_trip_bit_exact():
     assert np.array_equal(back.entries, proc.op.entries)
 
 
-def test_hermitian_eigen_identity_and_switch():
-    w, _ = hermitian_eigen(identity_operator(SpaceLayout((("A", 4),))))
-    assert np.allclose(w, np.ones(4))
-
-    w, v = hermitian_eigen(build_switch_choi(2).op)
-    assert abs(w[0] - 16.0) < 1e-10
-    assert np.abs(w[1:]).max() < 1e-10
-    op = build_switch_choi(2).op.entries
-    rec = (v * w) @ v.conj().T
-    assert frobenius(rec, op) <= 1e-10 * frobenius(op)
-
-
 def test_hermitian_eigen_cp_factor():
     for p in (0.0, 0.5, 1.0):
         w = np.linalg.eigvalsh(cp_factor_matrix(p))[::-1]
         assert np.abs(w - np.array([2 + 2 * p, 2 - 2 * p, 0, 0])).max() < 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 32, 129, 1024])
-def test_hermitian_eigen_reconstruction(n):
-    rng = np.random.default_rng(n)
-    h = rand_hermitian(rng, n)
-    op = Operator(SpaceLayout((("A", n),)), h)
-    w, v = hermitian_eigen(op)
-    assert np.all(np.diff(w) <= 1e-12)
-    rec = (v * w) @ v.conj().T
-    assert frobenius(rec, h) <= 1e-10 * frobenius(h)
-
-
-@pytest.mark.slow
-def test_hermitian_eigen_reconstruction_4096():
-    rng = np.random.default_rng(4096)
-    h = rand_hermitian(rng, 4096)
-    w, v = hermitian_eigen(Operator(SpaceLayout((("A", 4096),)), h))
-    rec = (v * w) @ v.conj().T
-    assert frobenius(rec, h) <= 1e-10 * frobenius(h)
-
-
 def test_hermitian_eigen_rejects_non_hermitian():
-    op = Operator(SpaceLayout((("A", 2),)), np.array([[0, 1], [0, 0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigen(op)
-    assert not is_hermitian(op)
-
-
-def test_entrywise_one_norm():
-    lay = SpaceLayout((("A", 2), ("B", 2)))
-    assert entrywise_one_norm(Operator(lay, np.zeros((4, 4)))) == 0.0
-    m = np.zeros((4, 4))
-    m[1, 2] = 1.0  # |01><10|
-    assert entrywise_one_norm(Operator(lay, m)) == 1.0
-    assert entrywise_one_norm(build_switch_choi(2).op) == 256.0
-
-
-def test_one_norm_is_a_norm():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        na, nb = np.abs(a).sum(), np.abs(b).sum()
-        assert np.abs(a + b).sum() <= na + nb + 1e-12 * (na + nb)
-        assert abs(np.abs(c * a).sum() - abs(c) * na) <= 1e-12 * abs(c) * na
+    m = np.array([[0, 1], [0, 0]])
+    assert not is_hermitian(m)
+    for spectral in (min_eigenvalue, numerical_rank):
+        with pytest.raises(ValueError):
+            spectral(m)
 
 
 def test_min_eigenvalue():
@@ -245,7 +182,6 @@ def test_min_eigenvalue():
     m = np.outer(psi, psi) - 2 * np.outer(phi, phi)
     assert abs(min_eigenvalue(m) + 2.0) < 1e-12
     assert abs(min_eigenvalue(build_cp_family(0.5).op)) < 1e-12
-    assert is_psd(build_cp_family(0.5).op)
 
 
 def test_numerical_rank():
@@ -253,11 +189,3 @@ def test_numerical_rank():
         assert numerical_rank(np.eye(d), tol=1e-10) == d
     assert numerical_rank(build_cp_family(1.0).op, tol=1e-10) == 1
     assert numerical_rank(np.zeros((3, 3)), tol=1e-10) == 0
-
-
-def test_matmul_requires_same_layout():
-    a = identity_operator(SpaceLayout((("A", 2),)))
-    b = identity_operator(SpaceLayout((("B", 2),)))
-    with pytest.raises(LayoutError):
-        a @ b
-    assert np.array_equal((a @ a).entries, np.eye(2))

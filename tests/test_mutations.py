@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from switchcert import probe, span
+from switchcert import probe, span, switch, uniqueness
+from switchcert.channels import haar_random_unitary
 from switchcert.probe import alternating_projection_probe, build_constraint_system
 from switchcert.span import GroupElement, verify_group_combinatorics
+from switchcert.switch import Process, link
+from switchcert.uniqueness import offdiagonal_certificate, verify_corollary
 
 import test_probe
 
@@ -52,3 +55,57 @@ def test_vec_kron_without_reorder_fails_dense_agreement(monkeypatch):
         monkeypatch.setattr(module, "vec_kron", np.kron)
     with pytest.raises(AssertionError):
         test_probe.test_switch_constrained_part_matches_dense_product_d2()
+
+
+def sandwich_corollary():
+    """``corollary-verify --dim 2 --seed 0``'s sandwich, with Haar A and B."""
+    a, b = haar_random_unitary(2, 101), haar_random_unitary(2, 202)
+    return verify_corollary("sandwich", 2, trials=100, seed=0, a=a, b=b)
+
+
+def failed_checks(rep):
+    return [c.name for c in rep.checks if not c.passed]
+
+
+def test_link_without_conjugation_fails_sandwich_corollary(monkeypatch):
+    def unconjugated(w, x):
+        if w.ndim == 1:
+            wm = w.reshape(x.shape[0], -1)
+            return wm.T @ x @ wm
+        return link(w, x)
+
+    assert sandwich_corollary().passed
+    monkeypatch.setattr(switch, "link", unconjugated)
+    rep = sandwich_corollary()
+    assert rep.name == "corollary_sandwich_d2"
+    assert failed_checks(rep) == ["max_haar_distance", "replace_channel_extension_dev"]
+
+
+def test_untransposed_b_in_sandwich_fails_corollary(monkeypatch):
+    build = uniqueness.build_derived_one_slot
+
+    def untransposed(kind, d, a=None, b=None):  # the vector then holds b where b.T belongs
+        return build(kind, d, a, b.T if kind == "sandwich" else b)
+
+    assert sandwich_corollary().passed
+    monkeypatch.setattr(uniqueness, "build_derived_one_slot", untransposed)
+    rep = sandwich_corollary()
+    assert rep.name == "corollary_sandwich_d2"
+    assert failed_checks(rep) == ["max_haar_distance", "replace_channel_extension_dev"]
+
+
+def test_dropped_row_entry_fails_offdiagonal_sums(monkeypatch):
+    row_entries = Process._row_entries.func
+
+    def dropped(self):  # loses the first entry of the first non-empty row of Wm
+        rows = list(row_entries(self))
+        r = next(i for i, row in enumerate(rows) if row)
+        rows[r] = rows[r][1:]
+        return tuple(rows)
+
+    assert offdiagonal_certificate(2).passed
+    monkeypatch.setattr(Process, "_row_entries", property(dropped))
+    rep = offdiagonal_certificate(2)
+    assert rep.name == "switch_offdiagonal_d2"
+    assert failed_checks(rep) == ["sum_G1xG1", "sum_G2xG2", "sum_G1xG3", "sum_G2xG3",
+                                  "sum_G3xG3", "ordered_total_saturates_bound"]

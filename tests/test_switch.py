@@ -3,21 +3,15 @@ import pytest
 
 from switchcert.channels import (
     PAULI,
+    KrausChannel,
     choi_from_kraus,
     haar_random_unitary,
-    random_kraus_channel,
     standard_channel,
     unitary_choi,
 )
-from switchcert.linalg import (
-    Operator,
-    entrywise_one_norm,
-    frobenius,
-    min_eigenvalue,
-    numerical_rank,
-    permute_systems,
-)
+from switchcert.linalg import Operator, SpaceLayout, frobenius, min_eigenvalue, numerical_rank
 from switchcert.switch import (
+    CANONICAL_ORDER,
     Process,
     apply_one_slot,
     apply_two_slot,
@@ -25,9 +19,12 @@ from switchcert.switch import (
     controlled_order_unitary,
     process_layout,
     switch_choi_vector,
-    switch_kraus_output,
     verify_unitary_action,
 )
+
+from oracles import (identity_operator, is_cptp, partial_trace, partial_transpose,
+                     permute_systems, random_kraus_channel, switch_kraus_output,
+                     tensor_product)
 
 
 def dense_action(proc, ket, bra):
@@ -44,7 +41,7 @@ def test_switch_choi_basic_invariants():
     proc = build_switch_choi(2)
     w = proc.op.entries
     assert abs(np.trace(w) - 16.0) < 1e-14
-    assert entrywise_one_norm(proc.op) == 256.0
+    assert np.abs(w).sum() == 256.0
     vals = np.unique(w.real)
     assert set(np.round(vals, 12)) <= {0.0, 1.0}
     assert np.abs(w.imag).max() == 0.0
@@ -86,22 +83,16 @@ def test_kraus_route_on_unitaries():
     rng = np.random.default_rng(0)
     for d in (2, 3):
         u1, u2 = haar_random_unitary(d, rng), haar_random_unitary(d, rng)
-        k = switch_kraus_output(
-            choi_to_kraus_single(u1), choi_to_kraus_single(u2))
+        k = switch_kraus_output(KrausChannel(d, d, (u1,)), KrausChannel(d, d, (u2,)))
         want = unitary_choi(controlled_order_unitary(u1, u2))
         assert frobenius(k.matrix, want.matrix) <= 1e-12
-
-
-def choi_to_kraus_single(u):
-    from switchcert.channels import KrausChannel
-    return KrausChannel(u.shape[0], u.shape[0], (u,))
 
 
 def test_depolarizing_slots_are_not_depolarizing():
     dep = standard_channel("depolarizing", 2)
     out = switch_kraus_output(dep, dep)
     jdep4 = np.eye(16) / 4  # Choi of the depolarizing channel on C^4
-    assert out.is_trace_preserving(1e-9)
+    assert is_cptp(out)
     assert frobenius(out.matrix, jdep4) > 0.5
 
     idc = standard_channel("identity", 2)
@@ -111,7 +102,6 @@ def test_depolarizing_slots_are_not_depolarizing():
 
 def test_depolarizing_pair_matches_kraus_enumeration():
     # both slots depolarizing, realized through the Pauli Kraus set
-    from switchcert.channels import KrausChannel
     proc = build_switch_choi(2)
     pauli_dep = KrausChannel(2, 2, tuple(PAULI[k] / 2 for k in "ixyz"))
     via_choi = apply_two_slot(proc, choi_from_kraus(pauli_dep),
@@ -140,7 +130,7 @@ def test_output_on_channels_is_cptp():
         kb = random_kraus_channel(2, 3, rng)
         out = apply_two_slot(proc, choi_from_kraus(ka), choi_from_kraus(kb))
         assert min_eigenvalue(out.op) >= -1e-10
-        assert out.is_trace_preserving(1e-9)
+        assert is_cptp(out)
 
 
 def test_bilinearity():
@@ -257,10 +247,6 @@ def test_block_entries_complex_vector_matches_block():
 def test_apply_two_slot_matches_global_transpose_route():
     # independent route: tensor the slot operators with identities in the
     # canonical order, transpose every subsystem, multiply, partial-trace
-    from switchcert.linalg import (Operator, SpaceLayout, identity_operator,
-                                   partial_trace, partial_transpose,
-                                   permute_systems, tensor_product)
-    from switchcert.switch import CANONICAL_ORDER
     d = 2
     proc = build_switch_choi(d)
     rng = np.random.default_rng(8)
@@ -273,7 +259,8 @@ def test_apply_two_slot_matches_global_transpose_route():
             SpaceLayout((("PT", d), ("FT", d), ("PC", 2), ("FC", 2))))
         big = tensor_product(tensor_product(slot_a, slot_b), rest)
         big = partial_transpose(big, set(CANONICAL_ORDER))
-        traced = partial_trace(proc.op @ big, {"I1", "O1", "I2", "O2"})
+        traced = partial_trace(Operator(big.layout, proc.op.entries @ big.entries),
+                               {"I1", "O1", "I2", "O2"})
         got = permute_systems(traced, ("PC", "PT", "FC", "FT")).entries
         want = apply_two_slot(proc, a, b).matrix
         assert frobenius(got, want) <= 1e-12
@@ -305,7 +292,6 @@ def test_verify_unitary_action_negative_control():
     g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     bump = g @ g.conj().T
     bump /= np.linalg.norm(bump)
-    from switchcert.linalg import Operator
     bad = Process(2, Operator(proc.op.layout, proc.op.entries + 0.1 * bump))
     rep = verify_unitary_action(2, trials=10, seed=0, process=bad)
     assert not rep.passed

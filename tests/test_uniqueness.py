@@ -33,7 +33,7 @@ S_GATE = np.diag([1.0, 1j]).astype(complex)
 
 def perturbed_one_slot(proc, scale, seed):
     rng = np.random.default_rng(seed)
-    n = proc.op.dim
+    n = proc.layout.dim
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     bump = g @ g.conj().T
     bump *= scale / np.linalg.norm(bump)
