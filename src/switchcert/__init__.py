@@ -10,7 +10,6 @@ an independent alternating-projection feasibility probe.
 __version__ = "0.1.0"
 
 from .channels import (
-    ChoiChannel,
     KrausChannel,
     choi_from_kraus,
     compose_channels,
@@ -19,7 +18,7 @@ from .channels import (
     standard_channel,
     unitary_choi,
 )
-from .linalg import Operator, SpaceLayout, min_eigenvalue, numerical_rank
+from .linalg import Operator, min_eigenvalue, numerical_rank
 from .probe import (
     ConstraintSystem,
     alternating_projection_probe,

@@ -1,21 +1,23 @@
-"""Channels as Choi operators: standard channels, composition, Haar sampling.
+"""Channels as Choi matrices: standard channels, composition, Haar sampling.
 
 A channel is given either by Kraus operators (the standard channels are
-built that way) or by its Choi operator; ``choi_from_kraus`` turns the first
-into the second, and every computation here and in ``switch`` runs on Choi
-operators.  They follow the unnormalized convention ``J = sum_ij |i><j| (x)
-Lambda(|i><j|)``, so a trace-preserving channel on ``C^d`` has ``Tr J = d``
-and the Choi operator of a unitary channel has entries built from plain
-products of matrix elements (0/1 patterns for permutation-like unitaries).
+built that way) or by its Choi matrix, a plain complex array; ``choi_from_kraus``
+turns the first into the second, and every computation here and in ``switch``
+runs on Choi matrices.  They follow the unnormalized convention ``J = sum_ij
+|i><j| (x) Lambda(|i><j|)`` on I (x) O, so a trace-preserving channel on ``C^d``
+has ``Tr J = d`` and the Choi matrix of a unitary channel has entries built
+from plain products of matrix elements (0/1 patterns for permutation-like
+unitaries).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .linalg import Operator, SpaceLayout, frobenius
+from .linalg import frobenius
 
 PAULI = {
     "i": np.eye(2, dtype=complex),
@@ -48,74 +50,43 @@ class KrausChannel:
         object.__setattr__(self, "kraus", tuple(ops))
 
 
-@dataclass(frozen=True)
-class ChoiChannel:
-    """Choi operator of a channel, stored on the labeled space I (x) O."""
-
-    op: Operator
-
-    def __post_init__(self):
-        if self.op.layout.labels != ("I", "O"):
-            raise ValueError("ChoiChannel layout must be (('I', din), ('O', dout))")
-
-    @property
-    def dim_in(self) -> int:
-        return self.op.layout.dim_of("I")
-
-    @property
-    def dim_out(self) -> int:
-        return self.op.layout.dim_of("O")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.entries
-
-
-def choi_matrix(din: int, dout: int, entries: np.ndarray) -> ChoiChannel:
-    return ChoiChannel(Operator(SpaceLayout((("I", din), ("O", dout))), entries))
-
-
-def choi_from_kraus(ch: KrausChannel) -> ChoiChannel:
+def choi_from_kraus(ch: KrausChannel) -> np.ndarray:
     """J = sum_k |Phi_k><Phi_k| with Phi_k = (I (x) K_k) |I>>."""
     j = np.zeros((ch.dim_in * ch.dim_out,) * 2, dtype=complex)
     for k in ch.kraus:
         phi = k.T.reshape(-1)  # phi[(i, a)] = K[a, i]
         j += np.outer(phi, phi.conj())
-    return choi_matrix(ch.dim_in, ch.dim_out, j)
+    return j
 
 
-def _as_choi(ch) -> ChoiChannel:
-    return choi_from_kraus(ch) if isinstance(ch, KrausChannel) else ch
-
-
-def compose_channels(second, first) -> ChoiChannel:
-    """Choi operator of ``second . first`` (first acts first)."""
-    a, b = _as_choi(first), _as_choi(second)
-    if a.dim_out != b.dim_in:
-        raise ValueError(
-            f"cannot compose: first outputs dim {a.dim_out}, second expects {b.dim_in}")
-    d = a.dim_in
+def compose_channels(second: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Choi matrix of ``second . first`` (first acts first) for channels on C^d."""
+    a, b = np.asarray(first), np.asarray(second)
+    d = isqrt(a.shape[0])
+    if not a.shape == b.shape == (d * d, d * d):
+        raise ValueError(f"cannot compose Choi matrices of shapes {b.shape} and {a.shape}")
     # a channel's output on rho is Tr_I[J (rho^t (x) 1_O)]
-    a4 = a.matrix.reshape(d, a.dim_out, d, a.dim_out)
-    b4 = b.matrix.reshape(b.dim_in, b.dim_out, b.dim_in, b.dim_out)
-    j = np.zeros((d * b.dim_out,) * 2, dtype=complex)
+    a4 = a.reshape(d, d, d, d)
+    b4 = b.reshape(d, d, d, d)
+    j = np.zeros((d * d,) * 2, dtype=complex)
     basis = np.eye(d)
     for i in range(d):
         for k in range(d):
             e = np.outer(basis[i], basis[k])
             mid = np.einsum("iakb,ik->ab", a4, e)
             j += np.kron(e, np.einsum("iakb,ik->ab", b4, mid))
-    return choi_matrix(d, b.dim_out, j)
+    return j
 
 
-def unitary_choi(u: np.ndarray, tol: float = 1e-10) -> ChoiChannel:
-    """Rank-1 Choi operator of the unitary channel rho -> U rho U^dag."""
+def unitary_choi(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Rank-1 Choi matrix of the unitary channel rho -> U rho U^dag."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    if u.shape != (d, d) or frobenius(u.conj().T @ u, np.eye(d)) > tol:
+    # written so that a NaN deviation fails the test
+    if u.shape != (d, d) or not frobenius(u.conj().T @ u, np.eye(d)) <= tol:
         raise ValueError("input is not unitary within tolerance")
     phi = u.T.reshape(-1)
-    return choi_matrix(d, d, np.outer(phi, phi.conj()))
+    return np.outer(phi, phi.conj())
 
 
 def haar_random_unitaries(d: int, n: int, seed) -> np.ndarray:
@@ -177,10 +148,9 @@ def standard_channel(kind: str, d: int) -> KrausChannel:
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def flip_operator(d: int) -> Operator:
+def flip_operator(d: int) -> np.ndarray:
     """Swap operator F on C^d (x) C^d: F |psi phi> = |phi psi>."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     # F[(a, b), (c, e)] = delta_ae delta_bc: the identity with the row pair swapped
-    f = np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, -1)
-    return Operator(SpaceLayout((("A", d), ("B", d))), f)
+    return np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, -1)

@@ -1,11 +1,11 @@
-"""Dense complex operators on labeled tensor-product spaces.
+"""Dense complex matrices and the spectral checks the certificates use.
 
-Every operator carries a :class:`SpaceLayout` naming its subsystems and
-their dimensions; processes and channels read their slot structure off it.
-Basis ordering is row-major over the layout: the first system is the most
-significant index, matching ``numpy.kron``.  Besides the Frobenius distance
-the module holds the two spectral checks the certificates use: the smallest
-eigenvalue and the numerical rank of a Hermitian operator.
+``Operator`` is the validated dense storage of a process matrix: square,
+finite and read-only.  Basis ordering is row-major over the factors, the
+first factor being the most significant index, matching ``numpy.kron``.
+Besides the Frobenius distance the module holds the two spectral checks the
+certificates use: the smallest eigenvalue and the numerical rank of a
+Hermitian operator.
 """
 
 from __future__ import annotations
@@ -18,65 +18,16 @@ import numpy as np
 TOL_HERM = 1e-10
 
 
-class LayoutError(ValueError):
-    """Inconsistent subsystem labels or dimensions."""
-
-
-@dataclass(frozen=True)
-class SpaceLayout:
-    """Ordered labeled subsystems of a tensor-product Hilbert space."""
-
-    systems: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        systems = tuple((str(lbl), int(dim)) for lbl, dim in self.systems)
-        if not systems:
-            raise LayoutError("empty layout is forbidden")
-        labels = [lbl for lbl, _ in systems]
-        if len(set(labels)) != len(labels):
-            raise LayoutError(f"duplicate labels in layout: {labels}")
-        if any(dim < 1 for _, dim in systems):
-            raise LayoutError("all subsystem dimensions must be positive")
-        object.__setattr__(self, "systems", systems)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.systems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.systems)
-
-    @property
-    def dim(self) -> int:
-        n = 1
-        for _, d in self.systems:
-            n *= d
-        return n
-
-    def position(self, label: str) -> int:
-        for k, (lbl, _) in enumerate(self.systems):
-            if lbl == label:
-                return k
-        raise LayoutError(f"unknown label {label!r}; layout has {self.labels}")
-
-    def dim_of(self, label: str) -> int:
-        return self.systems[self.position(label)][1]
-
-
 @dataclass(frozen=True)
 class Operator:
-    """Square complex matrix on the tensor-product space of ``layout``."""
+    """Square, finite, read-only complex matrix."""
 
-    layout: SpaceLayout
     entries: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.complex128, copy=True, order="C")
-        n = self.layout.dim
-        if arr.shape != (n, n):
-            raise LayoutError(
-                f"entries shape {arr.shape} does not match layout dimension {n}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"operator entries must be a square matrix, got {arr.shape}")
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("operator entries must be finite")
         arr.flags.writeable = False

@@ -25,7 +25,7 @@ from math import sqrt
 import numpy as np
 
 from .channels import haar_random_unitaries
-from .linalg import Operator, SpaceLayout, frobenius
+from .linalg import frobenius
 from .report import Timer, check_exact_int, check_leq, check_true, make_report, nan_max
 
 SQ2 = sqrt(2.0)
@@ -438,7 +438,7 @@ def _span_residuals(mats, d: int) -> np.ndarray:
 
 def membership_residual(op, d: int) -> float:
     """Frobenius distance from op to span{J_U}."""
-    mat = op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    mat = np.asarray(op, dtype=complex)
     if mat.shape != (d * d, d * d):
         raise ValueError(f"operator must be {d * d} x {d * d}")
     return float(_span_residuals([mat], d)[0])
@@ -479,9 +479,8 @@ class GroupElement:
     terms: tuple[tuple[float, tuple[int, int, int, int]], ...]
 
     @property
-    def operator(self) -> Operator:
-        m = _group_vectors([self], self.d).reshape(self.d ** 2, self.d ** 2)
-        return Operator(SpaceLayout((("I", self.d), ("O", self.d))), m)
+    def operator(self) -> np.ndarray:
+        return _group_vectors([self], self.d).reshape(self.d ** 2, self.d ** 2)
 
 
 def _group_vectors(elements, d: int) -> np.ndarray:

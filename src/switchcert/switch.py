@@ -17,20 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ChoiChannel, choi_matrix, haar_random_unitaries, unitary_choi
-from .linalg import Operator, SpaceLayout, frobenius
+from .channels import haar_random_unitaries, unitary_choi
+from .linalg import Operator, frobenius
 from .report import Timer, check_leq, check_close, make_report, nan_max
 
 CANONICAL_ORDER = ("I1", "O1", "I2", "O2", "PT", "FT", "PC", "FC")
-
-
-def process_layout(d: int) -> SpaceLayout:
-    dims = {"PC": 2, "FC": 2}
-    return SpaceLayout(tuple((lbl, dims.get(lbl, d)) for lbl in CANONICAL_ORDER))
-
-
-def one_slot_layout(d: int) -> SpaceLayout:
-    return SpaceLayout((("I", d), ("O", d), ("P", d), ("F", d)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,39 +30,39 @@ class Process:
 
     A pure process W = |w><w| is stored as its vector ``vector``; any other
     process as the dense Operator ``dense``.  Exactly one of the two is set.
-    The layout (one slot on I, O, P, F or two slots in CANONICAL_ORDER) is
-    read off the operator, or off the vector's length.
+    The number of slots is read off the size: d^4 for one slot on
+    I (x) O (x) P (x) F, 4 d^6 for two slots in CANONICAL_ORDER.
     """
 
     d: int
     dense: Operator | None = None
     vector: np.ndarray | None = None
-    layout: SpaceLayout = field(init=False, repr=False)
+    slots: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if (self.dense is None) == (self.vector is None):
             raise ValueError("a process is given by exactly one of dense or vector")
-        layouts = (process_layout(self.d), one_slot_layout(self.d))
         if self.vector is None:
-            lay = self.dense.layout
+            n = self.dense.entries.shape[0]
         else:
             w = np.array(self.vector, dtype=complex, copy=True)
             if not np.all(np.isfinite(w)):
                 raise ValueError("process vector entries must be finite")
             w.flags.writeable = False
             object.__setattr__(self, "vector", w)
-            lay = next((x for x in layouts if w.shape == (x.dim,)), None)
-        if lay not in layouts:
+            n = w.size if w.ndim == 1 else None
+        slots = {self.d ** 4: 1, 4 * self.d ** 6: 2}.get(n)
+        if slots is None:
             raise ValueError("process does not match the one- or two-slot "
-                             f"layout for d = {self.d}")
-        object.__setattr__(self, "layout", lay)
+                             f"size for d = {self.d}")
+        object.__setattr__(self, "slots", slots)
 
     @property
     def op(self) -> Operator:
         """The dense process matrix, built from the vector on each call if pure."""
         if self.dense is not None:
             return self.dense
-        return Operator(self.layout, np.outer(self.vector, self.vector.conj()))
+        return Operator(np.outer(self.vector, self.vector.conj()))
 
     @property
     def data(self) -> np.ndarray:
@@ -81,14 +72,14 @@ class Process:
     @property
     def nin(self) -> int:
         """Dimension of the slot (input) systems, which come first."""
-        return self.d ** (len(self.layout.dims) // 2)
+        return self.d ** (2 * self.slots)
 
     def block(self, row: int, col: int) -> np.ndarray:
         """The output block W[(row, .), (col, .)] at input basis indices row, col."""
         if self.vector is not None:
             wm = self.vector.reshape(self.nin, -1)
             return np.outer(wm[row], wm[col].conj())
-        nout = self.layout.dim // self.nin
+        nout = self.dense.entries.shape[0] // self.nin
         return self.dense.entries[row * nout:(row + 1) * nout, col * nout:(col + 1) * nout]
 
     @cached_property
@@ -157,7 +148,7 @@ def switch_choi_vector(d: int) -> np.ndarray:
 def build_switch_choi(d: int) -> Process:
     """Dense process matrix W0 = |W0><W0| of the quantum switch."""
     w = switch_choi_vector(d)
-    return Process(d, Operator(process_layout(d), np.outer(w, w.conj())))
+    return Process(d, Operator(np.outer(w, w.conj())))
 
 
 def controlled_order_unitary(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -170,42 +161,36 @@ def controlled_order_unitary(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 
 def _slot_matrix(x, d: int, slot: int) -> np.ndarray:
-    if isinstance(x, ChoiChannel):
-        if x.dim_in != d or x.dim_out != d:
-            raise ValueError(f"slot-{slot} channel must act on dimension {d}")
-        return x.matrix
     m = np.asarray(x, dtype=complex)
     if m.shape != (d * d, d * d):
         raise ValueError(f"slot-{slot} operator must be {d * d} x {d * d}")
     return m
 
 
-def apply_two_slot(proc: Process, a, b) -> ChoiChannel:
-    """Choi operator of the output channel, Tr_in[W (I (x) A (x) B (x) I)^t].
+def apply_two_slot(proc: Process, a, b) -> np.ndarray:
+    """Choi matrix of the output channel, Tr_in[W (I (x) A (x) B (x) I)^t].
 
     Only the slot systems are transposed; the identity factors on the global
     past/future are transpose-invariant, so this equals the full transpose.
-    ``a`` and ``b`` may be ChoiChannel objects or plain d^2 x d^2 matrices
-    (linearity in each slot holds for arbitrary operators).
+    ``a`` and ``b`` are d^2 x d^2 matrices: Choi matrices of slot channels or
+    arbitrary operators (linearity in each slot holds for any operator).
     """
     d = proc.d
-    if proc.layout != process_layout(d):
+    if proc.slots != 2:
         raise ValueError("apply_two_slot needs a two-slot process")
     amat = _slot_matrix(a, d, 1)
     bmat = _slot_matrix(b, d, 2)
     out = link(proc.data, np.kron(amat, bmat))
     # reorder output from (PT, FT, PC, FC) to P (x) F with P = (PC, PT)
     out = out.reshape(d, d, 2, 2, d, d, 2, 2)
-    out = out.transpose(2, 0, 3, 1, 6, 4, 7, 5).reshape(4 * d * d, 4 * d * d)
-    return choi_matrix(2 * d, 2 * d, out)
+    return out.transpose(2, 0, 3, 1, 6, 4, 7, 5).reshape(4 * d * d, 4 * d * d)
 
 
-def apply_one_slot(proc: Process, j) -> ChoiChannel:
-    """Output Choi operator Tr_IO[C (J^t (x) I_PF)] on the past/future pair."""
-    d = proc.d
-    if proc.layout != one_slot_layout(d):
+def apply_one_slot(proc: Process, j) -> np.ndarray:
+    """Output Choi matrix Tr_IO[C (J^t (x) I_PF)] on the past/future pair."""
+    if proc.slots != 1:
         raise ValueError("apply_one_slot needs a one-slot process")
-    return choi_matrix(d, d, link(proc.data, _slot_matrix(j, d, 1)))
+    return link(proc.data, _slot_matrix(j, proc.d, 1))
 
 
 def verify_unitary_action(d: int, trials: int, seed, process: Process | None = None,
@@ -222,11 +207,10 @@ def verify_unitary_action(d: int, trials: int, seed, process: Process | None = N
     for u1, u2 in zip(us[0::2], us[1::2]):
         got = apply_two_slot(proc, unitary_choi(u1), unitary_choi(u2))
         want = unitary_choi(controlled_order_unitary(u1, u2))
-        worst = nan_max(worst, frobenius(got.matrix, want.matrix))
+        worst = nan_max(worst, frobenius(got, want))
     eye = np.eye(d)
-    exact = frobenius(
-        apply_two_slot(proc, unitary_choi(eye), unitary_choi(eye)).matrix,
-        unitary_choi(np.eye(2 * d)).matrix)
+    exact = frobenius(apply_two_slot(proc, unitary_choi(eye), unitary_choi(eye)),
+                      unitary_choi(np.eye(2 * d)))
     checks = [
         check_leq("max_frobenius_distance", worst, tol),
         check_close("identity_pair_distance", exact, 0.0,

@@ -43,7 +43,6 @@ from .span import build_group
 from .switch import (
     Process,
     apply_one_slot,
-    one_slot_layout,
     switch_choi_vector,
     verify_unitary_action,
 )
@@ -83,7 +82,7 @@ def build_derived_one_slot(kind: str, d: int, a: np.ndarray | None = None,
                 raise ValueError(f"{name} must be a {d} x {d} unitary")
         vec = a[:, None, :, None] * b.T[None, :, None, :]
     elif kind == "transpose":
-        vec = flip_operator(d).entries
+        vec = flip_operator(d)
     elif kind == "conjugate_qubit":
         if d != 2:
             raise ValueError("conjugate_qubit is a qubit construction (d = 2)")
@@ -108,8 +107,7 @@ def build_cp_family(p: float) -> Process:
                   [1, p, p, 1]], dtype=complex)
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
-    return Process(2, Operator(one_slot_layout(2),
-                               np.kron(m, np.outer(phi, phi.conj()))))
+    return Process(2, Operator(np.kron(m, np.outer(phi, phi.conj()))))
 
 
 def cp_factor_matrix(p: float) -> np.ndarray:
@@ -153,9 +151,9 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     off_support = float(np.abs(diag - np.diag(np.diag(diag))).max())
     support_count = int(np.count_nonzero(np.abs(np.diag(diag) - 1.0) <= tol))
     # (v) Fourier witness
-    jf = unitary_choi(fourier_matrix(d)).matrix
+    jf = unitary_choi(fourier_matrix(d))
     min_entry = float(np.abs(jf).min())
-    out = apply_one_slot(proc, jf).matrix
+    out = apply_one_slot(proc, jf)
     action_dev = frobenius(out, jf)
     pair = np.einsum("rrcc->rc", c4)
     chain_dev = float(np.abs(out - pair * jf).max())
@@ -163,8 +161,8 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     # defining action on Haar samples
     action_haar = 0.0
     for u in haar_random_unitaries(d, trials, seed):
-        ju = unitary_choi(u).matrix
-        action_haar = nan_max(action_haar, frobenius(apply_one_slot(proc, ju).matrix, ju))
+        ju = unitary_choi(u)
+        action_haar = nan_max(action_haar, frobenius(apply_one_slot(proc, ju), ju))
 
     checks = [
         check_leq("in_diagonal_group_sums_dev", dev_i, tol),
@@ -453,36 +451,28 @@ def verify_corollary(kind: str, d: int, trials: int, seed,
     On Haar samples the process must send J_U to the Choi operator of B U A,
     U^T, or U* respectively; on the non-unitary replace channel it must land
     exactly on the claimed unique extension, computed by an independent
-    composition (or flip conjugation) oracle.
+    composition (or flip conjugation) oracle.  ``conjugate_qubit`` is the
+    sandwich with A = B = Y, since Y U Y = U* for every qubit unitary.
     """
     timer = Timer()
     if kind == "sandwich" and (a is None or b is None):
         raise ValueError("sandwich needs the two fixed unitaries")
     proc = process if process is not None else build_derived_one_slot(kind, d, a, b)
+    if kind == "conjugate_qubit":
+        a = b = PAULI_Y
 
     worst = 0.0
     for u in haar_random_unitaries(d, trials, seed):
-        if kind == "sandwich":
-            target = unitary_choi(b @ u @ a).matrix
-        elif kind == "transpose":
-            target = unitary_choi(u.T).matrix
-        else:
-            target = unitary_choi(PAULI_Y @ u @ PAULI_Y).matrix
-        worst = nan_max(worst, frobenius(apply_one_slot(proc, unitary_choi(u).matrix).matrix,
-                                         target))
+        target = unitary_choi(u.T if kind == "transpose" else b @ u @ a)
+        worst = nan_max(worst, frobenius(apply_one_slot(proc, unitary_choi(u)), target))
 
-    lam = standard_channel("replace_zero", d)
-    jlam = choi_from_kraus(lam).matrix
-    got = apply_one_slot(proc, jlam).matrix
-    if kind == "sandwich":
-        want = compose_channels(unitary_choi(b),
-                                compose_channels(lam, unitary_choi(a))).matrix
-    elif kind == "transpose":
-        f = flip_operator(d).entries
+    jlam = choi_from_kraus(standard_channel("replace_zero", d))
+    got = apply_one_slot(proc, jlam)
+    if kind == "transpose":
+        f = flip_operator(d)
         want = f @ jlam @ f
     else:
-        want = compose_channels(unitary_choi(PAULI_Y),
-                                compose_channels(lam, unitary_choi(PAULI_Y))).matrix
+        want = compose_channels(unitary_choi(b), compose_channels(jlam, unitary_choi(a)))
     extension_dev = frobenius(got, want)
 
     checks = [
@@ -510,21 +500,19 @@ def fig_circuits_certificate(trials: int = 100, seed: int = 0) -> CertificateRep
     channel they differ, with output Choi distance ||I (x) (I/2 - |0><0|)||_F.
     """
     timer = Timer()
-    dep = standard_channel("depolarizing", 2)
-    jd = choi_from_kraus(dep).matrix
+    jd = choi_from_kraus(standard_channel("depolarizing", 2))
 
     worst1 = worst2 = 0.0
     for u in haar_random_unitaries(2, trials, seed):
         ju = unitary_choi(u)
-        out1 = compose_channels(dep, compose_channels(ju, dep)).matrix
-        out2 = compose_channels(ju, dep).matrix
+        out1 = compose_channels(jd, compose_channels(ju, jd))
+        out2 = compose_channels(ju, jd)
         worst1 = nan_max(worst1, frobenius(out1, jd))
         worst2 = nan_max(worst2, frobenius(out2, jd))
 
-    lam = standard_channel("replace_zero", 2)
-    jlam = choi_from_kraus(lam).matrix
-    out1 = compose_channels(dep, compose_channels(lam, dep)).matrix
-    out2 = compose_channels(lam, dep).matrix
+    jlam = choi_from_kraus(standard_channel("replace_zero", 2))
+    out1 = compose_channels(jd, compose_channels(jlam, jd))
+    out2 = compose_channels(jlam, jd)
     dist = frobenius(out1, out2)
     # independent oracle for the gap: I (x) (I/2 - |0><0|)
     gap = np.kron(np.eye(2), np.eye(2) / 2 - np.diag([1.0, 0.0]))
@@ -555,15 +543,15 @@ def cp_family_certificate(trials: int = 50, seed: int = 0) -> CertificateReport:
     neg_eig = nan_max(*(-min_eigenvalue(build_cp_family(p).op) for p in ps))
     rank_c1 = numerical_rank(build_cp_family(1.0).op, tol=1e-10)
 
-    jid = unitary_choi(np.eye(2)).matrix
+    jid = unitary_choi(np.eye(2))
     jid_hat = jid / np.linalg.norm(jid)
     procs = [build_cp_family(p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
     prop_dev = 0.0
     p_dev = 0.0
     consts = []
     for u in haar_random_unitaries(2, trials, seed):
-        ju = unitary_choi(u).matrix
-        outs = [apply_one_slot(pr, ju).matrix for pr in procs]
+        ju = unitary_choi(u)
+        outs = [apply_one_slot(pr, ju) for pr in procs]
         for out in outs:
             coeff = np.vdot(jid_hat, out)
             prop_dev = nan_max(prop_dev, np.linalg.norm(out - coeff * jid_hat))

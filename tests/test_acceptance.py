@@ -57,7 +57,7 @@ def test_criterion_02_kraus_choi_route_equivalence():
             kb = random_kraus_channel(d, int(rng.integers(1, d * d + 1)), rng)
             via_choi = apply_two_slot(proc, choi_from_kraus(ka), choi_from_kraus(kb))
             via_kraus = switch_kraus_output(ka, kb)
-            worst = max(worst, frobenius(via_choi.matrix, via_kraus.matrix))
+            worst = max(worst, frobenius(via_choi, via_kraus))
     announce(2, worst <= 1e-9,
              f"Kraus vs Choi route on 100 CPTP pairs per d in (2,3): {worst:.2e} <= 1e-9")
 

@@ -32,7 +32,7 @@ def apply_kraus(ch, rho):
 def apply_choi(ch, rho):
     """A channel's output Tr_I[J (rho^t (x) 1_O)], through the link kernel."""
     j = choi_from_kraus(ch) if isinstance(ch, KrausChannel) else ch
-    return link(j.matrix, rho)
+    return link(j, rho)
 
 
 def test_choi_of_identity_channel():
@@ -42,22 +42,22 @@ def test_choi_of_identity_channel():
     for i in (0, 3):
         for k in (0, 3):
             want[i, k] = 1.0
-    assert np.array_equal(j.matrix, want)
+    assert np.array_equal(j, want)
     assert is_cptp(j)
 
 
 def test_choi_of_depolarizing_via_pauli_kraus():
     ch = KrausChannel(2, 2, tuple(PAULI[k] / 2 for k in "ixyz"))
     j = choi_from_kraus(ch)
-    assert frobenius(j.matrix, np.eye(4) / 2) <= 1e-12
-    assert abs(np.trace(j.matrix) - 2.0) < 1e-12
+    assert frobenius(j, np.eye(4) / 2) <= 1e-12
+    assert abs(np.trace(j) - 2.0) < 1e-12
     j_std = choi_from_kraus(standard_channel("depolarizing", 2))
-    assert frobenius(j.matrix, j_std.matrix) <= 1e-12
+    assert frobenius(j, j_std) <= 1e-12
 
 
 def test_choi_of_replace_channel():
     j = choi_from_kraus(standard_channel("replace_zero", 2))
-    assert frobenius(j.matrix, np.kron(np.eye(2), np.diag([1.0, 0.0]))) <= 1e-12
+    assert frobenius(j, np.kron(np.eye(2), np.diag([1.0, 0.0]))) <= 1e-12
 
 
 def test_apply_channel_routes_agree():
@@ -94,49 +94,50 @@ def test_apply_unitary_channel_matches_conjugation():
 
 def test_compose_unitals_hide_the_middle():
     rng = np.random.default_rng(4)
-    dep = standard_channel("depolarizing", 2)
-    jd = choi_from_kraus(dep).matrix
+    jd = choi_from_kraus(standard_channel("depolarizing", 2))
     for _ in range(100):
         u = unitary_choi(haar_random_unitary(2, rng))
-        out = compose_channels(dep, compose_channels(u, dep))
-        assert frobenius(out.matrix, jd) <= 1e-10
+        out = compose_channels(jd, compose_channels(u, jd))
+        assert frobenius(out, jd) <= 1e-10
 
 
 def test_compose_non_unital_examples():
-    dep = standard_channel("depolarizing", 2)
-    lam = standard_channel("replace_zero", 2)
-    jd = choi_from_kraus(dep).matrix
-    jlam = choi_from_kraus(lam).matrix
-    assert frobenius(compose_channels(lam, dep).matrix, jlam) <= 1e-12
-    assert frobenius(compose_channels(dep, compose_channels(lam, dep)).matrix,
+    jd = choi_from_kraus(standard_channel("depolarizing", 2))
+    jlam = choi_from_kraus(standard_channel("replace_zero", 2))
+    assert frobenius(compose_channels(jlam, jd), jlam) <= 1e-12
+    assert frobenius(compose_channels(jd, compose_channels(jlam, jd)),
                      jd) <= 1e-12
 
 
 def test_compose_associative_and_dim_checks():
     rng = np.random.default_rng(5)
-    a = random_kraus_channel(2, 2, rng)
-    b = random_kraus_channel(2, 3, rng)
-    c = random_kraus_channel(2, 1, rng)
+    a, b, c = (choi_from_kraus(random_kraus_channel(2, r, rng)) for r in (2, 3, 1))
     left = compose_channels(compose_channels(c, b), a)
     right = compose_channels(c, compose_channels(b, a))
-    assert frobenius(left.matrix, right.matrix) <= 1e-10
-    with pytest.raises(ValueError):
-        compose_channels(random_kraus_channel(3, 1, rng), a)
+    assert frobenius(left, right) <= 1e-10
+    for bad in (choi_from_kraus(random_kraus_channel(3, 1, rng)), np.eye(8), a[:, :3]):
+        with pytest.raises(ValueError):
+            compose_channels(bad, a)
+        with pytest.raises(ValueError):
+            compose_channels(a, bad)
 
 
 def test_unitary_choi_basics():
     j = unitary_choi(np.eye(2))
-    assert np.array_equal(j.matrix, choi_from_kraus(standard_channel("identity", 2)).matrix)
-    jx = unitary_choi(PAULI["x"]).matrix
+    assert np.array_equal(j, choi_from_kraus(standard_channel("identity", 2)))
+    jx = unitary_choi(PAULI["x"])
     support = {(i, k) for i, k in zip(*np.nonzero(np.abs(jx) > 1e-14))}
     assert support == {(1, 1), (1, 2), (2, 1), (2, 2)}  # |01>,|10> block
-    with pytest.raises(ValueError):
-        unitary_choi(np.array([[1, 1], [0, 1]], dtype=complex))
+    # a NaN deviation from unitarity must fail the tolerance test, not pass
+    # it; an inf entry gives inf * 0 = NaN in U^dag U, which numpy warns about
+    for bad in (1.0, np.nan, np.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            unitary_choi(np.array([[1, bad], [0, 1]], dtype=complex))
 
 
 def test_fourier_choi_has_no_zero_entry():
     for d in (2, 3, 4):
-        j = unitary_choi(fourier_matrix(d)).matrix
+        j = unitary_choi(fourier_matrix(d))
         mods = np.abs(j)
         assert mods.min() > 0
         assert np.abs(mods - 1.0 / d).max() <= 1e-12
@@ -215,7 +216,7 @@ def test_standard_channel_examples_and_errors():
     assert frobenius(non_unital, 2 * np.diag([1.0, 0.0])) <= 1e-12
     assert frobenius(non_unital, np.eye(2)) > 0.5
     jy = choi_from_kraus(standard_channel("pauli_y", 2))
-    assert frobenius(jy.matrix, unitary_choi(PAULI["y"]).matrix) <= 1e-12
+    assert frobenius(jy, unitary_choi(PAULI["y"])) <= 1e-12
     with pytest.raises(ValueError):
         standard_channel("pauli_x", 3)
     with pytest.raises(ValueError):
@@ -223,7 +224,7 @@ def test_standard_channel_examples_and_errors():
 
 
 def test_flip_operator():
-    f = flip_operator(2).entries
+    f = flip_operator(2)
     e01 = np.zeros(4)
     e01[1] = 1.0
     e10 = np.zeros(4)
@@ -231,14 +232,14 @@ def test_flip_operator():
     assert np.array_equal(f @ e01, e10)
     assert np.array_equal(f @ f, np.eye(4))
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    jh = unitary_choi(h).matrix
+    jh = unitary_choi(h)
     assert frobenius(f @ jh @ f, jh) <= 1e-12  # H is symmetric
     rng = np.random.default_rng(6)
     for d in (2, 3):
-        fd = flip_operator(d).entries
+        fd = flip_operator(d)
         u = haar_random_unitary(d, rng)
-        assert frobenius(fd @ unitary_choi(u).matrix @ fd,
-                         unitary_choi(u.T).matrix) <= 1e-12
+        assert frobenius(fd @ unitary_choi(u) @ fd,
+                         unitary_choi(u.T)) <= 1e-12
 
 
 def test_kraus_validation():

@@ -109,3 +109,20 @@ def test_dropped_row_entry_fails_offdiagonal_sums(monkeypatch):
     assert rep.name == "switch_offdiagonal_d2"
     assert failed_checks(rep) == ["sum_G1xG1", "sum_G2xG2", "sum_G1xG3", "sum_G2xG3",
                                   "sum_G3xG3", "ordered_total_saturates_bound"]
+
+
+def test_dropped_phase_grid_point_fails_span_lemmas(monkeypatch):
+    branch_states = span._branch_states
+
+    def dropped(gens, phases):  # the shared phase grid loses its first point
+        states = branch_states(gens, phases)
+        if phases.ndim == 2:
+            states[:, :, 0] = 0.0
+        return states
+
+    assert span.verify_span_lemmas(2).passed
+    monkeypatch.setattr(span, "_branch_states", dropped)
+    for d in (2, 3):
+        rep = span.verify_span_lemmas(d)
+        assert rep.name == f"span_lemmas_d{d}"
+        assert failed_checks(rep) == ["max_target_residual", "max_grid_doubling_change"]

@@ -129,7 +129,7 @@ def test_psd_project_positive_rebuild_matches_full_clip(positive):
 def haar_slot_basis(d, seed=0):
     """Orthonormal d^2 x d^2 operators spanning sampled span{J_U}, via an SVD."""
     rng = np.random.default_rng(seed)
-    mat = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
+    mat = np.array([unitary_choi(haar_random_unitary(d, rng)).reshape(-1)
                     for _ in range(4 * span_dimension_formula(d))])
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > 1e-10 * s[0]))

@@ -140,12 +140,12 @@ def test_partial_trace_characterization_cross_check():
                    frobenius(tr_in, lam * np.eye(d)))
 
     combo = sum(complex(*rng.standard_normal(2))
-                * unitary_choi(haar_random_unitary(d, rng)).matrix
+                * unitary_choi(haar_random_unitary(d, rng))
                 for _ in range(5))
     assert marginals_dev(combo) <= 1e-10
     assert membership_residual(combo, d) <= 1e-9
 
-    outside = choi_from_kraus(standard_channel("replace_zero", d)).matrix
+    outside = choi_from_kraus(standard_channel("replace_zero", d))
     assert marginals_dev(outside) > 0.5
     assert membership_residual(outside, d) > 0.1
 
@@ -154,8 +154,8 @@ def test_membership_residual_examples():
     for d in (2, 3):
         assert membership_residual(np.eye(d * d) / d, d) <= 1e-10
         u = haar_random_unitary(d, 7)
-        assert membership_residual(unitary_choi(u).matrix, d) <= 1e-12
-        outside = choi_from_kraus(standard_channel("replace_zero", d)).matrix
+        assert membership_residual(unitary_choi(u), d) <= 1e-12
+        outside = choi_from_kraus(standard_channel("replace_zero", d))
         assert membership_residual(outside, d) > 0.1
 
 
@@ -175,7 +175,7 @@ def test_span_dimension_svd_rank_matches_gram_rank(d):
     # the eigvalsh-of-the-Gram rank the singular-value rule replaced
     samples, seed = 3 * span_dimension_formula(d) + 30, 0
     rng = np.random.default_rng(seed)
-    vecs = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
+    vecs = np.array([unitary_choi(haar_random_unitary(d, rng)).reshape(-1)
                      for _ in range(samples)])
     gram = vecs.conj() @ vecs.T
     w = np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2))
@@ -188,7 +188,7 @@ def haar_span_projector(d, seed=0):
     """V^H V for an orthonormal row basis V of sampled vec(J_U), via an SVD."""
     rng = np.random.default_rng(seed)
     samples = 4 * span_dimension_formula(d)
-    mat = np.array([unitary_choi(haar_random_unitary(d, rng)).matrix.reshape(-1)
+    mat = np.array([unitary_choi(haar_random_unitary(d, rng)).reshape(-1)
                     for _ in range(samples)])
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     v = vh[:int(np.count_nonzero(s > 1e-10 * s[0]))]

@@ -9,7 +9,7 @@ from switchcert.channels import (
     standard_channel,
     unitary_choi,
 )
-from switchcert.linalg import Operator, SpaceLayout, frobenius, min_eigenvalue, numerical_rank
+from switchcert.linalg import Operator, frobenius, min_eigenvalue, numerical_rank
 from switchcert.switch import (
     CANONICAL_ORDER,
     Process,
@@ -17,14 +17,13 @@ from switchcert.switch import (
     apply_two_slot,
     build_switch_choi,
     controlled_order_unitary,
-    process_layout,
     switch_choi_vector,
     verify_unitary_action,
 )
 
-from oracles import (identity_operator, is_cptp, partial_trace, partial_transpose,
-                     permute_systems, random_kraus_channel, switch_kraus_output,
-                     tensor_product)
+from oracles import (Labeled, SpaceLayout, identity_operator, is_cptp, labeled_process,
+                     partial_trace, partial_transpose, permute_systems, random_kraus_channel,
+                     switch_kraus_output, tensor_product)
 
 
 def dense_action(proc, ket, bra):
@@ -68,7 +67,7 @@ def test_identity_slots_give_identity_channel():
         ji = unitary_choi(np.eye(d))
         out = apply_two_slot(proc, ji, ji)
         want = unitary_choi(np.eye(2 * d))
-        assert frobenius(out.matrix, want.matrix) == 0.0
+        assert frobenius(out, want) == 0.0
 
 
 def test_pauli_example_factorizes():
@@ -76,7 +75,7 @@ def test_pauli_example_factorizes():
     proc = build_switch_choi(2)
     out = apply_two_slot(proc, unitary_choi(PAULI["x"]), unitary_choi(PAULI["z"]))
     want = unitary_choi(np.kron(PAULI["z"], PAULI["z"] @ PAULI["x"]))
-    assert frobenius(out.matrix, want.matrix) <= 1e-13
+    assert frobenius(out, want) <= 1e-13
 
 
 def test_kraus_route_on_unitaries():
@@ -85,7 +84,7 @@ def test_kraus_route_on_unitaries():
         u1, u2 = haar_random_unitary(d, rng), haar_random_unitary(d, rng)
         k = switch_kraus_output(KrausChannel(d, d, (u1,)), KrausChannel(d, d, (u2,)))
         want = unitary_choi(controlled_order_unitary(u1, u2))
-        assert frobenius(k.matrix, want.matrix) <= 1e-12
+        assert frobenius(k, want) <= 1e-12
 
 
 def test_depolarizing_slots_are_not_depolarizing():
@@ -93,11 +92,11 @@ def test_depolarizing_slots_are_not_depolarizing():
     out = switch_kraus_output(dep, dep)
     jdep4 = np.eye(16) / 4  # Choi of the depolarizing channel on C^4
     assert is_cptp(out)
-    assert frobenius(out.matrix, jdep4) > 0.5
+    assert frobenius(out, jdep4) > 0.5
 
     idc = standard_channel("identity", 2)
     out = switch_kraus_output(idc, idc)
-    assert frobenius(out.matrix, unitary_choi(np.eye(4)).matrix) <= 1e-12
+    assert frobenius(out, unitary_choi(np.eye(4))) <= 1e-12
 
 
 def test_depolarizing_pair_matches_kraus_enumeration():
@@ -107,7 +106,7 @@ def test_depolarizing_pair_matches_kraus_enumeration():
     via_choi = apply_two_slot(proc, choi_from_kraus(pauli_dep),
                               choi_from_kraus(pauli_dep))
     via_kraus = switch_kraus_output(pauli_dep, pauli_dep)
-    assert frobenius(via_choi.matrix, via_kraus.matrix) <= 1e-10
+    assert frobenius(via_choi, via_kraus) <= 1e-10
 
 
 def test_route_equivalence_choi_vs_kraus():
@@ -119,7 +118,7 @@ def test_route_equivalence_choi_vs_kraus():
             kb = random_kraus_channel(d, int(rng.integers(1, d * d + 1)), rng)
             via_choi = apply_two_slot(proc, choi_from_kraus(ka), choi_from_kraus(kb))
             via_kraus = switch_kraus_output(ka, kb)
-            assert frobenius(via_choi.matrix, via_kraus.matrix) <= 1e-9
+            assert frobenius(via_choi, via_kraus) <= 1e-9
 
 
 def test_output_on_channels_is_cptp():
@@ -129,7 +128,7 @@ def test_output_on_channels_is_cptp():
         ka = random_kraus_channel(2, 2, rng)
         kb = random_kraus_channel(2, 3, rng)
         out = apply_two_slot(proc, choi_from_kraus(ka), choi_from_kraus(kb))
-        assert min_eigenvalue(out.op) >= -1e-10
+        assert min_eigenvalue(out) >= -1e-10
         assert is_cptp(out)
 
 
@@ -143,11 +142,11 @@ def test_bilinearity():
 
     a, a2, b = rand_slot(), rand_slot(), rand_slot()
     al, be = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
-    lhs = apply_two_slot(proc, al * a + be * a2, b).matrix
-    rhs = al * apply_two_slot(proc, a, b).matrix + be * apply_two_slot(proc, a2, b).matrix
+    lhs = apply_two_slot(proc, al * a + be * a2, b)
+    rhs = al * apply_two_slot(proc, a, b) + be * apply_two_slot(proc, a2, b)
     assert frobenius(lhs, rhs) <= 1e-11 * max(1.0, np.linalg.norm(lhs))
-    lhs = apply_two_slot(proc, b, al * a + be * a2).matrix
-    rhs = al * apply_two_slot(proc, b, a).matrix + be * apply_two_slot(proc, b, a2).matrix
+    lhs = apply_two_slot(proc, b, al * a + be * a2)
+    rhs = al * apply_two_slot(proc, b, a) + be * apply_two_slot(proc, b, a2)
     assert frobenius(lhs, rhs) <= 1e-11 * max(1.0, np.linalg.norm(lhs))
 
 
@@ -219,9 +218,9 @@ def test_w0_action_pairs_count():
 def test_block_entries_dense_branch_matches_block():
     # a dense process with entries of every size: only |x| > 1e-14 is listed
     rng = np.random.default_rng(6)
-    n = process_layout(2).dim
+    n = 4 * 2 ** 6
     g = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-17, 1, size=(n, n))
-    proc = Process(2, Operator(process_layout(2), g.astype(complex)))
+    proc = Process(2, Operator(g.astype(complex)))
     for ri, ci in ((0, 0), (3, 9), (15, 2)):
         block = proc.block(ri, ci)
         want = {(o, p): block[o, p] for o, p in zip(*np.nonzero(np.abs(block) > 1e-14))}
@@ -253,26 +252,30 @@ def test_apply_two_slot_matches_global_transpose_route():
     for _ in range(3):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        slot_a = Operator(SpaceLayout((("I1", d), ("O1", d))), a)
-        slot_b = Operator(SpaceLayout((("I2", d), ("O2", d))), b)
+        slot_a = Labeled(SpaceLayout((("I1", d), ("O1", d))), a)
+        slot_b = Labeled(SpaceLayout((("I2", d), ("O2", d))), b)
         rest = identity_operator(
             SpaceLayout((("PT", d), ("FT", d), ("PC", 2), ("FC", 2))))
         big = tensor_product(tensor_product(slot_a, slot_b), rest)
         big = partial_transpose(big, set(CANONICAL_ORDER))
-        traced = partial_trace(Operator(big.layout, proc.op.entries @ big.entries),
+        traced = partial_trace(Labeled(big.layout, proc.op.entries @ big.entries),
                                {"I1", "O1", "I2", "O2"})
         got = permute_systems(traced, ("PC", "PT", "FC", "FT")).entries
-        want = apply_two_slot(proc, a, b).matrix
+        want = apply_two_slot(proc, a, b)
         assert frobenius(got, want) <= 1e-12
 
 
 def test_section_order_round_trip():
-    # the global order P (x) slots (x) F, with P = (PC, PT) and F = (FC, FT)
+    # the global order P (x) slots (x) F, with P = (PC, PT) and F = (FC, FT),
+    # and back to CANONICAL_ORDER bit for bit
     order = ("PC", "PT", "I1", "O1", "I2", "O2", "FC", "FT")
-    proc = build_switch_choi(2)
-    ordered = permute_systems(proc.op, order)
+    w0 = labeled_process(build_switch_choi(2))
+    ordered = permute_systems(w0, order)
     assert ordered.layout.labels == order
     assert abs(np.trace(ordered.entries) - 16.0) < 1e-14
+    back = permute_systems(ordered, CANONICAL_ORDER)
+    assert back.layout == w0.layout
+    assert np.array_equal(back.entries, w0.entries)
 
 
 def test_verify_unitary_action_reports():
@@ -292,7 +295,7 @@ def test_verify_unitary_action_negative_control():
     g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     bump = g @ g.conj().T
     bump /= np.linalg.norm(bump)
-    bad = Process(2, Operator(proc.op.layout, proc.op.entries + 0.1 * bump))
+    bad = Process(2, Operator(proc.op.entries + 0.1 * bump))
     rep = verify_unitary_action(2, trials=10, seed=0, process=bad)
     assert not rep.passed
 
@@ -310,11 +313,11 @@ def test_vector_kernel_matches_dense_oracle():
         for _ in range(5):
             a = random_slot_operator(d * d, rng)
             b = random_slot_operator(d * d, rng)
-            assert frobenius(apply_two_slot(pure, a, b).matrix,
-                             apply_two_slot(dense, a, b).matrix) <= 1e-12
+            assert frobenius(apply_two_slot(pure, a, b),
+                             apply_two_slot(dense, a, b)) <= 1e-12
         for row, col in rng.integers(0, d ** 4, size=(20, 2)):
             assert np.array_equal(pure.block(row, col), dense.block(row, col))
-        for row, col in rng.integers(0, pure.layout.dim, size=(20, 2)):
+        for row, col in rng.integers(0, pure.vector.size, size=(20, 2)):
             assert pure.entry(row, col) == dense.entry(row, col)
         assert np.array_equal(pure.diagonal(), dense.diagonal())
         assert np.array_equal(pure.op.entries, dense.op.entries)

@@ -17,13 +17,13 @@ from switchcert.uniqueness import (
     build_derived_one_slot,
     build_identity_process,
     certify_identity_uniqueness,
+    cp_factor_matrix,
     cp_family_certificate,
     switch_verification_suite,
     diagonal_certificate,
     diagonal_support_sets,
     fig_circuits_certificate,
     offdiagonal_certificate,
-    one_slot_layout,
     verify_corollary,
 )
 
@@ -33,11 +33,11 @@ S_GATE = np.diag([1.0, 1j]).astype(complex)
 
 def perturbed_one_slot(proc, scale, seed):
     rng = np.random.default_rng(seed)
-    n = proc.layout.dim
+    n = proc.op.entries.shape[0]
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     bump = g @ g.conj().T
     bump *= scale / np.linalg.norm(bump)
-    return Process(proc.d, Operator(proc.op.layout, proc.op.entries + bump))
+    return Process(proc.d, Operator(proc.op.entries + bump))
 
 
 def test_identity_process_basics():
@@ -48,14 +48,14 @@ def test_identity_process_basics():
         assert min_eigenvalue(proc.op) >= -1e-12
         rng = np.random.default_rng(d)
         for _ in range(5):
-            ju = unitary_choi(haar_random_unitary(d, rng)).matrix
-            assert frobenius(apply_one_slot(proc, ju).matrix, ju) <= 1e-10
+            ju = unitary_choi(haar_random_unitary(d, rng))
+            assert frobenius(apply_one_slot(proc, ju), ju) <= 1e-10
 
     proc = build_identity_process(2)
-    jh = unitary_choi(H).matrix
-    assert frobenius(apply_one_slot(proc, jh).matrix, jh) <= 1e-12
-    jlam = choi_from_kraus(standard_channel("replace_zero", 2)).matrix
-    assert frobenius(apply_one_slot(proc, jlam).matrix, jlam) <= 1e-12
+    jh = unitary_choi(H)
+    assert frobenius(apply_one_slot(proc, jh), jh) <= 1e-12
+    jlam = choi_from_kraus(standard_channel("replace_zero", 2))
+    assert frobenius(apply_one_slot(proc, jlam), jlam) <= 1e-12
 
 
 def test_identity_process_is_full_linear_extension():
@@ -64,7 +64,7 @@ def test_identity_process_is_full_linear_extension():
     rng = np.random.default_rng(12)
     for _ in range(5):
         m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        assert frobenius(apply_one_slot(proc, m).matrix, m) <= 1e-12
+        assert frobenius(apply_one_slot(proc, m), m) <= 1e-12
 
 
 def test_identity_certificate_passes():
@@ -82,7 +82,7 @@ def test_identity_certificate_negative_control():
     c = (1 * 2 + 0) * 4 + (1 * 2 + 0)
     m[r, c] = 0.0
     m[c, r] = 0.0
-    bad = Process(2, Operator(one_slot_layout(2), m))
+    bad = Process(2, Operator(m))
     rep = certify_identity_uniqueness(2, process=bad)
     assert not rep.passed
     assert not rep.check("forced_offdiagonal_dev").passed
@@ -108,7 +108,7 @@ def test_diagonal_certificate_negative_control():
     g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     bump = g @ g.conj().T
     bump *= 1e-3 / np.linalg.norm(bump)
-    bad = Process(2, Operator(proc.op.layout, proc.op.entries + bump))
+    bad = Process(2, Operator(proc.op.entries + bump))
     rep = diagonal_certificate(2, process=bad)
     assert not rep.passed
 
@@ -151,20 +151,19 @@ def test_offdiagonal_overflowing_override_fails_cleanly():
     # entries that overflow to inf must fail the integer check, not crash round()
     w0 = build_switch_choi(2).op
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = offdiagonal_certificate(2, process=Process(2, Operator(w0.layout,
-                                                                     w0.entries * 1e308)))
+        rep = offdiagonal_certificate(2, process=Process(2, Operator(w0.entries * 1e308)))
     assert not rep.passed
     assert not rep.check("entries_integer_dev").passed
 
 
 def test_derived_transpose_and_conjugate_examples():
     proc = build_derived_one_slot("transpose", 2)
-    js = unitary_choi(S_GATE).matrix
-    assert frobenius(apply_one_slot(proc, js).matrix, js) <= 1e-12  # S symmetric
+    js = unitary_choi(S_GATE)
+    assert frobenius(apply_one_slot(proc, js), js) <= 1e-12  # S symmetric
 
     proc = build_derived_one_slot("conjugate_qubit", 2)
-    jx = unitary_choi(PAULI["x"]).matrix
-    assert frobenius(apply_one_slot(proc, jx).matrix, jx) <= 1e-12  # YXY = -X
+    jx = unitary_choi(PAULI["x"])
+    assert frobenius(apply_one_slot(proc, jx), jx) <= 1e-12  # YXY = -X
 
     with pytest.raises(ValueError):
         build_derived_one_slot("conjugate_qubit", 3)
@@ -185,7 +184,7 @@ def test_derived_vectors_match_change_of_variables():
         m = np.kron(np.kron(a, eye), np.kron(eye, b))
         got = build_derived_one_slot("sandwich", d, a=a, b=b).vector
         assert np.abs(got - m @ c0).max() <= 1e-15
-        m = np.kron(flip_operator(d).entries, np.eye(d * d))
+        m = np.kron(flip_operator(d), np.eye(d * d))
         assert np.array_equal(build_derived_one_slot("transpose", d).vector, m @ c0)
     with pytest.raises(ValueError):
         build_derived_one_slot("transpose", 1)
@@ -220,13 +219,20 @@ def test_cp_family_construction():
     assert frobenius(build_cp_family(0.0).op.entries, c1.op.entries) > 1.0
 
 
+def test_cp_factor_matrix_eigenvalues():
+    # M_p has spectrum {2 + 2p, 2 - 2p, 0, 0}
+    for p in (0.0, 0.5, 1.0):
+        w = np.linalg.eigvalsh(cp_factor_matrix(p))[::-1]
+        assert np.abs(w - np.array([2 + 2 * p, 2 - 2 * p, 0, 0])).max() < 1e-12
+
+
 def test_cp_family_action_proportional_to_identity():
     rng = np.random.default_rng(4)
-    jid = unitary_choi(np.eye(2)).matrix
+    jid = unitary_choi(np.eye(2))
     jid_hat = jid / np.linalg.norm(jid)
     for _ in range(20):
-        ju = unitary_choi(haar_random_unitary(2, rng)).matrix
-        outs = [apply_one_slot(build_cp_family(p), ju).matrix
+        ju = unitary_choi(haar_random_unitary(2, rng))
+        outs = [apply_one_slot(build_cp_family(p), ju)
                 for p in (0.0, 0.5, 1.0)]
         for out in outs:
             coeff = np.vdot(jid_hat, out)
@@ -234,9 +240,9 @@ def test_cp_family_action_proportional_to_identity():
             assert abs(coeff.imag) <= 1e-12
         assert frobenius(outs[0], outs[2]) <= 1e-10  # p-independent action
     # the constant does depend on the unitary: Z kills it, I does not
-    jz = unitary_choi(PAULI["z"]).matrix
-    out_z = apply_one_slot(build_cp_family(0.5), jz).matrix
-    out_i = apply_one_slot(build_cp_family(0.5), jid).matrix
+    jz = unitary_choi(PAULI["z"])
+    out_z = apply_one_slot(build_cp_family(0.5), jz)
+    out_i = apply_one_slot(build_cp_family(0.5), jid)
     assert np.abs(out_z).max() <= 1e-12
     assert np.abs(out_i).max() > 0.5
 
@@ -283,12 +289,11 @@ def test_pure_one_slot_kernel_matches_dense_oracle():
         for proc in procs:
             assert proc.vector is not None
             w = proc.vector
-            dense = Process(d, Operator(one_slot_layout(d), np.outer(w, w.conj())))
+            dense = Process(d, Operator(np.outer(w, w.conj())))
             for _ in range(5):
                 m = rng.standard_normal((d * d, d * d)) \
                     + 1j * rng.standard_normal((d * d, d * d))
-                assert frobenius(apply_one_slot(proc, m).matrix,
-                                 apply_one_slot(dense, m).matrix) <= 1e-12
+                assert frobenius(apply_one_slot(proc, m), apply_one_slot(dense, m)) <= 1e-12
 
 
 def test_switch_suite_d4():
