@@ -31,8 +31,6 @@ from .span import (
     build_group,
     build_span_generator,
     estimate_span_dimension,
-    membership_residual,
-    phase_average,
     verify_span_lemmas,
 )
 from .switch import (
@@ -41,6 +39,7 @@ from .switch import (
     apply_two_slot,
     build_switch_choi,
     link,
+    unitary_actions,
     verify_unitary_action,
 )
 from .uniqueness import (

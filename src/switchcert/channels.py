@@ -17,8 +17,6 @@ from math import isqrt
 
 import numpy as np
 
-from .linalg import frobenius
-
 PAULI = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -60,33 +58,30 @@ def choi_from_kraus(ch: KrausChannel) -> np.ndarray:
 
 
 def compose_channels(second: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Choi matrix of ``second . first`` (first acts first) for channels on C^d."""
+    """Choi matrix of ``second . first`` (first acts first) for channels on C^d;
+    either argument may be a stack of Choi matrices, and stacks broadcast."""
     a, b = np.asarray(first), np.asarray(second)
-    d = isqrt(a.shape[0])
-    if not a.shape == b.shape == (d * d, d * d):
+    d = isqrt(a.shape[-1])
+    if not a.shape[-2:] == b.shape[-2:] == (d * d, d * d):
         raise ValueError(f"cannot compose Choi matrices of shapes {b.shape} and {a.shape}")
-    # a channel's output on rho is Tr_I[J (rho^t (x) 1_O)]
-    a4 = a.reshape(d, d, d, d)
-    b4 = b.reshape(d, d, d, d)
-    j = np.zeros((d * d,) * 2, dtype=complex)
-    basis = np.eye(d)
-    for i in range(d):
-        for k in range(d):
-            e = np.outer(basis[i], basis[k])
-            mid = np.einsum("iakb,ik->ab", a4, e)
-            j += np.kron(e, np.einsum("iakb,ik->ab", b4, mid))
-    return j
+    # J[(i, o), (j, s)] = sum_mn A[(i, m), (j, n)] B[(m, o), (n, s)]
+    j = np.einsum("...imjn,...mons->...iojs", a.reshape(a.shape[:-2] + (d,) * 4),
+                  b.reshape(b.shape[:-2] + (d,) * 4))
+    return j.reshape(j.shape[:-4] + (d * d, d * d))
 
 
 def unitary_choi(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Rank-1 Choi matrix of the unitary channel rho -> U rho U^dag."""
+    """Rank-1 Choi matrix |u><u|, u = vec U^T, of the unitary channel rho -> U rho U^dag;
+    ``u`` may be a stack of d x d matrices, each of which must be finite and unitary."""
     u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    # written so that a NaN deviation fails the test
-    if u.shape != (d, d) or not frobenius(u.conj().T @ u, np.eye(d)) <= tol:
+    d = u.shape[-1]
+    ut = np.swapaxes(u, -1, -2)
+    # finite first, so that U^dag U never warns; a NaN deviation fails the test
+    if (u.ndim < 2 or u.shape[-2] != d or not np.all(np.isfinite(u))
+            or not np.all(np.linalg.norm(ut.conj() @ u - np.eye(d), axis=(-2, -1)) <= tol)):
         raise ValueError("input is not unitary within tolerance")
-    phi = u.T.reshape(-1)
-    return np.outer(phi, phi.conj())
+    phi = ut.reshape(u.shape[:-2] + (d * d,))
+    return phi[..., :, None] * phi[..., None, :].conj()
 
 
 def haar_random_unitaries(d: int, n: int, seed) -> np.ndarray:

@@ -3,9 +3,9 @@
 ``Operator`` is the validated dense storage of a process matrix: square,
 finite and read-only.  Basis ordering is row-major over the factors, the
 first factor being the most significant index, matching ``numpy.kron``.
-Besides the Frobenius distance the module holds the two spectral checks the
-certificates use: the smallest eigenvalue and the numerical rank of a
-Hermitian operator.
+Besides the Frobenius distance, of one matrix or of each of a stack, the
+module holds the two spectral checks the certificates use: the smallest
+eigenvalue and the numerical rank of a Hermitian operator.
 """
 
 from __future__ import annotations
@@ -44,6 +44,15 @@ def frobenius(a, b=None) -> float:
     if b is not None:
         m = m - _as_matrix(b)
     return float(np.linalg.norm(m))
+
+
+def frobenius_each(a, b=None) -> np.ndarray:
+    """``frobenius`` of each matrix (the last two axes) of a stack a, or of
+    a - b, bit-for-bit: the same two dot products.  ``b`` broadcasts."""
+    m = np.asarray(a) if b is None else np.asarray(a) - b
+    f = m.reshape(m.shape[:-2] + (1, -1))
+    re, im = f.real, f.imag
+    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
 
 
 def is_hermitian(op, tol: float = TOL_HERM) -> bool:

@@ -25,7 +25,7 @@ from math import sqrt
 import numpy as np
 
 from .channels import haar_random_unitaries
-from .linalg import frobenius
+from .linalg import frobenius, frobenius_each
 from .report import Timer, check_exact_int, check_leq, check_true, make_report, nan_max
 
 SQ2 = sqrt(2.0)
@@ -75,13 +75,6 @@ class SpanGenerator:
     @property
     def phase_count(self) -> int:
         return len(self.weight_degrees)
-
-    def state(self, branch: int, phases) -> np.ndarray:
-        """The sampled state vector of one branch at the given phases."""
-        phases = np.asarray(phases, dtype=float)
-        if phases.shape != (self.phase_count,):
-            raise ValueError(f"expected {self.phase_count} phases")
-        return _branch_states([self], phases[None, :])[0, branch, 0]
 
 
 def _term_tables(gens):
@@ -291,22 +284,15 @@ def build_span_generator(lemma_id: str, indices, d: int) -> SpanGenerator:
         default_grid=default_grid)
 
 
-def phase_average(gen: SpanGenerator, n: int | None = None) -> np.ndarray:
-    """Discrete weighted average (1/n^p) sum_grid weight * |psi><psi|.
-
-    Exact (equal to the continuous phase integral) whenever n is at least the
-    generator's exactness threshold, because all integrands are Laurent
-    polynomials of bounded degree.
-    """
-    return _phase_averages([gen], n)[0]
-
-
 def _phase_averages(gens, n: int | None = None) -> np.ndarray:
-    """``phase_average(gen, n)`` of generators of one lemma id, in one stacked pass.
+    """Discrete weighted averages (1/n^p) sum_grid weight * |psi><psi| of
+    generators of one lemma id, in one stacked pass.
 
-    The states of every generator at every grid point come from one pass over
-    the padded term tables, and the weighted outer products from one stacked
-    product.
+    Each is exact (equal to the continuous phase integral) whenever n is at
+    least the generator's exactness threshold, because all integrands are
+    Laurent polynomials of bounded degree.  The states of every generator at
+    every grid point come from one pass over the padded term tables, and the
+    weighted outer products from one stacked product.
     """
     first = gens[0]
     n = first.default_grid if n is None else n
@@ -346,25 +332,14 @@ def scale_match_residual(avg: np.ndarray, target: np.ndarray):
     return float(resid), s
 
 
-def scaled_unitary_deviation(psi: np.ndarray, d: int) -> float:
-    """How far the reshaped state is from a scaled unitary: ||MM^dag - c I|| / ||MM^dag||."""
-    return float(_scaled_unitary_deviations(np.asarray(psi)[None], d)[0])
-
-
-def _frobenius_rows(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each x[i], bit-for-bit: the same two dot products."""
-    f = x.reshape(len(x), 1, -1)
-    re, im = f.real, f.imag
-    return np.sqrt((re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0])
-
-
 def _scaled_unitary_deviations(psi: np.ndarray, d: int) -> np.ndarray:
-    """``scaled_unitary_deviation`` of each row of the (states x d^2) array."""
+    """How far each row of the (states x d^2) array, reshaped to a d x d
+    matrix M, is from a scaled unitary: ||MM^dag - c I|| / ||MM^dag||."""
     m = psi.reshape(-1, d, d)  # M[a, b] = psi[ab]
     g = m @ np.swapaxes(m.conj(), 1, 2)
     c = np.trace(g, axis1=1, axis2=2) / d
-    return _frobenius_rows(g - c[:, None, None] * np.eye(d)) \
-        / np.maximum(_frobenius_rows(g), 1e-300)
+    return frobenius_each(g, c[:, None, None] * np.eye(d)) \
+        / np.maximum(frobenius_each(g), 1e-300)
 
 
 def enumerate_generators(d: int) -> list[SpanGenerator]:
@@ -436,14 +411,6 @@ def _span_residuals(mats, d: int) -> np.ndarray:
     return np.linalg.norm(x - x @ span_projector(d), axis=1)
 
 
-def membership_residual(op, d: int) -> float:
-    """Frobenius distance from op to span{J_U}."""
-    mat = np.asarray(op, dtype=complex)
-    if mat.shape != (d * d, d * d):
-        raise ValueError(f"operator must be {d * d} x {d * d}")
-    return float(_span_residuals([mat], d)[0])
-
-
 def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:
     """Numerical rank of the matrix of vectorized Haar-sampled J_U.
 
@@ -477,10 +444,6 @@ class GroupElement:
     d: int
     indices: tuple[int, ...]
     terms: tuple[tuple[float, tuple[int, int, int, int]], ...]
-
-    @property
-    def operator(self) -> np.ndarray:
-        return _group_vectors([self], self.d).reshape(self.d ** 2, self.d ** 2)
 
 
 def _group_vectors(elements, d: int) -> np.ndarray:

@@ -18,10 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .channels import haar_random_unitaries, unitary_choi
-from .linalg import Operator, frobenius
+from .linalg import Operator, frobenius, frobenius_each
 from .report import Timer, check_leq, check_close, make_report, nan_max
 
 CANONICAL_ORDER = ("I1", "O1", "I2", "O2", "PT", "FT", "PC", "FC")
+ACTION_BLOCK_ENTRIES = 2 ** 16  # output entries max_action_distance holds at once (1 MiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +75,17 @@ class Process:
         """Dimension of the slot (input) systems, which come first."""
         return self.d ** (2 * self.slots)
 
+    @property
+    def nout(self) -> int:
+        """Dimension of the global past and future (output) systems, which come last."""
+        return len(self.data) // self.nin
+
     def block(self, row: int, col: int) -> np.ndarray:
         """The output block W[(row, .), (col, .)] at input basis indices row, col."""
         if self.vector is not None:
             wm = self.vector.reshape(self.nin, -1)
             return np.outer(wm[row], wm[col].conj())
-        nout = self.dense.entries.shape[0] // self.nin
+        nout = self.nout
         return self.dense.entries[row * nout:(row + 1) * nout, col * nout:(col + 1) * nout]
 
     @cached_property
@@ -105,10 +111,11 @@ class Process:
         o, p = np.nonzero(np.abs(block) > 1e-14)
         return list(zip(o.tolist(), p.tolist(), block[o, p]))
 
-    def entry(self, row: int, col: int) -> complex:
+    def entry(self, row, col):
+        """W[row, col]; ``row`` and ``col`` may be index arrays, which broadcast."""
         if self.vector is not None:
-            return complex(self.vector[row] * np.conj(self.vector[col]))
-        return complex(self.dense.entries[row, col])
+            return self.vector[row] * np.conj(self.vector[col])
+        return self.dense.entries[row, col]
 
     def diagonal(self) -> np.ndarray:
         if self.vector is not None:
@@ -152,7 +159,8 @@ def build_switch_choi(d: int) -> Process:
 
 
 def controlled_order_unitary(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """|0><0| (x) U2 U1 + |1><1| (x) U1 U2 on C^2 (x) C^d (control first)."""
+    """|0><0| (x) U2 U1 + |1><1| (x) U1 U2 on C^2 (x) C^d (control first);
+    for stacks u1, u2 of n matrices ``np.kron`` gives the stack of n results."""
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
     p0 = np.diag([1.0, 0.0]).astype(complex)
@@ -180,10 +188,14 @@ def apply_two_slot(proc: Process, a, b) -> np.ndarray:
         raise ValueError("apply_two_slot needs a two-slot process")
     amat = _slot_matrix(a, d, 1)
     bmat = _slot_matrix(b, d, 2)
-    out = link(proc.data, np.kron(amat, bmat))
-    # reorder output from (PT, FT, PC, FC) to P (x) F with P = (PC, PT)
-    out = out.reshape(d, d, 2, 2, d, d, 2, 2)
-    return out.transpose(2, 0, 3, 1, 6, 4, 7, 5).reshape(4 * d * d, 4 * d * d)
+    return _channel_order(link(proc.data, np.kron(amat, bmat)), d)
+
+
+def _channel_order(out: np.ndarray, d: int) -> np.ndarray:
+    """Reorder one two-slot output or a stack of them from (PT, FT, PC, FC)
+    to P (x) F with P = (PC, PT)."""
+    x = out.reshape(-1, d, d, 2, 2, d, d, 2, 2).transpose(0, 3, 1, 4, 2, 7, 5, 8, 6)
+    return x.reshape(out.shape)
 
 
 def apply_one_slot(proc: Process, j) -> np.ndarray:
@@ -193,24 +205,55 @@ def apply_one_slot(proc: Process, j) -> np.ndarray:
     return link(proc.data, _slot_matrix(j, proc.d, 1))
 
 
+def unitary_actions(proc: Process, us) -> np.ndarray:
+    """Output Choi matrices of ``proc`` on a stack of unitary channels.
+
+    ``us`` is (n, d, d) for one slot and (n, 2, d, d), pairs (U1, U2), for
+    two; row i equals ``apply_one_slot`` (or ``apply_two_slot``) of the
+    ``unitary_choi`` of us[i].  J_U = |u><u| with u = vec U^T (u1 (x) u2 for
+    a pair), so the link of a pure W is |v><v| with v = Wm^T u, and all rows
+    come from one product x @ Wm; a dense W is contracted as
+    x @ W.reshape(nin, -1) and then with conj(x).
+    """
+    d, n = proc.d, len(us)
+    us = np.asarray(us, dtype=complex)
+    if us.shape[1:] != ((d, d) if proc.slots == 1 else (2, d, d)):
+        raise ValueError(f"a stack of {proc.slots}-slot unitaries on C^{d} is needed")
+    phi = np.swapaxes(us, -1, -2).reshape(n, proc.slots, d * d)
+    x = phi[:, 0] if proc.slots == 1 else \
+        (phi[:, 0, :, None] * phi[:, 1, None, :]).reshape(n, -1)
+    if proc.vector is not None:
+        v = x @ proc.vector.reshape(proc.nin, -1)
+        out = v[:, :, None] * v[:, None, :].conj()
+    else:
+        y = x @ proc.dense.entries.reshape(proc.nin, -1)
+        out = np.einsum("nobp,nb->nop", y.reshape(n, proc.nout, proc.nin, proc.nout), x.conj())
+    return out if proc.slots == 1 else _channel_order(out, d)
+
+
+def max_action_distance(proc: Process, us, target) -> float:
+    """Largest Frobenius distance from ``unitary_actions(proc, us)`` to ``target(us)``
+    (NaN if any is NaN), over blocks of at most ACTION_BLOCK_ENTRIES output entries."""
+    step = max(1, ACTION_BLOCK_ENTRIES // proc.nout ** 2)
+    blocks = (us[k:k + step] for k in range(0, len(us), step))
+    return nan_max(0.0, *(dist for blk in blocks for dist in
+                          frobenius_each(unitary_actions(proc, blk), target(blk))))
+
+
 def verify_unitary_action(d: int, trials: int, seed, process: Process | None = None,
                           tol: float = 1e-9) -> "CertificateReport":
     """Check the switch turns Haar pairs (U1, U2) into the controlled-order unitary.
 
-    For each pair, compares apply_two_slot(W0, J_U1, J_U2) against the Choi
+    For each pair, compares the output on (J_U1, J_U2) against the Choi
     operator of |0><0| (x) U2 U1 + |1><1| (x) U1 U2 in Frobenius norm.
     """
     timer = Timer()
     proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
-    us = haar_random_unitaries(d, 2 * trials, seed)  # u1 then u2 per trial
-    worst = 0.0
-    for u1, u2 in zip(us[0::2], us[1::2]):
-        got = apply_two_slot(proc, unitary_choi(u1), unitary_choi(u2))
-        want = unitary_choi(controlled_order_unitary(u1, u2))
-        worst = nan_max(worst, frobenius(got, want))
-    eye = np.eye(d)
-    exact = frobenius(apply_two_slot(proc, unitary_choi(eye), unitary_choi(eye)),
-                      unitary_choi(np.eye(2 * d)))
+    us = haar_random_unitaries(d, 2 * trials, seed).reshape(trials, 2, d, d)
+    worst = max_action_distance(
+        proc, us, lambda blk: unitary_choi(controlled_order_unitary(blk[:, 0], blk[:, 1])))
+    eye = np.broadcast_to(np.eye(d), (1, 2, d, d))
+    exact = frobenius(unitary_actions(proc, eye)[0], unitary_choi(np.eye(2 * d)))
     checks = [
         check_leq("max_frobenius_distance", worst, tol),
         check_close("identity_pair_distance", exact, 0.0,

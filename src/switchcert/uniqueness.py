@@ -26,6 +26,7 @@ from .channels import (
 from .linalg import (
     Operator,
     frobenius,
+    frobenius_each,
     min_eigenvalue,
     numerical_rank,
 )
@@ -43,7 +44,9 @@ from .span import build_group
 from .switch import (
     Process,
     apply_one_slot,
+    max_action_distance,
     switch_choi_vector,
+    unitary_actions,
     verify_unitary_action,
 )
 
@@ -132,21 +135,21 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     timer = Timer()
     proc = process if process is not None else build_identity_process(d)
     n = d * d
-    c4 = proc.op.entries.reshape(n, n, n, n)
+    # C[(a, o), (b, p)] over input pairs a, b and output pairs o, p; diag[a, o]
+    # is C[(a, o), (a, o)] and pair[r, c] is C[(r, r), (c, c)]
+    diag = proc.diagonal().reshape(n, n)
+    doubled = np.arange(n) * (n + 1)
+    pair = proc.entry(doubled[:, None], doubled[None, :])
 
     # (i) for every output pair, the in-diagonal sums to 1
-    in_diag_sums = np.einsum("aoao->o", c4)
-    dev_i = float(np.abs(in_diag_sums - 1.0).max())
+    dev_i = float(np.abs(diag.sum(axis=0) - 1.0).max())
     # (ii)
-    trace = float(np.trace(proc.op.entries).real)
+    trace = float(diag.sum())
     # (iii) swap and diagonal-pair entries
-    dev_iii = 0.0
-    for i, j in itertools.permutations(range(d), 2):
-        ij, ji, ii, jj = i * d + j, j * d + i, i * d + i, j * d + j
-        dev_iii = nan_max(dev_iii, abs(c4[ij, ij, ji, ji] - 1.0),
-                          abs(c4[ii, ii, jj, jj] - 1.0))
+    i, j = np.array(list(itertools.permutations(range(d), 2))).T
+    dev_iii = nan_max(0.0, *np.abs(pair[i * d + j, j * d + i] - 1.0),
+                      *np.abs(pair[i * d + i, j * d + j] - 1.0))
     # (iv) diagonal support is exactly {(ij, ij)}
-    diag = np.einsum("aoao->ao", c4).real
     support_dev = float(np.abs(np.diag(diag) - 1.0).max())
     off_support = float(np.abs(diag - np.diag(np.diag(diag))).max())
     support_count = int(np.count_nonzero(np.abs(np.diag(diag) - 1.0) <= tol))
@@ -155,14 +158,10 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     min_entry = float(np.abs(jf).min())
     out = apply_one_slot(proc, jf)
     action_dev = frobenius(out, jf)
-    pair = np.einsum("rrcc->rc", c4)
     chain_dev = float(np.abs(out - pair * jf).max())
     forced_dev = float(np.abs(pair - 1.0).max())
     # defining action on Haar samples
-    action_haar = 0.0
-    for u in haar_random_unitaries(d, trials, seed):
-        ju = unitary_choi(u)
-        action_haar = nan_max(action_haar, frobenius(apply_one_slot(proc, ju), ju))
+    action_haar = max_action_distance(proc, haar_random_unitaries(d, trials, seed), unitary_choi)
 
     checks = [
         check_leq("in_diagonal_group_sums_dev", dev_i, tol),
@@ -461,10 +460,9 @@ def verify_corollary(kind: str, d: int, trials: int, seed,
     if kind == "conjugate_qubit":
         a = b = PAULI_Y
 
-    worst = 0.0
-    for u in haar_random_unitaries(d, trials, seed):
-        target = unitary_choi(u.T if kind == "transpose" else b @ u @ a)
-        worst = nan_max(worst, frobenius(apply_one_slot(proc, unitary_choi(u)), target))
+    worst = max_action_distance(
+        proc, haar_random_unitaries(d, trials, seed),
+        lambda us: unitary_choi(np.swapaxes(us, 1, 2) if kind == "transpose" else b @ us @ a))
 
     jlam = choi_from_kraus(standard_channel("replace_zero", d))
     got = apply_one_slot(proc, jlam)
@@ -502,13 +500,9 @@ def fig_circuits_certificate(trials: int = 100, seed: int = 0) -> CertificateRep
     timer = Timer()
     jd = choi_from_kraus(standard_channel("depolarizing", 2))
 
-    worst1 = worst2 = 0.0
-    for u in haar_random_unitaries(2, trials, seed):
-        ju = unitary_choi(u)
-        out1 = compose_channels(jd, compose_channels(ju, jd))
-        out2 = compose_channels(ju, jd)
-        worst1 = nan_max(worst1, frobenius(out1, jd))
-        worst2 = nan_max(worst2, frobenius(out2, jd))
+    ju = unitary_choi(haar_random_unitaries(2, trials, seed))
+    worst1 = nan_max(0.0, *frobenius_each(compose_channels(jd, compose_channels(ju, jd)), jd))
+    worst2 = nan_max(0.0, *frobenius_each(compose_channels(ju, jd), jd))
 
     jlam = choi_from_kraus(standard_channel("replace_zero", 2))
     out1 = compose_channels(jd, compose_channels(jlam, jd))
@@ -545,20 +539,14 @@ def cp_family_certificate(trials: int = 50, seed: int = 0) -> CertificateReport:
 
     jid = unitary_choi(np.eye(2))
     jid_hat = jid / np.linalg.norm(jid)
-    procs = [build_cp_family(p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    prop_dev = 0.0
-    p_dev = 0.0
-    consts = []
-    for u in haar_random_unitaries(2, trials, seed):
-        ju = unitary_choi(u)
-        outs = [apply_one_slot(pr, ju) for pr in procs]
-        for out in outs:
-            coeff = np.vdot(jid_hat, out)
-            prop_dev = nan_max(prop_dev, np.linalg.norm(out - coeff * jid_hat))
-        for out in outs[1:]:
-            p_dev = nan_max(p_dev, frobenius(out, outs[0]))
-        consts.append(float(np.vdot(jid_hat, outs[0]).real))
-    spread = float(np.ptp(consts))
+    us = haar_random_unitaries(2, trials, seed)
+    # outs[k, t] is the output of the k-th C_p on the t-th unitary
+    outs = np.array([unitary_actions(build_cp_family(p), us)
+                     for p in (0.0, 0.25, 0.5, 0.75, 1.0)])
+    coeffs = outs.reshape(outs.shape[:2] + (-1,)) @ jid_hat.conj().reshape(-1)
+    prop_dev = nan_max(0.0, *frobenius_each(outs, coeffs[..., None, None] * jid_hat).ravel())
+    p_dev = nan_max(0.0, *frobenius_each(outs[1:], outs[0]).ravel())
+    spread = float(np.ptp(coeffs[0].real))
 
     eig_dev = 0.0
     for p in (0.0, 0.3, 1.0):

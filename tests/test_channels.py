@@ -128,11 +128,41 @@ def test_unitary_choi_basics():
     jx = unitary_choi(PAULI["x"])
     support = {(i, k) for i, k in zip(*np.nonzero(np.abs(jx) > 1e-14))}
     assert support == {(1, 1), (1, 2), (2, 1), (2, 2)}  # |01>,|10> block
-    # a NaN deviation from unitarity must fail the tolerance test, not pass
-    # it; an inf entry gives inf * 0 = NaN in U^dag U, which numpy warns about
+    # a non-unitary or non-finite input is rejected before any product that
+    # would warn (an inf entry gives inf * 0 = NaN in U^dag U)
     for bad in (1.0, np.nan, np.inf):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             unitary_choi(np.array([[1, bad], [0, 1]], dtype=complex))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_unitary_choi_and_compose_match_per_matrix(d):
+    us = haar_random_unitaries(d, 5, d)
+    stacked = unitary_choi(us)
+    assert stacked.shape == (5, d * d, d * d)
+    for u, j in zip(us, stacked):
+        assert np.array_equal(j, unitary_choi(u))
+    jd = choi_from_kraus(standard_channel("depolarizing", d))
+    jlam = choi_from_kraus(standard_channel("replace_zero", d))
+    for second, first in ((stacked, jd), (jlam, stacked), (stacked, stacked[::-1])):
+        got = compose_channels(second, first)
+        assert got.shape == stacked.shape
+        for i, j in enumerate(got):
+            pair = (np.broadcast_to(x, got.shape)[i] for x in (second, first))
+            assert np.array_equal(j, compose_channels(*pair))
+    # J_U2 . J_U1 is J_(U2 U1)
+    got = compose_channels(stacked, stacked[::-1])
+    assert frobenius(got.reshape(-1), unitary_choi(us @ us[::-1]).reshape(-1)) <= 1e-12
+
+
+def test_unitary_choi_rejects_a_stack_with_one_bad_matrix():
+    us = haar_random_unitaries(2, 4, 0)
+    assert unitary_choi(us).shape == (4, 4, 4)
+    for bad in (2.0, np.nan, np.inf, complex(0.0, -np.inf)):
+        stack = us.copy()
+        stack[2, 0, 1] = bad
+        with pytest.raises(ValueError):
+            unitary_choi(stack)
 
 
 def test_fourier_choi_has_no_zero_entry():

@@ -7,7 +7,7 @@ from switchcert import probe, span, switch, uniqueness
 from switchcert.channels import haar_random_unitary
 from switchcert.probe import alternating_projection_probe, build_constraint_system
 from switchcert.span import GroupElement, verify_group_combinatorics
-from switchcert.switch import Process, link
+from switchcert.switch import Process, link, switch_choi_vector, verify_unitary_action
 from switchcert.uniqueness import offdiagonal_certificate, verify_corollary
 
 import test_probe
@@ -67,6 +67,18 @@ def failed_checks(rep):
     return [c.name for c in rep.checks if not c.passed]
 
 
+def unconjugated_actions(proc, us):
+    """``unitary_actions`` of a pure process with |v><v*| in place of |v><v|."""
+    d, n = proc.d, len(us)
+    phi = np.swapaxes(us, -1, -2).reshape(n, proc.slots, d * d)
+    x = phi[:, 0]
+    if proc.slots == 2:
+        x = (x[:, :, None] * phi[:, 1, None, :]).reshape(n, -1)
+    v = x @ proc.vector.reshape(proc.nin, -1)
+    out = v[:, :, None] * v[:, None, :]
+    return out if proc.slots == 1 else switch._channel_order(out, d)
+
+
 def test_link_without_conjugation_fails_sandwich_corollary(monkeypatch):
     def unconjugated(w, x):
         if w.ndim == 1:
@@ -76,9 +88,31 @@ def test_link_without_conjugation_fails_sandwich_corollary(monkeypatch):
 
     assert sandwich_corollary().passed
     monkeypatch.setattr(switch, "link", unconjugated)
+    for module in (switch, uniqueness):
+        monkeypatch.setattr(module, "unitary_actions", unconjugated_actions)
     rep = sandwich_corollary()
     assert rep.name == "corollary_sandwich_d2"
     assert failed_checks(rep) == ["max_haar_distance", "replace_channel_extension_dev"]
+
+
+def test_unitary_actions_without_conjugation_fails_haar_checks(monkeypatch):
+    assert verify_unitary_action(2, trials=200, seed=0).passed
+    for module in (switch, uniqueness):
+        monkeypatch.setattr(module, "unitary_actions", unconjugated_actions)
+    rep = verify_unitary_action(2, trials=200, seed=0)
+    assert rep.name == "switch_unitary_action_d2"
+    assert failed_checks(rep) == ["max_frobenius_distance"]
+    assert failed_checks(sandwich_corollary()) == ["max_haar_distance"]
+
+
+def test_overflowing_switch_vector_fails_unitary_action():
+    # finite entries whose products overflow to inf, and inf - inf to NaN
+    huge = Process(2, vector=switch_choi_vector(2) * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_unitary_action(2, trials=200, seed=0, process=huge)
+    assert not rep.passed
+    assert not rep.check("max_frobenius_distance").passed
+    assert not rep.check("identity_pair_distance").passed
 
 
 def test_untransposed_b_in_sandwich_fails_corollary(monkeypatch):

@@ -8,18 +8,18 @@ from switchcert.channels import choi_from_kraus, haar_random_unitary, \
     standard_channel, unitary_choi
 from switchcert.linalg import frobenius
 from switchcert.span import (
+    _branch_states,
+    _group_vectors,
     _phase_averages,
     _scaled_unitary_deviations,
+    _span_residuals,
     build_group,
     build_span_generator,
     enumerate_generators,
     estimate_span_dimension,
     group_size_formulas,
     listed_operator_count,
-    membership_residual,
-    phase_average,
     scale_match_residual,
-    scaled_unitary_deviation,
     span_dimension_formula,
     span_projector,
     stated_list_operators,
@@ -54,7 +54,7 @@ def test_generator_validation():
 def test_a1_state_matches_construction():
     gen = build_span_generator("A1", (0, 0, 1, 1), 2)
     th, ph = 0.7, 1.9
-    psi = gen.state(0, (th, ph))
+    psi = _branch_states([gen], np.array([[th, ph]]))[0, 0, 0]
     want = np.zeros(4, dtype=complex)
     want[0] = 1.0
     want[3] = np.exp(1j * th)   # complement empty at d = 2
@@ -64,7 +64,7 @@ def test_a1_state_matches_construction():
 def test_a4_state_matches_construction():
     gen = build_span_generator("A4", (1,), 3)
     phases = np.array([0.3, 1.1, 2.7])
-    psi = gen.state(0, phases)
+    psi = _branch_states([gen], phases[None])[0, 0, 0]
     want = np.zeros(9, dtype=complex)
     for i in range(3):
         want[i * 3 + (i + 1) % 3] = np.exp(1j * phases[i])
@@ -72,21 +72,21 @@ def test_a4_state_matches_construction():
 
 
 def test_phase_average_examples():
-    avg = phase_average(build_span_generator("A1", (0, 0, 1, 1), 2), 4)
+    avg = _phase_averages([build_span_generator("A1", (0, 0, 1, 1), 2)], 4)[0]
     resid, s = scale_match_residual(avg, ketbra(2, 0, 0, 1, 1))
     assert resid <= 1e-14 and s.real > 0
 
-    avg = phase_average(build_span_generator("A4", (0,), 2), 3)
+    avg = _phase_averages([build_span_generator("A4", (0,), 2)], 3)[0]
     want = ketbra(2, 0, 0, 0, 0) + ketbra(2, 1, 1, 1, 1)
     resid, _ = scale_match_residual(avg, want)
     assert resid <= 1e-14
 
-    avg = phase_average(build_span_generator("A5", (0, 1), 2), 4)
+    avg = _phase_averages([build_span_generator("A5", (0, 1), 2)], 4)[0]
     want = ketbra(2, 0, 1, 0, 0) - ketbra(2, 1, 1, 1, 0)
     resid, s = scale_match_residual(avg, want)
     assert resid <= 1e-14 and abs(s - 0.25) < 1e-13
 
-    avg = phase_average(build_span_generator("A5-variant", (0, 1), 2), 4)
+    avg = _phase_averages([build_span_generator("A5-variant", (0, 1), 2)], 4)[0]
     want = ketbra(2, 1, 0, 0, 0) - ketbra(2, 1, 1, 0, 1)
     resid, _ = scale_match_residual(avg, want)
     assert resid <= 1e-14
@@ -95,9 +95,9 @@ def test_phase_average_examples():
 def test_phase_average_grid_threshold():
     gen = build_span_generator("A5", (0, 1), 2)
     with pytest.raises(ValueError):
-        phase_average(gen, 3)
-    a4 = phase_average(gen, 4)
-    a8 = phase_average(gen, 8)
+        _phase_averages([gen], 3)
+    a4 = _phase_averages([gen], 4)[0]
+    a8 = _phase_averages([gen], 8)[0]
     assert frobenius(a4, a8) <= 1e-13
 
 
@@ -108,21 +108,22 @@ def test_a3_compensated_targets():
         gen = build_span_generator("A3", idx, 3)
         for _ in range(5):
             ph = rng.uniform(0, 2 * np.pi, gen.phase_count)
-            assert scaled_unitary_deviation(gen.state(0, ph), 3) <= 1e-12
-        avg = phase_average(gen)
+            psi = _branch_states([gen], ph[None])[0, 0]
+            assert _scaled_unitary_deviations(psi, 3)[0] <= 1e-12
+        avg = _phase_averages([gen])[0]
         resid, _ = scale_match_residual(avg, gen.target)
         assert resid <= 1e-13
         # and the compensated difference of lone ket-bras is in the span
-        assert membership_residual(gen.target, 3) <= 1e-9
+        assert _span_residuals([gen.target], 3)[0] <= 1e-9
 
 
 def test_same_side_lone_ketbras_are_outside_span():
     # |ij><ik| and |ij><kj| alone have a non-identity partial trace, so they
     # cannot be combinations of unitary-channel Choi operators
-    assert membership_residual(ketbra(3, 0, 1, 0, 2), 3) > 0.5
-    assert membership_residual(ketbra(3, 0, 1, 2, 1), 3) > 0.5
+    assert _span_residuals([ketbra(3, 0, 1, 0, 2)], 3)[0] > 0.5
+    assert _span_residuals([ketbra(3, 0, 1, 2, 1)], 3)[0] > 0.5
     diff = ketbra(3, 0, 1, 0, 2) - ketbra(3, 1, 1, 1, 2)
-    assert membership_residual(diff, 3) <= 1e-9
+    assert _span_residuals([diff], 3)[0] <= 1e-9
 
 
 def test_partial_trace_characterization_cross_check():
@@ -143,20 +144,20 @@ def test_partial_trace_characterization_cross_check():
                 * unitary_choi(haar_random_unitary(d, rng))
                 for _ in range(5))
     assert marginals_dev(combo) <= 1e-10
-    assert membership_residual(combo, d) <= 1e-9
+    assert _span_residuals([combo], d)[0] <= 1e-9
 
     outside = choi_from_kraus(standard_channel("replace_zero", d))
     assert marginals_dev(outside) > 0.5
-    assert membership_residual(outside, d) > 0.1
+    assert _span_residuals([outside], d)[0] > 0.1
 
 
 def test_membership_residual_examples():
     for d in (2, 3):
-        assert membership_residual(np.eye(d * d) / d, d) <= 1e-10
+        assert _span_residuals([np.eye(d * d) / d], d)[0] <= 1e-10
         u = haar_random_unitary(d, 7)
-        assert membership_residual(unitary_choi(u), d) <= 1e-12
+        assert _span_residuals([unitary_choi(u)], d)[0] <= 1e-12
         outside = choi_from_kraus(standard_channel("replace_zero", d))
-        assert membership_residual(outside, d) > 0.1
+        assert _span_residuals([outside], d)[0] > 0.1
 
 
 def test_estimate_span_dimension():
@@ -213,7 +214,7 @@ def pointwise_phase_average(gen, n):
         phases = grid[list(combo)]
         w = np.exp(1j * np.dot(gen.weight_degrees, phases))
         for b, (bc, _) in enumerate(gen.branches):
-            psi = gen.state(b, phases)
+            psi = _branch_states([gen], phases[None])[0, b, 0]
             acc += bc * w * np.outer(psi, psi.conj())
     return acc / n ** gen.phase_count
 
@@ -222,7 +223,7 @@ def test_phase_average_matches_pointwise_loop():
     for d in (2, 3):
         for gen in enumerate_generators(d):
             for n in (gen.default_grid, 2 * gen.default_grid):
-                assert frobenius(phase_average(gen, n),
+                assert frobenius(_phase_averages([gen], n)[0],
                                  pointwise_phase_average(gen, n)) <= 1e-13
 
 
@@ -256,7 +257,7 @@ def test_grouped_phase_averages_match_per_generator_loop(d):
             assert len(avgs) == len(gens)
             for gen, avg in zip(gens, avgs):
                 assert frobenius(avg, per_generator_phase_average(gen, n)) <= 1e-13
-                assert np.array_equal(avg, phase_average(gen, n))
+                assert np.array_equal(avg, _phase_averages([gen], n)[0])
     with pytest.raises(ValueError):
         _phase_averages(enumerate_generators(d)[:3], 2)
 
@@ -265,15 +266,16 @@ def test_grouped_phase_averages_match_per_generator_loop(d):
 def test_stacked_scaled_unitary_check_matches_per_state_loop(d):
     rng = np.random.default_rng(5)
     for gens in lemma_groups(d):
-        states = np.array([gen.state(b, rng.uniform(0, 2 * np.pi, gen.phase_count))
-                           for gen in gens for b in range(len(gen.branches))])
+        states = np.array([
+            _branch_states([gen], rng.uniform(0, 2 * np.pi, (1, gen.phase_count)))[0, b, 0]
+            for gen in gens for b in range(len(gen.branches))])
         stacked = _scaled_unitary_deviations(states, d)
         for psi, dev in zip(states, stacked):
             g = psi.reshape(d, d) @ psi.reshape(d, d).conj().T
             c = np.trace(g) / d
             want = np.linalg.norm(g - c * np.eye(d)) / np.linalg.norm(g)
             assert abs(dev - want) <= 1e-13
-            assert dev == scaled_unitary_deviation(psi, d)
+            assert dev == _scaled_unitary_deviations(psi[None], d)[0]
     # a non-unitary reshaping is seen
     bad = np.zeros((1, d * d), dtype=complex)
     bad[0, 0] = 1.0
@@ -352,15 +354,15 @@ def test_group_membership_in_span():
     d = 3
     for gid in ("G2", "G3"):
         for el in build_group(gid, d):
-            assert membership_residual(el.operator, d) <= 1e-9
+            assert _span_residuals(_group_vectors([el], d), d)[0] <= 1e-9
     outside = 0
     for el in build_group("G1", d):
         i, j, i2, j2 = el.indices
         if len({i, j, i2, j2}) == 3 and (i == i2 or j == j2):
-            assert membership_residual(el.operator, d) > 0.1
+            assert _span_residuals(_group_vectors([el], d), d)[0] > 0.1
             outside += 1
         else:
-            assert membership_residual(el.operator, d) <= 1e-9
+            assert _span_residuals(_group_vectors([el], d), d)[0] <= 1e-9
     assert outside == 2 * d * (d - 1) * (d - 2)
 
 

@@ -5,11 +5,13 @@ from switchcert.channels import (
     PAULI,
     KrausChannel,
     choi_from_kraus,
+    haar_random_unitaries,
     haar_random_unitary,
     standard_channel,
     unitary_choi,
 )
-from switchcert.linalg import Operator, frobenius, min_eigenvalue, numerical_rank
+from switchcert.linalg import (Operator, frobenius, frobenius_each, min_eigenvalue,
+                               numerical_rank)
 from switchcert.switch import (
     CANONICAL_ORDER,
     Process,
@@ -18,8 +20,10 @@ from switchcert.switch import (
     build_switch_choi,
     controlled_order_unitary,
     switch_choi_vector,
+    unitary_actions,
     verify_unitary_action,
 )
+from switchcert.uniqueness import build_cp_family, build_derived_one_slot, build_identity_process
 
 from oracles import (Labeled, SpaceLayout, identity_operator, is_cptp, labeled_process,
                      partial_trace, partial_transpose, permute_systems, random_kraus_channel,
@@ -352,3 +356,42 @@ def test_process_equality_is_identity_and_hashable():
     assert a != b and a != dense
     assert len({a, b, dense, a}) == 3
     assert hash(a) == hash(a)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unitary_actions_match_per_sample_contractions(d):
+    # the stacked kernel against one apply_two_slot / apply_one_slot per
+    # sample on the dense process matrix, for the pure and the dense process
+    us = haar_random_unitaries(d, 6, d)
+    pairs = us.reshape(3, 2, d, d)
+    dense_switch = build_switch_choi(d)
+    want = np.array([apply_two_slot(dense_switch, unitary_choi(u1), unitary_choi(u2))
+                     for u1, u2 in pairs])
+    for proc in (Process(d, vector=switch_choi_vector(d)), dense_switch):
+        assert frobenius_each(unitary_actions(proc, pairs), want).max() <= 1e-12
+    a, b = haar_random_unitaries(d, 2, 100 + d)
+    one_slot = [build_identity_process(d), build_derived_one_slot("transpose", d),
+                build_derived_one_slot("sandwich", d, a, b)]
+    if d == 2:
+        one_slot.append(build_cp_family(0.5))
+    for proc in one_slot:
+        dense = Process(d, proc.op)
+        want = np.array([apply_one_slot(dense, unitary_choi(u)) for u in us])
+        for p in (proc, dense):
+            assert frobenius_each(unitary_actions(p, us), want).max() <= 1e-12
+    # a stack of the wrong slot count is rejected
+    with pytest.raises(ValueError):
+        unitary_actions(dense_switch, us)
+    with pytest.raises(ValueError):
+        unitary_actions(one_slot[0], pairs)
+
+
+def test_stacked_controlled_order_unitary_matches_per_pair():
+    for d in (2, 3):
+        u1s, u2s = haar_random_unitaries(d, 10, d).reshape(2, 5, d, d)
+        got = controlled_order_unitary(u1s, u2s)
+        assert got.shape == (5, 2 * d, 2 * d)
+        for g, u1, u2 in zip(got, u1s, u2s):
+            assert np.array_equal(g, controlled_order_unitary(u1, u2))
+            want = np.kron(np.diag([1, 0]), u2 @ u1) + np.kron(np.diag([0, 1]), u1 @ u2)
+            assert frobenius(g, want) == 0.0

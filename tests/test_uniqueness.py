@@ -9,7 +9,7 @@ from switchcert.channels import (
     unitary_choi,
 )
 from switchcert.linalg import Operator, frobenius, min_eigenvalue, numerical_rank
-from switchcert.switch import Process, build_switch_choi
+from switchcert.switch import Process, build_switch_choi, verify_unitary_action
 from switchcert.uniqueness import (
     apply_one_slot,
     grouped_sum_formulas,
@@ -90,6 +90,28 @@ def test_identity_certificate_negative_control():
     rep = certify_identity_uniqueness(2, process=perturbed_one_slot(
         build_identity_process(2), 1e-3, 0))
     assert not rep.passed
+
+
+def test_identity_certificate_sums_the_in_diagonal_over_inputs():
+    # all diagonal weight on input pair 0: every in-diagonal sum (over the
+    # input pairs) is 1, while a sum over the output pairs would read 4
+    diag = np.zeros((4, 4))
+    diag[0] = 1.0
+    rep = certify_identity_uniqueness(2, process=Process(2, Operator(np.diag(diag.reshape(-1)))))
+    assert rep.check("in_diagonal_group_sums_dev").passed
+    assert not rep.passed
+
+
+def test_pure_certificates_never_build_the_dense_process(monkeypatch):
+    def no_dense(self):
+        raise AssertionError("the dense process matrix was built")
+
+    monkeypatch.setattr(Process, "op", property(no_dense))
+    with pytest.raises(AssertionError):
+        build_identity_process(3).op
+    assert certify_identity_uniqueness(3).passed
+    assert verify_unitary_action(3, trials=100, seed=0).passed
+    assert verify_corollary("transpose", 3, trials=100, seed=0).passed
 
 
 def test_diagonal_certificate():
