@@ -23,6 +23,7 @@ exits or a worker dies.
 
 from __future__ import annotations
 
+import atexit
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -236,10 +237,10 @@ def _map_starts(run, seeds) -> list:
 
     On one usable CPU, or for a single start, this is a plain loop.
     Otherwise the starts go to one pool of spawned workers, one per usable
-    CPU, made on the first such call and reused by every later one, so
-    numpy and switchcert are imported once per worker and not once per
-    probe.  Workers are spawned when a map first needs them and read the
-    BLAS variables then, so every map sets them to one thread in
+    CPU, made on the first such call, reused by every later one and shut
+    down at exit, so numpy and switchcert are imported once per worker and
+    not once per probe.  Workers are spawned when a map first needs them
+    and read the BLAS variables then, so every map sets them to one thread in
     ``os.environ`` and restores them afterwards.  Spawned, not forked,
     workers start with a fresh BLAS instead of the parent's threads, and
     the executor raises ``BrokenProcessPool`` when a worker dies, where
@@ -266,6 +267,7 @@ def _map_starts(run, seeds) -> list:
         if _POOL is None:
             _POOL = ProcessPoolExecutor(
                 cpus, mp_context=multiprocessing.get_context("spawn"))
+            atexit.register(_drop_pool)
         return list(_POOL.map(run, seeds))
     except BrokenProcessPool:
         _drop_pool()

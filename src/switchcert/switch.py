@@ -13,7 +13,6 @@ channel, and control state |0> means the slot-1 operation acts first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -80,36 +79,16 @@ class Process:
         """Dimension of the global past and future (output) systems, which come last."""
         return len(self.data) // self.nin
 
-    def block(self, row: int, col: int) -> np.ndarray:
-        """The output block W[(row, .), (col, .)] at input basis indices row, col."""
+    def nonzeros(self) -> tuple:
+        """Row indices, column indices and values of the entries of W that may
+        be nonzero: for a pure process the products of the nonzero entries of
+        its vector, for a dense one the entries of modulus above 1e-14."""
         if self.vector is not None:
-            wm = self.vector.reshape(self.nin, -1)
-            return np.outer(wm[row], wm[col].conj())
-        nout = self.nout
-        return self.dense.entries[row * nout:(row + 1) * nout, col * nout:(col + 1) * nout]
-
-    @cached_property
-    def _row_entries(self) -> tuple:
-        """Per row of Wm = w.reshape(nin, nout), its nonzero (column, value) pairs."""
-        wm = self.vector.reshape(self.nin, -1)
-        rows = [[] for _ in range(self.nin)]
-        for r, o in zip(*np.nonzero(wm)):
-            rows[r].append((int(o), complex(wm[r, o])))
-        return tuple(rows)
-
-    def block_entries(self, row: int, col: int) -> list:
-        """The nonzero entries of ``block(row, col)`` as (o, p, value) triples.
-
-        For a pure process these are the products of the nonzero entries of
-        rows ``row`` and ``col`` of Wm (at most 2 x 2 for the switch); for a
-        dense one, the block entries of modulus above 1e-14.
-        """
-        if self.vector is not None:
-            rows = self._row_entries
-            return [(o, p, a * b.conjugate()) for o, a in rows[row] for p, b in rows[col]]
-        block = self.block(row, col)
-        o, p = np.nonzero(np.abs(block) > 1e-14)
-        return list(zip(o.tolist(), p.tolist(), block[o, p]))
+            idx = np.flatnonzero(self.vector)
+            rows, cols = np.repeat(idx, idx.size), np.tile(idx, idx.size)
+            return rows, cols, self.entry(rows, cols)
+        rows, cols = np.nonzero(np.abs(self.dense.entries) > 1e-14)
+        return rows, cols, self.dense.entries[rows, cols]
 
     def entry(self, row, col):
         """W[row, col]; ``row`` and ``col`` may be index arrays, which broadcast."""

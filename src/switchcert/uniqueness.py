@@ -267,8 +267,11 @@ def diagonal_certificate(d: int, process: Process | None = None,
 
     flat = np.ravel_multi_index
 
-    def action(ket, bra):
-        return proc.block(flat(ket, dims[:4]), flat(bra, dims[:4]))
+    o = np.arange(proc.nout)
+
+    def action(ket, bra):  # the output block W[(ket, .), (bra, .)]
+        return proc.entry(flat(ket, dims[:4]) * proc.nout + o[:, None],
+                          flat(bra, dims[:4]) * proc.nout + o)
 
     def entry(idx_row, idx_col):
         return proc.entry(flat(idx_row, dims), flat(idx_col, dims))
@@ -325,12 +328,15 @@ def diagonal_certificate(d: int, process: Process | None = None,
         minor((a, a, a, a, a, a, 0, 0), (b, b, b, b, b, b, 0, 0))
         minor((a, a, a, a, a, a, 1, 1), (b, b, b, b, b, b, 1, 1))
 
-    # (v) the 4 x 4 demonstration: scan the constrained diagonals on a grid
+    # (v) the 4 x 4 demonstration: scan the constrained diagonals on a grid,
+    # one value of a at a time
     grid = np.linspace(0.0, 2.0, 101)
-    aa, dd_, ee = np.meshgrid(grid, grid, grid, indexing="ij")
-    hh = 2.0 - aa - dd_ - ee
-    feasible = (hh >= -1e-12) & (aa * hh >= 1.0 - 1e-12)
-    pts = np.argwhere(feasible)
+    dd_, ee = np.meshgrid(grid, grid, indexing="ij")
+    pts = []
+    for ia, a in enumerate(grid):
+        hh = 2.0 - a - dd_ - ee
+        feasible = (hh >= -1e-12) & (a * hh >= 1.0 - 1e-12)
+        pts += [(ia, *pt) for pt in np.argwhere(feasible)]
     forced_ok = (len(pts) == 1 and grid[pts[0][0]] == 1.0
                  and grid[pts[0][1]] == 0.0 and grid[pts[0][2]] == 0.0)
     forced = np.zeros((4, 4))
@@ -370,45 +376,58 @@ def grouped_sum_formulas(d: int) -> dict:
     }
 
 
-def _group_pair_sum(process: Process, ga, gb):
-    """Brute-force sum of output 1-norms over one ordered group pair.
+GROUP_IDS = ("G1", "G2", "G3")
 
-    Accumulates the nonzero output-block entries of the process over the
-    ket-bra terms of each element pair.  Returns (integer sum, max deviation
-    of the accumulated entries from integers).
+
+def _grouped_sums(proc: Process) -> tuple[dict, float]:
+    """Sums of output 1-norms over the nine ordered group pairs, in one pass.
+
+    The group elements partition the d^4 slot ket-bras, so each nonzero of W
+    adds its value times the coefficients of its two slot ket-bras to one
+    output entry of exactly one element pair.  Returns the integer sum per
+    ordered group pair and the largest deviation of the accumulated entries
+    from integers (NaN if one is not finite or too large to tell).
     """
-    d = process.d
-    total = 0
-    nonint = 0.0
-    acc: dict = {}
-    for ea in ga:
-        for eb in gb:
-            acc.clear()
-            for ca, ta in ea.terms:
-                for cb, tb in eb.terms:
-                    row = (ta[0] * d + ta[1]) * d * d + tb[0] * d + tb[1]
-                    col = (ta[2] * d + ta[3]) * d * d + tb[2] * d + tb[3]
-                    coeff = ca * cb
-                    for o, p, v in process.block_entries(row, col):
-                        acc[(o, p)] = acc.get((o, p), 0.0) + coeff * v
-            for v in acc.values():
-                av = abs(v)
-                if not av < 2.0 ** 53:  # inf/NaN, or too large to tell integrality
-                    nonint = np.nan
-                    continue
-                nonint = nan_max(nonint, abs(av - round(av)))
-                total += int(round(av))
-    return total, nonint
+    d, n, nout = proc.d, proc.d ** 2, proc.nout
+    element = np.empty(n * n, dtype=np.int64)  # per slot ket-bra |ab><ce|
+    coeff = np.empty(n * n)
+    group_of = []  # per element
+    for g, gid in enumerate(GROUP_IDS):
+        for el in build_group(gid, d):
+            for c, ketbra in el.terms:
+                k = np.ravel_multi_index(ketbra, (d, d, d, d))
+                element[k], coeff[k] = len(group_of), c
+            group_of.append(g)
+
+    rows, cols, vals = proc.nonzeros()
+    r1, r2, o = np.unravel_index(rows, (n, n, nout))
+    c1, c2, p = np.unravel_index(cols, (n, n, nout))
+    k1, k2 = r1 * n + c1, r2 * n + c2
+    shape = (len(group_of), len(group_of), nout, nout)
+    keys, at = np.unique(np.ravel_multi_index((element[k1], element[k2], o, p), shape),
+                         return_inverse=True)
+    terms = coeff[k1] * coeff[k2] * vals
+    av = np.abs(np.bincount(at, terms.real, len(keys))
+                + 1j * np.bincount(at, terms.imag, len(keys)))
+
+    ok = av < 2.0 ** 53  # False for inf/NaN, or too large to tell integrality
+    nearest = np.rint(av[ok])
+    nonint = float(np.abs(av[ok] - nearest).max(initial=0.0)) if ok.all() else np.nan
+    ga, gb = np.take(group_of, np.unravel_index(keys[ok], shape)[:2])
+    pair = ga * len(GROUP_IDS) + gb
+    sums = {ab: sum(nearest[pair == i].astype(np.int64).tolist())
+            for i, ab in enumerate(itertools.product(GROUP_IDS, repeat=2))}
+    return sums, nonint
 
 
 def offdiagonal_certificate(d: int, process: Process | None = None) -> CertificateReport:
     """Exact integer reproduction of the six grouped 1-norm sums.
 
-    Enumerates every ordered pair of group elements, reads the process
-    action off the nonzero entries of its output blocks (for the rank-1
-    switch, products of two rows of its vector), and compares each unordered
-    sum with its closed form; the ordered total must saturate the (2 d^3)^2
-    bound on the entrywise 1-norm.
+    Reads the nonzero entries of the process once (for the rank-1 switch,
+    products of two entries of its vector), accumulates them into the output
+    entries of every ordered pair of group elements, and compares each
+    unordered sum with its closed form; the ordered total must saturate the
+    (2 d^3)^2 bound on the entrywise 1-norm.
     """
     if not 2 <= d <= 4:
         raise ValueError("group-sum enumeration is supported for 2 <= d <= 4")
@@ -416,19 +435,13 @@ def offdiagonal_certificate(d: int, process: Process | None = None) -> Certifica
         raise ValueError("process dimension mismatch")
     timer = Timer()
     proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
-    groups = {gid: build_group(gid, d) for gid in ("G1", "G2", "G3")}
-    sums = {}
-    nonint = 0.0
-    for a, b in itertools.product(("G1", "G2", "G3"), repeat=2):
-        s, ni = _group_pair_sum(proc, groups[a], groups[b])
-        sums[(a, b)] = s
-        nonint = nan_max(nonint, ni)
+    sums, nonint = _grouped_sums(proc)
     forms = grouped_sum_formulas(d)
     checks = [check_leq("entries_integer_dev", nonint, 1e-12)]
     for (a, b), target in forms.items():
         checks.append(check_exact_int(f"sum_{a}x{b}", sums[(a, b)], target))
     sym_dev = max(abs(sums[(a, b)] - sums[(b, a)])
-                  for a, b in itertools.combinations(("G1", "G2", "G3"), 2))
+                  for a, b in itertools.combinations(GROUP_IDS, 2))
     checks.append(check_exact_int("ordered_pair_symmetry_dev", sym_dev, 0))
     ordered_total = sum(sums.values())
     unordered_total = sum(forms.values())

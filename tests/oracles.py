@@ -6,11 +6,13 @@ subsystem label) is the textbook link product that ``switch.link`` is
 checked against; it works on ``Labeled`` matrices, whose ``SpaceLayout``
 names each tensor factor.  The Kraus route builds the switch's output
 channel from the Kraus operators of its slots without any process matrix;
-``is_cptp`` checks a channel's Choi matrix.
+``is_cptp`` checks a channel's Choi matrix.  ``grouped_sums_by_pair``
+replays the switch's grouped 1-norm sums pair by pair on dense blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import dataclass
 from math import isqrt
@@ -19,6 +21,8 @@ import numpy as np
 
 from switchcert.channels import KrausChannel, choi_from_kraus
 from switchcert.linalg import Operator, frobenius, min_eigenvalue
+from switchcert.report import nan_max
+from switchcert.span import build_group
 from switchcert.switch import CANONICAL_ORDER, Process
 
 # --- labeled spaces ------------------------------------------------------------
@@ -203,3 +207,43 @@ def is_cptp(ch, tol: float = 1e-9) -> bool:
     j4 = j.reshape(d, d, d, d)
     return (min_eigenvalue(j) >= -tol
             and frobenius(np.einsum("iaka->ik", j4), np.eye(d)) <= tol)
+
+
+# --- grouped sums, one element pair at a time -------------------------------------
+
+
+def grouped_sums_by_pair(proc: Process) -> tuple[dict, float]:
+    """Sum of output 1-norms per ordered G1/G2/G3 group pair, and the largest
+    deviation of the accumulated output entries from integers.
+
+    For every ordered pair of group elements, accumulates the entries of
+    modulus above 1e-14 of the dense output blocks W[(row, .), (col, .)] of
+    its ket-bra terms in a dict keyed by output entry, then rounds.
+    """
+    d, nout = proc.d, proc.nout
+    w = proc.op.entries
+    groups = {gid: build_group(gid, d) for gid in ("G1", "G2", "G3")}
+    sums = {}
+    nonint = 0.0
+    for a, b in itertools.product(groups, repeat=2):
+        total = 0
+        for ea in groups[a]:
+            for eb in groups[b]:
+                acc: dict = {}
+                for ca, ta in ea.terms:
+                    for cb, tb in eb.terms:
+                        row = (ta[0] * d + ta[1]) * d * d + tb[0] * d + tb[1]
+                        col = (ta[2] * d + ta[3]) * d * d + tb[2] * d + tb[3]
+                        block = w[row * nout:(row + 1) * nout, col * nout:(col + 1) * nout]
+                        o, p = np.nonzero(np.abs(block) > 1e-14)
+                        for key, v in zip(zip(o.tolist(), p.tolist()), block[o, p]):
+                            acc[key] = acc.get(key, 0.0) + ca * cb * v
+                for v in acc.values():
+                    av = abs(v)
+                    if not av < 2.0 ** 53:
+                        nonint = np.nan
+                        continue
+                    nonint = nan_max(nonint, abs(av - round(av)))
+                    total += int(round(av))
+        sums[(a, b)] = total
+    return sums, nonint

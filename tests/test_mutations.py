@@ -129,16 +129,16 @@ def test_untransposed_b_in_sandwich_fails_corollary(monkeypatch):
 
 
 def test_dropped_row_entry_fails_offdiagonal_sums(monkeypatch):
-    row_entries = Process._row_entries.func
+    nonzeros = Process.nonzeros
 
-    def dropped(self):  # loses the first entry of the first non-empty row of Wm
-        rows = list(row_entries(self))
-        r = next(i for i, row in enumerate(rows) if row)
-        rows[r] = rows[r][1:]
-        return tuple(rows)
+    def dropped(self):  # every entry at the first nonzero of w, the first entry
+        rows, cols, vals = nonzeros(self)  # of the first non-empty row of Wm, is lost
+        first = np.flatnonzero(self.vector)[0]
+        keep = (rows != first) & (cols != first)
+        return rows[keep], cols[keep], vals[keep]
 
     assert offdiagonal_certificate(2).passed
-    monkeypatch.setattr(Process, "_row_entries", property(dropped))
+    monkeypatch.setattr(Process, "nonzeros", dropped)
     rep = offdiagonal_certificate(2)
     assert rep.name == "switch_offdiagonal_d2"
     assert failed_checks(rep) == ["sum_G1xG1", "sum_G2xG2", "sum_G1xG3", "sum_G2xG3",

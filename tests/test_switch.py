@@ -158,93 +158,107 @@ def switch_vector_process(d):
     return Process(d, vector=switch_choi_vector(d))
 
 
-def entries_as_block(proc, ket, bra):
-    """Scatter block_entries into a dense output block."""
+def entry_block(proc, ri, ci):
+    """The output block W[(ri, .), (ci, .)] read through index arrays."""
+    o = np.arange(proc.nout)
+    return proc.entry(ri * proc.nout + o[:, None], ci * proc.nout + o)
+
+
+def block_of(proc, ket, bra):
     d = proc.d
-    ri = np.ravel_multi_index(ket, (d, d, d, d))
-    ci = np.ravel_multi_index(bra, (d, d, d, d))
-    nout = 4 * d * d
-    out = np.zeros((nout, nout), dtype=complex)
-    for o, p, v in proc.block_entries(ri, ci):
-        assert out[o, p] == 0  # each entry is listed once
-        out[o, p] = v
+    return entry_block(proc, np.ravel_multi_index(ket, (d, d, d, d)),
+                       np.ravel_multi_index(bra, (d, d, d, d)))
+
+
+def scattered_nonzeros(proc):
+    """Scatter nonzeros() into a dense matrix, each entry listed once."""
+    rows, cols, vals = proc.nonzeros()
+    n = len(proc.data)
+    assert np.unique(rows * n + cols).size == rows.size
+    out = np.zeros((n, n), dtype=complex)
+    out[rows, cols] = vals
     return out
 
 
 def test_fast_action_examples():
-    out = entries_as_block(switch_vector_process(2), (0, 1, 1, 0), (0, 1, 1, 0))
+    pure = switch_vector_process(2)
+    out = block_of(pure, (0, 1, 1, 0), (0, 1, 1, 0))
     v = np.zeros(16)
     v[0] = 1.0   # |0000> on PT FT PC FC
     v[15] = 1.0  # |1111>
     assert np.array_equal(out, np.outer(v, v))
+    assert np.array_equal(scattered_nonzeros(pure), pure.op.entries)
 
     # all deltas vanish: j != k and i != l on both sides
     proc3 = switch_vector_process(3)
     ri = np.ravel_multi_index((0, 1, 2, 1), (3, 3, 3, 3))
-    assert proc3.block_entries(ri, ri) == []
+    rows, cols, _ = proc3.nonzeros()
+    assert not np.any((rows // proc3.nout == ri) & (cols // proc3.nout == ri))
+    assert not entry_block(proc3, ri, ri).any()
 
     with pytest.raises(IndexError):
-        switch_vector_process(2).block_entries(16, 0)
+        entry_block(switch_vector_process(2), 16, 0)
 
 
 def test_fast_action_matches_dense_random():
     rng = np.random.default_rng(4)
     proc = build_switch_choi(3)
     pure = switch_vector_process(3)
+    assert np.array_equal(scattered_nonzeros(pure), proc.op.entries)
     for _ in range(1000):
         ket = tuple(rng.integers(0, 3, size=4))
         bra = tuple(rng.integers(0, 3, size=4))
-        assert np.array_equal(entries_as_block(pure, ket, bra),
-                              dense_action(proc, ket, bra))
+        assert np.array_equal(block_of(pure, ket, bra), dense_action(proc, ket, bra))
 
 
 def test_fast_action_full_basis_reconstruction():
     proc = build_switch_choi(2)
     pure = switch_vector_process(2)
+    assert np.array_equal(scattered_nonzeros(pure), proc.op.entries)
     idx = [(i, j, k, l) for i in range(2) for j in range(2)
            for k in range(2) for l in range(2)]
     for ket in idx:
         for bra in idx:
-            assert np.array_equal(entries_as_block(pure, ket, bra),
-                                  dense_action(proc, ket, bra))
+            assert np.array_equal(block_of(pure, ket, bra), dense_action(proc, ket, bra))
 
 
 def test_w0_action_pairs_count():
     # at most four unit entries, exactly four on fully matched diagonals
     proc = switch_vector_process(2)
+    rows, cols, vals = proc.nonzeros()
     for ket, count in (((0, 1, 1, 0), 4), ((0, 1, 1, 1), 1)):
         ri = np.ravel_multi_index(ket, (2, 2, 2, 2))
-        entries = proc.block_entries(ri, ri)
-        assert len(entries) == count
-        assert all(v == 1.0 for _, _, v in entries)
+        in_block = (rows // proc.nout == ri) & (cols // proc.nout == ri)
+        assert np.count_nonzero(in_block) == count
+        assert np.all(vals[in_block] == 1.0)
+        assert np.count_nonzero(entry_block(proc, ri, ri)) == count
 
 
-def test_block_entries_dense_branch_matches_block():
+def test_nonzeros_dense_lists_entries_above_1e_14():
     # a dense process with entries of every size: only |x| > 1e-14 is listed
     rng = np.random.default_rng(6)
     n = 4 * 2 ** 6
     g = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-17, 1, size=(n, n))
     proc = Process(2, Operator(g.astype(complex)))
-    for ri, ci in ((0, 0), (3, 9), (15, 2)):
-        block = proc.block(ri, ci)
-        want = {(o, p): block[o, p] for o, p in zip(*np.nonzero(np.abs(block) > 1e-14))}
-        got = {(o, p): v for o, p, v in proc.block_entries(ri, ci)}
-        assert got == want
-        assert 0 < len(got) < block.size
+    rows, cols, vals = proc.nonzeros()
+    want = np.abs(g) > 1e-14
+    assert np.array_equal(np.sort(rows * n + cols), np.flatnonzero(want))
+    assert np.array_equal(vals, g[rows, cols])
+    assert 0 < rows.size < g.size
+    assert np.array_equal(scattered_nonzeros(proc), np.where(want, g, 0.0))
 
 
-def test_block_entries_complex_vector_matches_block():
+def test_nonzeros_complex_vector_matches_dense():
     from switchcert.uniqueness import build_derived_one_slot
     rng = np.random.default_rng(7)
     a, b = haar_random_unitary(2, rng), haar_random_unitary(2, rng)
     proc = build_derived_one_slot("sandwich", 2, a=a, b=b)
+    w = proc.op.entries
+    assert np.abs(scattered_nonzeros(proc) - w).max() <= 1e-15
+    w4 = w.reshape(4, 4, 4, 4)
     for ri in range(4):
         for ci in range(4):
-            block = proc.block(ri, ci)
-            got = np.zeros_like(block)
-            for o, p, v in proc.block_entries(ri, ci):
-                got[o, p] = v
-            assert np.abs(got - block).max() <= 1e-15
+            assert np.abs(entry_block(proc, ri, ci) - w4[ri, :, ci, :]).max() <= 1e-15
 
 
 def test_apply_two_slot_matches_global_transpose_route():
@@ -320,7 +334,8 @@ def test_vector_kernel_matches_dense_oracle():
             assert frobenius(apply_two_slot(pure, a, b),
                              apply_two_slot(dense, a, b)) <= 1e-12
         for row, col in rng.integers(0, d ** 4, size=(20, 2)):
-            assert np.array_equal(pure.block(row, col), dense.block(row, col))
+            assert np.array_equal(entry_block(pure, row, col), entry_block(dense, row, col))
+        assert np.array_equal(scattered_nonzeros(pure), scattered_nonzeros(dense))
         for row, col in rng.integers(0, pure.vector.size, size=(20, 2)):
             assert pure.entry(row, col) == dense.entry(row, col)
         assert np.array_equal(pure.diagonal(), dense.diagonal())

@@ -9,7 +9,9 @@ from switchcert.channels import (
     unitary_choi,
 )
 from switchcert.linalg import Operator, frobenius, min_eigenvalue, numerical_rank
-from switchcert.switch import Process, build_switch_choi, verify_unitary_action
+from switchcert import uniqueness
+from switchcert.span import build_group
+from switchcert.switch import Process, build_switch_choi, switch_choi_vector, verify_unitary_action
 from switchcert.uniqueness import (
     apply_one_slot,
     grouped_sum_formulas,
@@ -26,6 +28,8 @@ from switchcert.uniqueness import (
     offdiagonal_certificate,
     verify_corollary,
 )
+
+from oracles import grouped_sums_by_pair
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S_GATE = np.diag([1.0, 1j]).astype(complex)
@@ -112,6 +116,8 @@ def test_pure_certificates_never_build_the_dense_process(monkeypatch):
     assert certify_identity_uniqueness(3).passed
     assert verify_unitary_action(3, trials=100, seed=0).passed
     assert verify_corollary("transpose", 3, trials=100, seed=0).passed
+    assert diagonal_certificate(3).passed
+    assert offdiagonal_certificate(3).passed
 
 
 def test_diagonal_certificate():
@@ -122,6 +128,18 @@ def test_diagonal_certificate():
     sets = diagonal_support_sets(3)
     sizes = {k: len(v) for k, v in sets.items()}
     assert sizes == {"S1": 24, "S2": 6, "S3": 6, "S4": 6, "S5": 6, "S6": 3, "S7": 3}
+
+
+def test_diagonal_certificate_toy_scan_stays_small():
+    # the toy scan runs over one axis of its 101^3 grid at a time
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        assert diagonal_certificate(2).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_diagonal_certificate_negative_control():
@@ -176,6 +194,48 @@ def test_offdiagonal_overflowing_override_fails_cleanly():
         rep = offdiagonal_certificate(2, process=Process(2, Operator(w0.entries * 1e308)))
     assert not rep.passed
     assert not rep.check("entries_integer_dev").passed
+
+
+def test_group_terms_partition_the_slot_ketbras():
+    # the one-pass grouped sum files each slot ket-bra under one element
+    for d in (2, 3, 4):
+        terms = [t for gid in uniqueness.GROUP_IDS for el in build_group(gid, d)
+                 for _, t in el.terms]
+        assert len(terms) == len(set(terms)) == d ** 4
+
+
+def test_grouped_sums_match_the_pair_by_pair_oracle():
+    def assert_matches(proc, want):
+        sums, nonint = uniqueness._grouped_sums(proc)
+        assert sums == want[0]
+        assert nonint == pytest.approx(want[1], abs=1e-12, nan_ok=True)
+        rep = offdiagonal_certificate(proc.d, process=proc)
+        assert rep.check("entries_integer_dev").measured == pytest.approx(
+            want[1], abs=1e-12, nan_ok=True)
+        for a, b in grouped_sum_formulas(proc.d):
+            assert rep.check(f"sum_{a}x{b}").measured == want[0][(a, b)]
+
+    for d in (2, 3):
+        dense = build_switch_choi(d)
+        want = grouped_sums_by_pair(dense)
+        assert sum(want[0].values()) == (2 * d ** 3) ** 2 and want[1] == 0.0
+        assert_matches(dense, want)
+        assert_matches(Process(d, vector=switch_choi_vector(d)), want)
+
+    # a dense override with entries of every magnitude, and one that overflows
+    rng = np.random.default_rng(6)
+    n = 256
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
+        * 10.0 ** rng.integers(-17, 3, size=(n, n))
+    noisy = Process(2, Operator(g))
+    want = grouped_sums_by_pair(noisy)
+    assert 0.0 < want[1] <= 0.5
+    assert_matches(noisy, want)
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = Process(2, Operator(build_switch_choi(2).op.entries * 1e308))
+        want = grouped_sums_by_pair(huge)
+        assert np.isnan(want[1])
+        assert_matches(huge, want)
 
 
 def test_derived_transpose_and_conjugate_examples():
