@@ -222,7 +222,9 @@ def _validate(cfg) -> None:
             (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
              and cfg.samples < min_samples,
              f"--samples must be at least {min_samples} at --dim {cfg.dim}"),
-            (cfg.tol_psd <= 0 or cfg.tol_cert <= 0, "tolerances must be positive"),
+            (not (0 < cfg.tol_psd < math.inf and 0 < cfg.tol_cert < math.inf),
+             "tolerances must be positive and finite"),
+            (cfg.seed < 0, "--seed must be non-negative"),
             (cfg.probe_starts < 1, "--probe-starts must be at least 1")):
         if bad:
             _error_exit(message)

@@ -24,6 +24,7 @@ exits or a worker dies.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -147,11 +148,11 @@ def _constrained_part(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     return t.reshape(shape).transpose(inverse).reshape(diff.shape).view(complex)
 
 
-def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(x + x^H) / 2, bit for bit.  The conjugate transpose is made as one
-    C-order copy and the rest is done in place: adding a transposed view
-    instead is several times slower at 256 x 256."""
-    h = np.conj(x.T, order="C")
+def _hermitian_part(x: np.ndarray, out=None) -> np.ndarray:
+    """(x + x^H) / 2, bit for bit, in ``out`` if given.  The conjugate
+    transpose is made as one C-order copy and the rest is done in place:
+    adding a transposed view instead is several times slower at 256 x 256."""
+    h = np.conjugate(x.T, out=out, order="C")
     h += x
     h *= 0.5
     return h
@@ -162,13 +163,14 @@ def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     return _hermitian_part(x - _constrained_part(sys, x))
 
 
-def psd_project(x: np.ndarray) -> np.ndarray:
+def psd_project(x: np.ndarray, work=None) -> np.ndarray:
     """Projection onto the PSD cone by eigenvalue clipping.
 
     The clip V diag(max(w, 0)) V^H is rebuilt from the eigenpairs with
-    w > 0 alone: the rest contribute exact zeros.
+    w > 0 alone: the rest contribute exact zeros.  ``work``, if given, is
+    overwritten with the Hermitian part of x.
     """
-    w, v = np.linalg.eigh(_hermitian_part(x))
+    w, v = np.linalg.eigh(_hermitian_part(x, work))
     cut = int(np.searchsorted(w, 0.0, side="right"))  # w[:cut] <= 0 < w[cut:]
     pos = v[:, cut:]
     return (pos * w[cut:]) @ pos.conj().T
@@ -180,6 +182,10 @@ def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
     return float(np.linalg.norm(_constrained_part(sys, x)))
 
 
+def _min_eig(x: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(_hermitian_part(x))[0])
+
+
 def random_hermitian_direction(n: int, rng) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = _hermitian_part(g)
@@ -187,30 +193,48 @@ def random_hermitian_direction(n: int, rng) -> np.ndarray:
 
 
 def _run_single(sys: ConstraintSystem, start: np.ndarray, stop_at_tol: bool):
+    """Dykstra's alternating projections from ``start``: the last affine
+    iterate, its distance to the reference and the iterations run.  p holds
+    the shifted point x + p and then the next correction in place, and the
+    eigensolver reads the Hermitian part from one array made before the
+    loop.  A non-finite distance or step, which meets no stopping rule,
+    ends the run at once."""
     x = affine_project(sys, start)
     p = np.zeros_like(x)
+    work = np.empty_like(x)
     dist = float(np.linalg.norm(x - sys.reference))
     iters = 0
-    for iters in range(1, MAX_ITER + 1):
-        shifted = x + p
-        y = psd_project(shifted)
-        p = shifted - y
+    while iters < MAX_ITER and math.isfinite(dist):
+        iters += 1
+        p += x
+        y = psd_project(p, work)
+        p -= y
         x_new = affine_project(sys, y)
+        del y
         step = float(np.linalg.norm(x_new - x))
         x = x_new
         dist = float(np.linalg.norm(x - sys.reference))
-        if stop_at_tol and dist <= TOL:
-            break
-        if step <= 1e-13:
+        if not math.isfinite(step) or step <= 1e-13 or (stop_at_tol and dist <= TOL):
             break
     return x, dist, iters
 
 
-def _run_start(sys: ConstraintSystem, stop_at_tol: bool, seed):
-    """One probe start: the reference plus a random unit Hermitian direction."""
+def _run_start(sys: ConstraintSystem, seed):
+    """One probe start from the reference plus a random unit Hermitian
+    direction: (distance, iterations, constraint residual, minus the least
+    eigenvalue, iterate).  The final checks are made here, NaN without an
+    eigensolve for a non-finite iterate, so a pooled unique-kind start sends
+    back numbers only; the iterate is kept for cp_family alone, for its
+    escape direction."""
+    unique = sys.kind != "cp_family"
     rng = np.random.default_rng(seed)
     start = sys.reference + random_hermitian_direction(sys.reference.shape[0], rng)
-    return _run_single(sys, start, stop_at_tol)
+    x, dist, iters = _run_single(sys, start, unique)
+    if np.isfinite(x).all():
+        resid, neg_eig = constraint_residual(sys, x), -_min_eig(x)
+    else:
+        resid = neg_eig = math.nan
+    return dist, iters, resid, neg_eig, None if unique else x
 
 
 def _usable_cpus() -> int:
@@ -280,10 +304,6 @@ def _map_starts(run, seeds) -> list:
                 os.environ[name] = value
 
 
-def _min_eig(x: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_hermitian_part(x))[0])
-
-
 def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
                     max_iter: int):
     """Type-II Anderson acceleration of g = affine o psd until feasible within tol.
@@ -336,16 +356,15 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     """
     timer = Timer()
     seeds = np.random.SeedSequence(seed).spawn(starts)
-    results = _map_starts(partial(_run_start, sys, sys.kind != "cp_family"), seeds)
-    dists = [r[1] for r in results]
-    iters_used = [r[2] for r in results]
+    dists, iters_used, resids, neg_eigs, iterates = \
+        zip(*_map_starts(partial(_run_start, sys), seeds))
 
     checks = [check_true("family_rank_full",
                          sys.family_rank == expected_family_rank(sys))]
-    notes = [f"starts={starts}", f"iterations={iters_used}",
+    notes = [f"starts={starts}", f"iterations={list(iters_used)}",
              f"distances=[{', '.join(f'{v:.3e}' for v in dists)}]"]
     if sys.kind == "cp_family":
-        best = results[int(np.argmax(dists))][0]
+        best = iterates[int(np.argmax(dists))]
         escape = best - sys.reference
         scale = float(np.linalg.norm(escape))
         if scale > 0:
@@ -363,11 +382,9 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
         ]
         notes.append(f"witness_distance={wdist:.4f} polish_iterations={polish_iters}")
     else:
-        feas_resid = nan_max(*(constraint_residual(sys, r[0]) for r in results))
-        neg_eig = nan_max(*(-_min_eig(r[0]) for r in results))
         checks += [
-            check_leq("final_constraint_residual", feas_resid, feas_tol),
-            check_leq("final_negative_eigenvalue", neg_eig, feas_tol),
+            check_leq("final_constraint_residual", nan_max(*resids), feas_tol),
+            check_leq("final_negative_eigenvalue", nan_max(*neg_eigs), feas_tol),
             check_leq("max_distance_to_reference", nan_max(*dists), TOL),
         ]
     return make_report(f"probe_{sys.kind}_d{sys.d}", checks, timer,

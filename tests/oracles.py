@@ -8,6 +8,8 @@ names each tensor factor.  The Kraus route builds the switch's output
 channel from the Kraus operators of its slots without any process matrix;
 ``is_cptp`` checks a channel's Choi matrix.  ``grouped_sums_by_pair``
 replays the switch's grouped 1-norm sums pair by pair on dense blocks.
+``dykstra_start`` runs the probe's alternating projections with fresh
+arrays at every step.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from switchcert.channels import KrausChannel, choi_from_kraus
 from switchcert.linalg import Operator, frobenius, min_eigenvalue
+from switchcert.probe import MAX_ITER, TOL, affine_project, psd_project
 from switchcert.report import nan_max
 from switchcert.span import build_group
 from switchcert.switch import CANONICAL_ORDER, Process
@@ -247,3 +250,30 @@ def grouped_sums_by_pair(proc: Process) -> tuple[dict, float]:
                     total += int(round(av))
         sums[(a, b)] = total
     return sums, nonint
+
+
+# --- probe start, one fresh array per step ---------------------------------------
+
+
+def dykstra_start(sys, start: np.ndarray, stop_at_tol: bool):
+    """Dykstra's alternating projections from ``start``, allocating the
+    shifted point, the correction and every projection anew at each step;
+    returns the last affine iterate, its distance to the reference and the
+    iterations run."""
+    x = affine_project(sys, start)
+    p = np.zeros_like(x)
+    dist = float(np.linalg.norm(x - sys.reference))
+    iters = 0
+    for iters in range(1, MAX_ITER + 1):
+        shifted = x + p
+        y = psd_project(shifted)
+        p = shifted - y
+        x_new = affine_project(sys, y)
+        step = float(np.linalg.norm(x_new - x))
+        x = x_new
+        dist = float(np.linalg.norm(x - sys.reference))
+        if stop_at_tol and dist <= TOL:
+            break
+        if step <= 1e-13:
+            break
+    return x, dist, iters

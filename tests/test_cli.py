@@ -69,6 +69,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert err.value.code == 2
     for args in (["identity-verify", "--dim", "1"],
                  ["identity-verify", "--tol-psd", "-1"],
+                 ["corollary-verify", "--tol-cert", "nan"],
+                 ["corollary-verify", "--tol-cert", "inf"],
+                 ["probe", "--tol-psd", "nan"],
+                 ["probe", "--tol-psd", "inf"],
+                 ["span-verify", "--seed", "-1"],
+                 ["counterexamples", "--seed", "-1"],
                  ["switch-verify", "--dim", "5"],
                  ["span-verify", "--dim", "7"],
                  ["probe", "--dim", "5"],

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 from switchcert import probe
 from switchcert.channels import haar_random_unitary, unitary_choi
-from switchcert.linalg import frobenius
+from switchcert.linalg import Operator, frobenius
 from switchcert.probe import (
     BLAS_THREAD_VARS,
     ConstraintSystem,
@@ -25,7 +26,9 @@ from switchcert.probe import (
     random_hermitian_direction,
 )
 from switchcert.span import span_dimension_formula, span_projector, vec_kron
-from switchcert.switch import link
+from switchcert.switch import Process, build_switch_choi, link
+
+from oracles import dykstra_start
 
 
 @pytest.fixture(autouse=True)
@@ -229,6 +232,70 @@ def test_probe_determinism():
     a = alternating_projection_probe(sys, starts=3, seed=9)
     b = alternating_projection_probe(sys, starts=3, seed=9)
     assert a.checks == b.checks and a.notes == b.notes
+
+
+def perturbed_start(sys, seed):
+    rng = np.random.default_rng(seed)
+    return sys.reference + random_hermitian_direction(sys.reference.shape[0], rng)
+
+
+@pytest.mark.parametrize("kind,seed", [("identity", 1), ("cp_family", 6),
+                                       ("switch", 3)])
+def test_run_single_matches_fresh_array_loop(kind, seed):
+    # reusing the correction and the eigensolver's input array changes no bit
+    sys = build_constraint_system(kind, 2)
+    start = perturbed_start(sys, seed)
+    stop_at_tol = kind != "cp_family"
+    x, dist, iters = probe._run_single(sys, start, stop_at_tol)
+    ox, odist, oiters = dykstra_start(sys, start, stop_at_tol)
+    assert np.array_equal(x, ox) and (dist, iters) == (odist, oiters)
+    assert 1 < iters < probe.MAX_ITER
+
+
+@pytest.mark.parametrize("kind", ["identity", "switch"])
+def test_unique_start_returns_numbers_only(kind):
+    # what a worker sends back for a unique kind: the final checks, no matrix
+    sys = build_constraint_system(kind, 2)
+    result = probe._run_start(sys, 4)
+    assert len(pickle.dumps(result)) < 1024
+    assert result[4] is None
+    assert not any(isinstance(v, np.ndarray) for v in result)
+    x, dist, iters = probe._run_single(sys, perturbed_start(sys, 4), True)
+    herm = (x + x.conj().T) / 2
+    assert result[:4] == (dist, iters, constraint_residual(sys, x),
+                          -np.linalg.eigvalsh(herm)[0])
+
+
+def _non_finite_switch():
+    # W0 x 1e308 is finite, but the first affine point is not
+    big = Process(2, dense=Operator(build_switch_choi(2).op.entries * 1e308))
+    return build_constraint_system("switch", 2, big)
+
+
+def _non_finite_identity():
+    sys = build_constraint_system("identity", 2)
+    reference = sys.reference.copy()
+    reference[0, 0] = np.nan
+    return dataclasses.replace(sys, reference=reference)
+
+
+@pytest.mark.parametrize("make", [_non_finite_switch, _non_finite_identity])
+def test_non_finite_start_stops_at_once_and_fails(make, monkeypatch):
+    # NaN meets neither stopping rule, and an eigensolve of it may raise
+    sys = make()
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(probe, "MAX_ITER", 50)
+    eigensolves = []
+    monkeypatch.setattr(probe, "_min_eig", lambda x: eigensolves.append(x) or 0.0)
+    with np.errstate(all="ignore"):
+        rep = alternating_projection_probe(sys, starts=2)
+    assert not rep.passed
+    iterations = re.fullmatch(r"iterations=\[(\d+), (\d+)\]", rep.notes[1])
+    assert max(map(int, iterations.groups())) <= 1
+    for name in ("final_constraint_residual", "final_negative_eigenvalue",
+                 "max_distance_to_reference"):
+        assert np.isnan(rep.check(name).measured) and not rep.check(name).passed
+    assert eigensolves == []
 
 
 SRC = str(Path(probe.__file__).resolve().parents[1])
