@@ -23,6 +23,7 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+UNITARY_TOL = 1e-10  # bound on ||U^dag U - 1||_F for the input of ``unitary_choi``
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def compose_channels(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     return j.reshape(j.shape[:-4] + (d * d, d * d))
 
 
-def unitary_choi(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def unitary_choi(u: np.ndarray) -> np.ndarray:
     """Rank-1 Choi matrix |u><u|, u = vec U^T, of the unitary channel rho -> U rho U^dag;
     ``u`` may be a stack of d x d matrices, each of which must be finite and unitary."""
     u = np.asarray(u, dtype=complex)
@@ -78,7 +79,8 @@ def unitary_choi(u: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     ut = np.swapaxes(u, -1, -2)
     # finite first, so that U^dag U never warns; a NaN deviation fails the test
     if (u.ndim < 2 or u.shape[-2] != d or not np.all(np.isfinite(u))
-            or not np.all(np.linalg.norm(ut.conj() @ u - np.eye(d), axis=(-2, -1)) <= tol)):
+            or not np.all(np.linalg.norm(ut.conj() @ u - np.eye(d), axis=(-2, -1))
+                          <= UNITARY_TOL)):
         raise ValueError("input is not unitary within tolerance")
     phi = ut.reshape(u.shape[:-2] + (d * d,))
     return phi[..., :, None] * phi[..., None, :].conj()

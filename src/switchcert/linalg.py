@@ -55,30 +55,28 @@ def frobenius_each(a, b=None) -> np.ndarray:
     return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
 
 
-def is_hermitian(op, tol: float = TOL_HERM) -> bool:
+def is_hermitian(op) -> bool:
     m = _as_matrix(op)
     scale = max(np.linalg.norm(m), 1.0)
-    return float(np.linalg.norm(m - m.conj().T)) <= tol * scale
+    return float(np.linalg.norm(m - m.conj().T)) <= TOL_HERM * scale
 
 
-def _hermitian_part(op, tol: float):
+def _hermitian_part(op):
     m = _as_matrix(op)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         dev = np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1.0)
         raise ValueError(f"operator is not Hermitian (relative deviation {dev:.3e})")
     return (m + m.conj().T) / 2
 
 
-def min_eigenvalue(op, tol_herm: float = TOL_HERM) -> float:
+def min_eigenvalue(op) -> float:
     """Smallest eigenvalue of a Hermitian operator."""
-    h = _hermitian_part(op, tol_herm)
-    return float(np.linalg.eigvalsh(h)[0])
+    return float(np.linalg.eigvalsh(_hermitian_part(op))[0])
 
 
-def numerical_rank(op, tol: float = 1e-10, tol_herm: float = TOL_HERM) -> int:
+def numerical_rank(op, tol: float = 1e-10) -> int:
     """Number of eigenvalues with |lambda| > tol * max|lambda| (Hermitian input)."""
-    h = _hermitian_part(op, tol_herm)
-    w = np.abs(np.linalg.eigvalsh(h))
+    w = np.abs(np.linalg.eigvalsh(_hermitian_part(op)))
     top = w.max() if w.size else 0.0
     if top == 0.0:
         return 0

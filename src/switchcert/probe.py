@@ -10,7 +10,7 @@ points far from it.
 
 The affine projection uses the tensor-factor structure of the constraints:
 the row space of the constraint map is (slot span)^(x slots) (x) L(out), so
-applying the closed-form span{J_U} projector of one slot, a real d^2 x d^2
+applying the closed-form span{J_U} projector of one slot, a real d^4 x d^4
 matrix, to each slot's input index pair of the difference is the exact
 orthogonal projection onto the affine set.  For the switch that is two small
 real products instead of one with the dense d^8 projector.  The PSD
@@ -230,11 +230,15 @@ def _run_start(sys: ConstraintSystem, seed):
     rng = np.random.default_rng(seed)
     start = sys.reference + random_hermitian_direction(sys.reference.shape[0], rng)
     x, dist, iters = _run_single(sys, start, unique)
-    if np.isfinite(x).all():
-        resid, neg_eig = constraint_residual(sys, x), -_min_eig(x)
-    else:
-        resid = neg_eig = math.nan
-    return dist, iters, resid, neg_eig, None if unique else x
+    return (dist, iters, *_final_checks(sys, x), None if unique else x)
+
+
+def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
+    """The constraint residual of x and minus its least eigenvalue; both NaN,
+    without an eigensolve, which may raise on them, if x is not finite."""
+    if not np.isfinite(x).all():
+        return math.nan, math.nan
+    return constraint_residual(sys, x), -_min_eig(x)
 
 
 def _usable_cpus() -> int:
@@ -370,15 +374,17 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
         if scale > 0:
             escape = escape / scale
         witness_start = sys.reference + WITNESS_AMPLITUDE * escape
-        witness, polish_iters = _polish_witness(sys, witness_start, feas_tol,
-                                                witness_max_iter)
+        # a non-finite start is not polished: it is reported as it is, and fails
+        witness, polish_iters = (
+            _polish_witness(sys, witness_start, feas_tol, witness_max_iter)
+            if np.isfinite(witness_start).all() else (witness_start, 0))
         wdist = float(np.linalg.norm(witness - sys.reference))
+        resid, neg_eig = _final_checks(sys, witness)
         checks += [
             check_true("witness_distance_exceeds_threshold",
                        wdist >= WITNESS_THRESHOLD),
-            check_leq("witness_constraint_residual",
-                      constraint_residual(sys, witness), feas_tol),
-            check_leq("witness_negative_eigenvalue", -_min_eig(witness), feas_tol),
+            check_leq("witness_constraint_residual", resid, feas_tol),
+            check_leq("witness_negative_eigenvalue", neg_eig, feas_tol),
         ]
         notes.append(f"witness_distance={wdist:.4f} polish_iterations={polish_iters}")
     else:

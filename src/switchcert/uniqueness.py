@@ -52,6 +52,8 @@ from .switch import (
 
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 CP_GRID_POINTS = 101  # p values on [0, 1] at which C_p >= 0 is checked
+CERT_TOL = 1e-12  # bound on the exact identities of the identity and diagonal certificates
+IDENTITY_TRIALS = 20  # Haar samples of the identity certificate's action check
 
 
 def build_identity_process(d: int) -> Process:
@@ -121,8 +123,7 @@ def cp_factor_matrix(p: float) -> np.ndarray:
 
 
 def certify_identity_uniqueness(d: int, process: Process | None = None,
-                                seed: int = 0, tol: float = 1e-12,
-                                trials: int = 20) -> CertificateReport:
+                                seed: int = 0) -> CertificateReport:
     """Replay the five concrete facts forcing C = C0 for the identity supermap.
 
     (i) each in-diagonal group sums to 1, (ii) Tr C = d^2, (iii) the swap and
@@ -152,7 +153,7 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     # (iv) diagonal support is exactly {(ij, ij)}
     support_dev = float(np.abs(np.diag(diag) - 1.0).max())
     off_support = float(np.abs(diag - np.diag(np.diag(diag))).max())
-    support_count = int(np.count_nonzero(np.abs(np.diag(diag) - 1.0) <= tol))
+    support_count = int(np.count_nonzero(np.abs(np.diag(diag) - 1.0) <= CERT_TOL))
     # (v) Fourier witness
     jf = unitary_choi(fourier_matrix(d))
     min_entry = float(np.abs(jf).min())
@@ -161,172 +162,128 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     chain_dev = float(np.abs(out - pair * jf).max())
     forced_dev = float(np.abs(pair - 1.0).max())
     # defining action on Haar samples
-    action_haar = max_action_distance(proc, haar_random_unitaries(d, trials, seed), unitary_choi)
+    action_haar = max_action_distance(
+        proc, haar_random_unitaries(d, IDENTITY_TRIALS, seed), unitary_choi)
 
     checks = [
-        check_leq("in_diagonal_group_sums_dev", dev_i, tol),
-        check_close("trace", trace, d * d, tol),
-        check_leq("swap_and_pair_offdiagonals_dev", dev_iii, tol),
-        check_leq("diagonal_support_dev", support_dev, tol),
-        check_leq("offsupport_diagonal_dev", off_support, tol),
+        check_leq("in_diagonal_group_sums_dev", dev_i, CERT_TOL),
+        check_close("trace", trace, d * d, CERT_TOL),
+        check_leq("swap_and_pair_offdiagonals_dev", dev_iii, CERT_TOL),
+        check_leq("diagonal_support_dev", support_dev, CERT_TOL),
+        check_leq("offsupport_diagonal_dev", off_support, CERT_TOL),
         check_exact_int("diagonal_support_count", support_count, d * d),
         check_close("fourier_min_entry_modulus", min_entry, 1.0 / d, 1e-12),
-        check_leq("fourier_action_dev", action_dev, tol),
-        check_leq("factorized_chain_dev", chain_dev, tol),
-        check_leq("forced_offdiagonal_dev", forced_dev, tol),
+        check_leq("fourier_action_dev", action_dev, CERT_TOL),
+        check_leq("factorized_chain_dev", chain_dev, CERT_TOL),
+        check_leq("forced_offdiagonal_dev", forced_dev, CERT_TOL),
         check_leq("haar_action_dev", action_haar, 1e-10),
     ]
     return make_report(f"identity_uniqueness_d{d}", checks, timer,
-                       notes=(f"trials={trials}",))
+                       notes=(f"trials={IDENTITY_TRIALS}",))
 
 
 # --- switch diagonal certificate ----------------------------------------------
 
 
+def _switch_tuples(i, j, k, kind: int) -> np.ndarray:
+    """Support tuples of the switch vector as (n, 8) index rows in canonical
+    order: |i j j k i k 00> for kind 0 and |i j k i k j 11> for kind 1."""
+    c = np.full_like(i, kind)
+    cols = (i, j, j, k, i, k) if kind == 0 else (i, j, k, i, k, j)
+    return np.stack(cols + (c, c), axis=-1)
+
+
 def diagonal_support_sets(d: int) -> dict:
     """The seven index families whose diagonal entries are forced to 1.
 
-    Keys S1..S7; values are lists of 8-tuples in canonical system order
-    (I1, O1, I2, O2, PT, FT, PC, FC).
+    Keys S1..S7; values are (n, 8) index arrays in canonical system order
+    (I1, O1, I2, O2, PT, FT, PC, FC), the 2 d^3 support tuples split by
+    which of i, j, k coincide.
     """
-    rng = range(d)
-    sets = {name: [] for name in ("S1", "S2", "S3", "S4", "S5", "S6", "S7")}
-    for i, k, l in itertools.product(rng, repeat=3):
-        if i != k and k != l:
-            sets["S1"].append((i, k, k, l, i, l, 0, 0))
-    for i, j, k in itertools.product(rng, repeat=3):
-        if i != j and k != i:
-            sets["S1"].append((i, j, k, i, k, j, 1, 1))
-    for i, j in itertools.permutations(rng, 2):
-        sets["S2"].append((i, j, j, j, i, j, 0, 0))
-        sets["S3"].append((i, j, i, i, i, j, 1, 1))
-    for i, l in itertools.permutations(rng, 2):
-        sets["S4"].append((i, i, i, l, i, l, 0, 0))
-        sets["S5"].append((i, i, l, i, l, i, 1, 1))
-    for i in rng:
-        sets["S6"].append((i, i, i, i, i, i, 0, 0))
-        sets["S7"].append((i, i, i, i, i, i, 1, 1))
-    return sets
+    i, j, k = np.indices((d, d, d)).reshape(3, -1)
+    first, second = _switch_tuples(i, j, k, 0), _switch_tuples(i, j, k, 1)
+    ij, jk, ki = i == j, j == k, k == i
+    return {"S1": np.concatenate((first[~ij & ~jk], second[~ij & ~ki])),
+            "S2": first[~ij & jk], "S3": second[~ij & ki],
+            "S4": first[ij & ~jk], "S5": second[ij & ~jk],
+            "S6": first[ij & jk], "S7": second[ij & jk]}
 
 
-def _displayed_action(d: int, case: int, i: int, j: int, k: int, l: int) -> np.ndarray:
-    """The four displayed ket-bra actions, built directly from their factored form."""
-    n = 4 * d * d
-
-    def e00(a, b):
-        v = np.zeros(n)
-        v[(a * d + b) * 4] = 1.0
-        return v
-
-    def e11(a, b):
-        v = np.zeros(n)
-        v[(a * d + b) * 4 + 3] = 1.0
-        return v
-
-    dlt = lambda a, b: 1.0 if a == b else 0.0
-    if case == 1:    # |ijkl><jilk|
-        left = dlt(j, k) * e00(i, l) + dlt(i, l) * e11(k, j)
-        right = dlt(i, l) * e00(j, k) + dlt(j, k) * e11(l, i)
-    elif case == 2:  # |ijkk><jill|
-        left = dlt(j, k) * e00(i, k) + dlt(i, k) * e11(k, j)
-        right = dlt(i, l) * e00(j, l) + dlt(j, l) * e11(l, i)
-    elif case == 3:  # |iikl><jjlk|
-        left = dlt(i, k) * e00(i, l) + dlt(i, l) * e11(k, i)
-        right = dlt(j, l) * e00(j, k) + dlt(j, k) * e11(l, j)
-    else:            # |iikk><jjll|
-        left = dlt(i, k) * (e00(i, k) + e11(k, i))
-        right = dlt(j, l) * (e00(j, l) + e11(l, j))
-    return np.outer(left, right)
+def _swap_families(x, y) -> list:
+    """S2..S7 written as patterns of two index values x != y in (i, j, k)."""
+    return [_switch_tuples(*ijk, kind) for kind, ijk in
+            ((0, (x, y, y)), (1, (x, y, x)), (0, (x, x, y)),
+             (1, (x, x, y)), (0, (x, x, x)), (1, (x, x, x)))]
 
 
-def _displayed_ketbra(case: int, i: int, j: int, k: int, l: int):
-    if case == 1:
-        return (i, j, k, l), (j, i, l, k)
-    if case == 2:
-        return (i, j, k, k), (j, i, l, l)
-    if case == 3:
-        return (i, i, k, l), (j, j, l, k)
-    return (i, i, k, k), (j, j, l, l)
+def _switch_rows(d: int, a, b, c, e) -> np.ndarray:
+    """Rows of the switch vector at slot kets |a b c e> on (I1, O1, I2, O2), by the
+    closed form delta_bc |a e 00> + delta_ae |c b 11> on (PT, FT, PC, FC): not
+    read from ``switch_choi_vector``, so that the certificate tests that vector."""
+    rows = np.zeros((len(a), 4 * d * d))
+    n = np.arange(len(a))
+    rows[n, (a * d + e) * 4] = b == c
+    rows[n, (c * d + b) * 4 + 3] = a == e
+    return rows
 
 
-def diagonal_certificate(d: int, process: Process | None = None,
-                         tol: float = 1e-12) -> CertificateReport:
+def diagonal_certificate(d: int, process: Process | None = None) -> CertificateReport:
     """Replay the diagonal-forcing facts for the switch process matrix.
 
     Verifies the four displayed ket-bra actions, the unit value of every
     diagonal in the seven forced families (with their exact counts summing to
     2 d^3), the vanishing of every other diagonal, tightness of the 2 x 2
     principal-minor bounds on those families, and the 4 x 4 toy example whose
-    diagonal is forced to (1, 0, 0, 1).
+    diagonal is forced to (1, 0, 0, 1).  W is read through ``Process.entry``
+    and ``Process.diagonal`` only.
     """
     timer = Timer()
     dims = (d, d, d, d, d, d, 2, 2)
     if process is not None and process.d != d:
         raise ValueError("process dimension mismatch")
     proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
-
-    flat = np.ravel_multi_index
-
-    o = np.arange(proc.nout)
-
-    def action(ket, bra):  # the output block W[(ket, .), (bra, .)]
-        return proc.entry(flat(ket, dims[:4]) * proc.nout + o[:, None],
-                          flat(bra, dims[:4]) * proc.nout + o)
-
-    def entry(idx_row, idx_col):
-        return proc.entry(flat(idx_row, dims), flat(idx_col, dims))
-
+    nout, flat = proc.nout, np.ravel_multi_index
     diag = proc.diagonal()
 
-    # (i) displayed ket-bra actions against the process action
-    action_dev = 0.0
-    for case in (1, 2, 3, 4):
-        for i, j in itertools.permutations(range(d), 2):
-            for k, l in itertools.permutations(range(d), 2):
-                ket, bra = _displayed_ketbra(case, i, j, k, l)
-                action_dev = nan_max(action_dev, float(np.abs(
-                    action(ket, bra) - _displayed_action(d, case, i, j, k, l)).max()))
+    # (i) the displayed ket-bra actions |ijkl><jilk|, |ijkk><jill|, |iikl><jjlk|,
+    # |iikk><jjll| (i != j, k != l; s and t pick the case) against the row
+    # formula, reading the output blocks W[(ket, .), (bra, .)] d(d - 1) at a time
+    g = np.indices((d, d, d, d, 2, 2)).reshape(6, -1)
+    i, j, k, l, s, t = g[:, (g[0] != g[1]) & (g[2] != g[3])]
+    kets = (i, np.where(s, i, j), k, np.where(t, k, l))
+    bras = (j, np.where(s, j, i), l, np.where(t, l, k))
+    o = np.arange(nout)
+    ket_at = flat(kets, dims[:4])[:, None, None] * nout + o[:, None]
+    bra_at = flat(bras, dims[:4])[:, None, None] * nout + o
+    ket_rows, bra_rows = _switch_rows(d, *kets), _switch_rows(d, *bras)
+    step = d * (d - 1)
+    action_dev = nan_max(0.0, *(float(np.abs(
+        proc.entry(ket_at[m:m + step], bra_at[m:m + step])
+        - ket_rows[m:m + step, :, None] * bra_rows[m:m + step, None, :]).max())
+        for m in range(0, len(i), step)))
 
     # (ii) + (iii) forced diagonal families and their counts
     sets = diagonal_support_sets(d)
-    fam_dev = 0.0
-    support = set()
-    for members in sets.values():
-        for idx in members:
-            fam_dev = nan_max(fam_dev, abs(entry(idx, idx) - 1.0))
-            support.add(flat(idx, dims))
-    counts = {name: len(m) for name, m in sets.items()}
-    paired = (counts["S1"], counts["S2"] + counts["S3"],
-              counts["S4"] + counts["S5"], counts["S6"] + counts["S7"])
+    members = flat(np.concatenate(list(sets.values())).T, dims)
+    fam_dev = float(np.abs(proc.entry(members, members) - 1.0).max())
+    support = np.unique(members)
+    counts = [len(m) for m in sets.values()]  # S1..S7
+    paired = (counts[0], counts[1] + counts[2], counts[3] + counts[4], counts[5] + counts[6])
     expected = (2 * d * (d - 1) ** 2, 2 * d * (d - 1), 2 * d * (d - 1), 2 * d)
     # every diagonal outside the families must vanish
-    mask = np.ones(len(diag), dtype=bool)
-    mask[list(support)] = False
-    off_dev = float(np.abs(diag[mask]).max())
-    sup_dev = float(np.abs(diag[list(support)] - 1.0).max())
+    off_dev = float(np.abs(np.delete(diag, support)).max())
+    sup_dev = float(np.abs(diag[support] - 1.0).max())
 
-    # (iv) tight 2 x 2 principal minors on the paired families
-    minor_cross_dev = 0.0
-    minor_prod_dev = 0.0
-
-    def minor(idx_a, idx_b):
-        nonlocal minor_cross_dev, minor_prod_dev
-        cross = entry(idx_a, idx_b)
-        minor_cross_dev = nan_max(minor_cross_dev, abs(cross - 1.0))
-        prod = entry(idx_a, idx_a).real * entry(idx_b, idx_b).real
-        minor_prod_dev = nan_max(minor_prod_dev, abs(prod - 1.0))
-
-    for i, k, l in itertools.product(range(d), repeat=3):
-        if i != k and k != l:
-            minor((i, k, k, l, i, l, 0, 0), (k, i, l, k, l, i, 1, 1))
-    for i, k in itertools.permutations(range(d), 2):
-        minor((i, k, k, k, i, k, 0, 0), (k, i, i, i, k, i, 0, 0))
-        minor((k, i, k, k, k, i, 1, 1), (i, k, i, i, i, k, 1, 1))
-        minor((i, i, i, k, i, k, 0, 0), (k, k, k, i, k, i, 0, 0))
-        minor((i, i, k, i, k, i, 1, 1), (k, k, i, k, i, k, 1, 1))
-    for a, b in itertools.permutations(range(d), 2):
-        minor((a, a, a, a, a, a, 0, 0), (b, b, b, b, b, b, 0, 0))
-        minor((a, a, a, a, a, a, 1, 1), (b, b, b, b, b, b, 1, 1))
+    # (iv) tight 2 x 2 principal minors: each first-kind S1 tuple with its
+    # second-kind partner |j i k j k i 11>, each S2..S7 tuple with the one that
+    # swaps its two index values
+    i, j, k = np.indices((d, d, d)).reshape(3, -1)
+    s1 = (i != j) & (j != k)
+    x, y = np.array(list(itertools.permutations(range(d), 2))).T
+    p = flat(np.concatenate([_switch_tuples(i, j, k, 0)[s1], *_swap_families(x, y)]).T, dims)
+    q = flat(np.concatenate([_switch_tuples(j, i, k, 1)[s1], *_swap_families(y, x)]).T, dims)
+    minor_cross_dev = float(np.abs(proc.entry(p, q) - 1.0).max())
+    minor_prod_dev = float(np.abs(diag[p] * diag[q] - 1.0).max())
 
     # (v) the 4 x 4 demonstration: scan the constrained diagonals on a grid,
     # one value of a at a time
@@ -344,15 +301,15 @@ def diagonal_certificate(d: int, process: Process | None = None,
     forced_psd = min_eigenvalue(forced) >= -1e-12
 
     checks = [
-        check_leq("displayed_action_dev", action_dev, tol),
-        check_leq("forced_diagonal_family_dev", fam_dev, tol),
+        check_leq("displayed_action_dev", action_dev, CERT_TOL),
+        check_leq("forced_diagonal_family_dev", fam_dev, CERT_TOL),
         check_exact_int("support_count", len(support), 2 * d ** 3),
-        check_leq("offsupport_diagonal_dev", off_dev, tol),
-        check_leq("support_diagonal_dev", sup_dev, tol),
-        check_leq("minor_cross_dev", minor_cross_dev, tol),
-        check_leq("minor_product_dev", minor_prod_dev, tol),
+        check_leq("offsupport_diagonal_dev", off_dev, CERT_TOL),
+        check_leq("support_diagonal_dev", sup_dev, CERT_TOL),
+        check_leq("minor_cross_dev", minor_cross_dev, CERT_TOL),
+        check_leq("minor_product_dev", minor_prod_dev, CERT_TOL),
         check_true("family_counts_match",
-                   paired == expected and sum(counts.values()) == 2 * d ** 3),
+                   paired == expected and sum(counts) == 2 * d ** 3),
         check_true("toy_forced_diagonal_unique", forced_ok),
         check_true("toy_forced_matrix_psd_trace2",
                    forced_psd and abs(np.trace(forced) - 2.0) == 0.0),

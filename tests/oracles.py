@@ -8,6 +8,8 @@ names each tensor factor.  The Kraus route builds the switch's output
 channel from the Kraus operators of its slots without any process matrix;
 ``is_cptp`` checks a channel's Choi matrix.  ``grouped_sums_by_pair``
 replays the switch's grouped 1-norm sums pair by pair on dense blocks.
+``minor_pairs_by_family`` lists the tight 2 x 2 minors of the diagonal
+certificate family by family, written out tuple by tuple.
 ``dykstra_start`` runs the probe's alternating projections with fresh
 arrays at every step.
 """
@@ -253,6 +255,24 @@ def grouped_sums_by_pair(proc: Process) -> tuple[dict, float]:
 
 
 # --- probe start, one fresh array per step ---------------------------------------
+
+
+def minor_pairs_by_family(d: int) -> dict:
+    """The two 8-tuples of each tight principal minor, keyed by the family of
+    the first: S1 pairs first- with second-kind tuples; S2..S7 swap the two
+    index values of a tuple, or (S6, S7) pair two constant tuples."""
+    pairs = {name: [] for name in ("S1", "S2", "S3", "S4", "S5", "S6", "S7")}
+    for i, k, l in itertools.product(range(d), repeat=3):
+        if i != k and k != l:
+            pairs["S1"].append(((i, k, k, l, i, l, 0, 0), (k, i, l, k, l, i, 1, 1)))
+    for i, k in itertools.permutations(range(d), 2):
+        pairs["S2"].append(((i, k, k, k, i, k, 0, 0), (k, i, i, i, k, i, 0, 0)))
+        pairs["S3"].append(((k, i, k, k, k, i, 1, 1), (i, k, i, i, i, k, 1, 1)))
+        pairs["S4"].append(((i, i, i, k, i, k, 0, 0), (k, k, k, i, k, i, 0, 0)))
+        pairs["S5"].append(((i, i, k, i, k, i, 1, 1), (k, k, i, k, i, k, 1, 1)))
+        pairs["S6"].append(((i,) * 6 + (0, 0), (k,) * 6 + (0, 0)))
+        pairs["S7"].append(((i,) * 6 + (1, 1), (k,) * 6 + (1, 1)))
+    return pairs
 
 
 def dykstra_start(sys, start: np.ndarray, stop_at_tol: bool):

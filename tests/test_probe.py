@@ -298,6 +298,26 @@ def test_non_finite_start_stops_at_once_and_fails(make, monkeypatch):
     assert eigensolves == []
 
 
+def test_non_finite_cp_family_reference_fails_without_polish(monkeypatch):
+    # a NaN reference gives a NaN escape direction and witness start; the
+    # polish and its eigensolves, which may raise on them, are skipped
+    sys = build_constraint_system("cp_family", 2)
+    reference = sys.reference.copy()
+    reference[0, 0] = np.nan
+    sys = dataclasses.replace(sys, reference=reference)
+    _usable_cpus(monkeypatch, 1)
+    eigensolves = []
+    monkeypatch.setattr(probe, "_min_eig", lambda x: eigensolves.append(x) or 0.0)
+    monkeypatch.setattr(probe, "_polish_witness", lambda *args: pytest.fail("polished"))
+    with np.errstate(all="ignore"):
+        rep = alternating_projection_probe(sys, starts=2, witness_max_iter=50)
+    assert not rep.passed
+    for name in ("witness_constraint_residual", "witness_negative_eigenvalue"):
+        assert np.isnan(rep.check(name).measured) and not rep.check(name).passed
+    assert not rep.check("witness_distance_exceeds_threshold").passed
+    assert eigensolves == []
+
+
 SRC = str(Path(probe.__file__).resolve().parents[1])
 
 

@@ -29,7 +29,7 @@ from switchcert.uniqueness import (
     verify_corollary,
 )
 
-from oracles import grouped_sums_by_pair
+from oracles import grouped_sums_by_pair, minor_pairs_by_family
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S_GATE = np.diag([1.0, 1j]).astype(complex)
@@ -125,9 +125,44 @@ def test_diagonal_certificate():
         rep = diagonal_certificate(d)
         assert rep.passed, [c for c in rep.checks if not c.passed]
         assert rep.check("support_count").measured == 2 * d ** 3
+        # S1..S7 are disjoint, and together they are the support of the vector
+        members = np.concatenate([np.ravel_multi_index(m.T, (d,) * 6 + (2, 2))
+                                  for m in diagonal_support_sets(d).values()])
+        assert len(np.unique(members)) == len(members)
+        assert np.array_equal(np.sort(members), np.flatnonzero(switch_choi_vector(d)))
     sets = diagonal_support_sets(3)
     sizes = {k: len(v) for k, v in sets.items()}
     assert sizes == {"S1": 24, "S2": 6, "S3": 6, "S4": 6, "S5": 6, "S6": 3, "S7": 3}
+
+
+def test_diagonal_certificate_fails_only_the_displayed_action_off_the_support():
+    # W[(ket, 0), (bra, 0)] in the displayed |0101><1010| block is a zero of
+    # the row formula (the ket |a b c e> = |0101> has b != c and a != e) and
+    # neither a diagonal nor a minor entry: only the displayed-action check
+    # sees it change
+    dims = (2,) * 6 + (2, 2)
+    r = np.ravel_multi_index((0, 1, 0, 1, 0, 0, 0, 0), dims)
+    c = np.ravel_multi_index((1, 0, 1, 0, 0, 0, 0, 0), dims)
+    w0 = build_switch_choi(2).op.entries.copy()
+    assert w0[r, c] == w0[c, r] == 0.0
+    w0[r, c] = w0[c, r] = 0.5
+    rep = diagonal_certificate(2, process=Process(2, Operator(w0)))
+    assert [ch.name for ch in rep.checks if not ch.passed] == ["displayed_action_dev"]
+    assert rep.check("displayed_action_dev").measured == 0.5
+
+
+@pytest.mark.parametrize("family", ["S1", "S2", "S3", "S4", "S5", "S6", "S7"])
+def test_diagonal_certificate_reads_every_family_of_minors(family):
+    # zero the partner entries of one family's minors, keeping W Hermitian:
+    # only a certificate that reads those very entries sees the minor open
+    dims = (2,) * 6 + (2, 2)
+    w0 = build_switch_choi(2).op.entries.copy()
+    for a, b in minor_pairs_by_family(2)[family]:
+        r, c = np.ravel_multi_index(a, dims), np.ravel_multi_index(b, dims)
+        w0[r, c] = w0[c, r] = 0.0
+    rep = diagonal_certificate(2, process=Process(2, Operator(w0)))
+    assert rep.check("minor_cross_dev").measured == 1.0
+    assert rep.check("minor_product_dev").passed
 
 
 def test_diagonal_certificate_toy_scan_stays_small():
