@@ -26,11 +26,10 @@ from .probe import (
 )
 from .report import CertificateReport, Check
 from .span import (
-    GroupElement,
     SpanGenerator,
-    build_group,
     build_span_generator,
     estimate_span_dimension,
+    group_table,
     verify_span_lemmas,
 )
 from .switch import (

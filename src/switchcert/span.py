@@ -436,74 +436,43 @@ def span_dimension_formula(d: int) -> int:
 # --- ket-bra grouping G1 / G2 / G3 -------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """One element of the G1/G2/G3 grouping, as a signed sum of ket-bras."""
-
-    group_id: str
-    d: int
-    indices: tuple[int, ...]
-    terms: tuple[tuple[float, tuple[int, int, int, int]], ...]
+GROUP_IDS = ("G1", "G2", "G3")
 
 
-def _group_vectors(elements, d: int) -> np.ndarray:
-    """Row-major vec of each element's operator, (elements x d^4), from one
-    scatter of all the terms."""
-    rows, cols, coeffs = [], [], []
-    for r, el in enumerate(elements):
-        for coeff, (a, b, c, e) in el.terms:
-            rows.append(r)
-            cols.append(((a * d + b) * d + c) * d + e)
-            coeffs.append(coeff)
-    x = np.zeros((len(elements), d ** 4))
-    np.add.at(x, (rows, cols), coeffs)
-    return x
+def _ketbra_indices(d: int) -> np.ndarray:
+    """(a, b, c, e) of every slot ket-bra |ab><ce|, (4, d^4) in row-major order."""
+    return np.indices((d,) * 4).reshape(4, -1)
 
 
-def _g1_index_tuples(d: int):
-    rng = range(d)
-    for tup in itertools.product(rng, repeat=4):
-        i, j, i2, j2 = tup
-        distinct = len(set(tup))
-        if distinct == 4:
-            yield tup
-        elif distinct == 3:
-            yield tup
-        elif i == j and i2 == j2 and i != i2:
-            yield tup
-        elif i == j2 and j == i2 and i != j:
-            yield tup
+def group_table(d: int):
+    """The G1/G2/G3 grouping as one partition of the d^4 slot ket-bras.
 
-
-def build_group(group_id: str, d: int) -> list[GroupElement]:
-    """Elements of one group; sizes follow the closed forms.
-
-    |G1| = d(d-1)(d^2+d-4), |G2| = d, |G3| = 2d(d-1); G3' and G3'' are the
-    two halves of G3 (available as ids "G3p" and "G3pp").
+    Returns, per ket-bra in row-major (a, b, c, e) order, its element and
+    coefficient, and per element its group (an index into GROUP_IDS) and its
+    half of G3 (1 for G3', 2 for G3'', 0 outside G3).  Element k of G2 holds
+    the ket-bras with a = c, b = e and k = (b - a) mod d; G3'(i, j) is
+    +|ij><ii| - |jj><ji| and G3''(i, j) is +|ji><ii| - |jj><ij| for i != j;
+    every other ket-bra is a G1 element of its own.  Elements are numbered
+    G1 in ket-bra order, then G2 by k, then G3' and G3'' by (i, j).
     """
     if d < 2:
         raise ValueError("groups need d >= 2")
-    rng = range(d)
-    out = []
-    if group_id == "G1":
-        for tup in _g1_index_tuples(d):
-            out.append(GroupElement("G1", d, tup, ((1.0, tup),)))
-    elif group_id == "G2":
-        for k in rng:
-            terms = tuple((1.0, (i, (i + k) % d, i, (i + k) % d)) for i in rng)
-            out.append(GroupElement("G2", d, (k,), terms))
-    elif group_id in ("G3", "G3p", "G3pp"):
-        if group_id in ("G3", "G3p"):
-            for i, j in itertools.permutations(rng, 2):
-                terms = ((1.0, (i, j, i, i)), (-1.0, (j, j, j, i)))
-                out.append(GroupElement("G3p", d, (i, j), terms))
-        if group_id in ("G3", "G3pp"):
-            for i, j in itertools.permutations(rng, 2):
-                terms = ((1.0, (j, i, i, i)), (-1.0, (j, j, i, j)))
-                out.append(GroupElement("G3pp", d, (i, j), terms))
-    else:
-        raise ValueError(f"unknown group id {group_id!r}")
-    return out
+    n = d ** 4
+    a, b, c, e = _ketbra_indices(d)
+    key, coeff = np.arange(n), np.ones(n)
+    group, half = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    g2 = (a == c) & (b == e)
+    key[g2], group[g2] = n + (b - a)[g2] % d, 1
+    # (half, sign, i, j, coincidence mask) of each of the four G3 term shapes
+    for h, sign, i, j, same in ((1, 1.0, a, b, (a == c) & (a == e)),     # |ij><ii|
+                                (1, -1.0, e, a, (a == b) & (a == c)),    # |jj><ji|
+                                (2, 1.0, b, a, (b == c) & (b == e)),     # |ji><ii|
+                                (2, -1.0, c, a, (a == b) & (a == e))):   # |jj><ij|
+        m = same & (i != j)
+        key[m] = (n + d + (h - 1) * d * d + i * d + j)[m]
+        coeff[m], group[m], half[m] = sign, 2, h
+    _, first, element = np.unique(key, return_index=True, return_inverse=True)
+    return element, coeff, group[first], half[first]
 
 
 def group_size_formulas(d: int) -> dict:
@@ -520,18 +489,20 @@ def verify_group_combinatorics(d: int) -> "CertificateReport":
     the span by a residual of at least 1.
     """
     timer = Timer()
-    groups = {gid: build_group(gid, d) for gid in ("G1", "G2", "G3")}
-    sizes = {gid: len(els) for gid, els in groups.items()}
+    element, coeff, group, half = group_table(d)
+    sizes = dict(zip(GROUP_IDS, np.bincount(group, minlength=len(GROUP_IDS)).tolist()))
     forms = group_size_formulas(d)
     checks = [check_exact_int(f"size_{gid}", sizes[gid], forms[gid])
-              for gid in ("G1", "G2", "G3")]
+              for gid in GROUP_IDS]
     covered = sizes["G1"] + d * sizes["G2"] + 2 * sizes["G3"]
     checks.append(check_exact_int("covering_identity_d4", covered, d ** 4))
+    # G3' and G3'' split G3 evenly: twice the smaller half is all of G3
     checks.append(check_exact_int("halves_of_G3",
-                                  len(build_group("G3p", d)) + len(build_group("G3pp", d)),
+                                  2 * int(np.bincount(half, minlength=3)[1:].min()),
                                   sizes["G3"]))
-    resid = _span_residuals(_group_vectors(
-        groups["G1"] + groups["G2"] + groups["G3"], d), d)
+    vectors = np.zeros((len(group), d ** 4))
+    vectors[element, np.arange(d ** 4)] = coeff  # each ket-bra in one element
+    resid = _span_residuals(vectors, d)
     g1_resid = resid[:sizes["G1"]]
     outside = 2 * d * (d - 1) * (d - 2)
     checks += [
@@ -542,14 +513,6 @@ def verify_group_combinatorics(d: int) -> "CertificateReport":
                         int(np.count_nonzero(g1_resid <= 1e-9)), sizes["G1"] - outside),
     ]
     return make_report(f"group_combinatorics_d{d}", checks, timer)
-
-
-def _same_side_lone_ketbras(d: int) -> list[np.ndarray]:
-    ops = []
-    for x, y, z in itertools.permutations(range(d), 3):
-        ops.append(_ketbra(d, x, y, x, z))   # repeated input index
-        ops.append(_ketbra(d, x, y, z, y))   # repeated output index
-    return ops
 
 
 def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
@@ -610,8 +573,14 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
     if d == 2:
         checks.append(check_exact_int("stated_list_rank_d2", stacked_rank, 10))
     else:
-        lone = _same_side_lone_ketbras(d)
-        min_lone = -nan_max(*(-_span_residuals(lone, d)))
+        # |xy><xz| and |xy><zy| for distinct x, y, z: the one coincidence of
+        # the indices is a repeated input (a = c) or output (b = e) index
+        a, b, c, e = _ketbra_indices(d)
+        repeats = sum(p == q for p, q in itertools.combinations((a, b, c, e), 2))
+        lone = np.flatnonzero((repeats == 1) & ((a == c) | (b == e)))
+        onehot = np.zeros((len(lone), d ** 4))
+        onehot[np.arange(len(lone)), lone] = 1.0
+        min_lone = -nan_max(*(-_span_residuals(onehot, d)))
         checks.append(check_true("same_side_lone_ketbras_outside_span",
                                  min_lone > 0.1))
         notes.append(f"lone_same_side_ketbras={len(lone)} "

@@ -40,7 +40,7 @@ from .report import (
     make_report,
     nan_max,
 )
-from .span import build_group
+from .span import GROUP_IDS, group_table
 from .switch import (
     Process,
     apply_one_slot,
@@ -333,9 +333,6 @@ def grouped_sum_formulas(d: int) -> dict:
     }
 
 
-GROUP_IDS = ("G1", "G2", "G3")
-
-
 def _grouped_sums(proc: Process) -> tuple[dict, float]:
     """Sums of output 1-norms over the nine ordered group pairs, in one pass.
 
@@ -345,22 +342,13 @@ def _grouped_sums(proc: Process) -> tuple[dict, float]:
     ordered group pair and the largest deviation of the accumulated entries
     from integers (NaN if one is not finite or too large to tell).
     """
-    d, n, nout = proc.d, proc.d ** 2, proc.nout
-    element = np.empty(n * n, dtype=np.int64)  # per slot ket-bra |ab><ce|
-    coeff = np.empty(n * n)
-    group_of = []  # per element
-    for g, gid in enumerate(GROUP_IDS):
-        for el in build_group(gid, d):
-            for c, ketbra in el.terms:
-                k = np.ravel_multi_index(ketbra, (d, d, d, d))
-                element[k], coeff[k] = len(group_of), c
-            group_of.append(g)
-
+    n, nout = proc.d ** 2, proc.nout
+    element, coeff, group, _ = group_table(proc.d)  # per slot ket-bra |ab><ce|
     rows, cols, vals = proc.nonzeros()
     r1, r2, o = np.unravel_index(rows, (n, n, nout))
     c1, c2, p = np.unravel_index(cols, (n, n, nout))
     k1, k2 = r1 * n + c1, r2 * n + c2
-    shape = (len(group_of), len(group_of), nout, nout)
+    shape = (len(group), len(group), nout, nout)
     keys, at = np.unique(np.ravel_multi_index((element[k1], element[k2], o, p), shape),
                          return_inverse=True)
     terms = coeff[k1] * coeff[k2] * vals
@@ -370,7 +358,7 @@ def _grouped_sums(proc: Process) -> tuple[dict, float]:
     ok = av < 2.0 ** 53  # False for inf/NaN, or too large to tell integrality
     nearest = np.rint(av[ok])
     nonint = float(np.abs(av[ok] - nearest).max(initial=0.0)) if ok.all() else np.nan
-    ga, gb = np.take(group_of, np.unravel_index(keys[ok], shape)[:2])
+    ga, gb = np.take(group, np.unravel_index(keys[ok], shape)[:2])
     pair = ga * len(GROUP_IDS) + gb
     sums = {ab: sum(nearest[pair == i].astype(np.int64).tolist())
             for i, ab in enumerate(itertools.product(GROUP_IDS, repeat=2))}

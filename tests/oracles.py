@@ -6,8 +6,11 @@ subsystem label) is the textbook link product that ``switch.link`` is
 checked against; it works on ``Labeled`` matrices, whose ``SpaceLayout``
 names each tensor factor.  The Kraus route builds the switch's output
 channel from the Kraus operators of its slots without any process matrix;
-``is_cptp`` checks a channel's Choi matrix.  ``grouped_sums_by_pair``
-replays the switch's grouped 1-norm sums pair by pair on dense blocks.
+``is_cptp`` checks a channel's Choi matrix.  ``build_group`` writes the
+G1/G2/G3 grouping out element by element, and ``grouped_sums_by_pair``
+replays the switch's grouped 1-norm sums with it pair by pair on dense
+blocks.  ``same_side_lone_ketbras`` lists the ket-bras |xy><xz| and
+|xy><zy| that lie outside span{J_U}.
 ``minor_pairs_by_family`` lists the tight 2 x 2 minors of the diagonal
 certificate family by family, written out tuple by tuple.
 ``dykstra_start`` runs the probe's alternating projections with fresh
@@ -27,7 +30,6 @@ from switchcert.channels import KrausChannel, choi_from_kraus
 from switchcert.linalg import Operator, frobenius, min_eigenvalue
 from switchcert.probe import MAX_ITER, TOL, affine_project, psd_project
 from switchcert.report import nan_max
-from switchcert.span import build_group
 from switchcert.switch import CANONICAL_ORDER, Process
 
 # --- labeled spaces ------------------------------------------------------------
@@ -212,6 +214,74 @@ def is_cptp(ch, tol: float = 1e-9) -> bool:
     j4 = j.reshape(d, d, d, d)
     return (min_eigenvalue(j) >= -tol
             and frobenius(np.einsum("iaka->ik", j4), np.eye(d)) <= tol)
+
+
+# --- the G1/G2/G3 grouping, element by element -------------------------------------
+
+
+@dataclass(frozen=True)
+class GroupElement:
+    """One element of the G1/G2/G3 grouping, as a signed sum of ket-bras."""
+
+    group_id: str
+    d: int
+    indices: tuple[int, ...]
+    terms: tuple[tuple[float, tuple[int, int, int, int]], ...]
+
+
+def _g1_index_tuples(d: int):
+    rng = range(d)
+    for tup in itertools.product(rng, repeat=4):
+        i, j, i2, j2 = tup
+        distinct = len(set(tup))
+        if distinct == 4:
+            yield tup
+        elif distinct == 3:
+            yield tup
+        elif i == j and i2 == j2 and i != i2:
+            yield tup
+        elif i == j2 and j == i2 and i != j:
+            yield tup
+
+
+def build_group(group_id: str, d: int) -> list[GroupElement]:
+    """Elements of one group; sizes follow the closed forms.
+
+    |G1| = d(d-1)(d^2+d-4), |G2| = d, |G3| = 2d(d-1); G3' and G3'' are the
+    two halves of G3 (available as ids "G3p" and "G3pp").
+    """
+    if d < 2:
+        raise ValueError("groups need d >= 2")
+    rng = range(d)
+    out = []
+    if group_id == "G1":
+        for tup in _g1_index_tuples(d):
+            out.append(GroupElement("G1", d, tup, ((1.0, tup),)))
+    elif group_id == "G2":
+        for k in rng:
+            terms = tuple((1.0, (i, (i + k) % d, i, (i + k) % d)) for i in rng)
+            out.append(GroupElement("G2", d, (k,), terms))
+    elif group_id in ("G3", "G3p", "G3pp"):
+        if group_id in ("G3", "G3p"):
+            for i, j in itertools.permutations(rng, 2):
+                terms = ((1.0, (i, j, i, i)), (-1.0, (j, j, j, i)))
+                out.append(GroupElement("G3p", d, (i, j), terms))
+        if group_id in ("G3", "G3pp"):
+            for i, j in itertools.permutations(rng, 2):
+                terms = ((1.0, (j, i, i, i)), (-1.0, (j, j, i, j)))
+                out.append(GroupElement("G3pp", d, (i, j), terms))
+    else:
+        raise ValueError(f"unknown group id {group_id!r}")
+    return out
+
+
+def same_side_lone_ketbras(d: int) -> list[tuple[int, int, int, int]]:
+    """|xy><xz| (repeated input index) and |xy><zy| (repeated output index)
+    for every ordered triple of distinct x, y, z."""
+    out = []
+    for x, y, z in itertools.permutations(range(d), 3):
+        out += [(x, y, x, z), (x, y, z, y)]
+    return out
 
 
 # --- grouped sums, one element pair at a time -------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from switchcert import probe, span, switch, uniqueness
 from switchcert.channels import haar_random_unitary
 from switchcert.probe import alternating_projection_probe, build_constraint_system
-from switchcert.span import GroupElement, verify_group_combinatorics
+from switchcert.span import verify_group_combinatorics
 from switchcert.switch import Process, link, switch_choi_vector, verify_unitary_action
 from switchcert.uniqueness import offdiagonal_certificate, verify_corollary
 
@@ -14,17 +14,16 @@ import test_probe
 
 
 def test_flipped_g3_sign_fails_group_combinatorics(monkeypatch):
-    build_group = span.build_group
+    group_table = span.group_table
 
-    def flipped(group_id, d):
-        els = build_group(group_id, d)
-        if group_id == "G3":
-            (c1, t1), (c2, t2) = els[0].terms
-            els[0] = GroupElement(els[0].group_id, d, els[0].indices, ((c1, t1), (-c2, t2)))
-        return els
+    def flipped(d):
+        element, coeff, group, half = group_table(d)
+        first_g3 = np.flatnonzero(group == 2)[0]
+        coeff = np.where((element == first_g3) & (coeff < 0), 1.0, coeff)
+        return element, coeff, group, half
 
     assert verify_group_combinatorics(3).passed
-    monkeypatch.setattr(span, "build_group", flipped)
+    monkeypatch.setattr(span, "group_table", flipped)
     rep = verify_group_combinatorics(3)
     assert rep.name == "group_combinatorics_d3"
     assert not rep.passed

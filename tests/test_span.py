@@ -9,15 +9,14 @@ from switchcert.channels import choi_from_kraus, haar_random_unitary, \
 from switchcert.linalg import frobenius
 from switchcert.span import (
     _branch_states,
-    _group_vectors,
     _phase_averages,
     _scaled_unitary_deviations,
     _span_residuals,
-    build_group,
     build_span_generator,
     enumerate_generators,
     estimate_span_dimension,
     group_size_formulas,
+    group_table,
     listed_operator_count,
     scale_match_residual,
     span_dimension_formula,
@@ -26,6 +25,8 @@ from switchcert.span import (
     verify_group_combinatorics,
     verify_span_lemmas,
 )
+
+from oracles import build_group, same_side_lone_ketbras
 
 
 def ketbra(d, a, b, c, e):
@@ -338,32 +339,70 @@ def test_stated_list_rank(d, rank, monkeypatch):
 def test_group_sizes_and_cover():
     for d in (2, 3, 4):
         forms = group_size_formulas(d)
-        sizes = {gid: len(build_group(gid, d)) for gid in ("G1", "G2", "G3")}
+        _, _, group, half = group_table(d)
+        sizes = dict(zip(("G1", "G2", "G3"), np.bincount(group).tolist()))
         assert sizes == forms
         assert sizes["G1"] + d * sizes["G2"] + 2 * sizes["G3"] == d ** 4
+        assert np.bincount(half).tolist() == [sizes["G1"] + d, d * (d - 1), d * (d - 1)]
+        assert np.array_equal(half > 0, group == 2)
         rep = verify_group_combinatorics(d)
         assert rep.passed
-    assert {len(build_group(g, 3)) for g in ("G3p", "G3pp")} == {6}
     with pytest.raises(ValueError):
-        build_group("G4", 2)
+        group_table(1)
+
+
+def test_group_table_matches_the_element_list():
+    # the index table holds the written-out elements, terms and signs, in order
+    for d in (2, 3, 4):
+        element, coeff, group, half = group_table(d)
+        ketbras = [tuple(t) for t in np.indices((d,) * 4).reshape(4, -1).T.tolist()]
+        elements = [el for gid in ("G1", "G2", "G3") for el in build_group(gid, d)]
+        assert len(group) == len(elements)
+        for n, el in enumerate(elements):
+            members = np.flatnonzero(element == n)
+            assert sorted((coeff[k], ketbras[k]) for k in members) == sorted(el.terms)
+            gid = ("G1", "G2", "G3")[group[n]]
+            assert gid == el.group_id[:2]
+            assert half[n] == {"G3p": 1, "G3pp": 2}.get(el.group_id, 0)
 
 
 def test_group_membership_in_span():
     # G2 and G3 elements always lie in the span; G1 elements do except for
     # the two same-side coincidence patterns
     d = 3
-    for gid in ("G2", "G3"):
-        for el in build_group(gid, d):
-            assert _span_residuals(_group_vectors([el], d), d)[0] <= 1e-9
+    element, coeff, group, _ = group_table(d)
+    vectors = np.zeros((len(group), d ** 4))
+    vectors[element, np.arange(d ** 4)] = coeff
+    resid = _span_residuals(vectors, d)
+    assert resid[group > 0].max() <= 1e-9
     outside = 0
-    for el in build_group("G1", d):
-        i, j, i2, j2 = el.indices
+    for (i, j, i2, j2), n in zip(np.indices((d,) * 4).reshape(4, -1).T.tolist(), element):
+        if group[n] > 0:
+            continue
         if len({i, j, i2, j2}) == 3 and (i == i2 or j == j2):
-            assert _span_residuals(_group_vectors([el], d), d)[0] > 0.1
+            assert resid[n] > 0.1
             outside += 1
         else:
-            assert _span_residuals(_group_vectors([el], d), d)[0] <= 1e-9
+            assert resid[n] <= 1e-9
     assert outside == 2 * d * (d - 1) * (d - 2)
+
+
+def test_lone_ketbras_are_the_same_side_list(monkeypatch):
+    # the mask selects every |xy><xz| and |xy><zy| with x, y, z distinct, once
+    residuals = span._span_residuals
+    seen = []
+    monkeypatch.setattr(span, "_span_residuals",
+                        lambda x, d: seen.append(np.asarray(x)) or residuals(x, d))
+    for d, count in ((3, 12), (4, 48)):
+        seen.clear()
+        notes = verify_span_lemmas(d).notes
+        assert any(note.startswith(f"lone_same_side_ketbras={count} ") for note in notes)
+        rows, cols = np.nonzero(seen[-1])
+        assert seen[-1].shape == (count, d ** 4) and rows.tolist() == list(range(count))
+        assert seen[-1][rows, cols].tolist() == [1.0] * count
+        listed = [np.ravel_multi_index(t, (d,) * 4) for t in same_side_lone_ketbras(d)]
+        assert len(listed) == count
+        assert cols.tolist() == sorted(listed)
 
 
 def test_group_combinatorics_certifies_membership():

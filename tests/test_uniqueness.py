@@ -10,7 +10,7 @@ from switchcert.channels import (
 )
 from switchcert.linalg import Operator, frobenius, min_eigenvalue, numerical_rank
 from switchcert import uniqueness
-from switchcert.span import build_group
+from switchcert.span import group_table
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector, verify_unitary_action
 from switchcert.uniqueness import (
     apply_one_slot,
@@ -232,11 +232,13 @@ def test_offdiagonal_overflowing_override_fails_cleanly():
 
 
 def test_group_terms_partition_the_slot_ketbras():
-    # the one-pass grouped sum files each slot ket-bra under one element
+    # the one-pass grouped sum files each slot ket-bra under one element: a
+    # G1 element holds one ket-bra, a G2 element d, a G3 element a +/- pair
     for d in (2, 3, 4):
-        terms = [t for gid in uniqueness.GROUP_IDS for el in build_group(gid, d)
-                 for _, t in el.terms]
-        assert len(terms) == len(set(terms)) == d ** 4
+        element, coeff, group, _ = group_table(d)
+        assert element.shape == coeff.shape == (d ** 4,)
+        assert np.bincount(element).tolist() == [(1, d, 2)[g] for g in group]
+        assert np.bincount(element, coeff).tolist() == [(1, d, 0)[g] for g in group]
 
 
 def test_grouped_sums_match_the_pair_by_pair_oracle():
