@@ -34,10 +34,7 @@ from .span import (
 )
 from .switch import (
     Process,
-    apply_one_slot,
-    apply_two_slot,
     build_switch_choi,
-    link,
     unitary_actions,
     verify_unitary_action,
 )

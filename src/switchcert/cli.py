@@ -8,6 +8,7 @@ import datetime
 import json
 import math
 import os
+import stat
 import sys
 
 from . import __version__
@@ -282,8 +283,8 @@ def main(argv=None) -> int:
             if isinstance(exc, Exception):  # a fault of the program, not of the request
                 _error_exit(f"internal error: {type(exc).__name__}: {exc}", code=3)
             raise
-        if cfg.out and fh.seekable():
-            fh.truncate(0)
+        if cfg.out and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(0)  # a device such as /dev/null cannot be truncated
         fh.write(render_json(report) if cfg.format == "json" else render_text(report))
     return code
 

@@ -1,4 +1,4 @@
-"""Process matrices, the link product, and the quantum switch.
+"""Process matrices, their action kernel, and the quantum switch.
 
 A one-slot process acts on I (x) O (x) P (x) F.  A two-slot process, such
 as the switch, acts on eight subsystems: the two operation slots
@@ -65,11 +65,6 @@ class Process:
         return Operator(np.outer(self.vector, self.vector.conj()))
 
     @property
-    def data(self) -> np.ndarray:
-        """What ``link`` contracts: the vector if pure, else the dense entries."""
-        return self.vector if self.vector is not None else self.dense.entries
-
-    @property
     def nin(self) -> int:
         """Dimension of the slot (input) systems, which come first."""
         return self.d ** (2 * self.slots)
@@ -77,7 +72,8 @@ class Process:
     @property
     def nout(self) -> int:
         """Dimension of the global past and future (output) systems, which come last."""
-        return len(self.data) // self.nin
+        n = self.vector.size if self.vector is not None else self.dense.entries.shape[0]
+        return n // self.nin
 
     def nonzeros(self) -> tuple:
         """Row indices, column indices and values of the entries of W that may
@@ -100,20 +96,6 @@ class Process:
         if self.vector is not None:
             return (self.vector * self.vector.conj()).real
         return np.diag(self.dense.entries).real.copy()
-
-
-def link(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The link product Tr_in[W (X^t (x) 1_out)] for an input-space operator X.
-
-    ``w`` is either the process vector of a pure W = |w><w|, contracted as
-    Wm^T X conj(Wm) with Wm = w.reshape(nin, nout), or the dense matrix W.
-    """
-    nin = x.shape[0]
-    if w.ndim == 1:
-        wm = w.reshape(nin, -1)
-        return wm.T @ x @ wm.conj()
-    nout = w.shape[0] // nin
-    return np.einsum("aobp,ab->op", w.reshape(nin, nout, nin, nout), x)
 
 
 def switch_choi_vector(d: int) -> np.ndarray:
@@ -147,29 +129,6 @@ def controlled_order_unitary(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.kron(p0, u2 @ u1) + np.kron(p1, u1 @ u2)
 
 
-def _slot_matrix(x, d: int, slot: int) -> np.ndarray:
-    m = np.asarray(x, dtype=complex)
-    if m.shape != (d * d, d * d):
-        raise ValueError(f"slot-{slot} operator must be {d * d} x {d * d}")
-    return m
-
-
-def apply_two_slot(proc: Process, a, b) -> np.ndarray:
-    """Choi matrix of the output channel, Tr_in[W (I (x) A (x) B (x) I)^t].
-
-    Only the slot systems are transposed; the identity factors on the global
-    past/future are transpose-invariant, so this equals the full transpose.
-    ``a`` and ``b`` are d^2 x d^2 matrices: Choi matrices of slot channels or
-    arbitrary operators (linearity in each slot holds for any operator).
-    """
-    d = proc.d
-    if proc.slots != 2:
-        raise ValueError("apply_two_slot needs a two-slot process")
-    amat = _slot_matrix(a, d, 1)
-    bmat = _slot_matrix(b, d, 2)
-    return _channel_order(link(proc.data, np.kron(amat, bmat)), d)
-
-
 def _channel_order(out: np.ndarray, d: int) -> np.ndarray:
     """Reorder one two-slot output or a stack of them from (PT, FT, PC, FC)
     to P (x) F with P = (PC, PT)."""
@@ -177,28 +136,24 @@ def _channel_order(out: np.ndarray, d: int) -> np.ndarray:
     return x.reshape(out.shape)
 
 
-def apply_one_slot(proc: Process, j) -> np.ndarray:
-    """Output Choi matrix Tr_IO[C (J^t (x) I_PF)] on the past/future pair."""
-    if proc.slots != 1:
-        raise ValueError("apply_one_slot needs a one-slot process")
-    return link(proc.data, _slot_matrix(j, proc.d, 1))
+def unitary_actions(proc: Process, ks) -> np.ndarray:
+    """Output Choi matrices of ``proc`` on a stack of rank-1 maps X -> K X K^dag.
 
-
-def unitary_actions(proc: Process, us) -> np.ndarray:
-    """Output Choi matrices of ``proc`` on a stack of unitary channels.
-
-    ``us`` is (n, d, d) for one slot and (n, 2, d, d), pairs (U1, U2), for
-    two; row i equals ``apply_one_slot`` (or ``apply_two_slot``) of the
-    ``unitary_choi`` of us[i].  J_U = |u><u| with u = vec U^T (u1 (x) u2 for
-    a pair), so the link of a pure W is |v><v| with v = Wm^T u, and all rows
-    come from one product x @ Wm; a dense W is contracted as
-    x @ W.reshape(nin, -1) and then with conj(x).
+    This is the one place where W is contracted.  ``ks`` is (n, d, d) for
+    one slot and (n, 2, d, d), pairs (K1, K2), for two; the K need not be
+    unitary, so a channel's output is the sum of the rows over its Kraus
+    operators (over all Kraus pairs for two slots).  The Choi matrix of
+    X -> K X K^dag is |k><k| with k = vec K^T (k1 (x) k2 for a pair), so the
+    link Tr_in[W (|k><k|^t (x) 1_out)] of a pure W is |v><v| with
+    v = Wm^T k, and all rows come from one product x @ Wm; a dense W is
+    contracted as x @ W.reshape(nin, -1) and then with conj(x).  Two-slot
+    outputs are ordered P (x) F with P = (PC, PT).
     """
-    d, n = proc.d, len(us)
-    us = np.asarray(us, dtype=complex)
-    if us.shape[1:] != ((d, d) if proc.slots == 1 else (2, d, d)):
-        raise ValueError(f"a stack of {proc.slots}-slot unitaries on C^{d} is needed")
-    phi = np.swapaxes(us, -1, -2).reshape(n, proc.slots, d * d)
+    d, n = proc.d, len(ks)
+    ks = np.asarray(ks, dtype=complex)
+    if ks.shape[1:] != ((d, d) if proc.slots == 1 else (2, d, d)):
+        raise ValueError(f"a stack of {proc.slots}-slot operators on C^{d} is needed")
+    phi = np.swapaxes(ks, -1, -2).reshape(n, proc.slots, d * d)
     x = phi[:, 0] if proc.slots == 1 else \
         (phi[:, 0, :, None] * phi[:, 1, None, :]).reshape(n, -1)
     if proc.vector is not None:

@@ -43,7 +43,6 @@ from .report import (
 from .span import GROUP_IDS, group_table
 from .switch import (
     Process,
-    apply_one_slot,
     max_action_distance,
     switch_choi_vector,
     unitary_actions,
@@ -155,9 +154,10 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     off_support = float(np.abs(diag - np.diag(np.diag(diag))).max())
     support_count = int(np.count_nonzero(np.abs(np.diag(diag) - 1.0) <= CERT_TOL))
     # (v) Fourier witness
-    jf = unitary_choi(fourier_matrix(d))
+    f = fourier_matrix(d)
+    jf = unitary_choi(f)
     min_entry = float(np.abs(jf).min())
-    out = apply_one_slot(proc, jf)
+    out = unitary_actions(proc, f[None])[0]
     action_dev = frobenius(out, jf)
     chain_dev = float(np.abs(out - pair * jf).max())
     forced_dev = float(np.abs(pair - 1.0).max())
@@ -422,8 +422,10 @@ def verify_corollary(kind: str, d: int, trials: int, seed,
         proc, haar_random_unitaries(d, trials, seed),
         lambda us: unitary_choi(np.swapaxes(us, 1, 2) if kind == "transpose" else b @ us @ a))
 
-    jlam = choi_from_kraus(standard_channel("replace_zero", d))
-    got = apply_one_slot(proc, jlam)
+    replace = standard_channel("replace_zero", d)
+    jlam = choi_from_kraus(replace)
+    # summed one Kraus operator at a time: a stacked call holds all d outputs at once
+    got = sum(unitary_actions(proc, k[None])[0] for k in replace.kraus)
     if kind == "transpose":
         f = flip_operator(d)
         want = f @ jlam @ f

@@ -1,10 +1,14 @@
 """Independent reference routes that the tests check the package against.
 
-None of this is used by the certificates.  The dense label route (tensor
-with identities, partial-transpose, multiply, partial-trace, permute by
-subsystem label) is the textbook link product that ``switch.link`` is
-checked against; it works on ``Labeled`` matrices, whose ``SpaceLayout``
-names each tensor factor.  The Kraus route builds the switch's output
+None of this is used by the certificates.  ``link``, ``apply_one_slot``
+and ``apply_two_slot`` contract W with a dense d^2 x d^2 input operator per
+slot; they are the reference that ``switch.unitary_actions``, the package's
+only contraction of W, is checked against, one Kraus operator (or Kraus
+pair) at a time.  The dense label route (tensor with identities,
+partial-transpose, multiply, partial-trace, permute by subsystem label) is
+the textbook link product that ``link`` is checked against in turn; it
+works on ``Labeled`` matrices, whose ``SpaceLayout`` names each tensor
+factor.  The Kraus route builds the switch's output
 channel from the Kraus operators of its slots without any process matrix;
 ``is_cptp`` checks a channel's Choi matrix.  ``build_group`` writes the
 G1/G2/G3 grouping out element by element, and ``grouped_sums_by_pair``
@@ -30,7 +34,7 @@ from switchcert.channels import KrausChannel, choi_from_kraus
 from switchcert.linalg import Operator, frobenius, min_eigenvalue
 from switchcert.probe import MAX_ITER, TOL, affine_project, psd_project
 from switchcert.report import nan_max
-from switchcert.switch import CANONICAL_ORDER, Process
+from switchcert.switch import CANONICAL_ORDER, Process, _channel_order
 
 # --- labeled spaces ------------------------------------------------------------
 
@@ -173,6 +177,58 @@ def permute_systems(op: Labeled, new_order) -> Labeled:
     out = _tensorized(op).transpose(axes).reshape(op.layout.dim, op.layout.dim)
     systems = tuple(op.layout.systems[p] for p in perm)
     return Labeled(SpaceLayout(systems), out)
+
+
+# --- dense link product ------------------------------------------------------------
+
+
+def link(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The link product Tr_in[W (X^t (x) 1_out)] for an input-space operator X.
+
+    ``w`` is either the process vector of a pure W = |w><w|, contracted as
+    Wm^T X conj(Wm) with Wm = w.reshape(nin, nout), or the dense matrix W.
+    """
+    nin = x.shape[0]
+    if w.ndim == 1:
+        wm = w.reshape(nin, -1)
+        return wm.T @ x @ wm.conj()
+    nout = w.shape[0] // nin
+    return np.einsum("aobp,ab->op", w.reshape(nin, nout, nin, nout), x)
+
+
+def _process_data(proc: Process) -> np.ndarray:
+    """What ``link`` contracts: the vector if pure, else the dense entries."""
+    return proc.vector if proc.vector is not None else proc.dense.entries
+
+
+def _slot_matrix(x, d: int, slot: int) -> np.ndarray:
+    m = np.asarray(x, dtype=complex)
+    if m.shape != (d * d, d * d):
+        raise ValueError(f"slot-{slot} operator must be {d * d} x {d * d}")
+    return m
+
+
+def apply_two_slot(proc: Process, a, b) -> np.ndarray:
+    """Choi matrix of the output channel, Tr_in[W (I (x) A (x) B (x) I)^t].
+
+    Only the slot systems are transposed; the identity factors on the global
+    past/future are transpose-invariant, so this equals the full transpose.
+    ``a`` and ``b`` are d^2 x d^2 matrices: Choi matrices of slot channels or
+    arbitrary operators (linearity in each slot holds for any operator).
+    """
+    d = proc.d
+    if proc.slots != 2:
+        raise ValueError("apply_two_slot needs a two-slot process")
+    amat = _slot_matrix(a, d, 1)
+    bmat = _slot_matrix(b, d, 2)
+    return _channel_order(link(_process_data(proc), np.kron(amat, bmat)), d)
+
+
+def apply_one_slot(proc: Process, j) -> np.ndarray:
+    """Output Choi matrix Tr_IO[C (J^t (x) I_PF)] on the past/future pair."""
+    if proc.slots != 1:
+        raise ValueError("apply_one_slot needs a one-slot process")
+    return link(_process_data(proc), _slot_matrix(j, proc.d, 1))
 
 
 # --- Kraus route -----------------------------------------------------------------

@@ -17,7 +17,7 @@ from switchcert.span import (
     verify_group_combinatorics,
     verify_span_lemmas,
 )
-from switchcert.switch import apply_two_slot, build_switch_choi, verify_unitary_action
+from switchcert.switch import build_switch_choi, verify_unitary_action
 from switchcert.uniqueness import (
     build_cp_family,
     certify_identity_uniqueness,
@@ -28,7 +28,7 @@ from switchcert.uniqueness import (
     verify_corollary,
 )
 
-from oracles import random_kraus_channel, switch_kraus_output
+from oracles import apply_two_slot, random_kraus_channel, switch_kraus_output
 
 SEED = 2024
 

@@ -14,9 +14,8 @@ from switchcert.channels import (
     unitary_choi,
 )
 from switchcert.linalg import frobenius, numerical_rank
-from switchcert.switch import link
 
-from oracles import is_cptp, random_kraus_channel
+from oracles import is_cptp, link, random_kraus_channel
 
 
 def rand_state(rng, d):
@@ -30,7 +29,7 @@ def apply_kraus(ch, rho):
 
 
 def apply_choi(ch, rho):
-    """A channel's output Tr_I[J (rho^t (x) 1_O)], through the link kernel."""
+    """A channel's output Tr_I[J (rho^t (x) 1_O)], through the dense link oracle."""
     j = choi_from_kraus(ch) if isinstance(ch, KrausChannel) else ch
     return link(j, rho)
 

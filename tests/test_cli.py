@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -173,6 +174,15 @@ def test_out_file_replaces_a_longer_existing_file(tmp_path, capsys):
                        "--out", str(path)], capsys)
     assert code == 0
     assert json.loads(path.read_text())["passed"] is True
+
+
+def test_out_device_is_written_without_truncation(capsys):
+    # a device such as /dev/null cannot be truncated; the report still goes there
+    code = cli.main(["identity-verify", "--format", "json", "--no-timestamp",
+                     "--out", os.devnull])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "" and captured.err == ""
 
 
 def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):

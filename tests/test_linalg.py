@@ -6,8 +6,8 @@ from switchcert.linalg import Operator, frobenius, is_hermitian, min_eigenvalue,
 from switchcert.switch import build_switch_choi
 from switchcert.uniqueness import build_cp_family
 
-from oracles import (Labeled, LayoutError, SpaceLayout, identity_operator, labeled_process,
-                     partial_trace, partial_transpose, permute_systems, tensor_product)
+from oracles import (Labeled, LayoutError, SpaceLayout, identity_operator, partial_trace,
+                     partial_transpose, permute_systems, tensor_product)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -150,14 +150,6 @@ def test_permute_systems():
     assert np.array_equal(swapped.entries, p10)
     with pytest.raises(LayoutError):
         permute_systems(op, ("A", "A"))
-
-
-def test_permute_switch_round_trip_bit_exact():
-    section_order = ("PC", "PT", "I1", "O1", "I2", "O2", "FC", "FT")
-    w0 = labeled_process(build_switch_choi(2))
-    there = permute_systems(w0, section_order)
-    back = permute_systems(there, w0.layout.labels)
-    assert np.array_equal(back.entries, w0.entries)
 
 
 def test_hermitian_eigen_rejects_non_hermitian():

@@ -26,9 +26,9 @@ from switchcert.probe import (
     random_hermitian_direction,
 )
 from switchcert.span import span_dimension_formula, span_projector, vec_kron
-from switchcert.switch import Process, build_switch_choi, link
+from switchcert.switch import Process, build_switch_choi
 
-from oracles import dykstra_start
+from oracles import dykstra_start, link
 
 
 @pytest.fixture(autouse=True)

@@ -15,8 +15,6 @@ from switchcert.linalg import (Operator, frobenius, frobenius_each, min_eigenval
 from switchcert.switch import (
     CANONICAL_ORDER,
     Process,
-    apply_one_slot,
-    apply_two_slot,
     build_switch_choi,
     controlled_order_unitary,
     switch_choi_vector,
@@ -25,9 +23,10 @@ from switchcert.switch import (
 )
 from switchcert.uniqueness import build_cp_family, build_derived_one_slot, build_identity_process
 
-from oracles import (Labeled, SpaceLayout, identity_operator, is_cptp, labeled_process,
-                     partial_trace, partial_transpose, permute_systems, random_kraus_channel,
-                     switch_kraus_output, tensor_product)
+from oracles import (Labeled, SpaceLayout, apply_one_slot, apply_two_slot, identity_operator,
+                     is_cptp, labeled_process, partial_trace, partial_transpose,
+                     permute_systems, random_kraus_channel, switch_kraus_output,
+                     tensor_product)
 
 
 def dense_action(proc, ket, bra):
@@ -173,7 +172,7 @@ def block_of(proc, ket, bra):
 def scattered_nonzeros(proc):
     """Scatter nonzeros() into a dense matrix, each entry listed once."""
     rows, cols, vals = proc.nonzeros()
-    n = len(proc.data)
+    n = proc.nin * proc.nout
     assert np.unique(rows * n + cols).size == rows.size
     out = np.zeros((n, n), dtype=complex)
     out[rows, cols] = vals
@@ -360,7 +359,7 @@ def test_process_validation():
     pure = Process(2, vector=w)
     assert not pure.vector.flags.writeable
     with pytest.raises(ValueError):
-        apply_one_slot(pure, np.eye(4))
+        unitary_actions(pure, np.eye(2)[None])
 
 
 def test_process_equality_is_identity_and_hashable():
@@ -399,6 +398,38 @@ def test_unitary_actions_match_per_sample_contractions(d):
         unitary_actions(dense_switch, us)
     with pytest.raises(ValueError):
         unitary_actions(one_slot[0], pairs)
+
+
+def kraus_sum(proc, channels):
+    """Sum of the ``unitary_actions`` rows over the Kraus operators of one slot
+    channel, or over every Kraus pair of two."""
+    if len(channels) == 1:
+        ks = np.array(channels[0].kraus)
+    else:
+        ks = np.array([(k1, k2) for k1 in channels[0].kraus for k2 in channels[1].kraus])
+    return unitary_actions(proc, ks).sum(axis=0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kraus_sums_through_the_kernel_match_the_dense_link(d):
+    # non-unitary channels, summed over their Kraus operators (pairs for the
+    # switch), against the dense link of their Choi matrices, for the pure and
+    # the dense process
+    channels = [standard_channel("replace_zero", d), standard_channel("depolarizing", d),
+                random_kraus_channel(d, 2, 40 + d)]
+    a, b = haar_random_unitaries(d, 2, 200 + d)
+    for proc in (build_identity_process(d), build_derived_one_slot("sandwich", d, a, b)):
+        dense = Process(d, proc.op)
+        for ch in channels:
+            want = apply_one_slot(dense, choi_from_kraus(ch))
+            for p in (proc, dense):
+                assert frobenius(kraus_sum(p, [ch]), want) <= 1e-12
+    dense_switch = build_switch_choi(d)
+    for ch1 in channels:
+        for ch2 in channels:
+            want = apply_two_slot(dense_switch, choi_from_kraus(ch1), choi_from_kraus(ch2))
+            for p in (Process(d, vector=switch_choi_vector(d)), dense_switch):
+                assert frobenius(kraus_sum(p, [ch1, ch2]), want) <= 1e-12
 
 
 def test_stacked_controlled_order_unitary_matches_per_pair():

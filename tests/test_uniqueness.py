@@ -13,7 +13,6 @@ from switchcert import uniqueness
 from switchcert.span import group_table
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector, verify_unitary_action
 from switchcert.uniqueness import (
-    apply_one_slot,
     grouped_sum_formulas,
     build_cp_family,
     build_derived_one_slot,
@@ -29,7 +28,7 @@ from switchcert.uniqueness import (
     verify_corollary,
 )
 
-from oracles import grouped_sums_by_pair, minor_pairs_by_family
+from oracles import apply_one_slot, grouped_sums_by_pair, minor_pairs_by_family
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S_GATE = np.diag([1.0, 1j]).astype(complex)
