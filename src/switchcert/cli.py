@@ -83,19 +83,11 @@ def _run_counterexamples(cfg) -> list[CertificateReport]:
 
 
 def _run_probe(cfg) -> list[CertificateReport]:
-    certs = []
-    sys_id = build_constraint_system("identity", cfg.dim)
-    certs.append(alternating_projection_probe(
-        sys_id, starts=cfg.probe_starts, seed=cfg.seed, feas_tol=cfg.tol_psd))
-    if cfg.dim == 2:
-        sys_sw = build_constraint_system("switch", 2)
-        certs.append(alternating_projection_probe(
-            sys_sw, starts=cfg.probe_starts, seed=cfg.seed, feas_tol=cfg.tol_psd))
-        sys_cp = build_constraint_system("cp_family", 2)
-        certs.append(alternating_projection_probe(
-            sys_cp, starts=max(cfg.probe_starts, 10), seed=cfg.seed,
-            feas_tol=cfg.tol_psd))
-    return certs
+    kinds = ("identity", "switch", "cp_family") if cfg.dim == 2 else ("identity",)
+    return [alternating_projection_probe(
+        build_constraint_system(kind, cfg.dim),
+        starts=max(cfg.probe_starts, 10) if kind == "cp_family" else cfg.probe_starts,
+        seed=cfg.seed, feas_tol=cfg.tol_psd) for kind in kinds]
 
 
 _RUNNERS = {

@@ -8,13 +8,18 @@ processes whose extension is unique the runs collapse back onto the
 reference; for the deliberately non-unique family they land on feasible
 points far from it.
 
-The affine projection uses the tensor-factor structure of the constraints:
-the row space of the constraint map is (slot span)^(x slots) (x) L(out), so
-applying the closed-form span{J_U} projector of one slot, a real d^4 x d^4
-matrix, to each slot's input index pair of the difference is the exact
-orthogonal projection onto the affine set.  For the switch that is two small
-real products instead of one with the dense d^8 projector.  The PSD
-projection rebuilds the clipped matrix from its positive eigenpairs only.
+A probe problem is a ``ConstraintSystem``: a process and its kind.  The
+reference is the process's matrix, and the slot count and dimensions are
+read off the process.  The affine projection uses the tensor-factor
+structure of the constraints: the row space of the constraint map is
+(slot span)^(x slots) (x) L(out), so applying the closed-form span{J_U}
+projector of one slot, a real d^4 x d^4 matrix, to each slot's input index
+pair of the difference from the reference is the exact orthogonal
+projection onto the affine set.  For the switch that is two small real
+products instead of one with the dense d^8 projector.  That map
+(``_project``) takes neither the reference nor the output dimension, so it
+runs at any d.  The PSD projection rebuilds the clipped matrix from its
+positive eigenpairs only.
 
 The independent starts of all probe calls in a process share one pool of
 spawned workers, made on the first pooled call and kept until the process
@@ -26,22 +31,31 @@ from __future__ import annotations
 import atexit
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from .linalg import min_eigenvalue
 from .report import CertificateReport, Timer, check_leq, check_true, make_report, nan_max
 from .span import span_dimension_formula, span_projector, vec_kron
-from .switch import build_switch_choi
+from .switch import Process, build_switch_choi
 from .uniqueness import (
     build_cp_family,
     build_derived_one_slot,
     build_identity_process,
 )
 
-UNIQUE_KINDS = ("identity", "switch", "transpose", "conjugate_qubit")
-KINDS = UNIQUE_KINDS + ("cp_family",)
+# The process each kind probes unless one is given.  The builders are looked
+# up when called, so that rebinding one of their names here takes effect.
+_DEFAULT_PROCESS = {
+    "identity": lambda d: build_identity_process(d),
+    "switch": lambda d: build_switch_choi(d),
+    "transpose": lambda d: build_derived_one_slot("transpose", d),
+    "conjugate_qubit": lambda d: build_derived_one_slot("conjugate_qubit", d),
+    "cp_family": lambda d: build_cp_family(1.0),
+}
+KINDS = tuple(_DEFAULT_PROCESS)
 ANDERSON_MEMORY = 5  # residual differences kept by the witness polish
 MAX_ITER = 5000  # Dykstra iterations per start
 TOL = 1e-6  # distance to the reference at which a unique-kind start has converged
@@ -52,22 +66,32 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Affine action constraints plus the PSD cone for one probe problem."""
+    """The probe problem of a process: the PSD cone and the affine set of
+    Hermitian matrices whose action on span{J_U} in each slot is the
+    process's.  ``kind`` names the problem and fixes the slot count, two for
+    the switch and one otherwise; everything else is read off ``process``.
+    """
 
     kind: str
-    d: int
-    nin: int
-    nout: int
-    slots: int
-    reference: np.ndarray
-    slot_projector: np.ndarray
-    family_rank: int
+    process: Process
+    reference: np.ndarray = field(init=False, repr=False)
+    slot_projector: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name, dtype in (("reference", complex), ("slot_projector", float)):
-            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        slots = 2 if self.kind == "switch" else 1
+        if self.process.slots != slots:
+            raise ValueError(f"the {self.kind} probe needs a {slots}-slot process, "
+                             f"not a {self.process.slots}-slot one")
+        slot = span_projector(self.process.d)
+        slot.flags.writeable = False
+        object.__setattr__(self, "reference", self.process.op.entries)
+        object.__setattr__(self, "slot_projector", slot)
+
+    @property
+    def family_rank(self) -> int:
+        """Rank of the constraint family: the slot projector's trace to the
+        power of the slot count."""
+        return round(float(np.trace(self.slot_projector))) ** self.process.slots
 
     @property
     def in_projector(self) -> np.ndarray:
@@ -75,13 +99,15 @@ class ConstraintSystem:
         of the slot projector for the switch); a reference, never formed by
         the probe itself."""
         slot = self.slot_projector.astype(complex)
-        return slot if self.slots == 1 else vec_kron(slot, slot)
+        return slot if self.process.slots == 1 else vec_kron(slot, slot)
 
 
-def build_constraint_system(kind: str, d: int, process=None, *,
+def build_constraint_system(kind: str, d: int, process: Process | None = None, *,
                             seed=None) -> ConstraintSystem:
-    """The reference process and the projector onto span{J_U} in each slot.
+    """The constraint system of ``process``, by default the kind's own
+    process at slot dimension d.
 
+    A given process must have slot dimension d and the kind's slot count.
     The system is exact, so ``seed`` is unused.  The switch probe supports
     d = 2 only: its dense process matrix is 256 x 256 there, and each extra
     dimension multiplies the eigensolve cost.
@@ -90,33 +116,11 @@ def build_constraint_system(kind: str, d: int, process=None, *,
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
     if kind == "switch" and d != 2:
         raise ValueError("the switch probe supports d = 2 only")
-    if kind in ("conjugate_qubit", "cp_family") and d != 2:
-        raise ValueError(f"{kind} probe is a qubit construction (d = 2)")
-
-    slot = span_projector(d)
-    if kind == "switch":
-        ref_proc = process if process is not None else build_switch_choi(d)
-        slots = 2
-    else:
-        if process is not None:
-            ref_proc = process
-        elif kind == "identity":
-            ref_proc = build_identity_process(d)
-        elif kind == "cp_family":
-            ref_proc = build_cp_family(1.0)
-        else:
-            ref_proc = build_derived_one_slot(kind, d)
-        slots = 1
-    reference = ref_proc.op.entries
-    nin = (d * d) ** slots
-    return ConstraintSystem(kind=kind, d=d, nin=nin, nout=reference.shape[0] // nin,
-                            slots=slots, reference=reference, slot_projector=slot,
-                            family_rank=round(float(np.trace(slot))) ** slots)
-
-
-def expected_family_rank(sys: ConstraintSystem) -> int:
-    per_slot = span_dimension_formula(sys.d)
-    return per_slot ** 2 if sys.kind == "switch" else per_slot
+    if process is None:
+        process = _DEFAULT_PROCESS[kind](d)
+    if process.d != d:
+        raise ValueError(f"the process has slot dimension {process.d}, not {d}")
+    return ConstraintSystem(kind, process)
 
 
 # Axis orders that bring each slot's row and column input index together,
@@ -125,27 +129,28 @@ _SLOT_PAIR_AXES = {1: ((0, 2, 1, 3), (0, 2, 1, 3)),
                    2: ((0, 3, 1, 4, 2, 5), (0, 2, 4, 1, 3, 5))}
 
 
-def _constrained_part(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
-    """P_in applied to the input index pair of x - reference, in matrix layout.
+def _project(slot_projector: np.ndarray, slots: int, y: np.ndarray) -> np.ndarray:
+    """``slot_projector`` applied to each slot's input index pair of y, in
+    matrix layout; the output dimension is read off y's size.
 
-    P_in is the slot projector on each slot's index pair.  One slot keeps the
-    complex product of the dense path, so its arithmetic is unchanged.  With
-    two slots the real projector acts on the float view of the complex
-    difference, where each output column index o' carries its real and
-    imaginary parts side by side.
+    One slot keeps the complex product of the dense path, so its arithmetic
+    is unchanged.  With two slots the real projector acts on the float view
+    of the complex y, where each output column index o' carries its real
+    and imaginary parts side by side.
     """
-    k, m, slots = sys.d * sys.d, sys.nout, sys.slots
-    proj, diff, cols = sys.slot_projector, x - sys.reference, m
+    k = math.isqrt(slot_projector.shape[0])
+    m = y.shape[0] // k ** slots
+    proj, cols = slot_projector, m
     if slots == 1:
         proj = proj.astype(complex)
     else:
-        diff, cols = diff.view(float), 2 * m
+        y, cols = y.view(float), 2 * m
     order, inverse = _SLOT_PAIR_AXES[slots]
-    t = diff.reshape((k,) * slots + (m,) + (k,) * slots + (cols,)).transpose(order)
+    t = y.reshape((k,) * slots + (m,) + (k,) * slots + (cols,)).transpose(order)
     shape = t.shape
     for j in range(slots):  # slot j: batched over the index pairs before it
         t = np.matmul(proj, t.reshape((k * k) ** j, k * k, -1))
-    return t.reshape(shape).transpose(inverse).reshape(diff.shape).view(complex)
+    return t.reshape(shape).transpose(inverse).reshape(y.shape).view(complex)
 
 
 def _hermitian_part(x: np.ndarray, out=None) -> np.ndarray:
@@ -160,7 +165,8 @@ def _hermitian_part(x: np.ndarray, out=None) -> np.ndarray:
 
 def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     """Exact orthogonal projection onto {X Hermitian : action constraints hold}."""
-    return _hermitian_part(x - _constrained_part(sys, x))
+    return _hermitian_part(
+        x - _project(sys.slot_projector, sys.process.slots, x - sys.reference))
 
 
 def psd_project(x: np.ndarray, work=None) -> np.ndarray:
@@ -179,11 +185,8 @@ def psd_project(x: np.ndarray, work=None) -> np.ndarray:
 def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
     """||P_in(x - reference)||_F, the root sum of squared action deviations over
     any orthonormal spanning family: at least the largest single deviation."""
-    return float(np.linalg.norm(_constrained_part(sys, x)))
-
-
-def _min_eig(x: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_hermitian_part(x))[0])
+    return float(np.linalg.norm(
+        _project(sys.slot_projector, sys.process.slots, x - sys.reference)))
 
 
 def random_hermitian_direction(n: int, rng) -> np.ndarray:
@@ -238,7 +241,7 @@ def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
     without an eigensolve, which may raise on them, if x is not finite."""
     if not np.isfinite(x).all():
         return math.nan, math.nan
-    return constraint_residual(sys, x), -_min_eig(x)
+    return constraint_residual(sys, x), -min_eigenvalue(x)
 
 
 def _usable_cpus() -> int:
@@ -323,7 +326,7 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
     d_f, d_g, prev, evals = [], [], None, 0
     for evals in range(1, max_iter + 1):
         g = affine_project(sys, psd_project(x))
-        if _min_eig(g) >= -feas_tol:
+        if min_eigenvalue(g) >= -feas_tol:
             break
         f = g - x
         if prev is not None:
@@ -363,8 +366,8 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     dists, iters_used, resids, neg_eigs, iterates = \
         zip(*_map_starts(partial(_run_start, sys), seeds))
 
-    checks = [check_true("family_rank_full",
-                         sys.family_rank == expected_family_rank(sys))]
+    expected_rank = span_dimension_formula(sys.process.d) ** sys.process.slots
+    checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
     notes = [f"starts={starts}", f"iterations={list(iters_used)}",
              f"distances=[{', '.join(f'{v:.3e}' for v in dists)}]"]
     if sys.kind == "cp_family":
@@ -393,5 +396,5 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
             check_leq("final_negative_eigenvalue", nan_max(*neg_eigs), feas_tol),
             check_leq("max_distance_to_reference", nan_max(*dists), TOL),
         ]
-    return make_report(f"probe_{sys.kind}_d{sys.d}", checks, timer,
+    return make_report(f"probe_{sys.kind}_d{sys.process.d}", checks, timer,
                        notes=tuple(notes))

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import os
 import pickle
 import re
@@ -16,17 +15,17 @@ from switchcert.channels import haar_random_unitary, unitary_choi
 from switchcert.linalg import Operator, frobenius
 from switchcert.probe import (
     BLAS_THREAD_VARS,
-    ConstraintSystem,
+    _project,
     affine_project,
     alternating_projection_probe,
     build_constraint_system,
     constraint_residual,
-    expected_family_rank,
     psd_project,
     random_hermitian_direction,
 )
 from switchcert.span import span_dimension_formula, span_projector, vec_kron
-from switchcert.switch import Process, build_switch_choi
+from switchcert.switch import Process, build_switch_choi, switch_choi_vector
+from switchcert.uniqueness import build_identity_process
 
 from oracles import dykstra_start, link
 
@@ -41,23 +40,27 @@ def fresh_pool():
 
 def test_constraint_system_shapes():
     sys2 = build_constraint_system("identity", 2)
-    assert sys2.family_rank == 10 == expected_family_rank(sys2)
-    assert (sys2.slots, sys2.slot_projector.shape) == (1, (16, 16))
+    assert sys2.family_rank == 10 == span_dimension_formula(2)
+    assert (sys2.process.slots, sys2.slot_projector.shape) == (1, (16, 16))
     assert sys2.in_projector.shape == (16, 16)
     sys3 = build_constraint_system("identity", 3)
     assert sys3.family_rank == 65
     sw = build_constraint_system("switch", 2)
     assert sw.family_rank == 100 == span_dimension_formula(2) ** 2
-    assert (sw.slots, sw.slot_projector.shape) == (2, (16, 16))
+    assert (sw.process.slots, sw.slot_projector.shape) == (2, (16, 16))
     assert sw.in_projector.shape == (256, 256)
+    # the reference is the process's own matrix, not a copy, so the system
+    # sent to the workers holds one copy of it
+    assert sw.reference is sw.process.op.entries
+    assert len(pickle.dumps(sw)) < 1.1 * sw.reference.nbytes
+    assert not sw.reference.flags.writeable and not sw.slot_projector.flags.writeable
 
 
-def dense_constrained_part(sys, x, in_projector):
+def dense_project(in_projector, y, nin):
     """The dense reference: ``in_projector`` on the whole vectorized input
-    index pair of x - reference, in matrix layout."""
-    n, m = sys.nin, sys.nout
-    d4 = (x - sys.reference).reshape(n, m, n, m).transpose(0, 2, 1, 3) \
-        .reshape(n * n, m * m)
+    index pair of y, in matrix layout."""
+    n, m = nin, y.shape[0] // nin
+    d4 = y.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
     if np.isrealobj(in_projector):  # a large real projector is not made complex
         real, imag = (in_projector @ part.astype(in_projector.dtype)
                       for part in (d4.real, d4.imag))
@@ -67,13 +70,8 @@ def dense_constrained_part(sys, x, in_projector):
     return prod.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
-def hand_built_switch_system(d, nout, rng):
-    """A two-slot system at any d: random Hermitian reference, nout outputs."""
-    nin = d ** 4
-    return ConstraintSystem(kind="switch", d=d, nin=nin, nout=nout, slots=2,
-                            reference=random_hermitian_direction(nin * nout, rng),
-                            slot_projector=span_projector(d),
-                            family_rank=span_dimension_formula(d) ** 2)
+def constrained_part(sys, x):
+    return _project(sys.slot_projector, sys.process.slots, x - sys.reference)
 
 
 @pytest.mark.parametrize("kind,d", [("identity", 2), ("cp_family", 2),
@@ -82,8 +80,9 @@ def test_one_slot_constrained_part_is_the_dense_product(kind, d):
     # one slot keeps the complex product of the dense path, bit for bit
     sys = build_constraint_system(kind, d)
     x = random_hermitian_direction(sys.reference.shape[0], np.random.default_rng(6))
-    assert np.array_equal(probe._constrained_part(sys, x),
-                          dense_constrained_part(sys, x, sys.in_projector))
+    assert np.array_equal(constrained_part(sys, x),
+                          dense_project(sys.in_projector, x - sys.reference,
+                                        sys.process.nin))
 
 
 def test_switch_constrained_part_matches_dense_product_d2():
@@ -91,23 +90,55 @@ def test_switch_constrained_part_matches_dense_product_d2():
     rng = np.random.default_rng(7)
     for _ in range(3):
         x = sw.reference + random_hermitian_direction(256, rng)
-        dense = dense_constrained_part(sw, x, sw.in_projector)
-        assert frobenius(probe._constrained_part(sw, x), dense) \
+        dense = dense_project(sw.in_projector, x - sw.reference, sw.process.nin)
+        assert frobenius(constrained_part(sw, x), dense) \
             <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_switch_constrained_part_matches_dense_product_d3():
-    # the switch probe itself is d = 2 only, so the d = 3 system is built by
-    # hand, with two output dimensions so that no two axis lengths coincide.
-    # The dense projector is 6561 x 6561; in single precision it takes 172 MB.
+    # the projection needs no process: at d = 3 it runs on a random y with
+    # two output dimensions, so that no two axis lengths coincide.  The
+    # dense projector is 6561 x 6561; in single precision it takes 172 MB.
     rng = np.random.default_rng(8)
-    sys = hand_built_switch_system(3, 2, rng)
-    x = random_hermitian_direction(sys.reference.shape[0], rng)
-    slot = sys.slot_projector.astype(np.float32)
-    dense = dense_constrained_part(sys, x, vec_kron(slot, slot))
-    assert frobenius(probe._constrained_part(sys, x), dense) \
-        <= 1e-6 * np.linalg.norm(dense)
-    assert sys.family_rank == round(np.trace(sys.slot_projector)) ** 2 == 65 ** 2
+    y = random_hermitian_direction(3 ** 4 * 2, rng)
+    slot = span_projector(3)
+    single = slot.astype(np.float32)
+    dense = dense_project(vec_kron(single, single), y, 3 ** 4)
+    assert frobenius(_project(slot, 2, y), dense) <= 1e-6 * np.linalg.norm(dense)
+    assert round(np.trace(slot)) == span_dimension_formula(3) == 65
+
+
+def test_switch_projection_d4_without_a_dense_projector():
+    # d = 4, nout = 2: y is 512 x 512, where the dense projector would be
+    # 65536 x 65536.  _project must be the orthogonal projection onto
+    # span{J_U} (x) span{J_U} (x) L(out) in the input index pairs.
+    d, nout = 4, 2
+    rng = np.random.default_rng(9)
+    slot = span_projector(d)
+
+    def project(y):
+        return _project(slot, 2, y)
+
+    def random_y():
+        g = rng.standard_normal((2, d ** 4 * nout, d ** 4 * nout))
+        return g[0] + 1j * g[1]
+
+    a, b = random_y(), random_y()
+    pa = project(a)
+    assert frobenius(project(pa), pa) <= 1e-12 * np.linalg.norm(pa)
+    assert abs(np.vdot(pa, b) - np.vdot(a, project(b))) \
+        <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
+    j1, j2 = (unitary_choi(haar_random_unitary(d, rng)) for _ in range(2))
+    x = rng.standard_normal((nout, nout)) + 1j * rng.standard_normal((nout, nout))
+    fixed = np.kron(np.kron(j1, j2), x)
+    assert frobenius(project(fixed), fixed) <= 1e-12 * np.linalg.norm(fixed)
+    # |xy><xz| in a slot is 1/d (x) |y><z| plus a traceless (x) traceless
+    # part; the projection removes the first, of norm 1/sqrt(d) = 0.5.  The
+    # other slot holds a J_U, which it keeps.
+    ket_bra = np.zeros((d * d, d * d))
+    ket_bra[1 * d + 0, 1 * d + 2] = 1.0
+    for lone in (np.kron(np.kron(ket_bra, j2), x), np.kron(np.kron(j1, ket_bra), x)):
+        assert frobenius(project(lone), lone) > 0.1
 
 
 def spectrum_matrix(eigenvalues, rng):
@@ -175,6 +206,15 @@ def test_constraint_system_errors():
         build_constraint_system("switch", 3)
     with pytest.raises(ValueError):
         build_constraint_system("cp_family", 3)
+
+
+def test_override_process_must_match_kind_and_dimension():
+    mismatched = [("identity", 2, Process(2, vector=switch_choi_vector(2))),
+                  ("switch", 2, build_identity_process(2)),
+                  ("identity", 3, build_identity_process(2))]
+    for kind, d, process in mismatched:
+        with pytest.raises(ValueError):
+            build_constraint_system(kind, d, process)
 
 
 def test_targets_match_reference_action():
@@ -266,27 +306,33 @@ def test_unique_start_returns_numbers_only(kind):
                           -np.linalg.eigvalsh(herm)[0])
 
 
-def _non_finite_switch():
+def _nan_direction(n, rng):
+    """A start direction with one NaN entry: every start is not finite."""
+    direction = np.zeros((n, n), dtype=complex)
+    direction[0, 0] = np.nan
+    return direction
+
+
+def _non_finite_switch(monkeypatch):
     # W0 x 1e308 is finite, but the first affine point is not
     big = Process(2, dense=Operator(build_switch_choi(2).op.entries * 1e308))
     return build_constraint_system("switch", 2, big)
 
 
-def _non_finite_identity():
-    sys = build_constraint_system("identity", 2)
-    reference = sys.reference.copy()
-    reference[0, 0] = np.nan
-    return dataclasses.replace(sys, reference=reference)
+def _non_finite_identity(monkeypatch):
+    monkeypatch.setattr(probe, "random_hermitian_direction", _nan_direction)
+    return build_constraint_system("identity", 2)
 
 
 @pytest.mark.parametrize("make", [_non_finite_switch, _non_finite_identity])
 def test_non_finite_start_stops_at_once_and_fails(make, monkeypatch):
     # NaN meets neither stopping rule, and an eigensolve of it may raise
-    sys = make()
+    sys = make(monkeypatch)
     _usable_cpus(monkeypatch, 1)
     monkeypatch.setattr(probe, "MAX_ITER", 50)
     eigensolves = []
-    monkeypatch.setattr(probe, "_min_eig", lambda x: eigensolves.append(x) or 0.0)
+    monkeypatch.setattr(probe, "min_eigenvalue",
+                        lambda x: eigensolves.append(x) or 0.0)
     with np.errstate(all="ignore"):
         rep = alternating_projection_probe(sys, starts=2)
     assert not rep.passed
@@ -299,15 +345,14 @@ def test_non_finite_start_stops_at_once_and_fails(make, monkeypatch):
 
 
 def test_non_finite_cp_family_reference_fails_without_polish(monkeypatch):
-    # a NaN reference gives a NaN escape direction and witness start; the
-    # polish and its eigensolves, which may raise on them, are skipped
+    # NaN starts give a NaN escape direction and witness start; the polish
+    # and its eigensolves, which may raise on them, are skipped
     sys = build_constraint_system("cp_family", 2)
-    reference = sys.reference.copy()
-    reference[0, 0] = np.nan
-    sys = dataclasses.replace(sys, reference=reference)
+    monkeypatch.setattr(probe, "random_hermitian_direction", _nan_direction)
     _usable_cpus(monkeypatch, 1)
     eigensolves = []
-    monkeypatch.setattr(probe, "_min_eig", lambda x: eigensolves.append(x) or 0.0)
+    monkeypatch.setattr(probe, "min_eigenvalue",
+                        lambda x: eigensolves.append(x) or 0.0)
     monkeypatch.setattr(probe, "_polish_witness", lambda *args: pytest.fail("polished"))
     with np.errstate(all="ignore"):
         rep = alternating_projection_probe(sys, starts=2, witness_max_iter=50)
@@ -417,21 +462,22 @@ def test_pool_workers_have_one_blas_thread(monkeypatch):
 
 
 def test_failed_start_raises_without_hanging(monkeypatch):
-    broken = dataclasses.replace(build_constraint_system("identity", 2),
-                                 slot_projector=np.eye(3))
+    # a 3 x 3 slot projector fits no slot, so every start raises
+    monkeypatch.setattr(probe, "span_projector", lambda d: np.eye(3))
+    broken = build_constraint_system("identity", 2)
     _usable_cpus(monkeypatch, 1)
     with pytest.raises(ValueError):
         alternating_projection_probe(broken, starts=4)
     # Pooled, in a child interpreter so that a hang fails on the timeout: an
     # error in a start is raised in the parent, and so is a worker's death.
     code = """
-import dataclasses, os
+import os
 import numpy as np
 from concurrent.futures.process import BrokenProcessPool
 from switchcert import probe
 os.sched_getaffinity = lambda pid: {0, 1}
-broken = dataclasses.replace(probe.build_constraint_system("identity", 2),
-                             slot_projector=np.eye(3))
+probe.span_projector = lambda d: np.eye(3)
+broken = probe.build_constraint_system("identity", 2)
 try:
     probe.alternating_projection_probe(broken, starts=4)
 except ValueError:
