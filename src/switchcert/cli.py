@@ -52,9 +52,8 @@ def _run_span(cfg) -> list[CertificateReport]:
 
 
 def _run_switch(cfg) -> list[CertificateReport]:
-    return switch_verification_suite(cfg.dim, seed=cfg.seed,
-                                     probe_starts=cfg.probe_starts,
-                                     tol=cfg.tol_cert)
+    return switch_verification_suite(cfg.dim, seed=cfg.seed, probe_starts=cfg.probe_starts,
+                                     tol=cfg.tol_cert, feas_tol=cfg.tol_psd)
 
 
 def _run_identity(cfg) -> list[CertificateReport]:

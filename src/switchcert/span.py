@@ -5,7 +5,8 @@ reshaped matrix is a scaled unitary, so its outer product is a scaled
 unitary-channel Choi operator.  Averaging the outer products against a
 Fourier weight over a uniform phase grid reproduces the generator's target
 operator exactly, because every integrand is a Laurent polynomial of small
-degree in the phases.
+degree in the phases; the grid average is summed in closed form from the
+integer degrees, by the orthogonality of the grid's Fourier modes.
 
 A subtlety for the two coincidence patterns |ij><ik| and |ij><kj| (repeated
 index on the input side or on the output side): these lone ket-bras are NOT
@@ -30,7 +31,6 @@ from .report import Timer, check_exact_int, check_leq, check_true, make_report, 
 
 SQ2 = sqrt(2.0)
 RANK_TOL = 1e-10  # relative cut below which a singular value counts as zero
-STACK_ENTRIES = 2 ** 16  # complex entries of one stacked block of sampled states (1 MiB)
 
 
 def _ketbra(d: int, a: int, b: int, c: int, e: int) -> np.ndarray:
@@ -80,7 +80,7 @@ class SpanGenerator:
 def _term_tables(gens):
     """Padded term tables of generators that share a phase and branch count.
 
-    Returns the coefficients (G, B, T), the phase degrees (G, B, T, phases)
+    Returns the coefficients (G, B, T), the integer phase degrees (G, B, T, p)
     and the kets as one-hot rows (G, B, T, d^2); a padding term has
     coefficient 0 and an all-zero ket row.
     """
@@ -88,7 +88,7 @@ def _term_tables(gens):
     shape = (len(gens), len(gens[0].branches),
              max(len(terms) for g in gens for _, terms in g.branches))
     coeffs = np.zeros(shape, dtype=complex)
-    degrees = np.zeros(shape + (gens[0].phase_count,))
+    degrees = np.zeros(shape + (gens[0].phase_count,), dtype=np.int64)
     kets = np.zeros(shape + (d * d,))
     for g, gen in enumerate(gens):
         for b, (_, terms) in enumerate(gen.branches):
@@ -99,14 +99,15 @@ def _term_tables(gens):
     return coeffs, degrees, kets
 
 
-def _branch_states(gens, phases: np.ndarray) -> np.ndarray:
+def _branch_states(gens, phases: np.ndarray, tables=None) -> np.ndarray:
     """States (G, B, S, d^2) of every generator branch at S phase points.
 
     ``phases`` is (S, phase_count), shared by all, or (G, B, S, phase_count).
     Each amplitude is coeff * exp(i phases . degrees); a product with the 0/1
     ket rows sums it into its ket, and multiplying by 0 or 1 is exact.
+    ``tables`` are the term tables of ``gens``, built here if not given.
     """
-    coeffs, degrees, kets = _term_tables(gens)
+    coeffs, degrees, kets = _term_tables(gens) if tables is None else tables
     amps = coeffs[..., None] * np.exp(1j * (degrees @ np.swapaxes(phases, -1, -2)))
     return np.swapaxes(amps, -1, -2) @ kets
 
@@ -284,45 +285,29 @@ def build_span_generator(lemma_id: str, indices, d: int) -> SpanGenerator:
         default_grid=default_grid)
 
 
-def _phase_averages(gens, n: int | None = None) -> np.ndarray:
-    """Discrete weighted averages (1/n^p) sum_grid weight * |psi><psi| of
-    generators of one lemma id, in one stacked pass.
+def _phase_averages(gens, n: int | None = None, tables=None) -> np.ndarray:
+    """Grid averages (1/n^p) sum_grid weight * |psi><psi| of generators of one
+    lemma id, in closed form from their term ``tables`` (built if not given).
 
-    Each is exact (equal to the continuous phase integral) whenever n is at
-    least the generator's exactness threshold, because all integrands are
-    Laurent polynomials of bounded degree.  The states of every generator at
-    every grid point come from one pass over the padded term tables, and the
-    weighted outer products from one stacked product.
+    A branch's weighted outer product sums c_t conj(c_t') |ket_t><ket_t'|
+    exp(i m . theta) over its term pairs, with the integer vector
+    m = weight + degrees_t - degrees_t'.  As (1/n) sum_k exp(2 pi i m k / n)
+    = [n | m], the average is one masked product K^T pair K over the pairs
+    with m = 0 mod n in every phase.  It is the phase integral once n exceeds
+    every |m|, as each lemma's exactness threshold does.
     """
     first = gens[0]
     n = first.default_grid if n is None else n
     if n < first.min_grid:
         raise ValueError(f"grid {n} below exactness threshold {first.min_grid} "
                          f"for {first.lemma_id}")
-    p = first.phase_count
-    grid = 2.0 * np.pi * np.arange(n) / n
-    phases = grid[np.indices((n,) * p).reshape(p, -1).T]
-    psi = _branch_states(gens, phases)
-    weights = np.array([g.weight_degrees for g in gens], dtype=float)
-    w = np.exp(1j * (weights @ phases.T))
-    prods = np.swapaxes(w[:, None, :, None] * psi, -1, -2) @ psi.conj()
-    bcs = np.array([[bc for bc, _ in g.branches] for g in gens])
-    return (bcs[..., None, None] * prods).sum(axis=1) / float(n ** p)
-
-
-def _lemma_blocks(gens):
-    """Positions of the generators in blocks of one lemma id, each small
-    enough that its states on the doubled default grid fit STACK_ENTRIES."""
-    groups: dict = {}
-    for i, gen in enumerate(gens):
-        groups.setdefault(gen.lemma_id, []).append(i)
-    for members in groups.values():
-        first = gens[members[0]]
-        size = len(first.branches) * (2 * first.default_grid) ** first.phase_count \
-            * first.d ** 2
-        step = max(1, STACK_ENTRIES // size)
-        for start in range(0, len(members), step):
-            yield members[start:start + step]
+    coeffs, degrees, kets = _term_tables(gens) if tables is None else tables
+    weights = np.array([g.weight_degrees for g in gens])[:, None, None, None]
+    bcs = np.array([[bc for bc, _ in g.branches] for g in gens])[..., None, None]
+    m = weights + degrees[..., :, None, :] - degrees[..., None, :, :]
+    pair = bcs * coeffs[..., :, None] * coeffs.conj()[..., None, :] \
+        * (m % n == 0).all(axis=-1)
+    return (np.swapaxes(kets, -1, -2) @ pair @ kets).sum(axis=1)
 
 
 def scale_match_residual(avg: np.ndarray, target: np.ndarray):
@@ -414,17 +399,28 @@ def _span_residuals(mats, d: int) -> np.ndarray:
 def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:
     """Numerical rank of the matrix of vectorized Haar-sampled J_U.
 
-    Its singular values s count when s > sqrt(RANK_TOL) s_max, the rule
-    w > RANK_TOL w_max on the eigenvalues w = s^2 of its Gram matrix, without
-    squaring the condition number."""
+    Each J_U = phi phi^dag (phi = vec(U^T)) is Hermitian, so it is written as
+    its real isometric image: the diagonal |phi_i|^2, then sqrt2 Re and
+    sqrt2 Im of phi_i conj(phi_j) for i < j.  The real rows have the same
+    Gram matrix Tr(J_s J_t) as the complex vec(J_U), hence the same singular
+    values, from a real SVD in place of a complex one.  They count when
+    s > sqrt(RANK_TOL) s_max, the rule w > RANK_TOL w_max on the Gram
+    eigenvalues w = s^2, without squaring the condition number."""
     if d == 1:
         return 1
     if samples <= span_dimension_formula(d):
         raise ValueError(f"need more than {span_dimension_formula(d)} samples "
                          f"to resolve the span at d = {d}, got {samples}")
-    # vec(J_U) = phi (x) conj(phi) with phi = vec(U^T), for all samples at once
     phi = np.swapaxes(haar_random_unitaries(d, samples, seed), 1, 2).reshape(samples, -1)
-    vecs = (phi[:, :, None] * phi.conj()[:, None, :]).reshape(samples, -1)
+    n = d * d
+    vecs = np.empty((samples, n * n))
+    vecs[:, :n] = np.abs(phi) ** 2
+    col = n
+    for i in range(n - 1):  # the entries right of the diagonal in row i
+        h = SQ2 * phi[:, i, None] * phi[:, i + 1:].conj()
+        k = h.shape[1]
+        vecs[:, col:col + k], vecs[:, col + k:col + 2 * k] = h.real, h.imag
+        col += 2 * k
     s = np.linalg.svd(vecs, compute_uv=False)
     return int(np.count_nonzero(s > np.sqrt(RANK_TOL) * s.max()))
 
@@ -536,17 +532,20 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
     # three random phase rows per (generator, branch), drawn in generator order
     phases = [rng.uniform(0.0, 2 * np.pi, size=(len(g.branches), 3, g.phase_count))
               for g in gens]
-    for block in _lemma_blocks(gens):
-        sub = [gens[i] for i in block]
-        n = sub[0].default_grid
-        for gen, avg, doubled in zip(sub, _phase_averages(sub, n),
-                                     _phase_averages(sub, 2 * n)):
+    groups: dict = {}
+    for i, gen in enumerate(gens):
+        groups.setdefault(gen.lemma_id, []).append(i)
+    for group in groups.values():
+        sub = [gens[i] for i in group]
+        tables, n = _term_tables(sub), sub[0].default_grid
+        for gen, avg, doubled in zip(sub, _phase_averages(sub, n, tables),
+                                     _phase_averages(sub, 2 * n, tables)):
             resid, s = scale_match_residual(avg, gen.target)
             worst_resid = nan_max(worst_resid, resid)
             worst_scale_im = nan_max(worst_scale_im, abs(s.imag))
             neg_scale_re = nan_max(neg_scale_re, -s.real)
             worst_double = nan_max(worst_double, frobenius(avg, doubled))
-        states = _branch_states(sub, np.array([phases[i] for i in block]))
+        states = _branch_states(sub, np.array([phases[i] for i in group]), tables)
         worst_unitary = nan_max(worst_unitary, *_scaled_unitary_deviations(
             states.reshape(-1, d * d), d))
     worst_member = nan_max(0.0, *_span_residuals([g.target for g in gens], d))

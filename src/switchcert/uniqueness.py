@@ -266,7 +266,7 @@ def diagonal_certificate(d: int, process: Process | None = None) -> CertificateR
     sets = diagonal_support_sets(d)
     members = flat(np.concatenate(list(sets.values())).T, dims)
     fam_dev = float(np.abs(proc.entry(members, members) - 1.0).max())
-    support = np.unique(members)
+    support = np.flatnonzero(np.bincount(members))  # np.unique loads numpy.ma
     counts = [len(m) for m in sets.values()]  # S1..S7
     paired = (counts[0], counts[1] + counts[2], counts[3] + counts[4], counts[5] + counts[6])
     expected = (2 * d * (d - 1) ** 2, 2 * d * (d - 1), 2 * d * (d - 1), 2 * d)
@@ -531,8 +531,8 @@ def cp_family_certificate(trials: int = 50, seed: int = 0) -> CertificateReport:
 
 def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
                               process: Process | None = None,
-                              probe_starts: int = 10,
-                              tol: float = 1e-9) -> list[CertificateReport]:
+                              probe_starts: int = 10, tol: float = 1e-9,
+                              feas_tol: float = 1e-6) -> list[CertificateReport]:
     """All switch certificates plus a final aggregate report.
 
     The alternating-projection probe runs at d = 2 only, where the dense
@@ -553,7 +553,8 @@ def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
     notes = []
     if d == 2:
         sys = build_constraint_system("switch", d, process=process)
-        parts.append(alternating_projection_probe(sys, starts=probe_starts, seed=seed))
+        parts.append(alternating_projection_probe(sys, starts=probe_starts, seed=seed,
+                                                  feas_tol=feas_tol))
     else:
         notes.append("probe skipped: the switch probe supports d = 2 only")
     checks = [check_true(part.name, part.passed) for part in parts]

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from switchcert import cli
+from switchcert import cli, probe
 from switchcert.report import CertificateReport, Check
 
 
@@ -195,6 +198,33 @@ def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):
                          "--no-timestamp"], capsys)
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_switch_verify_forwards_tol_psd_to_the_probe(capsys, monkeypatch):
+    seen = []
+
+    def stub(sys_, starts, seed, feas_tol):
+        seen.append(feas_tol)
+        return CertificateReport(name="probe_switch_d2", passed=True, checks=(),
+                                 runtime_ms=0.0)
+
+    monkeypatch.setattr(probe, "alternating_projection_probe", stub)
+    code, out = run_cli(["switch-verify", "--dim", "2", "--tol-psd", "1e-4",
+                         "--format", "json", "--no-timestamp"], capsys)
+    assert code == 0
+    assert seen == [1e-4] and json.loads(out)["config"]["tol_psd"] == 1e-4
+
+
+def test_switch_verify_does_not_import_numpy_ma():
+    # numpy.ma takes 15-20 ms to import, and no certificate uses it
+    code = ("import os, sys; from switchcert import cli; "
+            "cli.main(['switch-verify', '--dim', '3', '--out', os.devnull]); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_float_serialization_17_digits():

@@ -138,18 +138,12 @@ def test_dropped_row_entry_fails_offdiagonal_sums(monkeypatch):
                                   "sum_G3xG3", "ordered_total_saturates_bound"]
 
 
-def test_dropped_phase_grid_point_fails_span_lemmas(monkeypatch):
-    branch_states = span._branch_states
-
-    def dropped(gens, phases):  # the shared phase grid loses its first point
-        states = branch_states(gens, phases)
-        if phases.ndim == 2:
-            states[:, :, 0] = 0.0
-        return states
-
-    assert span.verify_span_lemmas(2).passed
-    monkeypatch.setattr(span, "_branch_states", dropped)
-    for d in (2, 3):
-        rep = span.verify_span_lemmas(d)
-        assert rep.name == f"span_lemmas_d{d}"
-        assert failed_checks(rep) == ["max_target_residual", "max_grid_doubling_change"]
+def test_aliasing_a3_grid_fails_span_lemmas(monkeypatch):
+    # on a 2-point grid the A3 degree vectors with an entry +-2 alias to 0;
+    # on the doubled 4-point grid they do not, so the average moves
+    build, _, _ = span._LEMMAS["A3"]
+    assert span.verify_span_lemmas(3).passed
+    monkeypatch.setitem(span._LEMMAS, "A3", (build, 2, 2))
+    rep = span.verify_span_lemmas(3)
+    assert rep.name == "span_lemmas_d3"
+    assert failed_checks(rep) == ["max_target_residual", "max_grid_doubling_change"]

@@ -1,11 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from switchcert import span
-from switchcert.channels import choi_from_kraus, haar_random_unitary, \
-    standard_channel, unitary_choi
+from switchcert.channels import choi_from_kraus, haar_random_unitaries, \
+    haar_random_unitary, standard_channel, unitary_choi
 from switchcert.linalg import frobenius
 from switchcert.span import (
     _branch_states,
@@ -186,6 +187,21 @@ def test_span_dimension_svd_rank_matches_gram_rank(d):
     assert estimate_span_dimension(d, samples, seed=seed) == gram_rank
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_span_dimension_real_image_keeps_singular_values(d, monkeypatch):
+    # the real isometric image of the Hermitian vec(J_U) has the Gram matrix
+    # Tr(J_s J_t) of the complex stack, hence its singular values
+    samples, seen, svd = 3 * span_dimension_formula(d) + 30, [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
+    assert estimate_span_dimension(d, samples, seed=0) == span_dimension_formula(d)
+    (image,) = seen
+    assert image.dtype == np.float64 and image.shape == (samples, d ** 4)
+    stack = np.array([unitary_choi(u).reshape(-1)
+                      for u in haar_random_unitaries(d, samples, 0)])
+    assert np.abs(svd(image, compute_uv=False)
+                  - svd(stack, compute_uv=False)).max() <= 1e-12
+
+
 def haar_span_projector(d, seed=0):
     """V^H V for an orthonormal row basis V of sampled vec(J_U), via an SVD."""
     rng = np.random.default_rng(seed)
@@ -221,9 +237,11 @@ def pointwise_phase_average(gen, n):
 
 
 def test_phase_average_matches_pointwise_loop():
+    # also on grids below the exactness threshold, where both alias alike
     for d in (2, 3):
         for gen in enumerate_generators(d):
-            for n in (gen.default_grid, 2 * gen.default_grid):
+            gen = dataclasses.replace(gen, min_grid=1)
+            for n in (1, 2, gen.default_grid, 2 * gen.default_grid):
                 assert frobenius(_phase_averages([gen], n)[0],
                                  pointwise_phase_average(gen, n)) <= 1e-13
 
