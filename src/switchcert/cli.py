@@ -14,18 +14,20 @@ import sys
 from . import __version__
 from .channels import haar_random_unitary
 from .probe import alternating_projection_probe, build_constraint_system
-from .report import CertificateReport, Timer, check_exact_int, make_report
+from .report import CertificateReport, Timer, check_exact_int, check_true, make_report
 from .span import (
     estimate_span_dimension,
     span_dimension_formula,
     verify_group_combinatorics,
     verify_span_lemmas,
 )
+from .switch import verify_unitary_action
 from .uniqueness import (
     certify_identity_uniqueness,
     cp_family_certificate,
+    diagonal_certificate,
     fig_circuits_certificate,
-    switch_verification_suite,
+    offdiagonal_certificate,
     verify_corollary,
 )
 
@@ -52,8 +54,22 @@ def _run_span(cfg) -> list[CertificateReport]:
 
 
 def _run_switch(cfg) -> list[CertificateReport]:
-    return switch_verification_suite(cfg.dim, seed=cfg.seed, probe_starts=cfg.probe_starts,
-                                     tol=cfg.tol_cert, feas_tol=cfg.tol_psd)
+    """All switch certificates and their aggregate.  The probe runs at d = 2
+    only, where the dense switch process is 256 x 256."""
+    timer, d = Timer(), cfg.dim
+    parts = [verify_unitary_action(d, seed=cfg.seed, tol=cfg.tol_cert),
+             verify_span_lemmas(d, seed=cfg.seed),
+             diagonal_certificate(d),
+             offdiagonal_certificate(d)]
+    notes = ()
+    if d == 2:
+        parts.append(alternating_projection_probe(
+            build_constraint_system("switch", d), starts=cfg.probe_starts,
+            seed=cfg.seed, feas_tol=cfg.tol_psd))
+    else:
+        notes = ("probe skipped: the switch probe supports d = 2 only",)
+    checks = [check_true(part.name, part.passed) for part in parts]
+    return parts + [make_report(f"switch_uniqueness_d{d}", checks, timer, notes=notes)]
 
 
 def _run_identity(cfg) -> list[CertificateReport]:
@@ -61,23 +77,21 @@ def _run_identity(cfg) -> list[CertificateReport]:
 
 
 def _run_corollaries(cfg) -> list[CertificateReport]:
-    rng_seed = cfg.seed
-    certs = [verify_corollary("transpose", cfg.dim, trials=100, seed=rng_seed,
-                              tol=cfg.tol_cert)]
+    certs = [verify_corollary("transpose", cfg.dim, seed=cfg.seed, tol=cfg.tol_cert)]
     a = haar_random_unitary(cfg.dim, cfg.seed + 101)
     b = haar_random_unitary(cfg.dim, cfg.seed + 202)
-    certs.append(verify_corollary("sandwich", cfg.dim, trials=100, seed=rng_seed,
+    certs.append(verify_corollary("sandwich", cfg.dim, seed=cfg.seed,
                                   a=a, b=b, tol=cfg.tol_cert))
     if cfg.dim == 2:
-        certs.append(verify_corollary("conjugate_qubit", 2, trials=100,
-                                      seed=rng_seed, tol=cfg.tol_cert))
+        certs.append(verify_corollary("conjugate_qubit", 2, seed=cfg.seed,
+                                      tol=cfg.tol_cert))
     return certs
 
 
 def _run_counterexamples(cfg) -> list[CertificateReport]:
     return [
-        fig_circuits_certificate(trials=100, seed=cfg.seed),
-        cp_family_certificate(trials=50, seed=cfg.seed),
+        fig_circuits_certificate(seed=cfg.seed),
+        cp_family_certificate(seed=cfg.seed),
     ]
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 # Hermiticity is checked relative to the Frobenius norm.
 TOL_HERM = 1e-10
+RANK_TOL = 1e-10  # relative cut below which a singular value (|eigenvalue| if Hermitian) is zero
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,16 @@ def _as_matrix(op) -> np.ndarray:
 
 
 def frobenius(a, b=None) -> float:
-    """Frobenius norm of a, or of a - b when b is given."""
+    """Frobenius norm of a, or of a - b when b is given: ``frobenius_each``
+    of the one matrix, taken as complex."""
     m = _as_matrix(a)
-    if b is not None:
-        m = m - _as_matrix(b)
-    return float(np.linalg.norm(m))
+    return float(frobenius_each(m if b is None else m - _as_matrix(b)))
 
 
 def frobenius_each(a, b=None) -> np.ndarray:
-    """``frobenius`` of each matrix (the last two axes) of a stack a, or of
-    a - b, bit-for-bit: the same two dot products.  ``b`` broadcasts."""
+    """Frobenius norm of each matrix (the last two axes) of a stack a, or of
+    a - b; ``b`` broadcasts.  A complex stack gives ``frobenius`` of each
+    matrix bit for bit; a real one may differ from it in the last bit."""
     m = np.asarray(a) if b is None else np.asarray(a) - b
     f = m.reshape(m.shape[:-2] + (1, -1))
     re, im = f.real, f.imag
@@ -74,10 +75,10 @@ def min_eigenvalue(op) -> float:
     return float(np.linalg.eigvalsh(_hermitian_part(op))[0])
 
 
-def numerical_rank(op, tol: float = 1e-10) -> int:
-    """Number of eigenvalues with |lambda| > tol * max|lambda| (Hermitian input)."""
+def numerical_rank(op) -> int:
+    """Number of eigenvalues with |lambda| > RANK_TOL * max|lambda| (Hermitian input)."""
     w = np.abs(np.linalg.eigvalsh(_hermitian_part(op)))
     top = w.max() if w.size else 0.0
     if top == 0.0:
         return 0
-    return int(np.count_nonzero(w > tol * top))
+    return int(np.count_nonzero(w > RANK_TOL * top))

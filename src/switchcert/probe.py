@@ -61,6 +61,7 @@ MAX_ITER = 5000  # Dykstra iterations per start
 TOL = 1e-6  # distance to the reference at which a unique-kind start has converged
 WITNESS_AMPLITUDE = 0.25  # norm of the escape direction the witness polish starts from
 WITNESS_THRESHOLD = 0.1  # distance from the reference a cp_family witness must reach
+WITNESS_MAX_ITER = 400_000  # evaluations the witness polish may take
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -347,9 +348,8 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
     return g, evals
 
 
-def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
-                                 seed: int = 0, feas_tol: float = 1e-6,
-                                 witness_max_iter: int = 400_000) -> CertificateReport:
+def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: int = 0,
+                                 feas_tol: float = 1e-6) -> CertificateReport:
     """Run the probe from several perturbed starts and certify the outcome.
 
     Each start is the reference plus a random Hermitian perturbation of unit
@@ -357,9 +357,9 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     across the usable CPUs (``_map_starts``).  Unique kinds pass when
     every start converges back to the reference within TOL.  The cp_family
     kind instead certifies a non-uniqueness witness: the escape direction
-    found by the random starts is rescaled to WITNESS_AMPLITUDE and polished
-    into a feasible point whose distance from the reference must exceed
-    WITNESS_THRESHOLD.
+    found by the random starts is rescaled to WITNESS_AMPLITUDE and polished,
+    in at most WITNESS_MAX_ITER evaluations, into a feasible point whose
+    distance from the reference must exceed WITNESS_THRESHOLD.
     """
     timer = Timer()
     seeds = np.random.SeedSequence(seed).spawn(starts)
@@ -379,7 +379,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
         witness_start = sys.reference + WITNESS_AMPLITUDE * escape
         # a non-finite start is not polished: it is reported as it is, and fails
         witness, polish_iters = (
-            _polish_witness(sys, witness_start, feas_tol, witness_max_iter)
+            _polish_witness(sys, witness_start, feas_tol, WITNESS_MAX_ITER)
             if np.isfinite(witness_start).all() else (witness_start, 0))
         wdist = float(np.linalg.norm(witness - sys.reference))
         resid, neg_eig = _final_checks(sys, witness)

@@ -26,11 +26,10 @@ from math import sqrt
 import numpy as np
 
 from .channels import haar_random_unitaries
-from .linalg import frobenius, frobenius_each
+from .linalg import RANK_TOL, frobenius, frobenius_each
 from .report import Timer, check_exact_int, check_leq, check_true, make_report, nan_max
 
 SQ2 = sqrt(2.0)
-RANK_TOL = 1e-10  # relative cut below which a singular value counts as zero
 
 
 def _ketbra(d: int, a: int, b: int, c: int, e: int) -> np.ndarray:
@@ -390,10 +389,21 @@ def span_projector(d: int) -> np.ndarray:
 
 
 def _span_residuals(mats, d: int) -> np.ndarray:
-    """Frobenius distance from each d^2 x d^2 matrix (or d^4 vector) to span{J_U}."""
+    """Frobenius distance from each d^2 x d^2 matrix (or d^4 vector) to span{J_U}.
+
+    With the projector P of ``span_projector``, X - PX = A (x) 1 + 1 (x) B,
+    where A and B are the traceless parts of Tr_O X / d and Tr_I X / d.  The
+    two terms are orthogonal, so the distance is sqrt(d (||A||^2 + ||B||^2)),
+    read off the partial traces without a d^4 x d^4 matrix.  Dividing by d
+    last, not first, leaves the residual of every lemma target exactly 0 at
+    d = 2..6.
+    """
     x = np.asarray(mats)
-    x = x.reshape(len(x), -1)
-    return np.linalg.norm(x - x @ span_projector(d), axis=1)
+    x = x.reshape((len(x),) + (d,) * 4)  # (n, I row, O row, I col, O col)
+    parts = np.stack((np.trace(x, axis1=2, axis2=4),        # Tr_O X
+                      np.trace(x, axis1=1, axis2=3)), axis=1)  # Tr_I X
+    parts -= np.trace(parts, axis1=2, axis2=3)[..., None, None] / d * np.eye(d)
+    return frobenius_each(parts.reshape(len(x), 2 * d, d)) / sqrt(d)
 
 
 def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:

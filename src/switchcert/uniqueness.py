@@ -4,8 +4,8 @@ Each certificate replays, at machine precision, the concrete identities a
 uniqueness proof consumes: forced diagonal support, forced off-diagonal
 values, exact combinatorial sums of the grouped ket-bra actions, and the
 behaviour of the derived one-slot processes.  Certificates are deterministic
-given (dimension, seed, tolerances) and accept an optional process override
-so corrupted processes demonstrably fail.
+given (dimension, seed, tolerances), draw fixed numbers of Haar samples, and
+accept an optional process override so corrupted processes demonstrably fail.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 
 from .channels import (
+    PAULI,
     choi_from_kraus,
     compose_channels,
     flip_operator,
@@ -46,13 +47,14 @@ from .switch import (
     max_action_distance,
     switch_choi_vector,
     unitary_actions,
-    verify_unitary_action,
 )
 
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 CP_GRID_POINTS = 101  # p values on [0, 1] at which C_p >= 0 is checked
 CERT_TOL = 1e-12  # bound on the exact identities of the identity and diagonal certificates
 IDENTITY_TRIALS = 20  # Haar samples of the identity certificate's action check
+COROLLARY_TRIALS = 100  # Haar samples of each corollary's action check
+CIRCUIT_TRIALS = 100  # Haar samples on which the two circuits must agree
+CP_TRIALS = 50  # Haar samples of the C_p family's action check
 
 
 def build_identity_process(d: int) -> Process:
@@ -90,7 +92,7 @@ def build_derived_one_slot(kind: str, d: int, a: np.ndarray | None = None,
     elif kind == "conjugate_qubit":
         if d != 2:
             raise ValueError("conjugate_qubit is a qubit construction (d = 2)")
-        return build_derived_one_slot("sandwich", 2, PAULI_Y, PAULI_Y)
+        return build_derived_one_slot("sandwich", 2, PAULI["y"], PAULI["y"])
     else:
         raise ValueError(f"unknown derived process kind {kind!r}")
     return Process(d, vector=vec.reshape(-1))
@@ -399,27 +401,28 @@ def offdiagonal_certificate(d: int, process: Process | None = None) -> Certifica
 # --- corollaries: sandwich, transpose, conjugation ------------------------------
 
 
-def verify_corollary(kind: str, d: int, trials: int, seed,
+def verify_corollary(kind: str, d: int, seed,
                      a: np.ndarray | None = None, b: np.ndarray | None = None,
                      process: Process | None = None,
                      tol: float = 1e-9) -> CertificateReport:
     """Check a derived one-slot process acts correctly on unitaries and beyond.
 
-    On Haar samples the process must send J_U to the Choi operator of B U A,
-    U^T, or U* respectively; on the non-unitary replace channel it must land
-    exactly on the claimed unique extension, computed by an independent
-    composition (or flip conjugation) oracle.  ``conjugate_qubit`` is the
-    sandwich with A = B = Y, since Y U Y = U* for every qubit unitary.
+    On COROLLARY_TRIALS Haar samples the process must send J_U to the Choi
+    operator of B U A, U^T, or U* respectively; on the non-unitary replace
+    channel it must land exactly on the claimed unique extension, computed
+    by an independent composition (or flip conjugation) oracle.
+    ``conjugate_qubit`` is the sandwich with A = B = Y, since Y U Y = U* for
+    every qubit unitary.
     """
     timer = Timer()
     if kind == "sandwich" and (a is None or b is None):
         raise ValueError("sandwich needs the two fixed unitaries")
     proc = process if process is not None else build_derived_one_slot(kind, d, a, b)
     if kind == "conjugate_qubit":
-        a = b = PAULI_Y
+        a = b = PAULI["y"]
 
     worst = max_action_distance(
-        proc, haar_random_unitaries(d, trials, seed),
+        proc, haar_random_unitaries(d, COROLLARY_TRIALS, seed),
         lambda us: unitary_choi(np.swapaxes(us, 1, 2) if kind == "transpose" else b @ us @ a))
 
     replace = standard_channel("replace_zero", d)
@@ -437,7 +440,7 @@ def verify_corollary(kind: str, d: int, trials: int, seed,
         check_leq("max_haar_distance", worst, tol),
         check_leq("replace_channel_extension_dev", extension_dev, 1e-12),
     ]
-    notes = [f"trials={trials}"]
+    notes = [f"trials={COROLLARY_TRIALS}"]
     if kind == "conjugate_qubit":
         # Y |0><0| Y = |1><1|: the conjugated replace channel replaces with |1>
         one = np.zeros((2, 2), dtype=complex)
@@ -450,17 +453,18 @@ def verify_corollary(kind: str, d: int, trials: int, seed,
 # --- counterexamples -------------------------------------------------------------
 
 
-def fig_circuits_certificate(trials: int = 100, seed: int = 0) -> CertificateReport:
+def fig_circuits_certificate(seed: int = 0) -> CertificateReport:
     """Two circuits equal on every unitary yet different on a non-unital channel.
 
     Circuit 1 is D . M . D and circuit 2 is id . M . D for the qubit
-    depolarizing channel D.  Both send every unitary to D; on the replace
-    channel they differ, with output Choi distance ||I (x) (I/2 - |0><0|)||_F.
+    depolarizing channel D.  Both send every unitary to D, checked on
+    CIRCUIT_TRIALS Haar samples; on the replace channel they differ, with
+    output Choi distance ||I (x) (I/2 - |0><0|)||_F.
     """
     timer = Timer()
     jd = choi_from_kraus(standard_channel("depolarizing", 2))
 
-    ju = unitary_choi(haar_random_unitaries(2, trials, seed))
+    ju = unitary_choi(haar_random_unitaries(2, CIRCUIT_TRIALS, seed))
     worst1 = nan_max(0.0, *frobenius_each(compose_channels(jd, compose_channels(ju, jd)), jd))
     worst2 = nan_max(0.0, *frobenius_each(compose_channels(ju, jd), jd))
 
@@ -480,26 +484,26 @@ def fig_circuits_certificate(trials: int = 100, seed: int = 0) -> CertificateRep
         check_close("replace_output_distance", dist, oracle, 1e-10),
     ]
     return make_report("equal_on_unitaries_circuits", checks, timer,
-                       notes=(f"trials={trials}", f"oracle_distance={oracle!r}"))
+                       notes=(f"trials={CIRCUIT_TRIALS}", f"oracle_distance={oracle!r}"))
 
 
-def cp_family_certificate(trials: int = 50, seed: int = 0) -> CertificateReport:
+def cp_family_certificate(seed: int = 0) -> CertificateReport:
     """Non-uniqueness witness: the C_p family shares its action on all unitaries.
 
-    Checks C_p >= 0 across the p grid, rank(C_1) = 1, that every Haar unitary
-    is sent to a multiple of J_I, and that the action is independent of p
-    even though C_p varies; the proportionality constant itself depends on
+    Checks C_p >= 0 across the p grid, rank(C_1) = 1, that each of CP_TRIALS
+    Haar unitaries is sent to a multiple of J_I, and that the action is
+    independent of p even though C_p varies; the proportionality constant itself depends on
     the unitary (it vanishes for Pauli Z), so rank-1 extensions need not be
     unique.
     """
     timer = Timer()
     ps = np.linspace(0.0, 1.0, CP_GRID_POINTS)
     neg_eig = nan_max(*(-min_eigenvalue(build_cp_family(p).op) for p in ps))
-    rank_c1 = numerical_rank(build_cp_family(1.0).op, tol=1e-10)
+    rank_c1 = numerical_rank(build_cp_family(1.0).op)
 
     jid = unitary_choi(np.eye(2))
     jid_hat = jid / np.linalg.norm(jid)
-    us = haar_random_unitaries(2, trials, seed)
+    us = haar_random_unitaries(2, CP_TRIALS, seed)
     # outs[k, t] is the output of the k-th C_p on the t-th unitary
     outs = np.array([unitary_actions(build_cp_family(p), us)
                      for p in (0.0, 0.25, 0.5, 0.75, 1.0)])
@@ -521,43 +525,6 @@ def cp_family_certificate(trials: int = 50, seed: int = 0) -> CertificateReport:
         check_leq("factor_eigenvalue_dev", eig_dev, 1e-12),
         check_true("constant_depends_on_unitary", spread > 0.1),
     ]
-    notes = (f"grid_points={CP_GRID_POINTS}", f"trials={trials}",
+    notes = (f"grid_points={CP_GRID_POINTS}", f"trials={CP_TRIALS}",
              f"constant_spread={spread:.3f}")
     return make_report("cp_family_nonuniqueness", checks, timer, notes=notes)
-
-
-# --- aggregate switch certificate -------------------------------------------------
-
-
-def switch_verification_suite(d: int, seed: int = 0, trials: int | None = None,
-                              process: Process | None = None,
-                              probe_starts: int = 10, tol: float = 1e-9,
-                              feas_tol: float = 1e-6) -> list[CertificateReport]:
-    """All switch certificates plus a final aggregate report.
-
-    The alternating-projection probe runs at d = 2 only, where the dense
-    switch process is 256 x 256; elsewhere it is skipped with a note.
-    """
-    from .probe import alternating_projection_probe, build_constraint_system
-    from .span import verify_span_lemmas
-
-    timer = Timer()
-    if trials is None:
-        trials = 200 if d == 2 else 100
-    parts = [
-        verify_unitary_action(d, trials=trials, seed=seed, process=process, tol=tol),
-        verify_span_lemmas(d, seed=seed),
-        diagonal_certificate(d, process=process),
-        offdiagonal_certificate(d, process=process),
-    ]
-    notes = []
-    if d == 2:
-        sys = build_constraint_system("switch", d, process=process)
-        parts.append(alternating_projection_probe(sys, starts=probe_starts, seed=seed,
-                                                  feas_tol=feas_tol))
-    else:
-        notes.append("probe skipped: the switch probe supports d = 2 only")
-    checks = [check_true(part.name, part.passed) for part in parts]
-    aggregate = make_report(f"switch_uniqueness_d{d}", checks, timer,
-                            notes=tuple(notes))
-    return parts + [aggregate]

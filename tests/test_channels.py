@@ -170,7 +170,7 @@ def test_fourier_choi_has_no_zero_entry():
         mods = np.abs(j)
         assert mods.min() > 0
         assert np.abs(mods - 1.0 / d).max() <= 1e-12
-        assert numerical_rank(j, tol=1e-10) == 1
+        assert numerical_rank(j) == 1
         assert abs(np.trace(j) - d) < 1e-12
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from switchcert import cli, probe
+from switchcert import cli
 from switchcert.report import CertificateReport, Check
 
 
@@ -208,11 +208,23 @@ def test_switch_verify_forwards_tol_psd_to_the_probe(capsys, monkeypatch):
         return CertificateReport(name="probe_switch_d2", passed=True, checks=(),
                                  runtime_ms=0.0)
 
-    monkeypatch.setattr(probe, "alternating_projection_probe", stub)
+    monkeypatch.setattr(cli, "alternating_projection_probe", stub)
     code, out = run_cli(["switch-verify", "--dim", "2", "--tol-psd", "1e-4",
                          "--format", "json", "--no-timestamp"], capsys)
     assert code == 0
     assert seen == [1e-4] and json.loads(out)["config"]["tol_psd"] == 1e-4
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_switch_verify_aggregate_skips_the_probe_above_d2(d, capsys):
+    code, out = run_cli(["switch-verify", "--dim", str(d), "--format", "json",
+                         "--no-timestamp"], capsys)
+    certs = json.loads(out)["certificates"]
+    assert code == 0 and all(c["passed"] for c in certs)
+    assert [c["name"] for c in certs] == [
+        f"switch_unitary_action_d{d}", f"span_lemmas_d{d}", f"switch_diagonal_d{d}",
+        f"switch_offdiagonal_d{d}", f"switch_uniqueness_d{d}"]
+    assert certs[-1]["notes"] == ["probe skipped: the switch probe supports d = 2 only"]
 
 
 def test_switch_verify_does_not_import_numpy_ma():

@@ -59,7 +59,7 @@ def test_vec_kron_without_reorder_fails_dense_agreement(monkeypatch):
 def sandwich_corollary():
     """``corollary-verify --dim 2 --seed 0``'s sandwich, with Haar A and B."""
     a, b = haar_random_unitary(2, 101), haar_random_unitary(2, 202)
-    return verify_corollary("sandwich", 2, trials=100, seed=0, a=a, b=b)
+    return verify_corollary("sandwich", 2, seed=0, a=a, b=b)
 
 
 def failed_checks(rep):
@@ -90,10 +90,10 @@ def test_link_without_conjugation_fails_sandwich_corollary(monkeypatch):
 
 
 def test_unitary_actions_without_conjugation_fails_haar_checks(monkeypatch):
-    assert verify_unitary_action(2, trials=200, seed=0).passed
+    assert verify_unitary_action(2, seed=0).passed
     for module in (switch, uniqueness):
         monkeypatch.setattr(module, "unitary_actions", unconjugated_actions)
-    rep = verify_unitary_action(2, trials=200, seed=0)
+    rep = verify_unitary_action(2, seed=0)
     assert rep.name == "switch_unitary_action_d2"
     assert failed_checks(rep) == ["max_frobenius_distance"]
 
@@ -102,7 +102,7 @@ def test_overflowing_switch_vector_fails_unitary_action():
     # finite entries whose products overflow to inf, and inf - inf to NaN
     huge = Process(2, vector=switch_choi_vector(2) * 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = verify_unitary_action(2, trials=200, seed=0, process=huge)
+        rep = verify_unitary_action(2, seed=0, process=huge)
     assert not rep.passed
     assert not rep.check("max_frobenius_distance").passed
     assert not rep.check("identity_pair_distance").passed

@@ -355,7 +355,7 @@ def test_non_finite_cp_family_reference_fails_without_polish(monkeypatch):
                         lambda x: eigensolves.append(x) or 0.0)
     monkeypatch.setattr(probe, "_polish_witness", lambda *args: pytest.fail("polished"))
     with np.errstate(all="ignore"):
-        rep = alternating_projection_probe(sys, starts=2, witness_max_iter=50)
+        rep = alternating_projection_probe(sys, starts=2)
     assert not rep.passed
     for name in ("witness_constraint_residual", "witness_negative_eigenvalue"):
         assert np.isnan(rep.check(name).measured) and not rep.check(name).passed
@@ -541,9 +541,10 @@ def test_polish_witness_is_fast_and_feasible(pooled_run):
     assert np.linalg.eigvalsh(witness)[0] >= -1e-6
 
 
-def test_probe_cp_family_witness_budget_too_small_fails():
+def test_probe_cp_family_witness_budget_too_small_fails(monkeypatch):
     sys = build_constraint_system("cp_family", 2)
-    rep = alternating_projection_probe(sys, starts=10, seed=0, witness_max_iter=3)
+    monkeypatch.setattr(probe, "WITNESS_MAX_ITER", 3)
+    rep = alternating_projection_probe(sys, starts=10, seed=0)
     assert not rep.passed
     assert not rep.check("witness_negative_eigenvalue").passed
     assert "polish_iterations=3" in rep.notes[-1]

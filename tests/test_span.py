@@ -162,6 +162,15 @@ def test_membership_residual_examples():
         assert _span_residuals([outside], d)[0] > 0.1
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_span_residuals_match_the_dense_projector(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((20, d ** 4)) + 1j * rng.standard_normal((20, d ** 4))
+    x = np.concatenate((x, [g.target.reshape(-1) for g in enumerate_generators(d)]))
+    want = np.linalg.norm(x - x @ span_projector(d), axis=1)
+    assert np.abs(_span_residuals(x, d) - want).max() <= 1e-12
+
+
 def test_estimate_span_dimension():
     assert estimate_span_dimension(1, 10, seed=0) == 1
     assert estimate_span_dimension(2, 60, seed=0) == 10
