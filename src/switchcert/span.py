@@ -32,10 +32,13 @@ from .report import Timer, check_exact_int, check_leq, check_true, make_report, 
 SQ2 = sqrt(2.0)
 
 
-def _ketbra(d: int, a: int, b: int, c: int, e: int) -> np.ndarray:
-    """|ab><ce| on C^d (x) C^d."""
+def _ketbras(d: int, *terms) -> np.ndarray:
+    """sum coeff |ab><ce| on C^d (x) C^d over the (coeff, a, b, c, e) terms,
+    which fill distinct entries, as one read-only array."""
     m = np.zeros((d * d, d * d), dtype=complex)
-    m[a * d + b, c * d + e] = 1.0
+    for coeff, a, b, c, e in terms:
+        m[a * d + b, c * d + e] = coeff
+    m.flags.writeable = False
     return m
 
 
@@ -54,7 +57,8 @@ class SpanGenerator:
 
     ``branches`` holds one or more state families; the phase average combines
     them linearly (lemma families that need a sum/difference of two averaged
-    outer products carry two branches).
+    outer products carry two branches).  The builders make ``target``
+    read-only.
     """
 
     lemma_id: str
@@ -65,11 +69,6 @@ class SpanGenerator:
     target: np.ndarray
     min_grid: int
     default_grid: int
-
-    def __post_init__(self):
-        t = np.array(self.target, dtype=complex, copy=True)
-        t.flags.writeable = False
-        object.__setattr__(self, "target", t)
 
     @property
     def phase_count(self) -> int:
@@ -128,7 +127,7 @@ def _build_a1(indices, d):
         raise ValueError(f"A1 needs indices (i,i,j,j) or (i,j,j,i), got {indices}")
     terms = [StateTerm((a, b), 1.0, (0, 0)), StateTerm((c, e), 1.0, (1, 0))]
     terms += _complement_diag(d, {a, b, c, e}, (0, 1))
-    target = _ketbra(d, a, b, c, e)
+    target = _ketbras(d, (1.0, a, b, c, e))
     return (1, 0), ((1.0, tuple(terms)),), target
 
 
@@ -138,7 +137,7 @@ def _build_a2(indices, d):
     terms = [StateTerm((a, b), 1.0, (0, 0)), StateTerm((c, e), 1.0, (1, 0)),
              StateTerm((b, a), 1.0, (0, 1)), StateTerm((e, c), 1.0, (0, 1))]
     terms += _complement_diag(d, {a, b, c, e}, (0, 1))
-    target = _ketbra(d, a, b, c, e)
+    target = _ketbras(d, (1.0, a, b, c, e))
     return (1, 0), ((1.0, tuple(terms)),), target
 
 
@@ -147,7 +146,7 @@ def _a3_case1(i, j, k, d, adjoint):
     terms = [StateTerm((i, i), 1.0, (0, 0)), StateTerm((j, k), 1.0, (1, 0)),
              StateTerm((k, j), 1.0, (0, 1))]
     terms += _complement_diag(d, {i, j, k}, (0, 1))
-    target = _ketbra(d, j, k, i, i) if adjoint else _ketbra(d, i, i, j, k)
+    target = _ketbras(d, (1.0, j, k, i, i) if adjoint else (1.0, i, i, j, k))
     return terms, target
 
 
@@ -156,7 +155,7 @@ def _a3_case2(i, j, k, d, adjoint):
     terms = [StateTerm((i, j), 1.0, (0, 0)), StateTerm((j, k), 1.0, (1, 0)),
              StateTerm((k, i), 1.0, (0, 1))]
     terms += _complement_diag(d, {i, j, k}, (0, 1))
-    target = _ketbra(d, j, k, i, j) if adjoint else _ketbra(d, i, j, j, k)
+    target = _ketbras(d, (1.0, j, k, i, j) if adjoint else (1.0, i, j, j, k))
     return terms, target
 
 
@@ -167,9 +166,8 @@ def _a3_case3(i, j, k, d):
              StateTerm((j, j), 1 / SQ2, (0, 1)), StateTerm((j, k), -1 / SQ2, (1, 1)),
              StateTerm((k, i), 1.0, (0, 1))]
     terms += _complement_diag(d, {i, j, k}, (0, 1))
-    target = 0.5 * (_ketbra(d, i, j, i, k) - _ketbra(d, j, j, j, k)) \
-        - (_ketbra(d, k, i, j, k)
-           + sum(_ketbra(d, l, l, j, k) for l in range(d) if l not in (i, j, k))) / SQ2
+    target = _ketbras(d, (0.5, i, j, i, k), (-0.5, j, j, j, k), (-1 / SQ2, k, i, j, k),
+                      *((-1 / SQ2, l, l, j, k) for l in range(d) if l not in (i, j, k)))
     return terms, target
 
 
@@ -179,9 +177,8 @@ def _a3_case4(i, j, k, d):
              StateTerm((i, i), 1 / SQ2, (0, 1)), StateTerm((k, i), -1 / SQ2, (1, 1)),
              StateTerm((j, k), 1.0, (0, 1))]
     terms += _complement_diag(d, {i, j, k}, (0, 1))
-    target = 0.5 * (_ketbra(d, i, j, k, j) - _ketbra(d, i, i, k, i)) \
-        - (_ketbra(d, j, k, k, i)
-           + sum(_ketbra(d, l, l, k, i) for l in range(d) if l not in (i, j, k))) / SQ2
+    target = _ketbras(d, (0.5, i, j, k, j), (-0.5, i, i, k, i), (-1 / SQ2, j, k, k, i),
+                      *((-1 / SQ2, l, l, k, i) for l in range(d) if l not in (i, j, k)))
     return terms, target
 
 
@@ -212,12 +209,9 @@ def _build_a4(indices, d):
     (k,) = indices
     if not 0 <= k < d:
         raise ValueError(f"A4 shift must lie in [0, {d}), got {k}")
-    terms = []
-    target = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        deg = tuple(1 if p == i else 0 for p in range(d))
-        terms.append(StateTerm((i, (i + k) % d), 1.0, deg))
-        target += _ketbra(d, i, (i + k) % d, i, (i + k) % d)
+    terms = [StateTerm((i, (i + k) % d), 1.0, tuple(1 if p == i else 0 for p in range(d)))
+             for i in range(d)]
+    target = _ketbras(d, *((1.0, i, (i + k) % d, i, (i + k) % d) for i in range(d)))
     return (0,) * d, ((1.0, tuple(terms)),), target
 
 
@@ -244,10 +238,10 @@ def _build_a5(indices, d, variant: bool):
     psi1, psi2 = _a5_branches(i, j, d)
     if variant:
         branches = ((0.5, psi1), (0.5, psi2))
-        target = 0.25 * (_ketbra(d, j, i, i, i) - _ketbra(d, j, j, i, j))
+        target = _ketbras(d, (0.25, j, i, i, i), (-0.25, j, j, i, j))
     else:
         branches = ((0.5, psi1), (-0.5, psi2))
-        target = 0.25 * (_ketbra(d, i, j, i, i) - _ketbra(d, j, j, j, i))
+        target = _ketbras(d, (0.25, i, j, i, i), (-0.25, j, j, j, i))
     return (1, -1, 0), branches, target
 
 
@@ -360,7 +354,8 @@ def stated_list_operators(gens: list[SpanGenerator]) -> list[np.ndarray]:
     """The operator list as stated, from ``enumerate_generators``: the lone
     ket-bra of every A1-A3 instance (not the compensated A3 targets), and the
     A4/A5 targets."""
-    return [_ketbra(g.d, *g.indices) if g.lemma_id in ("A1", "A2", "A3") else g.target
+    return [_ketbras(g.d, (1.0, *g.indices)) if g.lemma_id in ("A1", "A2", "A3")
+            else g.target
             for g in gens]
 
 

@@ -17,8 +17,8 @@ blocks.  ``same_side_lone_ketbras`` lists the ket-bras |xy><xz| and
 |xy><zy| that lie outside span{J_U}.
 ``minor_pairs_by_family`` lists the tight 2 x 2 minors of the diagonal
 certificate family by family, written out tuple by tuple.
-``dykstra_start`` runs the probe's alternating projections with fresh
-arrays at every step.
+``dykstra_start`` runs the probe's alternating projections, with the
+secant step or plain, with fresh arrays at every step.
 """
 
 from __future__ import annotations
@@ -401,25 +401,40 @@ def minor_pairs_by_family(d: int) -> dict:
     return pairs
 
 
-def dykstra_start(sys, start: np.ndarray, stop_at_tol: bool):
+def dykstra_start(sys, start: np.ndarray, stop_at_tol: bool, secant: bool = True):
     """Dykstra's alternating projections from ``start``, allocating the
-    shifted point, the correction and every projection anew at each step;
-    returns the last affine iterate, its distance to the reference and the
-    iterations run."""
+    shifted point, the correction, every projection and the secant point
+    anew at each step; returns the last plain affine iterate, its distance
+    to the reference and the iterations run.
+
+    With ``secant`` the next iterate is g - gamma (g - g_prev), gamma =
+    Re<df, f> / ||df||^2 for f = g - x and df = f - f_prev, unless df = 0 or
+    that point is not finite; without it, and at the first step, it is the
+    plain point g."""
     x = affine_project(sys, start)
     p = np.zeros_like(x)
+    f_prev = g_prev = None
     dist = float(np.linalg.norm(x - sys.reference))
     iters = 0
     for iters in range(1, MAX_ITER + 1):
         shifted = x + p
         y = psd_project(shifted)
         p = shifted - y
-        x_new = affine_project(sys, y)
-        step = float(np.linalg.norm(x_new - x))
-        x = x_new
-        dist = float(np.linalg.norm(x - sys.reference))
+        g = affine_project(sys, y)
+        f = g - x
+        step = float(np.linalg.norm(f))
+        dist = float(np.linalg.norm(g - sys.reference))
         if stop_at_tol and dist <= TOL:
-            break
+            return g, dist, iters
         if step <= 1e-13:
-            break
-    return x, dist, iters
+            return g, dist, iters
+        x = g
+        if secant and f_prev is not None:
+            df = f - f_prev
+            denom = np.vdot(df, df).real
+            if denom > 0:
+                mixed = g - (np.vdot(df, f).real / denom) * (g - g_prev)
+                if np.isfinite(mixed).all():
+                    x = mixed
+        f_prev, g_prev = f, g
+    return g_prev, dist, iters

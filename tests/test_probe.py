@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,14 +283,50 @@ def perturbed_start(sys, seed):
 @pytest.mark.parametrize("kind,seed", [("identity", 1), ("cp_family", 6),
                                        ("switch", 3)])
 def test_run_single_matches_fresh_array_loop(kind, seed):
-    # reusing the correction and the eigensolver's input array changes no bit
+    # reusing the correction, the history and the start's buffer changes no bit
     sys = build_constraint_system(kind, 2)
     start = perturbed_start(sys, seed)
     stop_at_tol = kind != "cp_family"
-    x, dist, iters = probe._run_single(sys, start, stop_at_tol)
+    x, dist, iters = probe._run_single(sys, affine_project(sys, start), stop_at_tol)
     ox, odist, oiters = dykstra_start(sys, start, stop_at_tol)
     assert np.array_equal(x, ox) and (dist, iters) == (odist, oiters)
     assert 1 < iters < probe.MAX_ITER
+
+
+@pytest.mark.parametrize("kind,seed", [("identity", 1), ("switch", 3)])
+def test_secant_step_halves_the_iterations(kind, seed):
+    sys = build_constraint_system(kind, 2)
+    start = perturbed_start(sys, seed)
+    _, plain_dist, plain_iters = dykstra_start(sys, start, True, secant=False)
+    _, dist, iters = probe._run_single(sys, affine_project(sys, start), True)
+    assert plain_dist <= probe.TOL and dist <= probe.TOL
+    assert iters <= plain_iters // 2
+
+
+def _zero_denominator_vdot(vdot):
+    return lambda a, b: 0.0 if a is b else vdot(a, b)
+
+
+def _nan_numerator_vdot(vdot):
+    return lambda a, b: vdot(a, b) if a is b else complex(np.nan)
+
+
+@pytest.mark.parametrize("patch", [_zero_denominator_vdot, _nan_numerator_vdot])
+def test_secant_falls_back_to_the_plain_step(patch, monkeypatch):
+    # a zero ||df||^2, or a NaN gamma and so a non-finite secant point,
+    # takes the plain Dykstra step every time
+    sys = build_constraint_system("identity", 2)
+    start = perturbed_start(sys, 1)
+    plain = dykstra_start(sys, start, True, secant=False)
+    x0 = affine_project(sys, start)
+    calls = []
+    patched = patch(np.vdot)
+    monkeypatch.setattr(probe.np, "vdot", lambda a, b: calls.append(a is b) or patched(a, b))
+    x, dist, iters = probe._run_single(sys, x0, True)
+    monkeypatch.undo()
+    assert np.array_equal(x, plain[0]) and (dist, iters) == plain[1:]
+    assert calls.count(True) == iters - 2  # every step after the first two
+    assert dist <= probe.TOL
 
 
 @pytest.mark.parametrize("kind", ["identity", "switch"])
@@ -298,12 +335,27 @@ def test_unique_start_returns_numbers_only(kind):
     sys = build_constraint_system(kind, 2)
     result = probe._run_start(sys, 4)
     assert len(pickle.dumps(result)) < 1024
-    assert result[4] is None
+    assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
-    x, dist, iters = probe._run_single(sys, perturbed_start(sys, 4), True)
+    x, dist, iters = probe._run_single(
+        sys, affine_project(sys, perturbed_start(sys, 4)), True)
     herm = (x + x.conj().T) / 2
     assert result[:4] == (dist, iters, constraint_residual(sys, x),
                           -np.linalg.eigvalsh(herm)[0])
+
+
+def test_switch_start_memory_peak():
+    # the secant history (two 1 MiB matrices) must not raise the peak: the
+    # raw start is freed before the loop, and the loop reuses spent buffers
+    sys = build_constraint_system("switch", 2)
+    probe._run_start(sys, 3)  # first-call allocations of numpy stay out
+    tracemalloc.start()
+    try:
+        probe._run_start(sys, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 2 ** 20
 
 
 def _nan_direction(n, rng):
@@ -393,7 +445,7 @@ def _spy_pools(mp):
 def pooled_run():
     """The default identity and then cp_family probes (seed 0) on two
     workers, with the pools made, the parent's BLAS variables afterwards and
-    the polish start recorded."""
+    the last polish start recorded."""
     starts = []
     polish = probe._polish_witness
 
@@ -414,10 +466,10 @@ def pooled_run():
                 for kind in ("identity", "cp_family")}
         after = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     probe._drop_pool()
-    assert len(starts) == 1  # the polish runs once, in this process
+    assert len(starts) == 2  # the two polishes run in this process
     return {"reports": reps, "pools": pools, "env": (before, after),
             "system": build_constraint_system("cp_family", 2),
-            "polish_start": starts[0]}
+            "polish_start": starts[-1]}
 
 
 def test_probe_kinds_share_one_pool(pooled_run):
@@ -534,7 +586,7 @@ def test_probe_cp_family_witness(pooled_run):
 def test_polish_witness_is_fast_and_feasible(pooled_run):
     sys, start = pooled_run["system"], pooled_run["polish_start"]
     witness, evals = probe._polish_witness(sys, start, 1e-6, 400_000)
-    # plain alternating projections need about 168,000 evaluations here
+    # plain alternating projections need about 148,000 evaluations here
     assert 1 <= evals <= 5000
     assert np.linalg.norm(witness - sys.reference) >= 0.1
     assert constraint_residual(sys, witness) <= 1e-6
@@ -548,6 +600,27 @@ def test_probe_cp_family_witness_budget_too_small_fails(monkeypatch):
     assert not rep.passed
     assert not rep.check("witness_negative_eigenvalue").passed
     assert "polish_iterations=3" in rep.notes[-1]
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypatch):
+    # the C_p starts may end within rounding of the reference; the second
+    # polish follows the first one's witness, which lies far from it
+    sys = build_constraint_system("cp_family", 2)
+    _usable_cpus(monkeypatch, 1)
+    witnesses = []
+    polish = probe._polish_witness
+
+    def spy(*args):
+        witness, evals = polish(*args)
+        witnesses.append(witness)
+        return witness, evals
+
+    monkeypatch.setattr(probe, "_polish_witness", spy)
+    rep = alternating_projection_probe(sys, starts=10, seed=seed)
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+    assert len(witnesses) == 2
+    assert np.linalg.norm(witnesses[0] - sys.reference) >= 1e-2
 
 
 def _nan_lstsq(a, b, rcond=None):
