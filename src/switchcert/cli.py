@@ -98,8 +98,7 @@ def _run_counterexamples(cfg) -> list[CertificateReport]:
 def _run_probe(cfg) -> list[CertificateReport]:
     kinds = ("identity", "switch", "cp_family") if cfg.dim == 2 else ("identity",)
     return [alternating_projection_probe(
-        build_constraint_system(kind, cfg.dim),
-        starts=max(cfg.probe_starts, 10) if kind == "cp_family" else cfg.probe_starts,
+        build_constraint_system(kind, cfg.dim), starts=cfg.probe_starts,
         seed=cfg.seed, feas_tol=cfg.tol_psd) for kind in kinds]
 
 

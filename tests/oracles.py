@@ -401,7 +401,7 @@ def minor_pairs_by_family(d: int) -> dict:
     return pairs
 
 
-def dykstra_start(sys, start: np.ndarray, stop_at_tol: bool, secant: bool = True):
+def dykstra_start(sys, start: np.ndarray, secant: bool = True):
     """Dykstra's alternating projections from ``start``, allocating the
     shifted point, the correction, every projection and the secant point
     anew at each step; returns the last plain affine iterate, its distance
@@ -424,9 +424,7 @@ def dykstra_start(sys, start: np.ndarray, stop_at_tol: bool, secant: bool = True
         f = g - x
         step = float(np.linalg.norm(f))
         dist = float(np.linalg.norm(g - sys.reference))
-        if stop_at_tol and dist <= TOL:
-            return g, dist, iters
-        if step <= 1e-13:
+        if step <= 1e-13 or dist <= TOL:
             return g, dist, iters
         x = g
         if secant and f_prev is not None:

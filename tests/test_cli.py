@@ -200,6 +200,24 @@ def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_probe_cp_family_runs_the_starts_asked_for(capsys):
+    # the witness polishes from the first start alone, and the first seed
+    # that SeedSequence(seed).spawn(n) gives does not depend on n
+    notes = {}
+    for starts in (2, 10):
+        code, out = run_cli(["probe", "--dim", "2", "--seed", "5", "--probe-starts",
+                             str(starts), "--format", "json", "--no-timestamp"], capsys)
+        assert code == 0
+        cert = next(c for c in json.loads(out)["certificates"]
+                    if c["name"] == "probe_cp_family_d2")
+        assert cert["passed"]
+        notes[starts] = cert["notes"]
+    assert notes[2][0] == "starts=2"
+    assert notes[2][-1] == notes[10][-1]
+    assert notes[2][-1].startswith("witness_distance=")
+    assert "polish_iterations=" in notes[2][-1]
+
+
 def test_switch_verify_forwards_tol_psd_to_the_probe(capsys, monkeypatch):
     seen = []
 

@@ -286,9 +286,8 @@ def test_run_single_matches_fresh_array_loop(kind, seed):
     # reusing the correction, the history and the start's buffer changes no bit
     sys = build_constraint_system(kind, 2)
     start = perturbed_start(sys, seed)
-    stop_at_tol = kind != "cp_family"
-    x, dist, iters = probe._run_single(sys, affine_project(sys, start), stop_at_tol)
-    ox, odist, oiters = dykstra_start(sys, start, stop_at_tol)
+    x, dist, iters = probe._run_single(sys, affine_project(sys, start))
+    ox, odist, oiters = dykstra_start(sys, start)
     assert np.array_equal(x, ox) and (dist, iters) == (odist, oiters)
     assert 1 < iters < probe.MAX_ITER
 
@@ -297,8 +296,8 @@ def test_run_single_matches_fresh_array_loop(kind, seed):
 def test_secant_step_halves_the_iterations(kind, seed):
     sys = build_constraint_system(kind, 2)
     start = perturbed_start(sys, seed)
-    _, plain_dist, plain_iters = dykstra_start(sys, start, True, secant=False)
-    _, dist, iters = probe._run_single(sys, affine_project(sys, start), True)
+    _, plain_dist, plain_iters = dykstra_start(sys, start, secant=False)
+    _, dist, iters = probe._run_single(sys, affine_project(sys, start))
     assert plain_dist <= probe.TOL and dist <= probe.TOL
     assert iters <= plain_iters // 2
 
@@ -317,28 +316,28 @@ def test_secant_falls_back_to_the_plain_step(patch, monkeypatch):
     # takes the plain Dykstra step every time
     sys = build_constraint_system("identity", 2)
     start = perturbed_start(sys, 1)
-    plain = dykstra_start(sys, start, True, secant=False)
+    plain = dykstra_start(sys, start, secant=False)
     x0 = affine_project(sys, start)
     calls = []
     patched = patch(np.vdot)
     monkeypatch.setattr(probe.np, "vdot", lambda a, b: calls.append(a is b) or patched(a, b))
-    x, dist, iters = probe._run_single(sys, x0, True)
+    x, dist, iters = probe._run_single(sys, x0)
     monkeypatch.undo()
     assert np.array_equal(x, plain[0]) and (dist, iters) == plain[1:]
     assert calls.count(True) == iters - 2  # every step after the first two
     assert dist <= probe.TOL
 
 
-@pytest.mark.parametrize("kind", ["identity", "switch"])
+@pytest.mark.parametrize("kind", ["identity", "switch", "cp_family"])
 def test_unique_start_returns_numbers_only(kind):
-    # what a worker sends back for a unique kind: the final checks, no matrix
+    # what a worker sends back for any kind: the final checks, no matrix
     sys = build_constraint_system(kind, 2)
     result = probe._run_start(sys, 4)
     assert len(pickle.dumps(result)) < 1024
     assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
     x, dist, iters = probe._run_single(
-        sys, affine_project(sys, perturbed_start(sys, 4)), True)
+        sys, affine_project(sys, perturbed_start(sys, 4)))
     herm = (x + x.conj().T) / 2
     assert result[:4] == (dist, iters, constraint_residual(sys, x),
                           -np.linalg.eigvalsh(herm)[0])
@@ -409,7 +408,8 @@ def test_non_finite_cp_family_reference_fails_without_polish(monkeypatch):
     with np.errstate(all="ignore"):
         rep = alternating_projection_probe(sys, starts=2)
     assert not rep.passed
-    for name in ("witness_constraint_residual", "witness_negative_eigenvalue"):
+    for name in ("final_constraint_residual", "final_negative_eigenvalue",
+                 "witness_constraint_residual", "witness_negative_eigenvalue"):
         assert np.isnan(rep.check(name).measured) and not rep.check(name).passed
     assert not rep.check("witness_distance_exceeds_threshold").passed
     assert eigensolves == []
@@ -602,6 +602,20 @@ def test_probe_cp_family_witness_budget_too_small_fails(monkeypatch):
     assert "polish_iterations=3" in rep.notes[-1]
 
 
+def test_probe_cp_family_unconverged_starts_fail(monkeypatch):
+    # the C_p starts are checked like every kind's: cut at five iterations
+    # they end off the cone, although the witness still passes
+    sys = build_constraint_system("cp_family", 2)
+    _usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(probe, "MAX_ITER", 5)
+    rep = alternating_projection_probe(sys, starts=10, seed=1)
+    assert not rep.passed
+    assert not rep.check("final_negative_eigenvalue").passed
+    for name in ("witness_distance_exceeds_threshold", "witness_constraint_residual",
+                 "witness_negative_eigenvalue"):
+        assert rep.check(name).passed
+
+
 @pytest.mark.parametrize("seed", range(9))
 def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypatch):
     # the C_p starts may end within rounding of the reference; the second
@@ -623,19 +637,12 @@ def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypa
     assert np.linalg.norm(witnesses[0] - sys.reference) >= 1e-2
 
 
-def _nan_lstsq(a, b, rcond=None):
-    return np.full(a.shape[1], np.nan), None, 0, None
-
-
-def _failing_lstsq(a, b, rcond=None):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
-@pytest.mark.parametrize("lstsq", [_nan_lstsq, _failing_lstsq])
-def test_polish_witness_falls_back_to_plain_steps(pooled_run, monkeypatch, lstsq):
+@pytest.mark.parametrize("patch", [_zero_denominator_vdot, _nan_numerator_vdot])
+def test_polish_witness_falls_back_to_plain_steps(pooled_run, monkeypatch, patch):
     sys, start = pooled_run["system"], pooled_run["polish_start"]
-    monkeypatch.setattr(probe.np.linalg, "lstsq", lstsq)
+    monkeypatch.setattr(probe.np, "vdot", patch(np.vdot))
     witness, evals = probe._polish_witness(sys, start, 1e-6, 50)
+    monkeypatch.undo()
     assert evals == 50
     assert np.isfinite(witness).all()
     # every step fell back to the plain map affine o psd
