@@ -36,14 +36,21 @@ class Operator:
 
 
 def _as_matrix(op) -> np.ndarray:
-    return op.entries if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    """The entries of an Operator, a real floating array as float64 and
+    anything else as complex, so a real symmetric matrix keeps its real
+    eigensolve."""
+    if isinstance(op, Operator):
+        return op.entries
+    m = np.asarray(op)
+    return m.astype(float if m.dtype.kind == "f" else complex, copy=False)
 
 
 def frobenius(a, b=None) -> float:
     """Frobenius norm of a, or of a - b when b is given: ``frobenius_each``
     of the one matrix, taken as complex."""
     m = _as_matrix(a)
-    return float(frobenius_each(m if b is None else m - _as_matrix(b)))
+    m = m if b is None else m - _as_matrix(b)
+    return float(frobenius_each(m.astype(complex, copy=False)))
 
 
 def frobenius_each(a, b=None) -> np.ndarray:

@@ -26,6 +26,20 @@ products instead of one with the dense d^8 projector.  That map
 runs at any d.  The PSD projection rebuilds the clipped matrix from its
 positive eigenpairs only.
 
+The starts of the kinds that claim uniqueness run in real symmetric
+arithmetic, and lose nothing by it.  With a real reference and a real
+projector, X -> conj(X) maps the feasible set onto itself, and so does
+X -> Re X = (X + conj(X)) / 2, by convexity.
+Lemma: if W = |w><w| is pure and X != W is feasible, then Re X is a real
+feasible point other than W.  Proof: if Re X = W, then X <= X + conj(X) =
+2W, as conj(X) is PSD, so the range of X lies in span{w} and X = cW; the
+identity lies in each slot's span{J_U}, so the constraints fix the trace
+of X to that of W, c = 1 and X = W.  So a pure process has a second
+feasible point iff it has a real one, and a probe over real symmetric
+iterates tests the same claim.  The reference must therefore be real.  The
+C_p family claims no uniqueness: its starts and its witness, which is
+feasible whether it is real or not, stay complex.
+
 The independent starts of all probe calls in a process share one pool of
 spawned workers, made on the first pooled call and kept until the process
 exits or a worker dies.
@@ -74,7 +88,8 @@ class ConstraintSystem:
     """The probe problem of a process: the PSD cone and the affine set of
     Hermitian matrices whose action on span{J_U} in each slot is the
     process's.  ``kind`` names the problem and fixes the slot count, two for
-    the switch and one otherwise; everything else is read off ``process``.
+    the switch and one otherwise; everything else is read off ``process``,
+    whose matrix must be real: the reference is a read-only real copy.
     """
 
     kind: str
@@ -87,10 +102,19 @@ class ConstraintSystem:
         if self.process.slots != slots:
             raise ValueError(f"the {self.kind} probe needs a {slots}-slot process, "
                              f"not a {self.process.slots}-slot one")
+        entries = self.process.op.entries
+        if np.any(entries.imag):
+            raise ValueError(f"the {self.kind} probe needs a real process matrix")
+        reference = entries.real.copy()
         slot = span_projector(self.process.d)
-        slot.flags.writeable = False
-        object.__setattr__(self, "reference", self.process.op.entries)
+        reference.flags.writeable = slot.flags.writeable = False
+        object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "slot_projector", slot)
+
+    def __reduce__(self):
+        """Pickle as (kind, process), so a worker is sent one copy of the
+        process matrix and rebuilds the reference and the slot projector."""
+        return ConstraintSystem, (self.kind, self.process)
 
     @property
     def family_rank(self) -> int:
@@ -112,10 +136,10 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     """The constraint system of ``process``, by default the kind's own
     process at slot dimension d.
 
-    A given process must have slot dimension d and the kind's slot count.
-    The system is exact, so ``seed`` is unused.  The switch probe supports
-    d = 2 only: its dense process matrix is 256 x 256 there, and each extra
-    dimension multiplies the eigensolve cost.
+    A given process must have slot dimension d, the kind's slot count and
+    a real matrix.  The system is exact, so ``seed`` is unused.  The switch
+    probe supports d = 2 only: its dense process matrix is 256 x 256 there,
+    and each extra dimension multiplies the eigensolve cost.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
@@ -136,26 +160,18 @@ _SLOT_PAIR_AXES = {1: ((0, 2, 1, 3), (0, 2, 1, 3)),
 
 def _project(slot_projector: np.ndarray, slots: int, y: np.ndarray) -> np.ndarray:
     """``slot_projector`` applied to each slot's input index pair of y, in
-    matrix layout; the output dimension is read off y's size.
-
-    One slot keeps the complex product of the dense path, so its arithmetic
-    is unchanged.  With two slots the real projector acts on the float view
-    of the complex y, where each output column index o' carries its real
-    and imaginary parts side by side.
+    matrix layout; the output dimension is read off y's size.  A real y
+    stays real; a complex one, as in the witness polish, is projected by
+    the same product in complex arithmetic.
     """
     k = math.isqrt(slot_projector.shape[0])
     m = y.shape[0] // k ** slots
-    proj, cols = slot_projector, m
-    if slots == 1:
-        proj = proj.astype(complex)
-    else:
-        y, cols = y.view(float), 2 * m
     order, inverse = _SLOT_PAIR_AXES[slots]
-    t = y.reshape((k,) * slots + (m,) + (k,) * slots + (cols,)).transpose(order)
+    t = y.reshape((k,) * slots + (m,) + (k,) * slots + (m,)).transpose(order)
     shape = t.shape
     for j in range(slots):  # slot j: batched over the index pairs before it
-        t = np.matmul(proj, t.reshape((k * k) ** j, k * k, -1))
-    return t.reshape(shape).transpose(inverse).reshape(y.shape).view(complex)
+        t = np.matmul(slot_projector, t.reshape((k * k) ** j, k * k, -1))
+    return t.reshape(shape).transpose(inverse).reshape(y.shape)
 
 
 def _hermitian_part(x: np.ndarray) -> np.ndarray:
@@ -256,20 +272,30 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
 
 def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
     """The affine projection of the reference plus a random unit Hermitian
-    direction drawn from ``seed``: where a probe start begins."""
+    direction drawn from ``seed``: where a probe start begins.
+
+    A kind that claims uniqueness takes its real part, which is the affine
+    projection of the reference plus the real part of the direction, and
+    runs in real symmetric arithmetic; the lemma of the module docstring
+    says it loses nothing.  The C_p family claims only feasibility, and its
+    starts and witness polish stay complex: from real starts, 20 of seeds
+    0-599 had a C_p start stall at MAX_ITER short of feas_tol, and from
+    complex ones 1 of seeds 0-999."""
     rng = np.random.default_rng(seed)
-    return affine_project(
+    x = affine_project(
         sys, sys.reference + random_hermitian_direction(sys.reference.shape[0], rng))
+    return x if sys.kind == "cp_family" else x.real.copy()
 
 
 def _run_start(sys: ConstraintSystem, seed):
     """One probe start from ``_affine_start``: (distance, iterations,
     constraint residual, minus the least eigenvalue).  Only the affine start
-    is kept through the run.  The final checks are made here, NaN without an
-    eigensolve for a non-finite iterate, so a pooled start sends back
-    numbers only."""
+    is kept through the run.  The final checks are made here, and all three
+    numbers are NaN, without an eigensolve, for a non-finite iterate, so a
+    pooled start sends back numbers only."""
     x, dist, iters = _run_single(sys, _affine_start(sys, seed))
-    return (dist, iters, *_final_checks(sys, x))
+    resid, neg_eig = _final_checks(sys, x)
+    return (dist if np.isfinite(x).all() else math.nan), iters, resid, neg_eig
 
 
 def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
@@ -400,15 +426,16 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     """Run the probe from several perturbed starts and certify the outcome.
 
     Each start is the reference plus a random Hermitian perturbation of unit
-    Frobenius norm, projected onto the affine set; the starts run in parallel
-    across the usable CPUs (``_map_starts``).  Every kind checks the final
-    iterates against both constraints within feas_tol.  Unique kinds also
-    need every start back at the reference within TOL.  The cp_family kind
-    instead certifies a non-uniqueness witness, a feasible point whose
-    distance from the reference must exceed WITNESS_THRESHOLD.  Its starts
-    converge onto the reference too, so the witness does not read their
-    iterates: ``_find_witness`` polishes it from the first start's affine
-    point.
+    Frobenius norm, projected onto the affine set and, for the unique
+    kinds, taken to its real part, so that it runs in real arithmetic; the
+    starts run in parallel across the usable CPUs (``_map_starts``).  Every
+    kind checks the final iterates against both constraints within
+    feas_tol.  Unique kinds also need every start back at the reference
+    within TOL.  The cp_family kind instead certifies a non-uniqueness
+    witness, a feasible point whose distance from the reference must exceed
+    WITNESS_THRESHOLD.  Its starts converge onto the reference too, so the
+    witness does not read their iterates: ``_find_witness`` polishes it
+    from the first start's affine point.
     """
     timer = Timer()
     seeds = np.random.SeedSequence(seed).spawn(starts)

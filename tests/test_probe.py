@@ -50,11 +50,19 @@ def test_constraint_system_shapes():
     assert sw.family_rank == 100 == span_dimension_formula(2) ** 2
     assert (sw.process.slots, sw.slot_projector.shape) == (2, (16, 16))
     assert sw.in_projector.shape == (256, 256)
-    # the reference is the process's own matrix, not a copy, so the system
-    # sent to the workers holds one copy of it
-    assert sw.reference is sw.process.op.entries
-    assert len(pickle.dumps(sw)) < 1.1 * sw.reference.nbytes
+    # the reference is the real part of the process's matrix
+    assert sw.reference.dtype == float and sw.reference.flags.c_contiguous
+    assert np.array_equal(sw.reference, sw.process.op.entries.real)
     assert not sw.reference.flags.writeable and not sw.slot_projector.flags.writeable
+    # the system sent to the workers holds one copy of the process matrix,
+    # and the worker rebuilds the rest
+    data = pickle.dumps(sw)
+    assert len(data) < 1.1 * sw.process.op.entries.nbytes
+    copy = pickle.loads(data)
+    assert (copy.kind, copy.process.slots) == ("switch", 2)
+    assert np.array_equal(copy.reference, sw.reference)
+    assert np.array_equal(copy.slot_projector, sw.slot_projector)
+    assert not copy.reference.flags.writeable
 
 
 def dense_project(in_projector, y, nin):
@@ -78,7 +86,7 @@ def constrained_part(sys, x):
 @pytest.mark.parametrize("kind,d", [("identity", 2), ("cp_family", 2),
                                     ("transpose", 2), ("identity", 3)])
 def test_one_slot_constrained_part_is_the_dense_product(kind, d):
-    # one slot keeps the complex product of the dense path, bit for bit
+    # a complex y gets the complex product of the dense path, bit for bit
     sys = build_constraint_system(kind, d)
     x = random_hermitian_direction(sys.reference.shape[0], np.random.default_rng(6))
     assert np.array_equal(constrained_part(sys, x),
@@ -94,6 +102,10 @@ def test_switch_constrained_part_matches_dense_product_d2():
         dense = dense_project(sw.in_projector, x - sw.reference, sw.process.nin)
         assert frobenius(constrained_part(sw, x), dense) \
             <= 1e-14 * np.linalg.norm(dense)
+        # a real y is projected in real arithmetic
+        real = constrained_part(sw, x.real)
+        assert np.isrealobj(real)
+        assert frobenius(real, dense.real) <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_switch_constrained_part_matches_dense_product_d3():
@@ -209,6 +221,39 @@ def test_constraint_system_errors():
         build_constraint_system("cp_family", 3)
 
 
+def test_complex_override_process_is_refused():
+    # negative control: the identity process conjugated by a diagonal phase
+    # unitary is a process with complex entries, which the probe, working in
+    # real arithmetic, must refuse instead of projecting to its real part
+    phases = np.exp(0.3j * np.arange(16))
+    rotated = Process(2, vector=phases * build_identity_process(2).vector)
+    assert np.abs(rotated.op.entries.imag).max() > 0.1
+    with pytest.raises(ValueError, match="real"):
+        build_constraint_system("identity", 2, rotated)
+
+
+def test_real_part_of_a_complex_feasible_point_is_feasible():
+    # The lemma of the probe's docstring, on a point built by hand: X = W + tH
+    # for a complex Hermitian H in the kernel of the constraint map.  W is
+    # made positive definite, the identity process plus white noise, so a
+    # small enough step stays PSD.
+    w = build_identity_process(2).op.entries.real + np.eye(16)
+    sys = build_constraint_system("identity", 2, Process(2, dense=Operator(w)))
+    g = random_hermitian_direction(16, np.random.default_rng(11))
+    h = probe._hermitian_part(g - _project(sys.slot_projector, 1, g))
+    assert np.linalg.norm(_project(sys.slot_projector, 1, h)) <= 1e-14
+    t = 0.5 * np.linalg.eigvalsh(w)[0] / np.linalg.norm(h, 2)
+    x = w + t * h
+    assert np.linalg.norm(x.imag) >= 0.1 * t
+    assert constraint_residual(sys, x) <= 1e-12
+    assert np.linalg.eigvalsh(x)[0] >= 0.0
+    real = x.real
+    assert np.array_equal(real, real.T)
+    assert constraint_residual(sys, real) <= 1e-12
+    assert np.linalg.eigvalsh(real)[0] >= 0.0
+    assert np.linalg.norm(real - w) > 0.0
+
+
 def test_override_process_must_match_kind_and_dimension():
     mismatched = [("identity", 2, Process(2, vector=switch_choi_vector(2))),
                   ("switch", 2, build_identity_process(2)),
@@ -276,8 +321,11 @@ def test_probe_determinism():
 
 
 def perturbed_start(sys, seed):
+    """The reference plus the unit direction drawn from seed, real for a
+    unique kind: its affine projection is where the probe's start begins."""
     rng = np.random.default_rng(seed)
-    return sys.reference + random_hermitian_direction(sys.reference.shape[0], rng)
+    direction = random_hermitian_direction(sys.reference.shape[0], rng)
+    return sys.reference + (direction if sys.kind == "cp_family" else direction.real)
 
 
 @pytest.mark.parametrize("kind,seed", [("identity", 1), ("cp_family", 6),
@@ -336,16 +384,21 @@ def test_unique_start_returns_numbers_only(kind):
     assert len(pickle.dumps(result)) < 1024
     assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
-    x, dist, iters = probe._run_single(
-        sys, affine_project(sys, perturbed_start(sys, 4)))
+    start = affine_project(sys, perturbed_start(sys, 4))
+    x, dist, iters = probe._run_single(sys, start.copy())
+    # a unique kind starts from a real affine point and stays real; the C_p
+    # starts stay complex
+    assert np.array_equal(start, probe._affine_start(sys, 4))
+    assert np.isrealobj(x) == (kind != "cp_family")
     herm = (x + x.conj().T) / 2
     assert result[:4] == (dist, iters, constraint_residual(sys, x),
                           -np.linalg.eigvalsh(herm)[0])
 
 
 def test_switch_start_memory_peak():
-    # the secant history (two 1 MiB matrices) must not raise the peak: the
-    # raw start is freed before the loop, and the loop reuses spent buffers
+    # the loop holds four real 0.5 MiB matrices, and the secant history must
+    # not raise the peak: the complex affine point is freed before the loop,
+    # and the loop reuses spent buffers
     sys = build_constraint_system("switch", 2)
     probe._run_start(sys, 3)  # first-call allocations of numpy stay out
     tracemalloc.start()
@@ -354,7 +407,7 @@ def test_switch_start_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5 * 2 ** 20
+    assert peak <= 4.5 * 2 ** 20
 
 
 def _nan_direction(n, rng):
@@ -522,16 +575,16 @@ def test_failed_start_raises_without_hanging(monkeypatch):
         alternating_projection_probe(broken, starts=4)
     # Pooled, in a child interpreter so that a hang fails on the timeout: an
     # error in a start is raised in the parent, and so is a worker's death.
+    # A worker rebuilds the system from its kind and process, with its own
+    # span_projector, so the failing start is a call that raises there.
     code = """
 import os
-import numpy as np
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from switchcert import probe
 os.sched_getaffinity = lambda pid: {0, 1}
-probe.span_projector = lambda d: np.eye(3)
-broken = probe.build_constraint_system("identity", 2)
 try:
-    probe.alternating_projection_probe(broken, starts=4)
+    probe._map_starts(partial(probe.build_constraint_system, "nope"), [2] * 4)
 except ValueError:
     print("start error raised")
 pool = probe._POOL
@@ -635,6 +688,17 @@ def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypa
     assert rep.passed, [c for c in rep.checks if not c.passed]
     assert len(witnesses) == 2
     assert np.linalg.norm(witnesses[0] - sys.reference) >= 1e-2
+
+
+def test_cp_family_starts_converge_at_seed_28(monkeypatch):
+    # the C_p starts stay complex: from real ones, start 6 of seed 28 stalls
+    # at MAX_ITER 2e-3 from the reference, with a negative eigenvalue of 2e-6
+    sys = build_constraint_system("cp_family", 2)
+    _usable_cpus(monkeypatch, 1)
+    rep = alternating_projection_probe(sys, starts=10, seed=28)
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+    iterations = re.fullmatch(r"iterations=\[([\d, ]*)\]", rep.notes[1])
+    assert max(map(int, iterations.group(1).split(", "))) < probe.MAX_ITER
 
 
 @pytest.mark.parametrize("patch", [_zero_denominator_vdot, _nan_numerator_vdot])
