@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true", dest="no_timestamp",
                        help="suppress timestamp and runtimes for reproducible diffs")
         p.add_argument("--probe-starts", type=int, default=10, dest="probe_starts",
-                       help="number of perturbed starts per probe run")
+                       help="perturbed starts of each uniqueness probe; the "
+                            "cp_family probe has none")
     return parser
 
 

@@ -8,10 +8,10 @@ iteration adds a secant step, Anderson acceleration with memory 1
 (``_secant_point``), to the affine iterate and keeps Dykstra's correction;
 a d = 2 switch start then takes about 22 iterations instead of about 71.
 Every start stops within TOL of the reference and is checked against both
-constraints.  The runs collapse back onto the reference, also for the
-deliberately non-unique C_p family, so its witness, a feasible point far
-from the reference, is found by two secant-mixed polishes of a generic
-affine point instead (``_find_witness``).
+constraints.  Only the kinds that claim uniqueness run starts: the
+deliberately non-unique C_p family is certified by its witness, a feasible
+point far from the reference, found by two secant-mixed polishes of a
+generic affine point (``_find_witness``).
 
 A probe problem is a ``ConstraintSystem``: a process and its kind.  The
 reference is the process's matrix, and the slot count and dimensions are
@@ -37,8 +37,7 @@ identity lies in each slot's span{J_U}, so the constraints fix the trace
 of X to that of W, c = 1 and X = W.  So a pure process has a second
 feasible point iff it has a real one, and a probe over real symmetric
 iterates tests the same claim.  The reference must therefore be real.  The
-C_p family claims no uniqueness: its starts and its witness, which is
-feasible whether it is real or not, stay complex.
+C_p witness, which is feasible whether it is real or not, stays complex.
 
 The independent starts of all probe calls in a process share one pool of
 spawned workers, made on the first pooled call and kept until the process
@@ -241,8 +240,8 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     Dykstra's correction p; x_{k+1} is the ``_secant_point`` after g_k, an
     affine combination of affine points, or g_k itself at the first step.
     Mixing x but not p gives up Dykstra's guarantee that the run ends on the
-    feasible point nearest its start; for the unique kinds every feasible
-    point is the reference.
+    feasible point nearest its start; for the kinds that run starts every
+    feasible point is the reference.
     The stopping rules read the plain step ||g_k - x_k|| and the distance
     of g_k; a non-finite distance or step, which meets no stopping rule,
     ends the run at once.  p holds the shifted point and then the next
@@ -272,28 +271,21 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
 
 def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
     """The affine projection of the reference plus a random unit Hermitian
-    direction drawn from ``seed``: where a probe start begins.
-
-    A kind that claims uniqueness takes its real part, which is the affine
-    projection of the reference plus the real part of the direction, and
-    runs in real symmetric arithmetic; the lemma of the module docstring
-    says it loses nothing.  The C_p family claims only feasibility, and its
-    starts and witness polish stay complex: from real starts, 20 of seeds
-    0-599 had a C_p start stall at MAX_ITER short of feas_tol, and from
-    complex ones 1 of seeds 0-999."""
+    direction drawn from ``seed``: where a probe start and the witness
+    polish begin."""
     rng = np.random.default_rng(seed)
-    x = affine_project(
+    return affine_project(
         sys, sys.reference + random_hermitian_direction(sys.reference.shape[0], rng))
-    return x if sys.kind == "cp_family" else x.real.copy()
 
 
 def _run_start(sys: ConstraintSystem, seed):
-    """One probe start from ``_affine_start``: (distance, iterations,
-    constraint residual, minus the least eigenvalue).  Only the affine start
-    is kept through the run.  The final checks are made here, and all three
+    """One probe start from the real part of ``_affine_start``, in real
+    symmetric arithmetic, which the lemma of the module docstring says loses
+    nothing: (distance, iterations, constraint residual, minus the least
+    eigenvalue).  Only the real start is kept through the run.  The final checks are made here, and all three
     numbers are NaN, without an eigensolve, for a non-finite iterate, so a
     pooled start sends back numbers only."""
-    x, dist, iters = _run_single(sys, _affine_start(sys, seed))
+    x, dist, iters = _run_single(sys, _affine_start(sys, seed).real.copy())
     resid, neg_eig = _final_checks(sys, x)
     return (dist if np.isfinite(x).all() else math.nan), iters, resid, neg_eig
 
@@ -423,33 +415,23 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray, feas_tol: float):
 
 def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: int = 0,
                                  feas_tol: float = 1e-6) -> CertificateReport:
-    """Run the probe from several perturbed starts and certify the outcome.
+    """Certify a kind that claims uniqueness by its starts, and the cp_family
+    kind by its witness.
 
     Each start is the reference plus a random Hermitian perturbation of unit
-    Frobenius norm, projected onto the affine set and, for the unique
-    kinds, taken to its real part, so that it runs in real arithmetic; the
-    starts run in parallel across the usable CPUs (``_map_starts``).  Every
-    kind checks the final iterates against both constraints within
-    feas_tol.  Unique kinds also need every start back at the reference
-    within TOL.  The cp_family kind instead certifies a non-uniqueness
-    witness, a feasible point whose distance from the reference must exceed
-    WITNESS_THRESHOLD.  Its starts converge onto the reference too, so the
-    witness does not read their iterates: ``_find_witness`` polishes it
-    from the first start's affine point.
+    Frobenius norm, projected onto the affine set and taken to its real
+    part; the starts run in parallel across the usable CPUs
+    (``_map_starts``).  Their final iterates must meet both constraints
+    within feas_tol and lie within TOL of the reference.  The cp_family kind
+    runs no starts: it certifies a non-uniqueness witness, a feasible point
+    whose distance from the reference must exceed WITNESS_THRESHOLD, which
+    ``_find_witness`` polishes from the complex affine point of the first
+    start's seed.
     """
     timer = Timer()
     seeds = np.random.SeedSequence(seed).spawn(starts)
-    dists, iters_used, resids, neg_eigs = \
-        zip(*_map_starts(partial(_run_start, sys), seeds))
-
     expected_rank = span_dimension_formula(sys.process.d) ** sys.process.slots
-    checks = [
-        check_true("family_rank_full", sys.family_rank == expected_rank),
-        check_leq("final_constraint_residual", nan_max(*resids), feas_tol),
-        check_leq("final_negative_eigenvalue", nan_max(*neg_eigs), feas_tol),
-    ]
-    notes = [f"starts={starts}", f"iterations={list(iters_used)}",
-             f"distances=[{', '.join(f'{v:.3e}' for v in dists)}]"]
+    checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
     if sys.kind == "cp_family":
         witness, polish_iters = _find_witness(sys, _affine_start(sys, seeds[0]), feas_tol)
         wdist = float(np.linalg.norm(witness - sys.reference))
@@ -460,8 +442,15 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
             check_leq("witness_constraint_residual", resid, feas_tol),
             check_leq("witness_negative_eigenvalue", neg_eig, feas_tol),
         ]
-        notes.append(f"witness_distance={wdist:.4f} polish_iterations={polish_iters}")
+        notes = (f"witness_distance={wdist:.4f} polish_iterations={polish_iters}",)
     else:
-        checks.append(check_leq("max_distance_to_reference", nan_max(*dists), TOL))
-    return make_report(f"probe_{sys.kind}_d{sys.process.d}", checks, timer,
-                       notes=tuple(notes))
+        dists, iters_used, resids, neg_eigs = \
+            zip(*_map_starts(partial(_run_start, sys), seeds))
+        checks += [
+            check_leq("final_constraint_residual", nan_max(*resids), feas_tol),
+            check_leq("final_negative_eigenvalue", nan_max(*neg_eigs), feas_tol),
+            check_leq("max_distance_to_reference", nan_max(*dists), TOL),
+        ]
+        notes = (f"starts={starts}", f"iterations={list(iters_used)}",
+                 f"distances=[{', '.join(f'{v:.3e}' for v in dists)}]")
+    return make_report(f"probe_{sys.kind}_d{sys.process.d}", checks, timer, notes=notes)

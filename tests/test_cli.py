@@ -201,9 +201,10 @@ def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):
 
 
 def test_probe_cp_family_runs_the_starts_asked_for(capsys):
-    # the witness polishes from the first start alone, and the first seed
-    # that SeedSequence(seed).spawn(n) gives does not depend on n
-    notes = {}
+    # the C_p probe runs no starts: its witness polishes from the first
+    # seed, which SeedSequence(seed).spawn(n) gives whatever n is, so the
+    # whole certificate is the same for any --probe-starts
+    certs = {}
     for starts in (2, 10):
         code, out = run_cli(["probe", "--dim", "2", "--seed", "5", "--probe-starts",
                              str(starts), "--format", "json", "--no-timestamp"], capsys)
@@ -211,11 +212,8 @@ def test_probe_cp_family_runs_the_starts_asked_for(capsys):
         cert = next(c for c in json.loads(out)["certificates"]
                     if c["name"] == "probe_cp_family_d2")
         assert cert["passed"]
-        notes[starts] = cert["notes"]
-    assert notes[2][0] == "starts=2"
-    assert notes[2][-1] == notes[10][-1]
-    assert notes[2][-1].startswith("witness_distance=")
-    assert "polish_iterations=" in notes[2][-1]
+        certs[starts] = json.dumps(cert, sort_keys=True)
+    assert certs[2] == certs[10]
 
 
 def test_switch_verify_forwards_tol_psd_to_the_probe(capsys, monkeypatch):
