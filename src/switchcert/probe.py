@@ -39,18 +39,32 @@ feasible point iff it has a real one, and a probe over real symmetric
 iterates tests the same claim.  The reference must therefore be real.  The
 C_p witness, which is feasible whether it is real or not, stays complex.
 
-The independent starts of all probe calls in a process share one pool of
-spawned workers, made on the first pooled call and kept until the process
-exits or a worker dies.
+The kinds that claim uniqueness also run in charge sectors.  A diagonal
+unitary V with phases t acts on each tensor factor as t, conj(t) or not at
+all, by the kind's sign table (``_CHARGE_SIGNS``); a basis index's charge
+is the signed count of each of its digit values, and a sector is the set of
+indices of one charge.  The torus twirl T(X) = int V X V^H dV keeps X on
+the sector blocks and zeroes it off them.  The slot projector commutes with
+T and the reference is T-invariant, so T maps the feasible set onto itself.
+Lemma: if W = |w><w| is pure and T-invariant and X != W is feasible, then
+T(X) is a feasible point other than W.  Proof: V w is a multiple of w, so
+V^H u is orthogonal to w whenever u is; if T(X) = W, then for such u the integral
+of <V^H u, X V^H u> over V is <u, W u> = 0, with a continuous non-negative
+integrand, so <u, X u> = 0 and, X being PSD, X u = 0; the range of X lies
+in span{w}, and X = W as above.  With the Re-lemma, a pure process has a
+second feasible point iff it has a real sector-block-diagonal one.  So a
+start's direction is twirled, its iterates stay sector-block-diagonal (the
+affine map keeps them exactly 0 off the blocks) and are clipped block by
+block, and the starts run one after another in the calling process.  The
+C_p family, whose kind has no sign table, and a reference that is not
+exactly 0 off its kind's sectors get one sector holding every index: their
+probe is dense.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
-import os
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -79,7 +93,14 @@ TOL = 1e-6  # distance to the reference at which a start has converged
 WITNESS_AMPLITUDE = 0.25  # norm of the escape direction the witness polish starts from
 WITNESS_THRESHOLD = 0.1  # distance from the reference a cp_family witness must reach
 WITNESS_MAX_ITER = 400_000  # evaluations the witness polish may take
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Charge signs of the tensor factors, in storage order, of the kinds that
+# claim uniqueness; the switch's control qubit is uncharged.
+_CHARGE_SIGNS = {
+    "switch": (1, -1, 1, -1, -1, 1, 0, 0),
+    "identity": (1, -1, -1, 1),
+    "transpose": (1, -1, 1, -1),
+    "conjugate_qubit": (1, -1, 1, -1),
+}
 
 
 @dataclass(frozen=True)
@@ -89,12 +110,15 @@ class ConstraintSystem:
     process's.  ``kind`` names the problem and fixes the slot count, two for
     the switch and one otherwise; everything else is read off ``process``,
     whose matrix must be real: the reference is a read-only real copy.
+    ``sectors`` holds the basis indices of each charge sector of the kind
+    (``_charge_sectors``).
     """
 
     kind: str
     process: Process
     reference: np.ndarray = field(init=False, repr=False)
     slot_projector: np.ndarray = field(init=False, repr=False)
+    sectors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         slots = 2 if self.kind == "switch" else 1
@@ -109,11 +133,8 @@ class ConstraintSystem:
         reference.flags.writeable = slot.flags.writeable = False
         object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "slot_projector", slot)
-
-    def __reduce__(self):
-        """Pickle as (kind, process), so a worker is sent one copy of the
-        process matrix and rebuilds the reference and the slot projector."""
-        return ConstraintSystem, (self.kind, self.process)
+        object.__setattr__(self, "sectors",
+                           _charge_sectors(self.kind, self.process, reference))
 
     @property
     def family_rank(self) -> int:
@@ -137,8 +158,8 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
 
     A given process must have slot dimension d, the kind's slot count and
     a real matrix.  The system is exact, so ``seed`` is unused.  The switch
-    probe supports d = 2 only: its dense process matrix is 256 x 256 there,
-    and each extra dimension multiplies the eigensolve cost.
+    probe supports d = 2 only: its iterates are stored dense, 256 x 256
+    there, and at d = 3 the dense 2916 x 2916 storage takes about 1.2 GB.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
@@ -149,6 +170,46 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     if process.d != d:
         raise ValueError(f"the process has slot dimension {process.d}, not {d}")
     return ConstraintSystem(kind, process)
+
+
+def _charge_sectors(kind: str, process: Process, reference: np.ndarray) -> tuple:
+    """The basis indices of each charge sector of the kind's sign table, in
+    the order of their charge vectors; one sector of every index for a kind
+    without a sign table or a reference that is not exactly 0 off them."""
+    signs = _CHARGE_SIGNS.get(kind)
+    if signs is not None:
+        d = process.d
+        dims = (d,) * 6 + (2, 2) if process.slots == 2 else (d,) * 4
+        digits = np.indices(dims).reshape(len(dims), -1, 1) == np.arange(d)
+        charge = (np.reshape(signs, (-1, 1, 1)) * digits).sum(axis=0)
+        _, label = np.unique(charge, axis=0, return_inverse=True)
+        label = label.reshape(-1)
+        sectors = tuple(np.flatnonzero(label == s) for s in range(label.max() + 1))
+        if np.array_equal(_blockwise(sectors, reference), reference):
+            return sectors
+    return (np.arange(reference.shape[0]),)
+
+
+def _blockwise(sectors: tuple, x: np.ndarray, f=None) -> np.ndarray:
+    """The matrix holding f of x's block on each sector block and 0 off
+    them; without f, x's own blocks, which is the torus twirl of x."""
+    y = np.zeros_like(x)
+    for s in sectors:
+        block = np.ix_(s, s)
+        y[block] = x[block] if f is None else f(x[block])
+    return y
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b>, summed by ``np.einsum`` on one thread: a BLAS dot splits the
+    sum by its thread count, and the reports would depend on it."""
+    return float(np.einsum("i,i->", np.ravel(a).view(float), np.ravel(b).view(float)))
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm of x, summed as in ``_dot``."""
+    v = np.ravel(x).view(float)
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
 # Axis orders that bring each slot's row and column input index together,
@@ -204,14 +265,13 @@ def psd_project(x: np.ndarray) -> np.ndarray:
 def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
     """||P_in(x - reference)||_F, the root sum of squared action deviations over
     any orthonormal spanning family: at least the largest single deviation."""
-    return float(np.linalg.norm(
-        _project(sys.slot_projector, sys.process.slots, x - sys.reference)))
+    return _norm(_project(sys.slot_projector, sys.process.slots, x - sys.reference))
 
 
 def random_hermitian_direction(n: int, rng) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = _hermitian_part(g)
-    return h / np.linalg.norm(h)
+    return h / _norm(h)
 
 
 def _secant_point(g, g_prev, f, f_prev):
@@ -220,10 +280,10 @@ def _secant_point(g, g_prev, f, f_prev):
     gamma = Re<df, f> / ||df||^2 for df = f - f_prev, or g itself when
     df = 0 or the secant point is not finite.  f_prev is overwritten."""
     df = np.subtract(f, f_prev, out=f_prev)
-    denom = np.vdot(df, df).real
+    denom = _dot(df, df)
     x = np.subtract(g, g_prev, out=g_prev)
     if denom > 0:
-        x *= np.vdot(df, f).real / denom
+        x *= _dot(df, f) / denom
         np.subtract(g, x, out=x)
         if np.isfinite(x).all():
             return x
@@ -236,7 +296,8 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     buffer is reused, with a secant step: the last plain affine iterate,
     its distance to the reference and the iterations run.
 
-    A plain step maps x_k to g_k = affine(psd(x_k + p_k)) and updates
+    A plain step maps x_k to g_k = affine(psd(x_k + p_k)), with the PSD
+    projection made block by block on the sectors, and updates
     Dykstra's correction p; x_{k+1} is the ``_secant_point`` after g_k, an
     affine combination of affine points, or g_k itself at the first step.
     Mixing x but not p gives up Dykstra's guarantee that the run ends on the
@@ -250,18 +311,18 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     """
     p = np.zeros_like(x)
     f_prev = g_prev = None
-    dist = float(np.linalg.norm(x - sys.reference))
+    dist = _norm(x - sys.reference)
     iters = 0
     while iters < MAX_ITER and math.isfinite(dist):
         iters += 1
         p += x
-        y = psd_project(p)
+        y = _blockwise(sys.sectors, p, psd_project)
         p -= y
         g = affine_project(sys, y)
         del y
         f = np.subtract(g, x, out=x)
-        step = float(np.linalg.norm(f))
-        dist = float(np.linalg.norm(g - sys.reference))
+        step = _norm(f)
+        dist = _norm(g - sys.reference)
         if not math.isfinite(step) or step <= 1e-13 or dist <= TOL:
             return g, dist, iters
         x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev)
@@ -270,99 +331,37 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
 
 
 def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
-    """The affine projection of the reference plus a random unit Hermitian
-    direction drawn from ``seed``: where a probe start and the witness
-    polish begin."""
+    """The affine projection of the reference plus the twirl of a random
+    unit Hermitian direction drawn from ``seed``: where a probe start and
+    the witness polish begin."""
     rng = np.random.default_rng(seed)
-    return affine_project(
-        sys, sys.reference + random_hermitian_direction(sys.reference.shape[0], rng))
+    return affine_project(sys, sys.reference + _blockwise(
+        sys.sectors, random_hermitian_direction(sys.reference.shape[0], rng)))
 
 
 def _run_start(sys: ConstraintSystem, seed):
     """One probe start from the real part of ``_affine_start``, in real
-    symmetric arithmetic, which the lemma of the module docstring says loses
+    symmetric arithmetic, which the lemmas of the module docstring say lose
     nothing: (distance, iterations, constraint residual, minus the least
-    eigenvalue).  Only the real start is kept through the run.  The final checks are made here, and all three
-    numbers are NaN, without an eigensolve, for a non-finite iterate, so a
-    pooled start sends back numbers only."""
+    eigenvalue).  Only the real start is kept through the run.  The
+    distance is NaN for a non-finite iterate, and so are the checks."""
     x, dist, iters = _run_single(sys, _affine_start(sys, seed).real.copy())
     resid, neg_eig = _final_checks(sys, x)
     return (dist if np.isfinite(x).all() else math.nan), iters, resid, neg_eig
 
 
 def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
-    """The constraint residual of x and minus its least eigenvalue; both NaN,
-    without an eigensolve, which may raise on them, if x is not finite."""
+    """The constraint residual of x and minus its least eigenvalue, the
+    least over the sector blocks.  Both are NaN, without an eigensolve,
+    which may raise on them, if x is not finite, and the eigenvalue is NaN
+    if x is not exactly 0 off the sectors, where the blocks do not hold its
+    spectrum."""
     if not np.isfinite(x).all():
         return math.nan, math.nan
-    return constraint_residual(sys, x), -min_eigenvalue(x)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
-_POOL = None  # the spawn pool shared by the probe calls of this process
-
-
-def _drop_pool() -> None:
-    """Shut the shared pool down without waiting; the next pooled call
-    makes a new one."""
-    global _POOL
-    if _POOL is not None:
-        _POOL.shutdown(wait=False, cancel_futures=True)
-        _POOL = None
-
-
-def _map_starts(run, seeds) -> list:
-    """``run`` over ``seeds``, results in start order.
-
-    On one usable CPU, or for a single start, this is a plain loop.
-    Otherwise the starts go to one pool of spawned workers, one per usable
-    CPU, made on the first such call, reused by every later one and shut
-    down at exit, so numpy and switchcert are imported once per worker and
-    not once per probe.  Workers are spawned when a map first needs them
-    and read the BLAS variables then, so every map sets them to one thread in
-    ``os.environ`` and restores them afterwards.  Spawned, not forked,
-    workers start with a fresh BLAS instead of the parent's threads, and
-    the executor raises ``BrokenProcessPool`` when a worker dies, where
-    ``multiprocessing.Pool`` would hang; the broken pool is then dropped
-    and the next call makes a new one.  A spawned worker re-runs the
-    parent's ``__main__`` from its file, so a script read from standard
-    input, which has none, runs its starts in the plain loop too.
-    """
-    import __main__
-
-    global _POOL
-    main_file = getattr(__main__, "__file__", None)
-    cpus = _usable_cpus()
-    if min(len(seeds), cpus) <= 1 or \
-            (main_file is not None and not os.path.isfile(main_file)):
-        return [run(s) for s in seeds]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        if _POOL is None:
-            _POOL = ProcessPoolExecutor(
-                cpus, mp_context=multiprocessing.get_context("spawn"))
-            atexit.register(_drop_pool)
-        return list(_POOL.map(run, seeds))
-    except BrokenProcessPool:
-        _drop_pool()
-        raise
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    resid = constraint_residual(sys, x)
+    if not np.array_equal(_blockwise(sys.sectors, x), x):
+        return resid, math.nan
+    return resid, -min(min_eigenvalue(x[np.ix_(s, s)]) for s in sys.sectors)
 
 
 def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
@@ -404,7 +403,7 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray, feas_tol: float):
     evals = 0
     for _ in range(2):
         escape = point - sys.reference
-        scale = float(np.linalg.norm(escape))
+        scale = _norm(escape)
         point = sys.reference + WITNESS_AMPLITUDE * (escape / scale if scale > 0 else escape)
         if not np.isfinite(point).all():
             break
@@ -418,10 +417,10 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     """Certify a kind that claims uniqueness by its starts, and the cp_family
     kind by its witness.
 
-    Each start is the reference plus a random Hermitian perturbation of unit
-    Frobenius norm, projected onto the affine set and taken to its real
-    part; the starts run in parallel across the usable CPUs
-    (``_map_starts``).  Their final iterates must meet both constraints
+    Each start is the reference plus the twirl of a random Hermitian
+    perturbation of unit Frobenius norm, projected onto the affine set and
+    taken to its real part; the starts run one after another.  Their final
+    iterates must meet both constraints
     within feas_tol and lie within TOL of the reference.  The cp_family kind
     runs no starts: it certifies a non-uniqueness witness, a feasible point
     whose distance from the reference must exceed WITNESS_THRESHOLD, which
@@ -434,7 +433,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
     if sys.kind == "cp_family":
         witness, polish_iters = _find_witness(sys, _affine_start(sys, seeds[0]), feas_tol)
-        wdist = float(np.linalg.norm(witness - sys.reference))
+        wdist = _norm(witness - sys.reference)
         resid, neg_eig = _final_checks(sys, witness)
         checks += [
             check_true("witness_distance_exceeds_threshold",
@@ -444,8 +443,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
         ]
         notes = (f"witness_distance={wdist:.4f} polish_iterations={polish_iters}",)
     else:
-        dists, iters_used, resids, neg_eigs = \
-            zip(*_map_starts(partial(_run_start, sys), seeds))
+        dists, iters_used, resids, neg_eigs = zip(*(_run_start(sys, s) for s in seeds))
         checks += [
             check_leq("final_constraint_residual", nan_max(*resids), feas_tol),
             check_leq("final_negative_eigenvalue", nan_max(*neg_eigs), feas_tol),

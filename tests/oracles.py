@@ -18,7 +18,8 @@ blocks.  ``same_side_lone_ketbras`` lists the ket-bras |xy><xz| and
 ``minor_pairs_by_family`` lists the tight 2 x 2 minors of the diagonal
 certificate family by family, written out tuple by tuple.
 ``dykstra_start`` runs the probe's alternating projections, with the
-secant step or plain, with fresh arrays at every step.
+secant step or plain, with fresh arrays at every step and the PSD
+projection made sector by sector.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
@@ -401,37 +402,45 @@ def minor_pairs_by_family(d: int) -> dict:
     return pairs
 
 
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> of two real matrices, summed by ``np.einsum`` as the probe sums it."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def dykstra_start(sys, start: np.ndarray, secant: bool = True):
-    """Dykstra's alternating projections from ``start``, allocating the
-    shifted point, the correction, every projection and the secant point
+    """Dykstra's alternating projections from the real ``start``, allocating
+    the shifted point, the correction, every projection and the secant point
     anew at each step; returns the last plain affine iterate, its distance
-    to the reference and the iterations run.
+    to the reference and the iterations run.  The PSD projection clips each
+    sector block of the shifted point and leaves 0 off them.
 
     With ``secant`` the next iterate is g - gamma (g - g_prev), gamma =
-    Re<df, f> / ||df||^2 for f = g - x and df = f - f_prev, unless df = 0 or
+    <df, f> / ||df||^2 for f = g - x and df = f - f_prev, unless df = 0 or
     that point is not finite; without it, and at the first step, it is the
     plain point g."""
     x = affine_project(sys, start)
     p = np.zeros_like(x)
     f_prev = g_prev = None
-    dist = float(np.linalg.norm(x - sys.reference))
+    dist = sqrt(_real_dot(x - sys.reference, x - sys.reference))
     iters = 0
     for iters in range(1, MAX_ITER + 1):
         shifted = x + p
-        y = psd_project(shifted)
+        y = np.zeros_like(shifted)
+        for s in sys.sectors:
+            y[np.ix_(s, s)] = psd_project(shifted[np.ix_(s, s)])
         p = shifted - y
         g = affine_project(sys, y)
         f = g - x
-        step = float(np.linalg.norm(f))
-        dist = float(np.linalg.norm(g - sys.reference))
+        step = sqrt(_real_dot(f, f))
+        dist = sqrt(_real_dot(g - sys.reference, g - sys.reference))
         if step <= 1e-13 or dist <= TOL:
             return g, dist, iters
         x = g
         if secant and f_prev is not None:
             df = f - f_prev
-            denom = np.vdot(df, df).real
+            denom = _real_dot(df, df)
             if denom > 0:
-                mixed = g - (np.vdot(df, f).real / denom) * (g - g_prev)
+                mixed = g - (_real_dot(df, f) / denom) * (g - g_prev)
                 if np.isfinite(mixed).all():
                     x = mixed
         f_prev, g_prev = f, g
