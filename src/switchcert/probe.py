@@ -22,7 +22,7 @@ projector of one slot, a real d^4 x d^4 matrix, to each slot's input index
 pair of the difference from the reference is the exact orthogonal
 projection onto the affine set.  For the switch that is two small real
 products instead of one with the dense d^8 projector.  That map
-(``_project``) takes neither the reference nor the output dimension, so it
+(``_project``) reads the output dimension off the reference's size, so it
 runs at any d.  The PSD projection rebuilds the clipped matrix from its
 positive eigenpairs only.
 
@@ -52,13 +52,13 @@ V^H u is orthogonal to w whenever u is; if T(X) = W, then for such u the integra
 of <V^H u, X V^H u> over V is <u, W u> = 0, with a continuous non-negative
 integrand, so <u, X u> = 0 and, X being PSD, X u = 0; the range of X lies
 in span{w}, and X = W as above.  With the Re-lemma, a pure process has a
-second feasible point iff it has a real sector-block-diagonal one.  So a
-start's direction is twirled, its iterates stay sector-block-diagonal (the
-affine map keeps them exactly 0 off the blocks) and are clipped block by
-block, and the starts run one after another in the calling process.  The
-C_p family, whose kind has no sign table, and a reference that is not
-exactly 0 off its kind's sectors get one sector holding every index: their
-probe is dense.
+second feasible point iff it has a real sector-block-diagonal one.  So the
+probe stores a matrix as the vector of its sector blocks' entries
+(``_Layout``): a start's direction is twirled by keeping those, the PSD
+projection clips each block, and the affine map gathers the blocks back
+from the product, which is exactly 0 off them.  The C_p family, whose kind
+has no sign table, and a reference that is not exactly 0 off its kind's
+sectors get one sector holding every index: the whole matrix.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ class ConstraintSystem:
     the switch and one otherwise; everything else is read off ``process``,
     whose matrix must be real: the reference is a read-only real copy.
     ``sectors`` holds the basis indices of each charge sector of the kind
-    (``_charge_sectors``).
+    (``_charge_sectors``), which must partition the basis, and ``layout``
+    the probe's storage of a matrix on them.
     """
 
     kind: str
@@ -119,6 +120,7 @@ class ConstraintSystem:
     reference: np.ndarray = field(init=False, repr=False)
     slot_projector: np.ndarray = field(init=False, repr=False)
     sectors: tuple = field(init=False, repr=False)
+    layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self):
         slots = 2 if self.kind == "switch" else 1
@@ -133,8 +135,11 @@ class ConstraintSystem:
         reference.flags.writeable = slot.flags.writeable = False
         object.__setattr__(self, "reference", reference)
         object.__setattr__(self, "slot_projector", slot)
-        object.__setattr__(self, "sectors",
-                           _charge_sectors(self.kind, self.process, reference))
+        sectors = _charge_sectors(self.kind, self.process, reference)
+        if not np.array_equal(np.sort(np.concatenate(sectors)), np.arange(len(reference))):
+            raise ValueError(f"the {self.kind} sectors do not partition the basis")
+        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "layout", _layout(self, sectors))
 
     @property
     def family_rank(self) -> int:
@@ -158,8 +163,8 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
 
     A given process must have slot dimension d, the kind's slot count and
     a real matrix.  The system is exact, so ``seed`` is unused.  The switch
-    probe supports d = 2 only: its iterates are stored dense, 256 x 256
-    there, and at d = 3 the dense 2916 x 2916 storage takes about 1.2 GB.
+    probe supports d = 2 only: its affine map scatters the sector blocks
+    into a dense slot-pair buffer, 68 MB at d = 3, of unmeasured cost.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
@@ -184,20 +189,9 @@ def _charge_sectors(kind: str, process: Process, reference: np.ndarray) -> tuple
         charge = (np.reshape(signs, (-1, 1, 1)) * digits).sum(axis=0)
         _, label = np.unique(charge, axis=0, return_inverse=True)
         label = label.reshape(-1)
-        sectors = tuple(np.flatnonzero(label == s) for s in range(label.max() + 1))
-        if np.array_equal(_blockwise(sectors, reference), reference):
-            return sectors
+        if not reference[label[:, None] != label].any():
+            return tuple(np.flatnonzero(label == s) for s in range(label.max() + 1))
     return (np.arange(reference.shape[0]),)
-
-
-def _blockwise(sectors: tuple, x: np.ndarray, f=None) -> np.ndarray:
-    """The matrix holding f of x's block on each sector block and 0 off
-    them; without f, x's own blocks, which is the torus twirl of x."""
-    y = np.zeros_like(x)
-    for s in sectors:
-        block = np.ix_(s, s)
-        y[block] = x[block] if f is None else f(x[block])
-    return y
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -218,36 +212,64 @@ _SLOT_PAIR_AXES = {1: ((0, 2, 1, 3), (0, 2, 1, 3)),
                    2: ((0, 3, 1, 4, 2, 5), (0, 2, 4, 1, 3, 5))}
 
 
-def _project(slot_projector: np.ndarray, slots: int, y: np.ndarray) -> np.ndarray:
-    """``slot_projector`` applied to each slot's input index pair of y, in
-    matrix layout; the output dimension is read off y's size.  A real y
-    stays real; a complex one, as in the witness polish, is projected by
-    the same product in complex arithmetic.
-    """
-    k = math.isqrt(slot_projector.shape[0])
-    m = y.shape[0] // k ** slots
+@dataclass(frozen=True)
+class _Layout:
+    """A matrix that is 0 off the sector blocks, stored as the vector of the
+    blocks' entries, each block row-major: per entry its flat index in the
+    matrix and in ``_project``'s slot-pair layout and its transpose's index;
+    the reference's entries; the block offsets.  One sector is the ravel."""
+
+    entries: np.ndarray
+    positions: np.ndarray
+    transpose: np.ndarray
+    reference: np.ndarray
+    offsets: tuple
+
+
+def _layout(sys: ConstraintSystem, sectors: tuple) -> _Layout:
+    """The read-only storage on ``sectors`` of matrices of the reference's size."""
+    n, slots, k = len(sys.reference), sys.process.slots, math.isqrt(len(sys.slot_projector))
     order, inverse = _SLOT_PAIR_AXES[slots]
-    t = y.reshape((k,) * slots + (m,) + (k,) * slots + (m,)).transpose(order)
-    shape = t.shape
-    for j in range(slots):  # slot j: batched over the index pairs before it
-        t = np.matmul(slot_projector, t.reshape((k * k) ** j, k * k, -1))
-    return t.reshape(shape).transpose(inverse).reshape(y.shape)
+    dims = ((k,) * slots + (n // k ** slots,)) * 2
+    pair = np.arange(n * n).reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
+    offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
+    entries = np.concatenate([(s[:, None] * n + s).ravel() for s in sectors])
+    transpose = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
+                                for o, s in zip(offsets, sectors)])
+    arrays = entries, pair[entries], transpose, sys.reference.reshape(-1)[entries]
+    for a in arrays:
+        a.flags.writeable = False
+    return _Layout(*arrays, tuple(offsets.tolist()))
 
 
-def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(x + x^H) / 2, bit for bit.  The conjugate transpose is made as one
-    C-order copy and the rest is done in place: adding a transposed view
-    instead is several times slower at 256 x 256."""
-    h = np.conjugate(x.T, order="C")
-    h += x
-    h *= 0.5
-    return h
+def _blocks(layout: _Layout, v: np.ndarray) -> list:
+    """The sector blocks of the matrix stored as v, as square views of v."""
+    o = layout.offsets
+    return [v[a:b].reshape(2 * (math.isqrt(b - a),)) for a, b in zip(o, o[1:])]
+
+
+def _project(sys: ConstraintSystem, layout: _Layout, v: np.ndarray) -> np.ndarray:
+    """The slot projector on each slot's input index pair of the matrix
+    stored as v in ``layout``, stored alike: v is scattered into a zeroed
+    slot-pair buffer, multiplied there and gathered back.  A real v stays
+    real; a complex one, as in the witness polish, is projected as one."""
+    t = np.zeros(sys.reference.size, dtype=v.dtype)
+    t[layout.positions] = v
+    kk = len(sys.slot_projector)
+    for j in range(sys.process.slots):  # slot j: batched over the pairs before it
+        t = np.matmul(sys.slot_projector, t.reshape(kk ** j, kk, -1))
+    return t.reshape(-1)[layout.positions]
+
+
+def _affine(sys: ConstraintSystem, layout: _Layout, v: np.ndarray) -> np.ndarray:
+    """``affine_project`` of the matrix stored as v in ``layout``."""
+    y = v - _project(sys, layout, v - layout.reference)
+    return (y + y[layout.transpose].conj()) / 2
 
 
 def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     """Exact orthogonal projection onto {X Hermitian : action constraints hold}."""
-    return _hermitian_part(
-        x - _project(sys.slot_projector, sys.process.slots, x - sys.reference))
+    return _affine(sys, _layout(sys, (np.arange(len(x)),)), x.reshape(-1)).reshape(x.shape)
 
 
 def psd_project(x: np.ndarray) -> np.ndarray:
@@ -256,21 +278,31 @@ def psd_project(x: np.ndarray) -> np.ndarray:
     The clip V diag(max(w, 0)) V^H is rebuilt from the eigenpairs with
     w > 0 alone: the rest contribute exact zeros.
     """
-    w, v = np.linalg.eigh(_hermitian_part(x))
+    w, v = np.linalg.eigh((x + x.conj().T) / 2)
     cut = int(np.searchsorted(w, 0.0, side="right"))  # w[:cut] <= 0 < w[cut:]
     pos = v[:, cut:]
     return (pos * w[cut:]) @ pos.conj().T
 
 
+def _clip(layout: _Layout, v: np.ndarray) -> np.ndarray:
+    """``psd_project`` of each sector block of the matrix stored as v."""
+    y = np.empty_like(v)
+    for block, out in zip(_blocks(layout, v), _blocks(layout, y)):
+        out[...] = psd_project(block)
+    return y
+
+
 def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
     """||P_in(x - reference)||_F, the root sum of squared action deviations over
     any orthonormal spanning family: at least the largest single deviation."""
-    return _norm(_project(sys.slot_projector, sys.process.slots, x - sys.reference))
+    layout = _layout(sys, (np.arange(len(x)),))
+    return _norm(_project(sys, layout, x.reshape(-1) - layout.reference))
 
 
 def random_hermitian_direction(n: int, rng) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = _hermitian_part(g)
+    h = np.conjugate(g.T, order="C")  # 2x the Hermitian part; a copy beats a view
+    h += g
     return h / _norm(h)
 
 
@@ -292,9 +324,9 @@ def _secant_point(g, g_prev, f, f_prev):
 
 
 def _run_single(sys: ConstraintSystem, x: np.ndarray):
-    """Dykstra's alternating projections from the affine start ``x``, whose
-    buffer is reused, with a secant step: the last plain affine iterate,
-    its distance to the reference and the iterations run.
+    """Dykstra's alternating projections from the affine start ``x`` in
+    ``sys.layout``, whose buffer is reused, with a secant step: the last
+    plain affine iterate, its distance to the reference and the iterations.
 
     A plain step maps x_k to g_k = affine(psd(x_k + p_k)), with the PSD
     projection made block by block on the sectors, and updates
@@ -307,22 +339,23 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     of g_k; a non-finite distance or step, which meets no stopping rule,
     ends the run at once.  p holds the shifted point and then the next
     correction in place, and the secant history reuses spent buffers, so
-    the loop holds four matrices: x, p, g_{k-1} and f_{k-1}.
+    the loop holds four block vectors: x, p, g_{k-1} and f_{k-1}.
     """
+    layout = sys.layout
     p = np.zeros_like(x)
     f_prev = g_prev = None
-    dist = _norm(x - sys.reference)
+    dist = _norm(x - layout.reference)
     iters = 0
     while iters < MAX_ITER and math.isfinite(dist):
         iters += 1
         p += x
-        y = _blockwise(sys.sectors, p, psd_project)
+        y = _clip(layout, p)
         p -= y
-        g = affine_project(sys, y)
+        g = _affine(sys, layout, y)
         del y
         f = np.subtract(g, x, out=x)
         step = _norm(f)
-        dist = _norm(g - sys.reference)
+        dist = _norm(g - layout.reference)
         if not math.isfinite(step) or step <= 1e-13 or dist <= TOL:
             return g, dist, iters
         x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev)
@@ -331,12 +364,12 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
 
 
 def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
-    """The affine projection of the reference plus the twirl of a random
-    unit Hermitian direction drawn from ``seed``: where a probe start and
-    the witness polish begin."""
-    rng = np.random.default_rng(seed)
-    return affine_project(sys, sys.reference + _blockwise(
-        sys.sectors, random_hermitian_direction(sys.reference.shape[0], rng)))
+    """The affine projection of the reference plus the twirl (the block
+    entries) of a random unit Hermitian direction drawn from ``seed``, in
+    ``sys.layout``: where a probe start and the witness polish begin."""
+    direction = random_hermitian_direction(len(sys.reference), np.random.default_rng(seed))
+    return _affine(sys, sys.layout,
+                   sys.layout.reference + direction.reshape(-1)[sys.layout.entries])
 
 
 def _run_start(sys: ConstraintSystem, seed):
@@ -351,23 +384,19 @@ def _run_start(sys: ConstraintSystem, seed):
 
 
 def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
-    """The constraint residual of x and minus its least eigenvalue, the
-    least over the sector blocks.  Both are NaN, without an eigensolve,
-    which may raise on them, if x is not finite, and the eigenvalue is NaN
-    if x is not exactly 0 off the sectors, where the blocks do not hold its
-    spectrum."""
+    """The constraint residual of the matrix stored as x and minus its least
+    eigenvalue, the least over the sector blocks.  Both are NaN, without an
+    eigensolve, which may raise on them, if x is not finite."""
     if not np.isfinite(x).all():
         return math.nan, math.nan
-    resid = constraint_residual(sys, x)
-    if not np.array_equal(_blockwise(sys.sectors, x), x):
-        return resid, math.nan
-    return resid, -min(min_eigenvalue(x[np.ix_(s, s)]) for s in sys.sectors)
+    return (_norm(_project(sys, sys.layout, x - sys.layout.reference)),
+            -min(map(min_eigenvalue, _blocks(sys.layout, x))))
 
 
 def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
                     max_iter: int):
     """The plain map g = affine o psd, mixed by ``_secant_point``, from the
-    affine projection of ``start`` until g is feasible within tol.
+    affine projection of ``start`` in ``sys.layout`` until g is feasible.
 
     Every feasible witness sits on the boundary of the cone, where plain
     alternating projections crawl in tangentially; the secant point after
@@ -376,11 +405,12 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
     evaluations from about 148,000 to a few hundred.  Returns the first g
     with min eigenvalue >= -feas_tol, or the last one, and the evaluations.
     """
-    x = g = affine_project(sys, start)
+    layout = sys.layout
+    x = g = _affine(sys, layout, start)
     evals, f_prev, g_prev = 0, None, None
     for evals in range(1, max_iter + 1):
-        g = affine_project(sys, psd_project(x))
-        if min_eigenvalue(g) >= -feas_tol:
+        g = _affine(sys, layout, _clip(layout, x))
+        if min(map(min_eigenvalue, _blocks(layout, g))) >= -feas_tol:
             break
         f = np.subtract(g, x, out=x)
         x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev)
@@ -400,11 +430,11 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray, feas_tol: float):
     follows it out to WITNESS_AMPLITUDE.  A non-finite polish start is not
     polished: it is returned as it is, and fails the witness checks.
     """
-    evals = 0
+    evals, reference = 0, sys.layout.reference
     for _ in range(2):
-        escape = point - sys.reference
+        escape = point - reference
         scale = _norm(escape)
-        point = sys.reference + WITNESS_AMPLITUDE * (escape / scale if scale > 0 else escape)
+        point = reference + WITNESS_AMPLITUDE * (escape / scale if scale > 0 else escape)
         if not np.isfinite(point).all():
             break
         point, used = _polish_witness(sys, point, feas_tol, WITNESS_MAX_ITER - evals)
@@ -433,7 +463,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
     if sys.kind == "cp_family":
         witness, polish_iters = _find_witness(sys, _affine_start(sys, seeds[0]), feas_tol)
-        wdist = _norm(witness - sys.reference)
+        wdist = _norm(witness - sys.layout.reference)
         resid, neg_eig = _final_checks(sys, witness)
         checks += [
             check_true("witness_distance_exceeds_threshold",

@@ -19,7 +19,8 @@ blocks.  ``same_side_lone_ketbras`` lists the ket-bras |xy><xz| and
 certificate family by family, written out tuple by tuple.
 ``dykstra_start`` runs the probe's alternating projections, with the
 secant step or plain, with fresh arrays at every step and the PSD
-projection made sector by sector.
+projection made sector by sector, on the probe's block vectors or on dense
+matrices.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from __future__ import annotations
 import itertools
 import string
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt, sqrt
 
 import numpy as np
 
 from switchcert.channels import KrausChannel, choi_from_kraus
 from switchcert.linalg import Operator, frobenius, min_eigenvalue
+from switchcert import probe
 from switchcert.probe import MAX_ITER, TOL, affine_project, psd_project
 from switchcert.report import nan_max
 from switchcert.switch import CANONICAL_ORDER, Process, _channel_order
@@ -403,36 +406,59 @@ def minor_pairs_by_family(d: int) -> dict:
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> of two real matrices, summed by ``np.einsum`` as the probe sums it."""
+    """<a, b> of two real arrays, summed by ``np.einsum`` as the probe sums it."""
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def dykstra_start(sys, start: np.ndarray, secant: bool = True):
-    """Dykstra's alternating projections from the real ``start``, allocating
-    the shifted point, the correction, every projection and the secant point
-    anew at each step; returns the last plain affine iterate, its distance
-    to the reference and the iterations run.  The PSD projection clips each
-    sector block of the shifted point and leaves 0 off them.
+def _dense_sector_clip(sys, x: np.ndarray) -> np.ndarray:
+    """The PSD projection of each sector block of the matrix x, 0 off them."""
+    y = np.zeros_like(x)
+    for s in sys.sectors:
+        y[np.ix_(s, s)] = psd_project(x[np.ix_(s, s)])
+    return y
+
+
+def _block_sector_clip(sys, v: np.ndarray) -> np.ndarray:
+    """The PSD projection of each sector block of a block vector, the blocks
+    cut by the sector sizes alone."""
+    sizes = [len(s) for s in sys.sectors]
+    parts = np.split(v, np.cumsum([b * b for b in sizes])[:-1])
+    return np.concatenate([psd_project(part.reshape(b, b)).ravel()
+                           for part, b in zip(parts, sizes)])
+
+
+def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = False):
+    """Dykstra's alternating projections from the real matrix ``start``,
+    allocating the shifted point, the correction, every projection and the
+    secant point anew at each step; returns the last plain affine iterate,
+    its distance to the reference and the iterations run.  The iterates are
+    the probe's block vectors of ``sys.layout``, or with ``dense`` n x n
+    matrices; either way the PSD projection clips each sector block of the
+    shifted point and leaves 0 off them.
 
     With ``secant`` the next iterate is g - gamma (g - g_prev), gamma =
     <df, f> / ||df||^2 for f = g - x and df = f - f_prev, unless df = 0 or
     that point is not finite; without it, and at the first step, it is the
     plain point g."""
-    x = affine_project(sys, start)
+    if dense:
+        reference, clip, affine = sys.reference, _dense_sector_clip, partial(affine_project, sys)
+    else:
+        reference, clip = sys.layout.reference, _block_sector_clip
+        affine = partial(probe._affine, sys, sys.layout)
+        start = start.reshape(-1)[sys.layout.entries]
+    x = affine(start)
     p = np.zeros_like(x)
     f_prev = g_prev = None
-    dist = sqrt(_real_dot(x - sys.reference, x - sys.reference))
+    dist = sqrt(_real_dot(x - reference, x - reference))
     iters = 0
     for iters in range(1, MAX_ITER + 1):
         shifted = x + p
-        y = np.zeros_like(shifted)
-        for s in sys.sectors:
-            y[np.ix_(s, s)] = psd_project(shifted[np.ix_(s, s)])
+        y = clip(sys, shifted)
         p = shifted - y
-        g = affine_project(sys, y)
+        g = affine(y)
         f = g - x
         step = sqrt(_real_dot(f, f))
-        dist = sqrt(_real_dot(g - sys.reference, g - sys.reference))
+        dist = sqrt(_real_dot(g - reference, g - reference))
         if step <= 1e-13 or dist <= TOL:
             return g, dist, iters
         x = g

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from switchcert import probe
 from switchcert.channels import haar_random_unitary, unitary_choi
 from switchcert.linalg import Operator, frobenius
 from switchcert.probe import (
-    _blockwise,
     _project,
     affine_project,
     alternating_projection_probe,
@@ -60,8 +60,18 @@ def dense_project(in_projector, y, nin):
     return prod.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
+def slot_map(slot, slots, y):
+    """``probe._project`` of the matrix y, stored as one sector of every
+    index, by a stand-in system that holds only the slot projector, the
+    slot count and y's size."""
+    stand_in = SimpleNamespace(reference=np.zeros(y.shape), slot_projector=slot,
+                               process=SimpleNamespace(slots=slots))
+    layout = probe._layout(stand_in, (np.arange(len(y)),))
+    return _project(stand_in, layout, y.reshape(-1)).reshape(y.shape)
+
+
 def constrained_part(sys, x):
-    return _project(sys.slot_projector, sys.process.slots, x - sys.reference)
+    return slot_map(sys.slot_projector, sys.process.slots, x - sys.reference)
 
 
 @pytest.mark.parametrize("kind,d", [("identity", 2), ("cp_family", 2),
@@ -98,7 +108,7 @@ def test_switch_constrained_part_matches_dense_product_d3():
     slot = span_projector(3)
     single = slot.astype(np.float32)
     dense = dense_project(vec_kron(single, single), y, 3 ** 4)
-    assert frobenius(_project(slot, 2, y), dense) <= 1e-6 * np.linalg.norm(dense)
+    assert frobenius(slot_map(slot, 2, y), dense) <= 1e-6 * np.linalg.norm(dense)
     assert round(np.trace(slot)) == span_dimension_formula(3) == 65
 
 
@@ -111,7 +121,7 @@ def test_switch_projection_d4_without_a_dense_projector():
     slot = span_projector(d)
 
     def project(y):
-        return _project(slot, 2, y)
+        return slot_map(slot, 2, y)
 
     def random_y():
         g = rng.standard_normal((2, d ** 4 * nout, d ** 4 * nout))
@@ -213,6 +223,10 @@ def test_complex_override_process_is_refused():
         build_constraint_system("identity", 2, rotated)
 
 
+def hermitian_part(m):
+    return (m + m.conj().T) / 2
+
+
 def test_real_part_of_a_complex_feasible_point_is_feasible():
     # The lemma of the probe's docstring, on a point built by hand: X = W + tH
     # for a complex Hermitian H in the kernel of the constraint map.  W is
@@ -221,8 +235,8 @@ def test_real_part_of_a_complex_feasible_point_is_feasible():
     w = build_identity_process(2).op.entries.real + np.eye(16)
     sys = build_constraint_system("identity", 2, Process(2, dense=Operator(w)))
     g = random_hermitian_direction(16, np.random.default_rng(11))
-    h = probe._hermitian_part(g - _project(sys.slot_projector, 1, g))
-    assert np.linalg.norm(_project(sys.slot_projector, 1, h)) <= 1e-14
+    h = hermitian_part(g - slot_map(sys.slot_projector, 1, g))
+    assert np.linalg.norm(slot_map(sys.slot_projector, 1, h)) <= 1e-14
     t = 0.5 * np.linalg.eigvalsh(w)[0] / np.linalg.norm(h, 2)
     x = w + t * h
     assert np.linalg.norm(x.imag) >= 0.1 * t
@@ -235,9 +249,30 @@ def test_real_part_of_a_complex_feasible_point_is_feasible():
     assert np.linalg.norm(real - w) > 0.0
 
 
+def twirl(sys, x):
+    """x's sector blocks, 0 off them: the torus twirl of x."""
+    y = np.zeros_like(x)
+    for s in sys.sectors:
+        y[np.ix_(s, s)] = x[np.ix_(s, s)]
+    return y
+
+
 def off_sector(sys, x):
     """x with its sector blocks zeroed: what the torus twirl removes."""
-    return x - _blockwise(sys.sectors, x)
+    return x - twirl(sys, x)
+
+
+def blocks(sys, x):
+    """The probe's block vector of the matrix x: its sector block entries."""
+    return x.reshape(-1)[sys.layout.entries]
+
+
+def dense(sys, v):
+    """The matrix stored as the block vector v: 0 off the sector blocks."""
+    n = len(sys.reference)
+    x = np.zeros(n * n, dtype=v.dtype)
+    x[sys.layout.entries] = v
+    return x.reshape(n, n)
 
 
 def test_twirl_of_a_feasible_point_is_feasible():
@@ -249,14 +284,14 @@ def test_twirl_of_a_feasible_point_is_feasible():
     sys = build_constraint_system("identity", 2, Process(2, dense=Operator(w)))
     assert len(sys.sectors) == 5
     g = random_hermitian_direction(16, np.random.default_rng(12))
-    h = probe._hermitian_part(g - _project(sys.slot_projector, 1, g))
-    assert np.linalg.norm(_project(sys.slot_projector, 1, h)) <= 1e-14
+    h = hermitian_part(g - slot_map(sys.slot_projector, 1, g))
+    assert np.linalg.norm(slot_map(sys.slot_projector, 1, h)) <= 1e-14
     t = 0.5 * np.linalg.eigvalsh(w)[0] / np.linalg.norm(h, 2)
     x = w + t * h
     assert np.linalg.norm(off_sector(sys, x)) >= 0.1 * t
     assert constraint_residual(sys, x) <= 1e-12
     assert np.linalg.eigvalsh(x)[0] >= 0.0
-    twirled = _blockwise(sys.sectors, x)
+    twirled = twirl(sys, x)
     assert not off_sector(sys, twirled).any()
     assert constraint_residual(sys, twirled) <= 1e-12
     assert np.linalg.eigvalsh(twirled)[0] >= 0.0
@@ -276,28 +311,46 @@ def test_unique_reference_is_zero_off_its_sectors(kind, d, count, largest):
     assert sorted(np.concatenate(sys.sectors)) == list(range(sys.reference.shape[0]))
     assert not off_sector(sys, sys.reference).any()
     assert np.linalg.norm(sys.reference) > 1.0
+    # the block storage holds the whole reference
+    assert np.array_equal(dense(sys, sys.layout.reference), sys.reference)
+
+
+def test_sectors_that_do_not_partition_the_basis_are_refused(monkeypatch):
+    # negative control: a dropped sector would shrink the probe's search
+    # space, and its probe would still pass
+    charge_sectors = probe._charge_sectors
+    monkeypatch.setattr(probe, "_charge_sectors",
+                        lambda *args: charge_sectors(*args)[:-1])
+    for kind in ("identity", "switch"):
+        with pytest.raises(ValueError, match="partition"):
+            build_constraint_system(kind, 2)
 
 
 def random_block_diagonal(sys, rng):
-    return _blockwise(sys.sectors,
-                      random_hermitian_direction(sys.reference.shape[0], rng).real)
+    return twirl(sys, random_hermitian_direction(sys.reference.shape[0], rng).real)
 
 
 @pytest.mark.parametrize("kind,d", [(kind, d) for kind, d, _, _ in SECTOR_COUNTS])
 def test_affine_project_keeps_the_sector_blocks(kind, d):
+    # so the probe's map on the block vector, a scatter, the slot products
+    # and a gather, gives the dense map's block entries bit for bit, on a
+    # real and on a complex block-diagonal matrix
     sys = build_constraint_system(kind, d)
-    x = random_block_diagonal(sys, np.random.default_rng(d))
-    y = affine_project(sys, x)
-    assert not off_sector(sys, y).any()
-    assert frobenius(y, x) > 0.1  # the projection moved x
+    direction = twirl(sys, random_hermitian_direction(sys.reference.shape[0],
+                                                      np.random.default_rng(d)))
+    for x in (direction.real, direction):
+        y = affine_project(sys, x)
+        assert not off_sector(sys, y).any()
+        assert frobenius(y, x) > 0.1  # the projection moved x
+        assert np.array_equal(probe._affine(sys, sys.layout, blocks(sys, x)), blocks(sys, y))
 
 
 @pytest.mark.parametrize("kind", ["identity", "switch"])
 def test_sector_clip_matches_dense_clip(kind):
     sys = build_constraint_system(kind, 2)
     x = sys.reference + random_block_diagonal(sys, np.random.default_rng(13))
-    dense = psd_project(x)
-    assert frobenius(_blockwise(sys.sectors, x, psd_project), dense) <= 1e-12
+    clipped = dense(sys, probe._clip(sys.layout, blocks(sys, x)))
+    assert frobenius(clipped, psd_project(x)) <= 1e-12
     assert np.linalg.eigvalsh(x)[0] < -0.01  # the clip had work to do
 
 
@@ -312,26 +365,6 @@ def test_reference_off_its_sectors_gets_one_dense_sector():
     assert len(build_constraint_system("cp_family", 2).sectors) == 1
     rep = alternating_projection_probe(sys, starts=3)
     assert rep.passed, [c for c in rep.checks if not c.passed]
-
-
-def test_start_leaking_off_its_sectors_fails(monkeypatch):
-    # negative control: a start whose last iterate holds one entry off the
-    # sectors has no spectrum on the blocks
-    sys = build_constraint_system("identity", 2)
-    i, j = sys.sectors[0][0], sys.sectors[1][0]
-    run_single = probe._run_single
-
-    def leaky(sys_, x):
-        x, dist, iters = run_single(sys_, x)
-        x[i, j] = x[j, i] = 1e-3
-        return x, dist, iters
-
-    monkeypatch.setattr(probe, "_run_single", leaky)
-    rep = alternating_projection_probe(sys, starts=2)
-    assert not rep.passed
-    assert np.isnan(rep.check("final_negative_eigenvalue").measured)
-    assert not rep.check("final_negative_eigenvalue").passed
-    assert rep.check("max_distance_to_reference").passed
 
 
 def test_override_process_must_match_kind_and_dimension():
@@ -406,7 +439,12 @@ def perturbed_start(sys, seed):
     probe's start begins."""
     rng = np.random.default_rng(seed)
     direction = random_hermitian_direction(sys.reference.shape[0], rng).real
-    return sys.reference + _blockwise(sys.sectors, direction)
+    return sys.reference + twirl(sys, direction)
+
+
+def affine_start(sys, start):
+    """The block vector of the affine projection of the matrix ``start``."""
+    return blocks(sys, affine_project(sys, start))
 
 
 @pytest.mark.parametrize("kind,seed", [("identity", 1), ("transpose", 6),
@@ -415,10 +453,23 @@ def test_run_single_matches_fresh_array_loop(kind, seed):
     # reusing the correction, the history and the start's buffer changes no bit
     sys = build_constraint_system(kind, 2)
     start = perturbed_start(sys, seed)
-    x, dist, iters = probe._run_single(sys, affine_project(sys, start))
+    x, dist, iters = probe._run_single(sys, affine_start(sys, start))
     ox, odist, oiters = dykstra_start(sys, start)
     assert np.array_equal(x, ox) and (dist, iters) == (odist, oiters)
     assert 1 < iters < probe.MAX_ITER
+
+
+@pytest.mark.parametrize("kind,seed", [("switch", 1), ("switch", 2), ("switch", 3),
+                                       ("switch", 4), ("identity", 1)])
+def test_blocked_start_matches_dense_fresh_array_loop(kind, seed):
+    # the block storage changes the sums of the norms and dots, and no more
+    sys = build_constraint_system(kind, 2)
+    start = perturbed_start(sys, seed)
+    x, dist, iters = probe._run_single(sys, affine_start(sys, start))
+    dx, ddist, diters = dykstra_start(sys, start, dense=True)
+    assert iters == diters
+    assert frobenius(dense(sys, x), dx) <= 1e-13
+    assert dist <= probe.TOL and ddist <= probe.TOL
 
 
 @pytest.mark.parametrize("kind,seed", [("identity", 1), ("switch", 3)])
@@ -426,7 +477,7 @@ def test_secant_step_halves_the_iterations(kind, seed):
     sys = build_constraint_system(kind, 2)
     start = perturbed_start(sys, seed)
     _, plain_dist, plain_iters = dykstra_start(sys, start, secant=False)
-    _, dist, iters = probe._run_single(sys, affine_project(sys, start))
+    _, dist, iters = probe._run_single(sys, affine_start(sys, start))
     assert plain_dist <= probe.TOL and dist <= probe.TOL
     assert iters <= plain_iters // 2
 
@@ -446,7 +497,7 @@ def test_secant_falls_back_to_the_plain_step(patch, monkeypatch):
     sys = build_constraint_system("identity", 2)
     start = perturbed_start(sys, 1)
     plain = dykstra_start(sys, start, secant=False)
-    x0 = affine_project(sys, start)
+    x0 = affine_start(sys, start)
     calls = []
     patched = patch(probe._dot)
     monkeypatch.setattr(probe, "_dot", lambda a, b: calls.append(a is b) or patched(a, b))
@@ -464,31 +515,49 @@ def test_unique_start_returns_numbers_only(kind):
     result = probe._run_start(sys, 4)
     assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
-    start = affine_project(sys, perturbed_start(sys, 4))
+    start = affine_start(sys, perturbed_start(sys, 4))
     x, dist, iters = probe._run_single(sys, start.copy())
     # a start begins at the real part of the affine point and stays real
     assert np.array_equal(start, probe._affine_start(sys, 4).real)
     assert np.isrealobj(x)
-    assert not off_sector(sys, x).any()
+    matrix = dense(sys, x)
     least = min(np.linalg.eigvalsh((b + b.T) / 2)[0]
-                for b in (x[np.ix_(s, s)] for s in sys.sectors))
-    assert result[:4] == (dist, iters, constraint_residual(sys, x), -least)
-    assert abs(least - np.linalg.eigvalsh(x)[0]) <= 1e-12
+                for b in (matrix[np.ix_(s, s)] for s in sys.sectors))
+    # the dense residual's nonzero entries, summed in block order
+    constrained = constrained_part(sys, matrix)
+    assert not off_sector(sys, constrained).any()
+    resid = probe._norm(blocks(sys, constrained))
+    assert result[:4] == (dist, iters, resid, -least)
+    assert abs(resid - constraint_residual(sys, matrix)) <= 1e-14 * resid
+    assert abs(least - np.linalg.eigvalsh(matrix)[0]) <= 1e-12
+
+
+def traced_peak(run):
+    """The tracemalloc peak of run(), after one untraced call that keeps
+    numpy's first-call allocations out."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_switch_start_memory_peak():
-    # the loop holds four real 0.5 MiB matrices, and the secant history must
-    # not raise the peak: the complex affine point is freed before the loop,
-    # and the loop reuses spent buffers
+    # the secant history must not raise the peak: the complex affine point
+    # is freed before the loop, and the loop reuses spent buffers
     sys = build_constraint_system("switch", 2)
-    probe._run_start(sys, 3)  # first-call allocations of numpy stay out
-    tracemalloc.start()
-    try:
-        probe._run_start(sys, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * 2 ** 20
+    assert traced_peak(lambda: probe._run_start(sys, 3)) <= 4.0 * 2 ** 20
+
+
+def test_switch_loop_memory_peak():
+    # the loop holds four 115 KiB block vectors and, in the affine map, a
+    # 0.5 MiB slot-pair buffer and its products; dense 0.5 MiB iterates
+    # would take it to about 4 MiB
+    sys = build_constraint_system("switch", 2)
+    start = probe._affine_start(sys, 3).real
+    assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 2.5 * 2 ** 20
 
 
 def _nan_direction(n, rng):
@@ -619,6 +688,7 @@ def test_probe_cp_family_witness(cp_family_run):
 def test_polish_witness_is_fast_and_feasible(cp_family_run):
     sys, start = cp_family_run["system"], cp_family_run["polish_start"]
     witness, evals = probe._polish_witness(sys, start, 1e-6, 400_000)
+    witness = dense(sys, witness)
     # plain alternating projections need about 148,000 evaluations here
     assert 1 <= evals <= 5000
     assert np.linalg.norm(witness - sys.reference) >= 0.1
@@ -652,7 +722,7 @@ def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypa
     rep = alternating_projection_probe(sys, starts=10, seed=seed)
     assert rep.passed, [c for c in rep.checks if not c.passed]
     assert len(witnesses) == 2
-    assert np.linalg.norm(witnesses[0] - sys.reference) >= 1e-2
+    assert np.linalg.norm(dense(sys, witnesses[0]) - sys.reference) >= 1e-2
 
 
 @pytest.mark.parametrize("seed", [871, 2603])
@@ -674,7 +744,7 @@ def test_polish_witness_falls_back_to_plain_steps(cp_family_run, monkeypatch, pa
     assert evals == 50
     assert np.isfinite(witness).all()
     # every step fell back to the plain map affine o psd
-    x = affine_project(sys, start)
+    x = affine_project(sys, dense(sys, start))
     for _ in range(50):
         x = affine_project(sys, psd_project(x))
-    assert frobenius(witness, x) <= 1e-12
+    assert frobenius(dense(sys, witness), x) <= 1e-12
