@@ -34,7 +34,6 @@ from .span import (
 )
 from .switch import (
     Process,
-    build_switch_choi,
     unitary_actions,
     verify_unitary_action,
 )

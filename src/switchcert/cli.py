@@ -55,7 +55,7 @@ def _run_span(cfg) -> list[CertificateReport]:
 
 def _run_switch(cfg) -> list[CertificateReport]:
     """All switch certificates and their aggregate.  The probe runs at d = 2
-    only, where the dense switch process is 256 x 256."""
+    only, the envelope ``build_constraint_system`` enforces."""
     timer, d = Timer(), cfg.dim
     parts = [verify_unitary_action(d, seed=cfg.seed, tol=cfg.tol_cert),
              verify_span_lemmas(d, seed=cfg.seed),

@@ -14,17 +14,17 @@ point far from the reference, found by two secant-mixed polishes of a
 generic affine point (``_find_witness``).
 
 A probe problem is a ``ConstraintSystem``: a process and its kind.  The
-reference is the process's matrix, and the slot count and dimensions are
-read off the process.  The affine projection uses the tensor-factor
-structure of the constraints: the row space of the constraint map is
-(slot span)^(x slots) (x) L(out), so applying the closed-form span{J_U}
-projector of one slot, a real d^4 x d^4 matrix, to each slot's input index
-pair of the difference from the reference is the exact orthogonal
-projection onto the affine set.  For the switch that is two small real
-products instead of one with the dense d^8 projector.  That map
-(``_project``) reads the output dimension off the reference's size, so it
-runs at any d.  The PSD projection rebuilds the clipped matrix from its
-positive eigenpairs only.
+reference is the process's matrix, read (``Process.entry``) only at the
+entries the probe stores; the slot count and dimensions are read off the
+process.  The affine projection uses the tensor-factor structure of the
+constraints: the row space of the constraint map is (slot span)^(x slots)
+(x) L(out), so applying the closed-form span{J_U} projector of one slot, a
+real d^4 x d^4 matrix, to each slot's input index pair of the difference
+from the reference is the exact orthogonal projection onto the affine
+set.  For the switch that is two small real products instead of one with
+the dense d^8 projector.  That map (``_project``) reads the output
+dimension off the process's size, so it runs at any d.  The PSD projection
+rebuilds the clipped matrix from its positive eigenpairs only.
 
 The starts of the kinds that claim uniqueness run in real symmetric
 arithmetic, and lose nothing by it.  With a real reference and a real
@@ -71,7 +71,8 @@ import numpy as np
 from .linalg import min_eigenvalue
 from .report import CertificateReport, Timer, check_leq, check_true, make_report, nan_max
 from .span import span_dimension_formula, span_projector, vec_kron
-from .switch import Process, build_switch_choi
+# The probe never calls build_switch_choi: bench/test_tracer.py:71 traces this alias.
+from .switch import Process, build_switch_choi, switch_choi_vector  # noqa: F401
 from .uniqueness import (
     build_cp_family,
     build_derived_one_slot,
@@ -82,7 +83,7 @@ from .uniqueness import (
 # up when called, so that rebinding one of their names here takes effect.
 _DEFAULT_PROCESS = {
     "identity": lambda d: build_identity_process(d),
-    "switch": lambda d: build_switch_choi(d),
+    "switch": lambda d: Process(d, vector=switch_choi_vector(d)),
     "transpose": lambda d: build_derived_one_slot("transpose", d),
     "conjugate_qubit": lambda d: build_derived_one_slot("conjugate_qubit", d),
     "cp_family": lambda d: build_cp_family(1.0),
@@ -109,15 +110,13 @@ class ConstraintSystem:
     Hermitian matrices whose action on span{J_U} in each slot is the
     process's.  ``kind`` names the problem and fixes the slot count, two for
     the switch and one otherwise; everything else is read off ``process``,
-    whose matrix must be real: the reference is a read-only real copy.
-    ``sectors`` holds the basis indices of each charge sector of the kind
-    (``_charge_sectors``), which must partition the basis, and ``layout``
-    the probe's storage of a matrix on them.
+    whose matrix must be real.  ``sectors`` holds the basis indices of each
+    charge sector of the kind (``_charge_sectors``), which must partition
+    the basis, and ``layout`` the probe's storage of a matrix on them.
     """
 
     kind: str
     process: Process
-    reference: np.ndarray = field(init=False, repr=False)
     slot_projector: np.ndarray = field(init=False, repr=False)
     sectors: tuple = field(init=False, repr=False)
     layout: _Layout = field(init=False, repr=False)
@@ -127,16 +126,11 @@ class ConstraintSystem:
         if self.process.slots != slots:
             raise ValueError(f"the {self.kind} probe needs a {slots}-slot process, "
                              f"not a {self.process.slots}-slot one")
-        entries = self.process.op.entries
-        if np.any(entries.imag):
-            raise ValueError(f"the {self.kind} probe needs a real process matrix")
-        reference = entries.real.copy()
         slot = span_projector(self.process.d)
-        reference.flags.writeable = slot.flags.writeable = False
-        object.__setattr__(self, "reference", reference)
+        slot.flags.writeable = False
         object.__setattr__(self, "slot_projector", slot)
-        sectors = _charge_sectors(self.kind, self.process, reference)
-        if not np.array_equal(np.sort(np.concatenate(sectors)), np.arange(len(reference))):
+        sectors = _charge_sectors(self.kind, self.process)
+        if not np.array_equal(np.sort(np.concatenate(sectors)), np.arange(self.process.size)):
             raise ValueError(f"the {self.kind} sectors do not partition the basis")
         object.__setattr__(self, "sectors", sectors)
         object.__setattr__(self, "layout", _layout(self, sectors))
@@ -164,7 +158,8 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     A given process must have slot dimension d, the kind's slot count and
     a real matrix.  The system is exact, so ``seed`` is unused.  The switch
     probe supports d = 2 only: its affine map scatters the sector blocks
-    into a dense slot-pair buffer, 68 MB at d = 3, of unmeasured cost.
+    into a dense slot-pair buffer, 68 MB at d = 3: 0.12 s a ``_project``
+    call and 5.7-6.1 s a start there (2 cores, one BLAS thread).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
@@ -177,10 +172,10 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     return ConstraintSystem(kind, process)
 
 
-def _charge_sectors(kind: str, process: Process, reference: np.ndarray) -> tuple:
+def _charge_sectors(kind: str, process: Process) -> tuple:
     """The basis indices of each charge sector of the kind's sign table, in
     the order of their charge vectors; one sector of every index for a kind
-    without a sign table or a reference that is not exactly 0 off them."""
+    without a sign table or a process whose support leaves them."""
     signs = _CHARGE_SIGNS.get(kind)
     if signs is not None:
         d = process.d
@@ -189,9 +184,10 @@ def _charge_sectors(kind: str, process: Process, reference: np.ndarray) -> tuple
         charge = (np.reshape(signs, (-1, 1, 1)) * digits).sum(axis=0)
         _, label = np.unique(charge, axis=0, return_inverse=True)
         label = label.reshape(-1)
-        if not reference[label[:, None] != label].any():
+        rows, cols = process.support()
+        if np.array_equal(label[rows], label[cols]):
             return tuple(np.flatnonzero(label == s) for s in range(label.max() + 1))
-    return (np.arange(reference.shape[0]),)
+    return (np.arange(process.size),)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -204,12 +200,6 @@ def _norm(x: np.ndarray) -> float:
     """The Frobenius norm of x, summed as in ``_dot``."""
     v = np.ravel(x).view(float)
     return math.sqrt(np.einsum("i,i->", v, v))
-
-
-# Axis orders that bring each slot's row and column input index together,
-# (a, [b,] o, a', [b',] o') -> (a, a', [b, b',] o, o'), and back.
-_SLOT_PAIR_AXES = {1: ((0, 2, 1, 3), (0, 2, 1, 3)),
-                   2: ((0, 3, 1, 4, 2, 5), (0, 2, 4, 1, 3, 5))}
 
 
 @dataclass(frozen=True)
@@ -227,16 +217,23 @@ class _Layout:
 
 
 def _layout(sys: ConstraintSystem, sectors: tuple) -> _Layout:
-    """The read-only storage on ``sectors`` of matrices of the reference's size."""
-    n, slots, k = len(sys.reference), sys.process.slots, math.isqrt(len(sys.slot_projector))
-    order, inverse = _SLOT_PAIR_AXES[slots]
-    dims = ((k,) * slots + (n // k ** slots,)) * 2
-    pair = np.arange(n * n).reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
+    """The read-only storage on ``sectors`` of the process's matrices.  Entry
+    (row, col) sits at row_part[row] + col_part[col] of the slot-pair layout
+    (a, a', [b, b',] o, o'), and the reference, which must be real, is read
+    there alone: it is exactly 0 off the sectors, or one sector holds it."""
+    n, slots, k = sys.process.size, sys.process.slots, math.isqrt(len(sys.slot_projector))
+    shape = (k, k) * slots + (n // k ** slots,) * 2
+    strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
+    digits = np.indices(shape[::2]).reshape(slots + 1, -1)
+    row_part, col_part = (np.dot(strides[side::2], digits) for side in (0, 1))
     offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
-    entries = np.concatenate([(s[:, None] * n + s).ravel() for s in sectors])
+    rows, cols = (np.concatenate([f(s, len(s)) for s in sectors]) for f in (np.repeat, np.tile))
     transpose = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
                                 for o, s in zip(offsets, sectors)])
-    arrays = entries, pair[entries], transpose, sys.reference.reshape(-1)[entries]
+    reference = sys.process.entry(rows, cols)
+    if np.any(reference.imag):
+        raise ValueError(f"the {sys.kind} probe needs a real process matrix")
+    arrays = rows * n + cols, row_part[rows] + col_part[cols], transpose, reference.real.copy()
     for a in arrays:
         a.flags.writeable = False
     return _Layout(*arrays, tuple(offsets.tolist()))
@@ -253,7 +250,7 @@ def _project(sys: ConstraintSystem, layout: _Layout, v: np.ndarray) -> np.ndarra
     stored as v in ``layout``, stored alike: v is scattered into a zeroed
     slot-pair buffer, multiplied there and gathered back.  A real v stays
     real; a complex one, as in the witness polish, is projected as one."""
-    t = np.zeros(sys.reference.size, dtype=v.dtype)
+    t = np.zeros(sys.process.size ** 2, dtype=v.dtype)
     t[layout.positions] = v
     kk = len(sys.slot_projector)
     for j in range(sys.process.slots):  # slot j: batched over the pairs before it
@@ -290,13 +287,6 @@ def _clip(layout: _Layout, v: np.ndarray) -> np.ndarray:
     for block, out in zip(_blocks(layout, v), _blocks(layout, y)):
         out[...] = psd_project(block)
     return y
-
-
-def constraint_residual(sys: ConstraintSystem, x: np.ndarray) -> float:
-    """||P_in(x - reference)||_F, the root sum of squared action deviations over
-    any orthonormal spanning family: at least the largest single deviation."""
-    layout = _layout(sys, (np.arange(len(x)),))
-    return _norm(_project(sys, layout, x.reshape(-1) - layout.reference))
 
 
 def random_hermitian_direction(n: int, rng) -> np.ndarray:
@@ -367,7 +357,7 @@ def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
     """The affine projection of the reference plus the twirl (the block
     entries) of a random unit Hermitian direction drawn from ``seed``, in
     ``sys.layout``: where a probe start and the witness polish begin."""
-    direction = random_hermitian_direction(len(sys.reference), np.random.default_rng(seed))
+    direction = random_hermitian_direction(sys.process.size, np.random.default_rng(seed))
     return _affine(sys, sys.layout,
                    sys.layout.reference + direction.reshape(-1)[sys.layout.entries])
 

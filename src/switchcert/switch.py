@@ -70,10 +70,14 @@ class Process:
         return self.d ** (2 * self.slots)
 
     @property
+    def size(self) -> int:
+        """Side of the process matrix."""
+        return self.vector.size if self.vector is not None else self.dense.entries.shape[0]
+
+    @property
     def nout(self) -> int:
         """Dimension of the global past and future (output) systems, which come last."""
-        n = self.vector.size if self.vector is not None else self.dense.entries.shape[0]
-        return n // self.nin
+        return self.size // self.nin
 
     def nonzeros(self) -> tuple:
         """Row indices, column indices and values of the entries of W that may
@@ -85,6 +89,13 @@ class Process:
             return rows, cols, self.entry(rows, cols)
         rows, cols = np.nonzero(np.abs(self.dense.entries) > 1e-14)
         return rows, cols, self.dense.entries[rows, cols]
+
+    def support(self) -> tuple:
+        """Row and column indices of the entries of W that are not exactly 0."""
+        if self.vector is None:
+            return np.nonzero(self.dense.entries)
+        rows, cols, values = self.nonzeros()
+        return rows[values != 0], cols[values != 0]
 
     def entry(self, row, col):
         """W[row, col]; ``row`` and ``col`` may be index arrays, which broadcast."""

@@ -20,7 +20,9 @@ certificate family by family, written out tuple by tuple.
 ``dykstra_start`` runs the probe's alternating projections, with the
 secant step or plain, with fresh arrays at every step and the PSD
 projection made sector by sector, on the probe's block vectors or on dense
-matrices.
+matrices.  ``constraint_residual`` is the probe's affine residual of a
+dense matrix, and ``pair_table_layout`` builds the probe's block storage
+from the dense reference and a table of every entry's slot-pair position.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from switchcert.channels import KrausChannel, choi_from_kraus
 from switchcert.linalg import Operator, frobenius, min_eigenvalue
 from switchcert import probe
-from switchcert.probe import MAX_ITER, TOL, affine_project, psd_project
+from switchcert.probe import MAX_ITER, TOL, _Layout, affine_project, psd_project
 from switchcert.report import nan_max
 from switchcert.switch import CANONICAL_ORDER, Process, _channel_order
 
@@ -441,7 +443,8 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
     that point is not finite; without it, and at the first step, it is the
     plain point g."""
     if dense:
-        reference, clip, affine = sys.reference, _dense_sector_clip, partial(affine_project, sys)
+        reference = sys.process.op.entries.real
+        clip, affine = _dense_sector_clip, partial(affine_project, sys)
     else:
         reference, clip = sys.layout.reference, _block_sector_clip
         affine = partial(probe._affine, sys, sys.layout)
@@ -471,3 +474,35 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
                     x = mixed
         f_prev, g_prev = f, g
     return g_prev, dist, iters
+
+
+# --- the probe's storage and residual, from the dense process ----------------------
+
+
+def constraint_residual(sys, x: np.ndarray) -> float:
+    """||P_in(x - reference)||_F, the root sum of squared action deviations over
+    any orthonormal spanning family: at least the largest single deviation."""
+    layout = probe._layout(sys, (np.arange(len(x)),))
+    return probe._norm(probe._project(sys, layout, x.reshape(-1) - layout.reference))
+
+
+# Axis orders that bring each slot's row and column input index together,
+# (a, [b,] o, a', [b',] o') -> (a, a', [b, b',] o, o'), and back.
+_SLOT_PAIR_AXES = {1: ((0, 2, 1, 3), (0, 2, 1, 3)),
+                   2: ((0, 3, 1, 4, 2, 5), (0, 2, 4, 1, 3, 5))}
+
+
+def pair_table_layout(sys, sectors) -> _Layout:
+    """``probe._layout`` on ``sectors``, read off the dense reference and an
+    n^2 table of the slot-pair position of every matrix entry."""
+    reference = sys.process.op.entries.real
+    n, slots, k = len(reference), sys.process.slots, isqrt(len(sys.slot_projector))
+    order, inverse = _SLOT_PAIR_AXES[slots]
+    dims = ((k,) * slots + (n // k ** slots,)) * 2
+    pair = np.arange(n * n).reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
+    offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
+    entries = np.concatenate([(s[:, None] * n + s).ravel() for s in sectors])
+    transpose = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
+                                for o, s in zip(offsets, sectors)])
+    return _Layout(entries, pair[entries], transpose, reference.reshape(-1)[entries],
+                   tuple(offsets.tolist()))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -14,11 +15,11 @@ from switchcert import probe
 from switchcert.channels import haar_random_unitary, unitary_choi
 from switchcert.linalg import Operator, frobenius
 from switchcert.probe import (
+    ConstraintSystem,
     _project,
     affine_project,
     alternating_projection_probe,
     build_constraint_system,
-    constraint_residual,
     psd_project,
     random_hermitian_direction,
 )
@@ -26,7 +27,7 @@ from switchcert.span import span_dimension_formula, span_projector, vec_kron
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector
 from switchcert.uniqueness import build_derived_one_slot, build_identity_process
 
-from oracles import dykstra_start, link
+from oracles import constraint_residual, dykstra_start, link, pair_table_layout
 
 
 def test_constraint_system_shapes():
@@ -40,10 +41,19 @@ def test_constraint_system_shapes():
     assert sw.family_rank == 100 == span_dimension_formula(2) ** 2
     assert (sw.process.slots, sw.slot_projector.shape) == (2, (16, 16))
     assert sw.in_projector.shape == (256, 256)
-    # the reference is the real part of the process's matrix
-    assert sw.reference.dtype == float and sw.reference.flags.c_contiguous
-    assert np.array_equal(sw.reference, sw.process.op.entries.real)
-    assert not sw.reference.flags.writeable and not sw.slot_projector.flags.writeable
+    # the layout holds the reference: the real part of the process's matrix
+    # at the block entries
+    stored = sw.layout.reference
+    assert stored.dtype == float and stored.flags.c_contiguous
+    assert np.array_equal(stored, reference(sw).reshape(-1)[sw.layout.entries])
+    assert not stored.flags.writeable and not sw.slot_projector.flags.writeable
+    assert not hasattr(sw, "reference")
+
+
+def reference(sys):
+    """The probe's reference as a dense matrix: the real part of the
+    process's matrix."""
+    return sys.process.op.entries.real
 
 
 def dense_project(in_projector, y, nin):
@@ -63,15 +73,15 @@ def dense_project(in_projector, y, nin):
 def slot_map(slot, slots, y):
     """``probe._project`` of the matrix y, stored as one sector of every
     index, by a stand-in system that holds only the slot projector, the
-    slot count and y's size."""
-    stand_in = SimpleNamespace(reference=np.zeros(y.shape), slot_projector=slot,
-                               process=SimpleNamespace(slots=slots))
+    slot count, y's size and a zero process."""
+    process = SimpleNamespace(slots=slots, size=len(y), entry=lambda r, c: np.zeros(len(r)))
+    stand_in = SimpleNamespace(slot_projector=slot, process=process)
     layout = probe._layout(stand_in, (np.arange(len(y)),))
     return _project(stand_in, layout, y.reshape(-1)).reshape(y.shape)
 
 
 def constrained_part(sys, x):
-    return slot_map(sys.slot_projector, sys.process.slots, x - sys.reference)
+    return slot_map(sys.slot_projector, sys.process.slots, x - reference(sys))
 
 
 @pytest.mark.parametrize("kind,d", [("identity", 2), ("cp_family", 2),
@@ -79,9 +89,9 @@ def constrained_part(sys, x):
 def test_one_slot_constrained_part_is_the_dense_product(kind, d):
     # a complex y gets the complex product of the dense path, bit for bit
     sys = build_constraint_system(kind, d)
-    x = random_hermitian_direction(sys.reference.shape[0], np.random.default_rng(6))
+    x = random_hermitian_direction(sys.process.size, np.random.default_rng(6))
     assert np.array_equal(constrained_part(sys, x),
-                          dense_project(sys.in_projector, x - sys.reference,
+                          dense_project(sys.in_projector, x - reference(sys),
                                         sys.process.nin))
 
 
@@ -89,8 +99,8 @@ def test_switch_constrained_part_matches_dense_product_d2():
     sw = build_constraint_system("switch", 2)
     rng = np.random.default_rng(7)
     for _ in range(3):
-        x = sw.reference + random_hermitian_direction(256, rng)
-        dense = dense_project(sw.in_projector, x - sw.reference, sw.process.nin)
+        x = reference(sw) + random_hermitian_direction(256, rng)
+        dense = dense_project(sw.in_projector, x - reference(sw), sw.process.nin)
         assert frobenius(constrained_part(sw, x), dense) \
             <= 1e-14 * np.linalg.norm(dense)
         # a real y is projected in real arithmetic
@@ -196,8 +206,8 @@ def test_constraint_residual_bounds_family_maximum(kind):
     sys = build_constraint_system(kind, 2)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        x = sys.reference + random_hermitian_direction(sys.reference.shape[0], rng)
-        per_family = max(np.linalg.norm(link(x, b) - link(sys.reference, b))
+        x = reference(sys) + random_hermitian_direction(sys.process.size, rng)
+        per_family = max(np.linalg.norm(link(x, b) - link(reference(sys), b))
                          for b in family)
         assert constraint_residual(sys, x) >= per_family - 1e-12
         assert per_family > 1e-3
@@ -269,7 +279,7 @@ def blocks(sys, x):
 
 def dense(sys, v):
     """The matrix stored as the block vector v: 0 off the sector blocks."""
-    n = len(sys.reference)
+    n = sys.process.size
     x = np.zeros(n * n, dtype=v.dtype)
     x[sys.layout.entries] = v
     return x.reshape(n, n)
@@ -308,11 +318,26 @@ SECTOR_COUNTS = [("switch", 2, 7, 80), ("identity", 2, 5, 6), ("identity", 3, 19
 def test_unique_reference_is_zero_off_its_sectors(kind, d, count, largest):
     sys = build_constraint_system(kind, d)
     assert (len(sys.sectors), max(map(len, sys.sectors))) == (count, largest)
-    assert sorted(np.concatenate(sys.sectors)) == list(range(sys.reference.shape[0]))
-    assert not off_sector(sys, sys.reference).any()
-    assert np.linalg.norm(sys.reference) > 1.0
+    assert sorted(np.concatenate(sys.sectors)) == list(range(sys.process.size))
+    assert not off_sector(sys, reference(sys)).any()
+    assert np.linalg.norm(reference(sys)) > 1.0
     # the block storage holds the whole reference
-    assert np.array_equal(dense(sys, sys.layout.reference), sys.reference)
+    assert np.array_equal(dense(sys, sys.layout.reference), reference(sys))
+
+
+@pytest.mark.parametrize("kind,d,process", [
+    *((kind, d, None) for kind, d, _, _ in SECTOR_COUNTS), ("cp_family", 2, None),
+    ("identity", 2, build_derived_one_slot("transpose", 2))])
+def test_layout_matches_the_pair_table(kind, d, process):
+    # the slot-pair positions from two tables of length n, and the reference
+    # read at the block entries alone, against an n^2 table and the dense
+    # reference; the last case is one sector, as the transpose process has
+    # entries off the identity's sectors
+    sys = build_constraint_system(kind, d, process)
+    want = pair_table_layout(sys, sys.sectors)
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(sys.layout, field.name), getattr(want, field.name)), \
+            field.name
 
 
 def test_sectors_that_do_not_partition_the_basis_are_refused(monkeypatch):
@@ -327,7 +352,7 @@ def test_sectors_that_do_not_partition_the_basis_are_refused(monkeypatch):
 
 
 def random_block_diagonal(sys, rng):
-    return twirl(sys, random_hermitian_direction(sys.reference.shape[0], rng).real)
+    return twirl(sys, random_hermitian_direction(sys.process.size, rng).real)
 
 
 @pytest.mark.parametrize("kind,d", [(kind, d) for kind, d, _, _ in SECTOR_COUNTS])
@@ -336,7 +361,7 @@ def test_affine_project_keeps_the_sector_blocks(kind, d):
     # and a gather, gives the dense map's block entries bit for bit, on a
     # real and on a complex block-diagonal matrix
     sys = build_constraint_system(kind, d)
-    direction = twirl(sys, random_hermitian_direction(sys.reference.shape[0],
+    direction = twirl(sys, random_hermitian_direction(sys.process.size,
                                                       np.random.default_rng(d)))
     for x in (direction.real, direction):
         y = affine_project(sys, x)
@@ -348,7 +373,7 @@ def test_affine_project_keeps_the_sector_blocks(kind, d):
 @pytest.mark.parametrize("kind", ["identity", "switch"])
 def test_sector_clip_matches_dense_clip(kind):
     sys = build_constraint_system(kind, 2)
-    x = sys.reference + random_block_diagonal(sys, np.random.default_rng(13))
+    x = reference(sys) + random_block_diagonal(sys, np.random.default_rng(13))
     clipped = dense(sys, probe._clip(sys.layout, blocks(sys, x)))
     assert frobenius(clipped, psd_project(x)) <= 1e-12
     assert np.linalg.eigvalsh(x)[0] < -0.01  # the clip had work to do
@@ -361,10 +386,33 @@ def test_reference_off_its_sectors_gets_one_dense_sector():
     assert len(sys.sectors) == 1
     assert np.array_equal(sys.sectors[0], np.arange(16))
     default = build_constraint_system("identity", 2)
-    assert off_sector(default, sys.reference).any()
+    assert off_sector(default, reference(sys)).any()
     assert len(build_constraint_system("cp_family", 2).sectors) == 1
     rep = alternating_projection_probe(sys, starts=3)
     assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+def identity_with_off_sector_pair(value):
+    """The dense identity process with ``value`` at an entry off its
+    sectors and the conjugate at the transposed entry."""
+    sectors = build_constraint_system("identity", 2).sectors
+    row, col = sectors[0][0], sectors[1][0]
+    w = build_identity_process(2).op.entries.copy()
+    w[row, col], w[col, row] = value, np.conj(value)
+    return Process(2, dense=Operator(w))
+
+
+def test_a_tiny_off_sector_pair_gives_one_sector():
+    # negative control: the off-sector test reads the exact support, with no
+    # tolerance below which an entry counts as 0
+    sys = build_constraint_system("identity", 2, identity_with_off_sector_pair(1e-300))
+    assert len(sys.sectors) == 1
+
+
+def test_a_tiny_imaginary_pair_is_refused():
+    # negative control: the realness test is exact too
+    with pytest.raises(ValueError, match="real"):
+        build_constraint_system("identity", 2, identity_with_off_sector_pair(1e-300j))
 
 
 def test_override_process_must_match_kind_and_dimension():
@@ -378,13 +426,13 @@ def test_override_process_must_match_kind_and_dimension():
 
 def test_targets_match_reference_action():
     sys = build_constraint_system("identity", 2)
-    assert constraint_residual(sys, sys.reference) <= 1e-12
+    assert constraint_residual(sys, reference(sys)) <= 1e-12
 
 
 def test_reference_is_fixed_point():
     for kind in ("identity", "cp_family"):
         sys = build_constraint_system(kind, 2)
-        x = sys.reference
+        x = reference(sys)
         y = affine_project(sys, psd_project(x))
         assert frobenius(y, x) <= 1e-11
 
@@ -392,13 +440,13 @@ def test_reference_is_fixed_point():
 def test_affine_projection_idempotent_and_exact():
     sys = build_constraint_system("identity", 2)
     rng = np.random.default_rng(3)
-    x = sys.reference + 3.0 * random_hermitian_direction(16, rng)
+    x = reference(sys) + 3.0 * random_hermitian_direction(16, rng)
     y = affine_project(sys, x)
     assert constraint_residual(sys, y) <= 1e-10
     assert frobenius(affine_project(sys, y), y) <= 1e-12
     # orthogonal projection: the removed component is orthogonal to the shift
     removed = x - y
-    assert abs(np.vdot(removed, y - sys.reference)) <= 1e-10
+    assert abs(np.vdot(removed, y - reference(sys))) <= 1e-10
 
 
 def test_psd_projection_firmly_nonexpansive():
@@ -426,6 +474,18 @@ def test_probe_derived_kind_converges():
     assert rep.passed
 
 
+@pytest.mark.parametrize("kind,d", [("identity", 2), ("switch", 2), ("transpose", 2),
+                                    ("conjugate_qubit", 2), ("identity", 3), ("identity", 4)])
+def test_probe_never_forms_the_dense_process(kind, d, monkeypatch):
+    # the probe reads a pure process through its vector alone
+    def dense_matrix(process):
+        raise AssertionError("the probe formed the dense process matrix")
+
+    monkeypatch.setattr(Process, "op", property(dense_matrix))
+    rep = alternating_projection_probe(build_constraint_system(kind, d), starts=2)
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
 def test_probe_determinism():
     sys = build_constraint_system("identity", 2)
     a = alternating_projection_probe(sys, starts=3, seed=9)
@@ -438,8 +498,8 @@ def perturbed_start(sys, seed):
     seed, zeroed off the sectors: its affine projection is where the
     probe's start begins."""
     rng = np.random.default_rng(seed)
-    direction = random_hermitian_direction(sys.reference.shape[0], rng).real
-    return sys.reference + twirl(sys, direction)
+    direction = random_hermitian_direction(sys.process.size, rng).real
+    return reference(sys) + twirl(sys, direction)
 
 
 def affine_start(sys, start):
@@ -558,6 +618,14 @@ def test_switch_loop_memory_peak():
     sys = build_constraint_system("switch", 2)
     start = probe._affine_start(sys, 3).real
     assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 2.5 * 2 ** 20
+
+
+def test_switch_d3_system_memory_peak():
+    # the layout stores 562,704 entries, 4.5 MB a field; the dense 2916^2
+    # process alone would take 136 MB, and an n^2 int64 table 68 MB
+    process = Process(3, vector=switch_choi_vector(3))
+    assert traced_peak(lambda: ConstraintSystem("switch", process)) <= 64 * 2 ** 20
+    assert ConstraintSystem("switch", process).layout.entries.size == 562_704
 
 
 def _nan_direction(n, rng):
@@ -691,7 +759,7 @@ def test_polish_witness_is_fast_and_feasible(cp_family_run):
     witness = dense(sys, witness)
     # plain alternating projections need about 148,000 evaluations here
     assert 1 <= evals <= 5000
-    assert np.linalg.norm(witness - sys.reference) >= 0.1
+    assert np.linalg.norm(witness - reference(sys)) >= 0.1
     assert constraint_residual(sys, witness) <= 1e-6
     assert np.linalg.eigvalsh(witness)[0] >= -1e-6
 
@@ -722,7 +790,7 @@ def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypa
     rep = alternating_projection_probe(sys, starts=10, seed=seed)
     assert rep.passed, [c for c in rep.checks if not c.passed]
     assert len(witnesses) == 2
-    assert np.linalg.norm(dense(sys, witnesses[0]) - sys.reference) >= 1e-2
+    assert np.linalg.norm(dense(sys, witnesses[0]) - reference(sys)) >= 1e-2
 
 
 @pytest.mark.parametrize("seed", [871, 2603])
