@@ -17,6 +17,8 @@ from math import isqrt
 
 import numpy as np
 
+from .linalg import frobenius_each
+
 PAULI = {
     "i": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -79,8 +81,7 @@ def unitary_choi(u: np.ndarray) -> np.ndarray:
     ut = np.swapaxes(u, -1, -2)
     # finite first, so that U^dag U never warns; a NaN deviation fails the test
     if (u.ndim < 2 or u.shape[-2] != d or not np.all(np.isfinite(u))
-            or not np.all(np.linalg.norm(ut.conj() @ u - np.eye(d), axis=(-2, -1))
-                          <= UNITARY_TOL)):
+            or not np.all(frobenius_each(ut.conj() @ u, np.eye(d)) <= UNITARY_TOL)):
         raise ValueError("input is not unitary within tolerance")
     phi = ut.reshape(u.shape[:-2] + (d * d,))
     return phi[..., :, None] * phi[..., None, :].conj()
@@ -119,16 +120,11 @@ def fourier_matrix(d: int) -> np.ndarray:
 
 
 def standard_channel(kind: str, d: int) -> KrausChannel:
-    """Named channel constructors used throughout the verification suites.
-
-    Kinds: ``identity``, ``depolarizing`` (rho -> I/d Tr rho), ``replace_zero``
-    (rho -> |0><0| Tr rho), ``fourier_unitary``, and ``pauli_x|y|z`` (d = 2).
-    """
+    """The channels the certificates name: ``depolarizing`` (rho -> I/d Tr rho)
+    and ``replace_zero`` (rho -> |0><0| Tr rho)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     eye = np.eye(d, dtype=complex)
-    if kind == "identity":
-        return KrausChannel(d, d, (eye,))
     if kind == "depolarizing":
         ops = tuple(np.outer(eye[:, i], eye[:, j]) / np.sqrt(d)
                     for i in range(d) for j in range(d))
@@ -136,12 +132,6 @@ def standard_channel(kind: str, d: int) -> KrausChannel:
     if kind == "replace_zero":
         ops = tuple(np.outer(eye[:, 0], eye[:, i]) for i in range(d))
         return KrausChannel(d, d, ops)
-    if kind == "fourier_unitary":
-        return KrausChannel(d, d, (fourier_matrix(d),))
-    if kind in ("pauli_x", "pauli_y", "pauli_z"):
-        if d != 2:
-            raise ValueError(f"{kind} requires d = 2, got d = {d}")
-        return KrausChannel(2, 2, (PAULI[kind[-1]],))
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

@@ -33,6 +33,8 @@ from .uniqueness import (
 
 SUBCOMMANDS = ("switch-verify", "identity-verify", "corollary-verify",
                "span-verify", "counterexamples", "probe", "all")
+MAX_SAMPLE_ENTRIES = 2 ** 25  # of the real samples x d^4 float64 matrix: 256 MiB
+MAX_PROBE_STARTS = 1000
 
 
 def _span_dimension_certificate(d: int, samples: int | None, seed: int) -> CertificateReport:
@@ -213,6 +215,7 @@ def _error_exit(message: str, code: int = 2):
 def _validate(cfg) -> None:
     """Reject an unsupported configuration before any work."""
     min_samples = span_dimension_formula(cfg.dim) + 1
+    max_samples = MAX_SAMPLE_ENTRIES // max(cfg.dim, 1) ** 4
     for bad, message in (
             (cfg.dim < 2, "--dim must be at least 2"),
             (cfg.subcommand in ("switch-verify", "all") and cfg.dim > 4,
@@ -228,10 +231,14 @@ def _validate(cfg) -> None:
             (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
              and cfg.samples < min_samples,
              f"--samples must be at least {min_samples} at --dim {cfg.dim}"),
+            (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
+             and cfg.samples > max_samples,
+             f"--samples must be at most {max_samples} at --dim {cfg.dim}"),
             (not (0 < cfg.tol_psd < math.inf and 0 < cfg.tol_cert < math.inf),
              "tolerances must be positive and finite"),
             (cfg.seed < 0, "--seed must be non-negative"),
-            (cfg.probe_starts < 1, "--probe-starts must be at least 1")):
+            (not 1 <= cfg.probe_starts <= MAX_PROBE_STARTS,
+             f"--probe-starts must be 1 to {MAX_PROBE_STARTS}")):
         if bad:
             _error_exit(message)
 

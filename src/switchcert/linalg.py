@@ -3,9 +3,14 @@
 ``Operator`` is the validated dense storage of a process matrix: square,
 finite and read-only.  Basis ordering is row-major over the factors, the
 first factor being the most significant index, matching ``numpy.kron``.
-Besides the Frobenius distance, of one matrix or of each of a stack, the
-module holds the two spectral checks the certificates use: the smallest
-eigenvalue and the numerical rank of a Hermitian operator.
+Besides the Frobenius distance, of one matrix or of each of a stack, and
+the real inner product, the module holds the two spectral checks the
+certificates use: the smallest eigenvalue and the numerical rank of a
+Hermitian operator.
+
+Every norm and inner product of the package is summed here, one way: by
+``np.einsum`` on one thread over the array's float view.  A BLAS product
+splits such a sum by its thread count, and the reports would depend on it.
 """
 
 from __future__ import annotations
@@ -47,34 +52,32 @@ def _as_matrix(op) -> np.ndarray:
 
 def frobenius(a, b=None) -> float:
     """Frobenius norm of a, or of a - b when b is given: ``frobenius_each``
-    of the one matrix, taken as complex."""
+    of the one matrix."""
     m = _as_matrix(a)
-    m = m if b is None else m - _as_matrix(b)
-    return float(frobenius_each(m.astype(complex, copy=False)))
+    return float(frobenius_each(m if b is None else m - _as_matrix(b)))
 
 
 def frobenius_each(a, b=None) -> np.ndarray:
     """Frobenius norm of each matrix (the last two axes) of a stack a, or of
-    a - b; ``b`` broadcasts.  A complex stack gives ``frobenius`` of each
-    matrix bit for bit; a real one may differ from it in the last bit."""
+    a - b; ``b`` broadcasts, and a 1-D array is one matrix."""
     m = np.asarray(a) if b is None else np.asarray(a) - b
-    f = m.reshape(m.shape[:-2] + (1, -1))
-    re, im = f.real, f.imag
-    return np.sqrt((re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2))[..., 0, 0])
+    m = m.reshape(m.shape[:-2] + (-1,)) if m.ndim > 1 else m
+    v = np.ascontiguousarray(m, dtype=complex if np.iscomplexobj(m) else float).view(float)
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
-def is_hermitian(op) -> bool:
-    m = _as_matrix(op)
-    scale = max(np.linalg.norm(m), 1.0)
-    return float(np.linalg.norm(m - m.conj().T)) <= TOL_HERM * scale
+def real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a, b> of two float64 or complex128 arrays of one size."""
+    return float(np.einsum("i,i->", np.ravel(a).view(float), np.ravel(b).view(float)))
 
 
 def _hermitian_part(op):
     m = _as_matrix(op)
-    if not is_hermitian(m):
-        dev = np.linalg.norm(m - m.conj().T) / max(np.linalg.norm(m), 1.0)
+    mh = m.conj().T
+    dev = frobenius(m, mh) / max(frobenius(m), 1.0)
+    if not dev <= TOL_HERM:  # a NaN deviation raises too
         raise ValueError(f"operator is not Hermitian (relative deviation {dev:.3e})")
-    return (m + m.conj().T) / 2
+    return (m + mh) / 2
 
 
 def min_eigenvalue(op) -> float:

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import min_eigenvalue
+from .linalg import frobenius, min_eigenvalue, real_dot
 from .report import CertificateReport, Timer, check_leq, check_true, make_report, nan_max
 from .span import span_dimension_formula, span_projector, vec_kron
 # The probe never calls build_switch_choi: bench/test_tracer.py:71 traces this alias.
@@ -190,18 +190,6 @@ def _charge_sectors(kind: str, process: Process) -> tuple:
     return (np.arange(process.size),)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re<a, b>, summed by ``np.einsum`` on one thread: a BLAS dot splits the
-    sum by its thread count, and the reports would depend on it."""
-    return float(np.einsum("i,i->", np.ravel(a).view(float), np.ravel(b).view(float)))
-
-
-def _norm(x: np.ndarray) -> float:
-    """The Frobenius norm of x, summed as in ``_dot``."""
-    v = np.ravel(x).view(float)
-    return math.sqrt(np.einsum("i,i->", v, v))
-
-
 @dataclass(frozen=True)
 class _Layout:
     """A matrix that is 0 off the sector blocks, stored as the vector of the
@@ -293,7 +281,7 @@ def random_hermitian_direction(n: int, rng) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = np.conjugate(g.T, order="C")  # 2x the Hermitian part; a copy beats a view
     h += g
-    return h / _norm(h)
+    return h / frobenius(h)
 
 
 def _secant_point(g, g_prev, f, f_prev):
@@ -302,10 +290,10 @@ def _secant_point(g, g_prev, f, f_prev):
     gamma = Re<df, f> / ||df||^2 for df = f - f_prev, or g itself when
     df = 0 or the secant point is not finite.  f_prev is overwritten."""
     df = np.subtract(f, f_prev, out=f_prev)
-    denom = _dot(df, df)
+    denom = real_dot(df, df)
     x = np.subtract(g, g_prev, out=g_prev)
     if denom > 0:
-        x *= _dot(df, f) / denom
+        x *= real_dot(df, f) / denom
         np.subtract(g, x, out=x)
         if np.isfinite(x).all():
             return x
@@ -334,7 +322,7 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     layout = sys.layout
     p = np.zeros_like(x)
     f_prev = g_prev = None
-    dist = _norm(x - layout.reference)
+    dist = frobenius(x - layout.reference)
     iters = 0
     while iters < MAX_ITER and math.isfinite(dist):
         iters += 1
@@ -344,8 +332,8 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
         g = _affine(sys, layout, y)
         del y
         f = np.subtract(g, x, out=x)
-        step = _norm(f)
-        dist = _norm(g - layout.reference)
+        step = frobenius(f)
+        dist = frobenius(g - layout.reference)
         if not math.isfinite(step) or step <= 1e-13 or dist <= TOL:
             return g, dist, iters
         x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev)
@@ -379,7 +367,7 @@ def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
     eigensolve, which may raise on them, if x is not finite."""
     if not np.isfinite(x).all():
         return math.nan, math.nan
-    return (_norm(_project(sys, sys.layout, x - sys.layout.reference)),
+    return (frobenius(_project(sys, sys.layout, x - sys.layout.reference)),
             -min(map(min_eigenvalue, _blocks(sys.layout, x))))
 
 
@@ -423,7 +411,7 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray, feas_tol: float):
     evals, reference = 0, sys.layout.reference
     for _ in range(2):
         escape = point - reference
-        scale = _norm(escape)
+        scale = frobenius(escape)
         point = reference + WITNESS_AMPLITUDE * (escape / scale if scale > 0 else escape)
         if not np.isfinite(point).all():
             break
@@ -453,7 +441,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
     if sys.kind == "cp_family":
         witness, polish_iters = _find_witness(sys, _affine_start(sys, seeds[0]), feas_tol)
-        wdist = _norm(witness - sys.layout.reference)
+        wdist = frobenius(witness - sys.layout.reference)
         resid, neg_eig = _final_checks(sys, witness)
         checks += [
             check_true("witness_distance_exceeds_threshold",

@@ -306,8 +306,8 @@ def _phase_averages(gens, n: int | None = None, tables=None) -> np.ndarray:
 def scale_match_residual(avg: np.ndarray, target: np.ndarray):
     """Relative residual of avg against target after a positive rescale."""
     s = complex(np.vdot(target, avg) / np.vdot(target, target))
-    resid = np.linalg.norm(avg - s * target) / max(np.linalg.norm(avg), 1e-300)
-    return float(resid), s
+    resid = frobenius(avg, s * target) / max(frobenius(avg), 1e-300)
+    return resid, s
 
 
 def _scaled_unitary_deviations(psi: np.ndarray, d: int) -> np.ndarray:

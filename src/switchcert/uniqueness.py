@@ -502,7 +502,7 @@ def cp_family_certificate(seed: int = 0) -> CertificateReport:
     rank_c1 = numerical_rank(build_cp_family(1.0).op)
 
     jid = unitary_choi(np.eye(2))
-    jid_hat = jid / np.linalg.norm(jid)
+    jid_hat = jid / frobenius(jid)
     us = haar_random_unitaries(2, CP_TRIALS, seed)
     # outs[k, t] is the output of the k-th C_p on the t-th unitary
     outs = np.array([unitary_actions(build_cp_family(p), us)

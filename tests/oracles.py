@@ -483,7 +483,7 @@ def constraint_residual(sys, x: np.ndarray) -> float:
     """||P_in(x - reference)||_F, the root sum of squared action deviations over
     any orthonormal spanning family: at least the largest single deviation."""
     layout = probe._layout(sys, (np.arange(len(x)),))
-    return probe._norm(probe._project(sys, layout, x.reshape(-1) - layout.reference))
+    return frobenius(probe._project(sys, layout, x.reshape(-1) - layout.reference))
 
 
 # Axis orders that bring each slot's row and column input index together,

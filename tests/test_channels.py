@@ -24,6 +24,11 @@ def rand_state(rng, d):
     return np.outer(psi, psi.conj())
 
 
+def unitary_channel(u):
+    """The channel rho -> U rho U^dag as one Kraus operator."""
+    return KrausChannel(len(u), len(u), (np.asarray(u, dtype=complex),))
+
+
 def apply_kraus(ch, rho):
     return sum(k @ rho @ k.conj().T for k in ch.kraus)
 
@@ -35,7 +40,7 @@ def apply_choi(ch, rho):
 
 
 def test_choi_of_identity_channel():
-    j = choi_from_kraus(standard_channel("identity", 2))
+    j = choi_from_kraus(unitary_channel(np.eye(2)))
     # all four entries of the |ii><jj| block are 1
     want = np.zeros((4, 4))
     for i in (0, 3):
@@ -74,7 +79,7 @@ def test_apply_channel_examples():
     rng = np.random.default_rng(2)
     rho = rand_state(rng, 2)
     for apply in (apply_kraus, apply_choi):
-        assert frobenius(apply(standard_channel("identity", 2), rho), rho) <= 1e-12
+        assert frobenius(apply(unitary_channel(np.eye(2)), rho), rho) <= 1e-12
         out = apply(standard_channel("depolarizing", 2), rho)
         assert frobenius(out, np.eye(2) / 2) <= 1e-12
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -123,7 +128,7 @@ def test_compose_associative_and_dim_checks():
 
 def test_unitary_choi_basics():
     j = unitary_choi(np.eye(2))
-    assert np.array_equal(j, choi_from_kraus(standard_channel("identity", 2)))
+    assert np.array_equal(j, choi_from_kraus(unitary_channel(np.eye(2))))
     jx = unitary_choi(PAULI["x"])
     support = {(i, k) for i, k in zip(*np.nonzero(np.abs(jx) > 1e-14))}
     assert support == {(1, 1), (1, 2), (2, 1), (2, 2)}  # |01>,|10> block
@@ -229,10 +234,12 @@ def test_haar_first_moment():
 
 
 def test_standard_channels_are_tp():
-    for kind in ("identity", "depolarizing", "replace_zero", "fourier_unitary"):
-        for d in (2, 3):
+    for d in (2, 3):
+        for kind in ("depolarizing", "replace_zero"):
             assert is_cptp(standard_channel(kind, d))
-    assert is_cptp(standard_channel("pauli_y", 2))
+        for u in (np.eye(d), fourier_matrix(d)):
+            assert is_cptp(unitary_channel(u))
+    assert is_cptp(unitary_channel(PAULI["y"]))
     for d in (2, 3):
         assert is_cptp(unitary_choi(haar_random_unitary(d, d)))
 
@@ -244,10 +251,8 @@ def test_standard_channel_examples_and_errors():
     non_unital = apply_choi(standard_channel("replace_zero", 2), np.eye(2))
     assert frobenius(non_unital, 2 * np.diag([1.0, 0.0])) <= 1e-12
     assert frobenius(non_unital, np.eye(2)) > 0.5
-    jy = choi_from_kraus(standard_channel("pauli_y", 2))
+    jy = choi_from_kraus(unitary_channel(PAULI["y"]))
     assert frobenius(jy, unitary_choi(PAULI["y"])) <= 1e-12
-    with pytest.raises(ValueError):
-        standard_channel("pauli_x", 3)
     with pytest.raises(ValueError):
         standard_channel("amplitude_damping", 2)
 

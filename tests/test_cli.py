@@ -9,6 +9,8 @@ import pytest
 from switchcert import cli
 from switchcert.report import CertificateReport, Check
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -72,6 +74,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         cli.main(["not-a-subcommand"])
     assert err.value.code == 2
     for args in (["identity-verify", "--dim", "1"],
+                 ["span-verify", "--dim", "0"],
                  ["identity-verify", "--tol-psd", "-1"],
                  ["corollary-verify", "--tol-cert", "nan"],
                  ["corollary-verify", "--tol-cert", "inf"],
@@ -86,6 +89,12 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["corollary-verify", "--dim", "17"],
                  ["span-verify", "--dim", "2", "--samples", "5"],
                  ["all", "--dim", "2", "--samples", "10"],
+                 ["span-verify", "--dim", "6", "--samples", "1000000"],
+                 ["span-verify", "--dim", "2", "--samples", str(2 ** 21 + 1)],
+                 ["all", "--dim", "4", "--samples", str(2 ** 17 + 1)],
+                 ["probe", "--probe-starts", "0"],
+                 ["probe", "--probe-starts", "1001"],
+                 ["probe", "--dim", "2", "--probe-starts", "1000000000"],
                  ["identity-verify", "--out", str(tmp_path / "missing" / "x.json")],
                  ["identity-verify", "--out", str(tmp_path)]):
         capsys.readouterr()
@@ -98,11 +107,43 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert captured.err.count("\n") == 1
 
 
+def test_sample_and_start_caps_are_inclusive():
+    # the largest real sample matrix allowed holds 2^25 float64 entries
+    for d in (2, 4, 6):
+        cap = 2 ** 25 // d ** 4
+        cli._validate(cli.build_parser().parse_args(
+            ["span-verify", "--dim", str(d), "--samples", str(cap)]))
+    cli._validate(cli.build_parser().parse_args(["probe", "--probe-starts", "1000"]))
+    # the cap binds only the subcommands that draw the samples
+    cli._validate(cli.build_parser().parse_args(
+        ["identity-verify", "--dim", "6", "--samples", "1000000"]))
+
+
 def test_span_verify_d3_reports_are_byte_identical(capsys):
     args = ["span-verify", "--dim", "3", "--no-timestamp", "--format", "json"]
     code, first = run_cli(args, capsys)
     assert code == 0
     assert run_cli(args, capsys) == (0, first)
+
+
+@pytest.mark.parametrize("args", [["probe", "--dim", "2", "--seed", "5"],
+                                  ["corollary-verify", "--dim", "12"]],
+                         ids=["probe", "corollary-verify"])
+def test_reports_do_not_depend_on_the_blas_thread_count(args):
+    # BLAS splits a large dot product by its thread count; every norm and
+    # inner product is an einsum sum on one thread (``linalg``), and the
+    # corollary's replace-channel deviation moved with the count before
+    def report(threads):
+        env = {**os.environ, "PYTHONPATH": SRC,
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS"), str(threads))}
+        out = subprocess.run([sys.executable, "-m", "switchcert.cli", *args,
+                              "--no-timestamp", "--format", "json"],
+                             capture_output=True, timeout=120, env=env)
+        assert out.returncode == 0, out.stderr
+        return out.stdout
+
+    assert report(1) == report(2)
 
 
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
@@ -248,9 +289,8 @@ def test_switch_verify_does_not_import_numpy_ma():
     code = ("import os, sys; from switchcert import cli; "
             "cli.main(['switch-verify', '--dim', '3', '--out', os.devnull]); "
             "print('numpy.ma' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=120, env={**os.environ, "PYTHONPATH": src})
+                         timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from switchcert.channels import unitary_choi
-from switchcert.linalg import (Operator, frobenius, frobenius_each, is_hermitian, min_eigenvalue,
-                               numerical_rank)
+from switchcert.linalg import (Operator, frobenius, frobenius_each, min_eigenvalue,
+                               numerical_rank, real_dot)
 from switchcert.switch import build_switch_choi
 from switchcert.uniqueness import build_cp_family
 
@@ -155,10 +155,11 @@ def test_permute_systems():
 
 def test_hermitian_eigen_rejects_non_hermitian():
     m = np.array([[0, 1], [0, 0]])
-    assert not is_hermitian(m)
     for spectral in (min_eigenvalue, numerical_rank):
         with pytest.raises(ValueError):
             spectral(m)
+        with pytest.raises(ValueError):  # a NaN deviation is no pass
+            spectral(np.full((2, 2), np.nan))
 
 
 def test_min_eigenvalue():
@@ -184,6 +185,19 @@ def test_frobenius_is_frobenius_each_of_one_matrix_bit_for_bit():
     for shape in ((3, 4, 4), (5, 16, 16), (2, 7, 3), (1, 1, 9)):
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         b = rng.standard_normal(shape[1:]) + 1j * rng.standard_normal(shape[1:])
-        assert frobenius_each(a).tolist() == [frobenius(m) for m in a]
-        assert frobenius_each(a, b).tolist() == [frobenius(m, b) for m in a]
-        assert frobenius(a[0]) == float(np.linalg.norm(a[0]))
+        for x, y in ((a, b), (a.real, b.real)):
+            assert frobenius_each(x).tolist() == [frobenius(m) for m in x]
+            assert frobenius_each(x, y).tolist() == [frobenius(m, y) for m in x]
+            assert frobenius(x[0]) == pytest.approx(float(np.linalg.norm(x[0])), rel=1e-15)
+
+
+def test_frobenius_of_a_vector_is_the_root_of_its_real_dot():
+    # the probe's iterates are vectors: a norm of one is the einsum sum of
+    # its float view, as its inner products are
+    rng = np.random.default_rng(1)
+    for n in (7, 1000, 14784):
+        v, w = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+        for x in (v, v.real.copy()):
+            assert frobenius(x) == np.sqrt(real_dot(x, x))
+            assert frobenius(x.reshape(1, -1)) == frobenius(x)
+        assert real_dot(v, w) == pytest.approx(np.vdot(v, w).real, rel=1e-12)

@@ -97,7 +97,7 @@ def test_depolarizing_slots_are_not_depolarizing():
     assert is_cptp(out)
     assert frobenius(out, jdep4) > 0.5
 
-    idc = standard_channel("identity", 2)
+    idc = KrausChannel(2, 2, (np.eye(2, dtype=complex),))
     out = switch_kraus_output(idc, idc)
     assert frobenius(out, unitary_choi(np.eye(4))) <= 1e-12
 
