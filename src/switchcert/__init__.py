@@ -10,7 +10,6 @@ an independent alternating-projection feasibility probe.
 __version__ = "0.1.0"
 
 from .channels import (
-    KrausChannel,
     choi_from_kraus,
     compose_channels,
     flip_operator,

@@ -1,9 +1,10 @@
 """Channels as Choi matrices: standard channels, composition, Haar sampling.
 
-A channel is given either by Kraus operators (the standard channels are
-built that way) or by its Choi matrix, a plain complex array; ``choi_from_kraus``
-turns the first into the second, and every computation here and in ``switch``
-runs on Choi matrices.  They follow the unnormalized convention ``J = sum_ij
+A channel is given either by its Kraus operators, a plain (r, d_out, d_in)
+stack (the standard channels are built that way), or by its Choi matrix, a
+plain complex array.  ``choi_from_kraus`` turns the first into the second,
+and ``switch.unitary_actions`` takes the stack as it is.  Choi matrices
+follow the unnormalized convention ``J = sum_ij
 |i><j| (x) Lambda(|i><j|)`` on I (x) O, so a trace-preserving channel on ``C^d``
 has ``Tr J = d`` and the Choi matrix of a unitary channel has entries built
 from plain products of matrix elements (0/1 patterns for permutation-like
@@ -12,7 +13,6 @@ unitaries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -28,33 +28,15 @@ PAULI = {
 UNITARY_TOL = 1e-10  # bound on ||U^dag U - 1||_F for the input of ``unitary_choi``
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """Completely positive map given by Kraus operators K_i: C^din -> C^dout."""
-
-    dim_in: int
-    dim_out: int
-    kraus: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.kraus:
-            raise ValueError("a KrausChannel needs at least one Kraus operator")
-        ops = []
-        for k in self.kraus:
-            arr = np.array(k, dtype=complex, copy=True)
-            if arr.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator shape {arr.shape} does not match "
-                    f"({self.dim_out}, {self.dim_in})")
-            arr.flags.writeable = False
-            ops.append(arr)
-        object.__setattr__(self, "kraus", tuple(ops))
-
-
-def choi_from_kraus(ch: KrausChannel) -> np.ndarray:
-    """J = sum_k |Phi_k><Phi_k| with Phi_k = (I (x) K_k) |I>>."""
-    j = np.zeros((ch.dim_in * ch.dim_out,) * 2, dtype=complex)
-    for k in ch.kraus:
+def choi_from_kraus(ks) -> np.ndarray:
+    """J = sum_k |Phi_k><Phi_k| with Phi_k = (I (x) K_k) |I>>, for a stack
+    of Kraus operators K_k: C^din -> C^dout of shape (r, dout, din)."""
+    ks = np.asarray(ks, dtype=complex)
+    if ks.ndim != 3 or not len(ks):
+        raise ValueError(f"Kraus operators must be a non-empty (r, d_out, d_in) stack, "
+                         f"not of shape {ks.shape}")
+    j = np.zeros((ks.shape[1] * ks.shape[2],) * 2, dtype=complex)
+    for k in ks:
         phi = k.T.reshape(-1)  # phi[(i, a)] = K[a, i]
         j += np.outer(phi, phi.conj())
     return j
@@ -119,19 +101,19 @@ def fourier_matrix(d: int) -> np.ndarray:
     return w ** jk / np.sqrt(d)
 
 
-def standard_channel(kind: str, d: int) -> KrausChannel:
-    """The channels the certificates name: ``depolarizing`` (rho -> I/d Tr rho)
-    and ``replace_zero`` (rho -> |0><0| Tr rho)."""
+def standard_channel(kind: str, d: int) -> np.ndarray:
+    """The Kraus operators, stacked, of the channels the certificates name:
+    ``depolarizing`` (rho -> I/d Tr rho), the d^2 operators |i><j| / sqrt(d)
+    with j fastest, and ``replace_zero`` (rho -> |0><0| Tr rho), the d
+    operators |0><i|."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     eye = np.eye(d, dtype=complex)
     if kind == "depolarizing":
-        ops = tuple(np.outer(eye[:, i], eye[:, j]) / np.sqrt(d)
-                    for i in range(d) for j in range(d))
-        return KrausChannel(d, d, ops)
+        return np.array([np.outer(eye[:, i], eye[:, j]) / np.sqrt(d)
+                         for i in range(d) for j in range(d)])
     if kind == "replace_zero":
-        ops = tuple(np.outer(eye[:, 0], eye[:, i]) for i in range(d))
-        return KrausChannel(d, d, ops)
+        return np.array([np.outer(eye[:, 0], eye[:, i]) for i in range(d)])
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

@@ -55,12 +55,14 @@ def _run_span(cfg) -> list[CertificateReport]:
     ]
 
 
-def _run_switch(cfg) -> list[CertificateReport]:
+def _run_switch(cfg, lemmas: CertificateReport | None = None) -> list[CertificateReport]:
     """All switch certificates and their aggregate.  The probe runs at d = 2
-    only, the envelope ``build_constraint_system`` enforces."""
+    only, the envelope ``build_constraint_system`` enforces.  A span-lemma
+    report already made and listed is given as ``lemmas``: the aggregate
+    checks it, and it is not listed again."""
     timer, d = Timer(), cfg.dim
     parts = [verify_unitary_action(d, seed=cfg.seed, tol=cfg.tol_cert),
-             verify_span_lemmas(d, seed=cfg.seed),
+             verify_span_lemmas(d, seed=cfg.seed) if lemmas is None else lemmas,
              diagonal_certificate(d),
              offdiagonal_certificate(d)]
     notes = ()
@@ -71,7 +73,8 @@ def _run_switch(cfg) -> list[CertificateReport]:
     else:
         notes = ("probe skipped: the switch probe supports d = 2 only",)
     checks = [check_true(part.name, part.passed) for part in parts]
-    return parts + [make_report(f"switch_uniqueness_d{d}", checks, timer, notes=notes)]
+    return ([part for part in parts if part is not lemmas]
+            + [make_report(f"switch_uniqueness_d{d}", checks, timer, notes=notes)])
 
 
 def _run_identity(cfg) -> list[CertificateReport]:
@@ -97,11 +100,11 @@ def _run_counterexamples(cfg) -> list[CertificateReport]:
     ]
 
 
-def _run_probe(cfg) -> list[CertificateReport]:
+def _run_probe(cfg, leave_out=()) -> list[CertificateReport]:
     kinds = ("identity", "switch", "cp_family") if cfg.dim == 2 else ("identity",)
     return [alternating_projection_probe(
         build_constraint_system(kind, cfg.dim), starts=cfg.probe_starts,
-        seed=cfg.seed, feas_tol=cfg.tol_psd) for kind in kinds]
+        seed=cfg.seed, feas_tol=cfg.tol_psd) for kind in kinds if kind not in leave_out]
 
 
 _RUNNERS = {
@@ -115,11 +118,13 @@ _RUNNERS = {
 
 
 def _run_all(cfg) -> list[CertificateReport]:
-    certs = []
-    for name in ("span-verify", "identity-verify", "switch-verify",
-                 "corollary-verify", "counterexamples", "probe"):
-        certs.extend(_RUNNERS[name](cfg))
-    return certs
+    """Every group's certificates, each made and listed once: the switch
+    group reuses the span group's lemma report, and the probe group leaves
+    out the switch probe, which the switch group lists."""
+    span = _run_span(cfg)
+    return (span + _run_identity(cfg) + _run_switch(cfg, lemmas=span[0])
+            + _run_corollaries(cfg) + _run_counterexamples(cfg)
+            + _run_probe(cfg, leave_out=("switch",)))
 
 
 _RUNNERS["all"] = _run_all
@@ -224,6 +229,8 @@ def _validate(cfg) -> None:
              "span-verify supports --dim 2 to 6"),
             (cfg.subcommand == "probe" and cfg.dim > 4,
              "probe supports --dim 2 to 4"),
+            (cfg.subcommand == "counterexamples" and cfg.dim != 2,
+             "counterexamples supports --dim 2 only"),
             (cfg.subcommand == "identity-verify" and cfg.dim > 9,
              "identity-verify supports --dim 2 to 9"),
             (cfg.subcommand == "corollary-verify" and cfg.dim > 16,

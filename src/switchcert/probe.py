@@ -54,7 +54,7 @@ integrand, so <u, X u> = 0 and, X being PSD, X u = 0; the range of X lies
 in span{w}, and X = W as above.  With the Re-lemma, a pure process has a
 second feasible point iff it has a real sector-block-diagonal one.  So the
 probe stores a matrix as the vector of its sector blocks' entries
-(``_Layout``): a start's direction is twirled by keeping those, the PSD
+(``_Layout``): a start's direction is drawn on the blocks alone, the PSD
 projection clips each block, and the affine map gathers the blocks back
 from the product, which is exactly 0 off them.  The C_p family, whose kind
 has no sign table, and a reference that is not exactly 0 off its kind's
@@ -110,15 +110,14 @@ class ConstraintSystem:
     Hermitian matrices whose action on span{J_U} in each slot is the
     process's.  ``kind`` names the problem and fixes the slot count, two for
     the switch and one otherwise; everything else is read off ``process``,
-    whose matrix must be real.  ``sectors`` holds the basis indices of each
-    charge sector of the kind (``_charge_sectors``), which must partition
-    the basis, and ``layout`` the probe's storage of a matrix on them.
+    whose matrix must be real.  ``layout`` is the probe's storage of a
+    matrix on the charge sectors of the kind (``_charge_sectors``), which
+    must partition the basis.
     """
 
     kind: str
     process: Process
     slot_projector: np.ndarray = field(init=False, repr=False)
-    sectors: tuple = field(init=False, repr=False)
     layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -132,7 +131,6 @@ class ConstraintSystem:
         sectors = _charge_sectors(self.kind, self.process)
         if not np.array_equal(np.sort(np.concatenate(sectors)), np.arange(self.process.size)):
             raise ValueError(f"the {self.kind} sectors do not partition the basis")
-        object.__setattr__(self, "sectors", sectors)
         object.__setattr__(self, "layout", _layout(self, sectors))
 
     @property
@@ -193,11 +191,10 @@ def _charge_sectors(kind: str, process: Process) -> tuple:
 @dataclass(frozen=True)
 class _Layout:
     """A matrix that is 0 off the sector blocks, stored as the vector of the
-    blocks' entries, each block row-major: per entry its flat index in the
-    matrix and in ``_project``'s slot-pair layout and its transpose's index;
-    the reference's entries; the block offsets.  One sector is the ravel."""
+    blocks' entries, each block row-major: per entry its flat index in
+    ``_project``'s slot-pair layout and its transpose's index; the
+    reference's entries; the block offsets.  One sector is the ravel."""
 
-    entries: np.ndarray
     positions: np.ndarray
     transpose: np.ndarray
     reference: np.ndarray
@@ -221,7 +218,7 @@ def _layout(sys: ConstraintSystem, sectors: tuple) -> _Layout:
     reference = sys.process.entry(rows, cols)
     if np.any(reference.imag):
         raise ValueError(f"the {sys.kind} probe needs a real process matrix")
-    arrays = rows * n + cols, row_part[rows] + col_part[cols], transpose, reference.real.copy()
+    arrays = row_part[rows] + col_part[cols], transpose, reference.real.copy()
     for a in arrays:
         a.flags.writeable = False
     return _Layout(*arrays, tuple(offsets.tolist()))
@@ -275,13 +272,6 @@ def _clip(layout: _Layout, v: np.ndarray) -> np.ndarray:
     for block, out in zip(_blocks(layout, v), _blocks(layout, y)):
         out[...] = psd_project(block)
     return y
-
-
-def random_hermitian_direction(n: int, rng) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = np.conjugate(g.T, order="C")  # 2x the Hermitian part; a copy beats a view
-    h += g
-    return h / frobenius(h)
 
 
 def _secant_point(g, g_prev, f, f_prev):
@@ -342,12 +332,20 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
 
 
 def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
-    """The affine projection of the reference plus the twirl (the block
-    entries) of a random unit Hermitian direction drawn from ``seed``, in
-    ``sys.layout``: where a probe start and the witness polish begin."""
-    direction = random_hermitian_direction(sys.process.size, np.random.default_rng(seed))
-    return _affine(sys, sys.layout,
-                   sys.layout.reference + direction.reshape(-1)[sys.layout.entries])
+    """The affine projection of the reference plus a random twirled
+    Hermitian direction drawn from ``seed``, in ``sys.layout``: where a
+    probe start and the witness polish begin.
+
+    Complex normals g are drawn for the m stored block entries alone and
+    made Hermitian as g + g^H.  The direction is scaled to sqrt(m) / n, the
+    expected norm of the twirl of a unit direction on all n^2 entries,
+    which is 1 on one sector: there the draw is the whole unit direction."""
+    layout, rng = sys.layout, np.random.default_rng(seed)
+    m = len(layout.reference)
+    g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    h = g + g[layout.transpose].conj()
+    return _affine(sys, layout,
+                   layout.reference + h / frobenius(h) * (math.sqrt(m) / sys.process.size))
 
 
 def _run_start(sys: ConstraintSystem, seed):
@@ -425,9 +423,10 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     """Certify a kind that claims uniqueness by its starts, and the cp_family
     kind by its witness.
 
-    Each start is the reference plus the twirl of a random Hermitian
-    perturbation of unit Frobenius norm, projected onto the affine set and
-    taken to its real part; the starts run one after another.  Their final
+    Each start is the reference plus a random Hermitian perturbation on
+    the sector blocks, scaled to the expected norm of a twirled unit
+    direction (``_affine_start``), projected onto the affine set and taken
+    to its real part; the starts run one after another.  Their final
     iterates must meet both constraints
     within feas_tol and lie within TOL of the reference.  The cp_family kind
     runs no starts: it certifies a non-uniqueness witness, a feasible point

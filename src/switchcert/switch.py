@@ -103,11 +103,6 @@ class Process:
             return self.vector[row] * np.conj(self.vector[col])
         return self.dense.entries[row, col]
 
-    def diagonal(self) -> np.ndarray:
-        if self.vector is not None:
-            return (self.vector * self.vector.conj()).real
-        return np.diag(self.dense.entries).real.copy()
-
 
 def switch_choi_vector(d: int) -> np.ndarray:
     """The rank-1 process vector: sum_ijk (|ijjkik00> + |jkijik11>).

@@ -139,7 +139,7 @@ def certify_identity_uniqueness(d: int, process: Process | None = None,
     n = d * d
     # C[(a, o), (b, p)] over input pairs a, b and output pairs o, p; diag[a, o]
     # is C[(a, o), (a, o)] and pair[r, c] is C[(r, r), (c, c)]
-    diag = proc.diagonal().reshape(n, n)
+    diag = proc.entry(np.arange(proc.size), np.arange(proc.size)).real.reshape(n, n)
     doubled = np.arange(n) * (n + 1)
     pair = proc.entry(doubled[:, None], doubled[None, :])
 
@@ -237,7 +237,7 @@ def diagonal_certificate(d: int, process: Process | None = None) -> CertificateR
     2 d^3), the vanishing of every other diagonal, tightness of the 2 x 2
     principal-minor bounds on those families, and the 4 x 4 toy example whose
     diagonal is forced to (1, 0, 0, 1).  W is read through ``Process.entry``
-    and ``Process.diagonal`` only.
+    only, its diagonal too.
     """
     timer = Timer()
     dims = (d, d, d, d, d, d, 2, 2)
@@ -245,7 +245,7 @@ def diagonal_certificate(d: int, process: Process | None = None) -> CertificateR
         raise ValueError("process dimension mismatch")
     proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
     nout, flat = proc.nout, np.ravel_multi_index
-    diag = proc.diagonal()
+    diag = proc.entry(np.arange(proc.size), np.arange(proc.size)).real
 
     # (i) the displayed ket-bra actions |ijkl><jilk|, |ijkk><jill|, |iikl><jjlk|,
     # |iikk><jjll| (i != j, k != l; s and t pick the case) against the row
@@ -428,7 +428,7 @@ def verify_corollary(kind: str, d: int, seed,
     replace = standard_channel("replace_zero", d)
     jlam = choi_from_kraus(replace)
     # summed one Kraus operator at a time: a stacked call holds all d outputs at once
-    got = sum(unitary_actions(proc, k[None])[0] for k in replace.kraus)
+    got = sum(unitary_actions(proc, k[None])[0] for k in replace)
     if kind == "transpose":
         f = flip_operator(d)
         want = f @ jlam @ f

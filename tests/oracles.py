@@ -23,6 +23,10 @@ projection made sector by sector, on the probe's block vectors or on dense
 matrices.  ``constraint_residual`` is the probe's affine residual of a
 dense matrix, and ``pair_table_layout`` builds the probe's block storage
 from the dense reference and a table of every entry's slot-pair position.
+``sectors_of`` and ``entries_of`` give a system's charge sectors and the
+matrix index of each stored block entry, and ``random_hermitian_direction``
+draws the dense unit Hermitian direction that a one-sector probe start
+draws on its blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from switchcert.channels import KrausChannel, choi_from_kraus
+from switchcert.channels import choi_from_kraus
 from switchcert.linalg import Operator, frobenius, min_eigenvalue
 from switchcert import probe
 from switchcert.probe import MAX_ITER, TOL, _Layout, affine_project, psd_project
@@ -240,8 +244,9 @@ def apply_one_slot(proc: Process, j) -> np.ndarray:
 # --- Kraus route -----------------------------------------------------------------
 
 
-def random_kraus_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
-    """Random CPTP channel on C^d with the given number of Kraus operators.
+def random_kraus_channel(d: int, kraus_rank: int, seed) -> np.ndarray:
+    """Random CPTP channel on C^d with the given number of Kraus operators,
+    stacked.
 
     Built from a Haar-random isometry C^d -> C^(kraus_rank * d), the standard
     construction for sampling channels of bounded Kraus rank.
@@ -250,28 +255,29 @@ def random_kraus_channel(d: int, kraus_rank: int, seed) -> KrausChannel:
     g = (rng.standard_normal((kraus_rank * d, d))
          + 1j * rng.standard_normal((kraus_rank * d, d))) / np.sqrt(2)
     q, _ = np.linalg.qr(g)
-    return KrausChannel(d, d, tuple(q[k * d:(k + 1) * d, :] for k in range(kraus_rank)))
+    return q.reshape(kraus_rank, d, d)
 
 
-def switch_kraus_output(k: KrausChannel, l: KrausChannel) -> np.ndarray:
-    """Kraus-level switch output: W_ij = |0><0| (x) L_j K_i + |1><1| (x) K_i L_j."""
-    if not (k.dim_in == k.dim_out == l.dim_in == l.dim_out):
+def switch_kraus_output(k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Kraus-level switch output of two Kraus stacks:
+    W_ij = |0><0| (x) L_j K_i + |1><1| (x) K_i L_j."""
+    d = k.shape[-1]
+    if not k.shape[1:] == l.shape[1:] == (d, d):
         raise ValueError("both slot channels must be square and equal-dimensional")
-    d = k.dim_in
     ops = []
-    for ki in k.kraus:
-        for lj in l.kraus:
+    for ki in k:
+        for lj in l:
             w = np.zeros((2 * d, 2 * d), dtype=complex)
             w[:d, :d] = lj @ ki
             w[d:, d:] = ki @ lj
             ops.append(w)
-    return choi_from_kraus(KrausChannel(2 * d, 2 * d, tuple(ops)))
+    return choi_from_kraus(ops)
 
 
 def is_cptp(ch, tol: float = 1e-9) -> bool:
-    """Whether a channel on C^d, given by Kraus operators or by its Choi matrix
+    """Whether a channel on C^d, given by a Kraus stack or by its Choi matrix
     J, is completely positive (J >= -tol) and trace preserving (Tr_O J = 1_I)."""
-    j = choi_from_kraus(ch) if isinstance(ch, KrausChannel) else np.asarray(ch)
+    j = choi_from_kraus(ch) if np.ndim(ch) == 3 else np.asarray(ch)
     d = isqrt(j.shape[0])
     j4 = j.reshape(d, d, d, d)
     return (min_eigenvalue(j) >= -tol
@@ -415,7 +421,7 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
 def _dense_sector_clip(sys, x: np.ndarray) -> np.ndarray:
     """The PSD projection of each sector block of the matrix x, 0 off them."""
     y = np.zeros_like(x)
-    for s in sys.sectors:
+    for s in sectors_of(sys):
         y[np.ix_(s, s)] = psd_project(x[np.ix_(s, s)])
     return y
 
@@ -423,7 +429,7 @@ def _dense_sector_clip(sys, x: np.ndarray) -> np.ndarray:
 def _block_sector_clip(sys, v: np.ndarray) -> np.ndarray:
     """The PSD projection of each sector block of a block vector, the blocks
     cut by the sector sizes alone."""
-    sizes = [len(s) for s in sys.sectors]
+    sizes = [len(s) for s in sectors_of(sys)]
     parts = np.split(v, np.cumsum([b * b for b in sizes])[:-1])
     return np.concatenate([psd_project(part.reshape(b, b)).ravel()
                            for part, b in zip(parts, sizes)])
@@ -448,7 +454,7 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
     else:
         reference, clip = sys.layout.reference, _block_sector_clip
         affine = partial(probe._affine, sys, sys.layout)
-        start = start.reshape(-1)[sys.layout.entries]
+        start = start.reshape(-1)[entries_of(sys)]
     x = affine(start)
     p = np.zeros_like(x)
     f_prev = g_prev = None
@@ -479,6 +485,26 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
 # --- the probe's storage and residual, from the dense process ----------------------
 
 
+def random_hermitian_direction(n: int, rng) -> np.ndarray:
+    """A random n x n Hermitian matrix of unit Frobenius norm: g + g^H for
+    complex normals g, the real parts drawn before the imaginary ones."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = np.conjugate(g.T, order="C")  # 2x the Hermitian part; a copy beats a view
+    h += g
+    return h / frobenius(h)
+
+
+def sectors_of(sys) -> tuple:
+    """The basis indices of each charge sector of ``sys``'s block storage."""
+    return probe._charge_sectors(sys.kind, sys.process)
+
+
+def entries_of(sys) -> np.ndarray:
+    """The flat matrix index of each entry of ``sys``'s block vectors."""
+    n = sys.process.size
+    return np.concatenate([(s[:, None] * n + s).ravel() for s in sectors_of(sys)])
+
+
 def constraint_residual(sys, x: np.ndarray) -> float:
     """||P_in(x - reference)||_F, the root sum of squared action deviations over
     any orthonormal spanning family: at least the largest single deviation."""
@@ -501,8 +527,8 @@ def pair_table_layout(sys, sectors) -> _Layout:
     dims = ((k,) * slots + (n // k ** slots,)) * 2
     pair = np.arange(n * n).reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
     offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
-    entries = np.concatenate([(s[:, None] * n + s).ravel() for s in sectors])
+    flat = np.concatenate([(s[:, None] * n + s).ravel() for s in sectors])
     transpose = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
                                 for o, s in zip(offsets, sectors)])
-    return _Layout(entries, pair[entries], transpose, reference.reshape(-1)[entries],
+    return _Layout(pair[flat], transpose, reference.reshape(-1)[flat],
                    tuple(offsets.tolist()))

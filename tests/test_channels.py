@@ -3,7 +3,6 @@ import pytest
 
 from switchcert.channels import (
     PAULI,
-    KrausChannel,
     choi_from_kraus,
     compose_channels,
     flip_operator,
@@ -26,16 +25,16 @@ def rand_state(rng, d):
 
 def unitary_channel(u):
     """The channel rho -> U rho U^dag as one Kraus operator."""
-    return KrausChannel(len(u), len(u), (np.asarray(u, dtype=complex),))
+    return np.asarray(u, dtype=complex)[None]
 
 
 def apply_kraus(ch, rho):
-    return sum(k @ rho @ k.conj().T for k in ch.kraus)
+    return sum(k @ rho @ k.conj().T for k in ch)
 
 
 def apply_choi(ch, rho):
     """A channel's output Tr_I[J (rho^t (x) 1_O)], through the dense link oracle."""
-    j = choi_from_kraus(ch) if isinstance(ch, KrausChannel) else ch
+    j = choi_from_kraus(ch) if ch.ndim == 3 else ch
     return link(j, rho)
 
 
@@ -51,7 +50,7 @@ def test_choi_of_identity_channel():
 
 
 def test_choi_of_depolarizing_via_pauli_kraus():
-    ch = KrausChannel(2, 2, tuple(PAULI[k] / 2 for k in "ixyz"))
+    ch = np.array([PAULI[k] / 2 for k in "ixyz"])
     j = choi_from_kraus(ch)
     assert frobenius(j, np.eye(4) / 2) <= 1e-12
     assert abs(np.trace(j) - 2.0) < 1e-12
@@ -255,6 +254,13 @@ def test_standard_channel_examples_and_errors():
     assert frobenius(jy, unitary_choi(PAULI["y"])) <= 1e-12
     with pytest.raises(ValueError):
         standard_channel("amplitude_damping", 2)
+    # plain (r, d, d) stacks: |i><j| / sqrt(d) with j fastest, and |0><i|
+    eye = np.eye(3)
+    assert np.array_equal(standard_channel("depolarizing", 3),
+                          [np.outer(eye[i], eye[j]) / np.sqrt(3)
+                           for i in range(3) for j in range(3)])
+    assert np.array_equal(standard_channel("replace_zero", 3),
+                          [np.outer(eye[0], eye[i]) for i in range(3)])
 
 
 def test_flip_operator():
@@ -277,7 +283,9 @@ def test_flip_operator():
 
 
 def test_kraus_validation():
-    with pytest.raises(ValueError):
-        KrausChannel(2, 2, ())
-    with pytest.raises(ValueError):
-        KrausChannel(2, 2, (np.zeros((3, 2)),))
+    # an empty stack and a single operator not stacked are refused
+    for bad in (np.zeros((0, 2, 2)), [], np.eye(2)):
+        with pytest.raises(ValueError):
+            choi_from_kraus(bad)
+    # a stack of non-square operators C^2 -> C^3 is a channel
+    assert choi_from_kraus(np.ones((1, 3, 2))).shape == (6, 6)

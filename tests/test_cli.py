@@ -87,6 +87,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                  ["probe", "--dim", "5"],
                  ["identity-verify", "--dim", "10"],
                  ["corollary-verify", "--dim", "17"],
+                 ["counterexamples", "--dim", "3"],
+                 ["counterexamples", "--dim", "7"],
                  ["span-verify", "--dim", "2", "--samples", "5"],
                  ["all", "--dim", "2", "--samples", "10"],
                  ["span-verify", "--dim", "6", "--samples", "1000000"],
@@ -282,6 +284,32 @@ def test_switch_verify_aggregate_skips_the_probe_above_d2(d, capsys):
         f"switch_unitary_action_d{d}", f"span_lemmas_d{d}", f"switch_diagonal_d{d}",
         f"switch_offdiagonal_d{d}", f"switch_uniqueness_d{d}"]
     assert certs[-1]["notes"] == ["probe skipped: the switch probe supports d = 2 only"]
+
+
+def test_all_makes_and_lists_each_certificate_once(capsys, monkeypatch):
+    # the switch group reuses the span group's lemma report, and the probe
+    # group leaves out the switch probe the switch group made
+    calls = []
+    for name in ("verify_span_lemmas", "alternating_projection_probe"):
+        def counted(*args, _f=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    code, out = run_cli(["all", "--dim", "2", "--probe-starts", "2", "--format", "json",
+                         "--no-timestamp"], capsys)
+    assert code == 0
+    assert sorted(calls) == ["alternating_projection_probe"] * 3 + ["verify_span_lemmas"]
+    names = [c["name"] for c in json.loads(out)["certificates"]]
+    assert len(names) == len(set(names))
+    assert names[:9] == [
+        "span_lemmas_d2", "span_dimension_d2", "group_combinatorics_d2",
+        "identity_uniqueness_d2", "switch_unitary_action_d2", "switch_diagonal_d2",
+        "switch_offdiagonal_d2", "probe_switch_d2", "switch_uniqueness_d2"]
+    assert names[-2:] == ["probe_identity_d2", "probe_cp_family_d2"]
+    aggregate = json.loads(out)["certificates"][8]
+    assert list(aggregate["measured"]) == [
+        "switch_unitary_action_d2", "span_lemmas_d2", "switch_diagonal_d2",
+        "switch_offdiagonal_d2", "probe_switch_d2"]
 
 
 def test_switch_verify_does_not_import_numpy_ma():

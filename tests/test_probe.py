@@ -21,13 +21,13 @@ from switchcert.probe import (
     alternating_projection_probe,
     build_constraint_system,
     psd_project,
-    random_hermitian_direction,
 )
 from switchcert.span import span_dimension_formula, span_projector, vec_kron
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector
 from switchcert.uniqueness import build_derived_one_slot, build_identity_process
 
-from oracles import constraint_residual, dykstra_start, link, pair_table_layout
+from oracles import (constraint_residual, dykstra_start, entries_of, link, pair_table_layout,
+                     random_hermitian_direction, sectors_of)
 
 
 def test_constraint_system_shapes():
@@ -45,7 +45,7 @@ def test_constraint_system_shapes():
     # at the block entries
     stored = sw.layout.reference
     assert stored.dtype == float and stored.flags.c_contiguous
-    assert np.array_equal(stored, reference(sw).reshape(-1)[sw.layout.entries])
+    assert np.array_equal(stored, reference(sw).reshape(-1)[entries_of(sw)])
     assert not stored.flags.writeable and not sw.slot_projector.flags.writeable
     assert not hasattr(sw, "reference")
 
@@ -262,7 +262,7 @@ def test_real_part_of_a_complex_feasible_point_is_feasible():
 def twirl(sys, x):
     """x's sector blocks, 0 off them: the torus twirl of x."""
     y = np.zeros_like(x)
-    for s in sys.sectors:
+    for s in sectors_of(sys):
         y[np.ix_(s, s)] = x[np.ix_(s, s)]
     return y
 
@@ -274,14 +274,14 @@ def off_sector(sys, x):
 
 def blocks(sys, x):
     """The probe's block vector of the matrix x: its sector block entries."""
-    return x.reshape(-1)[sys.layout.entries]
+    return x.reshape(-1)[entries_of(sys)]
 
 
 def dense(sys, v):
     """The matrix stored as the block vector v: 0 off the sector blocks."""
     n = sys.process.size
     x = np.zeros(n * n, dtype=v.dtype)
-    x[sys.layout.entries] = v
+    x[entries_of(sys)] = v
     return x.reshape(n, n)
 
 
@@ -292,7 +292,7 @@ def test_twirl_of_a_feasible_point_is_feasible():
     # and positive definite.
     w = build_identity_process(2).op.entries.real + np.eye(16)
     sys = build_constraint_system("identity", 2, Process(2, dense=Operator(w)))
-    assert len(sys.sectors) == 5
+    assert len(sectors_of(sys)) == 5
     g = random_hermitian_direction(16, np.random.default_rng(12))
     h = hermitian_part(g - slot_map(sys.slot_projector, 1, g))
     assert np.linalg.norm(slot_map(sys.slot_projector, 1, h)) <= 1e-14
@@ -317,8 +317,9 @@ SECTOR_COUNTS = [("switch", 2, 7, 80), ("identity", 2, 5, 6), ("identity", 3, 19
 @pytest.mark.parametrize("kind,d,count,largest", SECTOR_COUNTS)
 def test_unique_reference_is_zero_off_its_sectors(kind, d, count, largest):
     sys = build_constraint_system(kind, d)
-    assert (len(sys.sectors), max(map(len, sys.sectors))) == (count, largest)
-    assert sorted(np.concatenate(sys.sectors)) == list(range(sys.process.size))
+    sectors = sectors_of(sys)
+    assert (len(sectors), max(map(len, sectors))) == (count, largest)
+    assert sorted(np.concatenate(sectors)) == list(range(sys.process.size))
     assert not off_sector(sys, reference(sys)).any()
     assert np.linalg.norm(reference(sys)) > 1.0
     # the block storage holds the whole reference
@@ -334,7 +335,7 @@ def test_layout_matches_the_pair_table(kind, d, process):
     # reference; the last case is one sector, as the transpose process has
     # entries off the identity's sectors
     sys = build_constraint_system(kind, d, process)
-    want = pair_table_layout(sys, sys.sectors)
+    want = pair_table_layout(sys, sectors_of(sys))
     for field in dataclasses.fields(want):
         assert np.array_equal(getattr(sys.layout, field.name), getattr(want, field.name)), \
             field.name
@@ -383,11 +384,11 @@ def test_reference_off_its_sectors_gets_one_dense_sector():
     # the transpose process under the identity kind's charges has entries
     # off the sectors: its probe runs on one sector of every index
     sys = build_constraint_system("identity", 2, build_derived_one_slot("transpose", 2))
-    assert len(sys.sectors) == 1
-    assert np.array_equal(sys.sectors[0], np.arange(16))
+    assert len(sectors_of(sys)) == 1
+    assert np.array_equal(sectors_of(sys)[0], np.arange(16))
     default = build_constraint_system("identity", 2)
     assert off_sector(default, reference(sys)).any()
-    assert len(build_constraint_system("cp_family", 2).sectors) == 1
+    assert len(sectors_of(build_constraint_system("cp_family", 2))) == 1
     rep = alternating_projection_probe(sys, starts=3)
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
@@ -395,7 +396,7 @@ def test_reference_off_its_sectors_gets_one_dense_sector():
 def identity_with_off_sector_pair(value):
     """The dense identity process with ``value`` at an entry off its
     sectors and the conjugate at the transposed entry."""
-    sectors = build_constraint_system("identity", 2).sectors
+    sectors = sectors_of(build_constraint_system("identity", 2))
     row, col = sectors[0][0], sectors[1][0]
     w = build_identity_process(2).op.entries.copy()
     w[row, col], w[col, row] = value, np.conj(value)
@@ -406,7 +407,7 @@ def test_a_tiny_off_sector_pair_gives_one_sector():
     # negative control: the off-sector test reads the exact support, with no
     # tolerance below which an entry counts as 0
     sys = build_constraint_system("identity", 2, identity_with_off_sector_pair(1e-300))
-    assert len(sys.sectors) == 1
+    assert len(sectors_of(sys)) == 1
 
 
 def test_a_tiny_imaginary_pair_is_refused():
@@ -493,13 +494,22 @@ def test_probe_determinism():
     assert a.checks == b.checks and a.notes == b.notes
 
 
-def perturbed_start(sys, seed):
-    """The reference plus the real part of the unit direction drawn from
-    seed, zeroed off the sectors: its affine projection is where the
-    probe's start begins."""
+def drawn_direction(sys, seed):
+    """The direction a start draws from seed, built densely: complex
+    normals on the m sector block entries, 0 off them, made Hermitian as
+    g + g^H and scaled to sqrt(m) / n."""
     rng = np.random.default_rng(seed)
-    direction = random_hermitian_direction(sys.process.size, rng).real
-    return reference(sys) + twirl(sys, direction)
+    flat, n = entries_of(sys), sys.process.size
+    g = np.zeros(n * n, dtype=complex)
+    g[flat] = rng.standard_normal(len(flat)) + 1j * rng.standard_normal(len(flat))
+    h = g.reshape(n, n) + g.reshape(n, n).conj().T
+    return h * (math.sqrt(len(flat)) / n / np.linalg.norm(h))
+
+
+def perturbed_start(sys, seed):
+    """The reference plus the real part of the direction drawn from seed:
+    its affine projection is where the probe's start begins."""
+    return reference(sys) + drawn_direction(sys, seed).real
 
 
 def affine_start(sys, start):
@@ -575,14 +585,16 @@ def test_unique_start_returns_numbers_only(kind):
     result = probe._run_start(sys, 4)
     assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
-    start = affine_start(sys, perturbed_start(sys, 4))
+    start = probe._affine_start(sys, 4).real
     x, dist, iters = probe._run_single(sys, start.copy())
-    # a start begins at the real part of the affine point and stays real
-    assert np.array_equal(start, probe._affine_start(sys, 4).real)
+    # a start begins at the real part of the affine point of the dense draw
+    # and stays real
+    want = affine_start(sys, perturbed_start(sys, 4))
+    assert frobenius(start, want) <= 1e-15 * frobenius(want)
     assert np.isrealobj(x)
     matrix = dense(sys, x)
     least = min(np.linalg.eigvalsh((b + b.T) / 2)[0]
-                for b in (matrix[np.ix_(s, s)] for s in sys.sectors))
+                for b in (matrix[np.ix_(s, s)] for s in sectors_of(sys)))
     # the dense residual's nonzero entries, summed in block order
     constrained = constrained_part(sys, matrix)
     assert not off_sector(sys, constrained).any()
@@ -590,6 +602,35 @@ def test_unique_start_returns_numbers_only(kind):
     assert result[:4] == (dist, iters, resid, -least)
     assert abs(resid - constraint_residual(sys, matrix)) <= 1e-14 * resid
     assert abs(least - np.linalg.eigvalsh(matrix)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,d", [("switch", 2), ("identity", 3), ("transpose", 2),
+                                    ("cp_family", 2)])
+def test_start_direction_is_drawn_on_the_blocks(kind, d, monkeypatch):
+    # the direction before the affine map holds the dense draw's block
+    # entries; its norm sqrt(m) / n is the mean norm of the twirl of a dense
+    # unit direction, here over 40 draws (the transpose's spread is 8 %)
+    sys = build_constraint_system(kind, d)
+    m, n = len(sys.layout.reference), sys.process.size
+    rng = np.random.default_rng(d)
+    twirled = [frobenius(twirl(sys, random_hermitian_direction(n, rng))) for _ in range(40)]
+    assert abs(np.mean(twirled) / (math.sqrt(m) / n) - 1.0) <= 0.03
+    monkeypatch.setattr(probe, "_affine", lambda sys_, layout, v: v)
+    got = probe._affine_start(sys, 5) - sys.layout.reference
+    want = drawn_direction(sys, 5)
+    assert not off_sector(sys, want).any()
+    assert frobenius(got, blocks(sys, want)) <= 1e-15
+    assert abs(frobenius(got) - math.sqrt(m) / n) <= 1e-15
+
+
+def test_cp_family_start_is_the_dense_unit_draw():
+    # one sector holds every entry: the block draw is the whole unit
+    # direction, bit for bit the dense draw the witness polish began from
+    sys = build_constraint_system("cp_family", 2)
+    for seed in range(30):
+        direction = random_hermitian_direction(16, np.random.default_rng(seed))
+        want = probe._affine(sys, sys.layout, sys.layout.reference + direction.reshape(-1))
+        assert np.array_equal(probe._affine_start(sys, seed), want), seed
 
 
 def traced_peak(run):
@@ -608,7 +649,7 @@ def test_switch_start_memory_peak():
     # the secant history must not raise the peak: the complex affine point
     # is freed before the loop, and the loop reuses spent buffers
     sys = build_constraint_system("switch", 2)
-    assert traced_peak(lambda: probe._run_start(sys, 3)) <= 4.0 * 2 ** 20
+    assert traced_peak(lambda: probe._run_start(sys, 3)) <= 3.2 * 2 ** 20
 
 
 def test_switch_loop_memory_peak():
@@ -625,14 +666,19 @@ def test_switch_d3_system_memory_peak():
     # process alone would take 136 MB, and an n^2 int64 table 68 MB
     process = Process(3, vector=switch_choi_vector(3))
     assert traced_peak(lambda: ConstraintSystem("switch", process)) <= 64 * 2 ** 20
-    assert ConstraintSystem("switch", process).layout.entries.size == 562_704
+    assert ConstraintSystem("switch", process).layout.reference.size == 562_704
 
 
-def _nan_direction(n, rng):
-    """A start direction with one NaN entry: every start is not finite."""
-    direction = np.zeros((n, n), dtype=complex)
-    direction[0, 0] = np.nan
-    return direction
+class _NanNormals:
+    """A generator whose normals hold one NaN: every start is not finite."""
+
+    def __init__(self, seed):
+        pass
+
+    def standard_normal(self, size):
+        normals = np.zeros(size)
+        normals[0] = np.nan
+        return normals
 
 
 def _non_finite_switch(monkeypatch):
@@ -642,7 +688,7 @@ def _non_finite_switch(monkeypatch):
 
 
 def _non_finite_identity(monkeypatch):
-    monkeypatch.setattr(probe, "random_hermitian_direction", _nan_direction)
+    monkeypatch.setattr(np.random, "default_rng", _NanNormals)
     return build_constraint_system("identity", 2)
 
 
@@ -670,7 +716,7 @@ def test_non_finite_cp_family_reference_fails_without_polish(monkeypatch):
     # eigensolve, which may raise on it, are skipped, and the C_p probe runs
     # no starts
     sys = build_constraint_system("cp_family", 2)
-    monkeypatch.setattr(probe, "random_hermitian_direction", _nan_direction)
+    monkeypatch.setattr(np.random, "default_rng", _NanNormals)
     eigensolves = []
     monkeypatch.setattr(probe, "min_eigenvalue",
                         lambda x: eigensolves.append(x) or 0.0)
