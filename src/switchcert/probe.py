@@ -59,6 +59,39 @@ projection clips each block, and the affine map gathers the blocks back
 from the product, which is exactly 0 off them.  The C_p family, whose kind
 has no sign table, and a reference that is not exactly 0 off its kind's
 sectors get one sector holding every index: the whole matrix.
+
+The switch probe twirls further, over G = T x <S, R> (``_involutions``;
+the product is semidirect, as R reverses the torus's phases).
+S swaps the slots (I1, O1) and (I2, O2) and flips both control qubits,
+which maps the U1U2 branch of w onto the U2U1 branch; R maps every qudit
+digit i to d - 1 - i, which maps each branch onto itself.  Each is a real
+permutation P of the basis that fixes w, commutes with the slot projector
+(S exchanges two slots that carry the same projector, and R acts on each
+slot as V (x) V for the real reversal V, which maps every J_U onto
+J_(V U V^T)), and maps each sector onto a sector, so P maps the feasible
+set onto itself.  Lemma: if W = |w><w| is pure and G-invariant and
+X != W is feasible, then the average Z of P T(X) P^T over <S, R> is a
+G-invariant sector-block-diagonal feasible point other than W.  Proof:
+Y = T(X) is feasible and not W by the torus lemma, each P Y P^T is
+feasible and sector-block-diagonal, and so is their mean Z, by
+convexity; if Z = W, then Y <= 4W, as the other three terms are PSD,
+so the range of Y lies in span{w} and Y = W as above, which it is not.
+So a pure G-invariant process has a second feasible point iff it has a
+real, sector-block-diagonal, G-invariant one.  On such a matrix a
+sector's stabiliser in <S, R> acts by permuting its indices; in a real
+orthogonal basis of character sums over the index orbits the sector's
+block splits into one isotypic block per character, and a sector that
+<S, R> maps onto an earlier one holds a copy of that one's block.  So
+the clip (``_clip``) is ``psd_project`` of each isotypic block, rotated
+back, with the copies filled in: 10 blocks of at most 30 in place of 7
+sector blocks of at most 80 at d = 2, and 46 of at most 120 in place of
+37 of at most 372 at d = 3.  The start is twirled over <S, R>, and the
+affine map, Dykstra's correction and the secant step keep G-invariance,
+as the reference is invariant and the projector commutes with P; the
+rounding off the invariant matrices is what the clip drops.  The final
+checks read every whole sector block.  An involution is kept only if it
+fixes the stored reference exactly and maps each sector onto a sector;
+the other kinds have none, and their clip is the sector clip.
 """
 
 from __future__ import annotations
@@ -112,13 +145,15 @@ class ConstraintSystem:
     the switch and one otherwise; everything else is read off ``process``,
     whose matrix must be real.  ``layout`` is the probe's storage of a
     matrix on the charge sectors of the kind (``_charge_sectors``), which
-    must partition the basis.
+    must partition the basis, and ``symmetry`` the clip's plan for the
+    kind's involutions (``_involutions``) that the reference keeps.
     """
 
     kind: str
     process: Process
     slot_projector: np.ndarray = field(init=False, repr=False)
     layout: _Layout = field(init=False, repr=False)
+    symmetry: _Symmetry = field(init=False, repr=False)
 
     def __post_init__(self):
         slots = 2 if self.kind == "switch" else 1
@@ -132,6 +167,7 @@ class ConstraintSystem:
         if not np.array_equal(np.sort(np.concatenate(sectors)), np.arange(self.process.size)):
             raise ValueError(f"the {self.kind} sectors do not partition the basis")
         object.__setattr__(self, "layout", _layout(self, sectors))
+        object.__setattr__(self, "symmetry", _symmetry(self, sectors))
 
     @property
     def family_rank(self) -> int:
@@ -154,8 +190,12 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     process at slot dimension d.
 
     A given process must have slot dimension d, the kind's slot count and
-    a real matrix.  The system is exact, so ``seed`` is unused.  The switch
-    probe supports d = 2 only: its affine map scatters the sector blocks
+    a real matrix.  The system is exact, so ``seed`` is unused.  The system
+    holds the probe's storage on the kind's charge sectors and, for the
+    switch, the clip's plan for the slot swap with the control flip and
+    the qudit reversal, kept only if they fix the reference exactly and map
+    sectors onto sectors (``_symmetry``).  The switch probe supports d = 2
+    only: its affine map scatters the sector blocks
     into a dense slot-pair buffer, 68 MB at d = 3: 0.12 s a ``_project``
     call and 5.7-6.1 s a start there (2 cores, one BLAS thread).
     """
@@ -230,6 +270,115 @@ def _blocks(layout: _Layout, v: np.ndarray) -> list:
     return [v[a:b].reshape(2 * (math.isqrt(b - a),)) for a, b in zip(o, o[1:])]
 
 
+def _involutions(kind: str, process: Process) -> tuple:
+    """Index permutations g of the basis, g[i] the index of the image of
+    basis state i, that may fix the kind's reference: for the switch the
+    slot swap (I1, O1) <-> (I2, O2) with both control qubits flipped, and
+    the reversal i -> d - 1 - i of every qudit digit; none otherwise."""
+    if kind != "switch":
+        return ()
+    d = process.d
+    index = np.arange(process.size).reshape((d,) * 6 + (2, 2))
+    swap = index.transpose(2, 3, 0, 1, 4, 5, 6, 7)[..., ::-1, ::-1]
+    reverse = index[(slice(None, None, -1),) * 6]
+    return swap.reshape(-1), reverse.reshape(-1)
+
+
+@dataclass(frozen=True)
+class _Symmetry:
+    """The clip's plan for the group G of the involutions a system keeps.
+    Per kept involution, the permutation of the block vector it induces
+    (``twirls``); per representative of each orbit of sectors under G, its
+    sector number, a real orthogonal basis adapted to its stabiliser, or
+    None for a trivial one, and the cuts of the isotypic blocks in it
+    (``clips``); the block-vector positions of the other sectors' entries
+    (``mirror``) and of the representative entries they equal (``source``);
+    and the dimension of the G-invariant block matrices, the sum of the
+    squared isotypic block sizes (``dimension``)."""
+
+    twirls: tuple
+    clips: tuple
+    mirror: np.ndarray
+    source: np.ndarray
+    dimension: int
+
+
+def _symmetry(sys: ConstraintSystem, sectors: tuple) -> _Symmetry:
+    """The plan of the kind's involutions that fix the stored reference
+    exactly and map each sector onto a sector; with none kept, every
+    sector is its own representative with one block.  Tables are of length
+    n or of the stored entries, never n x n."""
+    n, layout = sys.process.size, sys.layout
+    label, where = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for q, s in enumerate(sectors):
+        label[s], where[s] = q, np.arange(len(s))
+    starts = layout.offsets
+
+    def image(g, s):  # block-vector positions of g's image of sector s's entries
+        p = where[g[s]]
+        return starts[label[g[s[0]]]] + (p[:, None] * len(p) + p).ravel()
+
+    kept = []
+    for g in _involutions(sys.kind, sys.process):
+        onto = label[g[[s[0] for s in sectors]]]  # the sector each one must map onto
+        if np.array_equal(label[g], onto[label]):
+            twirl = np.concatenate([image(g, s) for s in sectors])
+            if np.array_equal(layout.reference[twirl], layout.reference):
+                kept.append((g, twirl))
+    group = [(0, np.arange(n))]  # (bits of the kept involutions composed, permutation)
+    for bit, (g, _) in enumerate(kept):
+        group += [(b | 1 << bit, g[e]) for b, e in group]
+    clips, mirror, source, dimension = [], [], [], 0
+    orbit_of = np.full(len(sectors), -1)
+    for q, s in enumerate(sectors):
+        if orbit_of[q] >= 0:
+            continue
+        stabiliser = []
+        for bits, g in group:
+            t = label[g[s[0]]]
+            if t == q:
+                stabiliser.append((bits, where[g[s]]))
+            elif orbit_of[t] < 0:
+                orbit_of[t] = q
+                mirror.append(np.arange(starts[t], starts[t + 1]))
+                source.append(image(g, sectors[t]))
+        orbit_of[q] = q
+        basis, cuts = _isotypic_basis(stabiliser, len(group), len(s))
+        clips.append((q, basis, cuts))
+        dimension += sum((b - a) ** 2 for a, b in zip(cuts, cuts[1:]))
+    empty = np.zeros(0, dtype=np.intp)
+    arrays = [np.concatenate(mirror or [empty]), np.concatenate(source or [empty])]
+    arrays += [a for _, a in kept] + [b for _, b, _ in clips if b is not None]
+    for a in arrays:
+        a.flags.writeable = False
+    return _Symmetry(tuple(t for _, t in kept), tuple(clips), arrays[0], arrays[1], dimension)
+
+
+def _isotypic_basis(stabiliser: list, characters: int, k: int) -> tuple:
+    """A real orthogonal basis of R^k in which the matrices fixed by the
+    stabiliser, given as (bits, permutation of range(k)) with the identity
+    first, are block diagonal, and the block cuts; (None, (0, k)) for the
+    identity alone.  A character c of the kept group takes the sign
+    (-1)^popcount(bits & c) on an element; the columns of one character
+    restricted to the stabiliser are its normalised sums over each orbit of
+    indices, orbit by orbit in the order of their least index, and vanish
+    on an orbit whose point stabiliser the character does not fix."""
+    if len(stabiliser) == 1:
+        return None, (0, k)
+    perms = np.stack([p for _, p in stabiliser])
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(k))
+    signs = dict.fromkeys(tuple((-1) ** (bits & c).bit_count() for bits, _ in stabiliser)
+                          for c in range(characters))
+    parts = []
+    for chi in signs:
+        q = np.zeros((k, len(reps)))
+        for p, sign in zip(perms, chi):
+            q[p[reps], np.arange(len(reps))] += sign
+        norms = np.sqrt(np.einsum("ij,ij->j", q, q))
+        parts.append(q[:, norms > 0] / norms[norms > 0])
+    return np.hstack(parts), tuple(np.cumsum([0] + [p.shape[1] for p in parts]).tolist())
+
+
 def _project(sys: ConstraintSystem, layout: _Layout, v: np.ndarray) -> np.ndarray:
     """The slot projector on each slot's input index pair of the matrix
     stored as v in ``layout``, stored alike: v is scattered into a zeroed
@@ -266,11 +415,26 @@ def psd_project(x: np.ndarray) -> np.ndarray:
     return (pos * w[cut:]) @ pos.conj().T
 
 
-def _clip(layout: _Layout, v: np.ndarray) -> np.ndarray:
-    """``psd_project`` of each sector block of the matrix stored as v."""
+def _clip(sys: ConstraintSystem, v: np.ndarray) -> np.ndarray:
+    """The PSD projection of the matrix stored as v, if it is G-invariant
+    for the group of ``sys.symmetry``: ``psd_project`` of each isotypic
+    block of each representative sector, rotated back, and each other
+    sector copied from its representative.  A G-invariant matrix is block
+    diagonal in the adapted basis, so its clip is the blocks' clips; with
+    no involutions kept, every sector block is clipped as it is."""
+    plan = sys.symmetry
     y = np.empty_like(v)
-    for block, out in zip(_blocks(layout, v), _blocks(layout, y)):
-        out[...] = psd_project(block)
+    blocks, outs = _blocks(sys.layout, v), _blocks(sys.layout, y)
+    for q, basis, cuts in plan.clips:
+        if basis is None:
+            outs[q][...] = psd_project(blocks[q])
+            continue
+        z = basis.T @ blocks[q] @ basis
+        clipped = np.zeros_like(z)
+        for a, b in zip(cuts, cuts[1:]):
+            clipped[a:b, a:b] = psd_project(z[a:b, a:b])
+        np.matmul(basis @ clipped, basis.T, out=outs[q])
+    y[plan.mirror] = y[plan.source]
     return y
 
 
@@ -297,7 +461,7 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     plain affine iterate, its distance to the reference and the iterations.
 
     A plain step maps x_k to g_k = affine(psd(x_k + p_k)), with the PSD
-    projection made block by block on the sectors, and updates
+    projection made block by block (``_clip``), and updates
     Dykstra's correction p; x_{k+1} is the ``_secant_point`` after g_k, an
     affine combination of affine points, or g_k itself at the first step.
     Mixing x but not p gives up Dykstra's guarantee that the run ends on the
@@ -317,7 +481,7 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     while iters < MAX_ITER and math.isfinite(dist):
         iters += 1
         p += x
-        y = _clip(layout, p)
+        y = _clip(sys, p)
         p -= y
         g = _affine(sys, layout, y)
         del y
@@ -336,16 +500,21 @@ def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
     Hermitian direction drawn from ``seed``, in ``sys.layout``: where a
     probe start and the witness polish begin.
 
-    Complex normals g are drawn for the m stored block entries alone and
-    made Hermitian as g + g^H.  The direction is scaled to sqrt(m) / n, the
-    expected norm of the twirl of a unit direction on all n^2 entries,
-    which is 1 on one sector: there the draw is the whole unit direction."""
+    Complex normals g are drawn for the m stored block entries alone, made
+    Hermitian as g + g^H and averaged over each kept involution in turn.
+    The direction is scaled to sqrt(D) / n, the expected norm of the
+    G-twirl of a unit direction on all n^2 entries, with D the dimension of
+    the G-invariant block matrices (``_Symmetry.dimension``, m without
+    involutions); that is 1 on one sector, where the draw is the whole unit
+    direction."""
     layout, rng = sys.layout, np.random.default_rng(seed)
     m = len(layout.reference)
     g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     h = g + g[layout.transpose].conj()
-    return _affine(sys, layout,
-                   layout.reference + h / frobenius(h) * (math.sqrt(m) / sys.process.size))
+    for twirl in sys.symmetry.twirls:
+        h = (h + h[twirl]) / 2
+    scale = math.sqrt(sys.symmetry.dimension) / sys.process.size
+    return _affine(sys, layout, layout.reference + h / frobenius(h) * scale)
 
 
 def _run_start(sys: ConstraintSystem, seed):
@@ -385,7 +554,7 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
     x = g = _affine(sys, layout, start)
     evals, f_prev, g_prev = 0, None, None
     for evals in range(1, max_iter + 1):
-        g = _affine(sys, layout, _clip(layout, x))
+        g = _affine(sys, layout, _clip(sys, x))
         if min(map(min_eigenvalue, _blocks(layout, g))) >= -feas_tol:
             break
         f = np.subtract(g, x, out=x)
@@ -424,9 +593,10 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     kind by its witness.
 
     Each start is the reference plus a random Hermitian perturbation on
-    the sector blocks, scaled to the expected norm of a twirled unit
-    direction (``_affine_start``), projected onto the affine set and taken
-    to its real part; the starts run one after another.  Their final
+    the sector blocks, twirled over the kept involutions and scaled to the
+    expected norm of a twirled unit direction (``_affine_start``),
+    projected onto the affine set and taken to its real part; the starts
+    run one after another.  Their final
     iterates must meet both constraints
     within feas_tol and lie within TOL of the reference.  The cp_family kind
     runs no starts: it certifies a non-uniqueness witness, a feasible point

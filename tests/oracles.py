@@ -26,7 +26,11 @@ from the dense reference and a table of every entry's slot-pair position.
 ``sectors_of`` and ``entries_of`` give a system's charge sectors and the
 matrix index of each stored block entry, and ``random_hermitian_direction``
 draws the dense unit Hermitian direction that a one-sector probe start
-draws on its blocks.
+draws on its blocks.  ``switch_involutions`` writes the switch's slot swap
+with the control flip and its qudit reversal as index permutations from
+the basis digits; ``group_twirl`` averages a dense matrix over the group
+they generate, and ``invariant_dimension`` counts the invariant
+sector-block matrices by Burnside's lemma.
 """
 
 from __future__ import annotations
@@ -427,12 +431,38 @@ def _dense_sector_clip(sys, x: np.ndarray) -> np.ndarray:
 
 
 def _block_sector_clip(sys, v: np.ndarray) -> np.ndarray:
-    """The PSD projection of each sector block of a block vector, the blocks
-    cut by the sector sizes alone."""
-    sizes = [len(s) for s in sectors_of(sys)]
+    """The PSD projection of each sector block of a G-invariant block
+    vector, the blocks cut by the sector sizes alone.  A block of one of
+    the probe's representative sectors is clipped as the probe clips it,
+    in its adapted basis, one isotypic block at a time; every other block
+    is read off the representatives' clips at its image under the group
+    element of ``involutions_of`` that maps it onto one."""
+    sectors = sectors_of(sys)
+    sizes = [len(s) for s in sectors]
     parts = np.split(v, np.cumsum([b * b for b in sizes])[:-1])
-    return np.concatenate([psd_project(part.reshape(b, b)).ravel()
-                           for part, b in zip(parts, sizes)])
+    clipped = {}
+    for q, basis, cuts in sys.symmetry.clips:
+        block = parts[q].reshape(sizes[q], sizes[q])
+        if basis is None:
+            clipped[q] = psd_project(block)
+            continue
+        z = basis.T @ block @ basis
+        isotypic = np.zeros_like(z)
+        for a, b in zip(cuts, cuts[1:]):
+            isotypic[a:b, a:b] = psd_project(z[a:b, a:b])
+        clipped[q] = basis @ isotypic @ basis.T
+    n = sys.process.size
+    matrix = np.zeros((n, n))
+    for q, block in clipped.items():
+        matrix[np.ix_(sectors[q], sectors[q])] = block
+    out = []
+    for q, s in enumerate(sectors):
+        if q not in clipped:
+            g = next(g for g in group_of(sys) if any(
+                np.array_equal(np.sort(g[s]), sectors[r]) for r in clipped))
+            clipped[q] = matrix[np.ix_(g[s], g[s])]
+        out.append(clipped[q].ravel())
+    return np.concatenate(out)
 
 
 def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = False):
@@ -442,7 +472,8 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
     its distance to the reference and the iterations run.  The iterates are
     the probe's block vectors of ``sys.layout``, or with ``dense`` n x n
     matrices; either way the PSD projection clips each sector block of the
-    shifted point and leaves 0 off them.
+    shifted point and leaves 0 off them, whole on the dense matrices and,
+    on the block vectors, through the isotypic blocks as the probe does.
 
     With ``secant`` the next iterate is g - gamma (g - g_prev), gamma =
     <df, f> / ||df||^2 for f = g - x and df = f - f_prev, unless df = 0 or
@@ -492,6 +523,52 @@ def random_hermitian_direction(n: int, rng) -> np.ndarray:
     h = np.conjugate(g.T, order="C")  # 2x the Hermitian part; a copy beats a view
     h += g
     return h / frobenius(h)
+
+
+def switch_involutions(d: int) -> tuple:
+    """The switch's slot swap with both control qubits flipped, and its
+    reversal of every qudit digit, as index permutations g of the basis in
+    CANONICAL_ORDER: g[i] is the index of the image of basis state i."""
+    digits = np.indices((d,) * 6 + (2, 2)).reshape(8, -1)
+    i1, o1, i2, o2, pt, ft, pc, fc = digits
+    swapped = (i2, o2, i1, o1, pt, ft, 1 - pc, 1 - fc)
+    reversed_ = tuple(d - 1 - x for x in digits[:6]) + (pc, fc)
+    shape = (d,) * 6 + (2, 2)
+    return tuple(np.ravel_multi_index(image, shape) for image in (swapped, reversed_))
+
+
+def involutions_of(sys) -> tuple:
+    """The involutions the probe's start and clip twirl a switch system
+    over when its reference is fixed by both, as for every switch system
+    the tests twirl, from ``switch_involutions``; none for the other kinds."""
+    return switch_involutions(sys.process.d) if sys.kind == "switch" else ()
+
+
+def group_of(sys) -> list:
+    """Every element of the group the involutions of ``involutions_of``
+    generate, the identity first, as index permutations."""
+    group = [np.arange(sys.process.size)]
+    for g in involutions_of(sys):
+        group += [g[e] for e in group]
+    return group
+
+
+def group_twirl(sys, x: np.ndarray) -> np.ndarray:
+    """The average of the n x n matrix x over the group of
+    ``involutions_of``, made one involution g at a time as (x + x[g, g]) / 2,
+    the order in which a probe start twirls its draw."""
+    for g in involutions_of(sys):
+        x = (x + x[np.ix_(g, g)]) / 2
+    return x
+
+
+def invariant_dimension(sys) -> int:
+    """The real dimension of the group-invariant Hermitian sector-block
+    matrices, the number of orbits of the block entries, by Burnside's
+    count: the mean over the group of the entries an element fixes."""
+    fixed = [sum(np.count_nonzero(g[s] == s) ** 2 for s in sectors_of(sys))
+             for g in group_of(sys)]
+    return sum(fixed) // len(fixed)
 
 
 def sectors_of(sys) -> tuple:

@@ -26,8 +26,9 @@ from switchcert.span import span_dimension_formula, span_projector, vec_kron
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector
 from switchcert.uniqueness import build_derived_one_slot, build_identity_process
 
-from oracles import (constraint_residual, dykstra_start, entries_of, link, pair_table_layout,
-                     random_hermitian_direction, sectors_of)
+from oracles import (constraint_residual, dykstra_start, entries_of, group_of, group_twirl,
+                     invariant_dimension, link, pair_table_layout, random_hermitian_direction,
+                     sectors_of, switch_involutions)
 
 
 def test_constraint_system_shapes():
@@ -308,6 +309,159 @@ def test_twirl_of_a_feasible_point_is_feasible():
     assert np.linalg.norm(twirled - w) >= 0.1 * t
 
 
+def test_group_twirl_of_a_feasible_point_is_feasible():
+    # The lemma for G = T x <S, R> of the probe's docstring, on a point
+    # built by hand: X = W + tH with H in the kernel of the constraint map
+    # and moved by both involutions, W = W0 + 1 fixed by them and positive
+    # definite; the <S, R>-twirl of X is feasible, PSD and off W.
+    w = build_switch_choi(2).op.entries.real + np.eye(256)
+    sys = build_constraint_system("switch", 2, Process(2, dense=Operator(w)))
+    assert len(sys.symmetry.twirls) == 2
+    g = random_hermitian_direction(256, np.random.default_rng(14))
+    h = hermitian_part(g - slot_map(sys.slot_projector, 2, g))
+    assert np.linalg.norm(slot_map(sys.slot_projector, 2, h)) <= 1e-14
+    for inv in switch_involutions(2):
+        assert np.array_equal(w[np.ix_(inv, inv)], w)
+        assert np.linalg.norm(h[np.ix_(inv, inv)] - h) >= 0.1 * np.linalg.norm(h)
+    t = 0.5 * np.linalg.eigvalsh(w)[0] / np.linalg.norm(h, 2)
+    x = w + t * h
+    assert constraint_residual(sys, x) <= 1e-12
+    assert np.linalg.eigvalsh(x)[0] >= 0.0
+    twirled = group_twirl(sys, x)
+    for inv in switch_involutions(2):
+        assert frobenius(twirled[np.ix_(inv, inv)], twirled) <= 1e-15
+    assert constraint_residual(sys, twirled) <= 1e-12
+    assert np.linalg.eigvalsh(twirled)[0] >= 0.0
+    assert np.linalg.norm(twirled - w) >= 0.1 * t
+
+
+def entry_permutation(sys, g):
+    """The permutation of the block vector that the index permutation g
+    induces, read off the dense matrix of entry positions; -1 where g maps
+    an entry off the sector blocks."""
+    n = sys.process.size
+    where = np.full(n * n, -1)
+    where[entries_of(sys)] = np.arange(len(sys.layout.reference))
+    rows, cols = np.divmod(entries_of(sys), n)
+    return where[g[rows] * n + g[cols]]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_switch_involutions_fix_w_and_commute_with_the_projection(d):
+    # the facts the lemma needs: S and R fix w exactly, map sector blocks
+    # onto sector blocks and commute with the slot projection; the probe
+    # keeps both, as the oracle writes them
+    process = Process(d, vector=switch_choi_vector(d))
+    sys = ConstraintSystem("switch", process)
+    w, sectors = switch_choi_vector(d), sectors_of(sys)
+    label = np.empty(sys.process.size, dtype=int)
+    for q, s in enumerate(sectors):
+        label[s] = q
+    involutions = switch_involutions(d)
+    for g, mine in zip(involutions, probe._involutions("switch", process)):
+        assert np.array_equal(g, mine)
+        identity = np.arange(len(g))
+        assert np.array_equal(np.sort(g), identity) and np.array_equal(g[g], identity)
+        assert np.array_equal(w[g], w)
+        assert all(np.array_equal(np.sort(g[s]), sectors[label[g[s[0]]]]) for s in sectors)
+    perms = [entry_permutation(sys, g) for g in involutions]
+    assert len(sys.symmetry.twirls) == 2
+    assert all(np.array_equal(p, t) for p, t in zip(perms, sys.symmetry.twirls))
+    v = random_block_diagonal_vector(sys, np.random.default_rng(d))
+    pv = _project(sys, sys.layout, v)
+    for perm in perms:
+        assert frobenius(_project(sys, sys.layout, v[perm]), pv[perm]) <= 1e-13
+        assert frobenius(v[perm], v) > 0.1
+
+
+def random_block_diagonal_vector(sys, rng):
+    """A random real symmetric block vector of unit norm."""
+    v = rng.standard_normal(len(sys.layout.reference))
+    v += v[sys.layout.transpose]
+    return v / frobenius(v)
+
+
+# (d, representative sectors' isotypic block sizes, blocks, largest, invariant
+# dimension) of the default switch system
+ISOTYPIC = [(2, [(2, 2), (12, 12), (30, 30), (20, 20, 20, 20)], 10, 30, 3696),
+            (3, None, 46, 120, 140_680)]
+
+
+@pytest.mark.parametrize("d,sizes,count,largest,dimension", ISOTYPIC)
+def test_isotypic_bases_block_the_invariant_matrices(d, sizes, count, largest, dimension):
+    sys = ConstraintSystem("switch", Process(d, vector=switch_choi_vector(d)))
+    plan, sectors = sys.symmetry, sectors_of(sys)
+    got = [tuple(np.diff(cuts).tolist()) for _, _, cuts in plan.clips]
+    assert sizes is None or got == sizes
+    assert (sum(map(len, got)), max(map(max, got))) == (count, largest)
+    assert plan.dimension == invariant_dimension(sys) == dimension
+    group = group_of(sys)
+    # the representatives are the least sector of each orbit, and the
+    # mirrored entries are the other sectors' entries, each equal to its
+    # source on an invariant matrix
+    reps = [q for q, _, _ in plan.clips]
+    images = [{next(r for r, t in enumerate(sectors) if np.array_equal(np.sort(g[s]), t))
+               for g in group} for s in sectors]
+    assert reps == sorted({min(orbit) for orbit in images})
+    assert len(plan.mirror) + sum(len(sectors[q]) ** 2 for q in reps) == len(sys.layout.reference)
+    if d == 3:
+        return
+    x = 256 * group_twirl(sys, random_block_diagonal(sys, np.random.default_rng(15)))
+    v = blocks(sys, x)
+    assert np.array_equal(v[plan.mirror], v[plan.source])
+    for q, basis, cuts in plan.clips:
+        s = sectors[q]
+        assert frobenius(basis.T @ basis, np.eye(len(s))) <= 1e-14
+        signatures = []
+        for g in group:
+            if not np.array_equal(np.sort(g[s]), s):
+                continue
+            local = np.searchsorted(s, g[s])
+            rotated = basis.T @ np.eye(len(s))[local] @ basis
+            assert frobenius(rotated, np.diag(np.diag(rotated))) <= 1e-14
+            diagonal = np.diag(rotated)
+            signature = [round(diagonal[a]) for a in cuts[:-1]]
+            assert all(np.allclose(diagonal[a:b], sign, rtol=0, atol=1e-15)
+                       for a, b, sign in zip(cuts, cuts[1:], signature))
+            signatures.append(signature)
+        assert len({tuple(c) for c in zip(*signatures)}) == len(cuts) - 1
+        z = basis.T @ x[np.ix_(s, s)] @ basis
+        mask = np.zeros_like(z, dtype=bool)
+        for a, b in zip(cuts, cuts[1:]):
+            mask[a:b, a:b] = True
+        assert np.abs(z[~mask]).max() <= 1e-15 and np.abs(z[mask]).max() > 0.01
+
+
+def test_an_involution_that_moves_the_reference_is_never_used(monkeypatch):
+    # negative control: the slot swap without the control flip maps the
+    # U1U2 branch of w off w, so only the qudit reversal is kept
+    swap, reverse = switch_involutions(2)
+    unflipped = swap.reshape(-1, 2, 2)[:, ::-1, ::-1].reshape(-1)
+    w = switch_choi_vector(2)
+    assert not np.array_equal(w[unflipped], w)
+    monkeypatch.setattr(probe, "_involutions", lambda kind, process: (unflipped, reverse))
+    sys = build_constraint_system("switch", 2)
+    assert len(sys.symmetry.twirls) == 1
+    assert np.array_equal(sys.symmetry.twirls[0], entry_permutation(sys, reverse))
+    rep = alternating_projection_probe(sys, starts=2)
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+def test_a_tiny_entry_that_the_swap_moves_keeps_the_torus_alone():
+    # negative control: W0 + eps e_i e_i^T with S(i) != i is fixed by
+    # neither involution, and the test is exact, with no tolerance
+    swap, reverse = switch_involutions(2)
+    w = build_switch_choi(2).op.entries.copy()
+    i = int(np.flatnonzero(np.diag(w) == 0)[0])
+    assert swap[i] != i and reverse[i] != i
+    w[i, i] = 1e-300
+    sys = build_constraint_system("switch", 2, Process(2, dense=Operator(w)))
+    plan = sys.symmetry
+    assert (len(sectors_of(sys)), plan.twirls, plan.mirror.size) == (7, (), 0)
+    assert all(basis is None for _, basis, _ in plan.clips)
+    assert plan.dimension == len(sys.layout.reference) == 14_784
+
+
 # (kind, d, sectors, largest sector) of every default unique reference
 SECTOR_COUNTS = [("switch", 2, 7, 80), ("identity", 2, 5, 6), ("identity", 3, 19, 15),
                  ("identity", 4, 55, 28), ("transpose", 2, 5, 6),
@@ -373,9 +527,10 @@ def test_affine_project_keeps_the_sector_blocks(kind, d):
 
 @pytest.mark.parametrize("kind", ["identity", "switch"])
 def test_sector_clip_matches_dense_clip(kind):
+    # the switch's clip reads the isotypic blocks of a G-invariant matrix
     sys = build_constraint_system(kind, 2)
-    x = reference(sys) + random_block_diagonal(sys, np.random.default_rng(13))
-    clipped = dense(sys, probe._clip(sys.layout, blocks(sys, x)))
+    x = reference(sys) + group_twirl(sys, random_block_diagonal(sys, np.random.default_rng(13)))
+    clipped = dense(sys, probe._clip(sys, blocks(sys, x)))
     assert frobenius(clipped, psd_project(x)) <= 1e-12
     assert np.linalg.eigvalsh(x)[0] < -0.01  # the clip had work to do
 
@@ -497,13 +652,14 @@ def test_probe_determinism():
 def drawn_direction(sys, seed):
     """The direction a start draws from seed, built densely: complex
     normals on the m sector block entries, 0 off them, made Hermitian as
-    g + g^H and scaled to sqrt(m) / n."""
+    g + g^H, twirled over the kind's involutions and scaled to sqrt(D) / n,
+    D the dimension of the invariant block matrices (m without any)."""
     rng = np.random.default_rng(seed)
     flat, n = entries_of(sys), sys.process.size
     g = np.zeros(n * n, dtype=complex)
     g[flat] = rng.standard_normal(len(flat)) + 1j * rng.standard_normal(len(flat))
-    h = g.reshape(n, n) + g.reshape(n, n).conj().T
-    return h * (math.sqrt(len(flat)) / n / np.linalg.norm(h))
+    h = group_twirl(sys, g.reshape(n, n) + g.reshape(n, n).conj().T)
+    return h * (math.sqrt(invariant_dimension(sys)) / n / np.linalg.norm(h))
 
 
 def perturbed_start(sys, seed):
@@ -608,19 +764,22 @@ def test_unique_start_returns_numbers_only(kind):
                                     ("cp_family", 2)])
 def test_start_direction_is_drawn_on_the_blocks(kind, d, monkeypatch):
     # the direction before the affine map holds the dense draw's block
-    # entries; its norm sqrt(m) / n is the mean norm of the twirl of a dense
-    # unit direction, here over 40 draws (the transpose's spread is 8 %)
+    # entries, twirled over the kind's involutions; its norm sqrt(D) / n is
+    # the mean norm of the G-twirl of a dense unit direction, here over 40
+    # draws (the transpose's spread is 8 %)
     sys = build_constraint_system(kind, d)
-    m, n = len(sys.layout.reference), sys.process.size
+    dim, n = invariant_dimension(sys), sys.process.size
+    assert dim == sys.symmetry.dimension
     rng = np.random.default_rng(d)
-    twirled = [frobenius(twirl(sys, random_hermitian_direction(n, rng))) for _ in range(40)]
-    assert abs(np.mean(twirled) / (math.sqrt(m) / n) - 1.0) <= 0.03
+    twirled = [frobenius(group_twirl(sys, twirl(sys, random_hermitian_direction(n, rng))))
+               for _ in range(40)]
+    assert abs(np.mean(twirled) / (math.sqrt(dim) / n) - 1.0) <= 0.03
     monkeypatch.setattr(probe, "_affine", lambda sys_, layout, v: v)
     got = probe._affine_start(sys, 5) - sys.layout.reference
     want = drawn_direction(sys, 5)
     assert not off_sector(sys, want).any()
     assert frobenius(got, blocks(sys, want)) <= 1e-15
-    assert abs(frobenius(got) - math.sqrt(m) / n) <= 1e-15
+    assert abs(frobenius(got) - math.sqrt(dim) / n) <= 1e-15
 
 
 def test_cp_family_start_is_the_dense_unit_draw():
