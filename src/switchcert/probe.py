@@ -58,7 +58,23 @@ probe stores a matrix as the vector of its sector blocks' entries
 projection clips each block, and the affine map gathers the blocks back
 from the product, which is exactly 0 off them.  The C_p family, whose kind
 has no sign table, and a reference that is not exactly 0 off its kind's
-sectors get one sector holding every index: the whole matrix.
+sectors get one sector holding every kept index (below).
+
+Every kind stores only the outputs o that the slot marginal of W reaches.
+The identity lies in each slot's span{J_U}, so the constraints fix
+Tr_slots X = Tr_slots W.  Lemma: if X is feasible and (Tr_slots W)_oo = 0,
+then X is 0 on every row and column (a, o).  Proof: the diagonal entries
+X_(a,o),(a,o) of the PSD X are non-negative and sum over a to 0, so each
+is 0, and a PSD matrix is 0 on the row and column of a zero diagonal
+entry.  So every feasible point, W included, lies on the kept indices
+K = {(a, o) : (Tr_slots W)_oo != 0} (facial reduction: Borwein &
+Wolkowicz, 1981), and as the slot projector acts on the input index pairs
+alone, it maps the matrices on K x K onto themselves: the probe loses
+nothing by storing, clipping and projecting there alone (``_kept``), with
+a slot-pair buffer of the kept output pairs.  The sectors partition K, an
+involution is kept only if it maps K onto itself, and a process whose
+exact support leaves K is refused.  The switch keeps PC = FC, half of its
+indices; C_1 keeps P F in {00, 11}; the other kinds keep every index.
 
 The switch probe twirls further, over G = T x <S, R> (``_involutions``;
 the product is semidirect, as R reverses the torus's phases).
@@ -83,9 +99,9 @@ orthogonal basis of character sums over the index orbits the sector's
 block splits into one isotypic block per character, and a sector that
 <S, R> maps onto an earlier one holds a copy of that one's block.  So
 the clip (``_clip``) is ``psd_project`` of each isotypic block, rotated
-back, with the copies filled in: 10 blocks of at most 30 in place of 7
-sector blocks of at most 80 at d = 2, and 46 of at most 120 in place of
-37 of at most 372 at d = 3.  The start is twirled over <S, R>, and the
+back, with the copies filled in: 10 blocks of at most 15 in place of 7
+sector blocks of at most 40 at d = 2, and 46 of at most 60 in place of
+37 of at most 186 at d = 3.  The start is twirled over <S, R>, and the
 affine map, Dykstra's correction and the secant step keep G-invariance,
 as the reference is invariant and the projector commutes with P; the
 rounding off the invariant matrices is what the clip drops.  The final
@@ -145,8 +161,9 @@ class ConstraintSystem:
     the switch and one otherwise; everything else is read off ``process``,
     whose matrix must be real.  ``layout`` is the probe's storage of a
     matrix on the charge sectors of the kind (``_charge_sectors``), which
-    must partition the basis, and ``symmetry`` the clip's plan for the
-    kind's involutions (``_involutions``) that the reference keeps.
+    must partition the kept indices (``_kept``), and ``symmetry`` the
+    clip's plan for the kind's involutions (``_involutions``) that the
+    reference keeps.
     """
 
     kind: str
@@ -163,9 +180,12 @@ class ConstraintSystem:
         slot = span_projector(self.process.d)
         slot.flags.writeable = False
         object.__setattr__(self, "slot_projector", slot)
-        sectors = _charge_sectors(self.kind, self.process)
-        if not np.array_equal(np.sort(np.concatenate(sectors)), np.arange(self.process.size)):
-            raise ValueError(f"the {self.kind} sectors do not partition the basis")
+        kept = _kept(self.process)
+        if not np.isin(np.concatenate(self.process.support()), kept).all():
+            raise ValueError(f"the {self.kind} process has entries off its kept outputs")
+        sectors = _charge_sectors(self.kind, self.process, kept)
+        if not np.array_equal(np.sort(np.concatenate(sectors)), kept):
+            raise ValueError(f"the {self.kind} sectors do not partition the kept indices")
         object.__setattr__(self, "layout", _layout(self, sectors))
         object.__setattr__(self, "symmetry", _symmetry(self, sectors))
 
@@ -195,9 +215,10 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     switch, the clip's plan for the slot swap with the control flip and
     the qudit reversal, kept only if they fix the reference exactly and map
     sectors onto sectors (``_symmetry``).  The switch probe supports d = 2
-    only: its affine map scatters the sector blocks
-    into a dense slot-pair buffer, 68 MB at d = 3: 0.12 s a ``_project``
-    call and 5.7-6.1 s a start there (2 cores, one BLAS thread).
+    only: its affine map scatters the sector blocks into a slot-pair
+    buffer of the kept output pairs, 17 MB at d = 3, where a ``_project``
+    call takes 21-27 ms and a start 0.8-1.2 s at 119 MB peak RSS (2 cores,
+    one BLAS thread).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
@@ -210,10 +231,20 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     return ConstraintSystem(kind, process)
 
 
-def _charge_sectors(kind: str, process: Process) -> tuple:
-    """The basis indices of each charge sector of the kind's sign table, in
-    the order of their charge vectors; one sector of every index for a kind
-    without a sign table or a process whose support leaves them."""
+def _kept(process: Process) -> np.ndarray:
+    """The basis indices (a, o), ascending, of the outputs o whose diagonal
+    entries W[(a, o), (a, o)] are not all exactly 0, read through
+    ``Process.entry``: every other output has (Tr_slots W)_oo = 0 exactly,
+    with no sum that could round or overflow."""
+    index = np.arange(process.size).reshape(process.nin, process.nout)
+    return index[:, (process.entry(index, index) != 0).any(axis=0)].reshape(-1)
+
+
+def _charge_sectors(kind: str, process: Process, kept: np.ndarray) -> tuple:
+    """The ``kept`` indices of each nonempty charge sector of the kind's sign
+    table, in the order of their charge vectors; one sector of every kept
+    index for a kind without a sign table or a process whose support leaves
+    the sectors."""
     signs = _CHARGE_SIGNS.get(kind)
     if signs is not None:
         d = process.d
@@ -224,8 +255,8 @@ def _charge_sectors(kind: str, process: Process) -> tuple:
         label = label.reshape(-1)
         rows, cols = process.support()
         if np.array_equal(label[rows], label[cols]):
-            return tuple(np.flatnonzero(label == s) for s in range(label.max() + 1))
-    return (np.arange(process.size),)
+            return tuple(kept[label[kept] == s] for s in np.flatnonzero(np.bincount(label[kept])))
+    return (kept,)
 
 
 @dataclass(frozen=True)
@@ -233,23 +264,28 @@ class _Layout:
     """A matrix that is 0 off the sector blocks, stored as the vector of the
     blocks' entries, each block row-major: per entry its flat index in
     ``_project``'s slot-pair layout and its transpose's index; the
-    reference's entries; the block offsets.  One sector is the ravel."""
+    reference's entries; the block offsets; the slot-pair buffer's length.
+    One sector of every index is the ravel."""
 
     positions: np.ndarray
     transpose: np.ndarray
     reference: np.ndarray
     offsets: tuple
+    buffer: int
 
 
 def _layout(sys: ConstraintSystem, sectors: tuple) -> _Layout:
     """The read-only storage on ``sectors`` of the process's matrices.  Entry
     (row, col) sits at row_part[row] + col_part[col] of the slot-pair layout
-    (a, a', [b, b',] o, o'), and the reference, which must be real, is read
-    there alone: it is exactly 0 off the sectors, or one sector holds it."""
+    (a, a', [b, b',] o, o'), where o and o' run over the outputs the sectors
+    hold, and the reference, which must be real, is read there alone: it is
+    exactly 0 off the sectors, or one sector holds it."""
     n, slots, k = sys.process.size, sys.process.slots, math.isqrt(len(sys.slot_projector))
-    shape = (k, k) * slots + (n // k ** slots,) * 2
+    digits = np.indices((k,) * slots + (n // k ** slots,)).reshape(slots + 1, -1)
+    outputs = np.flatnonzero(np.bincount(digits[-1][np.concatenate(sectors)]))  # those held
+    digits[-1] = np.searchsorted(outputs, digits[-1])  # an output's rank among them
+    shape = (k, k) * slots + (len(outputs),) * 2
     strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
-    digits = np.indices(shape[::2]).reshape(slots + 1, -1)
     row_part, col_part = (np.dot(strides[side::2], digits) for side in (0, 1))
     offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
     rows, cols = (np.concatenate([f(s, len(s)) for s in sectors]) for f in (np.repeat, np.tile))
@@ -261,7 +297,7 @@ def _layout(sys: ConstraintSystem, sectors: tuple) -> _Layout:
     arrays = row_part[rows] + col_part[cols], transpose, reference.real.copy()
     for a in arrays:
         a.flags.writeable = False
-    return _Layout(*arrays, tuple(offsets.tolist()))
+    return _Layout(*arrays, tuple(offsets.tolist()), math.prod(shape))
 
 
 def _blocks(layout: _Layout, v: np.ndarray) -> list:
@@ -305,11 +341,11 @@ class _Symmetry:
 
 def _symmetry(sys: ConstraintSystem, sectors: tuple) -> _Symmetry:
     """The plan of the kind's involutions that fix the stored reference
-    exactly and map each sector onto a sector; with none kept, every
-    sector is its own representative with one block.  Tables are of length
-    n or of the stored entries, never n x n."""
+    exactly and map each sector onto a sector, and so the kept set onto
+    itself; with none kept, every sector is its own representative with
+    one block.  Tables are of length n or of the stored entries."""
     n, layout = sys.process.size, sys.layout
-    label, where = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    label, where = np.full(n, -1, dtype=np.intp), np.empty(n, dtype=np.intp)
     for q, s in enumerate(sectors):
         label[s], where[s] = q, np.arange(len(s))
     starts = layout.offsets
@@ -320,7 +356,9 @@ def _symmetry(sys: ConstraintSystem, sectors: tuple) -> _Symmetry:
 
     kept = []
     for g in _involutions(sys.kind, sys.process):
-        onto = label[g[[s[0] for s in sectors]]]  # the sector each one must map onto
+        # the sector each one must map onto, and -1 off the kept set: g must
+        # map that onto itself, and so the kept set too
+        onto = np.append(label[g[[s[0] for s in sectors]]], -1)
         if np.array_equal(label[g], onto[label]):
             twirl = np.concatenate([image(g, s) for s in sectors])
             if np.array_equal(layout.reference[twirl], layout.reference):
@@ -384,7 +422,7 @@ def _project(sys: ConstraintSystem, layout: _Layout, v: np.ndarray) -> np.ndarra
     stored as v in ``layout``, stored alike: v is scattered into a zeroed
     slot-pair buffer, multiplied there and gathered back.  A real v stays
     real; a complex one, as in the witness polish, is projected as one."""
-    t = np.zeros(sys.process.size ** 2, dtype=v.dtype)
+    t = np.zeros(layout.buffer, dtype=v.dtype)
     t[layout.positions] = v
     kk = len(sys.slot_projector)
     for j in range(sys.process.slots):  # slot j: batched over the pairs before it
@@ -505,8 +543,8 @@ def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
     The direction is scaled to sqrt(D) / n, the expected norm of the
     G-twirl of a unit direction on all n^2 entries, with D the dimension of
     the G-invariant block matrices (``_Symmetry.dimension``, m without
-    involutions); that is 1 on one sector, where the draw is the whole unit
-    direction."""
+    involutions); on one sector of k indices that is k / n, and the draw
+    is the unit direction on that block scaled by it."""
     layout, rng = sys.layout, np.random.default_rng(seed)
     m = len(layout.reference)
     g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -570,10 +608,11 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray, feas_tol: float):
     Two polishes run, each from the reference moved WITNESS_AMPLITUDE along
     the displacement of ``point`` and then of the first polish's witness.
     The first direction is a generic affine one, so the first witness lies
-    off the reference but, on the C_p family, short of WITNESS_THRESHOLD;
-    its displacement points into the feasible set, and the second polish
-    follows it out to WITNESS_AMPLITUDE.  A non-finite polish start is not
-    polished: it is returned as it is, and fails the witness checks.
+    off the reference but, on the C_p family, mostly short of
+    WITNESS_THRESHOLD; its displacement points into the feasible set, and
+    the second polish follows it out to WITNESS_AMPLITUDE.  A non-finite
+    polish start is not polished: it is returned as it is, and fails the
+    witness checks.
     """
     evals, reference = 0, sys.layout.reference
     for _ in range(2):

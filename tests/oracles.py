@@ -22,7 +22,11 @@ secant step or plain, with fresh arrays at every step and the PSD
 projection made sector by sector, on the probe's block vectors or on dense
 matrices.  ``constraint_residual`` is the probe's affine residual of a
 dense matrix, and ``pair_table_layout`` builds the probe's block storage
-from the dense reference and a table of every entry's slot-pair position.
+from the dense reference and a table of the slot-pair position of every
+entry on the outputs the storage holds.  ``full_buffer_project`` is the
+probe's slot projection through a buffer of all n^2 slot-pair entries,
+every output pair included, which the probe's buffer of the kept output
+pairs must match.
 ``sectors_of`` and ``entries_of`` give a system's charge sectors and the
 matrix index of each stored block entry, and ``random_hermitian_direction``
 draws the dense unit Hermitian direction that a one-sector probe start
@@ -573,7 +577,7 @@ def invariant_dimension(sys) -> int:
 
 def sectors_of(sys) -> tuple:
     """The basis indices of each charge sector of ``sys``'s block storage."""
-    return probe._charge_sectors(sys.kind, sys.process)
+    return probe._charge_sectors(sys.kind, sys.process, probe._kept(sys.process))
 
 
 def entries_of(sys) -> np.ndarray:
@@ -596,16 +600,44 @@ _SLOT_PAIR_AXES = {1: ((0, 2, 1, 3), (0, 2, 1, 3)),
 
 
 def pair_table_layout(sys, sectors) -> _Layout:
-    """``probe._layout`` on ``sectors``, read off the dense reference and an
-    n^2 table of the slot-pair position of every matrix entry."""
+    """``probe._layout`` on ``sectors``, read off the dense reference and a
+    table of the slot-pair position of every entry of the submatrix on the
+    indices (a, o) of every input a and every output o the sectors hold."""
     reference = sys.process.op.entries.real
     n, slots, k = len(reference), sys.process.slots, isqrt(len(sys.slot_projector))
+    nout = n // k ** slots
+    held = np.unique(np.concatenate(sectors) % nout)
+    sub = (np.arange(0, n, nout)[:, None] + held).ravel()  # the submatrix's indices
     order, inverse = _SLOT_PAIR_AXES[slots]
-    dims = ((k,) * slots + (n // k ** slots,)) * 2
-    pair = np.arange(n * n).reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
+    dims = ((k,) * slots + (len(held),)) * 2
+    m = len(sub)
+    pair = np.arange(m * m).reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
     offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
+    local = [np.searchsorted(sub, s) for s in sectors]  # the sectors in the submatrix
     flat = np.concatenate([(s[:, None] * n + s).ravel() for s in sectors])
     transpose = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
                                 for o, s in zip(offsets, sectors)])
-    return _Layout(pair[flat], transpose, reference.reshape(-1)[flat],
-                   tuple(offsets.tolist()))
+    sub_flat = np.concatenate([(p[:, None] * m + p).ravel() for p in local])
+    return _Layout(pair[sub_flat], transpose, reference.reshape(-1)[flat],
+                   tuple(offsets.tolist()), m * m)
+
+
+def full_buffer_project(sys, v: np.ndarray) -> np.ndarray:
+    """The slot projector on each slot's input index pair of the matrix
+    stored as v in ``sys.layout``, through a zeroed slot-pair buffer of all
+    n^2 entries, every output pair included: v is scattered there,
+    multiplied and gathered back.  A complex v is projected as its real and
+    imaginary parts, as the slot projector is real."""
+    if np.iscomplexobj(v):
+        return full_buffer_project(sys, v.real) + 1j * full_buffer_project(sys, v.imag)
+    n, slots, kk = sys.process.size, sys.process.slots, len(sys.slot_projector)
+    dims = (isqrt(kk),) * slots + (n // isqrt(kk) ** slots,)
+    rows, cols = np.divmod(entries_of(sys), n)
+    digits = zip(np.unravel_index(rows, dims), np.unravel_index(cols, dims))
+    positions = np.ravel_multi_index([x for pair in digits for x in pair],
+                                     [x for x in dims for _ in range(2)])
+    t = np.zeros(n * n)
+    t[positions] = v
+    for j in range(slots):  # slot j: batched over the pairs before it
+        t = np.matmul(sys.slot_projector, t.reshape(kk ** j, kk, -1))
+    return t.reshape(-1)[positions]

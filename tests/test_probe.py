@@ -24,11 +24,11 @@ from switchcert.probe import (
 )
 from switchcert.span import span_dimension_formula, span_projector, vec_kron
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector
-from switchcert.uniqueness import build_derived_one_slot, build_identity_process
+from switchcert.uniqueness import build_cp_family, build_derived_one_slot, build_identity_process
 
-from oracles import (constraint_residual, dykstra_start, entries_of, group_of, group_twirl,
-                     invariant_dimension, link, pair_table_layout, random_hermitian_direction,
-                     sectors_of, switch_involutions)
+from oracles import (constraint_residual, dykstra_start, entries_of, full_buffer_project,
+                     group_of, group_twirl, invariant_dimension, link, pair_table_layout,
+                     random_hermitian_direction, sectors_of, switch_involutions)
 
 
 def test_constraint_system_shapes():
@@ -383,8 +383,8 @@ def random_block_diagonal_vector(sys, rng):
 
 # (d, representative sectors' isotypic block sizes, blocks, largest, invariant
 # dimension) of the default switch system
-ISOTYPIC = [(2, [(2, 2), (12, 12), (30, 30), (20, 20, 20, 20)], 10, 30, 3696),
-            (3, None, 46, 120, 140_680)]
+ISOTYPIC = [(2, [(1, 1), (6, 6), (15, 15), (10, 10, 10, 10)], 10, 15, 924),
+            (3, None, 46, 60, 35_170)]
 
 
 @pytest.mark.parametrize("d,sizes,count,largest,dimension", ISOTYPIC)
@@ -449,21 +449,22 @@ def test_an_involution_that_moves_the_reference_is_never_used(monkeypatch):
 
 def test_a_tiny_entry_that_the_swap_moves_keeps_the_torus_alone():
     # negative control: W0 + eps e_i e_i^T with S(i) != i is fixed by
-    # neither involution, and the test is exact, with no tolerance
+    # neither involution, and the test is exact, with no tolerance; i is
+    # kept (PC = FC), so the kept set, which both involutions keep, stays
     swap, reverse = switch_involutions(2)
     w = build_switch_choi(2).op.entries.copy()
-    i = int(np.flatnonzero(np.diag(w) == 0)[0])
-    assert swap[i] != i and reverse[i] != i
+    i = next(int(i) for i in probe._kept(build_switch_choi(2))
+             if w[i, i] == 0 and swap[i] != i and reverse[i] != i)
     w[i, i] = 1e-300
     sys = build_constraint_system("switch", 2, Process(2, dense=Operator(w)))
     plan = sys.symmetry
     assert (len(sectors_of(sys)), plan.twirls, plan.mirror.size) == (7, (), 0)
     assert all(basis is None for _, basis, _ in plan.clips)
-    assert plan.dimension == len(sys.layout.reference) == 14_784
+    assert plan.dimension == len(sys.layout.reference) == 3_696
 
 
 # (kind, d, sectors, largest sector) of every default unique reference
-SECTOR_COUNTS = [("switch", 2, 7, 80), ("identity", 2, 5, 6), ("identity", 3, 19, 15),
+SECTOR_COUNTS = [("switch", 2, 7, 40), ("identity", 2, 5, 6), ("identity", 3, 19, 15),
                  ("identity", 4, 55, 28), ("transpose", 2, 5, 6),
                  ("conjugate_qubit", 2, 5, 6)]
 
@@ -473,7 +474,7 @@ def test_unique_reference_is_zero_off_its_sectors(kind, d, count, largest):
     sys = build_constraint_system(kind, d)
     sectors = sectors_of(sys)
     assert (len(sectors), max(map(len, sectors))) == (count, largest)
-    assert sorted(np.concatenate(sectors)) == list(range(sys.process.size))
+    assert sorted(np.concatenate(sectors)) == probe._kept(sys.process).tolist()
     assert not off_sector(sys, reference(sys)).any()
     assert np.linalg.norm(reference(sys)) > 1.0
     # the block storage holds the whole reference
@@ -493,6 +494,98 @@ def test_layout_matches_the_pair_table(kind, d, process):
     for field in dataclasses.fields(want):
         assert np.array_equal(getattr(sys.layout, field.name), getattr(want, field.name)), \
             field.name
+
+
+def slot_marginal(process, x):
+    """Tr_slots x: the nout x nout matrix summed over the input index a."""
+    nin, nout = process.nin, process.nout
+    return np.einsum("aoap->op", x.reshape(nin, nout, nin, nout))
+
+
+@pytest.mark.parametrize("kind", probe.KINDS)
+def test_affine_project_fixes_the_slot_marginal(kind):
+    # the premise of the kept-output lemma: the identity lies in each slot's
+    # span{J_U}, so every affine point has the reference's slot marginal
+    sys = build_constraint_system(kind, 2)
+    y = 10 * random_hermitian_direction(sys.process.size, np.random.default_rng(16))
+    want = slot_marginal(sys.process, sys.process.op.entries)
+    assert frobenius(slot_marginal(sys.process, y), want) > 1.0
+    assert frobenius(slot_marginal(sys.process, affine_project(sys, y)), want) <= 1e-13
+
+
+# (process, kept indices) of every default process
+KEPT = [*((build_identity_process(d), d ** 4) for d in (2, 3, 4)),
+        *((build_derived_one_slot("transpose", d), d ** 4) for d in (2, 3, 4)),
+        (build_derived_one_slot("conjugate_qubit", 2), 16),
+        *((Process(d, vector=switch_choi_vector(d)), 2 * d ** 6) for d in (2, 3)),
+        (build_cp_family(1.0), 8)]
+
+
+@pytest.mark.parametrize("process,count", KEPT)
+def test_kept_set_of_each_kind(process, count):
+    # every index of the one-slot unique kinds; the switch's PC = FC, half of
+    # its indices; C_1's P F in {00, 11}
+    kept = probe._kept(process)
+    assert len(kept) == count
+    if count < process.size:  # the last two output digits, PC FC or P F, agree
+        output = kept % process.nout
+        assert np.array_equal(output // 2 % 2, output % 2)
+
+
+@pytest.mark.parametrize("kind,d", [*((kind, 2) for kind in probe.KINDS),
+                                    ("identity", 3), ("transpose", 3), ("switch", 3)])
+def test_project_matches_the_full_buffer_oracle(kind, d):
+    # the buffer of the kept output pairs gives the product of the buffer of
+    # every output pair, on a real and a complex block vector; the d = 3
+    # switch system is built past the guard
+    sys = ConstraintSystem(kind, probe._DEFAULT_PROCESS[kind](d))
+    assert sys.layout.buffer == len(probe._kept(sys.process)) ** 2
+    rng = np.random.default_rng(17)
+    v = random_block_diagonal_vector(sys, rng)
+    for x in (v, v + 1j * random_block_diagonal_vector(sys, rng)):
+        got = _project(sys, sys.layout, x)
+        assert frobenius(got, full_buffer_project(sys, x)) <= 1e-13
+        assert frobenius(got) > 0.1
+
+
+def test_a_kept_set_that_drops_a_reached_output_is_refused(monkeypatch):
+    # negative control: a dropped output would shrink the probe's search
+    # space, and its probe would still pass
+    kept = probe._kept
+
+    def dropped(process):
+        k = kept(process)
+        return k[k % process.nout != k[-1] % process.nout]
+
+    monkeypatch.setattr(probe, "_kept", dropped)
+    for kind in ("identity", "switch", "cp_family"):
+        process = probe._DEFAULT_PROCESS[kind](2)
+        o = kept(process)[-1] % process.nout
+        assert slot_marginal(process, process.op.entries)[o, o] > 0
+        with pytest.raises(ValueError, match="kept outputs"):
+            build_constraint_system(kind, 2)
+
+
+def test_an_involution_that_moves_the_kept_set_is_never_used(monkeypatch):
+    # negative control: the transposition of a kept index i and the index j
+    # of i with FC flipped, both 0 in w and of one charge, fixes w but maps
+    # the kept set off itself; the flip of FC maps every sector off it.
+    # Only the qudit reversal is kept
+    _, reverse = switch_involutions(2)
+    w = switch_choi_vector(2)
+    kept = probe._kept(Process(2, vector=w))
+    i = int(next(i for i in kept if w[i] == 0))
+    flip = np.arange(256) ^ 1
+    g = np.arange(256)
+    g[[i, flip[i]]] = flip[i], i
+    assert np.array_equal(w[g], w) and flip[i] not in kept
+    assert not np.isin(flip[kept], kept).any()
+    monkeypatch.setattr(probe, "_involutions", lambda kind, process: (g, flip, reverse))
+    sys = build_constraint_system("switch", 2)
+    assert len(sys.symmetry.twirls) == 1
+    assert np.array_equal(sys.symmetry.twirls[0], entry_permutation(sys, reverse))
+    rep = alternating_projection_probe(sys, starts=2)
+    assert rep.passed, [c for c in rep.checks if not c.passed]
 
 
 def test_sectors_that_do_not_partition_the_basis_are_refused(monkeypatch):
@@ -774,8 +867,12 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d, monkeypatch):
     twirled = [frobenius(group_twirl(sys, twirl(sys, random_hermitian_direction(n, rng))))
                for _ in range(40)]
     assert abs(np.mean(twirled) / (math.sqrt(dim) / n) - 1.0) <= 0.03
+    # the draw is read on a zero reference: adding and subtracting the
+    # reference's unit entries would round it
     monkeypatch.setattr(probe, "_affine", lambda sys_, layout, v: v)
-    got = probe._affine_start(sys, 5) - sys.layout.reference
+    zero = dataclasses.replace(sys.layout, reference=np.zeros_like(sys.layout.reference))
+    got = probe._affine_start(SimpleNamespace(layout=zero, symmetry=sys.symmetry,
+                                              process=sys.process), 5)
     want = drawn_direction(sys, 5)
     assert not off_sector(sys, want).any()
     assert frobenius(got, blocks(sys, want)) <= 1e-15
@@ -783,12 +880,13 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d, monkeypatch):
 
 
 def test_cp_family_start_is_the_dense_unit_draw():
-    # one sector holds every entry: the block draw is the whole unit
-    # direction, bit for bit the dense draw the witness polish began from
+    # one sector holds the 8 kept indices: the block draw is bit for bit the
+    # dense unit draw on that 8 x 8 block, scaled by sqrt(D) / n = 8 / 16
     sys = build_constraint_system("cp_family", 2)
+    assert len(sys.layout.reference) == 64 and sys.process.size == 16
     for seed in range(30):
-        direction = random_hermitian_direction(16, np.random.default_rng(seed))
-        want = probe._affine(sys, sys.layout, sys.layout.reference + direction.reshape(-1))
+        direction = random_hermitian_direction(8, np.random.default_rng(seed))
+        want = probe._affine(sys, sys.layout, sys.layout.reference + direction.reshape(-1) / 2)
         assert np.array_equal(probe._affine_start(sys, seed), want), seed
 
 
@@ -812,20 +910,20 @@ def test_switch_start_memory_peak():
 
 
 def test_switch_loop_memory_peak():
-    # the loop holds four 115 KiB block vectors and, in the affine map, a
-    # 0.5 MiB slot-pair buffer and its products; dense 0.5 MiB iterates
-    # would take it to about 4 MiB
+    # the loop holds four 29 KiB block vectors and, in the affine map, a
+    # 128 KiB slot-pair buffer of the kept outputs and its products (a
+    # 0.42 MiB peak); dense 0.5 MiB iterates would take it to about 4 MiB
     sys = build_constraint_system("switch", 2)
     start = probe._affine_start(sys, 3).real
     assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 2.5 * 2 ** 20
 
 
 def test_switch_d3_system_memory_peak():
-    # the layout stores 562,704 entries, 4.5 MB a field; the dense 2916^2
+    # the layout stores 140,676 entries, 1.1 MB a field; the dense 2916^2
     # process alone would take 136 MB, and an n^2 int64 table 68 MB
     process = Process(3, vector=switch_choi_vector(3))
     assert traced_peak(lambda: ConstraintSystem("switch", process)) <= 64 * 2 ** 20
-    assert ConstraintSystem("switch", process).layout.reference.size == 562_704
+    assert ConstraintSystem("switch", process).layout.reference.size == 140_676
 
 
 class _NanNormals:

@@ -51,7 +51,9 @@ def test_switch_choi_basic_invariants():
 
     proc3 = build_switch_choi(3)
     assert abs(np.trace(proc3.op.entries) - 54.0) < 1e-12
-    assert numerical_rank(proc3.op) == 1
+    # exactly |w3><w3|, and so rank 1, with no 2916^2 eigensolve
+    w3 = switch_choi_vector(3)
+    assert np.array_equal(proc3.op.entries, np.outer(w3, w3.conj()))
     with pytest.raises(ValueError):
         build_switch_choi(1)
 
