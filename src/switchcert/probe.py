@@ -16,15 +16,13 @@ generic affine point (``_find_witness``).
 A probe problem is a ``ConstraintSystem``: a process and its kind.  The
 reference is the process's matrix, read (``Process.entry``) only at the
 entries the probe stores; the slot count and dimensions are read off the
-process.  The affine projection uses the tensor-factor structure of the
-constraints: the row space of the constraint map is (slot span)^(x slots)
-(x) L(out), so applying the closed-form span{J_U} projector of one slot, a
-real d^4 x d^4 matrix, to each slot's input index pair of the difference
-from the reference is the exact orthogonal projection onto the affine
-set.  For the switch that is two small real products instead of one with
-the dense d^8 projector.  That map (``_project``) reads the output
-dimension off the process's size, so it runs at any d.  The PSD projection
-rebuilds the clipped matrix from its positive eigenpairs only.
+process.  As the row space of the constraint map is (slot span)^(x slots)
+(x) L(out), the orthogonal projection onto the affine set applies to the
+difference from the reference, slot by slot, the projector onto span{J_U}
+= C 1 (+) (traceless (x) traceless): three partial traces (``_slot_map``),
+each a sum over segments of the stored entries in row-major order, so that
+every storage of a matrix gives the same bits (``_project``).  The PSD
+projection rebuilds the clipped matrix from its positive eigenpairs only.
 
 The starts of the kinds that claim uniqueness run in real symmetric
 arithmetic, and lose nothing by it.  With a real reference and a real
@@ -55,10 +53,9 @@ in span{w}, and X = W as above.  With the Re-lemma, a pure process has a
 second feasible point iff it has a real sector-block-diagonal one.  So the
 probe stores a matrix as the vector of its sector blocks' entries
 (``_Layout``): a start's direction is drawn on the blocks alone, the PSD
-projection clips each block, and the affine map gathers the blocks back
-from the product, which is exactly 0 off them.  The C_p family, whose kind
-has no sign table, and a reference that is not exactly 0 off its kind's
-sectors get one sector holding every kept index (below).
+projection clips each block, and the affine map keeps them.  The C_p
+family, whose kind has no sign table, and a reference that is not exactly
+0 off its kind's sectors get one sector holding every kept index (below).
 
 Every kind stores only the outputs o that the slot marginal of W reaches.
 The identity lies in each slot's span{J_U}, so the constraints fix
@@ -70,11 +67,10 @@ entry.  So every feasible point, W included, lies on the kept indices
 K = {(a, o) : (Tr_slots W)_oo != 0} (facial reduction: Borwein &
 Wolkowicz, 1981), and as the slot projector acts on the input index pairs
 alone, it maps the matrices on K x K onto themselves: the probe loses
-nothing by storing, clipping and projecting there alone (``_kept``), with
-a slot-pair buffer of the kept output pairs.  The sectors partition K, an
-involution is kept only if it maps K onto itself, and a process whose
-exact support leaves K is refused.  The switch keeps PC = FC, half of its
-indices; C_1 keeps P F in {00, 11}; the other kinds keep every index.
+nothing by storing, clipping and projecting there alone (``_kept``).  The
+sectors partition K, involutions are kept only if they map K onto itself,
+and a process whose exact support leaves K is refused.  The switch keeps
+PC = FC, half its indices, C_1 P F in {00, 11}, the others every index.
 
 The switch probe twirls further, over G = T x <S, R> (``_involutions``;
 the product is semidirect, as R reverses the torus's phases).
@@ -168,7 +164,6 @@ class ConstraintSystem:
 
     kind: str
     process: Process
-    slot_projector: np.ndarray = field(init=False, repr=False)
     layout: _Layout = field(init=False, repr=False)
     symmetry: _Symmetry = field(init=False, repr=False)
 
@@ -177,9 +172,6 @@ class ConstraintSystem:
         if self.process.slots != slots:
             raise ValueError(f"the {self.kind} probe needs a {slots}-slot process, "
                              f"not a {self.process.slots}-slot one")
-        slot = span_projector(self.process.d)
-        slot.flags.writeable = False
-        object.__setattr__(self, "slot_projector", slot)
         kept = _kept(self.process)
         if not np.isin(np.concatenate(self.process.support()), kept).all():
             raise ValueError(f"the {self.kind} process has entries off its kept outputs")
@@ -191,16 +183,17 @@ class ConstraintSystem:
 
     @property
     def family_rank(self) -> int:
-        """Rank of the constraint family: the slot projector's trace to the
-        power of the slot count."""
-        return round(float(np.trace(self.slot_projector))) ** self.process.slots
+        """Rank of the constraint family: the one-slot map's trace (a part of k
+        traced digits meets d^(4 - k) entries) to the slot count's power."""
+        d, slots = self.process.d, self.process.slots
+        return round(d ** 4 + sum(c * d ** (4 - len(t)) for t, c in _slot_map(d))) ** slots
 
     @property
     def in_projector(self) -> np.ndarray:
         """The dense projector on the whole input index pair (the tensor square
         of the slot projector for the switch); a reference, never formed by
         the probe itself."""
-        slot = self.slot_projector.astype(complex)
+        slot = span_projector(self.process.d).astype(complex)
         return slot if self.process.slots == 1 else vec_kron(slot, slot)
 
 
@@ -215,10 +208,8 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     switch, the clip's plan for the slot swap with the control flip and
     the qudit reversal, kept only if they fix the reference exactly and map
     sectors onto sectors (``_symmetry``).  The switch probe supports d = 2
-    only: its affine map scatters the sector blocks into a slot-pair
-    buffer of the kept output pairs, 17 MB at d = 3, where a ``_project``
-    call takes 21-27 ms and a start 0.8-1.2 s at 119 MB peak RSS (2 cores,
-    one BLAS thread).
+    only; built past that guard at d = 3, a start takes 0.37-0.50 s at
+    62-63 MB peak RSS (2 cores, one BLAS thread).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
@@ -262,31 +253,29 @@ def _charge_sectors(kind: str, process: Process, kept: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class _Layout:
     """A matrix that is 0 off the sector blocks, stored as the vector of the
-    blocks' entries, each block row-major: per entry its flat index in
-    ``_project``'s slot-pair layout and its transpose's index; the
-    reference's entries; the block offsets; the slot-pair buffer's length.
-    One sector of every index is the ravel."""
+    blocks' entries, each block row-major, with each entry's transpose, the
+    reference's entries, the block offsets and, per slot, ``_project``'s
+    tables.  One sector of every index is the ravel."""
 
-    positions: np.ndarray
     transpose: np.ndarray
     reference: np.ndarray
     offsets: tuple
-    buffer: int
+    traces: tuple
+
+
+def _slot_map(d: int) -> tuple:
+    """One slot's projector onto span{J_U}, X - 1_I/d (x) Tr_I X - Tr_O X (x)
+    1_O/d + (2/d^2) Tr_IO X (x) 1: per part, its traced digits and coefficient."""
+    return ((0,), -1 / d), ((1,), -1 / d), ((0, 1), 2 / d ** 2)
 
 
 def _layout(sys: ConstraintSystem, sectors: tuple) -> _Layout:
-    """The read-only storage on ``sectors`` of the process's matrices.  Entry
-    (row, col) sits at row_part[row] + col_part[col] of the slot-pair layout
-    (a, a', [b, b',] o, o'), where o and o' run over the outputs the sectors
-    hold, and the reference, which must be real, is read there alone: it is
-    exactly 0 off the sectors, or one sector holds it."""
-    n, slots, k = sys.process.size, sys.process.slots, math.isqrt(len(sys.slot_projector))
-    digits = np.indices((k,) * slots + (n // k ** slots,)).reshape(slots + 1, -1)
-    outputs = np.flatnonzero(np.bincount(digits[-1][np.concatenate(sectors)]))  # those held
-    digits[-1] = np.searchsorted(outputs, digits[-1])  # an output's rank among them
-    shape = (k, k) * slots + (len(outputs),) * 2
-    strides = [math.prod(shape[j + 1:]) for j in range(len(shape))]
-    row_part, col_part = (np.dot(strides[side::2], digits) for side in (0, 1))
+    """The read-only storage on ``sectors`` of the process's matrices, with
+    per slot the members of each part, the entries whose traced digits
+    (0 = I, 1 = O) agree, in row-major order, their segment labels, one per
+    match of the other digits, and each label's coefficient.  The reference,
+    which must be real, is read at the stored entries, which hold all of it."""
+    n, d = sys.process.size, sys.process.d
     offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
     rows, cols = (np.concatenate([f(s, len(s)) for s in sectors]) for f in (np.repeat, np.tile))
     transpose = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
@@ -294,10 +283,20 @@ def _layout(sys: ConstraintSystem, sectors: tuple) -> _Layout:
     reference = sys.process.entry(rows, cols)
     if np.any(reference.imag):
         raise ValueError(f"the {sys.kind} probe needs a real process matrix")
-    arrays = row_part[rows] + col_part[cols], transpose, reference.real.copy()
-    for a in arrays:
+    order, reference = np.argsort(rows * n + cols), reference.real.copy()
+    rows, cols, traces = rows[order], cols[order], []
+    for j in range(sys.process.slots):  # slot j's I, O digits: strides n/d^(2j+1), n/d^(2j+2)
+        parts, k = [], 0
+        for traced, coeff in _slot_map(d):
+            strides = [n // d ** (2 * j + 1 + t) for t in traced]
+            r, c = (sum((x // s % d * s for s in strides), 0 * x) for x in (rows, cols))
+            keys, label = np.unique((rows * n + cols - r * (n + 1))[r == c], return_inverse=True)
+            parts.append((order[r == c], label + k, np.full(len(keys), coeff)))
+            k += len(keys)
+        traces.append(tuple(np.concatenate(a) for a in zip(*parts)))
+    for a in (transpose, reference, *sum(traces, ())):
         a.flags.writeable = False
-    return _Layout(*arrays, tuple(offsets.tolist()), math.prod(shape))
+    return _Layout(transpose, reference, tuple(offsets.tolist()), tuple(traces))
 
 
 def _blocks(layout: _Layout, v: np.ndarray) -> list:
@@ -417,28 +416,28 @@ def _isotypic_basis(stabiliser: list, characters: int, k: int) -> tuple:
     return np.hstack(parts), tuple(np.cumsum([0] + [p.shape[1] for p in parts]).tolist())
 
 
-def _project(sys: ConstraintSystem, layout: _Layout, v: np.ndarray) -> np.ndarray:
-    """The slot projector on each slot's input index pair of the matrix
-    stored as v in ``layout``, stored alike: v is scattered into a zeroed
-    slot-pair buffer, multiplied there and gathered back.  A real v stays
-    real; a complex one, as in the witness polish, is projected as one."""
-    t = np.zeros(layout.buffer, dtype=v.dtype)
-    t[layout.positions] = v
-    kk = len(sys.slot_projector)
-    for j in range(sys.process.slots):  # slot j: batched over the pairs before it
-        t = np.matmul(sys.slot_projector, t.reshape(kk ** j, kk, -1))
-    return t.reshape(-1)[layout.positions]
+def _project(layout: _Layout, v: np.ndarray) -> np.ndarray:
+    """``_slot_map``, slot by slot, of the matrix stored as v in ``layout``,
+    stored alike: segments are summed, and their terms added, in the
+    members' order.  A complex v is mapped as its real and imaginary parts."""
+    if np.iscomplexobj(v):
+        return _project(layout, v.real) + 1j * _project(layout, v.imag)
+    for members, label, coeff in layout.traces:
+        y = v.copy()
+        np.add.at(y, members, (np.bincount(label, v[members]) * coeff)[label])
+        v = y
+    return v
 
 
-def _affine(sys: ConstraintSystem, layout: _Layout, v: np.ndarray) -> np.ndarray:
+def _affine(layout: _Layout, v: np.ndarray) -> np.ndarray:
     """``affine_project`` of the matrix stored as v in ``layout``."""
-    y = v - _project(sys, layout, v - layout.reference)
+    y = v - _project(layout, v - layout.reference)
     return (y + y[layout.transpose].conj()) / 2
 
 
 def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     """Exact orthogonal projection onto {X Hermitian : action constraints hold}."""
-    return _affine(sys, _layout(sys, (np.arange(len(x)),)), x.reshape(-1)).reshape(x.shape)
+    return _affine(_layout(sys, (np.arange(len(x)),)), x.reshape(-1)).reshape(x.shape)
 
 
 def psd_project(x: np.ndarray) -> np.ndarray:
@@ -521,7 +520,7 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
         p += x
         y = _clip(sys, p)
         p -= y
-        g = _affine(sys, layout, y)
+        g = _affine(layout, y)
         del y
         f = np.subtract(g, x, out=x)
         step = frobenius(f)
@@ -552,7 +551,7 @@ def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
     for twirl in sys.symmetry.twirls:
         h = (h + h[twirl]) / 2
     scale = math.sqrt(sys.symmetry.dimension) / sys.process.size
-    return _affine(sys, layout, layout.reference + h / frobenius(h) * scale)
+    return _affine(layout, layout.reference + h / frobenius(h) * scale)
 
 
 def _run_start(sys: ConstraintSystem, seed):
@@ -572,7 +571,7 @@ def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
     eigensolve, which may raise on them, if x is not finite."""
     if not np.isfinite(x).all():
         return math.nan, math.nan
-    return (frobenius(_project(sys, sys.layout, x - sys.layout.reference)),
+    return (frobenius(_project(sys.layout, x - sys.layout.reference)),
             -min(map(min_eigenvalue, _blocks(sys.layout, x))))
 
 
@@ -589,10 +588,10 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
     with min eigenvalue >= -feas_tol, or the last one, and the evaluations.
     """
     layout = sys.layout
-    x = g = _affine(sys, layout, start)
+    x = g = _affine(layout, start)
     evals, f_prev, g_prev = 0, None, None
     for evals in range(1, max_iter + 1):
-        g = _affine(sys, layout, _clip(sys, x))
+        g = _affine(layout, _clip(sys, x))
         if min(map(min_eigenvalue, _blocks(layout, g))) >= -feas_tol:
             break
         f = np.subtract(g, x, out=x)

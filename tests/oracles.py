@@ -2,9 +2,10 @@
 
 None of this is used by the certificates.  ``link``, ``apply_one_slot``
 and ``apply_two_slot`` contract W with a dense d^2 x d^2 input operator per
-slot; they are the reference that ``switch.unitary_actions``, the package's
-only contraction of W, is checked against, one Kraus operator (or Kraus
-pair) at a time.  The dense label route (tensor with identities,
+slot, or with a stack of them in one contraction; they are the reference
+that ``switch.unitary_actions``, the package's only contraction of W, is
+checked against, one Kraus operator (or Kraus pair) at a time.  The dense
+label route (tensor with identities,
 partial-transpose, multiply, partial-trace, permute by subsystem label) is
 the textbook link product that ``link`` is checked against in turn; it
 works on ``Labeled`` matrices, whose ``SpaceLayout`` names each tensor
@@ -21,12 +22,10 @@ certificate family by family, written out tuple by tuple.
 secant step or plain, with fresh arrays at every step and the PSD
 projection made sector by sector, on the probe's block vectors or on dense
 matrices.  ``constraint_residual`` is the probe's affine residual of a
-dense matrix, and ``pair_table_layout`` builds the probe's block storage
-from the dense reference and a table of the slot-pair position of every
-entry on the outputs the storage holds.  ``full_buffer_project`` is the
-probe's slot projection through a buffer of all n^2 slot-pair entries,
-every output pair included, which the probe's buffer of the kept output
-pairs must match.
+dense matrix.  ``slot_pair_product`` and ``full_buffer_project`` multiply
+a dense matrix or a block vector by the d^4 x d^4 ``span_projector``
+through a buffer of all n^2 slot-pair entries, every output pair
+included, which the probe's partial traces must match.
 ``sectors_of`` and ``entries_of`` give a system's charge sectors and the
 matrix index of each stored block entry, and ``random_hermitian_direction``
 draws the dense unit Hermitian direction that a one-sector probe start
@@ -50,7 +49,8 @@ import numpy as np
 from switchcert.channels import choi_from_kraus
 from switchcert.linalg import Operator, frobenius, min_eigenvalue
 from switchcert import probe
-from switchcert.probe import MAX_ITER, TOL, _Layout, affine_project, psd_project
+from switchcert.probe import MAX_ITER, TOL, psd_project
+from switchcert.span import span_projector
 from switchcert.report import nan_max
 from switchcert.switch import CANONICAL_ORDER, Process, _channel_order
 
@@ -201,17 +201,21 @@ def permute_systems(op: Labeled, new_order) -> Labeled:
 
 
 def link(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The link product Tr_in[W (X^t (x) 1_out)] for an input-space operator X.
+    """The link product Tr_in[W (X^t (x) 1_out)] for an input-space operator X,
+    or for each of a stack of them along leading axes.
 
     ``w`` is either the process vector of a pure W = |w><w|, contracted as
-    Wm^T X conj(Wm) with Wm = w.reshape(nin, nout), or the dense matrix W.
+    Wm^T X conj(Wm) with Wm = w.reshape(nin, nout), or the dense matrix W,
+    contracted with a stack in one BLAS product, which copies W once, and
+    with a single X in place.
     """
-    nin = x.shape[0]
+    nin = x.shape[-1]
     if w.ndim == 1:
         wm = w.reshape(nin, -1)
         return wm.T @ x @ wm.conj()
     nout = w.shape[0] // nin
-    return np.einsum("aobp,ab->op", w.reshape(nin, nout, nin, nout), x)
+    return np.einsum("aobp,...ab->...op", w.reshape(nin, nout, nin, nout), x,
+                     optimize=x.ndim > 2)
 
 
 def _process_data(proc: Process) -> np.ndarray:
@@ -221,7 +225,7 @@ def _process_data(proc: Process) -> np.ndarray:
 
 def _slot_matrix(x, d: int, slot: int) -> np.ndarray:
     m = np.asarray(x, dtype=complex)
-    if m.shape != (d * d, d * d):
+    if m.shape[-2:] != (d * d, d * d):
         raise ValueError(f"slot-{slot} operator must be {d * d} x {d * d}")
     return m
 
@@ -232,14 +236,16 @@ def apply_two_slot(proc: Process, a, b) -> np.ndarray:
     Only the slot systems are transposed; the identity factors on the global
     past/future are transpose-invariant, so this equals the full transpose.
     ``a`` and ``b`` are d^2 x d^2 matrices: Choi matrices of slot channels or
-    arbitrary operators (linearity in each slot holds for any operator).
+    arbitrary operators (linearity in each slot holds for any operator), or
+    stacks of them along a leading axis, which give the stack of outputs.
     """
     d = proc.d
     if proc.slots != 2:
         raise ValueError("apply_two_slot needs a two-slot process")
-    amat = _slot_matrix(a, d, 1)
-    bmat = _slot_matrix(b, d, 2)
-    return _channel_order(link(_process_data(proc), np.kron(amat, bmat)), d)
+    amat = _slot_matrix(a, d, 1)[..., :, None, :, None]
+    bmat = _slot_matrix(b, d, 2)[..., None, :, None, :]
+    x = (amat * bmat).reshape(*np.broadcast_shapes(amat.shape, bmat.shape)[:-4], d ** 4, d ** 4)
+    return _channel_order(link(_process_data(proc), x), d)
 
 
 def apply_one_slot(proc: Process, j) -> np.ndarray:
@@ -484,11 +490,14 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
     that point is not finite; without it, and at the first step, it is the
     plain point g."""
     if dense:
-        reference = sys.process.op.entries.real
-        clip, affine = _dense_sector_clip, partial(affine_project, sys)
+        reference, clip = sys.process.op.entries.real, _dense_sector_clip
+        layout = probe._layout(sys, (np.arange(sys.process.size),))  # affine_project's
+
+        def affine(x):
+            return probe._affine(layout, x.reshape(-1)).reshape(x.shape)
     else:
         reference, clip = sys.layout.reference, _block_sector_clip
-        affine = partial(probe._affine, sys, sys.layout)
+        affine = partial(probe._affine, sys.layout)
         start = start.reshape(-1)[entries_of(sys)]
     x = affine(start)
     p = np.zeros_like(x)
@@ -590,54 +599,40 @@ def constraint_residual(sys, x: np.ndarray) -> float:
     """||P_in(x - reference)||_F, the root sum of squared action deviations over
     any orthonormal spanning family: at least the largest single deviation."""
     layout = probe._layout(sys, (np.arange(len(x)),))
-    return frobenius(probe._project(sys, layout, x.reshape(-1) - layout.reference))
+    return frobenius(probe._project(layout, x.reshape(-1) - layout.reference))
 
 
-# Axis orders that bring each slot's row and column input index together,
-# (a, [b,] o, a', [b',] o') -> (a, a', [b, b',] o, o'), and back.
-_SLOT_PAIR_AXES = {1: ((0, 2, 1, 3), (0, 2, 1, 3)),
-                   2: ((0, 3, 1, 4, 2, 5), (0, 2, 4, 1, 3, 5))}
-
-
-def pair_table_layout(sys, sectors) -> _Layout:
-    """``probe._layout`` on ``sectors``, read off the dense reference and a
-    table of the slot-pair position of every entry of the submatrix on the
-    indices (a, o) of every input a and every output o the sectors hold."""
-    reference = sys.process.op.entries.real
-    n, slots, k = len(reference), sys.process.slots, isqrt(len(sys.slot_projector))
-    nout = n // k ** slots
-    held = np.unique(np.concatenate(sectors) % nout)
-    sub = (np.arange(0, n, nout)[:, None] + held).ravel()  # the submatrix's indices
-    order, inverse = _SLOT_PAIR_AXES[slots]
-    dims = ((k,) * slots + (len(held),)) * 2
-    m = len(sub)
-    pair = np.arange(m * m).reshape([dims[a] for a in order]).transpose(inverse).reshape(-1)
-    offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
-    local = [np.searchsorted(sub, s) for s in sectors]  # the sectors in the submatrix
-    flat = np.concatenate([(s[:, None] * n + s).ravel() for s in sectors])
-    transpose = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
-                                for o, s in zip(offsets, sectors)])
-    sub_flat = np.concatenate([(p[:, None] * m + p).ravel() for p in local])
-    return _Layout(pair[sub_flat], transpose, reference.reshape(-1)[flat],
-                   tuple(offsets.tolist()), m * m)
-
-
-def full_buffer_project(sys, v: np.ndarray) -> np.ndarray:
-    """The slot projector on each slot's input index pair of the matrix
-    stored as v in ``sys.layout``, through a zeroed slot-pair buffer of all
-    n^2 entries, every output pair included: v is scattered there,
-    multiplied and gathered back.  A complex v is projected as its real and
-    imaginary parts, as the slot projector is real."""
-    if np.iscomplexobj(v):
-        return full_buffer_project(sys, v.real) + 1j * full_buffer_project(sys, v.imag)
-    n, slots, kk = sys.process.size, sys.process.slots, len(sys.slot_projector)
+def _buffer_product(slot, slots: int, n: int, flat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The d^4 x d^4 matrix ``slot`` on each slot's input index pair of the
+    n x n matrix with entries v at the flat indices ``flat`` and 0 elsewhere,
+    at those indices: v is scattered into a zeroed slot-pair buffer
+    (a, a', [b, b',] o, o') of all n^2 entries, multiplied there, slot by
+    slot, and gathered back."""
+    kk = len(slot)
     dims = (isqrt(kk),) * slots + (n // isqrt(kk) ** slots,)
-    rows, cols = np.divmod(entries_of(sys), n)
+    rows, cols = np.divmod(flat, n)
     digits = zip(np.unravel_index(rows, dims), np.unravel_index(cols, dims))
     positions = np.ravel_multi_index([x for pair in digits for x in pair],
                                      [x for x in dims for _ in range(2)])
-    t = np.zeros(n * n)
+    t = np.zeros(n * n, dtype=v.dtype)
     t[positions] = v
     for j in range(slots):  # slot j: batched over the pairs before it
-        t = np.matmul(sys.slot_projector, t.reshape(kk ** j, kk, -1))
+        t = np.matmul(slot, t.reshape(kk ** j, kk, -1))
     return t.reshape(-1)[positions]
+
+
+def slot_pair_product(slot, slots: int, y: np.ndarray) -> np.ndarray:
+    """``_buffer_product`` on every entry of the n x n matrix y; a complex y
+    is multiplied as one."""
+    n = len(y)
+    return _buffer_product(slot, slots, n, np.arange(n * n), y.reshape(-1)).reshape(n, n)
+
+
+def full_buffer_project(sys, v: np.ndarray) -> np.ndarray:
+    """``_buffer_product`` of span{J_U}'s projector on the matrix stored as v
+    in ``sys.layout``, every output pair included.  A complex v is
+    projected as its real and imaginary parts, as the projector is real."""
+    if np.iscomplexobj(v):
+        return full_buffer_project(sys, v.real) + 1j * full_buffer_project(sys, v.imag)
+    return _buffer_product(span_projector(sys.process.d), sys.process.slots,
+                           sys.process.size, entries_of(sys), v)

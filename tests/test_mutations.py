@@ -33,13 +33,16 @@ def test_flipped_g3_sign_fails_group_combinatorics(monkeypatch):
 
 def test_pi_pi_only_slot_projector_fails_family_rank(monkeypatch):
     def pi_pi_only(d):  # drops the traceless (x) traceless part of span{J_U}
-        vec_id = np.eye(d).reshape(-1)
-        pi = np.outer(vec_id, vec_id) / d
-        return span.vec_kron(pi, pi)
+        return ((), -1.0), ((0, 1), 1 / d ** 2)  # X -> X - X + Tr X 1 / d^2
 
+    vec_id = np.eye(2).reshape(-1)
+    pi = np.outer(vec_id, vec_id) / 2
+    y = np.random.default_rng(0).standard_normal((64, 64))
     assert alternating_projection_probe(build_constraint_system("identity", 2),
                                         starts=1).passed
-    monkeypatch.setattr(probe, "span_projector", pi_pi_only)
+    monkeypatch.setattr(probe, "_slot_map", pi_pi_only)
+    want = test_probe.slot_pair_product(span.vec_kron(pi, pi), 1, y)
+    assert np.abs(test_probe.slot_map(2, 1, y) - want).max() <= 1e-14
     for kind in ("identity", "switch"):
         assert build_constraint_system(kind, 2).family_rank == 1
     rep = alternating_projection_probe(build_constraint_system("identity", 2),

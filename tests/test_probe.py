@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -27,28 +28,30 @@ from switchcert.switch import Process, build_switch_choi, switch_choi_vector
 from switchcert.uniqueness import build_cp_family, build_derived_one_slot, build_identity_process
 
 from oracles import (constraint_residual, dykstra_start, entries_of, full_buffer_project,
-                     group_of, group_twirl, invariant_dimension, link, pair_table_layout,
-                     random_hermitian_direction, sectors_of, switch_involutions)
+                     group_of, group_twirl, invariant_dimension, link,
+                     random_hermitian_direction, sectors_of, slot_pair_product, switch_involutions)
 
 
 def test_constraint_system_shapes():
     sys2 = build_constraint_system("identity", 2)
     assert sys2.family_rank == 10 == span_dimension_formula(2)
-    assert (sys2.process.slots, sys2.slot_projector.shape) == (1, (16, 16))
+    assert round(np.trace(span_projector(2))) == 10
+    assert sys2.process.slots == 1
     assert sys2.in_projector.shape == (16, 16)
     sys3 = build_constraint_system("identity", 3)
-    assert sys3.family_rank == 65
+    assert sys3.family_rank == 65 == round(np.trace(span_projector(3)))
     sw = build_constraint_system("switch", 2)
     assert sw.family_rank == 100 == span_dimension_formula(2) ** 2
-    assert (sw.process.slots, sw.slot_projector.shape) == (2, (16, 16))
+    assert sw.process.slots == 2
     assert sw.in_projector.shape == (256, 256)
     # the layout holds the reference: the real part of the process's matrix
     # at the block entries
     stored = sw.layout.reference
     assert stored.dtype == float and stored.flags.c_contiguous
     assert np.array_equal(stored, reference(sw).reshape(-1)[entries_of(sw)])
-    assert not stored.flags.writeable and not sw.slot_projector.flags.writeable
-    assert not hasattr(sw, "reference")
+    assert not stored.flags.writeable
+    assert not any(a.flags.writeable for table in sw.layout.traces for a in table)
+    assert not hasattr(sw, "reference") and not hasattr(sw, "slot_projector")
 
 
 def reference(sys):
@@ -71,29 +74,35 @@ def dense_project(in_projector, y, nin):
     return prod.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
-def slot_map(slot, slots, y):
+@functools.cache
+def stand_in_layout(d, slots, n):
+    """``probe._layout`` of one sector of every index for a stand-in system
+    whose zero process holds only the slot dimension, the slot count and
+    the size n; its arrays are read-only, so one serves every call."""
+    process = SimpleNamespace(d=d, slots=slots, size=n, entry=lambda r, c: np.zeros(len(r)))
+    return probe._layout(SimpleNamespace(process=process), (np.arange(n),))
+
+
+def slot_map(d, slots, y):
     """``probe._project`` of the matrix y, stored as one sector of every
-    index, by a stand-in system that holds only the slot projector, the
-    slot count, y's size and a zero process."""
-    process = SimpleNamespace(slots=slots, size=len(y), entry=lambda r, c: np.zeros(len(r)))
-    stand_in = SimpleNamespace(slot_projector=slot, process=process)
-    layout = probe._layout(stand_in, (np.arange(len(y)),))
-    return _project(stand_in, layout, y.reshape(-1)).reshape(y.shape)
+    index in ``stand_in_layout``."""
+    return _project(stand_in_layout(d, slots, len(y)), y.reshape(-1)).reshape(y.shape)
 
 
 def constrained_part(sys, x):
-    return slot_map(sys.slot_projector, sys.process.slots, x - reference(sys))
+    return slot_map(sys.process.d, sys.process.slots, x - reference(sys))
 
 
 @pytest.mark.parametrize("kind,d", [("identity", 2), ("cp_family", 2),
                                     ("transpose", 2), ("identity", 3)])
 def test_one_slot_constrained_part_is_the_dense_product(kind, d):
-    # a complex y gets the complex product of the dense path, bit for bit
+    # a complex y gets the complex product of the dense path, bit for bit,
+    # from the slot-pair product, and to rounding from the partial traces
     sys = build_constraint_system(kind, d)
     x = random_hermitian_direction(sys.process.size, np.random.default_rng(6))
-    assert np.array_equal(constrained_part(sys, x),
-                          dense_project(sys.in_projector, x - reference(sys),
-                                        sys.process.nin))
+    want = dense_project(sys.in_projector, x - reference(sys), sys.process.nin)
+    assert np.array_equal(slot_pair_product(span_projector(d), 1, x - reference(sys)), want)
+    assert frobenius(constrained_part(sys, x), want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_switch_constrained_part_matches_dense_product_d2():
@@ -119,7 +128,7 @@ def test_switch_constrained_part_matches_dense_product_d3():
     slot = span_projector(3)
     single = slot.astype(np.float32)
     dense = dense_project(vec_kron(single, single), y, 3 ** 4)
-    assert frobenius(slot_map(slot, 2, y), dense) <= 1e-6 * np.linalg.norm(dense)
+    assert frobenius(slot_map(3, 2, y), dense) <= 1e-6 * np.linalg.norm(dense)
     assert round(np.trace(slot)) == span_dimension_formula(3) == 65
 
 
@@ -129,10 +138,9 @@ def test_switch_projection_d4_without_a_dense_projector():
     # span{J_U} (x) span{J_U} (x) L(out) in the input index pairs.
     d, nout = 4, 2
     rng = np.random.default_rng(9)
-    slot = span_projector(d)
 
     def project(y):
-        return slot_map(slot, 2, y)
+        return slot_map(d, 2, y)
 
     def random_y():
         g = rng.standard_normal((2, d ** 4 * nout, d ** 4 * nout))
@@ -246,8 +254,8 @@ def test_real_part_of_a_complex_feasible_point_is_feasible():
     w = build_identity_process(2).op.entries.real + np.eye(16)
     sys = build_constraint_system("identity", 2, Process(2, dense=Operator(w)))
     g = random_hermitian_direction(16, np.random.default_rng(11))
-    h = hermitian_part(g - slot_map(sys.slot_projector, 1, g))
-    assert np.linalg.norm(slot_map(sys.slot_projector, 1, h)) <= 1e-14
+    h = hermitian_part(g - slot_map(2, 1, g))
+    assert np.linalg.norm(slot_map(2, 1, h)) <= 1e-14
     t = 0.5 * np.linalg.eigvalsh(w)[0] / np.linalg.norm(h, 2)
     x = w + t * h
     assert np.linalg.norm(x.imag) >= 0.1 * t
@@ -295,8 +303,8 @@ def test_twirl_of_a_feasible_point_is_feasible():
     sys = build_constraint_system("identity", 2, Process(2, dense=Operator(w)))
     assert len(sectors_of(sys)) == 5
     g = random_hermitian_direction(16, np.random.default_rng(12))
-    h = hermitian_part(g - slot_map(sys.slot_projector, 1, g))
-    assert np.linalg.norm(slot_map(sys.slot_projector, 1, h)) <= 1e-14
+    h = hermitian_part(g - slot_map(2, 1, g))
+    assert np.linalg.norm(slot_map(2, 1, h)) <= 1e-14
     t = 0.5 * np.linalg.eigvalsh(w)[0] / np.linalg.norm(h, 2)
     x = w + t * h
     assert np.linalg.norm(off_sector(sys, x)) >= 0.1 * t
@@ -318,8 +326,8 @@ def test_group_twirl_of_a_feasible_point_is_feasible():
     sys = build_constraint_system("switch", 2, Process(2, dense=Operator(w)))
     assert len(sys.symmetry.twirls) == 2
     g = random_hermitian_direction(256, np.random.default_rng(14))
-    h = hermitian_part(g - slot_map(sys.slot_projector, 2, g))
-    assert np.linalg.norm(slot_map(sys.slot_projector, 2, h)) <= 1e-14
+    h = hermitian_part(g - slot_map(2, 2, g))
+    assert np.linalg.norm(slot_map(2, 2, h)) <= 1e-14
     for inv in switch_involutions(2):
         assert np.array_equal(w[np.ix_(inv, inv)], w)
         assert np.linalg.norm(h[np.ix_(inv, inv)] - h) >= 0.1 * np.linalg.norm(h)
@@ -368,9 +376,9 @@ def test_switch_involutions_fix_w_and_commute_with_the_projection(d):
     assert len(sys.symmetry.twirls) == 2
     assert all(np.array_equal(p, t) for p, t in zip(perms, sys.symmetry.twirls))
     v = random_block_diagonal_vector(sys, np.random.default_rng(d))
-    pv = _project(sys, sys.layout, v)
+    pv = _project(sys.layout, v)
     for perm in perms:
-        assert frobenius(_project(sys, sys.layout, v[perm]), pv[perm]) <= 1e-13
+        assert frobenius(_project(sys.layout, v[perm]), pv[perm]) <= 1e-13
         assert frobenius(v[perm], v) > 0.1
 
 
@@ -483,17 +491,37 @@ def test_unique_reference_is_zero_off_its_sectors(kind, d, count, largest):
 
 @pytest.mark.parametrize("kind,d,process", [
     *((kind, d, None) for kind, d, _, _ in SECTOR_COUNTS), ("cp_family", 2, None),
-    ("identity", 2, build_derived_one_slot("transpose", 2))])
-def test_layout_matches_the_pair_table(kind, d, process):
-    # the slot-pair positions from two tables of length n, and the reference
-    # read at the block entries alone, against an n^2 table and the dense
-    # reference; the last case is one sector, as the transpose process has
-    # entries off the identity's sectors
-    sys = build_constraint_system(kind, d, process)
-    want = pair_table_layout(sys, sectors_of(sys))
-    for field in dataclasses.fields(want):
-        assert np.array_equal(getattr(sys.layout, field.name), getattr(want, field.name)), \
-            field.name
+    ("identity", 2, build_derived_one_slot("transpose", 2)), ("transpose", 3, None),
+    ("switch", 3, None)])
+def test_segment_tables_take_the_partial_traces(kind, d, process, monkeypatch):
+    # each traced part alone, with coefficient 1: per slot, its members are
+    # the stored entries whose traced row and column digits agree, in
+    # row-major order, and each member's segment sum is np.trace over the
+    # part's axes of the dense matrix, at the member's other digits.  The
+    # transpose process under the identity kind's charges is one sector;
+    # the d = 3 switch system is built past the guard
+    process = process or probe._DEFAULT_PROCESS[kind](d)
+    slots, n = process.slots, process.size
+    dims = (d,) * 2 * slots + (process.nout,)
+    rng = np.random.default_rng(18)
+    for part in ((0,), (1,), (0, 1)):
+        monkeypatch.setattr(probe, "_slot_map", lambda d: ((part, 1.0),))
+        sys = ConstraintSystem(kind, process)
+        v = random_block_diagonal_vector(sys, rng)
+        rows, cols = (np.array(np.unravel_index(i, dims)) for i in np.divmod(entries_of(sys), n))
+        tensor = dense(sys, v).reshape(dims * 2)
+        for j, (members, label, coeff) in enumerate(sys.layout.traces):
+            axes = [2 * j + t for t in part]
+            traced = tensor
+            for k, a in enumerate(reversed(axes)):
+                traced = np.trace(traced, axis1=a, axis2=a + len(dims) - k)
+            agree = (rows[axes] == cols[axes]).all(axis=0)
+            assert np.all(coeff == 1.0) and np.array_equal(np.sort(members), np.flatnonzero(agree))
+            assert np.all(np.diff(entries_of(sys)[members]) > 0)
+            other = [a for a in range(len(dims)) if a not in axes]
+            want = traced[tuple(rows[other][:, members]) + tuple(cols[other][:, members])]
+            got = np.bincount(label, v[members])[label]
+            assert np.abs(got - want).max() <= 1e-13 and np.abs(want).max() > 0.01
 
 
 def slot_marginal(process, x):
@@ -535,17 +563,17 @@ def test_kept_set_of_each_kind(process, count):
 @pytest.mark.parametrize("kind,d", [*((kind, 2) for kind in probe.KINDS),
                                     ("identity", 3), ("transpose", 3), ("switch", 3)])
 def test_project_matches_the_full_buffer_oracle(kind, d):
-    # the buffer of the kept output pairs gives the product of the buffer of
-    # every output pair, on a real and a complex block vector; the d = 3
-    # switch system is built past the guard
+    # the partial traces give the product through a buffer of every output
+    # pair, on a real and a complex block vector, and map their image onto
+    # itself; the d = 3 switch system is built past the guard
     sys = ConstraintSystem(kind, probe._DEFAULT_PROCESS[kind](d))
-    assert sys.layout.buffer == len(probe._kept(sys.process)) ** 2
     rng = np.random.default_rng(17)
     v = random_block_diagonal_vector(sys, rng)
     for x in (v, v + 1j * random_block_diagonal_vector(sys, rng)):
-        got = _project(sys, sys.layout, x)
+        got = _project(sys.layout, x)
         assert frobenius(got, full_buffer_project(sys, x)) <= 1e-13
         assert frobenius(got) > 0.1
+        assert np.abs(_project(sys.layout, got) - got).max() <= 1e-15  # idempotent
 
 
 def test_a_kept_set_that_drops_a_reached_output_is_refused(monkeypatch):
@@ -615,7 +643,7 @@ def test_affine_project_keeps_the_sector_blocks(kind, d):
         y = affine_project(sys, x)
         assert not off_sector(sys, y).any()
         assert frobenius(y, x) > 0.1  # the projection moved x
-        assert np.array_equal(probe._affine(sys, sys.layout, blocks(sys, x)), blocks(sys, y))
+        assert np.array_equal(probe._affine(sys.layout, blocks(sys, x)), blocks(sys, y))
 
 
 @pytest.mark.parametrize("kind", ["identity", "switch"])
@@ -869,7 +897,7 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d, monkeypatch):
     assert abs(np.mean(twirled) / (math.sqrt(dim) / n) - 1.0) <= 0.03
     # the draw is read on a zero reference: adding and subtracting the
     # reference's unit entries would round it
-    monkeypatch.setattr(probe, "_affine", lambda sys_, layout, v: v)
+    monkeypatch.setattr(probe, "_affine", lambda layout, v: v)
     zero = dataclasses.replace(sys.layout, reference=np.zeros_like(sys.layout.reference))
     got = probe._affine_start(SimpleNamespace(layout=zero, symmetry=sys.symmetry,
                                               process=sys.process), 5)
@@ -886,7 +914,7 @@ def test_cp_family_start_is_the_dense_unit_draw():
     assert len(sys.layout.reference) == 64 and sys.process.size == 16
     for seed in range(30):
         direction = random_hermitian_direction(8, np.random.default_rng(seed))
-        want = probe._affine(sys, sys.layout, sys.layout.reference + direction.reshape(-1) / 2)
+        want = probe._affine(sys.layout, sys.layout.reference + direction.reshape(-1) / 2)
         assert np.array_equal(probe._affine_start(sys, seed), want), seed
 
 
@@ -910,20 +938,29 @@ def test_switch_start_memory_peak():
 
 
 def test_switch_loop_memory_peak():
-    # the loop holds four 29 KiB block vectors and, in the affine map, a
-    # 128 KiB slot-pair buffer of the kept outputs and its products (a
-    # 0.42 MiB peak); dense 0.5 MiB iterates would take it to about 4 MiB
+    # the loop holds four 29 KiB block vectors and, in the affine map, the
+    # gathers and segment sums of the partial traces (a 0.30 MiB peak);
+    # dense 0.5 MiB iterates would take it to about 4 MiB
     sys = build_constraint_system("switch", 2)
     start = probe._affine_start(sys, 3).real
     assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 2.5 * 2 ** 20
 
 
 def test_switch_d3_system_memory_peak():
-    # the layout stores 140,676 entries, 1.1 MB a field; the dense 2916^2
-    # process alone would take 136 MB, and an n^2 int64 table 68 MB
+    # the layout stores 140,676 entries, 1.1 MB a field, and 4.7 MiB of
+    # segment tables; the dense 2916^2 process alone would take 136 MB, and
+    # an n^2 int64 table 68 MB
     process = Process(3, vector=switch_choi_vector(3))
     assert traced_peak(lambda: ConstraintSystem("switch", process)) <= 64 * 2 ** 20
     assert ConstraintSystem("switch", process).layout.reference.size == 140_676
+
+
+def test_switch_d3_project_memory_peak():
+    # one call holds the block vector's gathers and segment sums, 4.5 MiB;
+    # a slot-pair buffer of the kept outputs and its product took 32 MiB
+    sys = ConstraintSystem("switch", Process(3, vector=switch_choi_vector(3)))
+    v = random_block_diagonal_vector(sys, np.random.default_rng(19))
+    assert traced_peak(lambda: _project(sys.layout, v)) <= 8 * 2 ** 20
 
 
 class _NanNormals:
@@ -1014,10 +1051,12 @@ def cp_family_run():
             "polish_start": starts[-1]}
 
 
-def test_failed_start_raises_without_hanging(monkeypatch):
-    # a 3 x 3 slot projector fits no slot, so every start raises
-    monkeypatch.setattr(probe, "span_projector", lambda d: np.eye(3))
+def test_failed_start_raises_without_hanging():
+    # a segment label of -1 names no segment, so every start raises
     broken = build_constraint_system("identity", 2)
+    traces = tuple((members, np.full_like(label, -1), coeff)
+                   for members, label, coeff in broken.layout.traces)
+    object.__setattr__(broken, "layout", dataclasses.replace(broken.layout, traces=traces))
     with pytest.raises(ValueError):
         alternating_projection_probe(broken, starts=4)
 

@@ -117,12 +117,12 @@ def test_route_equivalence_choi_vs_kraus():
     rng = np.random.default_rng(1)
     for d in (2, 3):
         proc = build_switch_choi(d)
-        for _ in range(20):
-            ka = random_kraus_channel(d, int(rng.integers(1, d * d + 1)), rng)
-            kb = random_kraus_channel(d, int(rng.integers(1, d * d + 1)), rng)
-            via_choi = apply_two_slot(proc, choi_from_kraus(ka), choi_from_kraus(kb))
-            via_kraus = switch_kraus_output(ka, kb)
-            assert frobenius(via_choi, via_kraus) <= 1e-9
+        pairs = [[random_kraus_channel(d, int(rng.integers(1, d * d + 1)), rng)
+                  for _ in range(2)] for _ in range(20)]
+        chois = np.array([[choi_from_kraus(k) for k in pair] for pair in pairs])
+        via_choi = apply_two_slot(proc, chois[:, 0], chois[:, 1])  # the 20 pairs at once
+        for out, (ka, kb) in zip(via_choi, pairs):
+            assert frobenius(out, switch_kraus_output(ka, kb)) <= 1e-9
 
 
 def test_output_on_channels_is_cptp():
