@@ -31,8 +31,6 @@ from .uniqueness import (
     verify_corollary,
 )
 
-SUBCOMMANDS = ("switch-verify", "identity-verify", "corollary-verify",
-               "span-verify", "counterexamples", "probe", "all")
 MAX_SAMPLE_ENTRIES = 2 ** 25  # of the real samples x d^4 float64 matrix: 256 MiB
 MAX_PROBE_STARTS = 1000
 
@@ -107,16 +105,6 @@ def _run_probe(cfg, leave_out=()) -> list[CertificateReport]:
         seed=cfg.seed, feas_tol=cfg.tol_psd) for kind in kinds if kind not in leave_out]
 
 
-_RUNNERS = {
-    "switch-verify": _run_switch,
-    "identity-verify": _run_identity,
-    "corollary-verify": _run_corollaries,
-    "span-verify": _run_span,
-    "counterexamples": _run_counterexamples,
-    "probe": _run_probe,
-}
-
-
 def _run_all(cfg) -> list[CertificateReport]:
     """Every group's certificates, each made and listed once: the switch
     group reuses the span group's lemma report, and the probe group leaves
@@ -127,7 +115,16 @@ def _run_all(cfg) -> list[CertificateReport]:
             + _run_probe(cfg, leave_out=("switch",)))
 
 
-_RUNNERS["all"] = _run_all
+# each subcommand's runner and the slot dimensions d it supports
+SUBCOMMANDS = {
+    "switch-verify": (_run_switch, range(2, 5)),
+    "identity-verify": (_run_identity, range(2, 10)),
+    "corollary-verify": (_run_corollaries, range(2, 17)),
+    "span-verify": (_run_span, range(2, 7)),
+    "counterexamples": (_run_counterexamples, range(2, 3)),
+    "probe": (_run_probe, range(2, 5)),
+    "all": (_run_all, range(2, 5)),
+}
 
 
 # --- deterministic serialization -------------------------------------------------
@@ -182,15 +179,20 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _supported(dims: range) -> str:
+    return f"{dims.start} only" if len(dims) == 1 else f"{dims.start} to {dims[-1]}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchcert",
         description="Numerical certificates for quantum-switch and one-slot "
                     "supermap constructions.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, (_, dims) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} certificate group")
-        p.add_argument("--dim", type=int, default=2, help="slot dimension d >= 2")
+        p.add_argument("--dim", type=int, default=2,
+                       help=f"slot dimension d, {_supported(dims)}")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--tol-psd", type=float, default=1e-6, dest="tol_psd",
                        help="PSD feasibility tolerance for the projection probe")
@@ -219,28 +221,14 @@ def _error_exit(message: str, code: int = 2):
 
 def _validate(cfg) -> None:
     """Reject an unsupported configuration before any work."""
-    min_samples = span_dimension_formula(cfg.dim) + 1
-    max_samples = MAX_SAMPLE_ENTRIES // max(cfg.dim, 1) ** 4
+    dims = SUBCOMMANDS[cfg.subcommand][1]
+    samples = range(span_dimension_formula(cfg.dim) + 1,
+                    MAX_SAMPLE_ENTRIES // max(cfg.dim, 1) ** 4 + 1)
     for bad, message in (
-            (cfg.dim < 2, "--dim must be at least 2"),
-            (cfg.subcommand in ("switch-verify", "all") and cfg.dim > 4,
-             f"{cfg.subcommand} supports --dim 2 to 4"),
-            (cfg.subcommand == "span-verify" and cfg.dim > 6,
-             "span-verify supports --dim 2 to 6"),
-            (cfg.subcommand == "probe" and cfg.dim > 4,
-             "probe supports --dim 2 to 4"),
-            (cfg.subcommand == "counterexamples" and cfg.dim != 2,
-             "counterexamples supports --dim 2 only"),
-            (cfg.subcommand == "identity-verify" and cfg.dim > 9,
-             "identity-verify supports --dim 2 to 9"),
-            (cfg.subcommand == "corollary-verify" and cfg.dim > 16,
-             "corollary-verify supports --dim 2 to 16"),
+            (cfg.dim not in dims, f"{cfg.subcommand} supports --dim {_supported(dims)}"),
             (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
-             and cfg.samples < min_samples,
-             f"--samples must be at least {min_samples} at --dim {cfg.dim}"),
-            (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
-             and cfg.samples > max_samples,
-             f"--samples must be at most {max_samples} at --dim {cfg.dim}"),
+             and cfg.samples not in samples,
+             f"--samples must be {samples.start} to {samples.stop - 1} at --dim {cfg.dim}"),
             (not (0 < cfg.tol_psd < math.inf and 0 < cfg.tol_cert < math.inf),
              "tolerances must be positive and finite"),
             (cfg.seed < 0, "--seed must be non-negative"),
@@ -251,7 +239,7 @@ def _validate(cfg) -> None:
 
 
 def run(cfg) -> tuple[int, dict]:
-    certificates = _RUNNERS[cfg.subcommand](cfg)
+    certificates = SUBCOMMANDS[cfg.subcommand][0](cfg)
     include_runtime = not cfg.no_timestamp
     report = {
         "version": __version__,

@@ -6,7 +6,7 @@ Choi operators.  Starting from random perturbations of a reference process,
 alternating projections converge to a point of the intersection.  Each
 iteration adds a secant step, Anderson acceleration with memory 1
 (``_secant_point``), to the affine iterate and keeps Dykstra's correction;
-a d = 2 switch start then takes about 22 iterations instead of about 71.
+a d = 2 switch start then takes about 20 iterations.
 Every start stops within TOL of the reference and is checked against both
 constraints.  Only the kinds that claim uniqueness run starts: the
 deliberately non-unique C_p family is certified by its witness, a feasible
@@ -95,9 +95,8 @@ orthogonal basis of character sums over the index orbits the sector's
 block splits into one isotypic block per character, and a sector that
 <S, R> maps onto an earlier one holds a copy of that one's block.  So
 the clip (``_clip``) is ``psd_project`` of each isotypic block, rotated
-back, with the copies filled in: 10 blocks of at most 15 in place of 7
-sector blocks of at most 40 at d = 2, and 46 of at most 60 in place of
-37 of at most 186 at d = 3.  The start is twirled over <S, R>, and the
+back, with the copies filled in: 10 blocks of at most 15 at d = 2 and
+46 of at most 60 at d = 3.  The start is twirled over <S, R>, and the
 affine map, Dykstra's correction and the secant step keep G-invariance,
 as the reference is invariant and the projector commutes with P; the
 rounding off the invariant matrices is what the clip drops.  The final
@@ -208,8 +207,7 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     switch, the clip's plan for the slot swap with the control flip and
     the qudit reversal, kept only if they fix the reference exactly and map
     sectors onto sectors (``_symmetry``).  The switch probe supports d = 2
-    only; built past that guard at d = 3, a start takes 0.37-0.50 s at
-    62-63 MB peak RSS (2 cores, one BLAS thread).
+    only.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
@@ -532,10 +530,10 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     return (x if g_prev is None else g_prev), dist, iters
 
 
-def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
-    """The affine projection of the reference plus a random twirled
-    Hermitian direction drawn from ``seed``, in ``sys.layout``: where a
-    probe start and the witness polish begin.
+def _start_point(sys: ConstraintSystem, seed) -> np.ndarray:
+    """The reference plus a random twirled Hermitian direction drawn from
+    ``seed``, in ``sys.layout``: a probe start begins at the affine
+    projection of its real part, the witness polish at that of the whole.
 
     Complex normals g are drawn for the m stored block entries alone, made
     Hermitian as g + g^H and averaged over each kept involution in turn.
@@ -551,16 +549,16 @@ def _affine_start(sys: ConstraintSystem, seed) -> np.ndarray:
     for twirl in sys.symmetry.twirls:
         h = (h + h[twirl]) / 2
     scale = math.sqrt(sys.symmetry.dimension) / sys.process.size
-    return _affine(layout, layout.reference + h / frobenius(h) * scale)
+    return layout.reference + h / frobenius(h) * scale
 
 
 def _run_start(sys: ConstraintSystem, seed):
-    """One probe start from the real part of ``_affine_start``, in real
-    symmetric arithmetic, which the lemmas of the module docstring say lose
-    nothing: (distance, iterations, constraint residual, minus the least
-    eigenvalue).  Only the real start is kept through the run.  The
-    distance is NaN for a non-finite iterate, and so are the checks."""
-    x, dist, iters = _run_single(sys, _affine_start(sys, seed).real.copy())
+    """One probe start from the affine projection of the real part of
+    ``_start_point``, in real symmetric arithmetic, which the lemmas of the
+    module docstring say lose nothing: (distance, iterations, constraint
+    residual, minus the least eigenvalue).  The distance is NaN for a
+    non-finite iterate, and so are the checks."""
+    x, dist, iters = _run_single(sys, _affine(sys.layout, _start_point(sys, seed).real))
     resid, neg_eig = _final_checks(sys, x)
     return (dist if np.isfinite(x).all() else math.nan), iters, resid, neg_eig
 
@@ -632,8 +630,8 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
 
     Each start is the reference plus a random Hermitian perturbation on
     the sector blocks, twirled over the kept involutions and scaled to the
-    expected norm of a twirled unit direction (``_affine_start``),
-    projected onto the affine set and taken to its real part; the starts
+    expected norm of a twirled unit direction (``_start_point``), taken
+    to its real part and projected onto the affine set; the starts
     run one after another.  Their final
     iterates must meet both constraints
     within feas_tol and lie within TOL of the reference.  The cp_family kind
@@ -647,7 +645,8 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     expected_rank = span_dimension_formula(sys.process.d) ** sys.process.slots
     checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
     if sys.kind == "cp_family":
-        witness, polish_iters = _find_witness(sys, _affine_start(sys, seeds[0]), feas_tol)
+        point = _affine(sys.layout, _start_point(sys, seeds[0]))
+        witness, polish_iters = _find_witness(sys, point, feas_tol)
         wdist = frobenius(witness - sys.layout.reference)
         resid, neg_eig = _final_checks(sys, witness)
         checks += [

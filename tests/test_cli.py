@@ -8,6 +8,7 @@ import pytest
 
 from switchcert import cli
 from switchcert.report import CertificateReport, Check
+from switchcert.span import span_dimension_formula
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -16,6 +17,12 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def stub_identity_runner(monkeypatch, runner):
+    """Make identity-verify run ``runner`` on the d it supports."""
+    dims = cli.SUBCOMMANDS["identity-verify"][1]
+    monkeypatch.setitem(cli.SUBCOMMANDS, "identity-verify", (runner, dims))
 
 
 def test_identity_verify_json(capsys):
@@ -109,12 +116,35 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert captured.err.count("\n") == 1
 
 
+def test_each_subcommand_accepts_exactly_its_supported_dims(capsys):
+    # the table states the envelope: each subcommand runs at d = min..max
+    # and exits 2, with one stderr line and no work, just outside it
+    assert {name: (dims.start, dims[-1]) for name, (_, dims) in cli.SUBCOMMANDS.items()} == {
+        "switch-verify": (2, 4), "identity-verify": (2, 9), "corollary-verify": (2, 16),
+        "span-verify": (2, 6), "counterexamples": (2, 2), "probe": (2, 4), "all": (2, 4)}
+    parser = cli.build_parser()
+    for name, (_, dims) in cli.SUBCOMMANDS.items():
+        for d in (dims.start, dims[-1]):
+            cli._validate(parser.parse_args([name, "--dim", str(d)]))
+        for d in (dims.start - 1, dims[-1] + 1):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as err:
+                cli.main([name, "--dim", str(d)])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"switchcert: error: {name} supports --dim 2 ")
+            assert captured.err.count("\n") == 1
+
+
 def test_sample_and_start_caps_are_inclusive():
-    # the largest real sample matrix allowed holds 2^25 float64 entries
+    # the largest real sample matrix allowed holds 2^25 float64 entries,
+    # and the estimate needs one sample more than the span dimension
     for d in (2, 4, 6):
         cap = 2 ** 25 // d ** 4
-        cli._validate(cli.build_parser().parse_args(
-            ["span-verify", "--dim", str(d), "--samples", str(cap)]))
+        for samples in (span_dimension_formula(d) + 1, cap):
+            cli._validate(cli.build_parser().parse_args(
+                ["span-verify", "--dim", str(d), "--samples", str(samples)]))
     cli._validate(cli.build_parser().parse_args(["probe", "--probe-starts", "1000"]))
     # the cap binds only the subcommands that draw the samples
     cli._validate(cli.build_parser().parse_args(
@@ -152,7 +182,7 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     def broken(cfg):
         raise RuntimeError("boom\nsecond line")
 
-    monkeypatch.setitem(cli._RUNNERS, "identity-verify", broken)
+    stub_identity_runner(monkeypatch, broken)
     with pytest.raises(SystemExit) as err:
         cli.main(["identity-verify", "--format", "json", "--no-timestamp"])
     assert err.value.code == 3
@@ -166,7 +196,7 @@ def _raising_runner(cfg):
 
 
 def test_internal_error_leaves_no_out_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(cli._RUNNERS, "identity-verify", _raising_runner)
+    stub_identity_runner(monkeypatch, _raising_runner)
     path = tmp_path / "report.json"
     with pytest.raises(SystemExit) as err:
         cli.main(["identity-verify", "--out", str(path)])
@@ -180,7 +210,7 @@ def test_interrupted_run_leaves_no_out_file(tmp_path, monkeypatch):
     def interrupted(cfg):
         raise KeyboardInterrupt
 
-    monkeypatch.setitem(cli._RUNNERS, "identity-verify", interrupted)
+    stub_identity_runner(monkeypatch, interrupted)
     path = tmp_path / "report.json"
     with pytest.raises(KeyboardInterrupt):
         cli.main(["identity-verify", "--out", str(path)])
@@ -189,7 +219,7 @@ def test_interrupted_run_leaves_no_out_file(tmp_path, monkeypatch):
 
 def test_internal_error_leaves_an_existing_out_file_untouched(tmp_path, capsys,
                                                              monkeypatch):
-    monkeypatch.setitem(cli._RUNNERS, "identity-verify", _raising_runner)
+    stub_identity_runner(monkeypatch, _raising_runner)
     path = tmp_path / "report.json"
     path.write_text("an earlier report\n")
     stamp = path.stat().st_mtime_ns
@@ -202,7 +232,7 @@ def test_internal_error_leaves_an_existing_out_file_untouched(tmp_path, capsys,
 
 def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setitem(cli._RUNNERS, "identity-verify", calls.append)
+    stub_identity_runner(monkeypatch, calls.append)
     for path in (tmp_path / "missing" / "x.json", tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["identity-verify", "--out", str(path)])
@@ -236,7 +266,7 @@ def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):
         name="stub", passed=False,
         checks=(Check("x", 1.0, 0.0, 0.0, False),),
         runtime_ms=0.0)
-    monkeypatch.setitem(cli._RUNNERS, "identity-verify", lambda cfg: [failed])
+    stub_identity_runner(monkeypatch, lambda cfg: [failed])
     code, out = run_cli(["identity-verify", "--format", "json",
                          "--no-timestamp"], capsys)
     assert code == 1

@@ -862,9 +862,9 @@ def test_unique_start_returns_numbers_only(kind):
     result = probe._run_start(sys, 4)
     assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
-    start = probe._affine_start(sys, 4).real
+    start = probe._affine(sys.layout, probe._start_point(sys, 4).real)
     x, dist, iters = probe._run_single(sys, start.copy())
-    # a start begins at the real part of the affine point of the dense draw
+    # a start begins at the affine point of the real part of the dense draw
     # and stays real
     want = affine_start(sys, perturbed_start(sys, 4))
     assert frobenius(start, want) <= 1e-15 * frobenius(want)
@@ -883,8 +883,8 @@ def test_unique_start_returns_numbers_only(kind):
 
 @pytest.mark.parametrize("kind,d", [("switch", 2), ("identity", 3), ("transpose", 2),
                                     ("cp_family", 2)])
-def test_start_direction_is_drawn_on_the_blocks(kind, d, monkeypatch):
-    # the direction before the affine map holds the dense draw's block
+def test_start_direction_is_drawn_on_the_blocks(kind, d):
+    # the start point's direction holds the dense draw's block
     # entries, twirled over the kind's involutions; its norm sqrt(D) / n is
     # the mean norm of the G-twirl of a dense unit direction, here over 40
     # draws (the transpose's spread is 8 %)
@@ -897,10 +897,9 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d, monkeypatch):
     assert abs(np.mean(twirled) / (math.sqrt(dim) / n) - 1.0) <= 0.03
     # the draw is read on a zero reference: adding and subtracting the
     # reference's unit entries would round it
-    monkeypatch.setattr(probe, "_affine", lambda layout, v: v)
     zero = dataclasses.replace(sys.layout, reference=np.zeros_like(sys.layout.reference))
-    got = probe._affine_start(SimpleNamespace(layout=zero, symmetry=sys.symmetry,
-                                              process=sys.process), 5)
+    got = probe._start_point(SimpleNamespace(layout=zero, symmetry=sys.symmetry,
+                                             process=sys.process), 5)
     want = drawn_direction(sys, 5)
     assert not off_sector(sys, want).any()
     assert frobenius(got, blocks(sys, want)) <= 1e-15
@@ -914,8 +913,23 @@ def test_cp_family_start_is_the_dense_unit_draw():
     assert len(sys.layout.reference) == 64 and sys.process.size == 16
     for seed in range(30):
         direction = random_hermitian_direction(8, np.random.default_rng(seed))
-        want = probe._affine(sys.layout, sys.layout.reference + direction.reshape(-1) / 2)
-        assert np.array_equal(probe._affine_start(sys, seed), want), seed
+        want = sys.layout.reference + direction.reshape(-1) / 2
+        assert np.array_equal(probe._start_point(sys, seed), want), seed
+
+
+@pytest.mark.parametrize("kind,d", [*((kind, 2) for kind in probe.KINDS), ("identity", 3),
+                                    ("switch", 3)])
+def test_real_start_is_the_real_part_of_the_affine_point(kind, d):
+    # the affine map is real-linear and its Hermitian part commutes with Re,
+    # so a start projects the real part of its point alone, and gets the
+    # same bits as the real part of the complex point's projection; the
+    # d = 3 switch system is built past the guard
+    sys = ConstraintSystem(kind, probe._DEFAULT_PROCESS[kind](d))
+    for seed in range(3):
+        point = probe._start_point(sys, seed)
+        assert np.iscomplexobj(point)
+        want = probe._affine(sys.layout, point).real
+        assert np.array_equal(probe._affine(sys.layout, point.real), want), seed
 
 
 def traced_peak(run):
@@ -942,8 +956,15 @@ def test_switch_loop_memory_peak():
     # gathers and segment sums of the partial traces (a 0.30 MiB peak);
     # dense 0.5 MiB iterates would take it to about 4 MiB
     sys = build_constraint_system("switch", 2)
-    start = probe._affine_start(sys, 3).real
+    start = probe._affine(sys.layout, probe._start_point(sys, 3).real)
     assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 2.5 * 2 ** 20
+
+
+def test_switch_d3_start_memory_peak():
+    # a start projects the real part of its point: the complex point's
+    # affine map, with its complex gathers and segment sums, took 14.2 MiB
+    sys = ConstraintSystem("switch", Process(3, vector=switch_choi_vector(3)))
+    assert traced_peak(lambda: probe._run_start(sys, 3)) <= 11 * 2 ** 20
 
 
 def test_switch_d3_system_memory_peak():
