@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .channels import haar_random_unitary
-from .probe import alternating_projection_probe, build_constraint_system
+from .probe import KINDS, alternating_projection_probe, build_constraint_system
 from .report import CertificateReport, Timer, check_exact_int, check_true, make_report
 from .span import (
     estimate_span_dimension,
@@ -54,24 +54,20 @@ def _run_span(cfg) -> list[CertificateReport]:
 
 
 def _run_switch(cfg, lemmas: CertificateReport | None = None) -> list[CertificateReport]:
-    """All switch certificates and their aggregate.  The probe runs at d = 2
-    only, the envelope ``build_constraint_system`` enforces.  A span-lemma
-    report already made and listed is given as ``lemmas``: the aggregate
-    checks it, and it is not listed again."""
+    """All switch certificates and their aggregate.  The probe runs at the d
+    its row of ``KINDS`` supports and is noted as skipped at any other.  A
+    span-lemma report already made and listed is given as ``lemmas``: the
+    aggregate checks it, and it is not listed again."""
     timer, d = Timer(), cfg.dim
     parts = [verify_unitary_action(d, seed=cfg.seed, tol=cfg.tol_cert),
              verify_span_lemmas(d, seed=cfg.seed) if lemmas is None else lemmas,
              diagonal_certificate(d),
              offdiagonal_certificate(d)]
-    notes = ()
-    if d == 2:
-        parts.append(alternating_projection_probe(
-            build_constraint_system("switch", d), starts=cfg.probe_starts,
-            seed=cfg.seed, feas_tol=cfg.tol_psd))
-    else:
-        notes = ("probe skipped: the switch probe supports d = 2 only",)
-    checks = [check_true(part.name, part.passed) for part in parts]
-    return ([part for part in parts if part is not lemmas]
+    probe = _run_probe(cfg, kinds=("switch",))
+    notes = () if probe else (
+        f"probe skipped: the switch probe supports d = {_supported(KINDS['switch'][1])}",)
+    checks = [check_true(part.name, part.passed) for part in parts + probe]
+    return ([part for part in parts if part is not lemmas] + probe
             + [make_report(f"switch_uniqueness_d{d}", checks, timer, notes=notes)])
 
 
@@ -98,21 +94,21 @@ def _run_counterexamples(cfg) -> list[CertificateReport]:
     ]
 
 
-def _run_probe(cfg, leave_out=()) -> list[CertificateReport]:
-    kinds = ("identity", "switch", "cp_family") if cfg.dim == 2 else ("identity",)
+def _run_probe(cfg, kinds=("identity", "switch", "cp_family")) -> list[CertificateReport]:
+    """The probe of each of ``kinds`` whose row of ``KINDS`` supports --dim."""
     return [alternating_projection_probe(
         build_constraint_system(kind, cfg.dim), starts=cfg.probe_starts,
-        seed=cfg.seed, feas_tol=cfg.tol_psd) for kind in kinds if kind not in leave_out]
+        seed=cfg.seed, feas_tol=cfg.tol_psd) for kind in kinds if cfg.dim in KINDS[kind][1]]
 
 
 def _run_all(cfg) -> list[CertificateReport]:
     """Every group's certificates, each made and listed once: the switch
-    group reuses the span group's lemma report, and the probe group leaves
-    out the switch probe, which the switch group lists."""
+    group reuses the span group's lemma report and lists the switch probe,
+    which the probe group leaves out."""
     span = _run_span(cfg)
     return (span + _run_identity(cfg) + _run_switch(cfg, lemmas=span[0])
             + _run_corollaries(cfg) + _run_counterexamples(cfg)
-            + _run_probe(cfg, leave_out=("switch",)))
+            + _run_probe(cfg, kinds=("identity", "cp_family")))
 
 
 # each subcommand's runner and the slot dimensions d it supports
@@ -122,7 +118,7 @@ SUBCOMMANDS = {
     "corollary-verify": (_run_corollaries, range(2, 17)),
     "span-verify": (_run_span, range(2, 7)),
     "counterexamples": (_run_counterexamples, range(2, 3)),
-    "probe": (_run_probe, range(2, 5)),
+    "probe": (_run_probe, KINDS["identity"][1]),
     "all": (_run_all, range(2, 5)),
 }
 

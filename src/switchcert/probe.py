@@ -39,7 +39,7 @@ C_p witness, which is feasible whether it is real or not, stays complex.
 
 The kinds that claim uniqueness also run in charge sectors.  A diagonal
 unitary V with phases t acts on each tensor factor as t, conj(t) or not at
-all, by the kind's sign table (``_CHARGE_SIGNS``); a basis index's charge
+all, by the kind's sign table (``KINDS``); a basis index's charge
 is the signed count of each of its digit values, and a sector is the set of
 indices of one charge.  The torus twirl T(X) = int V X V^H dV keeps X on
 the sector blocks and zeroes it off them.  The slot projector commutes with
@@ -123,29 +123,26 @@ from .uniqueness import (
     build_identity_process,
 )
 
-# The process each kind probes unless one is given.  The builders are looked
-# up when called, so that rebinding one of their names here takes effect.
-_DEFAULT_PROCESS = {
-    "identity": lambda d: build_identity_process(d),
-    "switch": lambda d: Process(d, vector=switch_choi_vector(d)),
-    "transpose": lambda d: build_derived_one_slot("transpose", d),
-    "conjugate_qubit": lambda d: build_derived_one_slot("conjugate_qubit", d),
-    "cp_family": lambda d: build_cp_family(1.0),
+# Per kind: the process it probes unless one is given, the slot dimensions d
+# its probe supports, and the charge signs of the tensor factors in storage
+# order (None: one sector; the switch's control qubit is uncharged).  The
+# builders are looked up when called, so that rebinding one of their names
+# here takes effect.
+KINDS = {
+    "identity": (lambda d: build_identity_process(d), range(2, 5), (1, -1, -1, 1)),
+    "switch": (lambda d: Process(d, vector=switch_choi_vector(d)), range(2, 3),
+               (1, -1, 1, -1, -1, 1, 0, 0)),
+    "transpose": (lambda d: build_derived_one_slot("transpose", d), range(2, 5),
+                  (1, -1, 1, -1)),
+    "conjugate_qubit": (lambda d: build_derived_one_slot("conjugate_qubit", d), range(2, 3),
+                        (1, -1, 1, -1)),
+    "cp_family": (lambda d: build_cp_family(1.0), range(2, 3), None),
 }
-KINDS = tuple(_DEFAULT_PROCESS)
 MAX_ITER = 5000  # Dykstra iterations per start
 TOL = 1e-6  # distance to the reference at which a start has converged
 WITNESS_AMPLITUDE = 0.25  # norm of the escape direction the witness polish starts from
 WITNESS_THRESHOLD = 0.1  # distance from the reference a cp_family witness must reach
 WITNESS_MAX_ITER = 400_000  # evaluations the witness polish may take
-# Charge signs of the tensor factors, in storage order, of the kinds that
-# claim uniqueness; the switch's control qubit is uncharged.
-_CHARGE_SIGNS = {
-    "switch": (1, -1, 1, -1, -1, 1, 0, 0),
-    "identity": (1, -1, -1, 1),
-    "transpose": (1, -1, 1, -1),
-    "conjugate_qubit": (1, -1, 1, -1),
-}
 
 
 @dataclass(frozen=True)
@@ -206,18 +203,24 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     holds the probe's storage on the kind's charge sectors and, for the
     switch, the clip's plan for the slot swap with the control flip and
     the qudit reversal, kept only if they fix the reference exactly and map
-    sectors onto sectors (``_symmetry``).  The switch probe supports d = 2
-    only.
+    sectors onto sectors (``_symmetry``).  d must lie in the kind's range
+    in ``KINDS``.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown probe kind {kind!r}; choose from {KINDS}")
-    if kind == "switch" and d != 2:
-        raise ValueError("the switch probe supports d = 2 only")
+    default, dims, _ = _row(kind)
+    if d not in dims:
+        raise ValueError(f"the {kind} probe supports d = {', '.join(map(str, dims))}, not {d}")
     if process is None:
-        process = _DEFAULT_PROCESS[kind](d)
+        process = default(d)
     if process.d != d:
         raise ValueError(f"the process has slot dimension {process.d}, not {d}")
     return ConstraintSystem(kind, process)
+
+
+def _row(kind: str) -> tuple:
+    """The kind's row of ``KINDS``."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown probe kind {kind!r}; choose from {tuple(KINDS)}")
+    return KINDS[kind]
 
 
 def _kept(process: Process) -> np.ndarray:
@@ -234,7 +237,7 @@ def _charge_sectors(kind: str, process: Process, kept: np.ndarray) -> tuple:
     table, in the order of their charge vectors; one sector of every kept
     index for a kind without a sign table or a process whose support leaves
     the sectors."""
-    signs = _CHARGE_SIGNS.get(kind)
+    signs = _row(kind)[2]
     if signs is not None:
         d = process.d
         dims = (d,) * 6 + (2, 2) if process.slots == 2 else (d,) * 4

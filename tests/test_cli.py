@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from switchcert import cli
+from switchcert import cli, probe
 from switchcert.report import CertificateReport, Check
 from switchcert.span import span_dimension_formula
 
@@ -314,6 +314,32 @@ def test_switch_verify_aggregate_skips_the_probe_above_d2(d, capsys):
         f"switch_unitary_action_d{d}", f"span_lemmas_d{d}", f"switch_diagonal_d{d}",
         f"switch_offdiagonal_d{d}", f"switch_uniqueness_d{d}"]
     assert certs[-1]["notes"] == ["probe skipped: the switch probe supports d = 2 only"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_probe_lists_the_kinds_whose_range_holds_dim(d, capsys):
+    # probe runs the identity, switch and cp_family kinds whose row of
+    # probe.KINDS holds --dim: all three at d = 2, the identity alone above
+    code, out = run_cli(["probe", "--dim", str(d), "--probe-starts", "1", "--format", "json",
+                         "--no-timestamp"], capsys)
+    want = [f"probe_{kind}_d{d}" for kind in ("identity", "switch", "cp_family")
+            if d in probe.KINDS[kind][1]]
+    assert len(want) == (3 if d == 2 else 1)
+    assert code == 0 and [c["name"] for c in json.loads(out)["certificates"]] == want
+
+
+def test_widening_the_switch_row_runs_its_probe_in_switch_verify(capsys, monkeypatch):
+    # the switch probe's envelope is one cell of probe.KINDS: widened to
+    # d = 3 there, switch-verify --dim 3 runs and lists the probe, and the
+    # aggregate checks it with no skip note
+    builder, _, signs = probe.KINDS["switch"]
+    monkeypatch.setitem(probe.KINDS, "switch", (builder, range(2, 4), signs))
+    code, out = run_cli(["switch-verify", "--dim", "3", "--probe-starts", "1",
+                         "--format", "json", "--no-timestamp"], capsys)
+    certs = json.loads(out)["certificates"]
+    assert code == 0 and all(c["passed"] for c in certs)
+    assert [c["name"] for c in certs][-2:] == ["probe_switch_d3", "switch_uniqueness_d3"]
+    assert "probe_switch_d3" in certs[-1]["measured"] and certs[-1]["notes"] == []
 
 
 def test_all_makes_and_lists_each_certificate_once(capsys, monkeypatch):

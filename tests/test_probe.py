@@ -223,12 +223,22 @@ def test_constraint_residual_bounds_family_maximum(kind):
 
 
 def test_constraint_system_errors():
-    with pytest.raises(ValueError):
+    # the table states the envelope: each kind builds at both ends of its
+    # range and refuses just outside it, naming the kind, before its builder
+    # runs (conjugate_qubit and cp_family have no d = 3 process to build)
+    assert {kind: (dims.start, dims[-1]) for kind, (_, dims, _) in probe.KINDS.items()} == {
+        "identity": (2, 4), "switch": (2, 2), "transpose": (2, 4),
+        "conjugate_qubit": (2, 2), "cp_family": (2, 2)}
+    with pytest.raises(ValueError, match="unknown probe kind"):
         build_constraint_system("nope", 2)
-    with pytest.raises(ValueError):
-        build_constraint_system("switch", 3)
-    with pytest.raises(ValueError):
-        build_constraint_system("cp_family", 3)
+    with pytest.raises(ValueError, match="unknown probe kind"):
+        ConstraintSystem("nope", build_identity_process(2))
+    for kind, (_, dims, _) in probe.KINDS.items():
+        for d in (dims.start, dims[-1]):
+            assert build_constraint_system(kind, d).process.d == d
+        for d in (dims.start - 1, dims.stop):
+            with pytest.raises(ValueError, match=f"^the {kind} probe supports d = 2"):
+                build_constraint_system(kind, d)
 
 
 def test_complex_override_process_is_refused():
@@ -500,7 +510,7 @@ def test_segment_tables_take_the_partial_traces(kind, d, process, monkeypatch):
     # part's axes of the dense matrix, at the member's other digits.  The
     # transpose process under the identity kind's charges is one sector;
     # the d = 3 switch system is built past the guard
-    process = process or probe._DEFAULT_PROCESS[kind](d)
+    process = process or probe.KINDS[kind][0](d)
     slots, n = process.slots, process.size
     dims = (d,) * 2 * slots + (process.nout,)
     rng = np.random.default_rng(18)
@@ -566,7 +576,7 @@ def test_project_matches_the_full_buffer_oracle(kind, d):
     # the partial traces give the product through a buffer of every output
     # pair, on a real and a complex block vector, and map their image onto
     # itself; the d = 3 switch system is built past the guard
-    sys = ConstraintSystem(kind, probe._DEFAULT_PROCESS[kind](d))
+    sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
     rng = np.random.default_rng(17)
     v = random_block_diagonal_vector(sys, rng)
     for x in (v, v + 1j * random_block_diagonal_vector(sys, rng)):
@@ -587,7 +597,7 @@ def test_a_kept_set_that_drops_a_reached_output_is_refused(monkeypatch):
 
     monkeypatch.setattr(probe, "_kept", dropped)
     for kind in ("identity", "switch", "cp_family"):
-        process = probe._DEFAULT_PROCESS[kind](2)
+        process = probe.KINDS[kind][0](2)
         o = kept(process)[-1] % process.nout
         assert slot_marginal(process, process.op.entries)[o, o] > 0
         with pytest.raises(ValueError, match="kept outputs"):
@@ -924,7 +934,7 @@ def test_real_start_is_the_real_part_of_the_affine_point(kind, d):
     # so a start projects the real part of its point alone, and gets the
     # same bits as the real part of the complex point's projection; the
     # d = 3 switch system is built past the guard
-    sys = ConstraintSystem(kind, probe._DEFAULT_PROCESS[kind](d))
+    sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
     for seed in range(3):
         point = probe._start_point(sys, seed)
         assert np.iscomplexobj(point)
