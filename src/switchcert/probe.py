@@ -22,7 +22,8 @@ difference from the reference, slot by slot, the projector onto span{J_U}
 = C 1 (+) (traceless (x) traceless): three partial traces (``_slot_map``),
 each a sum over segments of the stored entries in row-major order, so that
 every storage of a matrix gives the same bits (``_project``).  The PSD
-projection rebuilds the clipped matrix from its positive eigenpairs only.
+projection clips a stack of matrices in one stacked eigensolve
+(``psd_project``), and the probe's clip makes one such call per block size.
 
 The starts of the kinds that claim uniqueness run in real symmetric
 arithmetic, and lose nothing by it.  With a real reference and a real
@@ -96,7 +97,8 @@ block splits into one isotypic block per character, and a sector that
 <S, R> maps onto an earlier one holds a copy of that one's block.  So
 the clip (``_clip``) is ``psd_project`` of each isotypic block, rotated
 back, with the copies filled in: 10 blocks of at most 15 at d = 2 and
-46 of at most 60 at d = 3.  The start is twirled over <S, R>, and the
+46 of at most 60 at d = 3, clipped in one stacked solve per block size
+(4 stacks at d = 2).  The start is twirled over <S, R>, and the
 affine map, Dykstra's correction and the secant step keep G-invariance,
 as the reference is invariant and the projector commutes with P; the
 rounding off the invariant matrices is what the clip drops.  The final
@@ -329,14 +331,18 @@ class _Symmetry:
     None for a trivial one, and the cuts of the isotypic blocks in it
     (``clips``); the block-vector positions of the other sectors' entries
     (``mirror``) and of the representative entries they equal (``source``);
-    and the dimension of the G-invariant block matrices, the sum of the
-    squared isotypic block sizes (``dimension``)."""
+    the dimension of the G-invariant block matrices, the sum of the
+    squared isotypic block sizes (``dimension``); and per isotypic block
+    size, ascending, the block-vector positions of every isotypic block of
+    that size, rotated into its adapted basis, as one (count, k, k) index
+    (``stacks``), so that the clip runs one stacked solve per size."""
 
     twirls: tuple
     clips: tuple
     mirror: np.ndarray
     source: np.ndarray
     dimension: int
+    stacks: tuple
 
 
 def _symmetry(sys: ConstraintSystem, sectors: tuple) -> _Symmetry:
@@ -384,12 +390,19 @@ def _symmetry(sys: ConstraintSystem, sectors: tuple) -> _Symmetry:
         basis, cuts = _isotypic_basis(stabiliser, len(group), len(s))
         clips.append((q, basis, cuts))
         dimension += sum((b - a) ** 2 for a, b in zip(cuts, cuts[1:]))
+    by_size = {}
+    for q, _, cuts in clips:
+        for a, b in zip(cuts, cuts[1:]):
+            i = np.arange(a, b)
+            by_size.setdefault(b - a, []).append(starts[q] + i[:, None] * len(sectors[q]) + i)
+    stacks = tuple(np.stack(by_size[k]) for k in sorted(by_size))
     empty = np.zeros(0, dtype=np.intp)
     arrays = [np.concatenate(mirror or [empty]), np.concatenate(source or [empty])]
-    arrays += [a for _, a in kept] + [b for _, b, _ in clips if b is not None]
+    arrays += [a for _, a in kept] + [b for _, b, _ in clips if b is not None] + list(stacks)
     for a in arrays:
         a.flags.writeable = False
-    return _Symmetry(tuple(t for _, t in kept), tuple(clips), arrays[0], arrays[1], dimension)
+    return _Symmetry(tuple(t for _, t in kept), tuple(clips), arrays[0], arrays[1], dimension,
+                     stacks)
 
 
 def _isotypic_basis(stabiliser: list, characters: int, k: int) -> tuple:
@@ -442,15 +455,15 @@ def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
 
 
 def psd_project(x: np.ndarray) -> np.ndarray:
-    """Projection onto the PSD cone by eigenvalue clipping.
+    """Projection onto the PSD cone by eigenvalue clipping, of each matrix
+    of a stack (..., k, k), a 2-D matrix being a stack of one.
 
-    The clip V diag(max(w, 0)) V^H is rebuilt from the eigenpairs with
-    w > 0 alone: the rest contribute exact zeros.
+    One stacked eigensolve of the Hermitian parts, V diag(w) V^H, and each
+    matrix rebuilt as V diag(max(w, 0)) V^H; a matrix's clip has the same
+    bits in a stack as alone.
     """
-    w, v = np.linalg.eigh((x + x.conj().T) / 2)
-    cut = int(np.searchsorted(w, 0.0, side="right"))  # w[:cut] <= 0 < w[cut:]
-    pos = v[:, cut:]
-    return (pos * w[cut:]) @ pos.conj().T
+    w, v = np.linalg.eigh((x + np.swapaxes(x.conj(), -1, -2)) / 2)
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def _clip(sys: ConstraintSystem, v: np.ndarray) -> np.ndarray:
@@ -459,19 +472,23 @@ def _clip(sys: ConstraintSystem, v: np.ndarray) -> np.ndarray:
     block of each representative sector, rotated back, and each other
     sector copied from its representative.  A G-invariant matrix is block
     diagonal in the adapted basis, so its clip is the blocks' clips; with
-    no involutions kept, every sector block is clipped as it is."""
-    plan = sys.symmetry
-    y = np.empty_like(v)
-    blocks, outs = _blocks(sys.layout, v), _blocks(sys.layout, y)
-    for q, basis, cuts in plan.clips:
-        if basis is None:
-            outs[q][...] = psd_project(blocks[q])
-            continue
-        z = basis.T @ blocks[q] @ basis
-        clipped = np.zeros_like(z)
-        for a, b in zip(cuts, cuts[1:]):
-            clipped[a:b, a:b] = psd_project(z[a:b, a:b])
-        np.matmul(basis @ clipped, basis.T, out=outs[q])
+    no involutions kept, every sector block is clipped as it is.  The
+    representative sectors are rotated into their adapted bases, the
+    isotypic blocks of each size gathered into one stack
+    (``_Symmetry.stacks``), clipped by one ``psd_project`` call and
+    scattered back, 0 off the blocks, and rotated back."""
+    plan, o = sys.symmetry, sys.layout.offsets
+    z, y = v.copy(), np.zeros_like(v)
+    for q, basis, _ in plan.clips:
+        if basis is not None:
+            block = z[o[q]:o[q + 1]].reshape(len(basis), -1)
+            block[...] = basis.T @ block @ basis
+    for index in plan.stacks:
+        y[index] = psd_project(z[index])
+    for q, basis, _ in plan.clips:
+        if basis is not None:
+            block = y[o[q]:o[q + 1]].reshape(len(basis), -1)
+            block[...] = basis @ block @ basis.T
     y[plan.mirror] = y[plan.source]
     return y
 

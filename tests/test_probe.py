@@ -14,7 +14,7 @@ import pytest
 
 from switchcert import probe
 from switchcert.channels import haar_random_unitary, unitary_choi
-from switchcert.linalg import Operator, frobenius
+from switchcert.linalg import Operator, frobenius, min_eigenvalue
 from switchcert.probe import (
     ConstraintSystem,
     _project,
@@ -27,8 +27,8 @@ from switchcert.span import span_dimension_formula, span_projector, vec_kron
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector
 from switchcert.uniqueness import build_cp_family, build_derived_one_slot, build_identity_process
 
-from oracles import (constraint_residual, dykstra_start, entries_of, full_buffer_project,
-                     group_of, group_twirl, invariant_dimension, link,
+from oracles import (_block_sector_clip, constraint_residual, dykstra_start, entries_of,
+                     full_buffer_project, group_of, group_twirl, invariant_dimension, link,
                      random_hermitian_direction, sectors_of, slot_pair_product, switch_involutions)
 
 
@@ -164,23 +164,49 @@ def test_switch_projection_d4_without_a_dense_projector():
         assert frobenius(project(lone), lone) > 0.1
 
 
-def spectrum_matrix(eigenvalues, rng):
-    q, _ = np.linalg.qr(random_hermitian_direction(len(eigenvalues), rng))
+def spectrum_matrix(eigenvalues, rng, real=False):
+    g = random_hermitian_direction(len(eigenvalues), rng)
+    q, _ = np.linalg.qr(g.real if real else g)
     return (q * np.asarray(eigenvalues, dtype=float)) @ q.conj().T
 
 
-@pytest.mark.parametrize("positive", [0, 3, 4, 5, 8])
-def test_psd_project_positive_rebuild_matches_full_clip(positive):
-    # n = 8, with none, fewer than half, half, more than half and all of the
-    # eigenvalues positive
-    rng = np.random.default_rng(positive)
-    eigenvalues = np.concatenate([-rng.uniform(0.1, 2.0, 8 - positive),
+def random_spectrum(n, positive, rng):
+    """n eigenvalues in random order, ``positive`` of them positive."""
+    eigenvalues = np.concatenate([-rng.uniform(0.1, 2.0, n - positive),
                                   rng.uniform(0.1, 2.0, positive)])
-    h = spectrum_matrix(rng.permutation(eigenvalues), rng)
+    return rng.permutation(eigenvalues)
+
+
+def assert_full_clip(h, clipped, positive):
+    """clipped is V diag(max(w, 0)) V^H of h, which has ``positive``
+    positive eigenvalues."""
     w, v = np.linalg.eigh(h)
     assert np.count_nonzero(w > 0) == positive
     full = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    assert frobenius(psd_project(h), full) <= 1e-14 * max(1.0, np.linalg.norm(h))
+    assert frobenius(clipped, full) <= 1e-14 * max(1.0, np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("positive", [0, 3, 4, 5, 8, "stack"])
+def test_psd_project_positive_rebuild_matches_full_clip(positive):
+    # n = 8, with none, fewer than half, half, more than half and all of the
+    # eigenvalues positive; and real and complex stacks of such 8 x 8
+    # matrices and of 1 x 1 ones, an all-negative one in each: every matrix
+    # of a stack is clipped bit for bit as it is alone
+    if positive != "stack":
+        rng = np.random.default_rng(positive)
+        h = spectrum_matrix(random_spectrum(8, positive, rng), rng)
+        assert_full_clip(h, psd_project(h), positive)
+        return
+    rng = np.random.default_rng(9)
+    for real in (True, False):
+        for n, counts in ((8, (0, 3, 4, 5, 8)), (1, (1, 0, 1))):
+            stack = np.stack([spectrum_matrix(random_spectrum(n, p, rng), rng, real)
+                              for p in counts])
+            clipped = psd_project(stack)
+            assert clipped.shape == stack.shape and clipped.dtype == stack.dtype
+            for h, c, p in zip(stack, clipped, counts):
+                assert np.array_equal(c, psd_project(h))
+                assert_full_clip(h, c, p)
 
 
 def haar_slot_basis(d, seed=0):
@@ -664,6 +690,32 @@ def test_sector_clip_matches_dense_clip(kind):
     clipped = dense(sys, probe._clip(sys, blocks(sys, x)))
     assert frobenius(clipped, psd_project(x)) <= 1e-12
     assert np.linalg.eigvalsh(x)[0] < -0.01  # the clip had work to do
+
+
+# (kind, d, distinct isotypic block sizes): the switch at d = 3 is built
+# past its row
+CLIP_STACKS = [("identity", 2, 3), ("switch", 2, 4), ("transpose", 2, 3),
+               ("conjugate_qubit", 2, 3), ("cp_family", 2, 1), ("identity", 3, 4),
+               ("transpose", 3, 4), ("identity", 4, 5), ("transpose", 4, 5), ("switch", 3, 8)]
+
+
+@pytest.mark.parametrize("kind,d,sizes", CLIP_STACKS)
+def test_clip_is_one_stacked_solve_per_block_size(kind, d, sizes, monkeypatch):
+    # one psd_project call per distinct isotypic block size, on the stack of
+    # every block of that size, gives the oracle's block-by-block clip of a
+    # G-invariant start point bit for bit
+    sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
+    v = probe._affine(sys.layout, probe._start_point(sys, 17).real)
+    assert min(map(min_eigenvalue, probe._blocks(sys.layout, v))) < -1e-3  # work to do
+    blocks = sorted(b - a for _, _, cuts in sys.symmetry.clips for a, b in zip(cuts, cuts[1:]))
+    shapes = []
+    clip = probe.psd_project
+    monkeypatch.setattr(probe, "psd_project", lambda x: shapes.append(x.shape) or clip(x))
+    y = probe._clip(sys, v)
+    monkeypatch.undo()
+    assert [k for _, k, _ in shapes] == sorted(set(blocks)) and len(shapes) == sizes
+    assert sorted(k for count, k, _ in shapes for _ in range(count)) == blocks
+    assert np.array_equal(y, _block_sector_clip(sys, v))
 
 
 def test_reference_off_its_sectors_gets_one_dense_sector():
