@@ -1,7 +1,7 @@
 """Dense complex matrices and the spectral checks the certificates use.
 
-``Operator`` is the validated dense storage of a process matrix: square,
-finite and read-only.  Basis ordering is row-major over the factors, the
+``Operator`` is the validated dense matrix that ``Process.op`` builds:
+square, finite and read-only.  Basis ordering is row-major over the factors, the
 first factor being the most significant index, matching ``numpy.kron``.
 Besides the Frobenius distance, of one matrix or of each of a stack, and
 the real inner product, the module holds the two spectral checks the

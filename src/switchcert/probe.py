@@ -132,7 +132,7 @@ from .uniqueness import (
 # here takes effect.
 KINDS = {
     "identity": (lambda d: build_identity_process(d), range(2, 5), (1, -1, -1, 1)),
-    "switch": (lambda d: Process(d, vector=switch_choi_vector(d)), range(2, 3),
+    "switch": (lambda d: Process(d, switch_choi_vector(d)), range(2, 3),
                (1, -1, 1, -1, -1, 1, 0, 0)),
     "transpose": (lambda d: build_derived_one_slot("transpose", d), range(2, 5),
                   (1, -1, 1, -1)),
@@ -460,9 +460,12 @@ def psd_project(x: np.ndarray) -> np.ndarray:
 
     One stacked eigensolve of the Hermitian parts, V diag(w) V^H, and each
     matrix rebuilt as V diag(max(w, 0)) V^H; a matrix's clip has the same
-    bits in a stack as alone.
+    bits in a stack as alone; a 1 x 1 stack is max(Re x, 0), the same bits.
     """
-    w, v = np.linalg.eigh((x + np.swapaxes(x.conj(), -1, -2)) / 2)
+    h = (x + np.swapaxes(x.conj(), -1, -2)) / 2
+    if h.shape[-1] == 1:
+        return np.maximum(h.real, 0.0).astype(h.dtype)
+    w, v = np.linalg.eigh(h)
     return (v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 

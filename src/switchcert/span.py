@@ -30,6 +30,7 @@ from .linalg import RANK_TOL, frobenius, frobenius_each
 from .report import Timer, check_exact_int, check_leq, check_true, make_report, nan_max
 
 SQ2 = sqrt(2.0)
+SAMPLE_BLOCK_ENTRIES = 2 ** 18  # sample-matrix entries filled at once (2 MiB)
 
 
 def _ketbras(d: int, *terms) -> np.ndarray:
@@ -410,22 +411,25 @@ def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:
     Gram matrix Tr(J_s J_t) as the complex vec(J_U), hence the same singular
     values, from a real SVD in place of a complex one.  They count when
     s > sqrt(RANK_TOL) s_max, the rule w > RANK_TOL w_max on the Gram
-    eigenvalues w = s^2, without squaring the condition number."""
+    eigenvalues w = s^2, without squaring the condition number.  Rows are drawn
+    and filled SAMPLE_BLOCK_ENTRIES entries at a time, the bits of one draw."""
     if d == 1:
         return 1
     if samples <= span_dimension_formula(d):
         raise ValueError(f"need more than {span_dimension_formula(d)} samples "
                          f"to resolve the span at d = {d}, got {samples}")
-    phi = np.swapaxes(haar_random_unitaries(d, samples, seed), 1, 2).reshape(samples, -1)
-    n = d * d
+    n, rng = d * d, np.random.default_rng(seed)
     vecs = np.empty((samples, n * n))
-    vecs[:, :n] = np.abs(phi) ** 2
-    col = n
-    for i in range(n - 1):  # the entries right of the diagonal in row i
-        h = SQ2 * phi[:, i, None] * phi[:, i + 1:].conj()
-        k = h.shape[1]
-        vecs[:, col:col + k], vecs[:, col + k:col + 2 * k] = h.real, h.imag
-        col += 2 * k
+    step = max(1, SAMPLE_BLOCK_ENTRIES // (n * n))
+    for rows in (vecs[k:k + step] for k in range(0, samples, step)):
+        phi = np.swapaxes(haar_random_unitaries(d, len(rows), rng), 1, 2).reshape(len(rows), -1)
+        rows[:, :n] = np.abs(phi) ** 2
+        col = n
+        for i in range(n - 1):  # the entries right of the diagonal in row i
+            h = SQ2 * phi[:, i, None] * phi[:, i + 1:].conj()
+            k = h.shape[1]
+            rows[:, col:col + k], rows[:, col + k:col + 2 * k] = h.real, h.imag
+            col += 2 * k
     s = np.linalg.svd(vecs, compute_uv=False)
     return int(np.count_nonzero(s > np.sqrt(RANK_TOL) * s.max()))
 

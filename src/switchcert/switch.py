@@ -28,41 +28,47 @@ ACTION_BLOCK_ENTRIES = 2 ** 16  # output entries max_action_distance holds at on
 class Process:
     """Process matrix of a one- or two-slot supermap in canonical storage order.
 
-    A pure process W = |w><w| is stored as its vector ``vector``; any other
-    process as the dense Operator ``dense``.  Exactly one of the two is set.
-    The number of slots is read off the size: d^4 for one slot on
-    I (x) O (x) P (x) F, 4 d^6 for two slots in CANONICAL_ORDER.
+    W = sum_k s_k |v_k><v_k|, stored as the (r, n) stack ``vectors`` (a 1-D
+    vector is a stack of one) and the real ``weights`` s_k (default 1), is
+    read in one pass over the stack (``_sum``).  The slot count is read off
+    n: d^4 for one slot on I (x) O (x) P (x) F, 4 d^6 for two in CANONICAL_ORDER.
     """
 
     d: int
-    dense: Operator | None = None
-    vector: np.ndarray | None = None
+    vectors: np.ndarray
+    weights: np.ndarray | None = None
     slots: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if (self.dense is None) == (self.vector is None):
-            raise ValueError("a process is given by exactly one of dense or vector")
-        if self.vector is None:
-            n = self.dense.entries.shape[0]
-        else:
-            w = np.array(self.vector, dtype=complex, copy=True)
-            if not np.all(np.isfinite(w)):
-                raise ValueError("process vector entries must be finite")
-            w.flags.writeable = False
-            object.__setattr__(self, "vector", w)
-            n = w.size if w.ndim == 1 else None
-        slots = {self.d ** 4: 1, 4 * self.d ** 6: 2}.get(n)
+        v = np.array(self.vectors, dtype=complex, copy=True, ndmin=2)
+        s = np.ones(len(v)) if self.weights is None else np.array(self.weights, dtype=float)
+        if v.ndim != 2 or s.shape != (len(v),) or not len(v) \
+                or not (np.all(np.isfinite(v)) and np.all(np.isfinite(s))):
+            raise ValueError("a process is a stack of finite vectors with a finite weight each")
+        slots = {self.d ** 4: 1, 4 * self.d ** 6: 2}.get(v.shape[1])
         if slots is None:
             raise ValueError("process does not match the one- or two-slot "
                              f"size for d = {self.d}")
+        v.flags.writeable = s.flags.writeable = False
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "weights", s)
         object.__setattr__(self, "slots", slots)
+
+    def _sum(self, term) -> np.ndarray:
+        """sum_k s_k term(v_k); s_k scales the real and imaginary parts as
+        reals, so a weight of 1 keeps a term's bits, signed zeros included."""
+        total = None
+        for s, v in zip(self.weights, self.vectors):
+            t = np.asarray(term(v))
+            t.real *= s
+            t.imag *= s
+            total = t if total is None else np.add(total, t, out=total)
+        return total
 
     @property
     def op(self) -> Operator:
-        """The dense process matrix, built from the vector on each call if pure."""
-        if self.dense is not None:
-            return self.dense
-        return Operator(np.outer(self.vector, self.vector.conj()))
+        """The dense process matrix, built from the stack on each call."""
+        return Operator(self._sum(lambda v: np.outer(v, v.conj())))
 
     @property
     def nin(self) -> int:
@@ -72,7 +78,7 @@ class Process:
     @property
     def size(self) -> int:
         """Side of the process matrix."""
-        return self.vector.size if self.vector is not None else self.dense.entries.shape[0]
+        return self.vectors.shape[1]
 
     @property
     def nout(self) -> int:
@@ -80,28 +86,19 @@ class Process:
         return self.size // self.nin
 
     def nonzeros(self) -> tuple:
-        """Row indices, column indices and values of the entries of W that may
-        be nonzero: for a pure process the products of the nonzero entries of
-        its vector, for a dense one the entries of modulus above 1e-14."""
-        if self.vector is not None:
-            idx = np.flatnonzero(self.vector)
-            rows, cols = np.repeat(idx, idx.size), np.tile(idx, idx.size)
-            return rows, cols, self.entry(rows, cols)
-        rows, cols = np.nonzero(np.abs(self.dense.entries) > 1e-14)
-        return rows, cols, self.dense.entries[rows, cols]
+        """Rows, columns and values of W on the pairs of indices where some vector is not 0."""
+        idx = np.flatnonzero(np.any(self.vectors, axis=0))
+        rows, cols = np.repeat(idx, idx.size), np.tile(idx, idx.size)
+        return rows, cols, self.entry(rows, cols)
 
     def support(self) -> tuple:
         """Row and column indices of the entries of W that are not exactly 0."""
-        if self.vector is None:
-            return np.nonzero(self.dense.entries)
         rows, cols, values = self.nonzeros()
         return rows[values != 0], cols[values != 0]
 
     def entry(self, row, col):
         """W[row, col]; ``row`` and ``col`` may be index arrays, which broadcast."""
-        if self.vector is not None:
-            return self.vector[row] * np.conj(self.vector[col])
-        return self.dense.entries[row, col]
+        return self._sum(lambda v: v[row] * np.conj(v[col]))
 
 
 def switch_choi_vector(d: int) -> np.ndarray:
@@ -120,9 +117,8 @@ def switch_choi_vector(d: int) -> np.ndarray:
 
 
 def build_switch_choi(d: int) -> Process:
-    """Dense process matrix W0 = |W0><W0| of the quantum switch."""
-    w = switch_choi_vector(d)
-    return Process(d, Operator(np.outer(w, w.conj())))
+    """The quantum switch W0 = |w><w|, the stack of one vector; ``op`` is dense."""
+    return Process(d, switch_choi_vector(d))
 
 
 def controlled_order_unitary(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -150,9 +146,9 @@ def unitary_actions(proc: Process, ks) -> np.ndarray:
     unitary, so a channel's output is the sum of the rows over its Kraus
     operators (over all Kraus pairs for two slots).  The Choi matrix of
     X -> K X K^dag is |k><k| with k = vec K^T (k1 (x) k2 for a pair), so the
-    link Tr_in[W (|k><k|^t (x) 1_out)] of a pure W is |v><v| with
-    v = Wm^T k, and all rows come from one product x @ Wm; a dense W is
-    contracted as x @ W.reshape(nin, -1) and then with conj(x).  Two-slot
+    link Tr_in[W (|k><k|^t (x) 1_out)] of W = sum_j s_j |w_j><w_j| is
+    sum_j s_j |v_j><v_j| with v_j = Wm_j^T k, and all rows of one term come
+    from one product x @ Wm_j, Wm_j = w_j.reshape(nin, nout).  Two-slot
     outputs are ordered P (x) F with P = (PC, PT).
     """
     d, n = proc.d, len(ks)
@@ -162,12 +158,11 @@ def unitary_actions(proc: Process, ks) -> np.ndarray:
     phi = np.swapaxes(ks, -1, -2).reshape(n, proc.slots, d * d)
     x = phi[:, 0] if proc.slots == 1 else \
         (phi[:, 0, :, None] * phi[:, 1, None, :]).reshape(n, -1)
-    if proc.vector is not None:
-        v = x @ proc.vector.reshape(proc.nin, -1)
-        out = v[:, :, None] * v[:, None, :].conj()
-    else:
-        y = x @ proc.dense.entries.reshape(proc.nin, -1)
-        out = np.einsum("nobp,nb->nop", y.reshape(n, proc.nout, proc.nin, proc.nout), x.conj())
+
+    def rank1(w):
+        v = x @ w.reshape(proc.nin, -1)
+        return v[:, :, None] * v[:, None, :].conj()
+    out = proc._sum(rank1)
     return out if proc.slots == 1 else _channel_order(out, d)
 
 
@@ -190,7 +185,7 @@ def verify_unitary_action(d: int, seed, process: Process | None = None,
     """
     timer = Timer()
     trials = 200 if d == 2 else 100
-    proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
+    proc = process if process is not None else Process(d, switch_choi_vector(d))
     us = haar_random_unitaries(d, 2 * trials, seed).reshape(trials, 2, d, d)
     worst = max_action_distance(
         proc, us, lambda blk: unitary_choi(controlled_order_unitary(blk[:, 0], blk[:, 1])))

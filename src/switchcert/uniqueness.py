@@ -6,6 +6,9 @@ values, exact combinatorial sums of the grouped ket-bra actions, and the
 behaviour of the derived one-slot processes.  Certificates are deterministic
 given (dimension, seed, tolerances), draw fixed numbers of Haar samples, and
 accept an optional process override so corrupted processes demonstrably fail.
+An override is a ``Process``, a weighted stack of vectors (a Hermitian
+matrix is its eigenvectors weighted by its eigenvalues), read through
+``Process.entry``, ``Process.nonzeros`` or ``unitary_actions``, never dense.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .channels import (
     unitary_choi,
 )
 from .linalg import (
-    Operator,
     frobenius,
     frobenius_each,
     min_eigenvalue,
@@ -61,7 +63,7 @@ def build_identity_process(d: int) -> Process:
     """The rank-1 process C0 = sum |ij><kl| (x) |ij><kl| acting as Lambda -> Lambda."""
     if d < 2:
         raise ValueError("identity process needs d >= 2")
-    return Process(d, vector=np.eye(d * d).reshape(-1))
+    return Process(d, np.eye(d * d).reshape(-1))
 
 
 def build_derived_one_slot(kind: str, d: int, a: np.ndarray | None = None,
@@ -95,7 +97,7 @@ def build_derived_one_slot(kind: str, d: int, a: np.ndarray | None = None,
         return build_derived_one_slot("sandwich", 2, PAULI["y"], PAULI["y"])
     else:
         raise ValueError(f"unknown derived process kind {kind!r}")
-    return Process(d, vector=vec.reshape(-1))
+    return Process(d, vec.reshape(-1))
 
 
 def build_cp_family(p: float) -> Process:
@@ -103,17 +105,13 @@ def build_cp_family(p: float) -> Process:
 
     M_p has 1 on the corners and p elsewhere; phi+ is the maximally entangled
     state (trace 1).  C_p is PSD for all p in [0, 1] and sends every J_U to a
-    multiple of J_I; C_1 is rank 1, yet C_p != C_1 for p < 1.
+    multiple of J_I; C_1 is rank 1, yet C_p != C_1 for p < 1.  C_p is the stack
+    a (x) phi+, b (x) phi+ weighted (1 + p)/2, (1 - p)/2 (a, b = (1, +-1, +-1, 1)).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    m = np.array([[1, p, p, 1],
-                  [p, 1, 1, p],
-                  [p, 1, 1, p],
-                  [1, p, p, 1]], dtype=complex)
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
-    return Process(2, Operator(np.kron(m, np.outer(phi, phi.conj()))))
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    return Process(2, np.kron([[1, 1, 1, 1], [1, -1, -1, 1]], phi), ((1 + p) / 2, (1 - p) / 2))
 
 
 def cp_factor_matrix(p: float) -> np.ndarray:
@@ -243,7 +241,7 @@ def diagonal_certificate(d: int, process: Process | None = None) -> CertificateR
     dims = (d, d, d, d, d, d, 2, 2)
     if process is not None and process.d != d:
         raise ValueError("process dimension mismatch")
-    proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
+    proc = process if process is not None else Process(d, switch_choi_vector(d))
     nout, flat = proc.nout, np.ravel_multi_index
     diag = proc.entry(np.arange(proc.size), np.arange(proc.size)).real
 
@@ -381,7 +379,7 @@ def offdiagonal_certificate(d: int, process: Process | None = None) -> Certifica
     if process is not None and process.d != d:
         raise ValueError("process dimension mismatch")
     timer = Timer()
-    proc = process if process is not None else Process(d, vector=switch_choi_vector(d))
+    proc = process if process is not None else Process(d, switch_choi_vector(d))
     sums, nonint = _grouped_sums(proc)
     forms = grouped_sum_formulas(d)
     checks = [check_leq("entries_integer_dev", nonint, 1e-12)]

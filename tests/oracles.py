@@ -2,9 +2,12 @@
 
 None of this is used by the certificates.  ``link``, ``apply_one_slot``
 and ``apply_two_slot`` contract W with a dense d^2 x d^2 input operator per
-slot, or with a stack of them in one contraction; they are the reference
-that ``switch.unitary_actions``, the package's only contraction of W, is
-checked against, one Kraus operator (or Kraus pair) at a time.  The dense
+slot, or with a stack of them in one contraction, vector by vector or as
+the dense matrix; they are the reference that ``switch.unitary_actions``,
+the package's only contraction of W, is checked against, one Kraus
+operator (or Kraus pair) at a time.  ``eigen_stack`` gives a Hermitian
+matrix as a process, its eigenvectors weighted by its eigenvalues, and
+``with_entries`` a process with edited entry pairs, exactly.  The dense
 label route (tensor with identities,
 partial-transpose, multiply, partial-trace, permute by subsystem label) is
 the textbook link product that ``link`` is checked against in turn; it
@@ -218,9 +221,39 @@ def link(w: np.ndarray, x: np.ndarray) -> np.ndarray:
                      optimize=x.ndim > 2)
 
 
-def _process_data(proc: Process) -> np.ndarray:
-    """What ``link`` contracts: the vector if pure, else the dense entries."""
-    return proc.vector if proc.vector is not None else proc.dense.entries
+def _link_process(proc: Process, x: np.ndarray, dense: bool) -> np.ndarray:
+    """``link`` of each vector of the stack, weighted and summed, or with
+    ``dense`` of the dense matrix ``proc.op``."""
+    if dense:
+        return link(proc.op.entries, x)
+    return sum(s * link(v, x) for s, v in zip(proc.weights, proc.vectors))
+
+
+def eigen_stack(d: int, matrix: np.ndarray) -> Process:
+    """The process of a Hermitian matrix: its eigenvectors, weighted by its
+    eigenvalues."""
+    w, v = np.linalg.eigh(matrix)
+    return Process(d, v.T, w)
+
+
+def with_entries(proc: Process, edits) -> Process:
+    """``proc`` with W[r, c] = value and W[c, r] = conj(value) for each
+    (r, c, value) of ``edits``, r != c, a pair listed twice counting once.
+    The change e = value - W[r, c] is added as (x x^H - y y^H) / 2 with
+    x, y = e_r +- conj(e) e_c: W[r, c] reads (W[r, c] + e/2) + e/2, W[r, r]
+    and W[c, c] gain a term and lose it again, and every entry off rows and
+    columns r and c is as it was.  So the edits the tests make, to 0, 0.5,
+    1 or 1e-300 (times 1 or i) from 0 or 1, are exact, and the diagonal
+    keeps its exact values."""
+    vectors, weights = [proc.vectors], [proc.weights]
+    for (r, c), value in {(min(r, c), max(r, c)): v if r < c else np.conj(v)
+                          for r, c, v in edits}.items():
+        e = value - proc.entry(r, c)
+        pair = np.zeros((2, proc.size), dtype=complex)
+        pair[:, r], pair[:, c] = 1.0, (np.conj(e), -np.conj(e))
+        vectors.append(pair)
+        weights.append((0.5, -0.5))
+    return Process(proc.d, np.concatenate(vectors), np.concatenate(weights))
 
 
 def _slot_matrix(x, d: int, slot: int) -> np.ndarray:
@@ -230,7 +263,7 @@ def _slot_matrix(x, d: int, slot: int) -> np.ndarray:
     return m
 
 
-def apply_two_slot(proc: Process, a, b) -> np.ndarray:
+def apply_two_slot(proc: Process, a, b, dense: bool = False) -> np.ndarray:
     """Choi matrix of the output channel, Tr_in[W (I (x) A (x) B (x) I)^t].
 
     Only the slot systems are transposed; the identity factors on the global
@@ -238,6 +271,7 @@ def apply_two_slot(proc: Process, a, b) -> np.ndarray:
     ``a`` and ``b`` are d^2 x d^2 matrices: Choi matrices of slot channels or
     arbitrary operators (linearity in each slot holds for any operator), or
     stacks of them along a leading axis, which give the stack of outputs.
+    W is contracted vector by vector, or as its dense matrix with ``dense``.
     """
     d = proc.d
     if proc.slots != 2:
@@ -245,14 +279,15 @@ def apply_two_slot(proc: Process, a, b) -> np.ndarray:
     amat = _slot_matrix(a, d, 1)[..., :, None, :, None]
     bmat = _slot_matrix(b, d, 2)[..., None, :, None, :]
     x = (amat * bmat).reshape(*np.broadcast_shapes(amat.shape, bmat.shape)[:-4], d ** 4, d ** 4)
-    return _channel_order(link(_process_data(proc), x), d)
+    return _channel_order(_link_process(proc, x, dense), d)
 
 
-def apply_one_slot(proc: Process, j) -> np.ndarray:
-    """Output Choi matrix Tr_IO[C (J^t (x) I_PF)] on the past/future pair."""
+def apply_one_slot(proc: Process, j, dense: bool = False) -> np.ndarray:
+    """Output Choi matrix Tr_IO[C (J^t (x) I_PF)] on the past/future pair,
+    contracted as ``apply_two_slot`` contracts it."""
     if proc.slots != 1:
         raise ValueError("apply_one_slot needs a one-slot process")
-    return link(_process_data(proc), _slot_matrix(j, proc.d, 1))
+    return _link_process(proc, _slot_matrix(j, proc.d, 1), dense)
 
 
 # --- Kraus route -----------------------------------------------------------------

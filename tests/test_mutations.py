@@ -76,7 +76,7 @@ def unconjugated_actions(proc, us):
     x = phi[:, 0]
     if proc.slots == 2:
         x = (x[:, :, None] * phi[:, 1, None, :]).reshape(n, -1)
-    v = x @ proc.vector.reshape(proc.nin, -1)
+    v = x @ proc.vectors[0].reshape(proc.nin, -1)
     out = v[:, :, None] * v[:, None, :]
     return out if proc.slots == 1 else switch._channel_order(out, d)
 
@@ -103,7 +103,7 @@ def test_unitary_actions_without_conjugation_fails_haar_checks(monkeypatch):
 
 def test_overflowing_switch_vector_fails_unitary_action():
     # finite entries whose products overflow to inf, and inf - inf to NaN
-    huge = Process(2, vector=switch_choi_vector(2) * 1e200)
+    huge = Process(2, switch_choi_vector(2) * 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         rep = verify_unitary_action(2, seed=0, process=huge)
     assert not rep.passed
@@ -129,7 +129,7 @@ def test_dropped_row_entry_fails_offdiagonal_sums(monkeypatch):
 
     def dropped(self):  # every entry at the first nonzero of w, the first entry
         rows, cols, vals = nonzeros(self)  # of the first non-empty row of Wm, is lost
-        first = np.flatnonzero(self.vector)[0]
+        first = np.flatnonzero(self.vectors[0])[0]
         keep = (rows != first) & (cols != first)
         return rows[keep], cols[keep], vals[keep]
 

@@ -14,7 +14,7 @@ import pytest
 
 from switchcert import probe
 from switchcert.channels import haar_random_unitary, unitary_choi
-from switchcert.linalg import Operator, frobenius, min_eigenvalue
+from switchcert.linalg import frobenius, min_eigenvalue
 from switchcert.probe import (
     ConstraintSystem,
     _project,
@@ -29,7 +29,8 @@ from switchcert.uniqueness import build_cp_family, build_derived_one_slot, build
 
 from oracles import (_block_sector_clip, constraint_residual, dykstra_start, entries_of,
                      full_buffer_project, group_of, group_twirl, invariant_dimension, link,
-                     random_hermitian_direction, sectors_of, slot_pair_product, switch_involutions)
+                     random_hermitian_direction, sectors_of, slot_pair_product, switch_involutions,
+                     with_entries)
 
 
 def test_constraint_system_shapes():
@@ -272,10 +273,16 @@ def test_complex_override_process_is_refused():
     # unitary is a process with complex entries, which the probe, working in
     # real arithmetic, must refuse instead of projecting to its real part
     phases = np.exp(0.3j * np.arange(16))
-    rotated = Process(2, vector=phases * build_identity_process(2).vector)
+    rotated = Process(2, phases * build_identity_process(2).vectors[0])
     assert np.abs(rotated.op.entries.imag).max() > 0.1
     with pytest.raises(ValueError, match="real"):
         build_constraint_system("identity", 2, rotated)
+
+
+def plus_identity(proc):
+    """``proc`` plus the identity matrix, as its stack with the basis vectors."""
+    return Process(proc.d, np.concatenate([proc.vectors, np.eye(proc.size)]),
+                   np.concatenate([proc.weights, np.ones(proc.size)]))
 
 
 def hermitian_part(m):
@@ -288,7 +295,7 @@ def test_real_part_of_a_complex_feasible_point_is_feasible():
     # made positive definite, the identity process plus white noise, so a
     # small enough step stays PSD.
     w = build_identity_process(2).op.entries.real + np.eye(16)
-    sys = build_constraint_system("identity", 2, Process(2, dense=Operator(w)))
+    sys = build_constraint_system("identity", 2, plus_identity(build_identity_process(2)))
     g = random_hermitian_direction(16, np.random.default_rng(11))
     h = hermitian_part(g - slot_map(2, 1, g))
     assert np.linalg.norm(slot_map(2, 1, h)) <= 1e-14
@@ -336,7 +343,7 @@ def test_twirl_of_a_feasible_point_is_feasible():
     # constraint map, both on and off the sectors, and W twirl-invariant
     # and positive definite.
     w = build_identity_process(2).op.entries.real + np.eye(16)
-    sys = build_constraint_system("identity", 2, Process(2, dense=Operator(w)))
+    sys = build_constraint_system("identity", 2, plus_identity(build_identity_process(2)))
     assert len(sectors_of(sys)) == 5
     g = random_hermitian_direction(16, np.random.default_rng(12))
     h = hermitian_part(g - slot_map(2, 1, g))
@@ -359,7 +366,7 @@ def test_group_twirl_of_a_feasible_point_is_feasible():
     # and moved by both involutions, W = W0 + 1 fixed by them and positive
     # definite; the <S, R>-twirl of X is feasible, PSD and off W.
     w = build_switch_choi(2).op.entries.real + np.eye(256)
-    sys = build_constraint_system("switch", 2, Process(2, dense=Operator(w)))
+    sys = build_constraint_system("switch", 2, plus_identity(build_switch_choi(2)))
     assert len(sys.symmetry.twirls) == 2
     g = random_hermitian_direction(256, np.random.default_rng(14))
     h = hermitian_part(g - slot_map(2, 2, g))
@@ -395,7 +402,7 @@ def test_switch_involutions_fix_w_and_commute_with_the_projection(d):
     # the facts the lemma needs: S and R fix w exactly, map sector blocks
     # onto sector blocks and commute with the slot projection; the probe
     # keeps both, as the oracle writes them
-    process = Process(d, vector=switch_choi_vector(d))
+    process = Process(d, switch_choi_vector(d))
     sys = ConstraintSystem("switch", process)
     w, sectors = switch_choi_vector(d), sectors_of(sys)
     label = np.empty(sys.process.size, dtype=int)
@@ -433,7 +440,7 @@ ISOTYPIC = [(2, [(1, 1), (6, 6), (15, 15), (10, 10, 10, 10)], 10, 15, 924),
 
 @pytest.mark.parametrize("d,sizes,count,largest,dimension", ISOTYPIC)
 def test_isotypic_bases_block_the_invariant_matrices(d, sizes, count, largest, dimension):
-    sys = ConstraintSystem("switch", Process(d, vector=switch_choi_vector(d)))
+    sys = ConstraintSystem("switch", Process(d, switch_choi_vector(d)))
     plan, sectors = sys.symmetry, sectors_of(sys)
     got = [tuple(np.diff(cuts).tolist()) for _, _, cuts in plan.clips]
     assert sizes is None or got == sizes
@@ -499,8 +506,9 @@ def test_a_tiny_entry_that_the_swap_moves_keeps_the_torus_alone():
     w = build_switch_choi(2).op.entries.copy()
     i = next(int(i) for i in probe._kept(build_switch_choi(2))
              if w[i, i] == 0 and swap[i] != i and reverse[i] != i)
-    w[i, i] = 1e-300
-    sys = build_constraint_system("switch", 2, Process(2, dense=Operator(w)))
+    bumped = Process(2, np.stack([switch_choi_vector(2), np.eye(256)[i]]), (1.0, 1e-300))
+    assert bumped.entry(i, i) == 1e-300
+    sys = build_constraint_system("switch", 2, bumped)
     plan = sys.symmetry
     assert (len(sectors_of(sys)), plan.twirls, plan.mirror.size) == (7, (), 0)
     assert all(basis is None for _, basis, _ in plan.clips)
@@ -581,7 +589,7 @@ def test_affine_project_fixes_the_slot_marginal(kind):
 KEPT = [*((build_identity_process(d), d ** 4) for d in (2, 3, 4)),
         *((build_derived_one_slot("transpose", d), d ** 4) for d in (2, 3, 4)),
         (build_derived_one_slot("conjugate_qubit", 2), 16),
-        *((Process(d, vector=switch_choi_vector(d)), 2 * d ** 6) for d in (2, 3)),
+        *((Process(d, switch_choi_vector(d)), 2 * d ** 6) for d in (2, 3)),
         (build_cp_family(1.0), 8)]
 
 
@@ -637,7 +645,7 @@ def test_an_involution_that_moves_the_kept_set_is_never_used(monkeypatch):
     # Only the qudit reversal is kept
     _, reverse = switch_involutions(2)
     w = switch_choi_vector(2)
-    kept = probe._kept(Process(2, vector=w))
+    kept = probe._kept(Process(2, w))
     i = int(next(i for i in kept if w[i] == 0))
     flip = np.arange(256) ^ 1
     g = np.arange(256)
@@ -718,6 +726,53 @@ def test_clip_is_one_stacked_solve_per_block_size(kind, d, sizes, monkeypatch):
     assert np.array_equal(y, _block_sector_clip(sys, v))
 
 
+def eigh_clip(x):
+    """``psd_project`` through the eigensolve for every block size, 1 x 1
+    included."""
+    w, v = np.linalg.eigh((x + np.swapaxes(x.conj(), -1, -2)) / 2)
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def test_one_by_one_clip_matches_the_eigensolve_bit_for_bit():
+    # real and complex stacks of 1 x 1 matrices, with signed zeros, tiny,
+    # subnormal and negative entries, and a 2-D one: the same bits as the
+    # eigensolve, and no eigensolve
+    rng = np.random.default_rng(31)
+    values = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324, -2.5])
+    stacks = []
+    for _ in range(200):
+        re = rng.choice(values, size=(rng.integers(1, 6), 1, 1))
+        stacks += [re, re + 1j * rng.choice(values, size=re.shape),
+                   rng.standard_normal(re.shape)]
+    stacks.append(np.array([[-0.0 + 0.0j]]))
+    want = [eigh_clip(x) for x in stacks]
+
+    def no_eigh(x):
+        raise AssertionError(f"eigh of a {x.shape} stack")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "eigh", no_eigh)
+        for x, w in zip(stacks, want):
+            y = psd_project(x)
+            assert y.shape == w.shape and y.dtype == w.dtype
+            assert np.array_equal(y.view(np.uint64), w.view(np.uint64))
+
+
+def test_switch_clip_sends_no_one_by_one_stack_to_eigh(monkeypatch):
+    # the d = 2 switch clip has a stack of 1 x 1 isotypic blocks, clipped
+    # without an eigensolve, and still gives the oracle's clip
+    sys = build_constraint_system("switch", 2)
+    v = probe._affine(sys.layout, probe._start_point(sys, 17).real)
+    assert any(index.shape[-1] == 1 for index in sys.symmetry.stacks)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: shapes.append(x.shape) or eigh(x))
+    y = probe._clip(sys, v)
+    monkeypatch.undo()
+    assert shapes and all(s[-2:] != (1, 1) for s in shapes)
+    assert len(shapes) == len(sys.symmetry.stacks) - 1
+    assert np.array_equal(y, _block_sector_clip(sys, v))
+
+
 def test_reference_off_its_sectors_gets_one_dense_sector():
     # the transpose process under the identity kind's charges has entries
     # off the sectors: its probe runs on one sector of every index
@@ -732,13 +787,13 @@ def test_reference_off_its_sectors_gets_one_dense_sector():
 
 
 def identity_with_off_sector_pair(value):
-    """The dense identity process with ``value`` at an entry off its
-    sectors and the conjugate at the transposed entry."""
+    """The identity process with ``value`` at an entry off its sectors and
+    the conjugate at the transposed entry."""
     sectors = sectors_of(build_constraint_system("identity", 2))
     row, col = sectors[0][0], sectors[1][0]
-    w = build_identity_process(2).op.entries.copy()
-    w[row, col], w[col, row] = value, np.conj(value)
-    return Process(2, dense=Operator(w))
+    proc = with_entries(build_identity_process(2), [(row, col, value)])
+    assert proc.entry(row, col) == value and proc.entry(col, row) == np.conj(value)
+    return proc
 
 
 def test_a_tiny_off_sector_pair_gives_one_sector():
@@ -755,7 +810,7 @@ def test_a_tiny_imaginary_pair_is_refused():
 
 
 def test_override_process_must_match_kind_and_dimension():
-    mismatched = [("identity", 2, Process(2, vector=switch_choi_vector(2))),
+    mismatched = [("identity", 2, Process(2, switch_choi_vector(2))),
                   ("switch", 2, build_identity_process(2)),
                   ("identity", 3, build_identity_process(2))]
     for kind, d, process in mismatched:
@@ -1025,7 +1080,7 @@ def test_switch_loop_memory_peak():
 def test_switch_d3_start_memory_peak():
     # a start projects the real part of its point: the complex point's
     # affine map, with its complex gathers and segment sums, took 14.2 MiB
-    sys = ConstraintSystem("switch", Process(3, vector=switch_choi_vector(3)))
+    sys = ConstraintSystem("switch", Process(3, switch_choi_vector(3)))
     assert traced_peak(lambda: probe._run_start(sys, 3)) <= 11 * 2 ** 20
 
 
@@ -1033,7 +1088,7 @@ def test_switch_d3_system_memory_peak():
     # the layout stores 140,676 entries, 1.1 MB a field, and 4.7 MiB of
     # segment tables; the dense 2916^2 process alone would take 136 MB, and
     # an n^2 int64 table 68 MB
-    process = Process(3, vector=switch_choi_vector(3))
+    process = Process(3, switch_choi_vector(3))
     assert traced_peak(lambda: ConstraintSystem("switch", process)) <= 64 * 2 ** 20
     assert ConstraintSystem("switch", process).layout.reference.size == 140_676
 
@@ -1041,7 +1096,7 @@ def test_switch_d3_system_memory_peak():
 def test_switch_d3_project_memory_peak():
     # one call holds the block vector's gathers and segment sums, 4.5 MiB;
     # a slot-pair buffer of the kept outputs and its product took 32 MiB
-    sys = ConstraintSystem("switch", Process(3, vector=switch_choi_vector(3)))
+    sys = ConstraintSystem("switch", Process(3, switch_choi_vector(3)))
     v = random_block_diagonal_vector(sys, np.random.default_rng(19))
     assert traced_peak(lambda: _project(sys.layout, v)) <= 8 * 2 ** 20
 
@@ -1060,7 +1115,7 @@ class _NanNormals:
 
 def _non_finite_switch(monkeypatch):
     # W0 x 1e308 is finite, but the first affine point is not
-    big = Process(2, dense=Operator(build_switch_choi(2).op.entries * 1e308))
+    big = Process(2, switch_choi_vector(2), (1e308,))
     return build_constraint_system("switch", 2, big)
 
 

@@ -211,6 +211,33 @@ def test_span_dimension_real_image_keeps_singular_values(d, monkeypatch):
                   - svd(stack, compute_uv=False)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("d,block", [(2, 7 * 16), (2, 1), (3, 5 * 81)])
+def test_span_dimension_blocks_keep_the_matrix_bits(d, block, monkeypatch):
+    # blocks of 7 and of 1 rows at d = 2 and of 5 rows at d = 3, the last one
+    # short, fill the matrix of one draw bit for bit
+    samples, seen, svd = 3 * span_dimension_formula(d) + 31, [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a) or svd(a, **kw))
+    monkeypatch.setattr(span, "SAMPLE_BLOCK_ENTRIES", samples * d ** 4)
+    whole = estimate_span_dimension(d, samples, seed=4)
+    monkeypatch.setattr(span, "SAMPLE_BLOCK_ENTRIES", block)
+    assert estimate_span_dimension(d, samples, seed=4) == whole == span_dimension_formula(d)
+    assert np.array_equal(seen[0].view(np.uint64), seen[1].view(np.uint64))
+
+
+def test_span_dimension_holds_little_beside_its_matrix():
+    # 2^18 samples at d = 2: a 32 MiB matrix, filled 2 MiB at a time; one
+    # draw of every sample held 2.75 times the matrix
+    import tracemalloc
+    samples = 2 ** 18
+    tracemalloc.start()
+    try:
+        assert estimate_span_dimension(2, samples, seed=0) == 10
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * samples * 16 * 8
+
+
 def haar_span_projector(d, seed=0):
     """V^H V for an orthonormal row basis V of sampled vec(J_U), via an SVD."""
     rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from switchcert.channels import (
     standard_channel,
     unitary_choi,
 )
-from switchcert.linalg import (Operator, frobenius, frobenius_each, min_eigenvalue,
-                               numerical_rank)
+from switchcert.linalg import frobenius, frobenius_each, min_eigenvalue, numerical_rank
 from switchcert.switch import (
     CANONICAL_ORDER,
     Process,
+    _channel_order,
     build_switch_choi,
     controlled_order_unitary,
     switch_choi_vector,
@@ -22,17 +24,16 @@ from switchcert.switch import (
 )
 from switchcert.uniqueness import build_cp_family, build_derived_one_slot, build_identity_process
 
-from oracles import (Labeled, SpaceLayout, apply_one_slot, apply_two_slot, identity_operator,
-                     is_cptp, labeled_process, partial_trace, partial_transpose,
-                     permute_systems, random_kraus_channel, switch_kraus_output,
-                     tensor_product)
+from oracles import (Labeled, SpaceLayout, apply_one_slot, apply_two_slot, eigen_stack,
+                     identity_operator, is_cptp, labeled_process, link, partial_trace,
+                     partial_transpose, permute_systems, random_kraus_channel,
+                     switch_kraus_output, tensor_product)
 
 
-def dense_action(proc, ket, bra):
-    """Reference contraction: slice the dense process 4-tensor."""
-    d = proc.d
+def dense_action(w, d, ket, bra):
+    """Reference contraction: slice the dense two-slot process matrix w as a 4-tensor."""
     nin, nout = d ** 4, 4 * d * d
-    w4 = proc.op.entries.reshape(nin, nout, nin, nout)
+    w4 = w.reshape(nin, nout, nin, nout)
     ri = np.ravel_multi_index(ket, (d, d, d, d))
     ci = np.ravel_multi_index(bra, (d, d, d, d))
     return w4[ri, :, ci, :]
@@ -49,11 +50,11 @@ def test_switch_choi_basic_invariants():
     assert numerical_rank(proc.op) == 1
     assert min_eigenvalue(proc.op) >= -1e-12
 
-    proc3 = build_switch_choi(3)
-    assert abs(np.trace(proc3.op.entries) - 54.0) < 1e-12
+    dense3 = build_switch_choi(3).op.entries
+    assert abs(np.trace(dense3) - 54.0) < 1e-12
     # exactly |w3><w3|, and so rank 1, with no 2916^2 eigensolve
     w3 = switch_choi_vector(3)
-    assert np.array_equal(proc3.op.entries, np.outer(w3, w3.conj()))
+    assert np.array_equal(dense3, np.outer(w3, w3.conj()))
     with pytest.raises(ValueError):
         build_switch_choi(1)
 
@@ -155,7 +156,7 @@ def test_bilinearity():
 
 
 def switch_vector_process(d):
-    return Process(d, vector=switch_choi_vector(d))
+    return Process(d, switch_choi_vector(d))
 
 
 def entry_block(proc, ri, ci):
@@ -202,24 +203,24 @@ def test_fast_action_examples():
 
 def test_fast_action_matches_dense_random():
     rng = np.random.default_rng(4)
-    proc = build_switch_choi(3)
     pure = switch_vector_process(3)
-    assert np.array_equal(scattered_nonzeros(pure), proc.op.entries)
+    w = build_switch_choi(3).op.entries
+    assert np.array_equal(scattered_nonzeros(pure), w)
     for _ in range(1000):
         ket = tuple(rng.integers(0, 3, size=4))
         bra = tuple(rng.integers(0, 3, size=4))
-        assert np.array_equal(block_of(pure, ket, bra), dense_action(proc, ket, bra))
+        assert np.array_equal(block_of(pure, ket, bra), dense_action(w, 3, ket, bra))
 
 
 def test_fast_action_full_basis_reconstruction():
-    proc = build_switch_choi(2)
     pure = switch_vector_process(2)
-    assert np.array_equal(scattered_nonzeros(pure), proc.op.entries)
+    w = build_switch_choi(2).op.entries
+    assert np.array_equal(scattered_nonzeros(pure), w)
     idx = [(i, j, k, l) for i in range(2) for j in range(2)
            for k in range(2) for l in range(2)]
     for ket in idx:
         for bra in idx:
-            assert np.array_equal(block_of(pure, ket, bra), dense_action(proc, ket, bra))
+            assert np.array_equal(block_of(pure, ket, bra), dense_action(w, 2, ket, bra))
 
 
 def test_w0_action_pairs_count():
@@ -232,20 +233,6 @@ def test_w0_action_pairs_count():
         assert np.count_nonzero(in_block) == count
         assert np.all(vals[in_block] == 1.0)
         assert np.count_nonzero(entry_block(proc, ri, ri)) == count
-
-
-def test_nonzeros_dense_lists_entries_above_1e_14():
-    # a dense process with entries of every size: only |x| > 1e-14 is listed
-    rng = np.random.default_rng(6)
-    n = 4 * 2 ** 6
-    g = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-17, 1, size=(n, n))
-    proc = Process(2, Operator(g.astype(complex)))
-    rows, cols, vals = proc.nonzeros()
-    want = np.abs(g) > 1e-14
-    assert np.array_equal(np.sort(rows * n + cols), np.flatnonzero(want))
-    assert np.array_equal(vals, g[rows, cols])
-    assert 0 < rows.size < g.size
-    assert np.array_equal(scattered_nonzeros(proc), np.where(want, g, 0.0))
 
 
 def test_nonzeros_complex_vector_matches_dense():
@@ -313,7 +300,7 @@ def test_verify_unitary_action_negative_control():
     g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     bump = g @ g.conj().T
     bump /= np.linalg.norm(bump)
-    bad = Process(2, Operator(proc.op.entries + 0.1 * bump))
+    bad = eigen_stack(2, proc.op.entries + 0.1 * bump)
     rep = verify_unitary_action(2, seed=0, process=bad)
     assert not rep.passed
 
@@ -323,24 +310,27 @@ def random_slot_operator(n, rng):
 
 
 def test_vector_kernel_matches_dense_oracle():
-    # the rank-1 link Wm^T (A (x) B) conj(Wm) against the dense W0 contraction
+    # the rank-1 link Wm^T (A (x) B) conj(Wm) against the dense W0 contraction,
+    # and W read through entry and nonzeros against the dense op
     rng = np.random.default_rng(9)
     for d in (2, 3):
-        pure = Process(d, vector=switch_choi_vector(d))
-        dense = build_switch_choi(d)
-        for _ in range(5):
-            a = random_slot_operator(d * d, rng)
-            b = random_slot_operator(d * d, rng)
-            assert frobenius(apply_two_slot(pure, a, b),
-                             apply_two_slot(dense, a, b)) <= 1e-12
+        proc = Process(d, switch_choi_vector(d))
+        w = proc.op.entries
+        a, b = (np.array([random_slot_operator(d * d, rng) for _ in range(5)])
+                for _ in range(2))
+        assert frobenius_each(apply_two_slot(proc, a, b),
+                              apply_two_slot(proc, a, b, dense=True)).max() <= 1e-12
+        nout = proc.nout
         for row, col in rng.integers(0, d ** 4, size=(20, 2)):
-            assert np.array_equal(entry_block(pure, row, col), entry_block(dense, row, col))
-        assert np.array_equal(scattered_nonzeros(pure), scattered_nonzeros(dense))
-        for row, col in rng.integers(0, pure.vector.size, size=(20, 2)):
-            assert pure.entry(row, col) == dense.entry(row, col)
-        diagonal = np.arange(pure.size)
-        assert np.array_equal(pure.entry(diagonal, diagonal), dense.entry(diagonal, diagonal))
-        assert np.array_equal(pure.op.entries, dense.op.entries)
+            assert np.array_equal(entry_block(proc, row, col),
+                                  w[row * nout:(row + 1) * nout, col * nout:(col + 1) * nout])
+        assert np.array_equal(scattered_nonzeros(proc), w)
+        for row, col in rng.integers(0, proc.size, size=(20, 2)):
+            assert proc.entry(row, col) == w[row, col]
+        diagonal = np.arange(proc.size)
+        assert np.array_equal(proc.entry(diagonal, diagonal), np.diagonal(w))
+        w3 = switch_choi_vector(d)
+        assert np.array_equal(w, np.outer(w3, w3.conj()))
 
 
 def test_process_validation():
@@ -349,55 +339,57 @@ def test_process_validation():
         corrupted = w.copy()
         corrupted[3] = bad
         with pytest.raises(ValueError):
-            Process(2, vector=corrupted)
+            Process(2, corrupted)
+        with pytest.raises(ValueError):
+            Process(2, w, (bad.real if bad.real else bad.imag,))
+    for vectors, weights in ((w[:-1], None), (w[None, None], None), (np.zeros((0, 256)), None),
+                             (w, (1.0, 1.0)), (np.stack([w, w]), (1.0,))):
+        with pytest.raises(ValueError):
+            Process(2, vectors, weights)
     with pytest.raises(ValueError):
-        Process(2, vector=w[:-1])
-    with pytest.raises(ValueError):
-        Process(3, vector=w)
-    with pytest.raises(ValueError):
+        Process(3, w)
+    with pytest.raises(TypeError):
         Process(2)
+    proc = Process(2, w)
+    assert proc.vectors.shape == (1, 256) and np.array_equal(proc.weights, [1.0])
+    assert not proc.vectors.flags.writeable and not proc.weights.flags.writeable
     with pytest.raises(ValueError):
-        Process(2, build_switch_choi(2).op, vector=w)
-    pure = Process(2, vector=w)
-    assert not pure.vector.flags.writeable
-    with pytest.raises(ValueError):
-        unitary_actions(pure, np.eye(2)[None])
+        unitary_actions(proc, np.eye(2)[None])
 
 
 def test_process_equality_is_identity_and_hashable():
-    a = Process(2, vector=switch_choi_vector(2))
-    b = Process(2, vector=switch_choi_vector(2))
-    dense = build_switch_choi(2)
-    assert a == a and dense == dense
-    assert a != b and a != dense
-    assert len({a, b, dense, a}) == 3
+    a = Process(2, switch_choi_vector(2))
+    b = Process(2, switch_choi_vector(2))
+    c = build_switch_choi(2)
+    assert a == a and c == c
+    assert a != b and a != c
+    assert len({a, b, c, a}) == 3
     assert hash(a) == hash(a)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_unitary_actions_match_per_sample_contractions(d):
     # the stacked kernel against one apply_two_slot / apply_one_slot per
-    # sample on the dense process matrix, for the pure and the dense process
+    # sample on the dense process matrix, for the process and, at one slot,
+    # for the stack of its dense matrix's eigenvectors
     us = haar_random_unitaries(d, 6, d)
     pairs = us.reshape(3, 2, d, d)
-    dense_switch = build_switch_choi(d)
-    want = np.array([apply_two_slot(dense_switch, unitary_choi(u1), unitary_choi(u2))
-                     for u1, u2 in pairs])
-    for proc in (Process(d, vector=switch_choi_vector(d)), dense_switch):
-        assert frobenius_each(unitary_actions(proc, pairs), want).max() <= 1e-12
+    switch = Process(d, switch_choi_vector(d))
+    want = apply_two_slot(switch, unitary_choi(pairs[:, 0]), unitary_choi(pairs[:, 1]),
+                          dense=True)
+    assert frobenius_each(unitary_actions(switch, pairs), want).max() <= 1e-12
     a, b = haar_random_unitaries(d, 2, 100 + d)
     one_slot = [build_identity_process(d), build_derived_one_slot("transpose", d),
                 build_derived_one_slot("sandwich", d, a, b)]
     if d == 2:
         one_slot.append(build_cp_family(0.5))
     for proc in one_slot:
-        dense = Process(d, proc.op)
-        want = np.array([apply_one_slot(dense, unitary_choi(u)) for u in us])
-        for p in (proc, dense):
+        want = np.array([apply_one_slot(proc, unitary_choi(u), dense=True) for u in us])
+        for p in (proc, eigen_stack(d, proc.op.entries)):
             assert frobenius_each(unitary_actions(p, us), want).max() <= 1e-12
     # a stack of the wrong slot count is rejected
     with pytest.raises(ValueError):
-        unitary_actions(dense_switch, us)
+        unitary_actions(switch, us)
     with pytest.raises(ValueError):
         unitary_actions(one_slot[0], pairs)
 
@@ -415,23 +407,21 @@ def kraus_sum(proc, channels):
 @pytest.mark.parametrize("d", [2, 3])
 def test_kraus_sums_through_the_kernel_match_the_dense_link(d):
     # non-unitary channels, summed over their Kraus operators (pairs for the
-    # switch), against the dense link of their Choi matrices, for the pure and
-    # the dense process
+    # switch), against the dense link of their Choi matrices, for the process
+    # and, at one slot, for the stack of its dense matrix's eigenvectors
     channels = [standard_channel("replace_zero", d), standard_channel("depolarizing", d),
                 random_kraus_channel(d, 2, 40 + d)]
     a, b = haar_random_unitaries(d, 2, 200 + d)
     for proc in (build_identity_process(d), build_derived_one_slot("sandwich", d, a, b)):
-        dense = Process(d, proc.op)
         for ch in channels:
-            want = apply_one_slot(dense, choi_from_kraus(ch))
-            for p in (proc, dense):
+            want = apply_one_slot(proc, choi_from_kraus(ch), dense=True)
+            for p in (proc, eigen_stack(d, proc.op.entries)):
                 assert frobenius(kraus_sum(p, [ch]), want) <= 1e-12
-    dense_switch = build_switch_choi(d)
-    for ch1 in channels:
-        for ch2 in channels:
-            want = apply_two_slot(dense_switch, choi_from_kraus(ch1), choi_from_kraus(ch2))
-            for p in (Process(d, vector=switch_choi_vector(d)), dense_switch):
-                assert frobenius(kraus_sum(p, [ch1, ch2]), want) <= 1e-12
+    switch = build_switch_choi(d)
+    chois = np.array([choi_from_kraus(ch) for ch in channels])
+    want = apply_two_slot(switch, chois[:, None], chois[None, :], dense=True)
+    for (i, ch1), (j, ch2) in itertools.product(enumerate(channels), repeat=2):
+        assert frobenius(kraus_sum(switch, [ch1, ch2]), want[i, j]) <= 1e-12
 
 
 def test_stacked_controlled_order_unitary_matches_per_pair():
@@ -443,3 +433,73 @@ def test_stacked_controlled_order_unitary_matches_per_pair():
             assert np.array_equal(g, controlled_order_unitary(u1, u2))
             want = np.kron(np.diag([1, 0]), u2 @ u1) + np.kron(np.diag([0, 1]), u1 @ u2)
             assert frobenius(g, want) == 0.0
+
+
+def random_stack(d, slots, r, rng):
+    """A process of r random complex vectors, each nonzero on a random tenth
+    to quarter of the indices, with weights in [0.5, 1.5] and the last one
+    negative."""
+    n = d ** 4 if slots == 1 else 4 * d ** 6
+    density = 0.25 if n <= 256 else 0.1
+    vectors = (rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))) \
+        * (rng.random((r, n)) < density)
+    weights = rng.uniform(0.5, 1.5, r)
+    weights[-1] *= -1
+    return Process(d, vectors, weights)
+
+
+def kernel_mismatches(proc, rng) -> list:
+    """The reads of W that disagree by more than 1e-12 with its dense matrix,
+    summed here over the stack by ``np.einsum``: ``op``, and
+    ``unitary_actions`` against ``link`` of the dense matrix, ``entry``,
+    ``nonzeros`` and ``support``."""
+    d, n, bad = proc.d, proc.size, []
+    op = proc.op.entries
+    w = np.einsum("k,ki,kj->ij", proc.weights, proc.vectors, proc.vectors.conj())
+    if max(np.abs(op[i:i + 256] - w[i:i + 256]).max() for i in range(0, n, 256)) > 1e-12:
+        bad.append("op")
+    del op
+    us = haar_random_unitaries(d, 2 * proc.slots, rng).reshape(2, proc.slots, d, d)
+    js = unitary_choi(us.reshape(-1, d, d)).reshape(2, proc.slots, d * d, d * d)
+    if proc.slots == 1:
+        dense = link(w, js[:, 0])
+    else:
+        x = js[:, 0, :, None, :, None] * js[:, 1, None, :, None, :]
+        dense = _channel_order(link(w, x.reshape(2, d ** 4, d ** 4)), d)
+    if frobenius_each(unitary_actions(proc, us if proc.slots == 2 else us[:, 0]),
+                      dense).max() > 1e-12:
+        bad.append("unitary_actions")
+    r, c = rng.integers(0, n, (2, 500))
+    if np.abs(proc.entry(r, c) - w[r, c]).max() > 1e-12 \
+            or np.abs(proc.entry(r[:, None], c[None, :10]) - w[np.ix_(r, c[:10])]).max() > 1e-12:
+        bad.append("entry")
+    r, c, values = proc.nonzeros()
+    listed = np.zeros((n, n), dtype=bool)
+    listed[r, c] = True
+    if np.abs(values - w[r, c]).max() > 1e-12 or np.any(w, where=~listed):
+        bad.append("nonzeros")
+    r, c = proc.support()
+    if not np.array_equal(np.sort(r * n + c), np.flatnonzero(w)):
+        bad.append("support")
+    return bad
+
+
+@pytest.mark.parametrize("d,slots", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("r", [1, 3])
+def test_weighted_stacks_read_as_their_dense_matrix(d, slots, r):
+    rng = np.random.default_rng(100 * d + 10 * slots + r)
+    proc = random_stack(d, slots, r, rng)
+    assert proc.slots == slots and min(proc.weights) < 0
+    assert kernel_mismatches(proc, rng) == []
+
+
+def test_a_kernel_that_reads_the_first_vector_alone_fails(monkeypatch):
+    # negative control: every read through the stack's one sum, with the
+    # sum cut to its first term, disagrees with the dense matrix
+    rng = np.random.default_rng(7)
+    proc = random_stack(2, 2, 3, rng)
+    first = Process._sum
+    monkeypatch.setattr(Process, "_sum", lambda self, term: first(
+        Process(self.d, self.vectors[:1], self.weights[:1]), term))
+    assert kernel_mismatches(proc, rng) == ["op", "unitary_actions", "entry", "nonzeros",
+                                            "support"]

@@ -8,7 +8,7 @@ from switchcert.channels import (
     standard_channel,
     unitary_choi,
 )
-from switchcert.linalg import Operator, frobenius, min_eigenvalue, numerical_rank
+from switchcert.linalg import frobenius, min_eigenvalue, numerical_rank
 from switchcert import uniqueness
 from switchcert.span import group_table
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector, verify_unitary_action
@@ -27,7 +27,8 @@ from switchcert.uniqueness import (
     verify_corollary,
 )
 
-from oracles import apply_one_slot, grouped_sums_by_pair, minor_pairs_by_family
+from oracles import (apply_one_slot, eigen_stack, grouped_sums_by_pair, minor_pairs_by_family,
+                     with_entries)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S_GATE = np.diag([1.0, 1j]).astype(complex)
@@ -39,7 +40,7 @@ def perturbed_one_slot(proc, scale, seed):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     bump = g @ g.conj().T
     bump *= scale / np.linalg.norm(bump)
-    return Process(proc.d, Operator(proc.op.entries + bump))
+    return eigen_stack(proc.d, proc.op.entries + bump)
 
 
 def test_identity_process_basics():
@@ -78,13 +79,11 @@ def test_identity_certificate_passes():
 
 def test_identity_certificate_negative_control():
     proc = build_identity_process(2)
-    m = proc.op.entries.copy()
     # zero one forced off-diagonal: ((01,01),(10,10))
     r = (0 * 2 + 1) * 4 + (0 * 2 + 1)
     c = (1 * 2 + 0) * 4 + (1 * 2 + 0)
-    m[r, c] = 0.0
-    m[c, r] = 0.0
-    bad = Process(2, Operator(m))
+    bad = with_entries(proc, [(r, c, 0.0)])
+    assert bad.entry(r, c) == bad.entry(c, r) == 0.0
     rep = certify_identity_uniqueness(2, process=bad)
     assert not rep.passed
     assert not rep.check("forced_offdiagonal_dev").passed
@@ -97,9 +96,7 @@ def test_identity_certificate_negative_control():
 def test_identity_certificate_sums_the_in_diagonal_over_inputs():
     # all diagonal weight on input pair 0: every in-diagonal sum (over the
     # input pairs) is 1, while a sum over the output pairs would read 4
-    diag = np.zeros((4, 4))
-    diag[0] = 1.0
-    rep = certify_identity_uniqueness(2, process=Process(2, Operator(np.diag(diag.reshape(-1)))))
+    rep = certify_identity_uniqueness(2, process=Process(2, np.eye(16)[:4]))
     assert rep.check("in_diagonal_group_sums_dev").passed
     assert not rep.passed
 
@@ -141,10 +138,9 @@ def test_diagonal_certificate_fails_only_the_displayed_action_off_the_support():
     dims = (2,) * 6 + (2, 2)
     r = np.ravel_multi_index((0, 1, 0, 1, 0, 0, 0, 0), dims)
     c = np.ravel_multi_index((1, 0, 1, 0, 0, 0, 0, 0), dims)
-    w0 = build_switch_choi(2).op.entries.copy()
-    assert w0[r, c] == w0[c, r] == 0.0
-    w0[r, c] = w0[c, r] = 0.5
-    rep = diagonal_certificate(2, process=Process(2, Operator(w0)))
+    w0 = build_switch_choi(2)
+    assert w0.entry(r, c) == w0.entry(c, r) == 0.0
+    rep = diagonal_certificate(2, process=with_entries(w0, [(r, c, 0.5)]))
     assert [ch.name for ch in rep.checks if not ch.passed] == ["displayed_action_dev"]
     assert rep.check("displayed_action_dev").measured == 0.5
 
@@ -154,11 +150,9 @@ def test_diagonal_certificate_reads_every_family_of_minors(family):
     # zero the partner entries of one family's minors, keeping W Hermitian:
     # only a certificate that reads those very entries sees the minor open
     dims = (2,) * 6 + (2, 2)
-    w0 = build_switch_choi(2).op.entries.copy()
-    for a, b in minor_pairs_by_family(2)[family]:
-        r, c = np.ravel_multi_index(a, dims), np.ravel_multi_index(b, dims)
-        w0[r, c] = w0[c, r] = 0.0
-    rep = diagonal_certificate(2, process=Process(2, Operator(w0)))
+    edits = [(np.ravel_multi_index(a, dims), np.ravel_multi_index(b, dims), 0.0)
+             for a, b in minor_pairs_by_family(2)[family]]
+    rep = diagonal_certificate(2, process=with_entries(build_switch_choi(2), edits))
     assert rep.check("minor_cross_dev").measured == 1.0
     assert rep.check("minor_product_dev").passed
 
@@ -181,7 +175,7 @@ def test_diagonal_certificate_negative_control():
     g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
     bump = g @ g.conj().T
     bump *= 1e-3 / np.linalg.norm(bump)
-    bad = Process(2, Operator(proc.op.entries + bump))
+    bad = eigen_stack(2, proc.op.entries + bump)
     rep = diagonal_certificate(2, process=bad)
     assert not rep.passed
 
@@ -222,9 +216,9 @@ def test_offdiagonal_dense_route_agrees():
 
 def test_offdiagonal_overflowing_override_fails_cleanly():
     # entries that overflow to inf must fail the integer check, not crash round()
-    w0 = build_switch_choi(2).op
+    huge = Process(2, switch_choi_vector(2), (1e308,))
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = offdiagonal_certificate(2, process=Process(2, Operator(w0.entries * 1e308)))
+        rep = offdiagonal_certificate(2, process=huge)
     assert not rep.passed
     assert not rep.check("entries_integer_dev").passed
 
@@ -251,23 +245,23 @@ def test_grouped_sums_match_the_pair_by_pair_oracle():
             assert rep.check(f"sum_{a}x{b}").measured == want[0][(a, b)]
 
     for d in (2, 3):
-        dense = build_switch_choi(d)
-        want = grouped_sums_by_pair(dense)
+        proc = build_switch_choi(d)
+        want = grouped_sums_by_pair(proc)
         assert sum(want[0].values()) == (2 * d ** 3) ** 2 and want[1] == 0.0
-        assert_matches(dense, want)
-        assert_matches(Process(d, vector=switch_choi_vector(d)), want)
+        assert_matches(proc, want)
 
-    # a dense override with entries of every magnitude, and one that overflows
+    # a Hermitian override with entries of every magnitude, given by its
+    # eigendecomposition, and one that overflows
     rng = np.random.default_rng(6)
     n = 256
     g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
         * 10.0 ** rng.integers(-17, 3, size=(n, n))
-    noisy = Process(2, Operator(g))
+    noisy = eigen_stack(2, np.triu(g, 1) + np.triu(g, 1).conj().T + np.diag(g.diagonal().real))
     want = grouped_sums_by_pair(noisy)
     assert 0.0 < want[1] <= 0.5
     assert_matches(noisy, want)
     with np.errstate(over="ignore", invalid="ignore"):
-        huge = Process(2, Operator(build_switch_choi(2).op.entries * 1e308))
+        huge = Process(2, switch_choi_vector(2), (1e308,))
         want = grouped_sums_by_pair(huge)
         assert np.isnan(want[1])
         assert_matches(huge, want)
@@ -296,13 +290,13 @@ def test_derived_vectors_match_change_of_variables():
     rng = np.random.default_rng(21)
     for d in (2, 3, 4):
         eye = np.eye(d)
-        c0 = build_identity_process(d).vector
+        c0 = build_identity_process(d).vectors[0]
         a, b = haar_random_unitary(d, rng), haar_random_unitary(d, rng)
         m = np.kron(np.kron(a, eye), np.kron(eye, b))
-        got = build_derived_one_slot("sandwich", d, a=a, b=b).vector
+        got = build_derived_one_slot("sandwich", d, a=a, b=b).vectors[0]
         assert np.abs(got - m @ c0).max() <= 1e-15
         m = np.kron(flip_operator(d), np.eye(d * d))
-        assert np.array_equal(build_derived_one_slot("transpose", d).vector, m @ c0)
+        assert np.array_equal(build_derived_one_slot("transpose", d).vectors[0], m @ c0)
     with pytest.raises(ValueError):
         build_derived_one_slot("transpose", 1)
 
@@ -412,10 +406,9 @@ def test_pure_one_slot_kernel_matches_dense_oracle():
         if d == 2:
             procs.append(build_derived_one_slot("conjugate_qubit", 2))
         for proc in procs:
-            assert proc.vector is not None
-            w = proc.vector
-            dense = Process(d, Operator(np.outer(w, w.conj())))
+            assert proc.vectors.shape[0] == 1
             for _ in range(5):
                 m = rng.standard_normal((d * d, d * d)) \
                     + 1j * rng.standard_normal((d * d, d * d))
-                assert frobenius(apply_one_slot(proc, m), apply_one_slot(dense, m)) <= 1e-12
+                assert frobenius(apply_one_slot(proc, m),
+                                 apply_one_slot(proc, m, dense=True)) <= 1e-12
