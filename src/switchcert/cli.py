@@ -59,7 +59,7 @@ def _run_switch(cfg, lemmas: CertificateReport | None = None) -> list[Certificat
     span-lemma report already made and listed is given as ``lemmas``: the
     aggregate checks it, and it is not listed again."""
     timer, d = Timer(), cfg.dim
-    parts = [verify_unitary_action(d, seed=cfg.seed, tol=cfg.tol_cert),
+    parts = [verify_unitary_action(d, seed=cfg.seed),
              verify_span_lemmas(d, seed=cfg.seed) if lemmas is None else lemmas,
              diagonal_certificate(d),
              offdiagonal_certificate(d)]
@@ -76,14 +76,12 @@ def _run_identity(cfg) -> list[CertificateReport]:
 
 
 def _run_corollaries(cfg) -> list[CertificateReport]:
-    certs = [verify_corollary("transpose", cfg.dim, seed=cfg.seed, tol=cfg.tol_cert)]
+    certs = [verify_corollary("transpose", cfg.dim, seed=cfg.seed)]
     a = haar_random_unitary(cfg.dim, cfg.seed + 101)
     b = haar_random_unitary(cfg.dim, cfg.seed + 202)
-    certs.append(verify_corollary("sandwich", cfg.dim, seed=cfg.seed,
-                                  a=a, b=b, tol=cfg.tol_cert))
+    certs.append(verify_corollary("sandwich", cfg.dim, seed=cfg.seed, a=a, b=b))
     if cfg.dim == 2:
-        certs.append(verify_corollary("conjugate_qubit", 2, seed=cfg.seed,
-                                      tol=cfg.tol_cert))
+        certs.append(verify_corollary("conjugate_qubit", 2, seed=cfg.seed))
     return certs
 
 
@@ -96,9 +94,9 @@ def _run_counterexamples(cfg) -> list[CertificateReport]:
 
 def _run_probe(cfg, kinds=("identity", "switch", "cp_family")) -> list[CertificateReport]:
     """The probe of each of ``kinds`` whose row of ``KINDS`` supports --dim."""
-    return [alternating_projection_probe(
-        build_constraint_system(kind, cfg.dim), starts=cfg.probe_starts,
-        seed=cfg.seed, feas_tol=cfg.tol_psd) for kind in kinds if cfg.dim in KINDS[kind][1]]
+    return [alternating_projection_probe(build_constraint_system(kind, cfg.dim),
+                                         starts=cfg.probe_starts, seed=cfg.seed)
+            for kind in kinds if cfg.dim in KINDS[kind][1]]
 
 
 def _run_all(cfg) -> list[CertificateReport]:
@@ -179,8 +177,13 @@ def _supported(dims: range) -> str:
     return f"{dims.start} only" if len(dims) == 1 else f"{dims.start} to {dims[-1]}"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line; add_subparsers reuses this class
+        _error_exit(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="switchcert",
         description="Numerical certificates for quantum-switch and one-slot "
                     "supermap constructions.")
@@ -190,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=2,
                        help=f"slot dimension d, {_supported(dims)}")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--tol-psd", type=float, default=1e-6, dest="tol_psd",
-                       help="PSD feasibility tolerance for the projection probe")
-        p.add_argument("--tol-cert", type=float, default=1e-9, dest="tol_cert",
-                       help="distance tolerance for the Haar-sample certificates")
         p.add_argument("--samples", type=int, default=None,
                        help="sample count for span-dimension estimation")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -225,8 +224,6 @@ def _validate(cfg) -> None:
             (cfg.subcommand in ("span-verify", "all") and cfg.samples is not None
              and cfg.samples not in samples,
              f"--samples must be {samples.start} to {samples.stop - 1} at --dim {cfg.dim}"),
-            (not (0 < cfg.tol_psd < math.inf and 0 < cfg.tol_cert < math.inf),
-             "tolerances must be positive and finite"),
             (cfg.seed < 0, "--seed must be non-negative"),
             (not 1 <= cfg.probe_starts <= MAX_PROBE_STARTS,
              f"--probe-starts must be 1 to {MAX_PROBE_STARTS}")):
@@ -243,8 +240,6 @@ def run(cfg) -> tuple[int, dict]:
         "config": {
             "dim": cfg.dim,
             "seed": cfg.seed,
-            "tol_psd": cfg.tol_psd,
-            "tol_cert": cfg.tol_cert,
             "samples": cfg.samples,
             "probe_starts": cfg.probe_starts,
             "format": cfg.format,

@@ -8,10 +8,14 @@ iteration adds a secant step, Anderson acceleration with memory 1
 (``_secant_point``), to the affine iterate and keeps Dykstra's correction;
 a d = 2 switch start then takes about 20 iterations.
 Every start stops within TOL of the reference and is checked against both
-constraints.  Only the kinds that claim uniqueness run starts: the
-deliberately non-unique C_p family is certified by its witness, a feasible
-point far from the reference, found by two secant-mixed polishes of a
-generic affine point (``_find_witness``).
+constraints within FEAS_TOL.  It ends on an affine point, whose residual is
+rounding, and, every reference being PSD, Weyl's inequality gives it a least
+eigenvalue >= -TOL if it stopped on TOL: so, as FEAS_TOL >= TOL, the two
+checks can fail only for a start that stops on the 1e-13 step rule, at
+MAX_ITER, or on a non-finite value.  Only the kinds that claim uniqueness
+run starts: the deliberately non-unique C_p family is certified by its
+witness, a feasible point far from the reference, found by two secant-mixed
+polishes of a generic affine point (``_find_witness``).
 
 A probe problem is a ``ConstraintSystem``: a process and its kind.  The
 reference is the process's matrix, read (``Process.entry``) only at the
@@ -142,6 +146,7 @@ KINDS = {
 }
 MAX_ITER = 5000  # Dykstra iterations per start
 TOL = 1e-6  # distance to the reference at which a start has converged
+FEAS_TOL = 1e-6  # feasibility bound of the final checks and of the witness polish's stop
 WITNESS_AMPLITUDE = 0.25  # norm of the escape direction the witness polish starts from
 WITNESS_THRESHOLD = 0.1  # distance from the reference a cp_family witness must reach
 WITNESS_MAX_ITER = 400_000  # evaluations the witness polish may take
@@ -596,8 +601,7 @@ def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
             -min(map(min_eigenvalue, _blocks(sys.layout, x))))
 
 
-def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
-                    max_iter: int):
+def _polish_witness(sys: ConstraintSystem, start: np.ndarray, max_iter: int):
     """The plain map g = affine o psd, mixed by ``_secant_point``, from the
     affine projection of ``start`` in ``sys.layout`` until g is feasible.
 
@@ -606,14 +610,14 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
     each g (Anderson acceleration with memory 1: Walker & Ni, SIAM J.
     Numer. Anal. 49(4), 2011; Fu, Zhang & Boyd, arXiv:1908.11482) cuts the
     evaluations from about 148,000 to a few hundred.  Returns the first g
-    with min eigenvalue >= -feas_tol, or the last one, and the evaluations.
+    with min eigenvalue >= -FEAS_TOL, or the last one, and the evaluations.
     """
     layout = sys.layout
     x = g = _affine(layout, start)
     evals, f_prev, g_prev = 0, None, None
     for evals in range(1, max_iter + 1):
         g = _affine(layout, _clip(sys, x))
-        if min(map(min_eigenvalue, _blocks(layout, g))) >= -feas_tol:
+        if min(map(min_eigenvalue, _blocks(layout, g))) >= -FEAS_TOL:
             break
         f = np.subtract(g, x, out=x)
         x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev)
@@ -621,7 +625,7 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, feas_tol: float,
     return g, evals
 
 
-def _find_witness(sys: ConstraintSystem, point: np.ndarray, feas_tol: float):
+def _find_witness(sys: ConstraintSystem, point: np.ndarray):
     """A feasible point far from the reference, and the polish evaluations
     spent on it, out of WITNESS_MAX_ITER in all.
 
@@ -641,13 +645,13 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray, feas_tol: float):
         point = reference + WITNESS_AMPLITUDE * (escape / scale if scale > 0 else escape)
         if not np.isfinite(point).all():
             break
-        point, used = _polish_witness(sys, point, feas_tol, WITNESS_MAX_ITER - evals)
+        point, used = _polish_witness(sys, point, WITNESS_MAX_ITER - evals)
         evals += used
     return point, evals
 
 
-def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: int = 0,
-                                 feas_tol: float = 1e-6) -> CertificateReport:
+def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
+                                 seed: int = 0) -> CertificateReport:
     """Certify a kind that claims uniqueness by its starts, and the cp_family
     kind by its witness.
 
@@ -657,7 +661,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     to its real part and projected onto the affine set; the starts
     run one after another.  Their final
     iterates must meet both constraints
-    within feas_tol and lie within TOL of the reference.  The cp_family kind
+    within FEAS_TOL and lie within TOL of the reference.  The cp_family kind
     runs no starts: it certifies a non-uniqueness witness, a feasible point
     whose distance from the reference must exceed WITNESS_THRESHOLD, which
     ``_find_witness`` polishes from the complex affine point of the first
@@ -669,21 +673,21 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10, seed: 
     checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
     if sys.kind == "cp_family":
         point = _affine(sys.layout, _start_point(sys, seeds[0]))
-        witness, polish_iters = _find_witness(sys, point, feas_tol)
+        witness, polish_iters = _find_witness(sys, point)
         wdist = frobenius(witness - sys.layout.reference)
         resid, neg_eig = _final_checks(sys, witness)
         checks += [
             check_true("witness_distance_exceeds_threshold",
                        wdist >= WITNESS_THRESHOLD),
-            check_leq("witness_constraint_residual", resid, feas_tol),
-            check_leq("witness_negative_eigenvalue", neg_eig, feas_tol),
+            check_leq("witness_constraint_residual", resid, FEAS_TOL),
+            check_leq("witness_negative_eigenvalue", neg_eig, FEAS_TOL),
         ]
         notes = (f"witness_distance={wdist:.4f} polish_iterations={polish_iters}",)
     else:
         dists, iters_used, resids, neg_eigs = zip(*(_run_start(sys, s) for s in seeds))
         checks += [
-            check_leq("final_constraint_residual", nan_max(*resids), feas_tol),
-            check_leq("final_negative_eigenvalue", nan_max(*neg_eigs), feas_tol),
+            check_leq("final_constraint_residual", nan_max(*resids), FEAS_TOL),
+            check_leq("final_negative_eigenvalue", nan_max(*neg_eigs), FEAS_TOL),
             check_leq("max_distance_to_reference", nan_max(*dists), TOL),
         ]
         notes = (f"starts={starts}", f"iterations={list(iters_used)}",

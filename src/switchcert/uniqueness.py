@@ -4,8 +4,8 @@ Each certificate replays, at machine precision, the concrete identities a
 uniqueness proof consumes: forced diagonal support, forced off-diagonal
 values, exact combinatorial sums of the grouped ket-bra actions, and the
 behaviour of the derived one-slot processes.  Certificates are deterministic
-given (dimension, seed, tolerances), draw fixed numbers of Haar samples, and
-accept an optional process override so corrupted processes demonstrably fail.
+given (dimension, seed), check fixed numbers of Haar samples against fixed
+bounds, and accept an optional process override so corrupted processes fail.
 An override is a ``Process``, a weighted stack of vectors (a Hermitian
 matrix is its eigenvectors weighted by its eigenvalues), read through
 ``Process.entry``, ``Process.nonzeros`` or ``unitary_actions``, never dense.
@@ -45,6 +45,7 @@ from .report import (
 )
 from .span import GROUP_IDS, group_table
 from .switch import (
+    ACTION_TOL,
     Process,
     max_action_distance,
     switch_choi_vector,
@@ -401,8 +402,7 @@ def offdiagonal_certificate(d: int, process: Process | None = None) -> Certifica
 
 def verify_corollary(kind: str, d: int, seed,
                      a: np.ndarray | None = None, b: np.ndarray | None = None,
-                     process: Process | None = None,
-                     tol: float = 1e-9) -> CertificateReport:
+                     process: Process | None = None) -> CertificateReport:
     """Check a derived one-slot process acts correctly on unitaries and beyond.
 
     On COROLLARY_TRIALS Haar samples the process must send J_U to the Choi
@@ -435,7 +435,7 @@ def verify_corollary(kind: str, d: int, seed,
     extension_dev = frobenius(got, want)
 
     checks = [
-        check_leq("max_haar_distance", worst, tol),
+        check_leq("max_haar_distance", worst, ACTION_TOL),
         check_leq("replace_channel_extension_dev", extension_dev, 1e-12),
     ]
     notes = [f"trials={COROLLARY_TRIALS}"]

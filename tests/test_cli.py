@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from switchcert import cli, probe
 from switchcert.report import CertificateReport, Check
 from switchcert.span import span_dimension_formula
+from switchcert.switch import ACTION_TOL
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -74,19 +76,17 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["identity-verify", "--format", "yaml"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        cli.main(["not-a-subcommand"])
-    assert err.value.code == 2
-    for args in (["identity-verify", "--dim", "1"],
+    # argparse's own errors too, the removed tolerance flags among them,
+    # print one line, write no stdout and leave no --out file
+    report = tmp_path / "report.json"
+    for args in (["identity-verify", "--format", "yaml"],
+                 ["not-a-subcommand"],
+                 [],
+                 ["identity-verify", "--dim", "x"],
+                 ["identity-verify", "--tol-psd", "1e-6", "--out", str(report)],
+                 ["corollary-verify", "--tol-cert", "1e-9", "--out", str(report)],
+                 ["identity-verify", "--dim", "1"],
                  ["span-verify", "--dim", "0"],
-                 ["identity-verify", "--tol-psd", "-1"],
-                 ["corollary-verify", "--tol-cert", "nan"],
-                 ["corollary-verify", "--tol-cert", "inf"],
-                 ["probe", "--tol-psd", "nan"],
-                 ["probe", "--tol-psd", "inf"],
                  ["span-verify", "--seed", "-1"],
                  ["counterexamples", "--seed", "-1"],
                  ["switch-verify", "--dim", "5"],
@@ -114,6 +114,40 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("switchcert: error: ")
         assert captured.err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_flags_agree_across_parser_readme_and_config(capsys):
+    # every subcommand's options, README's "Common flags:" list and a
+    # report's config keys (the destinations less out and no_timestamp)
+    # name the same flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.findall(r"`(--[a-z-]+)", re.search(r"Common flags:(.*?)\.\n", readme, re.S)[1])
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    for name, parser in subcommands.choices.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        assert [a.option_strings[0] for a in actions] == listed, name
+    _, out = run_cli(["identity-verify", "--format", "json", "--no-timestamp"], capsys)
+    assert set(json.loads(out)["config"]) == \
+        {a.dest for a in actions} - {"out", "no_timestamp"}
+
+
+def test_report_tolerances_are_the_module_constants(capsys):
+    # no flag moves a bound: the Haar action bounds are switch.ACTION_TOL
+    # and the probe's feasibility bounds probe.FEAS_TOL
+    _, out = run_cli(["all", "--dim", "2", "--probe-starts", "1", "--format", "json",
+                      "--no-timestamp"], capsys)
+    tolerance = {}
+    for cert in json.loads(out)["certificates"]:
+        for key, tol in cert["tolerance"].items():
+            tolerance.setdefault(key, set()).add(tol)
+    assert tolerance["max_frobenius_distance"] == {ACTION_TOL}
+    assert tolerance["max_haar_distance"] == {ACTION_TOL}
+    for key in ("final_constraint_residual", "final_negative_eigenvalue",
+                "witness_constraint_residual", "witness_negative_eigenvalue"):
+        assert tolerance[key] == {probe.FEAS_TOL}, key
+    # the probe docstring's reading of the two start checks needs this
+    assert probe.FEAS_TOL >= probe.TOL
 
 
 def test_each_subcommand_accepts_exactly_its_supported_dims(capsys):
@@ -289,19 +323,18 @@ def test_probe_cp_family_runs_the_starts_asked_for(capsys):
     assert certs[2] == certs[10]
 
 
-def test_switch_verify_forwards_tol_psd_to_the_probe(capsys, monkeypatch):
+def test_switch_verify_forwards_seed_and_starts_to_the_probe(capsys, monkeypatch):
     seen = []
 
-    def stub(sys_, starts, seed, feas_tol):
-        seen.append(feas_tol)
+    def stub(sys_, starts, seed):
+        seen.append((sys_.kind, starts, seed))
         return CertificateReport(name="probe_switch_d2", passed=True, checks=(),
                                  runtime_ms=0.0)
 
     monkeypatch.setattr(cli, "alternating_projection_probe", stub)
-    code, out = run_cli(["switch-verify", "--dim", "2", "--tol-psd", "1e-4",
-                         "--format", "json", "--no-timestamp"], capsys)
-    assert code == 0
-    assert seen == [1e-4] and json.loads(out)["config"]["tol_psd"] == 1e-4
+    code, _ = run_cli(["switch-verify", "--dim", "2", "--seed", "3", "--probe-starts", "4",
+                       "--format", "json", "--no-timestamp"], capsys)
+    assert code == 0 and seen == [("switch", 4, 3)]
 
 
 @pytest.mark.parametrize("d", [3, 4])

@@ -1176,9 +1176,9 @@ def cp_family_run():
     starts = []
     polish = probe._polish_witness
 
-    def spy(sys_, start, feas_tol, max_iter):
+    def spy(sys_, start, max_iter):
         starts.append(start)
-        return polish(sys_, start, feas_tol, max_iter)
+        return polish(sys_, start, max_iter)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(probe, "_polish_witness", spy)
@@ -1219,7 +1219,7 @@ def test_probe_cp_family_witness(cp_family_run):
 
 def test_polish_witness_is_fast_and_feasible(cp_family_run):
     sys, start = cp_family_run["system"], cp_family_run["polish_start"]
-    witness, evals = probe._polish_witness(sys, start, 1e-6, 400_000)
+    witness, evals = probe._polish_witness(sys, start, 400_000)
     witness = dense(sys, witness)
     # plain alternating projections need about 148,000 evaluations here
     assert 1 <= evals <= 5000
@@ -1271,7 +1271,7 @@ def test_cp_family_probe_passes_where_a_start_stalled(seed):
 def test_polish_witness_falls_back_to_plain_steps(cp_family_run, monkeypatch, patch):
     sys, start = cp_family_run["system"], cp_family_run["polish_start"]
     monkeypatch.setattr(probe, "real_dot", patch(probe.real_dot))
-    witness, evals = probe._polish_witness(sys, start, 1e-6, 50)
+    witness, evals = probe._polish_witness(sys, start, 50)
     monkeypatch.undo()
     assert evals == 50
     assert np.isfinite(witness).all()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,6 +492,19 @@ def test_weighted_stacks_read_as_their_dense_matrix(d, slots, r):
     proc = random_stack(d, slots, r, rng)
     assert proc.slots == slots and min(proc.weights) < 0
     assert kernel_mismatches(proc, rng) == []
+
+
+def test_dense_matrix_of_a_stack_holds_two_copies_at_most():
+    # the running sum and Operator's copy; a term kept alive while the next
+    # is built made it three (389 MiB traced for this 130 MiB matrix)
+    proc = random_stack(3, 2, 3, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        nbytes = proc.op.entries.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * nbytes
 
 
 def test_a_kernel_that_reads_the_first_vector_alone_fails(monkeypatch):
