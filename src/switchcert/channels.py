@@ -1,4 +1,5 @@
-"""Channels as Choi matrices: standard channels, composition, Haar sampling.
+"""Channels as Choi matrices: standard channels, composition, Haar sampling,
+and the one seeded stream every sample of the package is drawn from.
 
 A channel is given either by its Kraus operators, a plain (r, d_out, d_in)
 stack (the standard channels are built that way), or by its Choi matrix, a
@@ -13,6 +14,8 @@ unitaries).
 
 from __future__ import annotations
 
+import operator
+import random
 from math import isqrt
 
 import numpy as np
@@ -26,6 +29,7 @@ PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 UNITARY_TOL = 1e-10  # bound on ||U^dag U - 1||_F for the input of ``unitary_choi``
+STREAM_BLOCK = 1 << 15  # 64-bit words ``SampleStream.normal`` reads and converts at a time
 
 
 def choi_from_kraus(ks) -> np.ndarray:
@@ -69,18 +73,51 @@ def unitary_choi(u: np.ndarray) -> np.ndarray:
     return phi[..., :, None] * phi[..., None, :].conj()
 
 
+class SampleStream:
+    """A seeded stream of samples: the standard library's MT19937
+    (``random.Random``), read 64 bits at a time by ``randbytes``.
+
+    Two draws read it.  ``uniform`` turns each little-endian 64-bit word into
+    (k + 1) / 2^53, k its top 53 bits, a uniform in (0, 1].  ``normal`` takes
+    two uniforms per sample, u then v, and returns sqrt(-2 ln u) cos(2 pi v)
+    (Box & Muller, Ann. Math. Statist. 29, 1958).  Each sample reads only its
+    own words, so a draw cut into blocks of any sizes gives the same bits,
+    and leaves the stream in the same state, as the draw in one piece; a
+    normal draw is read and converted STREAM_BLOCK words at a time, which
+    bounds its temporaries.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(operator.index(seed))
+
+    def uniform(self, shape) -> np.ndarray:
+        """Uniforms in (0, 1] of the given shape, in C order."""
+        words = np.frombuffer(self._random.randbytes(8 * int(np.prod(shape))), dtype="<u8")
+        return (((words >> 11) + 1) * 2.0 ** -53).reshape(shape)
+
+    def normal(self, shape) -> np.ndarray:
+        """Standard normals of the given shape, in C order."""
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        for k in range(0, flat.size, STREAM_BLOCK // 2):
+            block = flat[k:k + STREAM_BLOCK // 2]
+            u = self.uniform((block.size, 2))
+            np.multiply(np.sqrt(-2.0 * np.log(u[:, 0])), np.cos(2 * np.pi * u[:, 1]), out=block)
+        return out
+
+
 def haar_random_unitaries(d: int, n: int, seed) -> np.ndarray:
     """n Haar-distributed d x d unitaries, stacked, via QR of complex Ginibre matrices.
 
-    ``seed`` may be an integer or a ``numpy.random.Generator``.  The draws and
-    the generator's final state match n successive ``haar_random_unitary``
-    calls bit-for-bit: each unitary takes its real part and then its
-    imaginary part from the stream, and the QR runs matrix by matrix.
+    ``seed`` is an integer or a ``SampleStream``.  The draws and the stream's
+    final state match n successive ``haar_random_unitary`` calls bit-for-bit:
+    each unitary takes its real part and then its imaginary part from the
+    stream, and the QR runs matrix by matrix.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.standard_normal((n, 2, d, d))
+    rng = seed if isinstance(seed, SampleStream) else SampleStream(seed)
+    g = rng.normal((n, 2, d, d))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
     ph = np.diagonal(r, axis1=1, axis2=2).copy()
     ph /= np.abs(ph)

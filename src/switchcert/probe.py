@@ -118,6 +118,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import SampleStream
 from .linalg import frobenius, min_eigenvalue, real_dot
 from .report import CertificateReport, Timer, check_leq, check_true, make_report, nan_max
 from .span import span_dimension_formula, span_projector, vec_kron
@@ -558,9 +559,9 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     return (x if g_prev is None else g_prev), dist, iters
 
 
-def _start_point(sys: ConstraintSystem, seed) -> np.ndarray:
-    """The reference plus a random twirled Hermitian direction drawn from
-    ``seed``, in ``sys.layout``: a probe start begins at the affine
+def _start_point(sys: ConstraintSystem, stream: SampleStream) -> np.ndarray:
+    """The reference plus a random twirled Hermitian direction, the next
+    draw of ``stream``, in ``sys.layout``: a probe start begins at the affine
     projection of its real part, the witness polish at that of the whole.
 
     Complex normals g are drawn for the m stored block entries alone, made
@@ -570,9 +571,9 @@ def _start_point(sys: ConstraintSystem, seed) -> np.ndarray:
     the G-invariant block matrices (``_Symmetry.dimension``, m without
     involutions); on one sector of k indices that is k / n, and the draw
     is the unit direction on that block scaled by it."""
-    layout, rng = sys.layout, np.random.default_rng(seed)
-    m = len(layout.reference)
-    g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    layout = sys.layout
+    re, im = stream.normal((2, len(layout.reference)))
+    g = re + 1j * im
     h = g + g[layout.transpose].conj()
     for twirl in sys.symmetry.twirls:
         h = (h + h[twirl]) / 2
@@ -580,13 +581,13 @@ def _start_point(sys: ConstraintSystem, seed) -> np.ndarray:
     return layout.reference + h / frobenius(h) * scale
 
 
-def _run_start(sys: ConstraintSystem, seed):
+def _run_start(sys: ConstraintSystem, stream: SampleStream):
     """One probe start from the affine projection of the real part of
     ``_start_point``, in real symmetric arithmetic, which the lemmas of the
     module docstring say lose nothing: (distance, iterations, constraint
     residual, minus the least eigenvalue).  The distance is NaN for a
     non-finite iterate, and so are the checks."""
-    x, dist, iters = _run_single(sys, _affine(sys.layout, _start_point(sys, seed).real))
+    x, dist, iters = _run_single(sys, _affine(sys.layout, _start_point(sys, stream).real))
     resid, neg_eig = _final_checks(sys, x)
     return (dist if np.isfinite(x).all() else math.nan), iters, resid, neg_eig
 
@@ -659,20 +660,20 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     the sector blocks, twirled over the kept involutions and scaled to the
     expected norm of a twirled unit direction (``_start_point``), taken
     to its real part and projected onto the affine set; the starts
-    run one after another.  Their final
-    iterates must meet both constraints
-    within FEAS_TOL and lie within TOL of the reference.  The cp_family kind
-    runs no starts: it certifies a non-uniqueness witness, a feasible point
-    whose distance from the reference must exceed WITNESS_THRESHOLD, which
-    ``_find_witness`` polishes from the complex affine point of the first
-    start's seed.
+    run one after another, each drawing its direction in turn from one
+    ``SampleStream`` of ``seed``.  Their final iterates must meet both
+    constraints within FEAS_TOL and lie within TOL of the reference.  The
+    cp_family kind runs no starts: it certifies a non-uniqueness witness, a
+    feasible point whose distance from the reference must exceed
+    WITNESS_THRESHOLD, which ``_find_witness`` polishes from the complex
+    affine point of the first start's draw.
     """
     timer = Timer()
-    seeds = np.random.SeedSequence(seed).spawn(starts)
+    stream = SampleStream(seed)
     expected_rank = span_dimension_formula(sys.process.d) ** sys.process.slots
     checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
     if sys.kind == "cp_family":
-        point = _affine(sys.layout, _start_point(sys, seeds[0]))
+        point = _affine(sys.layout, _start_point(sys, stream))
         witness, polish_iters = _find_witness(sys, point)
         wdist = frobenius(witness - sys.layout.reference)
         resid, neg_eig = _final_checks(sys, witness)
@@ -684,7 +685,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
         ]
         notes = (f"witness_distance={wdist:.4f} polish_iterations={polish_iters}",)
     else:
-        dists, iters_used, resids, neg_eigs = zip(*(_run_start(sys, s) for s in seeds))
+        dists, iters_used, resids, neg_eigs = zip(*(_run_start(sys, stream) for _ in range(starts)))
         checks += [
             check_leq("final_constraint_residual", nan_max(*resids), FEAS_TOL),
             check_leq("final_negative_eigenvalue", nan_max(*neg_eigs), FEAS_TOL),

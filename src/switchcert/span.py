@@ -25,7 +25,7 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import haar_random_unitaries
+from .channels import SampleStream, haar_random_unitaries
 from .linalg import RANK_TOL, frobenius, frobenius_each
 from .report import Timer, check_exact_int, check_leq, check_true, make_report, nan_max
 
@@ -418,7 +418,7 @@ def estimate_span_dimension(d: int, samples: int, seed: int = 0) -> int:
     if samples <= span_dimension_formula(d):
         raise ValueError(f"need more than {span_dimension_formula(d)} samples "
                          f"to resolve the span at d = {d}, got {samples}")
-    n, rng = d * d, np.random.default_rng(seed)
+    n, rng = d * d, SampleStream(seed)
     vecs = np.empty((samples, n * n))
     step = max(1, SAMPLE_BLOCK_ENTRIES // (n * n))
     for rows in (vecs[k:k + step] for k in range(0, samples, step)):
@@ -531,7 +531,7 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
     """
     timer = Timer()
     gens = enumerate_generators(d)
-    rng = np.random.default_rng(seed)
+    rng = SampleStream(seed)
 
     worst_resid = 0.0
     worst_scale_im = 0.0
@@ -539,8 +539,7 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
     worst_double = 0.0
     worst_unitary = 0.0
     # three random phase rows per (generator, branch), drawn in generator order
-    phases = [rng.uniform(0.0, 2 * np.pi, size=(len(g.branches), 3, g.phase_count))
-              for g in gens]
+    phases = [2 * np.pi * rng.uniform((len(g.branches), 3, g.phase_count)) for g in gens]
     groups: dict = {}
     for i, gen in enumerate(gens):
         groups.setdefault(gen.lemma_id, []).append(i)

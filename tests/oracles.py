@@ -31,8 +31,8 @@ through a buffer of all n^2 slot-pair entries, every output pair
 included, which the probe's partial traces must match.
 ``sectors_of`` and ``entries_of`` give a system's charge sectors and the
 matrix index of each stored block entry, and ``random_hermitian_direction``
-draws the dense unit Hermitian direction that a one-sector probe start
-draws on its blocks.  ``switch_involutions`` writes the switch's slot swap
+draws a dense unit Hermitian direction from a numpy generator, as test
+input.  ``switch_involutions`` writes the switch's slot swap
 with the control flip and its qudit reversal as index permutations from
 the basis digits; ``group_twirl`` averages a dense matrix over the group
 they generate, and ``invariant_dimension`` counts the invariant

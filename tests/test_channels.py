@@ -3,6 +3,8 @@ import pytest
 
 from switchcert.channels import (
     PAULI,
+    STREAM_BLOCK,
+    SampleStream,
     choi_from_kraus,
     compose_channels,
     flip_operator,
@@ -87,19 +89,19 @@ def test_apply_channel_examples():
 
 
 def test_apply_unitary_channel_matches_conjugation():
-    rng = np.random.default_rng(3)
+    rng, stream = np.random.default_rng(3), SampleStream(3)
     for _ in range(10):
-        u = haar_random_unitary(3, rng)
+        u = haar_random_unitary(3, stream)
         rho = rand_state(rng, 3)
         out = apply_choi(unitary_choi(u), rho)
         assert frobenius(out, u @ rho @ u.conj().T) <= 1e-10
 
 
 def test_compose_unitals_hide_the_middle():
-    rng = np.random.default_rng(4)
+    stream = SampleStream(4)
     jd = choi_from_kraus(standard_channel("depolarizing", 2))
     for _ in range(100):
-        u = unitary_choi(haar_random_unitary(2, rng))
+        u = unitary_choi(haar_random_unitary(2, stream))
         out = compose_channels(jd, compose_channels(u, jd))
         assert frobenius(out, jd) <= 1e-10
 
@@ -189,10 +191,10 @@ def test_haar_unitary_properties():
         haar_random_unitary(0, 1)
 
 
-def ginibre_qr_unitary(d, rng):
+def ginibre_qr_unitary(d, stream):
     """One Haar unitary the textbook way: QR of a complex Ginibre matrix, with
     the phases of diag(R) moved into Q."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    z = (stream.normal((d, d)) + 1j * stream.normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
@@ -202,26 +204,74 @@ def ginibre_qr_unitary(d, rng):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_stacked_haar_sampler_matches_successive_draws(d):
     n = 25
-    stacked_rng, single_rng, ref_rng = (np.random.default_rng(11) for _ in range(3))
+    stacked_rng, single_rng, ref_rng = (SampleStream(11) for _ in range(3))
     stacked = haar_random_unitaries(d, n, stacked_rng)
     assert stacked.shape == (n, d, d)
     assert np.array_equal(stacked, [haar_random_unitary(d, single_rng) for _ in range(n)])
     assert np.array_equal(stacked, [ginibre_qr_unitary(d, ref_rng) for _ in range(n)])
-    # the generators are left in the same state
-    assert stacked_rng.standard_normal() == single_rng.standard_normal() \
-        == ref_rng.standard_normal()
-    # an integer seed is a fresh generator
+    # the streams are left in the same state
+    assert stacked_rng.normal(1) == single_rng.normal(1) == ref_rng.normal(1)
+    # an integer seed is a fresh stream; a numpy generator is no seed
     assert np.array_equal(haar_random_unitaries(d, n, 11), stacked)
     assert haar_random_unitaries(d, 0, 11).shape == (0, d, d)
+    with pytest.raises(TypeError):
+        haar_random_unitaries(d, n, np.random.default_rng(11))
+
+
+def test_stream_draws_cut_into_blocks_keep_their_bits():
+    # odd sizes summing to n, past the STREAM_BLOCK // 2 normals one block converts
+    n = STREAM_BLOCK + 3
+    sizes = (1, 3, 7, 5, 13, STREAM_BLOCK // 2 - 1, STREAM_BLOCK // 2 - 25)
+    assert sum(sizes) == n
+    for draw in ("uniform", "normal"):
+        whole, cut = SampleStream(3), SampleStream(3)
+        want = getattr(whole, draw)(n)
+        got = np.concatenate([getattr(cut, draw)(k) for k in sizes])
+        assert np.array_equal(got, want)
+        assert np.array_equal(getattr(cut, draw)((2, 3)), getattr(whole, draw)((2, 3)))
+    # normal k reads uniforms 2k and 2k + 1: sqrt(-2 ln u) cos(2 pi v)
+    u = SampleStream(3).uniform((n, 2))
+    assert np.array_equal(SampleStream(3).normal(n),
+                          np.sqrt(-2.0 * np.log(u[:, 0])) * np.cos(2 * np.pi * u[:, 1]))
+
+
+def test_stream_is_fixed_by_its_seed():
+    first = SampleStream(5).normal(64)
+    assert np.array_equal(SampleStream(5).normal(64), first)
+    assert np.array_equal(SampleStream(np.int64(5)).normal(64), first)
+    for other in (SampleStream(6).normal(64), SampleStream(50).normal(64)):
+        assert not np.isin(other, first).any()
+    later = SampleStream(5)
+    later.normal(64)
+    assert not np.isin(later.normal(64), first).any()
+    for bad in (5.0, None, "5", np.random.default_rng(5)):
+        with pytest.raises(TypeError):
+            SampleStream(bad)
+
+
+def test_stream_moments():
+    # bounds fixed before the run: 5 standard errors of each statistic of
+    # n standard normals (mean 1/sqrt(n), variance sqrt(2/n), tail fraction
+    # sqrt(p(1 - p)/n) with p = P(|z| > 2) = erfc(sqrt 2))
+    n, p = 2 ** 18, 0.04550026389635842
+    z = SampleStream(2018).normal(n)
+    assert abs(z.mean()) <= 5 / np.sqrt(n)
+    assert abs(z.var() - 1) <= 5 * np.sqrt(2 / n)
+    assert abs(np.mean(np.abs(z) > 2) - p) <= 5 * np.sqrt(p * (1 - p) / n)
+    # uniforms are multiples of 2^-53 in (0, 1], of mean 1/2 and variance 1/12
+    u = SampleStream(2018).uniform(n)
+    assert u.min() > 0 and u.max() <= 1
+    assert np.array_equal(u * 2.0 ** 53, np.round(u * 2.0 ** 53))
+    assert abs(u.mean() - 0.5) <= 5 * np.sqrt(1 / 12 / n)
 
 
 def test_haar_first_moment():
     # E[U (x) U*] = SWAP-free first moment: delta_ik delta_jl / d
-    rng = np.random.default_rng(123)
+    stream = SampleStream(123)
     n = 10_000
     acc = np.zeros((4, 4), dtype=complex)
     for _ in range(n):
-        u = haar_random_unitary(2, rng)
+        u = haar_random_unitary(2, stream)
         acc += np.kron(u, u.conj())
     acc /= n
     want = np.zeros((4, 4))
@@ -274,10 +324,10 @@ def test_flip_operator():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     jh = unitary_choi(h)
     assert frobenius(f @ jh @ f, jh) <= 1e-12  # H is symmetric
-    rng = np.random.default_rng(6)
+    stream = SampleStream(6)
     for d in (2, 3):
         fd = flip_operator(d)
-        u = haar_random_unitary(d, rng)
+        u = haar_random_unitary(d, stream)
         assert frobenius(fd @ unitary_choi(u) @ fd,
                          unitary_choi(u.T)) <= 1e-12
 

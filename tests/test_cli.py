@@ -309,8 +309,8 @@ def test_exit_code_1_on_failed_certificate(capsys, monkeypatch):
 
 def test_probe_cp_family_runs_the_starts_asked_for(capsys):
     # the C_p probe runs no starts: its witness polishes from the first
-    # seed, which SeedSequence(seed).spawn(n) gives whatever n is, so the
-    # whole certificate is the same for any --probe-starts
+    # draw of the seed's stream, the same whatever n is, so the whole
+    # certificate is the same for any --probe-starts
     certs = {}
     for starts in (2, 10):
         code, out = run_cli(["probe", "--dim", "2", "--seed", "5", "--probe-starts",
@@ -410,6 +410,22 @@ def test_switch_verify_does_not_import_numpy_ma():
                          timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("args", [["all", "--dim", "2"], ["probe", "--dim", "2"]],
+                         ids=["all", "probe"])
+def test_runs_load_neither_numpy_random_nor_openssl(args):
+    # every sample is drawn from ``channels.SampleStream``, on the standard
+    # library's random: numpy.random's extension modules, and secrets ->
+    # hashlib -> OpenSSL's _hashlib behind them, add about 6 MB to a run
+    code = ("import os, sys; from switchcert import cli; "
+            "code = cli.main(sys.argv[1:] + ['--out', os.devnull]); "
+            "print(code, [m for m in ('numpy.random', 'secrets', '_hashlib') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0 []\n"
 
 
 def test_float_serialization_17_digits():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from switchcert import probe
-from switchcert.channels import haar_random_unitary, unitary_choi
+from switchcert.channels import SampleStream, haar_random_unitary, unitary_choi
 from switchcert.linalg import frobenius, min_eigenvalue
 from switchcert.probe import (
     ConstraintSystem,
@@ -152,7 +152,8 @@ def test_switch_projection_d4_without_a_dense_projector():
     assert frobenius(project(pa), pa) <= 1e-12 * np.linalg.norm(pa)
     assert abs(np.vdot(pa, b) - np.vdot(a, project(b))) \
         <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
-    j1, j2 = (unitary_choi(haar_random_unitary(d, rng)) for _ in range(2))
+    stream = SampleStream(9)
+    j1, j2 = (unitary_choi(haar_random_unitary(d, stream)) for _ in range(2))
     x = rng.standard_normal((nout, nout)) + 1j * rng.standard_normal((nout, nout))
     fixed = np.kron(np.kron(j1, j2), x)
     assert frobenius(project(fixed), fixed) <= 1e-12 * np.linalg.norm(fixed)
@@ -212,8 +213,8 @@ def test_psd_project_positive_rebuild_matches_full_clip(positive):
 
 def haar_slot_basis(d, seed=0):
     """Orthonormal d^2 x d^2 operators spanning sampled span{J_U}, via an SVD."""
-    rng = np.random.default_rng(seed)
-    mat = np.array([unitary_choi(haar_random_unitary(d, rng)).reshape(-1)
+    stream = SampleStream(seed)
+    mat = np.array([unitary_choi(haar_random_unitary(d, stream)).reshape(-1)
                     for _ in range(4 * span_dimension_formula(d))])
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.count_nonzero(s > 1e-10 * s[0]))
@@ -713,7 +714,7 @@ def test_clip_is_one_stacked_solve_per_block_size(kind, d, sizes, monkeypatch):
     # every block of that size, gives the oracle's block-by-block clip of a
     # G-invariant start point bit for bit
     sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
-    v = probe._affine(sys.layout, probe._start_point(sys, 17).real)
+    v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)).real)
     assert min(map(min_eigenvalue, probe._blocks(sys.layout, v))) < -1e-3  # work to do
     blocks = sorted(b - a for _, _, cuts in sys.symmetry.clips for a, b in zip(cuts, cuts[1:]))
     shapes = []
@@ -762,7 +763,7 @@ def test_switch_clip_sends_no_one_by_one_stack_to_eigh(monkeypatch):
     # the d = 2 switch clip has a stack of 1 x 1 isotypic blocks, clipped
     # without an eigensolve, and still gives the oracle's clip
     sys = build_constraint_system("switch", 2)
-    v = probe._affine(sys.layout, probe._start_point(sys, 17).real)
+    v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)).real)
     assert any(index.shape[-1] == 1 for index in sys.symmetry.stacks)
     shapes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: shapes.append(x.shape) or eigh(x))
@@ -887,23 +888,54 @@ def test_probe_determinism():
     assert a.checks == b.checks and a.notes == b.notes
 
 
-def drawn_direction(sys, seed):
-    """The direction a start draws from seed, built densely: complex
-    normals on the m sector block entries, 0 off them, made Hermitian as
-    g + g^H, twirled over the kind's involutions and scaled to sqrt(D) / n,
-    D the dimension of the invariant block matrices (m without any)."""
-    rng = np.random.default_rng(seed)
+def test_starts_draw_in_turn_from_one_stream(monkeypatch):
+    # start k begins at the affine point of the k-th draw of the seed's one
+    # stream, so a run of n starts begins with the first n starts of any
+    # longer run
+    sys = build_constraint_system("switch", 2)
+    begun, run_single = [], probe._run_single
+    monkeypatch.setattr(probe, "_run_single",
+                        lambda sys_, x: begun.append(x.copy()) or run_single(sys_, x))
+    alternating_projection_probe(sys, starts=3, seed=4)
+    stream = SampleStream(4)
+    want = [probe._affine(sys.layout, probe._start_point(sys, stream).real) for _ in range(3)]
+    assert all(np.array_equal(x, w) for x, w in zip(begun, want, strict=True))
+    assert not np.array_equal(want[0], want[1])
+
+
+def dense_direction(sys, re, im):
+    """A start direction built densely from m real and m imaginary normals:
+    complex normals on the m sector block entries, 0 off them, made
+    Hermitian as g + g^H, twirled over the kind's involutions and scaled to
+    sqrt(D) / n, D the dimension of the invariant block matrices (m without
+    any)."""
     flat, n = entries_of(sys), sys.process.size
     g = np.zeros(n * n, dtype=complex)
-    g[flat] = rng.standard_normal(len(flat)) + 1j * rng.standard_normal(len(flat))
+    g[flat] = re + 1j * im
     h = group_twirl(sys, g.reshape(n, n) + g.reshape(n, n).conj().T)
     return h * (math.sqrt(invariant_dimension(sys)) / n / np.linalg.norm(h))
+
+
+def drawn_direction(sys, seed):
+    """The direction a probe start draws first from SampleStream(seed)."""
+    return dense_direction(sys, *SampleStream(seed).normal((2, len(entries_of(sys)))))
 
 
 def perturbed_start(sys, seed):
     """The reference plus the real part of the direction drawn from seed:
     its affine projection is where the probe's start begins."""
     return reference(sys) + drawn_direction(sys, seed).real
+
+
+def loop_input(sys, seed):
+    """A start point that is test input only: the reference plus the real
+    part of a direction of numpy's normals of seed, real parts first.  The
+    loop comparisons below run from these fixed points, not from the
+    probe's own draws."""
+    rng = np.random.default_rng(seed)
+    m = len(entries_of(sys))
+    return reference(sys) + dense_direction(sys, rng.standard_normal(m),
+                                            rng.standard_normal(m)).real
 
 
 def affine_start(sys, start):
@@ -916,7 +948,7 @@ def affine_start(sys, start):
 def test_run_single_matches_fresh_array_loop(kind, seed):
     # reusing the correction, the history and the start's buffer changes no bit
     sys = build_constraint_system(kind, 2)
-    start = perturbed_start(sys, seed)
+    start = loop_input(sys, seed)
     x, dist, iters = probe._run_single(sys, affine_start(sys, start))
     ox, odist, oiters = dykstra_start(sys, start)
     assert np.array_equal(x, ox) and (dist, iters) == (odist, oiters)
@@ -928,7 +960,7 @@ def test_run_single_matches_fresh_array_loop(kind, seed):
 def test_blocked_start_matches_dense_fresh_array_loop(kind, seed):
     # the block storage changes the sums of the norms and dots, and no more
     sys = build_constraint_system(kind, 2)
-    start = perturbed_start(sys, seed)
+    start = loop_input(sys, seed)
     x, dist, iters = probe._run_single(sys, affine_start(sys, start))
     dx, ddist, diters = dykstra_start(sys, start, dense=True)
     assert iters == diters
@@ -939,7 +971,7 @@ def test_blocked_start_matches_dense_fresh_array_loop(kind, seed):
 @pytest.mark.parametrize("kind,seed", [("identity", 1), ("switch", 3)])
 def test_secant_step_halves_the_iterations(kind, seed):
     sys = build_constraint_system(kind, 2)
-    start = perturbed_start(sys, seed)
+    start = loop_input(sys, seed)
     _, plain_dist, plain_iters = dykstra_start(sys, start, secant=False)
     _, dist, iters = probe._run_single(sys, affine_start(sys, start))
     assert plain_dist <= probe.TOL and dist <= probe.TOL
@@ -959,7 +991,7 @@ def test_secant_falls_back_to_the_plain_step(patch, monkeypatch):
     # a zero ||df||^2, or a NaN gamma and so a non-finite secant point,
     # takes the plain Dykstra step every time
     sys = build_constraint_system("identity", 2)
-    start = perturbed_start(sys, 1)
+    start = loop_input(sys, 1)
     plain = dykstra_start(sys, start, secant=False)
     x0 = affine_start(sys, start)
     calls = []
@@ -976,10 +1008,10 @@ def test_secant_falls_back_to_the_plain_step(patch, monkeypatch):
 def test_unique_start_returns_numbers_only(kind):
     # a start gives back its final checks, no matrix
     sys = build_constraint_system(kind, 2)
-    result = probe._run_start(sys, 4)
+    result = probe._run_start(sys, SampleStream(4))
     assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
-    start = probe._affine(sys.layout, probe._start_point(sys, 4).real)
+    start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(4)).real)
     x, dist, iters = probe._run_single(sys, start.copy())
     # a start begins at the affine point of the real part of the dense draw
     # and stays real
@@ -1016,7 +1048,7 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d):
     # reference's unit entries would round it
     zero = dataclasses.replace(sys.layout, reference=np.zeros_like(sys.layout.reference))
     got = probe._start_point(SimpleNamespace(layout=zero, symmetry=sys.symmetry,
-                                             process=sys.process), 5)
+                                             process=sys.process), SampleStream(5))
     want = drawn_direction(sys, 5)
     assert not off_sector(sys, want).any()
     assert frobenius(got, blocks(sys, want)) <= 1e-15
@@ -1025,13 +1057,16 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d):
 
 def test_cp_family_start_is_the_dense_unit_draw():
     # one sector holds the 8 kept indices: the block draw is bit for bit the
-    # dense unit draw on that 8 x 8 block, scaled by sqrt(D) / n = 8 / 16
+    # dense unit draw on that 8 x 8 block, real parts before imaginary ones,
+    # scaled by sqrt(D) / n = 8 / 16
     sys = build_constraint_system("cp_family", 2)
     assert len(sys.layout.reference) == 64 and sys.process.size == 16
     for seed in range(30):
-        direction = random_hermitian_direction(8, np.random.default_rng(seed))
-        want = sys.layout.reference + direction.reshape(-1) / 2
-        assert np.array_equal(probe._start_point(sys, seed), want), seed
+        re, im = SampleStream(seed).normal((2, 8, 8))
+        g = re + 1j * im
+        h = g + g.conj().T
+        want = sys.layout.reference + (h / frobenius(h)).reshape(-1) / 2
+        assert np.array_equal(probe._start_point(sys, SampleStream(seed)), want), seed
 
 
 @pytest.mark.parametrize("kind,d", [*((kind, 2) for kind in probe.KINDS), ("identity", 3),
@@ -1043,7 +1078,7 @@ def test_real_start_is_the_real_part_of_the_affine_point(kind, d):
     # d = 3 switch system is built past the guard
     sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
     for seed in range(3):
-        point = probe._start_point(sys, seed)
+        point = probe._start_point(sys, SampleStream(seed))
         assert np.iscomplexobj(point)
         want = probe._affine(sys.layout, point).real
         assert np.array_equal(probe._affine(sys.layout, point.real), want), seed
@@ -1065,7 +1100,7 @@ def test_switch_start_memory_peak():
     # the secant history must not raise the peak: the complex affine point
     # is freed before the loop, and the loop reuses spent buffers
     sys = build_constraint_system("switch", 2)
-    assert traced_peak(lambda: probe._run_start(sys, 3)) <= 3.2 * 2 ** 20
+    assert traced_peak(lambda: probe._run_start(sys, SampleStream(3))) <= 3.2 * 2 ** 20
 
 
 def test_switch_loop_memory_peak():
@@ -1073,7 +1108,7 @@ def test_switch_loop_memory_peak():
     # gathers and segment sums of the partial traces (a 0.30 MiB peak);
     # dense 0.5 MiB iterates would take it to about 4 MiB
     sys = build_constraint_system("switch", 2)
-    start = probe._affine(sys.layout, probe._start_point(sys, 3).real)
+    start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(3)).real)
     assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 2.5 * 2 ** 20
 
 
@@ -1081,7 +1116,7 @@ def test_switch_d3_start_memory_peak():
     # a start projects the real part of its point: the complex point's
     # affine map, with its complex gathers and segment sums, took 14.2 MiB
     sys = ConstraintSystem("switch", Process(3, switch_choi_vector(3)))
-    assert traced_peak(lambda: probe._run_start(sys, 3)) <= 11 * 2 ** 20
+    assert traced_peak(lambda: probe._run_start(sys, SampleStream(3))) <= 11 * 2 ** 20
 
 
 def test_switch_d3_system_memory_peak():
@@ -1102,14 +1137,14 @@ def test_switch_d3_project_memory_peak():
 
 
 class _NanNormals:
-    """A generator whose normals hold one NaN: every start is not finite."""
+    """A stream whose draws hold one NaN: every start is not finite."""
 
     def __init__(self, seed):
         pass
 
-    def standard_normal(self, size):
-        normals = np.zeros(size)
-        normals[0] = np.nan
+    def normal(self, shape):
+        normals = np.zeros(shape)
+        normals.flat[0] = np.nan
         return normals
 
 
@@ -1120,7 +1155,7 @@ def _non_finite_switch(monkeypatch):
 
 
 def _non_finite_identity(monkeypatch):
-    monkeypatch.setattr(np.random, "default_rng", _NanNormals)
+    monkeypatch.setattr(probe, "SampleStream", _NanNormals)
     return build_constraint_system("identity", 2)
 
 
@@ -1148,7 +1183,7 @@ def test_non_finite_cp_family_reference_fails_without_polish(monkeypatch):
     # eigensolve, which may raise on it, are skipped, and the C_p probe runs
     # no starts
     sys = build_constraint_system("cp_family", 2)
-    monkeypatch.setattr(np.random, "default_rng", _NanNormals)
+    monkeypatch.setattr(probe, "SampleStream", _NanNormals)
     eigensolves = []
     monkeypatch.setattr(probe, "min_eigenvalue",
                         lambda x: eigensolves.append(x) or 0.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from switchcert import span
-from switchcert.channels import choi_from_kraus, haar_random_unitaries, \
+from switchcert.channels import SampleStream, choi_from_kraus, haar_random_unitaries, \
     haar_random_unitary, standard_channel, unitary_choi
 from switchcert.linalg import frobenius
 from switchcert.span import (
@@ -131,7 +131,7 @@ def test_same_side_lone_ketbras_are_outside_span():
 def test_partial_trace_characterization_cross_check():
     # independent membership oracle: both partial traces proportional to the
     # identity with the same constant
-    rng = np.random.default_rng(1)
+    rng, stream = np.random.default_rng(1), SampleStream(1)
     d = 3
 
     def marginals_dev(op):
@@ -143,7 +143,7 @@ def test_partial_trace_characterization_cross_check():
                    frobenius(tr_in, lam * np.eye(d)))
 
     combo = sum(complex(*rng.standard_normal(2))
-                * unitary_choi(haar_random_unitary(d, rng))
+                * unitary_choi(haar_random_unitary(d, stream))
                 for _ in range(5))
     assert marginals_dev(combo) <= 1e-10
     assert _span_residuals([combo], d)[0] <= 1e-9
@@ -186,8 +186,8 @@ def test_estimate_span_dimension():
 def test_span_dimension_svd_rank_matches_gram_rank(d):
     # the eigvalsh-of-the-Gram rank the singular-value rule replaced
     samples, seed = 3 * span_dimension_formula(d) + 30, 0
-    rng = np.random.default_rng(seed)
-    vecs = np.array([unitary_choi(haar_random_unitary(d, rng)).reshape(-1)
+    stream = SampleStream(seed)
+    vecs = np.array([unitary_choi(haar_random_unitary(d, stream)).reshape(-1)
                      for _ in range(samples)])
     gram = vecs.conj() @ vecs.T
     w = np.abs(np.linalg.eigvalsh((gram + gram.conj().T) / 2))
@@ -240,9 +240,9 @@ def test_span_dimension_holds_little_beside_its_matrix():
 
 def haar_span_projector(d, seed=0):
     """V^H V for an orthonormal row basis V of sampled vec(J_U), via an SVD."""
-    rng = np.random.default_rng(seed)
+    stream = SampleStream(seed)
     samples = 4 * span_dimension_formula(d)
-    mat = np.array([unitary_choi(haar_random_unitary(d, rng)).reshape(-1)
+    mat = np.array([unitary_choi(haar_random_unitary(d, stream)).reshape(-1)
                     for _ in range(samples)])
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     v = vh[:int(np.count_nonzero(s > 1e-10 * s[0]))]

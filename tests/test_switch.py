@@ -6,6 +6,7 @@ import pytest
 
 from switchcert.channels import (
     PAULI,
+    SampleStream,
     choi_from_kraus,
     haar_random_unitaries,
     haar_random_unitary,
@@ -85,9 +86,9 @@ def test_pauli_example_factorizes():
 
 
 def test_kraus_route_on_unitaries():
-    rng = np.random.default_rng(0)
+    stream = SampleStream(0)
     for d in (2, 3):
-        u1, u2 = haar_random_unitary(d, rng), haar_random_unitary(d, rng)
+        u1, u2 = haar_random_unitary(d, stream), haar_random_unitary(d, stream)
         k = switch_kraus_output(u1[None], u2[None])
         want = unitary_choi(controlled_order_unitary(u1, u2))
         assert frobenius(k, want) <= 1e-12
@@ -238,8 +239,8 @@ def test_w0_action_pairs_count():
 
 def test_nonzeros_complex_vector_matches_dense():
     from switchcert.uniqueness import build_derived_one_slot
-    rng = np.random.default_rng(7)
-    a, b = haar_random_unitary(2, rng), haar_random_unitary(2, rng)
+    stream = SampleStream(7)
+    a, b = haar_random_unitary(2, stream), haar_random_unitary(2, stream)
     proc = build_derived_one_slot("sandwich", 2, a=a, b=b)
     w = proc.op.entries
     assert np.abs(scattered_nonzeros(proc) - w).max() <= 1e-15
@@ -460,7 +461,8 @@ def kernel_mismatches(proc, rng) -> list:
     if max(np.abs(op[i:i + 256] - w[i:i + 256]).max() for i in range(0, n, 256)) > 1e-12:
         bad.append("op")
     del op
-    us = haar_random_unitaries(d, 2 * proc.slots, rng).reshape(2, proc.slots, d, d)
+    us = haar_random_unitaries(d, 2 * proc.slots, int(rng.integers(2 ** 31)))
+    us = us.reshape(2, proc.slots, d, d)
     js = unitary_choi(us.reshape(-1, d, d)).reshape(2, proc.slots, d * d, d * d)
     if proc.slots == 1:
         dense = link(w, js[:, 0])

@@ -3,6 +3,7 @@ import pytest
 
 from switchcert.channels import (
     PAULI,
+    SampleStream,
     choi_from_kraus,
     haar_random_unitary,
     standard_channel,
@@ -49,9 +50,9 @@ def test_identity_process_basics():
         assert abs(np.trace(proc.op.entries) - d * d) < 1e-12
         assert numerical_rank(proc.op) == 1
         assert min_eigenvalue(proc.op) >= -1e-12
-        rng = np.random.default_rng(d)
+        stream = SampleStream(d)
         for _ in range(5):
-            ju = unitary_choi(haar_random_unitary(d, rng))
+            ju = unitary_choi(haar_random_unitary(d, stream))
             assert frobenius(apply_one_slot(proc, ju), ju) <= 1e-10
 
     proc = build_identity_process(2)
@@ -287,11 +288,11 @@ def test_derived_transpose_and_conjugate_examples():
 def test_derived_vectors_match_change_of_variables():
     # oracle: the d^4 x d^4 change of variables m applied to C0's vector
     from switchcert.channels import flip_operator
-    rng = np.random.default_rng(21)
+    stream = SampleStream(21)
     for d in (2, 3, 4):
         eye = np.eye(d)
         c0 = build_identity_process(d).vectors[0]
-        a, b = haar_random_unitary(d, rng), haar_random_unitary(d, rng)
+        a, b = haar_random_unitary(d, stream), haar_random_unitary(d, stream)
         m = np.kron(np.kron(a, eye), np.kron(eye, b))
         got = build_derived_one_slot("sandwich", d, a=a, b=b).vectors[0]
         assert np.abs(got - m @ c0).max() <= 1e-15
@@ -338,11 +339,11 @@ def test_cp_factor_matrix_eigenvalues():
 
 
 def test_cp_family_action_proportional_to_identity():
-    rng = np.random.default_rng(4)
+    stream = SampleStream(4)
     jid = unitary_choi(np.eye(2))
     jid_hat = jid / np.linalg.norm(jid)
     for _ in range(20):
-        ju = unitary_choi(haar_random_unitary(2, rng))
+        ju = unitary_choi(haar_random_unitary(2, stream))
         outs = [apply_one_slot(build_cp_family(p), ju)
                 for p in (0.0, 0.5, 1.0)]
         for out in outs:
@@ -397,10 +398,10 @@ def test_certificates_run_fixed_trial_counts():
 
 
 def test_pure_one_slot_kernel_matches_dense_oracle():
-    rng = np.random.default_rng(13)
+    rng, stream = np.random.default_rng(13), SampleStream(13)
     for d in (2, 3):
-        a = haar_random_unitary(d, rng)
-        b = haar_random_unitary(d, rng)
+        a = haar_random_unitary(d, stream)
+        b = haar_random_unitary(d, stream)
         procs = [build_identity_process(d), build_derived_one_slot("transpose", d),
                  build_derived_one_slot("sandwich", d, a=a, b=b)]
         if d == 2:
