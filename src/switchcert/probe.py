@@ -42,13 +42,17 @@ feasible point iff it has a real one, and a probe over real symmetric
 iterates tests the same claim.  The reference must therefore be real.  The
 C_p witness, which is feasible whether it is real or not, stays complex.
 
-The kinds that claim uniqueness also run in charge sectors.  A diagonal
-unitary V with phases t acts on each tensor factor as t, conj(t) or not at
-all, by the kind's sign table (``KINDS``); a basis index's charge
-is the signed count of each of its digit values, and a sector is the set of
-indices of one charge.  The torus twirl T(X) = int V X V^H dV keeps X on
-the sector blocks and zeroes it off them.  The slot projector commutes with
-T and the reference is T-invariant, so T maps the feasible set onto itself.
+The kinds that claim uniqueness also run in charge sectors.  A product V
+of per-factor phase diagonals scales basis index r by exp(i t.e(r)), e(r)
+the indicator of r's digits, and fixes W if t.(e(r) - e(r0)) = 0 for all
+r, r0 on one stack vector's support.  Such t form a torus; an index's
+charge is e(r) in an integer basis of them, and a sector the indices of
+one charge (``_charge_sectors``; Gatermann & Parrilo, J. Pure Appl.
+Algebra 192, 2004).  The torus twirl T(X) = int V X V^H dV
+keeps X on the sector blocks and zeroes it off them.  V acts on a slot as
+A_I (x) B_O, which keeps 1 and the traceless parts, so the slot projector
+commutes with T; the reference is T-invariant, so T maps the feasible set
+onto itself.
 Lemma: if W = |w><w| is pure and T-invariant and X != W is feasible, then
 T(X) is a feasible point other than W.  Proof: V w is a multiple of w, so
 V^H u is orthogonal to w whenever u is; if T(X) = W, then for such u the integral
@@ -59,8 +63,8 @@ second feasible point iff it has a real sector-block-diagonal one.  So the
 probe stores a matrix as the vector of its sector blocks' entries
 (``_Layout``): a start's direction is drawn on the blocks alone, the PSD
 projection clips each block, and the affine map keeps them.  The C_p
-family, whose kind has no sign table, and a reference that is not exactly
-0 off its kind's sectors get one sector holding every kept index (below).
+family, certified by its complex witness, keeps one sector and no
+involution: the lemmas are for a reference that claims uniqueness.
 
 Every kind stores only the outputs o that the slot marginal of W reaches.
 The identity lies in each slot's span{J_U}, so the constraints fix
@@ -77,38 +81,37 @@ sectors partition K, involutions are kept only if they map K onto itself,
 and a process whose exact support leaves K is refused.  The switch keeps
 PC = FC, half its indices, C_1 P F in {00, 11}, the others every index.
 
-The switch probe twirls further, over G = T x <S, R> (``_involutions``;
-the product is semidirect, as R reverses the torus's phases).
-S swaps the slots (I1, O1) and (I2, O2) and flips both control qubits,
-which maps the U1U2 branch of w onto the U2U1 branch; R maps every qudit
-digit i to d - 1 - i, which maps each branch onto itself.  Each is a real
-permutation P of the basis that fixes w, commutes with the slot projector
-(S exchanges two slots that carry the same projector, and R acts on each
-slot as V (x) V for the real reversal V, which maps every J_U onto
-J_(V U V^T)), and maps each sector onto a sector, so P maps the feasible
-set onto itself.  Lemma: if W = |w><w| is pure and G-invariant and
-X != W is feasible, then the average Z of P T(X) P^T over <S, R> is a
-G-invariant sector-block-diagonal feasible point other than W.  Proof:
-Y = T(X) is feasible and not W by the torus lemma, each P Y P^T is
-feasible and sector-block-diagonal, and so is their mean Z, by
-convexity; if Z = W, then Y <= 4W, as the other three terms are PSD,
-so the range of Y lies in span{w} and Y = W as above, which it is not.
-So a pure G-invariant process has a second feasible point iff it has a
-real, sector-block-diagonal, G-invariant one.  On such a matrix a
-sector's stabiliser in <S, R> acts by permuting its indices; in a real
-orthogonal basis of character sums over the index orbits the sector's
-block splits into one isotypic block per character, and a sector that
-<S, R> maps onto an earlier one holds a copy of that one's block.  So
-the clip (``_clip``) is ``psd_project`` of each isotypic block, rotated
-back, with the copies filled in: 10 blocks of at most 15 at d = 2 and
-46 of at most 60 at d = 3, clipped in one stacked solve per block size
-(4 stacks at d = 2).  The start is twirled over <S, R>, and the
-affine map, Dykstra's correction and the secant step keep G-invariance,
-as the reference is invariant and the projector commutes with P; the
-rounding off the invariant matrices is what the clip drops.  The final
-checks read every whole sector block.  An involution is kept only if it
-fixes the stored reference exactly and maps each sector onto a sector;
-the other kinds have none, and their clip is the sector clip.
+The probe twirls further, over G = T x H (the product is semidirect, as R
+reverses the torus's phases).  Every process is offered R, which maps every
+qudit digit i to d - 1 - i, and a two-slot one also S, which swaps the
+slots (I1, O1) and (I2, O2) and flips both control qubits
+(``_involutions``); H is generated by those that fix the stored reference
+exactly and map each sector onto a sector (``_symmetry``).  S maps the
+U1U2 branch of the switch's w onto the U2U1 branch, and R maps each branch
+onto itself.  Each is a real permutation P of the basis that commutes with
+the slot projector (S exchanges two slots that carry the same projector,
+and R acts on each slot as V (x) V for the real reversal V, which maps
+every J_U onto J_(V U V^T)), so a kept P maps the feasible set onto
+itself.  Lemma: if W = |w><w| is pure and G-invariant and X != W is
+feasible, then the average Z of P T(X) P^T over H is a G-invariant
+sector-block-diagonal feasible point other than W.  Proof: Y = T(X) is
+feasible and not W by the torus lemma, each P Y P^T is feasible and
+sector-block-diagonal, and so is their mean Z, by convexity; if Z = W,
+then Y <= |H| W, as the other terms are PSD, so the range of Y lies in
+span{w} and Y = W as above, which it is not.  So a pure G-invariant
+process has a second feasible point iff it has a real,
+sector-block-diagonal, G-invariant one.  On such a matrix a sector's
+stabiliser in H acts by permuting its indices; in a real orthogonal basis
+of character sums over the index orbits the sector's block splits into one
+isotypic block per character, and a sector that H maps onto an earlier one
+holds a copy of that one's block.  So the clip (``_clip``) is
+``psd_project`` of each isotypic block, rotated back, with the copies
+filled in: for the switch 10 blocks of at most 15 at d = 2 and 46 of at
+most 60 at d = 3, in one stacked solve per block size.  The start is
+twirled over H, and the affine map, Dykstra's correction and the secant
+step keep G-invariance, as the reference is invariant and the projector
+commutes with P; the rounding off the invariant matrices is what the clip
+drops.  The final checks read every whole sector block.
 """
 
 from __future__ import annotations
@@ -130,20 +133,14 @@ from .uniqueness import (
     build_identity_process,
 )
 
-# Per kind: the process it probes unless one is given, the slot dimensions d
-# its probe supports, and the charge signs of the tensor factors in storage
-# order (None: one sector; the switch's control qubit is uncharged).  The
-# builders are looked up when called, so that rebinding one of their names
-# here takes effect.
+# Per kind: its default process and the slot dimensions d its probe supports.
+# The builders are looked up when called, so rebinding their names takes effect.
 KINDS = {
-    "identity": (lambda d: build_identity_process(d), range(2, 5), (1, -1, -1, 1)),
-    "switch": (lambda d: Process(d, switch_choi_vector(d)), range(2, 3),
-               (1, -1, 1, -1, -1, 1, 0, 0)),
-    "transpose": (lambda d: build_derived_one_slot("transpose", d), range(2, 5),
-                  (1, -1, 1, -1)),
-    "conjugate_qubit": (lambda d: build_derived_one_slot("conjugate_qubit", d), range(2, 3),
-                        (1, -1, 1, -1)),
-    "cp_family": (lambda d: build_cp_family(1.0), range(2, 3), None),
+    "identity": (lambda d: build_identity_process(d), range(2, 5)),
+    "switch": (lambda d: Process(d, switch_choi_vector(d)), range(2, 3)),
+    "transpose": (lambda d: build_derived_one_slot("transpose", d), range(2, 5)),
+    "conjugate_qubit": (lambda d: build_derived_one_slot("conjugate_qubit", d), range(2, 3)),
+    "cp_family": (lambda d: build_cp_family(1.0), range(2, 3)),
 }
 MAX_ITER = 5000  # Dykstra iterations per start
 TOL = 1e-6  # distance to the reference at which a start has converged
@@ -157,13 +154,10 @@ WITNESS_MAX_ITER = 400_000  # evaluations the witness polish may take
 class ConstraintSystem:
     """The probe problem of a process: the PSD cone and the affine set of
     Hermitian matrices whose action on span{J_U} in each slot is the
-    process's.  ``kind`` names the problem and fixes the slot count, two for
-    the switch and one otherwise; everything else is read off ``process``,
-    whose matrix must be real.  ``layout`` is the probe's storage of a
-    matrix on the charge sectors of the kind (``_charge_sectors``), which
-    must partition the kept indices (``_kept``), and ``symmetry`` the
-    clip's plan for the kind's involutions (``_involutions``) that the
-    reference keeps.
+    process's.  ``kind`` names it; the rest is read off ``process``, whose
+    matrix must be real: ``layout`` stores a matrix on its charge sectors,
+    which must partition the kept indices, and ``symmetry`` is the clip's
+    plan for the involutions it keeps (module docstring).
     """
 
     kind: str
@@ -172,18 +166,17 @@ class ConstraintSystem:
     symmetry: _Symmetry = field(init=False, repr=False)
 
     def __post_init__(self):
-        slots = 2 if self.kind == "switch" else 1
-        if self.process.slots != slots:
-            raise ValueError(f"the {self.kind} probe needs a {slots}-slot process, "
-                             f"not a {self.process.slots}-slot one")
+        _row(self.kind)
         kept = _kept(self.process)
         if not np.isin(np.concatenate(self.process.support()), kept).all():
             raise ValueError(f"the {self.kind} process has entries off its kept outputs")
-        sectors = _charge_sectors(self.kind, self.process, kept)
+        witness = self.kind == "cp_family"
+        sectors = (kept,) if witness else _charge_sectors(self.process, kept)
         if not np.array_equal(np.sort(np.concatenate(sectors)), kept):
             raise ValueError(f"the {self.kind} sectors do not partition the kept indices")
         object.__setattr__(self, "layout", _layout(self, sectors))
-        object.__setattr__(self, "symmetry", _symmetry(self, sectors))
+        involutions = () if witness else _involutions(self.process)
+        object.__setattr__(self, "symmetry", _symmetry(self, sectors, involutions))
 
     @property
     def family_rank(self) -> int:
@@ -206,22 +199,16 @@ def build_constraint_system(kind: str, d: int, process: Process | None = None, *
     """The constraint system of ``process``, by default the kind's own
     process at slot dimension d.
 
-    A given process must have slot dimension d, the kind's slot count and
-    a real matrix.  The system is exact, so ``seed`` is unused.  The system
-    holds the probe's storage on the kind's charge sectors and, for the
-    switch, the clip's plan for the slot swap with the control flip and
-    the qudit reversal, kept only if they fix the reference exactly and map
-    sectors onto sectors (``_symmetry``).  d must lie in the kind's range
-    in ``KINDS``.
+    A given process must have slot dimension d, the slot count of the
+    kind's own process and a real matrix.  The system is exact, so ``seed``
+    is unused.  d must lie in the kind's range in ``KINDS``.
     """
-    default, dims, _ = _row(kind)
+    default, dims = _row(kind)
     if d not in dims:
         raise ValueError(f"the {kind} probe supports d = {', '.join(map(str, dims))}, not {d}")
-    if process is None:
-        process = default(d)
-    if process.d != d:
-        raise ValueError(f"the process has slot dimension {process.d}, not {d}")
-    return ConstraintSystem(kind, process)
+    if process is not None and (process.d, process.slots) != (d, default(d).slots):
+        raise ValueError(f"the {kind} probe needs a {default(d).slots}-slot process at d = {d}")
+    return ConstraintSystem(kind, default(d) if process is None else process)
 
 
 def _row(kind: str) -> tuple:
@@ -240,23 +227,42 @@ def _kept(process: Process) -> np.ndarray:
     return index[:, (process.entry(index, index) != 0).any(axis=0)].reshape(-1)
 
 
-def _charge_sectors(kind: str, process: Process, kept: np.ndarray) -> tuple:
-    """The ``kept`` indices of each nonempty charge sector of the kind's sign
-    table, in the order of their charge vectors; one sector of every kept
-    index for a kind without a sign table or a process whose support leaves
-    the sectors."""
-    signs = _row(kind)[2]
-    if signs is not None:
-        d = process.d
-        dims = (d,) * 6 + (2, 2) if process.slots == 2 else (d,) * 4
-        digits = np.indices(dims).reshape(len(dims), -1, 1) == np.arange(d)
-        charge = (np.reshape(signs, (-1, 1, 1)) * digits).sum(axis=0)
-        _, label = np.unique(charge, axis=0, return_inverse=True)
-        label = label.reshape(-1)
-        rows, cols = process.support()
-        if np.array_equal(label[rows], label[cols]):
-            return tuple(kept[label[kept] == s] for s in np.flatnonzero(np.bincount(label[kept])))
-    return (kept,)
+def _charge_sectors(process: Process, kept: np.ndarray) -> tuple:
+    """The ``kept`` indices of each charge sector (module docstring) in the
+    order of their charges, e(r) being row r of ``e``, one column per factor
+    and digit.  A process whose support leaves the sectors is refused."""
+    dims, n = process.dims, process.size
+    digits = np.indices(dims).reshape(len(dims), -1)  # (factor, index)
+    e = np.zeros((n, sum(dims)), dtype=np.int64)
+    e[np.arange(n), digits + np.cumsum((0, *dims[:-1]))[:, None]] = 1
+    supports = map(np.flatnonzero, process.vectors)
+    torus = [x for s in supports for x in (e[s[1:]] - e[s[:1]]).tolist()]
+    basis = np.array(_null_basis(torus, sum(dims)), dtype=np.int64)
+    _, label = np.unique(e @ basis.T, axis=0, return_inverse=True)
+    label, (rows, cols) = label.reshape(-1), process.support()
+    if not np.array_equal(label[rows], label[cols]):
+        raise ValueError("the process's support leaves its charge sectors")
+    return tuple(kept[label[kept] == q] for q in np.flatnonzero(np.bincount(label[kept])))
+
+
+def _null_basis(rows: list, n: int) -> list:
+    """An integer basis of the null space of the integer ``rows`` of length
+    n, one vector per free column, ascending: fraction-free Gauss-Jordan
+    elimination in Python ints, each new row divided by its entries' gcd."""
+    pivots = {}  # pivot column -> its row, 0 at every other pivot column
+    for row in rows:
+        for p, r in pivots.items():
+            row = [r[p] * x - row[p] * y for x, y in zip(row, r)] if row[p] else row
+        if any(row):
+            j, g = next(j for j, x in enumerate(row) if x), math.gcd(*row)
+            row = [x // g for x in row]
+            for p, r in pivots.items():
+                pivots[p] = [row[j] * x - r[j] * y for x, y in zip(r, row)] if r[j] else r
+            pivots[j] = row
+    lcm = math.lcm(*(r[p] for p, r in pivots.items()))
+    basis = [[-lcm // pivots[i][i] * pivots[i][f] if i in pivots else lcm * (i == f)
+              for i in range(n)] for f in range(n) if f not in pivots]
+    return [[v // g for v in x] for x in basis for g in (math.gcd(*x),)]
 
 
 @dataclass(frozen=True)
@@ -314,18 +320,16 @@ def _blocks(layout: _Layout, v: np.ndarray) -> list:
     return [v[a:b].reshape(2 * (math.isqrt(b - a),)) for a, b in zip(o, o[1:])]
 
 
-def _involutions(kind: str, process: Process) -> tuple:
+def _involutions(process: Process) -> tuple:
     """Index permutations g of the basis, g[i] the index of the image of
-    basis state i, that may fix the kind's reference: for the switch the
-    slot swap (I1, O1) <-> (I2, O2) with both control qubits flipped, and
-    the reversal i -> d - 1 - i of every qudit digit; none otherwise."""
-    if kind != "switch":
-        return ()
-    d = process.d
-    index = np.arange(process.size).reshape((d,) * 6 + (2, 2))
-    swap = index.transpose(2, 3, 0, 1, 4, 5, 6, 7)[..., ::-1, ::-1]
-    reverse = index[(slice(None, None, -1),) * 6]
-    return swap.reshape(-1), reverse.reshape(-1)
+    basis state i, that may fix the reference: for two slots the slot swap
+    (I1, O1) <-> (I2, O2) with both control qubits flipped, and for every
+    process the reversal i -> d - 1 - i of every qudit digit."""
+    index = np.arange(process.size).reshape(process.dims)
+    reverse = index[(slice(None, None, -1),) * (2 * process.slots + 2)].reshape(-1)
+    if process.slots == 1:
+        return (reverse,)
+    return index.transpose(2, 3, 0, 1, 4, 5, 6, 7)[..., ::-1, ::-1].reshape(-1), reverse
 
 
 @dataclass(frozen=True)
@@ -351,8 +355,8 @@ class _Symmetry:
     stacks: tuple
 
 
-def _symmetry(sys: ConstraintSystem, sectors: tuple) -> _Symmetry:
-    """The plan of the kind's involutions that fix the stored reference
+def _symmetry(sys: ConstraintSystem, sectors: tuple, involutions: tuple) -> _Symmetry:
+    """The plan of the ``involutions`` that fix the stored reference
     exactly and map each sector onto a sector, and so the kept set onto
     itself; with none kept, every sector is its own representative with
     one block.  Tables are of length n or of the stored entries."""
@@ -367,7 +371,7 @@ def _symmetry(sys: ConstraintSystem, sectors: tuple) -> _Symmetry:
         return starts[label[g[s[0]]]] + (p[:, None] * len(p) + p).ravel()
 
     kept = []
-    for g in _involutions(sys.kind, sys.process):
+    for g in involutions:
         # the sector each one must map onto, and -1 off the kept set: g must
         # map that onto itself, and so the kept set too
         onto = np.append(label[g[[s[0] for s in sectors]]], -1)

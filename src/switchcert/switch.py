@@ -73,6 +73,11 @@ class Process:
         return Operator(self._sum(lambda v: np.outer(v, v.conj())))
 
     @property
+    def dims(self) -> tuple:
+        """The factor dimensions in storage order: I, O, P, F or CANONICAL_ORDER."""
+        return (self.d,) * 4 if self.slots == 1 else (self.d,) * 6 + (2, 2)
+
+    @property
     def nin(self) -> int:
         """Dimension of the slot (input) systems, which come first."""
         return self.d ** (2 * self.slots)

@@ -32,11 +32,16 @@ included, which the probe's partial traces must match.
 ``sectors_of`` and ``entries_of`` give a system's charge sectors and the
 matrix index of each stored block entry, and ``random_hermitian_direction``
 draws a dense unit Hermitian direction from a numpy generator, as test
-input.  ``switch_involutions`` writes the switch's slot swap
-with the control flip and its qudit reversal as index permutations from
-the basis digits; ``group_twirl`` averages a dense matrix over the group
-they generate, and ``invariant_dimension`` counts the invariant
-sector-block matrices by Burnside's lemma.
+input.  ``SIGN_TABLES`` holds the hand-written charge signs of each unique
+kind, and ``table_sectors`` the sectors they give: the independent
+reference for the sectors the probe derives from the process.
+``switch_involutions`` writes the switch's slot swap with the control flip
+and its qudit reversal as index permutations from the basis digits, and
+``offered_involutions`` the qudit reversal of any process besides;
+``involutions_of`` keeps those a system's reference keeps, ``group_twirl``
+averages a dense matrix over the group they generate, and
+``invariant_dimension`` counts the invariant sector-block matrices by
+Burnside's lemma.
 """
 
 from __future__ import annotations
@@ -585,11 +590,31 @@ def switch_involutions(d: int) -> tuple:
     return tuple(np.ravel_multi_index(image, shape) for image in (swapped, reversed_))
 
 
+def offered_involutions(process: Process) -> tuple:
+    """The reversal of every qudit digit and, for two slots, first the slot
+    swap with the control flip (``switch_involutions``), as index
+    permutations from the basis digits: every process is offered these."""
+    if process.slots == 2:
+        return switch_involutions(process.d)
+    dims = (process.d,) * 4  # I, O, P, F
+    return (np.ravel_multi_index(process.d - 1 - np.indices(dims).reshape(4, -1), dims),)
+
+
 def involutions_of(sys) -> tuple:
-    """The involutions the probe's start and clip twirl a switch system
-    over when its reference is fixed by both, as for every switch system
-    the tests twirl, from ``switch_involutions``; none for the other kinds."""
-    return switch_involutions(sys.process.d) if sys.kind == "switch" else ()
+    """The involutions the probe's start and clip twirl over: those of
+    ``offered_involutions`` that fix the process's matrix exactly on every
+    stored entry and map each sector onto a sector, read entry by entry
+    through ``Process.entry``; none for the cp_family, whose witness is
+    not twirled."""
+    if sys.kind == "cp_family":
+        return ()
+    sectors, n = sectors_of(sys), sys.process.size
+    rows, cols = np.divmod(entries_of(sys), n)
+    kept = {tuple(s) for s in sectors}
+    return tuple(g for g in offered_involutions(sys.process)
+                 if np.array_equal(sys.process.entry(g[rows], g[cols]),
+                                   sys.process.entry(rows, cols))
+                 and all(tuple(np.sort(g[s])) in kept for s in sectors))
 
 
 def group_of(sys) -> list:
@@ -620,8 +645,31 @@ def invariant_dimension(sys) -> int:
 
 
 def sectors_of(sys) -> tuple:
-    """The basis indices of each charge sector of ``sys``'s block storage."""
-    return probe._charge_sectors(sys.kind, sys.process, probe._kept(sys.process))
+    """The basis indices of each charge sector of ``sys``'s block storage:
+    one sector of every kept index for the cp_family."""
+    kept = probe._kept(sys.process)
+    return (kept,) if sys.kind == "cp_family" else probe._charge_sectors(sys.process, kept)
+
+
+# Per unique kind, the hand-written charge signs of the tensor factors in
+# storage order: a diagonal unitary with phases t acts on each factor as t,
+# conj(t) or not at all, and fixes the kind's reference.  The switch's
+# control qubit is uncharged.
+SIGN_TABLES = {"identity": (1, -1, -1, 1), "switch": (1, -1, 1, -1, -1, 1, 0, 0),
+               "transpose": (1, -1, 1, -1), "conjugate_qubit": (1, -1, 1, -1)}
+
+
+def table_sectors(kind: str, process: Process) -> tuple:
+    """The kept indices of each nonempty charge sector of the kind's sign
+    table, in the order of their charge vectors: an index's charge is the
+    signed count of each of its digit values."""
+    d, signs = process.d, SIGN_TABLES[kind]
+    dims = (d,) * 4 if len(signs) == 4 else (d,) * 6 + (2, 2)
+    digits = np.indices(dims).reshape(len(dims), -1, 1) == np.arange(d)
+    charge = (np.reshape(signs, (-1, 1, 1)) * digits).sum(axis=0)
+    label = np.unique(charge, axis=0, return_inverse=True)[1].reshape(-1)
+    kept = probe._kept(process)
+    return tuple(kept[label[kept] == q] for q in np.flatnonzero(np.bincount(label[kept])))
 
 
 def entries_of(sys) -> np.ndarray:

@@ -365,8 +365,8 @@ def test_widening_the_switch_row_runs_its_probe_in_switch_verify(capsys, monkeyp
     # the switch probe's envelope is one cell of probe.KINDS: widened to
     # d = 3 there, switch-verify --dim 3 runs and lists the probe, and the
     # aggregate checks it with no skip note
-    builder, _, signs = probe.KINDS["switch"]
-    monkeypatch.setitem(probe.KINDS, "switch", (builder, range(2, 4), signs))
+    builder, _ = probe.KINDS["switch"]
+    monkeypatch.setitem(probe.KINDS, "switch", (builder, range(2, 4)))
     code, out = run_cli(["switch-verify", "--dim", "3", "--probe-starts", "1",
                          "--format", "json", "--no-timestamp"], capsys)
     certs = json.loads(out)["certificates"]
