@@ -15,6 +15,7 @@ splits such a sum by its thread count, and the reports would depend on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,13 @@ def _as_matrix(op) -> np.ndarray:
     return m.astype(float if m.dtype.kind == "f" else complex, copy=False)
 
 
-def frobenius(a, b=None) -> float:
+def frobenius(a, b=None, *, weights=None) -> float:
     """Frobenius norm of a, or of a - b when b is given: ``frobenius_each``
-    of the one matrix."""
+    of the one matrix, or with ``weights`` the root of ``real_dot`` of it
+    with itself."""
     m = _as_matrix(a)
-    return float(frobenius_each(m if b is None else m - _as_matrix(b)))
+    m = m if b is None else m - _as_matrix(b)
+    return float(frobenius_each(m)) if weights is None else math.sqrt(real_dot(m, m, weights))
 
 
 def frobenius_each(a, b=None) -> np.ndarray:
@@ -66,9 +69,17 @@ def frobenius_each(a, b=None) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
-def real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re<a, b> of two float64 or complex128 arrays of one size."""
-    return float(np.einsum("i,i->", np.ravel(a).view(float), np.ravel(b).view(float)))
+def real_dot(a: np.ndarray, b: np.ndarray, weights=None) -> float:
+    """Re<a, b> of two float64 or complex128 arrays of one size, each
+    coordinate's product counted ``weights`` times if given: for vectors of
+    orbit coordinates and the orbit sizes, the inner product of the
+    matrices they store."""
+    a, b = np.ravel(a).view(float), np.ravel(b).view(float)
+    if weights is None:
+        return float(np.einsum("i,i->", a, b))
+    if a.size != len(weights):  # complex: a weight each for the real and imaginary part
+        weights = np.repeat(weights, 2)
+    return float(np.einsum("i,i,i->", weights, a, b))
 
 
 def _hermitian_part(op):

@@ -14,8 +14,10 @@ eigenvalue >= -TOL if it stopped on TOL: so, as FEAS_TOL >= TOL, the two
 checks can fail only for a start that stops on the 1e-13 step rule, at
 MAX_ITER, or on a non-finite value.  Only the kinds that claim uniqueness
 run starts: the deliberately non-unique C_p family is certified by its
-witness, a feasible point far from the reference, found by two secant-mixed
-polishes of a generic affine point (``_find_witness``).
+witness, a feasible point far from the reference, found by secant-mixed
+polishes of a generic affine point, each after the first following the
+last witness out while it lies short of WITNESS_THRESHOLD, at most
+WITNESS_POLISHES in all (``_find_witness``).
 
 A probe problem is a ``ConstraintSystem``: a process and its kind.  The
 reference is the process's matrix, read (``Process.entry``) only at the
@@ -24,8 +26,7 @@ process.  As the row space of the constraint map is (slot span)^(x slots)
 (x) L(out), the orthogonal projection onto the affine set applies to the
 difference from the reference, slot by slot, the projector onto span{J_U}
 = C 1 (+) (traceless (x) traceless): three partial traces (``_slot_map``),
-each a sum over segments of the stored entries in row-major order, so that
-every storage of a matrix gives the same bits (``_project``).  The PSD
+each a sum over segments of the stored entries (``_project``).  The PSD
 projection clips a stack of matrices in one stacked eigensolve
 (``psd_project``), and the probe's clip makes one such call per block size.
 
@@ -63,8 +64,8 @@ second feasible point iff it has a real sector-block-diagonal one.  So the
 probe stores a matrix as the vector of its sector blocks' entries
 (``_Layout``): a start's direction is drawn on the blocks alone, the PSD
 projection clips each block, and the affine map keeps them.  The C_p
-family, certified by its complex witness, keeps one sector and no
-involution: the lemmas are for a reference that claims uniqueness.
+family keeps one sector: the lemmas are for a reference that claims
+uniqueness, and its witness needs none, as it is checked as it is.
 
 Every kind stores only the outputs o that the slot marginal of W reaches.
 The identity lies in each slot's span{J_U}, so the constraints fix
@@ -100,22 +101,41 @@ sector-block-diagonal, and so is their mean Z, by convexity; if Z = W,
 then Y <= |H| W, as the other terms are PSD, so the range of Y lies in
 span{w} and Y = W as above, which it is not.  So a pure G-invariant
 process has a second feasible point iff it has a real,
-sector-block-diagonal, G-invariant one.  On such a matrix a sector's
-stabiliser in H acts by permuting its indices; in a real orthogonal basis
-of character sums over the index orbits the sector's block splits into one
-isotypic block per character, and a sector that H maps onto an earlier one
-holds a copy of that one's block.  So the clip (``_clip``) is
-``psd_project`` of each isotypic block, rotated back, with the copies
-filled in: for the switch 10 blocks of at most 15 at d = 2 and 46 of at
-most 60 at d = 3, in one stacked solve per block size.  The start is
+sector-block-diagonal, G-invariant one.  The C_p family keeps R too, with
+no lemma: R fixes C_1, so the twirled search seeks an R-invariant witness
+of the same problem, and the final checks certify whatever it finds as it
+is; it stays complex, as a real search missed the witness at some seeds.
+
+The probe stores a G-invariant matrix as one coordinate per G-orbit of its
+block entries (``_Layout``): 924 coordinates for the 3,696 entries of the
+d = 2 switch.  A norm or inner product weights each coordinate by its
+orbit size, and the transpose maps orbits onto orbits.  The slot maps
+commute with each other, and their product with G, but S exchanges the
+two slots, so the first slot's map alone would leave the invariant
+matrices; the sum B of the slot maps less 1 does not, and their product
+is a polynomial in B (``_project``), applied in the coordinates by one
+fixed sparse map.  On
+a G-invariant matrix a sector's stabiliser in H acts by permuting its
+indices; in a real orthogonal basis of character sums over the index
+orbits the sector's block splits into one isotypic block per character,
+and a sector that H maps onto an earlier one holds a copy of that one's
+block.  So the clip (``_clip``) reads each isotypic block of each
+representative sector off the coordinates through one fixed sparse map,
+clips them in one stacked solve per block size, and takes them back
+through the transpose of that map, each coordinate divided by the number
+of its entries the representative sector holds: for the switch 10 blocks
+of at most 15 at d = 2 and 46 of at most 60 at d = 3.  The start is
 twirled over H, and the affine map, Dykstra's correction and the secant
 step keep G-invariance, as the reference is invariant and the projector
-commutes with P; the rounding off the invariant matrices is what the clip
-drops.  The final checks read every whole sector block.
+commutes with each element of G.  The final checks expand the coordinates
+to every whole sector block and take its least eigenvalue there: the
+clip's bases, cuts and maps play no part in them, so a fault in that plan
+could slow the search but not pass a matrix that is not PSD.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -147,7 +167,8 @@ TOL = 1e-6  # distance to the reference at which a start has converged
 FEAS_TOL = 1e-6  # feasibility bound of the final checks and of the witness polish's stop
 WITNESS_AMPLITUDE = 0.25  # norm of the escape direction the witness polish starts from
 WITNESS_THRESHOLD = 0.1  # distance from the reference a cp_family witness must reach
-WITNESS_MAX_ITER = 400_000  # evaluations the witness polish may take
+WITNESS_MAX_ITER = 400_000  # evaluations the witness polishes may take in all
+WITNESS_POLISHES = 4  # polishes the witness search may run
 
 
 @dataclass(frozen=True)
@@ -155,28 +176,35 @@ class ConstraintSystem:
     """The probe problem of a process: the PSD cone and the affine set of
     Hermitian matrices whose action on span{J_U} in each slot is the
     process's.  ``kind`` names it; the rest is read off ``process``, whose
-    matrix must be real: ``layout`` stores a matrix on its charge sectors,
-    which must partition the kept indices, and ``symmetry`` is the clip's
-    plan for the involutions it keeps (module docstring).
+    matrix must be real: ``symmetry`` holds the involutions it keeps and
+    the clip's plan, and ``layout`` stores a matrix on its charge sectors,
+    which must partition the kept indices, one coordinate per orbit of the
+    group they generate (module docstring).
     """
 
     kind: str
     process: Process
-    layout: _Layout = field(init=False, repr=False)
     symmetry: _Symmetry = field(init=False, repr=False)
+    layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self):
         _row(self.kind)
         kept = _kept(self.process)
         if not np.isin(np.concatenate(self.process.support()), kept).all():
             raise ValueError(f"the {self.kind} process has entries off its kept outputs")
-        witness = self.kind == "cp_family"
-        sectors = (kept,) if witness else _charge_sectors(self.process, kept)
+        sectors = (kept,) if self.kind == "cp_family" else _charge_sectors(self.process, kept)
         if not np.array_equal(np.sort(np.concatenate(sectors)), kept):
             raise ValueError(f"the {self.kind} sectors do not partition the kept indices")
-        object.__setattr__(self, "layout", _layout(self, sectors))
-        involutions = () if witness else _involutions(self.process)
-        object.__setattr__(self, "symmetry", _symmetry(self, sectors, involutions))
+        symmetry = _symmetry(self.process, sectors, _involutions(self.process))
+        object.__setattr__(self, "symmetry", symmetry)
+        object.__setattr__(self, "layout", _layout(self, sectors, symmetry.orbits))
+
+    @functools.cached_property
+    def dense_layout(self) -> _Layout:
+        """The layout of one sector of every index and no involution, whose
+        coordinates are a matrix's ravel: ``affine_project``'s, built on
+        its first use and kept."""
+        return _layout(self, (np.arange(self.process.size),))
 
     @property
     def family_rank(self) -> int:
@@ -230,14 +258,17 @@ def _kept(process: Process) -> np.ndarray:
 def _charge_sectors(process: Process, kept: np.ndarray) -> tuple:
     """The ``kept`` indices of each charge sector (module docstring) in the
     order of their charges, e(r) being row r of ``e``, one column per factor
-    and digit.  A process whose support leaves the sectors is refused."""
+    and digit.  Each distinct torus row goes to the elimination once, in
+    the order of its first appearance.  A process whose support leaves the
+    sectors is refused."""
     dims, n = process.dims, process.size
     digits = np.indices(dims).reshape(len(dims), -1)  # (factor, index)
     e = np.zeros((n, sum(dims)), dtype=np.int64)
     e[np.arange(n), digits + np.cumsum((0, *dims[:-1]))[:, None]] = 1
-    supports = map(np.flatnonzero, process.vectors)
-    torus = [x for s in supports for x in (e[s[1:]] - e[s[:1]]).tolist()]
-    basis = np.array(_null_basis(torus, sum(dims)), dtype=np.int64)
+    torus = np.concatenate([e[s[1:]] - e[s[:1]] for s in map(np.flatnonzero, process.vectors)])
+    torus = torus.astype(np.int8)  # entries -1, 0 and 1, a row one byte string
+    first = np.unique(torus.view(np.dtype((np.void, torus.shape[1]))), return_index=True)[1]
+    basis = np.array(_null_basis(torus[np.sort(first)].tolist(), sum(dims)), dtype=np.int64)
     _, label = np.unique(e @ basis.T, axis=0, return_inverse=True)
     label, (rows, cols) = label.reshape(-1), process.support()
     if not np.array_equal(label[rows], label[cols]):
@@ -266,16 +297,64 @@ def _null_basis(rows: list, n: int) -> list:
 
 
 @dataclass(frozen=True)
-class _Layout:
-    """A matrix that is 0 off the sector blocks, stored as the vector of the
-    blocks' entries, each block row-major, with each entry's transpose, the
-    reference's entries, the block offsets and, per slot, ``_project``'s
-    tables.  One sector of every index is the ravel."""
+class _Map:
+    """A fixed sparse linear map: output r is the sum of coef * x[cols] over
+    the terms whose row is r, and 0 with none, of ``size`` outputs.  The
+    terms are summed by ``np.bincount`` in their stored order, a complex x
+    as its real and imaginary parts."""
 
+    rows: np.ndarray
+    cols: np.ndarray
+    coef: np.ndarray
+    size: int
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(x):
+            return self(x.real) + 1j * self(x.imag)
+        return np.bincount(self.rows, self.coef * x[self.cols], minlength=self.size)
+
+
+def _sparse(rows: np.ndarray, cols: np.ndarray, coef: np.ndarray, size: int) -> _Map:
+    """The ``_Map`` of the terms (rows, cols, coef), sorted by row and then
+    column, a repeated pair's coefficients summed in the terms' order and
+    a pair whose sum is exactly 0 dropped."""
+    width = int(cols.max()) + 1 if len(cols) else 1
+    keys, inverse = np.unique(rows * width + cols, return_inverse=True)
+    coef = np.bincount(inverse.reshape(-1), coef, minlength=len(keys))
+    keys, coef = keys[coef != 0], coef[coef != 0]
+    rows, cols = np.divmod(keys, width)
+    for a in (rows, cols, coef):
+        a.flags.writeable = False
+    return _Map(rows, cols, coef, size)
+
+
+def _entries(sectors: tuple) -> tuple:
+    """The row and column index of each entry of the block vector, the
+    sector blocks' entries block by block, each block row-major, and the
+    block offsets."""
+    offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
+    rows, cols = (np.concatenate([f(s, len(s)) for s in sectors]) for f in (np.repeat, np.tile))
+    return rows, cols, tuple(offsets.tolist())
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """A G-invariant matrix that is 0 off the sector blocks, stored as one
+    coordinate per G-orbit of the block vector's entries (``_entries``),
+    the orbits in the order of their first entry: each entry's coordinate
+    (``orbits``), so that v[orbits] is the block vector, the block offsets,
+    the orbit sizes (``weights``), each coordinate's transposed one, the
+    reference's values, the slot count and the map of the slot sum B
+    (``_project``).  With no involution every entry is an orbit; one
+    sector of every index is then the ravel."""
+
+    orbits: np.ndarray
+    offsets: tuple
+    weights: np.ndarray
     transpose: np.ndarray
     reference: np.ndarray
-    offsets: tuple
-    traces: tuple
+    slots: int
+    slot_sum: _Map
 
 
 def _slot_map(d: int) -> tuple:
@@ -284,40 +363,56 @@ def _slot_map(d: int) -> tuple:
     return ((0,), -1 / d), ((1,), -1 / d), ((0, 1), 2 / d ** 2)
 
 
-def _layout(sys: ConstraintSystem, sectors: tuple) -> _Layout:
-    """The read-only storage on ``sectors`` of the process's matrices, with
-    per slot the members of each part, the entries whose traced digits
-    (0 = I, 1 = O) agree, in row-major order, their segment labels, one per
-    match of the other digits, and each label's coefficient.  The reference,
-    which must be real, is read at the stored entries, which hold all of it."""
+def _layout(sys: ConstraintSystem, sectors: tuple, orbits: np.ndarray | None = None) -> _Layout:
+    """The read-only storage on ``sectors`` of the process's matrices in
+    the coordinates of ``orbits``, by default one per entry.
+
+    Per slot and traced part of ``_slot_map``, the members are the entries
+    whose traced digits (0 = I, 1 = O) agree, and a segment the members
+    whose other digits match; B adds to each member its segment's sum
+    times the part's coefficient.  B commutes with the group, so B of an
+    invariant matrix is read at each orbit's first entry alone: one term
+    per member of that entry's segment in each part, at the member's
+    coordinate, the terms of one coordinate pair summed.  The reference,
+    which must be real, is read at each orbit's first entry."""
     n, d = sys.process.size, sys.process.d
-    offsets = np.cumsum([0] + [len(s) ** 2 for s in sectors])
-    rows, cols = (np.concatenate([f(s, len(s)) for s in sectors]) for f in (np.repeat, np.tile))
-    transpose = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
-                                for o, s in zip(offsets, sectors)])
-    reference = sys.process.entry(rows, cols)
+    rows, cols, offsets = _entries(sectors)
+    orbits = np.arange(len(rows)) if orbits is None else orbits
+    first = np.unique(orbits, return_index=True)[1]
+    reference = sys.process.entry(rows[first], cols[first])
     if np.any(reference.imag):
         raise ValueError(f"the {sys.kind} probe needs a real process matrix")
-    order, reference = np.argsort(rows * n + cols), reference.real.copy()
-    rows, cols, traces = rows[order], cols[order], []
+    flip = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
+                           for o, s in zip(offsets, sectors)])
+    is_first = np.zeros(len(rows), dtype=bool)
+    is_first[first] = True
+    terms = []  # (coordinate of a first entry, coordinate of a member of its segment, coefficient)
     for j in range(sys.process.slots):  # slot j's I, O digits: strides n/d^(2j+1), n/d^(2j+2)
-        parts, k = [], 0
         for traced, coeff in _slot_map(d):
             strides = [n // d ** (2 * j + 1 + t) for t in traced]
             r, c = (sum((x // s % d * s for s in strides), 0 * x) for x in (rows, cols))
-            keys, label = np.unique((rows * n + cols - r * (n + 1))[r == c], return_inverse=True)
-            parts.append((order[r == c], label + k, np.full(len(keys), coeff)))
-            k += len(keys)
-        traces.append(tuple(np.concatenate(a) for a in zip(*parts)))
-    for a in (transpose, reference, *sum(traces, ())):
+            members = np.flatnonzero(r == c)
+            keys = (rows * n + cols - r * (n + 1))[members]
+            order = np.argsort(keys, kind="stable")
+            members, keys = members[order], keys[order]
+            starts = np.searchsorted(keys, keys)  # each member's segment: a run of keys
+            sizes = np.searchsorted(keys, keys, side="right") - starts
+            own = is_first[members]
+            count = sizes[own]
+            at = np.repeat(starts[own] - np.cumsum(count) + count, count) + np.arange(count.sum())
+            terms.append((np.repeat(orbits[members[own]], count), orbits[members[at]],
+                          np.full(count.sum(), coeff)))
+    slot_sum = _sparse(*(np.concatenate(a) for a in zip(*terms)), len(first))
+    arrays = (orbits, np.bincount(orbits).astype(float), orbits[flip[first]], reference.real.copy())
+    for a in arrays:
         a.flags.writeable = False
-    return _Layout(transpose, reference, tuple(offsets.tolist()), tuple(traces))
+    return _Layout(arrays[0], offsets, *arrays[1:], sys.process.slots, slot_sum)
 
 
 def _blocks(layout: _Layout, v: np.ndarray) -> list:
-    """The sector blocks of the matrix stored as v, as square views of v."""
-    o = layout.offsets
-    return [v[a:b].reshape(2 * (math.isqrt(b - a),)) for a, b in zip(o, o[1:])]
+    """The whole sector blocks of the matrix stored as v."""
+    x, o = v[layout.orbits], layout.offsets
+    return [x[a:b].reshape(2 * (math.isqrt(b - a),)) for a, b in zip(o, o[1:])]
 
 
 def _involutions(process: Process) -> tuple:
@@ -334,56 +429,57 @@ def _involutions(process: Process) -> tuple:
 
 @dataclass(frozen=True)
 class _Symmetry:
-    """The clip's plan for the group G of the involutions a system keeps.
-    Per kept involution, the permutation of the block vector it induces
-    (``twirls``); per representative of each orbit of sectors under G, its
-    sector number, a real orthogonal basis adapted to its stabiliser, or
-    None for a trivial one, and the cuts of the isotypic blocks in it
-    (``clips``); the block-vector positions of the other sectors' entries
-    (``mirror``) and of the representative entries they equal (``source``);
-    the dimension of the G-invariant block matrices, the sum of the
-    squared isotypic block sizes (``dimension``); and per isotypic block
-    size, ascending, the block-vector positions of every isotypic block of
-    that size, rotated into its adapted basis, as one (count, k, k) index
-    (``stacks``), so that the clip runs one stacked solve per size."""
+    """The group G of the involutions a system keeps and the clip's plan
+    for it: the kept involutions, as index permutations; the coordinate of
+    each block-vector entry, one per G-orbit, in the order of each orbit's
+    first entry (``orbits``); per representative of each orbit of sectors
+    under G, its sector number, a real orthogonal basis adapted to its
+    stabiliser, or None for a trivial one, and the cuts of the isotypic
+    blocks in it (``clips``); per isotypic block size, ascending, the count
+    and size of the blocks of that size (``stacks``); and the fixed maps
+    from the coordinates to the stacked isotypic blocks, each stack's
+    blocks one after another, row-major (``gather``), and back
+    (``scatter``)."""
 
-    twirls: tuple
+    involutions: tuple
+    orbits: np.ndarray
     clips: tuple
-    mirror: np.ndarray
-    source: np.ndarray
-    dimension: int
     stacks: tuple
+    gather: _Map
+    scatter: _Map
 
 
-def _symmetry(sys: ConstraintSystem, sectors: tuple, involutions: tuple) -> _Symmetry:
-    """The plan of the ``involutions`` that fix the stored reference
-    exactly and map each sector onto a sector, and so the kept set onto
-    itself; with none kept, every sector is its own representative with
-    one block.  Tables are of length n or of the stored entries."""
-    n, layout = sys.process.size, sys.layout
+def _symmetry(process: Process, sectors: tuple, involutions: tuple) -> _Symmetry:
+    """The plan of the ``involutions`` that fix the process's matrix
+    exactly on the stored entries and map each sector onto a sector, and
+    so the kept set onto itself; with none kept, every entry is an orbit
+    and every sector its own representative with one block."""
+    n = process.size
+    rows, cols, starts = _entries(sectors)
+    reference = process.entry(rows, cols)
     label, where = np.full(n, -1, dtype=np.intp), np.empty(n, dtype=np.intp)
     for q, s in enumerate(sectors):
         label[s], where[s] = q, np.arange(len(s))
-    starts = layout.offsets
 
-    def image(g, s):  # block-vector positions of g's image of sector s's entries
-        p = where[g[s]]
-        return starts[label[g[s[0]]]] + (p[:, None] * len(p) + p).ravel()
+    def image(g):  # the block-vector position of g's image of each entry
+        return np.concatenate([starts[label[g[s[0]]]] + (where[g[s]][:, None] * len(s)
+                                                          + where[g[s]]).ravel()
+                               for s in sectors])
 
     kept = []
     for g in involutions:
         # the sector each one must map onto, and -1 off the kept set: g must
         # map that onto itself, and so the kept set too
         onto = np.append(label[g[[s[0] for s in sectors]]], -1)
-        if np.array_equal(label[g], onto[label]):
-            twirl = np.concatenate([image(g, s) for s in sectors])
-            if np.array_equal(layout.reference[twirl], layout.reference):
-                kept.append((g, twirl))
+        if np.array_equal(label[g], onto[label]) and \
+                np.array_equal(reference[image(g)], reference):
+            kept.append(g)
     group = [(0, np.arange(n))]  # (bits of the kept involutions composed, permutation)
-    for bit, (g, _) in enumerate(kept):
+    for bit, g in enumerate(kept):
         group += [(b | 1 << bit, g[e]) for b, e in group]
-    clips, mirror, source, dimension = [], [], [], 0
-    orbit_of = np.full(len(sectors), -1)
+    orbits = np.unique(np.minimum.reduce([image(g) for _, g in group]), return_inverse=True)[1]
+    orbits = orbits.reshape(-1)
+    clips, orbit_of = [], np.full(len(sectors), -1)
     for q, s in enumerate(sectors):
         if orbit_of[q] >= 0:
             continue
@@ -392,27 +488,33 @@ def _symmetry(sys: ConstraintSystem, sectors: tuple, involutions: tuple) -> _Sym
             t = label[g[s[0]]]
             if t == q:
                 stabiliser.append((bits, where[g[s]]))
-            elif orbit_of[t] < 0:
-                orbit_of[t] = q
-                mirror.append(np.arange(starts[t], starts[t + 1]))
-                source.append(image(g, sectors[t]))
-        orbit_of[q] = q
+            orbit_of[t] = q
         basis, cuts = _isotypic_basis(stabiliser, len(group), len(s))
         clips.append((q, basis, cuts))
-        dimension += sum((b - a) ** 2 for a, b in zip(cuts, cuts[1:]))
     by_size = {}
-    for q, _, cuts in clips:
+    for q, basis, cuts in clips:
+        k = len(sectors[q])
+        basis = np.eye(k) if basis is None else basis
         for a, b in zip(cuts, cuts[1:]):
-            i = np.arange(a, b)
-            by_size.setdefault(b - a, []).append(starts[q] + i[:, None] * len(sectors[q]) + i)
-    stacks = tuple(np.stack(by_size[k]) for k in sorted(by_size))
-    empty = np.zeros(0, dtype=np.intp)
-    arrays = [np.concatenate(mirror or [empty]), np.concatenate(source or [empty])]
-    arrays += [a for _, a in kept] + [b for _, b, _ in clips if b is not None] + list(stacks)
-    for a in arrays:
+            by_size.setdefault(b - a, []).append((q, basis[:, a:b]))
+    terms, stacks, base = [], [], 0
+    for k in sorted(by_size):
+        stacks.append((len(by_size[k]), k))
+        for q, part in by_size[k]:  # block entry (a, b) = sum of part[i, a] part[j, b] X[i, j]
+            i, a = np.nonzero(part)
+            pos = starts[q] + i[:, None] * len(sectors[q]) + i
+            terms.append((base + a[:, None] * k + a, orbits[pos], np.outer(part[i, a], part[i, a])))
+            base += k * k
+    rows, cols, coef = (np.concatenate([t.ravel() for t in a]) for a in zip(*terms))
+    # the transposed map sums a clipped matrix over an orbit's entries in
+    # its representative sector, which it holds in equal parts
+    size = orbits.max() + 1
+    held = np.bincount(orbits[np.concatenate([np.arange(starts[q], starts[q + 1])
+                                              for q, _, _ in clips])], minlength=size)
+    for a in [b for _, b, _ in clips if b is not None] + [orbits]:
         a.flags.writeable = False
-    return _Symmetry(tuple(t for _, t in kept), tuple(clips), arrays[0], arrays[1], dimension,
-                     stacks)
+    return _Symmetry(tuple(kept), orbits, tuple(clips), tuple(stacks),
+                     _sparse(rows, cols, coef, base), _sparse(cols, rows, coef / held[cols], size))
 
 
 def _isotypic_basis(stabiliser: list, characters: int, k: int) -> tuple:
@@ -442,14 +544,16 @@ def _isotypic_basis(stabiliser: list, characters: int, k: int) -> tuple:
 
 def _project(layout: _Layout, v: np.ndarray) -> np.ndarray:
     """``_slot_map``, slot by slot, of the matrix stored as v in ``layout``,
-    stored alike: segments are summed, and their terms added, in the
-    members' order.  A complex v is mapped as its real and imaginary parts."""
-    if np.iscomplexobj(v):
-        return _project(layout, v.real) + 1j * _project(layout, v.imag)
-    for members, label, coeff in layout.traces:
-        y = v.copy()
-        np.add.at(y, members, (np.bincount(label, v[members]) * coeff)[label])
-        v = y
+    stored alike.  Slot j's map is 1 + A_j, where A_j adds to each member
+    of a traced part its segment's sum times the part's coefficient; the
+    A_j commute, and A_j^2 = -A_j as 1 + A_j is a projector, so on the
+    common eigenvectors the slot sum B = sum_j A_j takes the value minus
+    the number of slots that remove the vector, and the product of the k
+    slot maps is prod_{i=1..k} (B + i) / i.  B commutes with the group,
+    as the product does and a kept involution permutes the slots, so it
+    is applied in the coordinates (``_Layout.slot_sum``)."""
+    for i in range(1, layout.slots + 1):
+        v = (layout.slot_sum(v) + i * v) / i
     return v
 
 
@@ -461,7 +565,7 @@ def _affine(layout: _Layout, v: np.ndarray) -> np.ndarray:
 
 def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     """Exact orthogonal projection onto {X Hermitian : action constraints hold}."""
-    return _affine(_layout(sys, (np.arange(len(x)),)), x.reshape(-1)).reshape(x.shape)
+    return _affine(sys.dense_layout, x.reshape(-1)).reshape(x.shape)
 
 
 def psd_project(x: np.ndarray) -> np.ndarray:
@@ -480,42 +584,33 @@ def psd_project(x: np.ndarray) -> np.ndarray:
 
 
 def _clip(sys: ConstraintSystem, v: np.ndarray) -> np.ndarray:
-    """The PSD projection of the matrix stored as v, if it is G-invariant
-    for the group of ``sys.symmetry``: ``psd_project`` of each isotypic
-    block of each representative sector, rotated back, and each other
-    sector copied from its representative.  A G-invariant matrix is block
-    diagonal in the adapted basis, so its clip is the blocks' clips; with
-    no involutions kept, every sector block is clipped as it is.  The
-    representative sectors are rotated into their adapted bases, the
-    isotypic blocks of each size gathered into one stack
-    (``_Symmetry.stacks``), clipped by one ``psd_project`` call and
-    scattered back, 0 off the blocks, and rotated back."""
-    plan, o = sys.symmetry, sys.layout.offsets
-    z, y = v.copy(), np.zeros_like(v)
-    for q, basis, _ in plan.clips:
-        if basis is not None:
-            block = z[o[q]:o[q + 1]].reshape(len(basis), -1)
-            block[...] = basis.T @ block @ basis
-    for index in plan.stacks:
-        y[index] = psd_project(z[index])
-    for q, basis, _ in plan.clips:
-        if basis is not None:
-            block = y[o[q]:o[q + 1]].reshape(len(basis), -1)
-            block[...] = basis @ block @ basis.T
-    y[plan.mirror] = y[plan.source]
-    return y
+    """The PSD projection of the G-invariant matrix stored as v: each
+    isotypic block of each representative sector, read off the
+    coordinates by ``_Symmetry.gather``, clipped by one ``psd_project``
+    call per block size, and the clipped blocks taken back to coordinates
+    by ``_Symmetry.scatter``.  A G-invariant matrix is block diagonal in
+    the adapted bases, so its clip is the blocks' clips; with no
+    involutions kept, every sector block is clipped as it is."""
+    plan = sys.symmetry
+    z, parts, a = plan.gather(v), [], 0
+    for count, k in plan.stacks:
+        b = a + count * k * k
+        parts.append(psd_project(z[a:b].reshape(count, k, k)).reshape(-1))
+        a = b
+    return plan.scatter(np.concatenate(parts))
 
 
-def _secant_point(g, g_prev, f, f_prev):
+def _secant_point(g, g_prev, f, f_prev, weights):
     """The next iterate after the plain point g, made in g_prev's buffer:
     the secant (Anderson, memory 1) point g - gamma (g - g_prev), with
-    gamma = Re<df, f> / ||df||^2 for df = f - f_prev, or g itself when
-    df = 0 or the secant point is not finite.  f_prev is overwritten."""
+    gamma = Re<df, f> / ||df||^2 for df = f - f_prev, inner products
+    weighted by the orbit sizes ``weights``, or g itself when df = 0 or the
+    secant point is not finite.  f_prev is overwritten."""
     df = np.subtract(f, f_prev, out=f_prev)
-    denom = real_dot(df, df)
+    denom = real_dot(df, df, weights)
     x = np.subtract(g, g_prev, out=g_prev)
     if denom > 0:
-        x *= real_dot(df, f) / denom
+        x *= real_dot(df, f, weights) / denom
         np.subtract(g, x, out=x)
         if np.isfinite(x).all():
             return x
@@ -539,12 +634,14 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     of g_k; a non-finite distance or step, which meets no stopping rule,
     ends the run at once.  p holds the shifted point and then the next
     correction in place, and the secant history reuses spent buffers, so
-    the loop holds four block vectors: x, p, g_{k-1} and f_{k-1}.
+    the loop holds four coordinate vectors: x, p, g_{k-1} and f_{k-1}.
+    Norms and inner products weight each coordinate by its orbit size.
     """
     layout = sys.layout
+    w = layout.weights
     p = np.zeros_like(x)
     f_prev = g_prev = None
-    dist = frobenius(x - layout.reference)
+    dist = frobenius(x - layout.reference, weights=w)
     iters = 0
     while iters < MAX_ITER and math.isfinite(dist):
         iters += 1
@@ -554,11 +651,11 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
         g = _affine(layout, y)
         del y
         f = np.subtract(g, x, out=x)
-        step = frobenius(f)
-        dist = frobenius(g - layout.reference)
+        step = frobenius(f, weights=w)
+        dist = frobenius(g - layout.reference, weights=w)
         if not math.isfinite(step) or step <= 1e-13 or dist <= TOL:
             return g, dist, iters
-        x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev)
+        x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev, w)
         f_prev, g_prev = f, g
     return (x if g_prev is None else g_prev), dist, iters
 
@@ -568,21 +665,19 @@ def _start_point(sys: ConstraintSystem, stream: SampleStream) -> np.ndarray:
     draw of ``stream``, in ``sys.layout``: a probe start begins at the affine
     projection of its real part, the witness polish at that of the whole.
 
-    Complex normals g are drawn for the m stored block entries alone, made
-    Hermitian as g + g^H and averaged over each kept involution in turn.
-    The direction is scaled to sqrt(D) / n, the expected norm of the
-    G-twirl of a unit direction on all n^2 entries, with D the dimension of
-    the G-invariant block matrices (``_Symmetry.dimension``, m without
-    involutions); on one sector of k indices that is k / n, and the draw
-    is the unit direction on that block scaled by it."""
+    Complex normals g are drawn for the m stored block entries alone and
+    made Hermitian as g + g^H; its G-twirl is its mean over each orbit,
+    which is a + a^H for the orbit means a of g.  The direction is scaled
+    to sqrt(D) / n, the expected norm of the G-twirl of a unit direction
+    on all n^2 entries, with D the dimension of the G-invariant block
+    matrices, the number of coordinates; on one sector of k indices and
+    no involution that is k / n."""
     layout = sys.layout
-    re, im = stream.normal((2, len(layout.reference)))
-    g = re + 1j * im
-    h = g + g[layout.transpose].conj()
-    for twirl in sys.symmetry.twirls:
-        h = (h + h[twirl]) / 2
-    scale = math.sqrt(sys.symmetry.dimension) / sys.process.size
-    return layout.reference + h / frobenius(h) * scale
+    re, im = stream.normal((2, len(layout.orbits)))
+    a = (np.bincount(layout.orbits, re) + 1j * np.bincount(layout.orbits, im)) / layout.weights
+    h = a + a[layout.transpose].conj()
+    scale = math.sqrt(len(layout.reference)) / sys.process.size
+    return layout.reference + h / frobenius(h, weights=layout.weights) * scale
 
 
 def _run_start(sys: ConstraintSystem, stream: SampleStream):
@@ -598,12 +693,14 @@ def _run_start(sys: ConstraintSystem, stream: SampleStream):
 
 def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
     """The constraint residual of the matrix stored as x and minus its least
-    eigenvalue, the least over the sector blocks.  Both are NaN, without an
+    eigenvalue, the least over the whole sector blocks, read off the
+    coordinates without the clip's plan.  Both are NaN, without an
     eigensolve, which may raise on them, if x is not finite."""
     if not np.isfinite(x).all():
         return math.nan, math.nan
-    return (frobenius(_project(sys.layout, x - sys.layout.reference)),
-            -min(map(min_eigenvalue, _blocks(sys.layout, x))))
+    layout = sys.layout
+    return (frobenius(_project(layout, x - layout.reference), weights=layout.weights),
+            -min(map(min_eigenvalue, _blocks(layout, x))))
 
 
 def _polish_witness(sys: ConstraintSystem, start: np.ndarray, max_iter: int):
@@ -614,8 +711,9 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, max_iter: int):
     alternating projections crawl in tangentially; the secant point after
     each g (Anderson acceleration with memory 1: Walker & Ni, SIAM J.
     Numer. Anal. 49(4), 2011; Fu, Zhang & Boyd, arXiv:1908.11482) cuts the
-    evaluations from about 148,000 to a few hundred.  Returns the first g
-    with min eigenvalue >= -FEAS_TOL, or the last one, and the evaluations.
+    evaluations from about 148,000 to a few dozen.  Returns the first g
+    with min eigenvalue >= -FEAS_TOL over the whole sector blocks, or the
+    last one, and the evaluations.
     """
     layout = sys.layout
     x = g = _affine(layout, start)
@@ -625,7 +723,7 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, max_iter: int):
         if min(map(min_eigenvalue, _blocks(layout, g))) >= -FEAS_TOL:
             break
         f = np.subtract(g, x, out=x)
-        x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev)
+        x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev, layout.weights)
         f_prev, g_prev = f, g
     return g, evals
 
@@ -634,24 +732,30 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray):
     """A feasible point far from the reference, and the polish evaluations
     spent on it, out of WITNESS_MAX_ITER in all.
 
-    Two polishes run, each from the reference moved WITNESS_AMPLITUDE along
-    the displacement of ``point`` and then of the first polish's witness.
-    The first direction is a generic affine one, so the first witness lies
-    off the reference but, on the C_p family, mostly short of
-    WITNESS_THRESHOLD; its displacement points into the feasible set, and
-    the second polish follows it out to WITNESS_AMPLITUDE.  A non-finite
-    polish start is not polished: it is returned as it is, and fails the
-    witness checks.
+    Each polish starts from the reference moved WITNESS_AMPLITUDE along
+    the displacement of ``point``, and then of the last polish's witness
+    while that lies short of WITNESS_THRESHOLD, at most WITNESS_POLISHES
+    in all.  The first direction is a generic affine one, so the first
+    witness lies off the reference but, on the C_p family, mostly short of
+    the threshold; its displacement points into the feasible set, and the
+    next polish follows it out towards WITNESS_AMPLITUDE.  A first witness
+    may also land within rounding of the reference, and its displacement
+    then points anywhere: the polish after it draws no conclusion from it
+    but starts afresh along it.  A non-finite polish start is not
+    polished: it is returned as it is, and fails the witness checks.
     """
-    evals, reference = 0, sys.layout.reference
-    for _ in range(2):
+    layout = sys.layout
+    evals, reference, w = 0, layout.reference, layout.weights
+    for _ in range(WITNESS_POLISHES):
         escape = point - reference
-        scale = frobenius(escape)
+        scale = frobenius(escape, weights=w)
         point = reference + WITNESS_AMPLITUDE * (escape / scale if scale > 0 else escape)
         if not np.isfinite(point).all():
             break
         point, used = _polish_witness(sys, point, WITNESS_MAX_ITER - evals)
         evals += used
+        if frobenius(point - reference, weights=w) >= WITNESS_THRESHOLD:
+            break
     return point, evals
 
 
@@ -679,7 +783,7 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     if sys.kind == "cp_family":
         point = _affine(sys.layout, _start_point(sys, stream))
         witness, polish_iters = _find_witness(sys, point)
-        wdist = frobenius(witness - sys.layout.reference)
+        wdist = frobenius(witness - sys.layout.reference, weights=sys.layout.weights)
         resid, neg_eig = _final_checks(sys, witness)
         checks += [
             check_true("witness_distance_exceeds_threshold",

@@ -22,13 +22,14 @@ blocks.  ``same_side_lone_ketbras`` lists the ket-bras |xy><xz| and
 ``minor_pairs_by_family`` lists the tight 2 x 2 minors of the diagonal
 certificate family by family, written out tuple by tuple.
 ``dykstra_start`` runs the probe's alternating projections, with the
-secant step or plain, with fresh arrays at every step and the PSD
-projection made sector by sector, on the probe's block vectors or on dense
-matrices.  ``constraint_residual`` is the probe's affine residual of a
-dense matrix.  ``slot_pair_product`` and ``full_buffer_project`` multiply
-a dense matrix or a block vector by the d^4 x d^4 ``span_projector``
-through a buffer of all n^2 slot-pair entries, every output pair
-included, which the probe's partial traces must match.
+secant step or plain, with fresh arrays at every step, on the probe's
+orbit coordinates with its own kernels or on dense matrices with the PSD
+projection made sector by sector.  ``constraint_residual`` is the probe's
+affine residual of a dense matrix.  ``slot_pair_product`` and
+``full_buffer_project`` multiply a dense matrix or a block vector by the
+d^4 x d^4 ``span_projector`` through a buffer of all n^2 slot-pair
+entries, every output pair included, which the probe's partial traces
+must match.
 ``sectors_of`` and ``entries_of`` give a system's charge sectors and the
 matrix index of each stored block entry, and ``random_hermitian_direction``
 draws a dense unit Hermitian direction from a numpy generator, as test
@@ -467,9 +468,12 @@ def minor_pairs_by_family(d: int) -> dict:
     return pairs
 
 
-def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> of two real arrays, summed by ``np.einsum`` as the probe sums it."""
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+def _real_dot(a: np.ndarray, b: np.ndarray, weights=None) -> float:
+    """<a, b> of two real arrays, summed by ``np.einsum`` as the probe sums
+    it, each product counted ``weights`` times if given."""
+    if weights is None:
+        return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+    return float(np.einsum("i,i,i->", weights, a.ravel(), b.ravel()))
 
 
 def _dense_sector_clip(sys, x: np.ndarray) -> np.ndarray:
@@ -480,69 +484,35 @@ def _dense_sector_clip(sys, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _block_sector_clip(sys, v: np.ndarray) -> np.ndarray:
-    """The PSD projection of each sector block of a G-invariant block
-    vector, the blocks cut by the sector sizes alone.  A block of one of
-    the probe's representative sectors is clipped as the probe clips it,
-    in its adapted basis, one isotypic block at a time; every other block
-    is read off the representatives' clips at its image under the group
-    element of ``involutions_of`` that maps it onto one."""
-    sectors = sectors_of(sys)
-    sizes = [len(s) for s in sectors]
-    parts = np.split(v, np.cumsum([b * b for b in sizes])[:-1])
-    clipped = {}
-    for q, basis, cuts in sys.symmetry.clips:
-        block = parts[q].reshape(sizes[q], sizes[q])
-        if basis is None:
-            clipped[q] = psd_project(block)
-            continue
-        z = basis.T @ block @ basis
-        isotypic = np.zeros_like(z)
-        for a, b in zip(cuts, cuts[1:]):
-            isotypic[a:b, a:b] = psd_project(z[a:b, a:b])
-        clipped[q] = basis @ isotypic @ basis.T
-    n = sys.process.size
-    matrix = np.zeros((n, n))
-    for q, block in clipped.items():
-        matrix[np.ix_(sectors[q], sectors[q])] = block
-    out = []
-    for q, s in enumerate(sectors):
-        if q not in clipped:
-            g = next(g for g in group_of(sys) if any(
-                np.array_equal(np.sort(g[s]), sectors[r]) for r in clipped))
-            clipped[q] = matrix[np.ix_(g[s], g[s])]
-        out.append(clipped[q].ravel())
-    return np.concatenate(out)
-
-
 def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = False):
     """Dykstra's alternating projections from the real matrix ``start``,
     allocating the shifted point, the correction, every projection and the
     secant point anew at each step; returns the last plain affine iterate,
     its distance to the reference and the iterations run.  The iterates are
-    the probe's block vectors of ``sys.layout``, or with ``dense`` n x n
-    matrices; either way the PSD projection clips each sector block of the
-    shifted point and leaves 0 off them, whole on the dense matrices and,
-    on the block vectors, through the isotypic blocks as the probe does.
+    the probe's orbit coordinates of ``sys.layout``, read off ``start`` at
+    each orbit's first entry and clipped and projected by the probe's own
+    kernels, with norms weighted by the orbit sizes; or with ``dense`` n x n
+    matrices, whose PSD projection clips each whole sector block and leaves
+    0 off them.
 
     With ``secant`` the next iterate is g - gamma (g - g_prev), gamma =
     <df, f> / ||df||^2 for f = g - x and df = f - f_prev, unless df = 0 or
     that point is not finite; without it, and at the first step, it is the
     plain point g."""
     if dense:
-        reference, clip = sys.process.op.entries.real, _dense_sector_clip
-        layout = probe._layout(sys, (np.arange(sys.process.size),))  # affine_project's
+        reference, clip, weights = sys.process.op.entries.real, _dense_sector_clip, None
 
         def affine(x):
-            return probe._affine(layout, x.reshape(-1)).reshape(x.shape)
+            return probe._affine(sys.dense_layout, x.reshape(-1)).reshape(x.shape)
     else:
-        reference, clip = sys.layout.reference, _block_sector_clip
-        affine = partial(probe._affine, sys.layout)
-        start = start.reshape(-1)[entries_of(sys)]
+        layout = sys.layout
+        reference, clip, weights = layout.reference, probe._clip, layout.weights
+        affine = partial(probe._affine, layout)
+        start = start.reshape(-1)[entries_of(sys)][np.unique(layout.orbits, return_index=True)[1]]
     x = affine(start)
     p = np.zeros_like(x)
     f_prev = g_prev = None
-    dist = sqrt(_real_dot(x - reference, x - reference))
+    dist = sqrt(_real_dot(x - reference, x - reference, weights))
     iters = 0
     for iters in range(1, MAX_ITER + 1):
         shifted = x + p
@@ -550,16 +520,16 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
         p = shifted - y
         g = affine(y)
         f = g - x
-        step = sqrt(_real_dot(f, f))
-        dist = sqrt(_real_dot(g - reference, g - reference))
+        step = sqrt(_real_dot(f, f, weights))
+        dist = sqrt(_real_dot(g - reference, g - reference, weights))
         if step <= 1e-13 or dist <= TOL:
             return g, dist, iters
         x = g
         if secant and f_prev is not None:
             df = f - f_prev
-            denom = _real_dot(df, df)
+            denom = _real_dot(df, df, weights)
             if denom > 0:
-                mixed = g - (_real_dot(df, f) / denom) * (g - g_prev)
+                mixed = g - (_real_dot(df, f, weights) / denom) * (g - g_prev)
                 if np.isfinite(mixed).all():
                     x = mixed
         f_prev, g_prev = f, g
@@ -604,10 +574,7 @@ def involutions_of(sys) -> tuple:
     """The involutions the probe's start and clip twirl over: those of
     ``offered_involutions`` that fix the process's matrix exactly on every
     stored entry and map each sector onto a sector, read entry by entry
-    through ``Process.entry``; none for the cp_family, whose witness is
-    not twirled."""
-    if sys.kind == "cp_family":
-        return ()
+    through ``Process.entry``."""
     sectors, n = sectors_of(sys), sys.process.size
     rows, cols = np.divmod(entries_of(sys), n)
     kept = {tuple(s) for s in sectors}
@@ -681,7 +648,7 @@ def entries_of(sys) -> np.ndarray:
 def constraint_residual(sys, x: np.ndarray) -> float:
     """||P_in(x - reference)||_F, the root sum of squared action deviations over
     any orthonormal spanning family: at least the largest single deviation."""
-    layout = probe._layout(sys, (np.arange(len(x)),))
+    layout = sys.dense_layout
     return frobenius(probe._project(layout, x.reshape(-1) - layout.reference))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from switchcert import probe
 from switchcert.channels import SampleStream, haar_random_unitary, unitary_choi
-from switchcert.linalg import frobenius, min_eigenvalue
+from switchcert.linalg import frobenius, min_eigenvalue, real_dot
 from switchcert.probe import (
     ConstraintSystem,
     _project,
@@ -27,11 +27,11 @@ from switchcert.span import span_dimension_formula, span_projector, vec_kron
 from switchcert.switch import Process, build_switch_choi, switch_choi_vector
 from switchcert.uniqueness import build_cp_family, build_derived_one_slot, build_identity_process
 
-from oracles import (SIGN_TABLES, _block_sector_clip, constraint_residual, dykstra_start,
-                     entries_of, full_buffer_project, group_of, group_twirl, invariant_dimension,
-                     involutions_of, link, offered_involutions, random_hermitian_direction,
-                     sectors_of, slot_pair_product, switch_involutions, table_sectors,
-                     with_entries)
+from oracles import (SIGN_TABLES, _dense_sector_clip, constraint_residual, dykstra_start,
+                     eigen_stack, entries_of, full_buffer_project, group_of, group_twirl,
+                     invariant_dimension, involutions_of, link, offered_involutions,
+                     random_hermitian_direction, sectors_of, slot_pair_product,
+                     switch_involutions, table_sectors, with_entries)
 
 
 def test_constraint_system_shapes():
@@ -47,12 +47,15 @@ def test_constraint_system_shapes():
     assert sw.process.slots == 2
     assert sw.in_projector.shape == (256, 256)
     # the layout holds the reference: the real part of the process's matrix
-    # at the block entries
+    # at each orbit's first block entry
     stored = sw.layout.reference
     assert stored.dtype == float and stored.flags.c_contiguous
-    assert np.array_equal(stored, reference(sw).reshape(-1)[entries_of(sw)])
+    assert np.array_equal(stored, coordinates(sw, reference(sw)))
     assert not stored.flags.writeable
-    assert not any(a.flags.writeable for table in sw.layout.traces for a in table)
+    maps = (sw.layout.slot_sum, sw.symmetry.gather, sw.symmetry.scatter)
+    tables = [sw.layout.orbits, sw.layout.weights, sw.layout.transpose, sw.symmetry.orbits]
+    assert not any(a.flags.writeable for a in tables + [a for m in maps
+                                                        for a in (m.rows, m.cols, m.coef)])
     assert not hasattr(sw, "reference") and not hasattr(sw, "slot_projector")
 
 
@@ -327,16 +330,34 @@ def off_sector(sys, x):
 
 
 def blocks(sys, x):
-    """The probe's block vector of the matrix x: its sector block entries."""
+    """The block vector of the matrix x: its sector block entries."""
     return x.reshape(-1)[entries_of(sys)]
 
 
+def first_entries(sys):
+    """The block-vector position of each orbit's first entry."""
+    return np.unique(sys.layout.orbits, return_index=True)[1]
+
+
+def coordinates(sys, x):
+    """The probe's coordinates of the G-invariant matrix x: its entries at
+    each orbit's first block entry."""
+    return blocks(sys, x)[first_entries(sys)]
+
+
 def dense(sys, v):
-    """The matrix stored as the block vector v: 0 off the sector blocks."""
+    """The matrix stored as the coordinates v: each block entry holds its
+    orbit's coordinate, and 0 off the sector blocks."""
     n = sys.process.size
     x = np.zeros(n * n, dtype=v.dtype)
-    x[entries_of(sys)] = v
+    x[entries_of(sys)] = v[sys.layout.orbits]
     return x.reshape(n, n)
+
+
+def block_layout(sys):
+    """``probe._layout`` of the system's sectors with no involution: one
+    coordinate per block entry, so that its vectors are block vectors."""
+    return probe._layout(sys, sectors_of(sys))
 
 
 def test_twirl_of_a_feasible_point_is_feasible():
@@ -369,7 +390,7 @@ def test_group_twirl_of_a_feasible_point_is_feasible():
     # definite; the <S, R>-twirl of X is feasible, PSD and off W.
     w = build_switch_choi(2).op.entries.real + np.eye(256)
     sys = build_constraint_system("switch", 2, plus_identity(build_switch_choi(2)))
-    assert len(sys.symmetry.twirls) == 2
+    assert len(sys.symmetry.involutions) == 2
     g = random_hermitian_direction(256, np.random.default_rng(14))
     h = hermitian_part(g - slot_map(2, 2, g))
     assert np.linalg.norm(slot_map(2, 2, h)) <= 1e-14
@@ -394,7 +415,7 @@ def entry_permutation(sys, g):
     an entry off the sector blocks."""
     n = sys.process.size
     where = np.full(n * n, -1)
-    where[entries_of(sys)] = np.arange(len(sys.layout.reference))
+    where[entries_of(sys)] = np.arange(len(sys.layout.orbits))
     rows, cols = np.divmod(entries_of(sys), n)
     return where[g[rows] * n + g[cols]]
 
@@ -402,8 +423,9 @@ def entry_permutation(sys, g):
 @pytest.mark.parametrize("d", [2, 3])
 def test_switch_involutions_fix_w_and_commute_with_the_projection(d):
     # the facts the lemma needs: S and R fix w exactly, map sector blocks
-    # onto sector blocks and commute with the slot projection; the probe
-    # keeps both, as the oracle writes them
+    # onto sector blocks and commute with the slot projection, here on the
+    # block vectors of the sectors with no involution; the probe keeps
+    # both, as the oracle writes them
     process = Process(d, switch_choi_vector(d))
     sys = ConstraintSystem("switch", process)
     w, sectors = switch_choi_vector(d), sectors_of(sys)
@@ -418,37 +440,60 @@ def test_switch_involutions_fix_w_and_commute_with_the_projection(d):
         assert np.array_equal(w[g], w)
         assert all(np.array_equal(np.sort(g[s]), sectors[label[g[s[0]]]]) for s in sectors)
     perms = [entry_permutation(sys, g) for g in involutions]
-    assert len(sys.symmetry.twirls) == 2
-    assert all(np.array_equal(p, t) for p, t in zip(perms, sys.symmetry.twirls))
+    assert len(sys.symmetry.involutions) == 2
+    assert all(np.array_equal(g, h) for g, h in zip(involutions, sys.symmetry.involutions))
+    layout = block_layout(sys)
     v = random_block_diagonal_vector(sys, np.random.default_rng(d))
-    pv = _project(sys.layout, v)
+    pv = _project(layout, v)
     for perm in perms:
-        assert frobenius(_project(sys.layout, v[perm]), pv[perm]) <= 1e-13
+        assert frobenius(_project(layout, v[perm]), pv[perm]) <= 1e-13
         assert frobenius(v[perm], v) > 0.1
+
+
+def block_transpose(sys):
+    """The block-vector position of each block entry's transpose."""
+    flat, n = entries_of(sys), sys.process.size
+    where = np.empty(n * n, dtype=np.intp)
+    where[flat] = np.arange(len(flat))
+    rows, cols = np.divmod(flat, n)
+    return where[cols * n + rows]
 
 
 def random_block_diagonal_vector(sys, rng):
     """A random real symmetric block vector of unit norm."""
+    v = rng.standard_normal(len(sys.layout.orbits))
+    v += v[block_transpose(sys)]
+    return v / frobenius(v)
+
+
+def random_coordinates(sys, rng):
+    """The coordinates of a random real symmetric G-invariant matrix of
+    unit Frobenius norm."""
     v = rng.standard_normal(len(sys.layout.reference))
     v += v[sys.layout.transpose]
-    return v / frobenius(v)
+    return v / frobenius(v, weights=sys.layout.weights)
 
 
 @pytest.mark.parametrize("kind,d", [("identity", 2), ("identity", 3), ("transpose", 4),
                                     ("conjugate_qubit", 2), ("switch", 2), ("cp_family", 2)])
 def test_the_kept_involutions_are_the_offered_ones_that_fix_the_reference(kind, d):
     # every process is offered the qudit reversal, a two-slot one the slot
-    # swap first; each unique default keeps all it is offered, and the
-    # cp_family, certified by its witness, none
+    # swap first; each default keeps all it is offered, the cp_family too,
+    # whose witness is checked as it is
     sys = build_constraint_system(kind, d)
     offered = probe._involutions(sys.process)
     assert len(offered) == sys.process.slots
     assert all(np.array_equal(g, h) for g, h in
                zip(offered, offered_involutions(sys.process), strict=True))
     kept = involutions_of(sys)
-    assert len(kept) == (0 if kind == "cp_family" else sys.process.slots)
-    assert all(np.array_equal(t, entry_permutation(sys, g)) for t, g in
-               zip(sys.symmetry.twirls, kept, strict=True))
+    assert len(kept) == sys.process.slots
+    assert all(np.array_equal(g, h) for g, h in
+               zip(sys.symmetry.involutions, kept, strict=True))
+    # the coordinates are the orbits of the group they generate
+    orbits = sys.layout.orbits
+    assert all(np.array_equal(orbits[entry_permutation(sys, g)], orbits) for g in group_of(sys))
+    assert len(sys.layout.reference) == invariant_dimension(sys)
+    assert np.array_equal(sys.layout.weights, np.bincount(orbits))
 
 
 # (d, representative sectors' isotypic block sizes, blocks, largest, invariant
@@ -464,21 +509,20 @@ def test_isotypic_bases_block_the_invariant_matrices(d, sizes, count, largest, d
     got = [tuple(np.diff(cuts).tolist()) for _, _, cuts in plan.clips]
     assert sizes is None or got == sizes
     assert (sum(map(len, got)), max(map(max, got))) == (count, largest)
-    assert plan.dimension == invariant_dimension(sys) == dimension
+    assert len(sys.layout.reference) == invariant_dimension(sys) == dimension
+    assert sum(k * k * c for c, k in plan.stacks) == dimension
     group = group_of(sys)
-    # the representatives are the least sector of each orbit, and the
-    # mirrored entries are the other sectors' entries, each equal to its
-    # source on an invariant matrix
+    # the representatives are the least sector of each orbit, and an
+    # invariant matrix's block entries are its coordinates, orbit by orbit
     reps = [q for q, _, _ in plan.clips]
     images = [{next(r for r, t in enumerate(sectors) if np.array_equal(np.sort(g[s]), t))
                for g in group} for s in sectors]
     assert reps == sorted({min(orbit) for orbit in images})
-    assert len(plan.mirror) + sum(len(sectors[q]) ** 2 for q in reps) == len(sys.layout.reference)
     if d == 3:
         return
     x = 256 * group_twirl(sys, random_block_diagonal(sys, np.random.default_rng(15)))
     v = blocks(sys, x)
-    assert np.array_equal(v[plan.mirror], v[plan.source])
+    assert np.array_equal(v, v[first_entries(sys)][sys.layout.orbits])
     for q, basis, cuts in plan.clips:
         s = sectors[q]
         assert frobenius(basis.T @ basis, np.eye(len(s))) <= 1e-14
@@ -511,8 +555,8 @@ def test_an_involution_that_moves_the_reference_is_never_used(monkeypatch):
     assert not np.array_equal(w[unflipped], w)
     monkeypatch.setattr(probe, "_involutions", lambda process: (unflipped, reverse))
     sys = build_constraint_system("switch", 2)
-    assert len(sys.symmetry.twirls) == 1
-    assert np.array_equal(sys.symmetry.twirls[0], entry_permutation(sys, reverse))
+    assert len(sys.symmetry.involutions) == 1
+    assert np.array_equal(sys.symmetry.involutions[0], reverse)
     rep = alternating_projection_probe(sys, starts=2)
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
@@ -529,9 +573,10 @@ def test_a_tiny_entry_that_the_swap_moves_keeps_the_torus_alone():
     assert bumped.entry(i, i) == 1e-300
     sys = build_constraint_system("switch", 2, bumped)
     plan = sys.symmetry
-    assert (len(sectors_of(sys)), plan.twirls, plan.mirror.size) == (7, (), 0)
+    assert (len(sectors_of(sys)), plan.involutions) == (7, ())
     assert all(basis is None for _, basis, _ in plan.clips)
-    assert plan.dimension == len(sys.layout.reference) == 3_696
+    assert np.array_equal(sys.layout.orbits, np.arange(3_696))
+    assert len(sys.layout.reference) == 3_696
 
 
 # (kind, d, sectors, largest sector) of the hand-written sign table
@@ -636,6 +681,43 @@ def test_a_derivation_that_drops_a_support_row_is_refused(kind, monkeypatch):
         build_constraint_system(kind, 2, bumped)
 
 
+def test_a_dense_stack_feeds_each_distinct_torus_row_once(monkeypatch):
+    # the eigenvector stack of a perturbed switch matrix: 256 vectors of
+    # 256 nonzeros give 65,280 torus rows e(r) - e(r0), of which 255 are
+    # distinct (every r0 is index 0); the elimination gets each once, in
+    # the order of its first appearance, and the kept indices form one sector
+    rng = np.random.default_rng(21)
+    process = eigen_stack(2, build_switch_choi(2).op.entries
+                          + 0.1 * random_hermitian_direction(256, rng))
+    assert process.vectors.shape == (256, 256) and np.all(process.vectors != 0)
+    fed, null_basis = [], probe._null_basis
+    monkeypatch.setattr(probe, "_null_basis",
+                        lambda rows, n: fed.append(rows) or null_basis(rows, n))
+    kept = probe._kept(process)
+    sectors = probe._charge_sectors(process, kept)
+    (rows,) = fed
+    assert len(rows) == len({tuple(r) for r in rows}) == 255
+    index = np.arange(1, 256)
+    e = np.zeros((256, 16), dtype=int)
+    e[np.arange(256)[:, None], np.indices(process.dims).reshape(8, -1).T
+      + np.cumsum((0, *process.dims[:-1]))] = 1
+    assert rows == (e[index] - e[0]).tolist()
+    assert len(sectors) == 1 and np.array_equal(sectors[0], kept) and len(kept) == 256
+
+
+def test_affine_project_builds_its_layout_once(monkeypatch):
+    # the one-sector layout is a cached property of the system, shared by
+    # affine_project and the residual oracle
+    sys = build_constraint_system("switch", 2)
+    calls, layout = [], probe._layout
+    monkeypatch.setattr(probe, "_layout", lambda *args: calls.append(args) or layout(*args))
+    x = reference(sys)
+    for _ in range(3):
+        assert frobenius(affine_project(sys, x), x) <= 1e-13
+        assert constraint_residual(sys, x) <= 1e-13
+    assert len(calls) == 1 and sys.dense_layout is sys.dense_layout
+
+
 def test_null_basis_is_an_exact_integer_kernel():
     # one primitive integer vector per free column, in column order, that
     # every row annihilates, exactly, from rows that need fraction-free steps
@@ -658,8 +740,8 @@ def test_the_dephased_switch_builds_with_no_row_of_its_own():
     dephased = Process(2, np.stack([w, *branches]), (0.5, 0.5, 0.5))
     assert not np.array_equal(dephased.op.entries, build_switch_choi(2).op.entries)
     sys = ConstraintSystem("switch", dephased)
-    assert (len(sectors_of(sys)), len(sys.symmetry.twirls)) == (7, 2)
-    assert len(sys.layout.reference) == 3_696
+    assert (len(sectors_of(sys)), len(sys.symmetry.involutions)) == (7, 2)
+    assert (len(sys.layout.orbits), len(sys.layout.reference)) == (3_696, 924)
     assert all(np.array_equal(a, b) for a, b in
                zip(sectors_of(sys), table_sectors("switch", dephased), strict=True))
 
@@ -669,12 +751,14 @@ def test_the_dephased_switch_builds_with_no_row_of_its_own():
     ("identity", 2, build_derived_one_slot("transpose", 2)), ("transpose", 3, None),
     ("switch", 3, None)])
 def test_segment_tables_take_the_partial_traces(kind, d, process, monkeypatch):
-    # each traced part alone, with coefficient 1: per slot, its members are
-    # the stored entries whose traced row and column digits agree, in
-    # row-major order, and each member's segment sum is np.trace over the
-    # part's axes of the dense matrix, at the member's other digits.  The
-    # transpose process under the identity kind's charges is one sector;
-    # the d = 3 switch system is built past the guard
+    # each traced part alone, with coefficient 1: the slot sum of an
+    # invariant matrix is, at each orbit's first entry, the sum over the
+    # slots whose traced row and column digits agree there of np.trace over
+    # the part's axes of the dense matrix, at the entry's other digits, and
+    # 0 where they agree in no slot; the map's coefficients count the
+    # members of each coordinate.  The transpose process under the identity
+    # kind's charges is one sector; the d = 3 switch system is built past
+    # the guard
     process = process or probe.KINDS[kind][0](d)
     slots, n = process.slots, process.size
     dims = (d,) * 2 * slots + (process.nout,)
@@ -682,21 +766,23 @@ def test_segment_tables_take_the_partial_traces(kind, d, process, monkeypatch):
     for part in ((0,), (1,), (0, 1)):
         monkeypatch.setattr(probe, "_slot_map", lambda d: ((part, 1.0),))
         sys = ConstraintSystem(kind, process)
-        v = random_block_diagonal_vector(sys, rng)
-        rows, cols = (np.array(np.unravel_index(i, dims)) for i in np.divmod(entries_of(sys), n))
+        v = random_coordinates(sys, rng)
+        first = entries_of(sys)[first_entries(sys)]
+        rows, cols = (np.array(np.unravel_index(i, dims)) for i in np.divmod(first, n))
         tensor = dense(sys, v).reshape(dims * 2)
-        for j, (members, label, coeff) in enumerate(sys.layout.traces):
+        want = np.zeros(len(v))
+        for j in range(slots):
             axes = [2 * j + t for t in part]
             traced = tensor
             for k, a in enumerate(reversed(axes)):
                 traced = np.trace(traced, axis1=a, axis2=a + len(dims) - k)
             agree = (rows[axes] == cols[axes]).all(axis=0)
-            assert np.all(coeff == 1.0) and np.array_equal(np.sort(members), np.flatnonzero(agree))
-            assert np.all(np.diff(entries_of(sys)[members]) > 0)
             other = [a for a in range(len(dims)) if a not in axes]
-            want = traced[tuple(rows[other][:, members]) + tuple(cols[other][:, members])]
-            got = np.bincount(label, v[members])[label]
-            assert np.abs(got - want).max() <= 1e-13 and np.abs(want).max() > 0.01
+            want[agree] += traced[tuple(rows[other][:, agree]) + tuple(cols[other][:, agree])]
+        coef = sys.layout.slot_sum.coef
+        assert np.array_equal(coef, np.round(coef)) and coef.min() >= 1
+        got = sys.layout.slot_sum(v)
+        assert np.abs(got - want).max() <= 1e-13 and np.abs(want).max() > 0.01
 
 
 def slot_marginal(process, x):
@@ -739,15 +825,16 @@ def test_kept_set_of_each_kind(process, count):
                                     ("identity", 3), ("transpose", 3), ("switch", 3)])
 def test_project_matches_the_full_buffer_oracle(kind, d):
     # the partial traces give the product through a buffer of every output
-    # pair, on a real and a complex block vector, and map their image onto
-    # itself; the d = 3 switch system is built past the guard
+    # pair, on the coordinates of a real and a complex invariant matrix,
+    # and map their image onto itself; the d = 3 switch system is built
+    # past the guard
     sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
     rng = np.random.default_rng(17)
-    v = random_block_diagonal_vector(sys, rng)
-    for x in (v, v + 1j * random_block_diagonal_vector(sys, rng)):
+    v, orbits = random_coordinates(sys, rng), sys.layout.orbits
+    for x in (v, v + 1j * random_coordinates(sys, rng)):
         got = _project(sys.layout, x)
-        assert frobenius(got, full_buffer_project(sys, x)) <= 1e-13
-        assert frobenius(got) > 0.1
+        assert frobenius(got[orbits], full_buffer_project(sys, x[orbits])) <= 1e-13
+        assert frobenius(got[orbits]) > 0.1
         assert np.abs(_project(sys.layout, got) - got).max() <= 1e-15  # idempotent
 
 
@@ -785,8 +872,8 @@ def test_an_involution_that_moves_the_kept_set_is_never_used(monkeypatch):
     assert not np.isin(flip[kept], kept).any()
     monkeypatch.setattr(probe, "_involutions", lambda process: (g, flip, reverse))
     sys = build_constraint_system("switch", 2)
-    assert len(sys.symmetry.twirls) == 1
-    assert np.array_equal(sys.symmetry.twirls[0], entry_permutation(sys, reverse))
+    assert len(sys.symmetry.involutions) == 1
+    assert np.array_equal(sys.symmetry.involutions[0], reverse)
     rep = alternating_projection_probe(sys, starts=2)
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
@@ -808,17 +895,53 @@ def random_block_diagonal(sys, rng):
 
 @pytest.mark.parametrize("kind,d", [(kind, d) for kind, d, _, _ in SECTOR_COUNTS])
 def test_affine_project_keeps_the_sector_blocks(kind, d):
-    # so the probe's map on the block vector, a scatter, the slot products
-    # and a gather, gives the dense map's block entries bit for bit, on a
+    # and, on a G-invariant matrix, the group's invariance: so the probe's
+    # map on the coordinates gives the dense map's matrix to rounding, on a
     # real and on a complex block-diagonal matrix
     sys = build_constraint_system(kind, d)
-    direction = twirl(sys, random_hermitian_direction(sys.process.size,
-                                                      np.random.default_rng(d)))
+    direction = group_twirl(sys, twirl(sys, random_hermitian_direction(
+        sys.process.size, np.random.default_rng(d))))
     for x in (direction.real, direction):
         y = affine_project(sys, x)
         assert not off_sector(sys, y).any()
         assert frobenius(y, x) > 0.1  # the projection moved x
-        assert np.array_equal(probe._affine(sys.layout, blocks(sys, x)), blocks(sys, y))
+        assert frobenius(dense(sys, coordinates(sys, y)), y) <= 1e-14  # invariant
+        assert frobenius(dense(sys, probe._affine(sys.layout, coordinates(sys, x))), y) <= 1e-13
+
+
+@pytest.mark.parametrize("kind,d", [*((kind, 2) for kind in probe.KINDS), ("identity", 3),
+                                    ("switch", 3)])
+def test_orbit_kernels_match_the_one_sector_oracle(kind, d):
+    # one call of each kernel on the coordinates of a real and of a complex
+    # G-invariant Hermitian matrix gives, expanded, what the layout of one
+    # coordinate per entry gives on the whole matrix: the one-sector layout
+    # of every index (affine_project's), and for the d = 3 switch, built
+    # past the guard, whose one sector would hold 8.5 million entries, the
+    # layout of its sectors with no involution; the clip against each whole
+    # sector block's psd_project
+    sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
+    layout, rng = sys.layout, np.random.default_rng(20)
+    if kind == "switch" and d == 3:
+        oracle, expand = block_layout(sys), (lambda v: v[layout.orbits])
+    else:
+        oracle, expand = sys.dense_layout, (lambda v: dense(sys, v).reshape(-1))
+    assert np.array_equal(expand(layout.reference), oracle.reference)
+    real = layout.reference + random_coordinates(sys, rng)
+    imag = rng.standard_normal(len(real))
+    imag -= imag[layout.transpose]
+    for v in (real, real + 1j * imag / frobenius(imag, weights=layout.weights)):
+        assert frobenius(expand(_project(layout, v)), _project(oracle, expand(v))) <= 1e-13
+        assert frobenius(expand(probe._affine(layout, v)), probe._affine(oracle, expand(v))) \
+            <= 1e-13
+        # the norms and inner products of unit-scale differences
+        a, b = v - layout.reference, probe._affine(layout, v) - layout.reference
+        assert abs(frobenius(a, weights=layout.weights) - frobenius(expand(a))) <= 1e-13
+        assert abs(real_dot(a, b, layout.weights) - real_dot(expand(a), expand(b))) <= 1e-13
+    # the clip, positively homogeneous, of the unit-norm multiple
+    unit = real / frobenius(real, weights=layout.weights)
+    x = dense(sys, unit)
+    assert np.linalg.eigvalsh(x)[0] < -1e-4  # the clip has work to do
+    assert frobenius(dense(sys, probe._clip(sys, unit)), _dense_sector_clip(sys, x)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", ["identity", "switch"])
@@ -826,7 +949,7 @@ def test_sector_clip_matches_dense_clip(kind):
     # the switch's clip reads the isotypic blocks of a G-invariant matrix
     sys = build_constraint_system(kind, 2)
     x = reference(sys) + group_twirl(sys, random_block_diagonal(sys, np.random.default_rng(13)))
-    clipped = dense(sys, probe._clip(sys, blocks(sys, x)))
+    clipped = dense(sys, probe._clip(sys, coordinates(sys, x)))
     assert frobenius(clipped, psd_project(x)) <= 1e-12
     assert np.linalg.eigvalsh(x)[0] < -0.01  # the clip had work to do
 
@@ -841,8 +964,8 @@ CLIP_STACKS = [("identity", 2, 2), ("switch", 2, 4), ("transpose", 2, 2),
 @pytest.mark.parametrize("kind,d,sizes", CLIP_STACKS)
 def test_clip_is_one_stacked_solve_per_block_size(kind, d, sizes, monkeypatch):
     # one psd_project call per distinct isotypic block size, on the stack of
-    # every block of that size, gives the oracle's block-by-block clip of a
-    # G-invariant start point bit for bit
+    # every block of that size, gives the oracle's clip of each whole
+    # sector block of a G-invariant start point
     sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
     v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)).real)
     assert min(map(min_eigenvalue, probe._blocks(sys.layout, v))) < -1e-3  # work to do
@@ -854,7 +977,7 @@ def test_clip_is_one_stacked_solve_per_block_size(kind, d, sizes, monkeypatch):
     monkeypatch.undo()
     assert [k for _, k, _ in shapes] == sorted(set(blocks)) and len(shapes) == sizes
     assert sorted(k for count, k, _ in shapes for _ in range(count)) == blocks
-    assert np.array_equal(y, _block_sector_clip(sys, v))
+    assert frobenius(dense(sys, y), _dense_sector_clip(sys, dense(sys, v))) <= 1e-13
 
 
 def eigh_clip(x):
@@ -894,14 +1017,14 @@ def test_switch_clip_sends_no_one_by_one_stack_to_eigh(monkeypatch):
     # without an eigensolve, and still gives the oracle's clip
     sys = build_constraint_system("switch", 2)
     v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)).real)
-    assert any(index.shape[-1] == 1 for index in sys.symmetry.stacks)
+    assert any(k == 1 for _, k in sys.symmetry.stacks)
     shapes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: shapes.append(x.shape) or eigh(x))
     y = probe._clip(sys, v)
     monkeypatch.undo()
     assert shapes and all(s[-2:] != (1, 1) for s in shapes)
     assert len(shapes) == len(sys.symmetry.stacks) - 1
-    assert np.array_equal(y, _block_sector_clip(sys, v))
+    assert frobenius(dense(sys, y), _dense_sector_clip(sys, dense(sys, v))) <= 1e-13
 
 
 def test_a_process_under_another_kind_gets_its_own_sectors():
@@ -912,7 +1035,7 @@ def test_a_process_under_another_kind_gets_its_own_sectors():
     own = build_constraint_system("transpose", 2)
     assert all(np.array_equal(a, b) for a, b in
                zip(sectors_of(sys), sectors_of(own), strict=True))
-    assert len(sys.symmetry.twirls) == len(own.symmetry.twirls) == 1
+    assert len(sys.symmetry.involutions) == len(own.symmetry.involutions) == 1
     default = build_constraint_system("identity", 2)
     assert off_sector(default, reference(sys)).any()
     assert len(sectors_of(build_constraint_system("cp_family", 2))) == 1
@@ -1075,8 +1198,9 @@ def loop_input(sys, seed):
 
 
 def affine_start(sys, start):
-    """The block vector of the affine projection of the matrix ``start``."""
-    return blocks(sys, affine_project(sys, start))
+    """The probe's affine projection of the coordinates of the G-invariant
+    matrix ``start``."""
+    return probe._affine(sys.layout, coordinates(sys, start))
 
 
 @pytest.mark.parametrize("kind,seed", [("identity", 1), ("transpose", 6),
@@ -1125,11 +1249,11 @@ def test_secant_step_halves_the_iterations(kind, seed):
 
 
 def _zero_denominator_vdot(dot):
-    return lambda a, b: 0.0 if a is b else dot(a, b)
+    return lambda a, b, weights=None: 0.0 if a is b else dot(a, b, weights)
 
 
 def _nan_numerator_vdot(dot):
-    return lambda a, b: dot(a, b) if a is b else math.nan
+    return lambda a, b, weights=None: dot(a, b, weights) if a is b else math.nan
 
 
 @pytest.mark.parametrize("patch", [_zero_denominator_vdot, _nan_numerator_vdot])
@@ -1142,7 +1266,8 @@ def test_secant_falls_back_to_the_plain_step(patch, monkeypatch):
     x0 = affine_start(sys, start)
     calls = []
     patched = patch(probe.real_dot)
-    monkeypatch.setattr(probe, "real_dot", lambda a, b: calls.append(a is b) or patched(a, b))
+    monkeypatch.setattr(probe, "real_dot",
+                        lambda a, b, w: calls.append(a is b) or patched(a, b, w))
     x, dist, iters = probe._run_single(sys, x0)
     monkeypatch.undo()
     assert np.array_equal(x, plain[0]) and (dist, iters) == plain[1:]
@@ -1167,11 +1292,14 @@ def test_unique_start_returns_numbers_only(kind):
     matrix = dense(sys, x)
     least = min(np.linalg.eigvalsh((b + b.T) / 2)[0]
                 for b in (matrix[np.ix_(s, s)] for s in sectors_of(sys)))
-    # the dense residual's nonzero entries, summed in block order
+    # the dense residual, the slot projection of the difference from the
+    # reference, which the coordinates sum in another order: the two agree
+    # to rounding of that difference
     constrained = constrained_part(sys, matrix)
     assert not off_sector(sys, constrained).any()
     resid = frobenius(blocks(sys, constrained))
-    assert result[:4] == (dist, iters, resid, -least)
+    assert result[:2] == (dist, iters) and result[3] == -least
+    assert abs(result[2] - resid) <= 1e-14 * frobenius(matrix, reference(sys))
     assert abs(resid - constraint_residual(sys, matrix)) <= 1e-14 * resid
     assert abs(least - np.linalg.eigvalsh(matrix)[0]) <= 1e-12
 
@@ -1185,7 +1313,7 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d):
     # draws (the transpose's spread is 8 %)
     sys = build_constraint_system(kind, d)
     dim, n = invariant_dimension(sys), sys.process.size
-    assert dim == sys.symmetry.dimension
+    assert dim == len(sys.layout.reference)
     rng = np.random.default_rng(d)
     twirled = [frobenius(group_twirl(sys, twirl(sys, random_hermitian_direction(n, rng))))
                for _ in range(40)]
@@ -1197,22 +1325,27 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d):
                                              process=sys.process), SampleStream(5))
     want = drawn_direction(sys, 5)
     assert not off_sector(sys, want).any()
-    assert frobenius(got, blocks(sys, want)) <= 1e-15
-    assert abs(frobenius(got) - math.sqrt(dim) / n) <= 1e-15
+    assert frobenius(dense(sys, got), want) <= 1e-15
+    assert abs(frobenius(got, weights=sys.layout.weights) - math.sqrt(dim) / n) <= 1e-15
 
 
 def test_cp_family_start_is_the_dense_unit_draw():
-    # one sector holds the 8 kept indices: the block draw is bit for bit the
-    # dense unit draw on that 8 x 8 block, real parts before imaginary ones,
-    # scaled by sqrt(D) / n = 8 / 16
+    # one sector holds the 8 kept indices, which the reversal R maps onto
+    # themselves: the draw is the dense unit draw on that 8 x 8 block, real
+    # parts before imaginary ones, twirled over R, to rounding, and scaled
+    # by sqrt(D) / n for the D = 32 orbits of its 64 entries
     sys = build_constraint_system("cp_family", 2)
-    assert len(sys.layout.reference) == 64 and sys.process.size == 16
+    assert (len(sys.layout.orbits), len(sys.layout.reference), sys.process.size) == (64, 32, 16)
+    (reverse,), kept = involutions_of(sys), sectors_of(sys)[0]
     for seed in range(30):
         re, im = SampleStream(seed).normal((2, 8, 8))
-        g = re + 1j * im
+        g = np.zeros((16, 16), dtype=complex)
+        g[np.ix_(kept, kept)] = re + 1j * im
         h = g + g.conj().T
-        want = sys.layout.reference + (h / frobenius(h)).reshape(-1) / 2
-        assert np.array_equal(probe._start_point(sys, SampleStream(seed)), want), seed
+        h = (h + h[np.ix_(reverse, reverse)]) / 2
+        want = reference(sys) + h / frobenius(h) * math.sqrt(32) / 16
+        assert frobenius(dense(sys, probe._start_point(sys, SampleStream(seed))), want) \
+            <= 1e-15, seed
 
 
 @pytest.mark.parametrize("kind,d", [*((kind, 2) for kind in probe.KINDS), ("identity", 3),
@@ -1244,18 +1377,20 @@ def traced_peak(run):
 
 def test_switch_start_memory_peak():
     # the secant history must not raise the peak: the complex affine point
-    # is freed before the loop, and the loop reuses spent buffers
+    # is freed before the loop, and the loop reuses spent buffers; the
+    # start's peak, 0.46 MiB, is its draw of 7,392 normals and the final
+    # checks' whole sector blocks
     sys = build_constraint_system("switch", 2)
-    assert traced_peak(lambda: probe._run_start(sys, SampleStream(3))) <= 3.2 * 2 ** 20
+    assert traced_peak(lambda: probe._run_start(sys, SampleStream(3))) <= 1 * 2 ** 20
 
 
 def test_switch_loop_memory_peak():
-    # the loop holds four 29 KiB block vectors and, in the affine map, the
-    # gathers and segment sums of the partial traces (a 0.30 MiB peak);
-    # dense 0.5 MiB iterates would take it to about 4 MiB
+    # the loop holds four 7 KiB coordinate vectors and, in the affine map
+    # and the clip, the maps' gathered terms (a 0.10 MiB peak); 29 KiB
+    # block vectors took 0.30 MiB, and dense 0.5 MiB iterates about 4 MiB
     sys = build_constraint_system("switch", 2)
     start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(3)).real)
-    assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 2.5 * 2 ** 20
+    assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 0.5 * 2 ** 20
 
 
 def test_switch_d3_start_memory_peak():
@@ -1266,19 +1401,20 @@ def test_switch_d3_start_memory_peak():
 
 
 def test_switch_d3_system_memory_peak():
-    # the layout stores 140,676 entries, 1.1 MB a field, and 4.7 MiB of
-    # segment tables; the dense 2916^2 process alone would take 136 MB, and
-    # an n^2 int64 table 68 MB
+    # the layout stores 35,170 coordinates of 140,676 entries, 1.1 MB an
+    # entry table, and the slot sum and clip maps, 4.5 MiB; the dense
+    # 2916^2 process alone would take 136 MB, and an n^2 int64 table 68 MB
     process = Process(3, switch_choi_vector(3))
     assert traced_peak(lambda: ConstraintSystem("switch", process)) <= 64 * 2 ** 20
-    assert ConstraintSystem("switch", process).layout.reference.size == 140_676
+    layout = ConstraintSystem("switch", process).layout
+    assert (layout.orbits.size, layout.reference.size) == (140_676, 35_170)
 
 
 def test_switch_d3_project_memory_peak():
-    # one call holds the block vector's gathers and segment sums, 4.5 MiB;
-    # a slot-pair buffer of the kept outputs and its product took 32 MiB
+    # one call holds the slot sum's gathered terms, 3 MiB; a slot-pair
+    # buffer of the kept outputs and its product took 32 MiB
     sys = ConstraintSystem("switch", Process(3, switch_choi_vector(3)))
-    v = random_block_diagonal_vector(sys, np.random.default_rng(19))
+    v = random_coordinates(sys, np.random.default_rng(19))
     assert traced_peak(lambda: _project(sys.layout, v)) <= 8 * 2 ** 20
 
 
@@ -1371,11 +1507,11 @@ def cp_family_run():
 
 
 def test_failed_start_raises_without_hanging():
-    # a segment label of -1 names no segment, so every start raises
+    # a row of -1 names no coordinate, so every start raises
     broken = build_constraint_system("identity", 2)
-    traces = tuple((members, np.full_like(label, -1), coeff)
-                   for members, label, coeff in broken.layout.traces)
-    object.__setattr__(broken, "layout", dataclasses.replace(broken.layout, traces=traces))
+    slot_sum = broken.layout.slot_sum
+    slot_sum = dataclasses.replace(slot_sum, rows=np.full_like(slot_sum.rows, -1))
+    object.__setattr__(broken, "layout", dataclasses.replace(broken.layout, slot_sum=slot_sum))
     with pytest.raises(ValueError):
         alternating_projection_probe(broken, starts=4)
 
@@ -1418,24 +1554,58 @@ def test_probe_cp_family_witness_budget_too_small_fails(monkeypatch):
     assert "polish_iterations=3" in rep.notes[-1]
 
 
-@pytest.mark.parametrize("seed", range(9))
-def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypatch):
-    # the second polish follows the first one's witness, which lies far
-    # from the reference
+def witness_search(seed, monkeypatch):
+    """The default cp_family probe at ``seed``, and the start and witness
+    of each polish, as dense matrices."""
     sys = build_constraint_system("cp_family", 2)
-    witnesses = []
+    calls = []
     polish = probe._polish_witness
 
-    def spy(*args):
-        witness, evals = polish(*args)
-        witnesses.append(witness)
+    def spy(sys_, start, max_iter):
+        witness, evals = polish(sys_, start, max_iter)
+        calls.append((dense(sys, start), dense(sys, witness)))
         return witness, evals
 
     monkeypatch.setattr(probe, "_polish_witness", spy)
-    rep = alternating_projection_probe(sys, starts=10, seed=seed)
+    return alternating_projection_probe(sys, starts=10, seed=seed), reference(sys), calls
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypatch):
+    # each polish after the first starts WITNESS_AMPLITUDE along the last
+    # witness's displacement, which lies short of the threshold but far
+    # above rounding from the reference (at least 1.3e-3 at these seeds),
+    # and the search stops at the first witness past the threshold
+    rep, w, calls = witness_search(seed, monkeypatch)
     assert rep.passed, [c for c in rep.checks if not c.passed]
-    assert len(witnesses) == 2
-    assert np.linalg.norm(dense(sys, witnesses[0]) - reference(sys)) >= 1e-2
+    distances = [frobenius(witness, w) for _, witness in calls]
+    assert 1 <= len(calls) <= probe.WITNESS_POLISHES
+    assert distances[-1] >= probe.WITNESS_THRESHOLD
+    assert all(1e-3 <= t < probe.WITNESS_THRESHOLD for t in distances[:-1])
+    for (start, _), (_, last) in zip(calls[1:], calls):
+        want = w + probe.WITNESS_AMPLITUDE * (last - w) / frobenius(last, w)
+        assert frobenius(start, want) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [856, 1083, 2177, 4640])
+def test_cp_family_witness_escapes_a_first_witness_at_the_reference(seed, monkeypatch):
+    # at these seeds the first witness lands within 1e-5 of the reference,
+    # whose displacement leads the second polish only 0.002-0.09 out: two
+    # polishes failed here, and a third, along the second witness, passes
+    rep, w, calls = witness_search(seed, monkeypatch)
+    assert rep.passed, [c for c in rep.checks if not c.passed]
+    distances = [frobenius(witness, w) for _, witness in calls]
+    assert len(calls) == 3
+    assert distances[0] <= 1e-5 and distances[1] < probe.WITNESS_THRESHOLD <= distances[2]
+
+
+def test_cp_family_witness_search_stops_after_its_polishes(monkeypatch):
+    # negative control: with a threshold no witness reaches, the search runs
+    # WITNESS_POLISHES polishes and the probe fails on the distance alone
+    monkeypatch.setattr(probe, "WITNESS_THRESHOLD", 10.0)
+    rep, _, calls = witness_search(0, monkeypatch)
+    assert len(calls) == probe.WITNESS_POLISHES
+    assert [c.name for c in rep.checks if not c.passed] == ["witness_distance_exceeds_threshold"]
 
 
 @pytest.mark.parametrize("seed", [871, 2603])
@@ -1450,14 +1620,17 @@ def test_cp_family_probe_passes_where_a_start_stalled(seed):
 
 @pytest.mark.parametrize("patch", [_zero_denominator_vdot, _nan_numerator_vdot])
 def test_polish_witness_falls_back_to_plain_steps(cp_family_run, monkeypatch, patch):
+    # plain steps need 22 evaluations from this start, so a budget of 15
+    # ends before the witness is feasible
     sys, start = cp_family_run["system"], cp_family_run["polish_start"]
     monkeypatch.setattr(probe, "real_dot", patch(probe.real_dot))
-    witness, evals = probe._polish_witness(sys, start, 50)
+    witness, evals = probe._polish_witness(sys, start, 15)
     monkeypatch.undo()
-    assert evals == 50
+    assert evals == 15
     assert np.isfinite(witness).all()
+    assert np.linalg.eigvalsh(dense(sys, witness))[0] < -probe.FEAS_TOL
     # every step fell back to the plain map affine o psd
     x = affine_project(sys, dense(sys, start))
-    for _ in range(50):
+    for _ in range(15):
         x = affine_project(sys, psd_project(x))
     assert frobenius(dense(sys, witness), x) <= 1e-12
