@@ -64,8 +64,8 @@ second feasible point iff it has a real sector-block-diagonal one.  So the
 probe stores a matrix as the vector of its sector blocks' entries
 (``_Layout``): a start's direction is drawn on the blocks alone, the PSD
 projection clips each block, and the affine map keeps them.  The C_p
-family keeps one sector: the lemmas are for a reference that claims
-uniqueness, and its witness needs none, as it is checked as it is.
+family's sectors are derived alike, with no lemma, as its witness is
+checked as it is: C_1's torus leaves its kept indices one sector.
 
 Every kind stores only the outputs o that the slot marginal of W reaches.
 The identity lies in each slot's span{J_U}, so the constraints fix
@@ -87,7 +87,7 @@ reverses the torus's phases).  Every process is offered R, which maps every
 qudit digit i to d - 1 - i, and a two-slot one also S, which swaps the
 slots (I1, O1) and (I2, O2) and flips both control qubits
 (``_involutions``); H is generated by those that fix the stored reference
-exactly and map each sector onto a sector (``_symmetry``).  S maps the
+exactly and map each sector onto a sector (``_layout``).  S maps the
 U1U2 branch of the switch's w onto the U2U1 branch, and R maps each branch
 onto itself.  Each is a real permutation P of the basis that commutes with
 the slot projector (S exchanges two slots that carry the same projector,
@@ -107,15 +107,15 @@ of the same problem, and the final checks certify whatever it finds as it
 is; it stays complex, as a real search missed the witness at some seeds.
 
 The probe stores a G-invariant matrix as one coordinate per G-orbit of its
-block entries (``_Layout``): 924 coordinates for the 3,696 entries of the
-d = 2 switch.  A norm or inner product weights each coordinate by its
-orbit size, and the transpose maps orbits onto orbits.  The slot maps
-commute with each other, and their product with G, but S exchanges the
-two slots, so the first slot's map alone would leave the invariant
-matrices; the sum B of the slot maps less 1 does not, and their product
-is a polynomial in B (``_project``), applied in the coordinates by one
-fixed sparse map.  On
-a G-invariant matrix a sector's stabiliser in H acts by permuting its
+block entries (``_Layout``, one plan with the clip's, built in one pass):
+924 coordinates for the 3,696 entries of the d = 2 switch.  A norm or
+inner product weights each coordinate by its orbit size, and the
+transpose maps orbits onto orbits.  The slot maps commute with each other,
+and their product with G, but S exchanges the two slots, so the first
+slot's map alone would leave the invariant matrices; the sum B of the slot
+maps less 1 does not, and their product is a polynomial in B
+(``_project``), applied in the coordinates by one fixed sparse map.  On a
+G-invariant matrix a sector's stabiliser in H acts by permuting its
 indices; in a real orthogonal basis of character sums over the index
 orbits the sector's block splits into one isotypic block per character,
 and a sector that H maps onto an earlier one holds a copy of that one's
@@ -176,15 +176,15 @@ class ConstraintSystem:
     """The probe problem of a process: the PSD cone and the affine set of
     Hermitian matrices whose action on span{J_U} in each slot is the
     process's.  ``kind`` names it; the rest is read off ``process``, whose
-    matrix must be real: ``symmetry`` holds the involutions it keeps and
-    the clip's plan, and ``layout`` stores a matrix on its charge sectors,
+    matrix must be real: ``layout`` stores a matrix on its charge sectors,
     which must partition the kept indices, one coordinate per orbit of the
-    group they generate (module docstring).
+    group of the involutions it keeps, and holds the clip's plan (module
+    docstring).  The kind is read only to validate it, in error messages,
+    in the report's name and to choose the witness over the starts.
     """
 
     kind: str
     process: Process
-    symmetry: _Symmetry = field(init=False, repr=False)
     layout: _Layout = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -192,12 +192,10 @@ class ConstraintSystem:
         kept = _kept(self.process)
         if not np.isin(np.concatenate(self.process.support()), kept).all():
             raise ValueError(f"the {self.kind} process has entries off its kept outputs")
-        sectors = (kept,) if self.kind == "cp_family" else _charge_sectors(self.process, kept)
+        sectors = _charge_sectors(self.process, kept)
         if not np.array_equal(np.sort(np.concatenate(sectors)), kept):
             raise ValueError(f"the {self.kind} sectors do not partition the kept indices")
-        symmetry = _symmetry(self.process, sectors, _involutions(self.process))
-        object.__setattr__(self, "symmetry", symmetry)
-        object.__setattr__(self, "layout", _layout(self, sectors, symmetry.orbits))
+        object.__setattr__(self, "layout", _layout(self, sectors, _involutions(self.process)))
 
     @functools.cached_property
     def dense_layout(self) -> _Layout:
@@ -340,14 +338,22 @@ def _entries(sectors: tuple) -> tuple:
 @dataclass(frozen=True)
 class _Layout:
     """A G-invariant matrix that is 0 off the sector blocks, stored as one
-    coordinate per G-orbit of the block vector's entries (``_entries``),
-    the orbits in the order of their first entry: each entry's coordinate
-    (``orbits``), so that v[orbits] is the block vector, the block offsets,
-    the orbit sizes (``weights``), each coordinate's transposed one, the
-    reference's values, the slot count and the map of the slot sum B
-    (``_project``).  With no involution every entry is an orbit; one
-    sector of every index is then the ravel."""
+    coordinate per G-orbit of the block vector's entries (``_entries``) in
+    the order of their first entry, and the clip's plan: the kept
+    involutions, as index permutations; each entry's coordinate, so that
+    v[orbits] is the block vector; the block offsets; the orbit sizes; each
+    coordinate's transposed one; the reference's values; the slot count;
+    the map of the slot sum B (``_project``); per representative of each
+    orbit of sectors under G, its sector number, a real orthogonal basis
+    adapted to its stabiliser and the cuts of its isotypic blocks
+    (``clips``); per isotypic block size, ascending, the count and size of
+    its blocks (``stacks``); and the fixed maps from the coordinates to the
+    stacked isotypic blocks, row-major (``gather``), and back
+    (``scatter``).  With no involution every entry is an orbit and every
+    sector its own representative with one block; one sector of every
+    index is then the ravel."""
 
+    involutions: tuple
     orbits: np.ndarray
     offsets: tuple
     weights: np.ndarray
@@ -355,64 +361,16 @@ class _Layout:
     reference: np.ndarray
     slots: int
     slot_sum: _Map
+    clips: tuple
+    stacks: tuple
+    gather: _Map
+    scatter: _Map
 
 
 def _slot_map(d: int) -> tuple:
     """One slot's projector onto span{J_U}, X - 1_I/d (x) Tr_I X - Tr_O X (x)
     1_O/d + (2/d^2) Tr_IO X (x) 1: per part, its traced digits and coefficient."""
     return ((0,), -1 / d), ((1,), -1 / d), ((0, 1), 2 / d ** 2)
-
-
-def _layout(sys: ConstraintSystem, sectors: tuple, orbits: np.ndarray | None = None) -> _Layout:
-    """The read-only storage on ``sectors`` of the process's matrices in
-    the coordinates of ``orbits``, by default one per entry.
-
-    Per slot and traced part of ``_slot_map``, the members are the entries
-    whose traced digits (0 = I, 1 = O) agree, and a segment the members
-    whose other digits match; B adds to each member its segment's sum
-    times the part's coefficient.  B commutes with the group, so B of an
-    invariant matrix is read at each orbit's first entry alone: one term
-    per member of that entry's segment in each part, at the member's
-    coordinate, the terms of one coordinate pair summed.  The reference,
-    which must be real, is read at each orbit's first entry."""
-    n, d = sys.process.size, sys.process.d
-    rows, cols, offsets = _entries(sectors)
-    orbits = np.arange(len(rows)) if orbits is None else orbits
-    first = np.unique(orbits, return_index=True)[1]
-    reference = sys.process.entry(rows[first], cols[first])
-    if np.any(reference.imag):
-        raise ValueError(f"the {sys.kind} probe needs a real process matrix")
-    flip = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
-                           for o, s in zip(offsets, sectors)])
-    is_first = np.zeros(len(rows), dtype=bool)
-    is_first[first] = True
-    terms = []  # (coordinate of a first entry, coordinate of a member of its segment, coefficient)
-    for j in range(sys.process.slots):  # slot j's I, O digits: strides n/d^(2j+1), n/d^(2j+2)
-        for traced, coeff in _slot_map(d):
-            strides = [n // d ** (2 * j + 1 + t) for t in traced]
-            r, c = (sum((x // s % d * s for s in strides), 0 * x) for x in (rows, cols))
-            members = np.flatnonzero(r == c)
-            keys = (rows * n + cols - r * (n + 1))[members]
-            order = np.argsort(keys, kind="stable")
-            members, keys = members[order], keys[order]
-            starts = np.searchsorted(keys, keys)  # each member's segment: a run of keys
-            sizes = np.searchsorted(keys, keys, side="right") - starts
-            own = is_first[members]
-            count = sizes[own]
-            at = np.repeat(starts[own] - np.cumsum(count) + count, count) + np.arange(count.sum())
-            terms.append((np.repeat(orbits[members[own]], count), orbits[members[at]],
-                          np.full(count.sum(), coeff)))
-    slot_sum = _sparse(*(np.concatenate(a) for a in zip(*terms)), len(first))
-    arrays = (orbits, np.bincount(orbits).astype(float), orbits[flip[first]], reference.real.copy())
-    for a in arrays:
-        a.flags.writeable = False
-    return _Layout(arrays[0], offsets, *arrays[1:], sys.process.slots, slot_sum)
-
-
-def _blocks(layout: _Layout, v: np.ndarray) -> list:
-    """The whole sector blocks of the matrix stored as v."""
-    x, o = v[layout.orbits], layout.offsets
-    return [x[a:b].reshape(2 * (math.isqrt(b - a),)) for a, b in zip(o, o[1:])]
 
 
 def _involutions(process: Process) -> tuple:
@@ -427,43 +385,23 @@ def _involutions(process: Process) -> tuple:
     return index.transpose(2, 3, 0, 1, 4, 5, 6, 7)[..., ::-1, ::-1].reshape(-1), reverse
 
 
-@dataclass(frozen=True)
-class _Symmetry:
-    """The group G of the involutions a system keeps and the clip's plan
-    for it: the kept involutions, as index permutations; the coordinate of
-    each block-vector entry, one per G-orbit, in the order of each orbit's
-    first entry (``orbits``); per representative of each orbit of sectors
-    under G, its sector number, a real orthogonal basis adapted to its
-    stabiliser, or None for a trivial one, and the cuts of the isotypic
-    blocks in it (``clips``); per isotypic block size, ascending, the count
-    and size of the blocks of that size (``stacks``); and the fixed maps
-    from the coordinates to the stacked isotypic blocks, each stack's
-    blocks one after another, row-major (``gather``), and back
-    (``scatter``)."""
-
-    involutions: tuple
-    orbits: np.ndarray
-    clips: tuple
-    stacks: tuple
-    gather: _Map
-    scatter: _Map
-
-
-def _symmetry(process: Process, sectors: tuple, involutions: tuple) -> _Symmetry:
-    """The plan of the ``involutions`` that fix the process's matrix
-    exactly on the stored entries and map each sector onto a sector, and
-    so the kept set onto itself; with none kept, every entry is an orbit
-    and every sector its own representative with one block."""
-    n = process.size
-    rows, cols, starts = _entries(sectors)
-    reference = process.entry(rows, cols)
+def _layout(sys: ConstraintSystem, sectors: tuple, involutions: tuple = ()) -> _Layout:
+    """The read-only storage on ``sectors`` of the process's matrices and
+    the clip's plan, under those of the ``involutions`` that fix the
+    process's matrix exactly on the stored entries and map each sector
+    onto a sector, and so the kept set onto itself.  The matrix is read
+    once, at every stored entry; the reference, which must be real, is its
+    value at each orbit's first entry."""
+    n = sys.process.size
+    rows, cols, offsets = _entries(sectors)
+    values = sys.process.entry(rows, cols)
     label, where = np.full(n, -1, dtype=np.intp), np.empty(n, dtype=np.intp)
     for q, s in enumerate(sectors):
         label[s], where[s] = q, np.arange(len(s))
 
     def image(g):  # the block-vector position of g's image of each entry
-        return np.concatenate([starts[label[g[s[0]]]] + (where[g[s]][:, None] * len(s)
-                                                          + where[g[s]]).ravel()
+        return np.concatenate([offsets[label[g[s[0]]]] + (where[g[s]][:, None] * len(s)
+                                                           + where[g[s]]).ravel()
                                for s in sectors])
 
     kept = []
@@ -471,14 +409,21 @@ def _symmetry(process: Process, sectors: tuple, involutions: tuple) -> _Symmetry
         # the sector each one must map onto, and -1 off the kept set: g must
         # map that onto itself, and so the kept set too
         onto = np.append(label[g[[s[0] for s in sectors]]], -1)
-        if np.array_equal(label[g], onto[label]) and \
-                np.array_equal(reference[image(g)], reference):
+        if np.array_equal(label[g], onto[label]) and np.array_equal(values[image(g)], values):
             kept.append(g)
     group = [(0, np.arange(n))]  # (bits of the kept involutions composed, permutation)
     for bit, g in enumerate(kept):
         group += [(b | 1 << bit, g[e]) for b, e in group]
     orbits = np.unique(np.minimum.reduce([image(g) for _, g in group]), return_inverse=True)[1]
-    orbits = orbits.reshape(-1)
+    first = np.unique(orbits, return_index=True)[1]
+    reference, values = values[first], None  # frees the complex values before the maps
+    if np.any(reference.imag):
+        raise ValueError(f"the {sys.kind} probe needs a real process matrix")
+
+    flip = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
+                           for o, s in zip(offsets, sectors)])
+    slot_sum = _slot_sum(sys.process, rows, cols, orbits, first)
+
     clips, orbit_of = [], np.full(len(sectors), -1)
     for q, s in enumerate(sectors):
         if orbit_of[q] >= 0:
@@ -489,12 +434,9 @@ def _symmetry(process: Process, sectors: tuple, involutions: tuple) -> _Symmetry
             if t == q:
                 stabiliser.append((bits, where[g[s]]))
             orbit_of[t] = q
-        basis, cuts = _isotypic_basis(stabiliser, len(group), len(s))
-        clips.append((q, basis, cuts))
+        clips.append((q, *_isotypic_basis(stabiliser, len(group), len(s))))
     by_size = {}
     for q, basis, cuts in clips:
-        k = len(sectors[q])
-        basis = np.eye(k) if basis is None else basis
         for a, b in zip(cuts, cuts[1:]):
             by_size.setdefault(b - a, []).append((q, basis[:, a:b]))
     terms, stacks, base = [], [], 0
@@ -502,32 +444,63 @@ def _symmetry(process: Process, sectors: tuple, involutions: tuple) -> _Symmetry
         stacks.append((len(by_size[k]), k))
         for q, part in by_size[k]:  # block entry (a, b) = sum of part[i, a] part[j, b] X[i, j]
             i, a = np.nonzero(part)
-            pos = starts[q] + i[:, None] * len(sectors[q]) + i
+            pos = offsets[q] + i[:, None] * len(sectors[q]) + i
             terms.append((base + a[:, None] * k + a, orbits[pos], np.outer(part[i, a], part[i, a])))
             base += k * k
     rows, cols, coef = (np.concatenate([t.ravel() for t in a]) for a in zip(*terms))
     # the transposed map sums a clipped matrix over an orbit's entries in
     # its representative sector, which it holds in equal parts
-    size = orbits.max() + 1
-    held = np.bincount(orbits[np.concatenate([np.arange(starts[q], starts[q + 1])
-                                              for q, _, _ in clips])], minlength=size)
-    for a in [b for _, b, _ in clips if b is not None] + [orbits]:
+    held = np.bincount(orbits[np.concatenate([np.arange(offsets[q], offsets[q + 1])
+                                              for q, _, _ in clips])], minlength=len(first))
+    arrays = (orbits, np.bincount(orbits).astype(float), orbits[flip[first]], reference.real.copy())
+    for a in [*arrays, *(b for _, b, _ in clips)]:
         a.flags.writeable = False
-    return _Symmetry(tuple(kept), orbits, tuple(clips), tuple(stacks),
-                     _sparse(rows, cols, coef, base), _sparse(cols, rows, coef / held[cols], size))
+    return _Layout(tuple(kept), arrays[0], offsets, *arrays[1:], sys.process.slots, slot_sum,
+                   tuple(clips), tuple(stacks), _sparse(rows, cols, coef, base),
+                   _sparse(cols, rows, coef / held[cols], len(first)))
+
+
+def _slot_sum(process: Process, rows, cols, orbits, first) -> _Map:
+    """The map of the slot sum B (``_project``) on the coordinates
+    ``orbits`` of the entries (rows, cols), ``first`` each orbit's first.
+    Per slot and traced part of ``_slot_map``, the members are the entries
+    whose traced digits (0 = I, 1 = O) agree, and a segment the members
+    whose other digits match; B adds to each member its segment's sum
+    times the part's coefficient.  B commutes with the group, so B of an
+    invariant matrix is read at each orbit's first entry alone: one term
+    per member of that entry's segment in each part, at the member's
+    coordinate, the terms of one coordinate pair summed."""
+    n, d = process.size, process.d
+    is_first = np.zeros(len(rows), dtype=bool)
+    is_first[first] = True
+    terms = []  # (coordinate of a first entry, coordinate of a member of its segment, coefficient)
+    for j in range(process.slots):  # slot j's I, O digits: strides n/d^(2j+1), n/d^(2j+2)
+        for traced, coeff in _slot_map(d):
+            strides = [n // d ** (2 * j + 1 + t) for t in traced]
+            r, c = (sum((x // s % d * s for s in strides), 0 * x) for x in (rows, cols))
+            members = np.flatnonzero(r == c)
+            keys = (rows * n + cols - r * (n + 1))[members]
+            order = np.argsort(keys, kind="stable")
+            members, keys = members[order], keys[order]
+            starts = np.searchsorted(keys, keys)  # each member's segment: a run of keys
+            sizes = np.searchsorted(keys, keys, side="right") - starts
+            own = is_first[members]
+            count = sizes[own]
+            at = np.repeat(starts[own] - np.cumsum(count) + count, count) + np.arange(count.sum())
+            terms.append((np.repeat(orbits[members[own]], count), orbits[members[at]],
+                          np.full(count.sum(), coeff)))
+    return _sparse(*(np.concatenate(a) for a in zip(*terms)), len(first))
 
 
 def _isotypic_basis(stabiliser: list, characters: int, k: int) -> tuple:
     """A real orthogonal basis of R^k in which the matrices fixed by the
     stabiliser, given as (bits, permutation of range(k)) with the identity
-    first, are block diagonal, and the block cuts; (None, (0, k)) for the
-    identity alone.  A character c of the kept group takes the sign
-    (-1)^popcount(bits & c) on an element; the columns of one character
+    first, are block diagonal, and the block cuts; the identity alone gives
+    the identity and one block.  A character c of the kept group takes the
+    sign (-1)^popcount(bits & c) on an element; the columns of one character
     restricted to the stabiliser are its normalised sums over each orbit of
     indices, orbit by orbit in the order of their least index, and vanish
     on an orbit whose point stabiliser the character does not fix."""
-    if len(stabiliser) == 1:
-        return None, (0, k)
     perms = np.stack([p for _, p in stabiliser])
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(k))
     signs = dict.fromkeys(tuple((-1) ** (bits & c).bit_count() for bits, _ in stabiliser)
@@ -540,6 +513,13 @@ def _isotypic_basis(stabiliser: list, characters: int, k: int) -> tuple:
         norms = np.sqrt(np.einsum("ij,ij->j", q, q))
         parts.append(q[:, norms > 0] / norms[norms > 0])
     return np.hstack(parts), tuple(np.cumsum([0] + [p.shape[1] for p in parts]).tolist())
+
+
+def _least_eigenvalue(layout: _Layout, v: np.ndarray) -> float:
+    """The least eigenvalue of the matrix stored as v: the least
+    ``min_eigenvalue`` of its whole sector blocks, read without the clip's plan."""
+    x, o = v[layout.orbits], layout.offsets
+    return min(min_eigenvalue(x[a:b].reshape(2 * (math.isqrt(b - a),))) for a, b in zip(o, o[1:]))
 
 
 def _project(layout: _Layout, v: np.ndarray) -> np.ndarray:
@@ -583,21 +563,20 @@ def psd_project(x: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def _clip(sys: ConstraintSystem, v: np.ndarray) -> np.ndarray:
+def _clip(layout: _Layout, v: np.ndarray) -> np.ndarray:
     """The PSD projection of the G-invariant matrix stored as v: each
     isotypic block of each representative sector, read off the
-    coordinates by ``_Symmetry.gather``, clipped by one ``psd_project``
+    coordinates by ``_Layout.gather``, clipped by one ``psd_project``
     call per block size, and the clipped blocks taken back to coordinates
-    by ``_Symmetry.scatter``.  A G-invariant matrix is block diagonal in
+    by ``_Layout.scatter``.  A G-invariant matrix is block diagonal in
     the adapted bases, so its clip is the blocks' clips; with no
     involutions kept, every sector block is clipped as it is."""
-    plan = sys.symmetry
-    z, parts, a = plan.gather(v), [], 0
-    for count, k in plan.stacks:
+    z, parts, a = layout.gather(v), [], 0
+    for count, k in layout.stacks:
         b = a + count * k * k
         parts.append(psd_project(z[a:b].reshape(count, k, k)).reshape(-1))
         a = b
-    return plan.scatter(np.concatenate(parts))
+    return layout.scatter(np.concatenate(parts))
 
 
 def _secant_point(g, g_prev, f, f_prev, weights):
@@ -618,9 +597,9 @@ def _secant_point(g, g_prev, f, f_prev, weights):
     return x
 
 
-def _run_single(sys: ConstraintSystem, x: np.ndarray):
+def _run_single(layout: _Layout, x: np.ndarray):
     """Dykstra's alternating projections from the affine start ``x`` in
-    ``sys.layout``, whose buffer is reused, with a secant step: the last
+    ``layout``, whose buffer is reused, with a secant step: the last
     plain affine iterate, its distance to the reference and the iterations.
 
     A plain step maps x_k to g_k = affine(psd(x_k + p_k)), with the PSD
@@ -637,7 +616,6 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     the loop holds four coordinate vectors: x, p, g_{k-1} and f_{k-1}.
     Norms and inner products weight each coordinate by its orbit size.
     """
-    layout = sys.layout
     w = layout.weights
     p = np.zeros_like(x)
     f_prev = g_prev = None
@@ -646,7 +624,7 @@ def _run_single(sys: ConstraintSystem, x: np.ndarray):
     while iters < MAX_ITER and math.isfinite(dist):
         iters += 1
         p += x
-        y = _clip(sys, p)
+        y = _clip(layout, p)
         p -= y
         g = _affine(layout, y)
         del y
@@ -686,26 +664,25 @@ def _run_start(sys: ConstraintSystem, stream: SampleStream):
     module docstring say lose nothing: (distance, iterations, constraint
     residual, minus the least eigenvalue).  The distance is NaN for a
     non-finite iterate, and so are the checks."""
-    x, dist, iters = _run_single(sys, _affine(sys.layout, _start_point(sys, stream).real))
-    resid, neg_eig = _final_checks(sys, x)
+    layout = sys.layout
+    x, dist, iters = _run_single(layout, _affine(layout, _start_point(sys, stream).real))
+    resid, neg_eig = _final_checks(layout, x)
     return (dist if np.isfinite(x).all() else math.nan), iters, resid, neg_eig
 
 
-def _final_checks(sys: ConstraintSystem, x: np.ndarray) -> tuple[float, float]:
-    """The constraint residual of the matrix stored as x and minus its least
-    eigenvalue, the least over the whole sector blocks, read off the
-    coordinates without the clip's plan.  Both are NaN, without an
-    eigensolve, which may raise on them, if x is not finite."""
+def _final_checks(layout: _Layout, x: np.ndarray) -> tuple[float, float]:
+    """The constraint residual of the matrix stored as x and minus its
+    ``_least_eigenvalue``.  Both are NaN, without an eigensolve, which may
+    raise on them, if x is not finite."""
     if not np.isfinite(x).all():
         return math.nan, math.nan
-    layout = sys.layout
     return (frobenius(_project(layout, x - layout.reference), weights=layout.weights),
-            -min(map(min_eigenvalue, _blocks(layout, x))))
+            -_least_eigenvalue(layout, x))
 
 
-def _polish_witness(sys: ConstraintSystem, start: np.ndarray, max_iter: int):
+def _polish_witness(layout: _Layout, start: np.ndarray, max_iter: int):
     """The plain map g = affine o psd, mixed by ``_secant_point``, from the
-    affine projection of ``start`` in ``sys.layout`` until g is feasible.
+    affine projection of ``start`` in ``layout`` until g is feasible.
 
     Every feasible witness sits on the boundary of the cone, where plain
     alternating projections crawl in tangentially; the secant point after
@@ -715,12 +692,11 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, max_iter: int):
     with min eigenvalue >= -FEAS_TOL over the whole sector blocks, or the
     last one, and the evaluations.
     """
-    layout = sys.layout
     x = g = _affine(layout, start)
     evals, f_prev, g_prev = 0, None, None
     for evals in range(1, max_iter + 1):
-        g = _affine(layout, _clip(sys, x))
-        if min(map(min_eigenvalue, _blocks(layout, g))) >= -FEAS_TOL:
+        g = _affine(layout, _clip(layout, x))
+        if _least_eigenvalue(layout, g) >= -FEAS_TOL:
             break
         f = np.subtract(g, x, out=x)
         x = g.copy() if g_prev is None else _secant_point(g, g_prev, f, f_prev, layout.weights)
@@ -728,7 +704,7 @@ def _polish_witness(sys: ConstraintSystem, start: np.ndarray, max_iter: int):
     return g, evals
 
 
-def _find_witness(sys: ConstraintSystem, point: np.ndarray):
+def _find_witness(layout: _Layout, point: np.ndarray):
     """A feasible point far from the reference, and the polish evaluations
     spent on it, out of WITNESS_MAX_ITER in all.
 
@@ -744,7 +720,6 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray):
     but starts afresh along it.  A non-finite polish start is not
     polished: it is returned as it is, and fails the witness checks.
     """
-    layout = sys.layout
     evals, reference, w = 0, layout.reference, layout.weights
     for _ in range(WITNESS_POLISHES):
         escape = point - reference
@@ -752,7 +727,7 @@ def _find_witness(sys: ConstraintSystem, point: np.ndarray):
         point = reference + WITNESS_AMPLITUDE * (escape / scale if scale > 0 else escape)
         if not np.isfinite(point).all():
             break
-        point, used = _polish_witness(sys, point, WITNESS_MAX_ITER - evals)
+        point, used = _polish_witness(layout, point, WITNESS_MAX_ITER - evals)
         evals += used
         if frobenius(point - reference, weights=w) >= WITNESS_THRESHOLD:
             break
@@ -780,14 +755,13 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     stream = SampleStream(seed)
     expected_rank = span_dimension_formula(sys.process.d) ** sys.process.slots
     checks = [check_true("family_rank_full", sys.family_rank == expected_rank)]
+    layout = sys.layout
     if sys.kind == "cp_family":
-        point = _affine(sys.layout, _start_point(sys, stream))
-        witness, polish_iters = _find_witness(sys, point)
-        wdist = frobenius(witness - sys.layout.reference, weights=sys.layout.weights)
-        resid, neg_eig = _final_checks(sys, witness)
+        witness, polish_iters = _find_witness(layout, _affine(layout, _start_point(sys, stream)))
+        wdist = frobenius(witness - layout.reference, weights=layout.weights)
+        resid, neg_eig = _final_checks(layout, witness)
         checks += [
-            check_true("witness_distance_exceeds_threshold",
-                       wdist >= WITNESS_THRESHOLD),
+            check_true("witness_distance_exceeds_threshold", wdist >= WITNESS_THRESHOLD),
             check_leq("witness_constraint_residual", resid, FEAS_TOL),
             check_leq("witness_negative_eigenvalue", neg_eig, FEAS_TOL),
         ]

@@ -279,7 +279,7 @@ def build_span_generator(lemma_id: str, indices, d: int) -> SpanGenerator:
         default_grid=default_grid)
 
 
-def _phase_averages(gens, n: int | None = None, tables=None) -> np.ndarray:
+def _phase_averages(gens, n: int, tables=None) -> np.ndarray:
     """Grid averages (1/n^p) sum_grid weight * |psi><psi| of generators of one
     lemma id, in closed form from their term ``tables`` (built if not given).
 
@@ -291,7 +291,6 @@ def _phase_averages(gens, n: int | None = None, tables=None) -> np.ndarray:
     every |m|, as each lemma's exactness threshold does.
     """
     first = gens[0]
-    n = first.default_grid if n is None else n
     if n < first.min_grid:
         raise ValueError(f"grid {n} below exactness threshold {first.min_grid} "
                          f"for {first.lemma_id}")

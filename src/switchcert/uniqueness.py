@@ -239,11 +239,10 @@ def diagonal_certificate(d: int, process: Process | None = None) -> CertificateR
     only, its diagonal too.
     """
     timer = Timer()
-    dims = (d, d, d, d, d, d, 2, 2)
     if process is not None and process.d != d:
         raise ValueError("process dimension mismatch")
     proc = process if process is not None else Process(d, switch_choi_vector(d))
-    nout, flat = proc.nout, np.ravel_multi_index
+    dims, nout, flat = proc.dims, proc.nout, np.ravel_multi_index
     diag = proc.entry(np.arange(proc.size), np.arange(proc.size)).real
 
     # (i) the displayed ket-bra actions |ijkl><jilk|, |ijkk><jill|, |iikl><jjlk|,

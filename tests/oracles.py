@@ -500,13 +500,14 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
     that point is not finite; without it, and at the first step, it is the
     plain point g."""
     if dense:
-        reference, clip, weights = sys.process.op.entries.real, _dense_sector_clip, None
+        reference, weights = sys.process.op.entries.real, None
+        clip = partial(_dense_sector_clip, sys)
 
         def affine(x):
             return probe._affine(sys.dense_layout, x.reshape(-1)).reshape(x.shape)
     else:
         layout = sys.layout
-        reference, clip, weights = layout.reference, probe._clip, layout.weights
+        reference, clip, weights = layout.reference, partial(probe._clip, layout), layout.weights
         affine = partial(probe._affine, layout)
         start = start.reshape(-1)[entries_of(sys)][np.unique(layout.orbits, return_index=True)[1]]
     x = affine(start)
@@ -516,7 +517,7 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
     iters = 0
     for iters in range(1, MAX_ITER + 1):
         shifted = x + p
-        y = clip(sys, shifted)
+        y = clip(shifted)
         p = shifted - y
         g = affine(y)
         f = g - x

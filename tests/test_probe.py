@@ -14,7 +14,7 @@ import pytest
 
 from switchcert import probe
 from switchcert.channels import SampleStream, haar_random_unitary, unitary_choi
-from switchcert.linalg import frobenius, min_eigenvalue, real_dot
+from switchcert.linalg import frobenius, real_dot
 from switchcert.probe import (
     ConstraintSystem,
     _project,
@@ -52,8 +52,9 @@ def test_constraint_system_shapes():
     assert stored.dtype == float and stored.flags.c_contiguous
     assert np.array_equal(stored, coordinates(sw, reference(sw)))
     assert not stored.flags.writeable
-    maps = (sw.layout.slot_sum, sw.symmetry.gather, sw.symmetry.scatter)
-    tables = [sw.layout.orbits, sw.layout.weights, sw.layout.transpose, sw.symmetry.orbits]
+    maps = (sw.layout.slot_sum, sw.layout.gather, sw.layout.scatter)
+    tables = [sw.layout.orbits, sw.layout.weights, sw.layout.transpose,
+              *(basis for _, basis, _ in sw.layout.clips)]
     assert not any(a.flags.writeable for a in tables + [a for m in maps
                                                         for a in (m.rows, m.cols, m.coef)])
     assert not hasattr(sw, "reference") and not hasattr(sw, "slot_projector")
@@ -390,7 +391,7 @@ def test_group_twirl_of_a_feasible_point_is_feasible():
     # definite; the <S, R>-twirl of X is feasible, PSD and off W.
     w = build_switch_choi(2).op.entries.real + np.eye(256)
     sys = build_constraint_system("switch", 2, plus_identity(build_switch_choi(2)))
-    assert len(sys.symmetry.involutions) == 2
+    assert len(sys.layout.involutions) == 2
     g = random_hermitian_direction(256, np.random.default_rng(14))
     h = hermitian_part(g - slot_map(2, 2, g))
     assert np.linalg.norm(slot_map(2, 2, h)) <= 1e-14
@@ -440,8 +441,8 @@ def test_switch_involutions_fix_w_and_commute_with_the_projection(d):
         assert np.array_equal(w[g], w)
         assert all(np.array_equal(np.sort(g[s]), sectors[label[g[s[0]]]]) for s in sectors)
     perms = [entry_permutation(sys, g) for g in involutions]
-    assert len(sys.symmetry.involutions) == 2
-    assert all(np.array_equal(g, h) for g, h in zip(involutions, sys.symmetry.involutions))
+    assert len(sys.layout.involutions) == 2
+    assert all(np.array_equal(g, h) for g, h in zip(involutions, sys.layout.involutions))
     layout = block_layout(sys)
     v = random_block_diagonal_vector(sys, np.random.default_rng(d))
     pv = _project(layout, v)
@@ -488,7 +489,7 @@ def test_the_kept_involutions_are_the_offered_ones_that_fix_the_reference(kind, 
     kept = involutions_of(sys)
     assert len(kept) == sys.process.slots
     assert all(np.array_equal(g, h) for g, h in
-               zip(sys.symmetry.involutions, kept, strict=True))
+               zip(sys.layout.involutions, kept, strict=True))
     # the coordinates are the orbits of the group they generate
     orbits = sys.layout.orbits
     assert all(np.array_equal(orbits[entry_permutation(sys, g)], orbits) for g in group_of(sys))
@@ -505,7 +506,7 @@ ISOTYPIC = [(2, [(1, 1), (6, 6), (15, 15), (10, 10, 10, 10)], 10, 15, 924),
 @pytest.mark.parametrize("d,sizes,count,largest,dimension", ISOTYPIC)
 def test_isotypic_bases_block_the_invariant_matrices(d, sizes, count, largest, dimension):
     sys = ConstraintSystem("switch", Process(d, switch_choi_vector(d)))
-    plan, sectors = sys.symmetry, sectors_of(sys)
+    plan, sectors = sys.layout, sectors_of(sys)
     got = [tuple(np.diff(cuts).tolist()) for _, _, cuts in plan.clips]
     assert sizes is None or got == sizes
     assert (sum(map(len, got)), max(map(max, got))) == (count, largest)
@@ -555,8 +556,8 @@ def test_an_involution_that_moves_the_reference_is_never_used(monkeypatch):
     assert not np.array_equal(w[unflipped], w)
     monkeypatch.setattr(probe, "_involutions", lambda process: (unflipped, reverse))
     sys = build_constraint_system("switch", 2)
-    assert len(sys.symmetry.involutions) == 1
-    assert np.array_equal(sys.symmetry.involutions[0], reverse)
+    assert len(sys.layout.involutions) == 1
+    assert np.array_equal(sys.layout.involutions[0], reverse)
     rep = alternating_projection_probe(sys, starts=2)
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
@@ -572,9 +573,13 @@ def test_a_tiny_entry_that_the_swap_moves_keeps_the_torus_alone():
     bumped = Process(2, np.stack([switch_choi_vector(2), np.eye(256)[i]]), (1.0, 1e-300))
     assert bumped.entry(i, i) == 1e-300
     sys = build_constraint_system("switch", 2, bumped)
-    plan = sys.symmetry
+    plan = sys.layout
     assert (len(sectors_of(sys)), plan.involutions) == (7, ())
-    assert all(basis is None for _, basis, _ in plan.clips)
+    # every sector is its own representative, its basis the identity
+    sizes = [len(s) for s in sectors_of(sys)]
+    assert [q for q, _, _ in plan.clips] == list(range(7))
+    assert all(np.array_equal(basis, np.eye(k)) and cuts == (0, k)
+               for (_, basis, cuts), k in zip(plan.clips, sizes))
     assert np.array_equal(sys.layout.orbits, np.arange(3_696))
     assert len(sys.layout.reference) == 3_696
 
@@ -740,7 +745,7 @@ def test_the_dephased_switch_builds_with_no_row_of_its_own():
     dephased = Process(2, np.stack([w, *branches]), (0.5, 0.5, 0.5))
     assert not np.array_equal(dephased.op.entries, build_switch_choi(2).op.entries)
     sys = ConstraintSystem("switch", dephased)
-    assert (len(sectors_of(sys)), len(sys.symmetry.involutions)) == (7, 2)
+    assert (len(sectors_of(sys)), len(sys.layout.involutions)) == (7, 2)
     assert (len(sys.layout.orbits), len(sys.layout.reference)) == (3_696, 924)
     assert all(np.array_equal(a, b) for a, b in
                zip(sectors_of(sys), table_sectors("switch", dephased), strict=True))
@@ -872,8 +877,8 @@ def test_an_involution_that_moves_the_kept_set_is_never_used(monkeypatch):
     assert not np.isin(flip[kept], kept).any()
     monkeypatch.setattr(probe, "_involutions", lambda process: (g, flip, reverse))
     sys = build_constraint_system("switch", 2)
-    assert len(sys.symmetry.involutions) == 1
-    assert np.array_equal(sys.symmetry.involutions[0], reverse)
+    assert len(sys.layout.involutions) == 1
+    assert np.array_equal(sys.layout.involutions[0], reverse)
     rep = alternating_projection_probe(sys, starts=2)
     assert rep.passed, [c for c in rep.checks if not c.passed]
 
@@ -941,7 +946,7 @@ def test_orbit_kernels_match_the_one_sector_oracle(kind, d):
     unit = real / frobenius(real, weights=layout.weights)
     x = dense(sys, unit)
     assert np.linalg.eigvalsh(x)[0] < -1e-4  # the clip has work to do
-    assert frobenius(dense(sys, probe._clip(sys, unit)), _dense_sector_clip(sys, x)) <= 1e-13
+    assert frobenius(dense(sys, probe._clip(sys.layout, unit)), _dense_sector_clip(sys, x)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", ["identity", "switch"])
@@ -949,9 +954,22 @@ def test_sector_clip_matches_dense_clip(kind):
     # the switch's clip reads the isotypic blocks of a G-invariant matrix
     sys = build_constraint_system(kind, 2)
     x = reference(sys) + group_twirl(sys, random_block_diagonal(sys, np.random.default_rng(13)))
-    clipped = dense(sys, probe._clip(sys, coordinates(sys, x)))
+    clipped = dense(sys, probe._clip(sys.layout, coordinates(sys, x)))
     assert frobenius(clipped, psd_project(x)) <= 1e-12
     assert np.linalg.eigvalsh(x)[0] < -0.01  # the clip had work to do
+
+
+@pytest.mark.parametrize("kind", ["identity", "switch"])
+def test_dense_layout_clip_is_the_whole_matrix_clip(kind):
+    # one sector of every index and no involution: the one-sector layout's
+    # clip plan holds one block, the whole matrix, so its clip of a complex
+    # Hermitian matrix's ravel is psd_project of the matrix
+    sys = build_constraint_system(kind, 2)
+    layout, n = sys.dense_layout, sys.process.size
+    assert layout.involutions == () and layout.stacks == ((1, n),)
+    x = random_hermitian_direction(n, np.random.default_rng(21))
+    assert np.linalg.eigvalsh(x)[0] < -0.01  # the clip has work to do
+    assert frobenius(probe._clip(layout, x.reshape(-1)).reshape(n, n), psd_project(x)) <= 1e-13
 
 
 # (kind, d, distinct isotypic block sizes): the switch at d = 3 is built
@@ -968,12 +986,12 @@ def test_clip_is_one_stacked_solve_per_block_size(kind, d, sizes, monkeypatch):
     # sector block of a G-invariant start point
     sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
     v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)).real)
-    assert min(map(min_eigenvalue, probe._blocks(sys.layout, v))) < -1e-3  # work to do
-    blocks = sorted(b - a for _, _, cuts in sys.symmetry.clips for a, b in zip(cuts, cuts[1:]))
+    assert probe._least_eigenvalue(sys.layout, v) < -1e-3  # work to do
+    blocks = sorted(b - a for _, _, cuts in sys.layout.clips for a, b in zip(cuts, cuts[1:]))
     shapes = []
     clip = probe.psd_project
     monkeypatch.setattr(probe, "psd_project", lambda x: shapes.append(x.shape) or clip(x))
-    y = probe._clip(sys, v)
+    y = probe._clip(sys.layout, v)
     monkeypatch.undo()
     assert [k for _, k, _ in shapes] == sorted(set(blocks)) and len(shapes) == sizes
     assert sorted(k for count, k, _ in shapes for _ in range(count)) == blocks
@@ -1017,13 +1035,13 @@ def test_switch_clip_sends_no_one_by_one_stack_to_eigh(monkeypatch):
     # without an eigensolve, and still gives the oracle's clip
     sys = build_constraint_system("switch", 2)
     v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)).real)
-    assert any(k == 1 for _, k in sys.symmetry.stacks)
+    assert any(k == 1 for _, k in sys.layout.stacks)
     shapes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: shapes.append(x.shape) or eigh(x))
-    y = probe._clip(sys, v)
+    y = probe._clip(sys.layout, v)
     monkeypatch.undo()
     assert shapes and all(s[-2:] != (1, 1) for s in shapes)
-    assert len(shapes) == len(sys.symmetry.stacks) - 1
+    assert len(shapes) == len(sys.layout.stacks) - 1
     assert frobenius(dense(sys, y), _dense_sector_clip(sys, dense(sys, v))) <= 1e-13
 
 
@@ -1035,12 +1053,26 @@ def test_a_process_under_another_kind_gets_its_own_sectors():
     own = build_constraint_system("transpose", 2)
     assert all(np.array_equal(a, b) for a, b in
                zip(sectors_of(sys), sectors_of(own), strict=True))
-    assert len(sys.symmetry.involutions) == len(own.symmetry.involutions) == 1
+    assert len(sys.layout.involutions) == len(own.layout.involutions) == 1
     default = build_constraint_system("identity", 2)
     assert off_sector(default, reference(sys)).any()
     assert len(sectors_of(build_constraint_system("cp_family", 2))) == 1
     rep = alternating_projection_probe(sys, starts=3)
     assert rep.passed, [c for c in rep.checks if not c.passed]
+
+
+def test_cp_family_derives_one_sector_of_its_kept_indices():
+    # C_1 needs no sector rule of its own: its derived torus gives one
+    # sector, exactly its 8 kept indices, and its layout keeps the reversal
+    # R, 32 coordinates for the 64 entries of that block
+    sys = build_constraint_system("cp_family", 2)
+    kept = probe._kept(sys.process)
+    sectors = probe._charge_sectors(sys.process, kept)
+    assert len(kept) == 8 and len(sectors) == 1 and np.array_equal(sectors[0], kept)
+    (reverse,) = probe._involutions(sys.process)
+    assert len(sys.layout.involutions) == 1
+    assert np.array_equal(sys.layout.involutions[0], reverse)
+    assert sys.layout.offsets == (0, 64) and len(sys.layout.reference) == 32
 
 
 def identity_with_off_sector_pair(value):
@@ -1154,7 +1186,7 @@ def test_starts_draw_in_turn_from_one_stream(monkeypatch):
     sys = build_constraint_system("switch", 2)
     begun, run_single = [], probe._run_single
     monkeypatch.setattr(probe, "_run_single",
-                        lambda sys_, x: begun.append(x.copy()) or run_single(sys_, x))
+                        lambda layout, x: begun.append(x.copy()) or run_single(layout, x))
     alternating_projection_probe(sys, starts=3, seed=4)
     stream = SampleStream(4)
     want = [probe._affine(sys.layout, probe._start_point(sys, stream).real) for _ in range(3)]
@@ -1209,7 +1241,7 @@ def test_run_single_matches_fresh_array_loop(kind, seed):
     # reusing the correction, the history and the start's buffer changes no bit
     sys = build_constraint_system(kind, 2)
     start = loop_input(sys, seed)
-    x, dist, iters = probe._run_single(sys, affine_start(sys, start))
+    x, dist, iters = probe._run_single(sys.layout, affine_start(sys, start))
     ox, odist, oiters = dykstra_start(sys, start)
     assert np.array_equal(x, ox) and (dist, iters) == (odist, oiters)
     assert 1 < iters < probe.MAX_ITER
@@ -1230,7 +1262,7 @@ def test_blocked_start_matches_dense_fresh_array_loop(kind, seed):
     # the block storage changes the sums of the norms and dots, and no more
     sys = build_constraint_system(kind, 2)
     start = loop_input(sys, seed)
-    x, dist, iters = probe._run_single(sys, affine_start(sys, start))
+    x, dist, iters = probe._run_single(sys.layout, affine_start(sys, start))
     dx, ddist, diters = dykstra_start(sys, start, dense=True)
     assert iters == diters
     bound = LOOP_ROUNDING * iters * frobenius(dx) * np.finfo(float).eps
@@ -1243,7 +1275,7 @@ def test_secant_step_halves_the_iterations(kind, seed):
     sys = build_constraint_system(kind, 2)
     start = loop_input(sys, seed)
     _, plain_dist, plain_iters = dykstra_start(sys, start, secant=False)
-    _, dist, iters = probe._run_single(sys, affine_start(sys, start))
+    _, dist, iters = probe._run_single(sys.layout, affine_start(sys, start))
     assert plain_dist <= probe.TOL and dist <= probe.TOL
     assert iters <= plain_iters // 2
 
@@ -1268,7 +1300,7 @@ def test_secant_falls_back_to_the_plain_step(patch, monkeypatch):
     patched = patch(probe.real_dot)
     monkeypatch.setattr(probe, "real_dot",
                         lambda a, b, w: calls.append(a is b) or patched(a, b, w))
-    x, dist, iters = probe._run_single(sys, x0)
+    x, dist, iters = probe._run_single(sys.layout, x0)
     monkeypatch.undo()
     assert np.array_equal(x, plain[0]) and (dist, iters) == plain[1:]
     assert calls.count(True) == iters - 2  # every step after the first two
@@ -1283,7 +1315,7 @@ def test_unique_start_returns_numbers_only(kind):
     assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
     start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(4)).real)
-    x, dist, iters = probe._run_single(sys, start.copy())
+    x, dist, iters = probe._run_single(sys.layout, start.copy())
     # a start begins at the affine point of the real part of the dense draw
     # and stays real
     want = affine_start(sys, perturbed_start(sys, 4))
@@ -1321,8 +1353,7 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d):
     # the draw is read on a zero reference: adding and subtracting the
     # reference's unit entries would round it
     zero = dataclasses.replace(sys.layout, reference=np.zeros_like(sys.layout.reference))
-    got = probe._start_point(SimpleNamespace(layout=zero, symmetry=sys.symmetry,
-                                             process=sys.process), SampleStream(5))
+    got = probe._start_point(SimpleNamespace(layout=zero, process=sys.process), SampleStream(5))
     want = drawn_direction(sys, 5)
     assert not off_sector(sys, want).any()
     assert frobenius(dense(sys, got), want) <= 1e-15
@@ -1390,7 +1421,7 @@ def test_switch_loop_memory_peak():
     # block vectors took 0.30 MiB, and dense 0.5 MiB iterates about 4 MiB
     sys = build_constraint_system("switch", 2)
     start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(3)).real)
-    assert traced_peak(lambda: probe._run_single(sys, start.copy())) <= 0.5 * 2 ** 20
+    assert traced_peak(lambda: probe._run_single(sys.layout, start.copy())) <= 0.5 * 2 ** 20
 
 
 def test_switch_d3_start_memory_peak():
@@ -1493,9 +1524,9 @@ def cp_family_run():
     starts = []
     polish = probe._polish_witness
 
-    def spy(sys_, start, max_iter):
+    def spy(layout, start, max_iter):
         starts.append(start)
-        return polish(sys_, start, max_iter)
+        return polish(layout, start, max_iter)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(probe, "_polish_witness", spy)
@@ -1536,7 +1567,7 @@ def test_probe_cp_family_witness(cp_family_run):
 
 def test_polish_witness_is_fast_and_feasible(cp_family_run):
     sys, start = cp_family_run["system"], cp_family_run["polish_start"]
-    witness, evals = probe._polish_witness(sys, start, 400_000)
+    witness, evals = probe._polish_witness(sys.layout, start, 400_000)
     witness = dense(sys, witness)
     # plain alternating projections need about 148,000 evaluations here
     assert 1 <= evals <= 5000
@@ -1561,8 +1592,8 @@ def witness_search(seed, monkeypatch):
     calls = []
     polish = probe._polish_witness
 
-    def spy(sys_, start, max_iter):
-        witness, evals = polish(sys_, start, max_iter)
+    def spy(layout, start, max_iter):
+        witness, evals = polish(layout, start, max_iter)
         calls.append((dense(sys, start), dense(sys, witness)))
         return witness, evals
 
@@ -1624,7 +1655,7 @@ def test_polish_witness_falls_back_to_plain_steps(cp_family_run, monkeypatch, pa
     # ends before the witness is feasible
     sys, start = cp_family_run["system"], cp_family_run["polish_start"]
     monkeypatch.setattr(probe, "real_dot", patch(probe.real_dot))
-    witness, evals = probe._polish_witness(sys, start, 15)
+    witness, evals = probe._polish_witness(sys.layout, start, 15)
     monkeypatch.undo()
     assert evals == 15
     assert np.isfinite(witness).all()

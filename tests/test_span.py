@@ -112,7 +112,7 @@ def test_a3_compensated_targets():
             ph = rng.uniform(0, 2 * np.pi, gen.phase_count)
             psi = _branch_states([gen], ph[None])[0, 0]
             assert _scaled_unitary_deviations(psi, 3)[0] <= 1e-12
-        avg = _phase_averages([gen])[0]
+        avg = _phase_averages([gen], gen.default_grid)[0]
         resid, _ = scale_match_residual(avg, gen.target)
         assert resid <= 1e-13
         # and the compensated difference of lone ket-bras is in the span
