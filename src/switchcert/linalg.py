@@ -83,17 +83,18 @@ def real_dot(a: np.ndarray, b: np.ndarray, weights=None) -> float:
 
 
 def _hermitian_part(op):
+    """The Hermitian part of a matrix or of each of a stack, each checked."""
     m = _as_matrix(op)
-    mh = m.conj().T
-    dev = frobenius(m, mh) / max(frobenius(m), 1.0)
-    if not dev <= TOL_HERM:  # a NaN deviation raises too
-        raise ValueError(f"operator is not Hermitian (relative deviation {dev:.3e})")
+    mh = np.swapaxes(m.conj(), -1, -2)
+    dev = frobenius_each(m, mh) / np.maximum(frobenius_each(m), 1.0)
+    if not (dev <= TOL_HERM).all():  # a NaN deviation raises too
+        raise ValueError(f"operator is not Hermitian (relative deviation {np.max(dev):.3e})")
     return (m + mh) / 2
 
 
 def min_eigenvalue(op) -> float:
-    """Smallest eigenvalue of a Hermitian operator."""
-    return float(np.linalg.eigvalsh(_hermitian_part(op))[0])
+    """Smallest eigenvalue of a Hermitian operator or stack (..., k, k) of them."""
+    return float(np.linalg.eigvalsh(_hermitian_part(op))[..., 0].min())
 
 
 def numerical_rank(op) -> int:

@@ -30,10 +30,10 @@ each a sum over segments of the stored entries (``_project``).  The PSD
 projection clips a stack of matrices in one stacked eigensolve
 (``psd_project``), and the probe's clip makes one such call per block size.
 
-The starts of the kinds that claim uniqueness run in real symmetric
-arithmetic, and lose nothing by it.  With a real reference and a real
-projector, X -> conj(X) maps the feasible set onto itself, and so does
-X -> Re X = (X + conj(X)) / 2, by convexity.
+Every probe runs in real symmetric arithmetic, and loses nothing by it.
+With a real reference and a real projector, X -> conj(X) maps the
+feasible set onto itself, and so does X -> Re X = (X + conj(X)) / 2, by
+convexity.
 Lemma: if W = |w><w| is pure and X != W is feasible, then Re X is a real
 feasible point other than W.  Proof: if Re X = W, then X <= X + conj(X) =
 2W, as conj(X) is PSD, so the range of X lies in span{w} and X = cW; the
@@ -41,7 +41,8 @@ identity lies in each slot's span{J_U}, so the constraints fix the trace
 of X to that of W, c = 1 and X = W.  So a pure process has a second
 feasible point iff it has a real one, and a probe over real symmetric
 iterates tests the same claim.  The reference must therefore be real.  The
-C_p witness, which is feasible whether it is real or not, stays complex.
+C_p witness search is real too, with no lemma: Re maps its feasible set
+onto the real feasible points, and the final checks certify what it finds.
 
 The kinds that claim uniqueness also run in charge sectors.  A product V
 of per-factor phase diagonals scales basis index r by exp(i t.e(r)), e(r)
@@ -103,8 +104,7 @@ span{w} and Y = W as above, which it is not.  So a pure G-invariant
 process has a second feasible point iff it has a real,
 sector-block-diagonal, G-invariant one.  The C_p family keeps R too, with
 no lemma: R fixes C_1, so the twirled search seeks an R-invariant witness
-of the same problem, and the final checks certify whatever it finds as it
-is; it stays complex, as a real search missed the witness at some seeds.
+of the same problem, and the final checks certify it as it is.
 
 The probe stores a G-invariant matrix as one coordinate per G-orbit of its
 block entries (``_Layout``, one plan with the clip's, built in one pass):
@@ -516,10 +516,12 @@ def _isotypic_basis(stabiliser: list, characters: int, k: int) -> tuple:
 
 
 def _least_eigenvalue(layout: _Layout, v: np.ndarray) -> float:
-    """The least eigenvalue of the matrix stored as v: the least
-    ``min_eigenvalue`` of its whole sector blocks, read without the clip's plan."""
-    x, o = v[layout.orbits], layout.offsets
-    return min(min_eigenvalue(x[a:b].reshape(2 * (math.isqrt(b - a),))) for a, b in zip(o, o[1:]))
+    """The least ``min_eigenvalue`` of the whole sector blocks of the matrix
+    stored as v, one call per block size, read without the clip's plan."""
+    x, o, by_size = v[layout.orbits], layout.offsets, {}
+    for a, b in zip(o, o[1:]):
+        by_size.setdefault(math.isqrt(b - a), []).append(x[a:b])
+    return min(min_eigenvalue(np.reshape(s, (len(s), k, k))) for k, s in by_size.items())
 
 
 def _project(layout: _Layout, v: np.ndarray) -> np.ndarray:
@@ -639,33 +641,31 @@ def _run_single(layout: _Layout, x: np.ndarray):
 
 
 def _start_point(sys: ConstraintSystem, stream: SampleStream) -> np.ndarray:
-    """The reference plus a random twirled Hermitian direction, the next
-    draw of ``stream``, in ``sys.layout``: a probe start begins at the affine
-    projection of its real part, the witness polish at that of the whole.
+    """The reference plus a random twirled real symmetric direction, the
+    next draw of ``stream``, in ``sys.layout``: every start and the witness
+    search begin at its affine projection.
 
-    Complex normals g are drawn for the m stored block entries alone and
-    made Hermitian as g + g^H; its G-twirl is its mean over each orbit,
-    which is a + a^H for the orbit means a of g.  The direction is scaled
-    to sqrt(D) / n, the expected norm of the G-twirl of a unit direction
-    on all n^2 entries, with D the dimension of the G-invariant block
-    matrices, the number of coordinates; on one sector of k indices and
-    no involution that is k / n."""
+    The direction is a + a^T, a holding one standard normal per coordinate
+    divided by the root of its orbit size w.  Lemma: the mean of w i.i.d.
+    N(0, 1) entries is N(0, 1/w), independently across orbits; so a + a^T
+    has the law of the real part of the G-twirl of g + g^H for complex
+    normals g on the block entries.  It is scaled to sqrt(D) / n, the
+    expected norm of the G-twirl of a unit direction on all n^2 entries, D
+    the number of coordinates (k / n on one sector of k, no involution)."""
     layout = sys.layout
-    re, im = stream.normal((2, len(layout.orbits)))
-    a = (np.bincount(layout.orbits, re) + 1j * np.bincount(layout.orbits, im)) / layout.weights
-    h = a + a[layout.transpose].conj()
+    a = stream.normal(len(layout.reference)) / np.sqrt(layout.weights)
+    h = a + a[layout.transpose]
     scale = math.sqrt(len(layout.reference)) / sys.process.size
     return layout.reference + h / frobenius(h, weights=layout.weights) * scale
 
 
 def _run_start(sys: ConstraintSystem, stream: SampleStream):
-    """One probe start from the affine projection of the real part of
-    ``_start_point``, in real symmetric arithmetic, which the lemmas of the
-    module docstring say lose nothing: (distance, iterations, constraint
-    residual, minus the least eigenvalue).  The distance is NaN for a
-    non-finite iterate, and so are the checks."""
+    """One probe start from the affine projection of ``_start_point``:
+    (distance, iterations, constraint residual, minus the least
+    eigenvalue).  The distance is NaN for a non-finite iterate, and so are
+    the checks."""
     layout = sys.layout
-    x, dist, iters = _run_single(layout, _affine(layout, _start_point(sys, stream).real))
+    x, dist, iters = _run_single(layout, _affine(layout, _start_point(sys, stream)))
     resid, neg_eig = _final_checks(layout, x)
     return (dist if np.isfinite(x).all() else math.nan), iters, resid, neg_eig
 
@@ -739,17 +739,16 @@ def alternating_projection_probe(sys: ConstraintSystem, starts: int = 10,
     """Certify a kind that claims uniqueness by its starts, and the cp_family
     kind by its witness.
 
-    Each start is the reference plus a random Hermitian perturbation on
-    the sector blocks, twirled over the kept involutions and scaled to the
-    expected norm of a twirled unit direction (``_start_point``), taken
-    to its real part and projected onto the affine set; the starts
-    run one after another, each drawing its direction in turn from one
-    ``SampleStream`` of ``seed``.  Their final iterates must meet both
-    constraints within FEAS_TOL and lie within TOL of the reference.  The
-    cp_family kind runs no starts: it certifies a non-uniqueness witness, a
-    feasible point whose distance from the reference must exceed
-    WITNESS_THRESHOLD, which ``_find_witness`` polishes from the complex
-    affine point of the first start's draw.
+    Each start is the reference plus a random real symmetric perturbation
+    on the sector blocks, twirled over the kept involutions and scaled to
+    the expected norm of a twirled unit direction (``_start_point``), and
+    projected onto the affine set; the starts run one after another, each
+    drawing in turn from one ``SampleStream`` of ``seed``.  Their final
+    iterates must meet both constraints within FEAS_TOL and lie within TOL
+    of the reference.  The cp_family kind runs no starts: it certifies a
+    non-uniqueness witness, a feasible point whose distance from the
+    reference must exceed WITNESS_THRESHOLD, which ``_find_witness``
+    polishes from the affine point of the first start's draw.
     """
     timer = Timer()
     stream = SampleStream(seed)

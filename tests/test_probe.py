@@ -14,7 +14,7 @@ import pytest
 
 from switchcert import probe
 from switchcert.channels import SampleStream, haar_random_unitary, unitary_choi
-from switchcert.linalg import frobenius, real_dot
+from switchcert.linalg import frobenius, min_eigenvalue, real_dot
 from switchcert.probe import (
     ConstraintSystem,
     _project,
@@ -979,13 +979,23 @@ CLIP_STACKS = [("identity", 2, 2), ("switch", 2, 4), ("transpose", 2, 2),
                ("transpose", 3, 4), ("identity", 4, 3), ("transpose", 4, 3), ("switch", 3, 8)]
 
 
+# c of the clip's error model: the orbit clip and the oracle's whole-block
+# clip each rebuild a k x k block from an eigensolve in another basis, whose
+# rounding grows like sqrt(k) * ||block||_F * eps, so over the blocks they
+# part by at most c * sqrt(k_max) * ||x||_F * eps, k_max the largest sector
+# block.  Over seeds 0-59 of the start draw the gap over sqrt(k_max) *
+# ||x||_F * eps read at most 4.7 (the d = 2 identity), under one and two
+# BLAS threads, and 0.72 for the d = 3 switch (k_max = 186).
+CLIP_ROUNDING = 8
+
+
 @pytest.mark.parametrize("kind,d,sizes", CLIP_STACKS)
 def test_clip_is_one_stacked_solve_per_block_size(kind, d, sizes, monkeypatch):
     # one psd_project call per distinct isotypic block size, on the stack of
     # every block of that size, gives the oracle's clip of each whole
     # sector block of a G-invariant start point
     sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
-    v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)).real)
+    v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)))
     assert probe._least_eigenvalue(sys.layout, v) < -1e-3  # work to do
     blocks = sorted(b - a for _, _, cuts in sys.layout.clips for a, b in zip(cuts, cuts[1:]))
     shapes = []
@@ -995,7 +1005,9 @@ def test_clip_is_one_stacked_solve_per_block_size(kind, d, sizes, monkeypatch):
     monkeypatch.undo()
     assert [k for _, k, _ in shapes] == sorted(set(blocks)) and len(shapes) == sizes
     assert sorted(k for count, k, _ in shapes for _ in range(count)) == blocks
-    assert frobenius(dense(sys, y), _dense_sector_clip(sys, dense(sys, v))) <= 1e-13
+    x, k_max = dense(sys, v), max(len(s) for s in sectors_of(sys))
+    bound = CLIP_ROUNDING * math.sqrt(k_max) * frobenius(x) * np.finfo(float).eps
+    assert frobenius(dense(sys, y), _dense_sector_clip(sys, x)) <= bound
 
 
 def eigh_clip(x):
@@ -1034,7 +1046,7 @@ def test_switch_clip_sends_no_one_by_one_stack_to_eigh(monkeypatch):
     # the d = 2 switch clip has a stack of 1 x 1 isotypic blocks, clipped
     # without an eigensolve, and still gives the oracle's clip
     sys = build_constraint_system("switch", 2)
-    v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)).real)
+    v = probe._affine(sys.layout, probe._start_point(sys, SampleStream(17)))
     assert any(k == 1 for _, k in sys.layout.stacks)
     shapes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda x: shapes.append(x.shape) or eigh(x))
@@ -1189,44 +1201,48 @@ def test_starts_draw_in_turn_from_one_stream(monkeypatch):
                         lambda layout, x: begun.append(x.copy()) or run_single(layout, x))
     alternating_projection_probe(sys, starts=3, seed=4)
     stream = SampleStream(4)
-    want = [probe._affine(sys.layout, probe._start_point(sys, stream).real) for _ in range(3)]
+    want = [probe._affine(sys.layout, probe._start_point(sys, stream)) for _ in range(3)]
     assert all(np.array_equal(x, w) for x, w in zip(begun, want, strict=True))
     assert not np.array_equal(want[0], want[1])
 
 
-def dense_direction(sys, re, im):
-    """A start direction built densely from m real and m imaginary normals:
-    complex normals on the m sector block entries, 0 off them, made
-    Hermitian as g + g^H, twirled over the kind's involutions and scaled to
-    sqrt(D) / n, D the dimension of the invariant block matrices (m without
-    any)."""
-    flat, n = entries_of(sys), sys.process.size
-    g = np.zeros(n * n, dtype=complex)
-    g[flat] = re + 1j * im
-    h = group_twirl(sys, g.reshape(n, n) + g.reshape(n, n).conj().T)
+def dense_direction(sys, normals):
+    """A start direction built densely from one normal per orbit of the
+    sector block entries: each block entry holds its orbit's normal divided
+    by the root of the number of block entries in the orbit, 0 off the
+    blocks; the matrix A is made symmetric as A + A^T and scaled to
+    sqrt(D) / n, D the number of orbits."""
+    orbits, n = sys.layout.orbits, sys.process.size
+    a = np.zeros(n * n)
+    a[entries_of(sys)] = (normals / np.sqrt(np.bincount(orbits)))[orbits]
+    h = a.reshape(n, n) + a.reshape(n, n).T
     return h * (math.sqrt(invariant_dimension(sys)) / n / np.linalg.norm(h))
 
 
 def drawn_direction(sys, seed):
     """The direction a probe start draws first from SampleStream(seed)."""
-    return dense_direction(sys, *SampleStream(seed).normal((2, len(entries_of(sys)))))
+    return dense_direction(sys, SampleStream(seed).normal(invariant_dimension(sys)))
 
 
 def perturbed_start(sys, seed):
-    """The reference plus the real part of the direction drawn from seed:
-    its affine projection is where the probe's start begins."""
-    return reference(sys) + drawn_direction(sys, seed).real
+    """The reference plus the direction drawn from seed: its affine
+    projection is where the probe's start begins."""
+    return reference(sys) + drawn_direction(sys, seed)
 
 
 def loop_input(sys, seed):
     """A start point that is test input only: the reference plus the real
-    part of a direction of numpy's normals of seed, real parts first.  The
-    loop comparisons below run from these fixed points, not from the
-    probe's own draws."""
+    part of a twirled complex Hermitian direction g + g^H, g of numpy's
+    normals of seed on the m sector block entries, real parts first, scaled
+    to sqrt(D) / n.  The loop comparisons below run from these fixed
+    points, not from the probe's own draws."""
     rng = np.random.default_rng(seed)
-    m = len(entries_of(sys))
-    return reference(sys) + dense_direction(sys, rng.standard_normal(m),
-                                            rng.standard_normal(m)).real
+    flat, n = entries_of(sys), sys.process.size
+    g = np.zeros(n * n, dtype=complex)
+    g[flat] = rng.standard_normal(len(flat)) + 1j * rng.standard_normal(len(flat))
+    h = group_twirl(sys, g.reshape(n, n) + g.reshape(n, n).conj().T)
+    return reference(sys) + (h * (math.sqrt(invariant_dimension(sys)) / n
+                                  / np.linalg.norm(h))).real
 
 
 def affine_start(sys, start):
@@ -1314,10 +1330,9 @@ def test_unique_start_returns_numbers_only(kind):
     result = probe._run_start(sys, SampleStream(4))
     assert len(result) == 4
     assert not any(isinstance(v, np.ndarray) for v in result)
-    start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(4)).real)
+    start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(4)))
     x, dist, iters = probe._run_single(sys.layout, start.copy())
-    # a start begins at the affine point of the real part of the dense draw
-    # and stays real
+    # a start begins at the affine point of the dense draw and stays real
     want = affine_start(sys, perturbed_start(sys, 4))
     assert frobenius(start, want) <= 1e-15 * frobenius(want)
     assert np.isrealobj(x)
@@ -1339,8 +1354,8 @@ def test_unique_start_returns_numbers_only(kind):
 @pytest.mark.parametrize("kind,d", [("switch", 2), ("identity", 3), ("transpose", 2),
                                     ("cp_family", 2)])
 def test_start_direction_is_drawn_on_the_blocks(kind, d):
-    # the start point's direction holds the dense draw's block
-    # entries, twirled over the kind's involutions; its norm sqrt(D) / n is
+    # the start point's direction is the dense draw of one normal per orbit
+    # of the block entries, made symmetric; its norm sqrt(D) / n is
     # the mean norm of the G-twirl of a dense unit direction, here over 40
     # draws (the transpose's spread is 8 %)
     sys = build_constraint_system(kind, d)
@@ -1362,36 +1377,125 @@ def test_start_direction_is_drawn_on_the_blocks(kind, d):
 
 def test_cp_family_start_is_the_dense_unit_draw():
     # one sector holds the 8 kept indices, which the reversal R maps onto
-    # themselves: the draw is the dense unit draw on that 8 x 8 block, real
-    # parts before imaginary ones, twirled over R, to rounding, and scaled
-    # by sqrt(D) / n for the D = 32 orbits of its 64 entries
+    # themselves: the draw is one normal per R-orbit {(i, j), (Ri, Rj)} of
+    # that 8 x 8 block's entries, in the row-major order of their first
+    # entry, divided by the root of the orbit's size, made symmetric as
+    # A + A^T and scaled by sqrt(D) / n for the D = 32 orbits of its 64
+    # entries, to rounding
     sys = build_constraint_system("cp_family", 2)
     assert (len(sys.layout.orbits), len(sys.layout.reference), sys.process.size) == (64, 32, 16)
     (reverse,), kept = involutions_of(sys), sectors_of(sys)[0]
+    image = np.searchsorted(kept, reverse[kept])  # R on the positions in the block
+    orbits = {}  # keyed by the orbit's first entry, row-major, in that order
+    for i, j in np.ndindex(8, 8):
+        orbits.setdefault(min((i, j), (image[i], image[j])), []).append((kept[i], kept[j]))
+    assert len(orbits) == 32
     for seed in range(30):
-        re, im = SampleStream(seed).normal((2, 8, 8))
-        g = np.zeros((16, 16), dtype=complex)
-        g[np.ix_(kept, kept)] = re + 1j * im
-        h = g + g.conj().T
-        h = (h + h[np.ix_(reverse, reverse)]) / 2
+        a = np.zeros((16, 16))
+        for z, entries in zip(SampleStream(seed).normal(32), orbits.values(), strict=True):
+            for i, j in entries:
+                a[i, j] = z / math.sqrt(len(entries))
+        h = a + a.T
         want = reference(sys) + h / frobenius(h) * math.sqrt(32) / 16
         assert frobenius(dense(sys, probe._start_point(sys, SampleStream(seed))), want) \
             <= 1e-15, seed
 
 
+# (kind, d, draws): about 200,000 coordinate draws per kind
+DRAW_LAWS = [("switch", 2, 200), ("identity", 3, 1000), ("cp_family", 2, 6000)]
+
+
+@pytest.mark.parametrize("kind,d,draws", DRAW_LAWS)
+def test_start_direction_has_the_law_of_the_entry_draw(kind, d, draws):
+    # the oracle draws a normal on every stored block entry and takes its
+    # mean over each orbit; the probe draws one normal per coordinate and
+    # divides it by the root of the orbit size.  Both directions are a + a^T
+    # scaled to sqrt(D) / n, so each coordinate h_c times its orbit size
+    # w_c has mean square 2 off the diagonal and 4 on it, before the
+    # scaling.  Per class of coordinates (orbit size, on the diagonal or
+    # not), the mean of w_c h_c^2 over K (draw, coordinate) samples of a
+    # scaled chi-square(1) has relative spread sqrt(2 / K), and the ratio of
+    # two independent such means sqrt(4 / K): they must agree within 6 of it
+    sys = build_constraint_system(kind, d)
+    layout, n = sys.layout, sys.process.size
+    dim = len(layout.reference)
+    zero = dataclasses.replace(layout, reference=np.zeros(dim))
+    point = SimpleNamespace(layout=zero, process=sys.process)
+    stream, rng = SampleStream(23), np.random.default_rng(23)
+    got, want = np.empty((draws, dim)), np.empty((draws, dim))
+    for k in range(draws):
+        got[k] = probe._start_point(point, stream)
+        a = np.bincount(layout.orbits, rng.standard_normal(len(layout.orbits))) / layout.weights
+        want[k] = a + a[layout.transpose]
+        want[k] *= math.sqrt(dim) / n / frobenius(want[k], weights=layout.weights)
+    diagonal = layout.transpose == np.arange(dim)
+    classes = [(w, diag) for w in np.unique(layout.weights) for diag in (False, True)]
+    assert sum(np.count_nonzero((layout.weights == w) & (diagonal == diag))
+               for w, diag in classes) == dim
+    for w, diag in classes:
+        members = (layout.weights == w) & (diagonal == diag)
+        samples = draws * np.count_nonzero(members)
+        if samples:
+            ratio = np.mean(got[:, members] ** 2) / np.mean(want[:, members] ** 2)
+            assert abs(ratio - 1) <= 6 * math.sqrt(4 / samples), (w, diag, samples)
+    # exactly: the norm, the symmetry and the blocks
+    h = got[0]
+    assert abs(frobenius(h, weights=layout.weights) - math.sqrt(dim) / n) <= 1e-15
+    assert np.array_equal(h, h[layout.transpose])
+    matrix = dense(sys, h)
+    assert np.array_equal(matrix, matrix.T) and not off_sector(sys, matrix).any()
+
+
+def test_no_probe_eigensolve_sees_a_complex_matrix(monkeypatch):
+    # every kind runs in real arithmetic, the C_p witness search included:
+    # no eigh or eigvalsh call of a probe gets a complex matrix
+    dtypes = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda x, solve=solve: dtypes.append(x.dtype) or solve(x))
+    for kind, d in [*((kind, 2) for kind in probe.KINDS), ("identity", 3), ("transpose", 3)]:
+        rep = alternating_projection_probe(build_constraint_system(kind, d), starts=2)
+        assert rep.passed, (kind, d, [c for c in rep.checks if not c.passed])
+    assert dtypes and set(dtypes) == {np.dtype(float)}
+
+
+@pytest.mark.parametrize("kind,d", [*((kind, 2) for kind in probe.KINDS), ("identity", 3),
+                                    ("switch", 3)])
+def test_least_eigenvalue_is_the_per_block_loop(kind, d):
+    # one stacked eigvalsh per sector size gives the bits of one
+    # min_eigenvalue per whole sector block, and a block that is not
+    # Hermitian, here the last that can be made so, still raises; the d = 3
+    # switch system is built past the guard
+    sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
+    layout = sys.layout
+    v = probe._affine(layout, probe._start_point(sys, SampleStream(8)))
+    x, o = v[layout.orbits], layout.offsets
+    loop = min(min_eigenvalue(x[a:b].reshape(2 * (math.isqrt(b - a),))) for a, b in zip(o, o[1:]))
+    assert loop < 0 and probe._least_eigenvalue(layout, v) == loop
+    skew = next(c for a, b in reversed(list(zip(o, o[1:])))
+                for c in layout.orbits[a:b] if layout.transpose[c] != c)
+    v[skew] += 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        probe._least_eigenvalue(layout, v)
+
+
 @pytest.mark.parametrize("kind,d", [*((kind, 2) for kind in probe.KINDS), ("identity", 3),
                                     ("switch", 3)])
 def test_real_start_is_the_real_part_of_the_affine_point(kind, d):
-    # the affine map is real-linear and its Hermitian part commutes with Re,
-    # so a start projects the real part of its point alone, and gets the
-    # same bits as the real part of the complex point's projection; the
-    # d = 3 switch system is built past the guard
+    # the Re-lemma's premise in the coordinates: the affine map is
+    # real-linear and its Hermitian part commutes with Re, so the affine
+    # point of a (real) start is, bit for bit, the real part of the affine
+    # point of the start plus any antisymmetric imaginary part; the d = 3
+    # switch system is built past the guard
     sys = ConstraintSystem(kind, probe.KINDS[kind][0](d))
     for seed in range(3):
         point = probe._start_point(sys, SampleStream(seed))
-        assert np.iscomplexobj(point)
-        want = probe._affine(sys.layout, point).real
-        assert np.array_equal(probe._affine(sys.layout, point.real), want), seed
+        assert np.isrealobj(point)
+        imag = np.random.default_rng(seed).standard_normal(len(point))
+        imag -= imag[sys.layout.transpose]
+        want = probe._affine(sys.layout, point + 1j * imag).real
+        assert np.array_equal(probe._affine(sys.layout, point), want), seed
 
 
 def traced_peak(run):
@@ -1407,10 +1511,9 @@ def traced_peak(run):
 
 
 def test_switch_start_memory_peak():
-    # the secant history must not raise the peak: the complex affine point
-    # is freed before the loop, and the loop reuses spent buffers; the
-    # start's peak, 0.46 MiB, is its draw of 7,392 normals and the final
-    # checks' whole sector blocks
+    # the secant history must not raise the peak: the loop reuses spent
+    # buffers; the start's peak reads 0.10 MiB, and the complex draw of
+    # 7,392 normals took it to 0.46 MiB
     sys = build_constraint_system("switch", 2)
     assert traced_peak(lambda: probe._run_start(sys, SampleStream(3))) <= 1 * 2 ** 20
 
@@ -1420,13 +1523,13 @@ def test_switch_loop_memory_peak():
     # and the clip, the maps' gathered terms (a 0.10 MiB peak); 29 KiB
     # block vectors took 0.30 MiB, and dense 0.5 MiB iterates about 4 MiB
     sys = build_constraint_system("switch", 2)
-    start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(3)).real)
+    start = probe._affine(sys.layout, probe._start_point(sys, SampleStream(3)))
     assert traced_peak(lambda: probe._run_single(sys.layout, start.copy())) <= 0.5 * 2 ** 20
 
 
 def test_switch_d3_start_memory_peak():
-    # a start projects the real part of its point: the complex point's
-    # affine map, with its complex gathers and segment sums, took 14.2 MiB
+    # a start's point is real: a complex point's affine map, with its
+    # complex gathers and segment sums, took 14.2 MiB
     sys = ConstraintSystem("switch", Process(3, switch_choi_vector(3)))
     assert traced_peak(lambda: probe._run_start(sys, SampleStream(3))) <= 11 * 2 ** 20
 
@@ -1601,11 +1704,15 @@ def witness_search(seed, monkeypatch):
     return alternating_projection_probe(sys, starts=10, seed=seed), reference(sys), calls
 
 
-@pytest.mark.parametrize("seed", range(9))
+# the first nine probe seeds of 0-4999 at which every witness but the last
+# lies 1e-3 to WITNESS_THRESHOLD from the reference: at seeds 0 and 2 the
+# first witness lies 6.55e-4 and 8.31e-4 out, as at 279 of the 5000 seeds,
+# each of which still passes
+@pytest.mark.parametrize("seed", [1, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypatch):
     # each polish after the first starts WITNESS_AMPLITUDE along the last
     # witness's displacement, which lies short of the threshold but far
-    # above rounding from the reference (at least 1.3e-3 at these seeds),
+    # above rounding from the reference (at least 4.1e-3 at these seeds),
     # and the search stops at the first witness past the threshold
     rep, w, calls = witness_search(seed, monkeypatch)
     assert rep.passed, [c for c in rep.checks if not c.passed]
@@ -1618,10 +1725,11 @@ def test_cp_family_witness_follows_a_direction_far_above_rounding(seed, monkeypa
         assert frobenius(start, want) <= 1e-15
 
 
-@pytest.mark.parametrize("seed", [856, 1083, 2177, 4640])
+# every probe seed of 0-4999 whose search takes three polishes
+@pytest.mark.parametrize("seed", [63, 409, 4244, 4925])
 def test_cp_family_witness_escapes_a_first_witness_at_the_reference(seed, monkeypatch):
     # at these seeds the first witness lands within 1e-5 of the reference,
-    # whose displacement leads the second polish only 0.002-0.09 out: two
+    # whose displacement leads the second polish only 0.05-0.1 out: two
     # polishes failed here, and a third, along the second witness, passes
     rep, w, calls = witness_search(seed, monkeypatch)
     assert rep.passed, [c for c in rep.checks if not c.passed]
