@@ -70,15 +70,13 @@ def frobenius_each(a, b=None) -> np.ndarray:
 
 
 def real_dot(a: np.ndarray, b: np.ndarray, weights=None) -> float:
-    """Re<a, b> of two float64 or complex128 arrays of one size, each
-    coordinate's product counted ``weights`` times if given: for vectors of
-    orbit coordinates and the orbit sizes, the inner product of the
-    matrices they store."""
+    """Re<a, b> of two float64 or complex128 arrays of one size, or with
+    ``weights`` of two float64 vectors, each coordinate's product counted
+    ``weights`` times: for vectors of orbit coordinates and the orbit sizes,
+    the inner product of the matrices they store."""
     a, b = np.ravel(a).view(float), np.ravel(b).view(float)
     if weights is None:
         return float(np.einsum("i,i->", a, b))
-    if a.size != len(weights):  # complex: a weight each for the real and imaginary part
-        weights = np.repeat(weights, 2)
     return float(np.einsum("i,i,i->", weights, a, b))
 
 

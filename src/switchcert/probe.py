@@ -106,11 +106,13 @@ sector-block-diagonal, G-invariant one.  The C_p family keeps R too, with
 no lemma: R fixes C_1, so the twirled search seeks an R-invariant witness
 of the same problem, and the final checks certify it as it is.
 
-The probe stores a G-invariant matrix as one coordinate per G-orbit of its
-block entries (``_Layout``, one plan with the clip's, built in one pass):
-924 coordinates for the 3,696 entries of the d = 2 switch.  A norm or
-inner product weights each coordinate by its orbit size, and the
-transpose maps orbits onto orbits.  The slot maps commute with each other,
+A real Hermitian matrix is symmetric, so the probe stores an iterate as
+one coordinate per orbit of G x {1, transpose} on its block entries
+(``_Layout``, one plan with the clip's, built in one pass; Gatermann &
+Parrilo's symmetric subspace): 504 coordinates for the 3,696 entries of
+the d = 2 switch, each weighted by its orbit size in a norm or inner
+product.  The partial traces commute with the transpose, so the affine
+map takes no Hermitian part.  The slot maps commute with each other,
 and their product with G, but S exchanges the two slots, so the first
 slot's map alone would leave the invariant matrices; the sum B of the slot
 maps less 1 does not, and their product is a polynomial in B
@@ -135,7 +137,6 @@ could slow the search but not pass a matrix that is not PSD.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -162,12 +163,11 @@ KINDS = {
     "conjugate_qubit": (lambda d: build_derived_one_slot("conjugate_qubit", d), range(2, 3)),
     "cp_family": (lambda d: build_cp_family(1.0), range(2, 3)),
 }
-MAX_ITER = 5000  # Dykstra iterations per start
+MAX_ITER = 5000  # Dykstra iterations per start, and evaluations of the witness polishes in all
 TOL = 1e-6  # distance to the reference at which a start has converged
 FEAS_TOL = 1e-6  # feasibility bound of the final checks and of the witness polish's stop
 WITNESS_AMPLITUDE = 0.25  # norm of the escape direction the witness polish starts from
 WITNESS_THRESHOLD = 0.1  # distance from the reference a cp_family witness must reach
-WITNESS_MAX_ITER = 400_000  # evaluations the witness polishes may take in all
 WITNESS_POLISHES = 4  # polishes the witness search may run
 
 
@@ -190,19 +190,10 @@ class ConstraintSystem:
     def __post_init__(self):
         _row(self.kind)
         kept = _kept(self.process)
-        if not np.isin(np.concatenate(self.process.support()), kept).all():
-            raise ValueError(f"the {self.kind} process has entries off its kept outputs")
         sectors = _charge_sectors(self.process, kept)
         if not np.array_equal(np.sort(np.concatenate(sectors)), kept):
             raise ValueError(f"the {self.kind} sectors do not partition the kept indices")
         object.__setattr__(self, "layout", _layout(self, sectors, _involutions(self.process)))
-
-    @functools.cached_property
-    def dense_layout(self) -> _Layout:
-        """The layout of one sector of every index and no involution, whose
-        coordinates are a matrix's ravel: ``affine_project``'s, built on
-        its first use and kept."""
-        return _layout(self, (np.arange(self.process.size),))
 
     @property
     def family_rank(self) -> int:
@@ -257,8 +248,11 @@ def _charge_sectors(process: Process, kept: np.ndarray) -> tuple:
     """The ``kept`` indices of each charge sector (module docstring) in the
     order of their charges, e(r) being row r of ``e``, one column per factor
     and digit.  Each distinct torus row goes to the elimination once, in
-    the order of its first appearance.  A process whose support leaves the
-    sectors is refused."""
+    the order of its first appearance.  The support is read once: a process
+    whose support leaves the kept indices or the sectors is refused."""
+    rows, cols = process.support()
+    if not np.isin(np.concatenate((rows, cols)), kept).all():
+        raise ValueError("the process has entries off its kept outputs")
     dims, n = process.dims, process.size
     digits = np.indices(dims).reshape(len(dims), -1)  # (factor, index)
     e = np.zeros((n, sum(dims)), dtype=np.int64)
@@ -268,7 +262,7 @@ def _charge_sectors(process: Process, kept: np.ndarray) -> tuple:
     first = np.unique(torus.view(np.dtype((np.void, torus.shape[1]))), return_index=True)[1]
     basis = np.array(_null_basis(torus[np.sort(first)].tolist(), sum(dims)), dtype=np.int64)
     _, label = np.unique(e @ basis.T, axis=0, return_inverse=True)
-    label, (rows, cols) = label.reshape(-1), process.support()
+    label = label.reshape(-1)
     if not np.array_equal(label[rows], label[cols]):
         raise ValueError("the process's support leaves its charge sectors")
     return tuple(kept[label[kept] == q] for q in np.flatnonzero(np.bincount(label[kept])))
@@ -298,8 +292,8 @@ def _null_basis(rows: list, n: int) -> list:
 class _Map:
     """A fixed sparse linear map: output r is the sum of coef * x[cols] over
     the terms whose row is r, and 0 with none, of ``size`` outputs.  The
-    terms are summed by ``np.bincount`` in their stored order, a complex x
-    as its real and imaginary parts."""
+    terms are summed by ``np.bincount`` in their stored order; x must be
+    real, and a complex x raises."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -307,8 +301,6 @@ class _Map:
     size: int
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(x):
-            return self(x.real) + 1j * self(x.imag)
         return np.bincount(self.rows, self.coef * x[self.cols], minlength=self.size)
 
 
@@ -337,27 +329,25 @@ def _entries(sectors: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class _Layout:
-    """A G-invariant matrix that is 0 off the sector blocks, stored as one
-    coordinate per G-orbit of the block vector's entries (``_entries``) in
-    the order of their first entry, and the clip's plan: the kept
-    involutions, as index permutations; each entry's coordinate, so that
-    v[orbits] is the block vector; the block offsets; the orbit sizes; each
-    coordinate's transposed one; the reference's values; the slot count;
-    the map of the slot sum B (``_project``); per representative of each
-    orbit of sectors under G, its sector number, a real orthogonal basis
-    adapted to its stabiliser and the cuts of its isotypic blocks
-    (``clips``); per isotypic block size, ascending, the count and size of
-    its blocks (``stacks``); and the fixed maps from the coordinates to the
-    stacked isotypic blocks, row-major (``gather``), and back
-    (``scatter``).  With no involution every entry is an orbit and every
-    sector its own representative with one block; one sector of every
-    index is then the ravel."""
+    """A real symmetric G-invariant matrix that is 0 off the sector blocks,
+    stored as one coordinate per orbit of G x {1, transpose} on the block
+    vector's entries (``_entries``) in the order of their first entry, and
+    the clip's plan: the kept involutions, as index permutations; each
+    entry's coordinate, so that v[orbits] is the block vector; the block
+    offsets; the orbit sizes; the reference's values; the slot count; the
+    map of the slot sum B (``_project``); per representative of each orbit
+    of sectors under G, its sector number, a real orthogonal basis adapted
+    to its stabiliser and the cuts of its isotypic blocks (``clips``); per
+    isotypic block size, ascending, the count and size of its blocks
+    (``stacks``); and the fixed maps from the coordinates to the stacked
+    isotypic blocks, row-major (``gather``), and back (``scatter``).  With
+    no involution an orbit is an entry and its transpose, and every sector
+    its own representative with one block."""
 
     involutions: tuple
     orbits: np.ndarray
     offsets: tuple
     weights: np.ndarray
-    transpose: np.ndarray
     reference: np.ndarray
     slots: int
     slot_sum: _Map
@@ -390,11 +380,16 @@ def _layout(sys: ConstraintSystem, sectors: tuple, involutions: tuple = ()) -> _
     the clip's plan, under those of the ``involutions`` that fix the
     process's matrix exactly on the stored entries and map each sector
     onto a sector, and so the kept set onto itself.  The matrix is read
-    once, at every stored entry; the reference, which must be real, is its
-    value at each orbit's first entry."""
+    once, at every stored entry, and must be real and exactly symmetric
+    there; the reference is its value at each orbit's first entry."""
     n = sys.process.size
     rows, cols, offsets = _entries(sectors)
     values = sys.process.entry(rows, cols)
+    flip = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
+                           for o, s in zip(offsets, sectors)])  # each entry's transpose
+    if np.any(values.imag) or not np.array_equal(values, values[flip]):
+        raise ValueError(f"the {sys.kind} probe needs a real symmetric process matrix")
+    values = np.ascontiguousarray(values.real)  # drops a complex read's imaginary zeros
     label, where = np.full(n, -1, dtype=np.intp), np.empty(n, dtype=np.intp)
     for q, s in enumerate(sectors):
         label[s], where[s] = q, np.arange(len(s))
@@ -414,14 +409,11 @@ def _layout(sys: ConstraintSystem, sectors: tuple, involutions: tuple = ()) -> _
     group = [(0, np.arange(n))]  # (bits of the kept involutions composed, permutation)
     for bit, g in enumerate(kept):
         group += [(b | 1 << bit, g[e]) for b, e in group]
-    orbits = np.unique(np.minimum.reduce([image(g) for _, g in group]), return_inverse=True)[1]
+    least = np.minimum.reduce([image(g) for _, g in group])  # over each entry's G-orbit
+    orbits = np.unique(np.minimum(least, least[flip]), return_inverse=True)[1]
     first = np.unique(orbits, return_index=True)[1]
-    reference, values = values[first], None  # frees the complex values before the maps
-    if np.any(reference.imag):
-        raise ValueError(f"the {sys.kind} probe needs a real process matrix")
+    reference, values, least, flip = values[first], None, None, None  # frees them before the maps
 
-    flip = np.concatenate([o + np.arange(len(s) ** 2).reshape(len(s), -1).T.ravel()
-                           for o, s in zip(offsets, sectors)])
     slot_sum = _slot_sum(sys.process, rows, cols, orbits, first)
 
     clips, orbit_of = [], np.full(len(sectors), -1)
@@ -452,7 +444,7 @@ def _layout(sys: ConstraintSystem, sectors: tuple, involutions: tuple = ()) -> _
     # its representative sector, which it holds in equal parts
     held = np.bincount(orbits[np.concatenate([np.arange(offsets[q], offsets[q + 1])
                                               for q, _, _ in clips])], minlength=len(first))
-    arrays = (orbits, np.bincount(orbits).astype(float), orbits[flip[first]], reference.real.copy())
+    arrays = (orbits, np.bincount(orbits).astype(float), reference)
     for a in [*arrays, *(b for _, b, _ in clips)]:
         a.flags.writeable = False
     return _Layout(tuple(kept), arrays[0], offsets, *arrays[1:], sys.process.slots, slot_sum,
@@ -540,14 +532,20 @@ def _project(layout: _Layout, v: np.ndarray) -> np.ndarray:
 
 
 def _affine(layout: _Layout, v: np.ndarray) -> np.ndarray:
-    """``affine_project`` of the matrix stored as v in ``layout``."""
-    y = v - _project(layout, v - layout.reference)
-    return (y + y[layout.transpose].conj()) / 2
+    """``affine_project`` of the matrix stored as v in ``layout``, which stays symmetric."""
+    return v - _project(layout, v - layout.reference)
 
 
 def affine_project(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
-    """Exact orthogonal projection onto {X Hermitian : action constraints hold}."""
-    return _affine(sys.dense_layout, x.reshape(-1)).reshape(x.shape)
+    """Exact orthogonal projection onto {X Hermitian : action constraints
+    hold} of a complex n x n x: the Hermitian part of x - P (x - W), P the
+    dense ``in_projector`` on the slot-pair index (a, a') and W the dense
+    process matrix; a reference that shares no code with the probe's."""
+    nin, nout = sys.process.nin, sys.process.nout
+    pairs = (x - sys.process.op.entries).reshape(nin, nout, nin, nout).transpose(0, 2, 1, 3)
+    moved = (sys.in_projector @ pairs.reshape(nin * nin, -1)).reshape(nin, nin, nout, nout)
+    y = x - moved.transpose(0, 2, 1, 3).reshape(x.shape)
+    return (y + y.conj().T) / 2
 
 
 def psd_project(x: np.ndarray) -> np.ndarray:
@@ -557,10 +555,14 @@ def psd_project(x: np.ndarray) -> np.ndarray:
     One stacked eigensolve of the Hermitian parts, V diag(w) V^H, and each
     matrix rebuilt as V diag(max(w, 0)) V^H; a matrix's clip has the same
     bits in a stack as alone; a 1 x 1 stack is max(Re x, 0), the same bits.
+    A stack whose Hermitian parts are not finite, as when entries near the
+    float range overflow, clips to NaN, with no eigensolve, which may raise.
     """
     h = (x + np.swapaxes(x.conj(), -1, -2)) / 2
     if h.shape[-1] == 1:
         return np.maximum(h.real, 0.0).astype(h.dtype)
+    if not np.isfinite(h).all():
+        return np.full_like(h, np.nan)
     w, v = np.linalg.eigh(h)
     return (v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
@@ -645,16 +647,16 @@ def _start_point(sys: ConstraintSystem, stream: SampleStream) -> np.ndarray:
     next draw of ``stream``, in ``sys.layout``: every start and the witness
     search begin at its affine projection.
 
-    The direction is a + a^T, a holding one standard normal per coordinate
-    divided by the root of its orbit size w.  Lemma: the mean of w i.i.d.
-    N(0, 1) entries is N(0, 1/w), independently across orbits; so a + a^T
-    has the law of the real part of the G-twirl of g + g^H for complex
-    normals g on the block entries.  It is scaled to sqrt(D) / n, the
-    expected norm of the G-twirl of a unit direction on all n^2 entries, D
-    the number of coordinates (k / n on one sector of k, no involution)."""
+    The direction h holds one standard normal per coordinate divided by
+    the root of its orbit size w.  Lemma: the mean of w i.i.d. N(0, 1)
+    entries is N(0, 1/w), independently across orbits; so h has the law of
+    the twirl over G x {1, transpose} of normals on the block entries, and
+    up to a factor 2 that of the real part of the G-twirl of g + g^H for
+    complex normals g there.  It is scaled to sqrt(D) / n, the expected
+    norm of that twirl of a unit direction on all n^2 entries, D the number
+    of coordinates."""
     layout = sys.layout
-    a = stream.normal(len(layout.reference)) / np.sqrt(layout.weights)
-    h = a + a[layout.transpose]
+    h = stream.normal(len(layout.reference)) / np.sqrt(layout.weights)
     scale = math.sqrt(len(layout.reference)) / sys.process.size
     return layout.reference + h / frobenius(h, weights=layout.weights) * scale
 
@@ -706,7 +708,7 @@ def _polish_witness(layout: _Layout, start: np.ndarray, max_iter: int):
 
 def _find_witness(layout: _Layout, point: np.ndarray):
     """A feasible point far from the reference, and the polish evaluations
-    spent on it, out of WITNESS_MAX_ITER in all.
+    spent on it, out of MAX_ITER in all.
 
     Each polish starts from the reference moved WITNESS_AMPLITUDE along
     the displacement of ``point``, and then of the last polish's witness
@@ -727,7 +729,7 @@ def _find_witness(layout: _Layout, point: np.ndarray):
         point = reference + WITNESS_AMPLITUDE * (escape / scale if scale > 0 else escape)
         if not np.isfinite(point).all():
             break
-        point, used = _polish_witness(layout, point, WITNESS_MAX_ITER - evals)
+        point, used = _polish_witness(layout, point, MAX_ITER - evals)
         evals += used
         if frobenius(point - reference, weights=w) >= WITNESS_THRESHOLD:
             break

@@ -68,8 +68,6 @@ class SpanGenerator:
     weight_degrees: tuple[int, ...]
     branches: tuple[tuple[complex, tuple[StateTerm, ...]], ...]
     target: np.ndarray
-    min_grid: int
-    default_grid: int
 
     @property
     def phase_count(self) -> int:
@@ -246,15 +244,16 @@ def _build_a5(indices, d, variant: bool):
     return (1, -1, 0), branches, target
 
 
-# lemma id -> (builder, exactness threshold of the grid, default grid)
+# lemma id -> builder
 _LEMMAS = {
-    "A1": (_build_a1, 3, 4),
-    "A2": (_build_a2, 3, 4),
-    "A3": (_build_a3, 4, 4),
-    "A4": (_build_a4, 2, 3),
-    "A5": (lambda indices, d: _build_a5(indices, d, variant=False), 4, 4),
-    "A5-variant": (lambda indices, d: _build_a5(indices, d, variant=True), 4, 4),
+    "A1": _build_a1,
+    "A2": _build_a2,
+    "A3": _build_a3,
+    "A4": _build_a4,
+    "A5": lambda indices, d: _build_a5(indices, d, variant=False),
+    "A5-variant": lambda indices, d: _build_a5(indices, d, variant=True),
 }
+PHASE_GRID = 4  # points per phase of the averages the span lemmas replay, and then twice as many
 
 
 def build_span_generator(lemma_id: str, indices, d: int) -> SpanGenerator:
@@ -271,12 +270,10 @@ def build_span_generator(lemma_id: str, indices, d: int) -> SpanGenerator:
         raise ValueError(f"indices {indices} out of range for d = {d}")
     if lemma_id not in _LEMMAS:
         raise ValueError(f"unknown lemma id {lemma_id!r}")
-    build, min_grid, default_grid = _LEMMAS[lemma_id]
-    weight, branches, target = build(indices, d)
+    weight, branches, target = _LEMMAS[lemma_id](indices, d)
     return SpanGenerator(
         lemma_id=lemma_id, indices=indices, d=d, weight_degrees=weight,
-        branches=branches, target=target, min_grid=min_grid,
-        default_grid=default_grid)
+        branches=branches, target=target)
 
 
 def _phase_averages(gens, n: int, tables=None) -> np.ndarray:
@@ -288,18 +285,18 @@ def _phase_averages(gens, n: int, tables=None) -> np.ndarray:
     m = weight + degrees_t - degrees_t'.  As (1/n) sum_k exp(2 pi i m k / n)
     = [n | m], the average is one masked product K^T pair K over the pairs
     with m = 0 mod n in every phase.  It is the phase integral once n exceeds
-    every |m|, as each lemma's exactness threshold does.
+    every |m| of a pair with a nonzero coefficient, and a smaller n, which
+    would alias some m to 0, is refused.
     """
-    first = gens[0]
-    if n < first.min_grid:
-        raise ValueError(f"grid {n} below exactness threshold {first.min_grid} "
-                         f"for {first.lemma_id}")
     coeffs, degrees, kets = _term_tables(gens) if tables is None else tables
     weights = np.array([g.weight_degrees for g in gens])[:, None, None, None]
     bcs = np.array([[bc for bc, _ in g.branches] for g in gens])[..., None, None]
     m = weights + degrees[..., :, None, :] - degrees[..., None, :, :]
-    pair = bcs * coeffs[..., :, None] * coeffs.conj()[..., None, :] \
-        * (m % n == 0).all(axis=-1)
+    pair = bcs * coeffs[..., :, None] * coeffs.conj()[..., None, :]
+    degree = int(np.abs(m[pair != 0]).max(initial=0))
+    if n <= degree:
+        raise ValueError(f"grid {n} is not above the degree {degree} of {gens[0].lemma_id}")
+    pair = pair * (m % n == 0).all(axis=-1)
     return (np.swapaxes(kets, -1, -2) @ pair @ kets).sum(axis=1)
 
 
@@ -544,7 +541,7 @@ def verify_span_lemmas(d: int, seed: int = 0) -> "CertificateReport":
         groups.setdefault(gen.lemma_id, []).append(i)
     for group in groups.values():
         sub = [gens[i] for i in group]
-        tables, n = _term_tables(sub), sub[0].default_grid
+        tables, n = _term_tables(sub), PHASE_GRID
         for gen, avg, doubled in zip(sub, _phase_averages(sub, n, tables),
                                      _phase_averages(sub, 2 * n, tables)):
             resid, s = scale_match_residual(avg, gen.target)

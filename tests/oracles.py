@@ -24,12 +24,12 @@ certificate family by family, written out tuple by tuple.
 ``dykstra_start`` runs the probe's alternating projections, with the
 secant step or plain, with fresh arrays at every step, on the probe's
 orbit coordinates with its own kernels or on dense matrices with the PSD
-projection made sector by sector.  ``constraint_residual`` is the probe's
-affine residual of a dense matrix.  ``slot_pair_product`` and
-``full_buffer_project`` multiply a dense matrix or a block vector by the
-d^4 x d^4 ``span_projector`` through a buffer of all n^2 slot-pair
-entries, every output pair included, which the probe's partial traces
-must match.
+projection made sector by sector and the dense ``probe.affine_project``.
+``constraint_residual`` is the probe's affine residual of a dense matrix.
+``slot_pair_product`` and ``full_buffer_project`` multiply a dense matrix
+or a block vector by the d^4 x d^4 ``span_projector`` through a buffer of
+all n^2 slot-pair entries, every output pair included, which the probe's
+partial traces must match.
 ``sectors_of`` and ``entries_of`` give a system's charge sectors and the
 matrix index of each stored block entry, and ``random_hermitian_direction``
 draws a dense unit Hermitian direction from a numpy generator, as test
@@ -41,8 +41,8 @@ and its qudit reversal as index permutations from the basis digits, and
 ``offered_involutions`` the qudit reversal of any process besides;
 ``involutions_of`` keeps those a system's reference keeps, ``group_twirl``
 averages a dense matrix over the group they generate, and
-``invariant_dimension`` counts the invariant sector-block matrices by
-Burnside's lemma.
+``invariant_dimension`` counts the invariant real symmetric sector-block
+matrices by Burnside's lemma.
 """
 
 from __future__ import annotations
@@ -493,7 +493,8 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
     each orbit's first entry and clipped and projected by the probe's own
     kernels, with norms weighted by the orbit sizes; or with ``dense`` n x n
     matrices, whose PSD projection clips each whole sector block and leaves
-    0 off them.
+    0 off them, and whose affine projection is the real part of the dense
+    ``probe.affine_project``.
 
     With ``secant`` the next iterate is g - gamma (g - g_prev), gamma =
     <df, f> / ||df||^2 for f = g - x and df = f - f_prev, unless df = 0 or
@@ -504,7 +505,7 @@ def dykstra_start(sys, start: np.ndarray, secant: bool = True, dense: bool = Fal
         clip = partial(_dense_sector_clip, sys)
 
         def affine(x):
-            return probe._affine(sys.dense_layout, x.reshape(-1)).reshape(x.shape)
+            return probe.affine_project(sys, x).real
     else:
         layout = sys.layout
         reference, clip, weights = layout.reference, partial(probe._clip, layout), layout.weights
@@ -604,12 +605,16 @@ def group_twirl(sys, x: np.ndarray) -> np.ndarray:
 
 
 def invariant_dimension(sys) -> int:
-    """The real dimension of the group-invariant Hermitian sector-block
-    matrices, the number of orbits of the block entries, by Burnside's
-    count: the mean over the group of the entries an element fixes."""
-    fixed = [sum(np.count_nonzero(g[s] == s) ** 2 for s in sectors_of(sys))
+    """The dimension of the group-invariant real symmetric sector-block
+    matrices, the number of orbits of the block entries under the group
+    and the transpose, by Burnside's count: the mean over the group, with
+    and without the transpose, of the entries an element fixes.  An
+    involution g fixes the (i, j) with g(i) = i and g(j) = j, and with the
+    transpose those with j = g(i) in i's sector and g(j) = i."""
+    fixed = [sum(np.count_nonzero(g[s] == s) ** 2
+                 + np.count_nonzero(np.isin(g[s], s) & (g[g[s]] == s)) for s in sectors_of(sys))
              for g in group_of(sys)]
-    return sum(fixed) // len(fixed)
+    return sum(fixed) // (2 * len(fixed))
 
 
 def sectors_of(sys) -> tuple:
@@ -647,10 +652,10 @@ def entries_of(sys) -> np.ndarray:
 
 
 def constraint_residual(sys, x: np.ndarray) -> float:
-    """||P_in(x - reference)||_F, the root sum of squared action deviations over
-    any orthonormal spanning family: at least the largest single deviation."""
-    layout = sys.dense_layout
-    return frobenius(probe._project(layout, x.reshape(-1) - layout.reference))
+    """||P_in(x - W)||_F, the root sum of squared action deviations over any
+    orthonormal spanning family: at least the largest single deviation."""
+    p = sys.process
+    return frobenius(slot_pair_product(span_projector(p.d), p.slots, x - p.op.entries))
 
 
 def _buffer_product(slot, slots: int, n: int, flat: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -680,10 +685,7 @@ def slot_pair_product(slot, slots: int, y: np.ndarray) -> np.ndarray:
 
 
 def full_buffer_project(sys, v: np.ndarray) -> np.ndarray:
-    """``_buffer_product`` of span{J_U}'s projector on the matrix stored as v
-    in ``sys.layout``, every output pair included.  A complex v is
-    projected as its real and imaginary parts, as the projector is real."""
-    if np.iscomplexobj(v):
-        return full_buffer_project(sys, v.real) + 1j * full_buffer_project(sys, v.imag)
+    """``_buffer_product`` of span{J_U}'s projector on the block vector v of
+    ``sys``'s sectors, every output pair included."""
     return _buffer_product(span_projector(sys.process.d), sys.process.slots,
                            sys.process.size, entries_of(sys), v)

@@ -38,6 +38,7 @@ def test_pi_pi_only_slot_projector_fails_family_rank(monkeypatch):
     vec_id = np.eye(2).reshape(-1)
     pi = np.outer(vec_id, vec_id) / 2
     y = np.random.default_rng(0).standard_normal((64, 64))
+    y += y.T  # the probe stores real symmetric matrices
     assert alternating_projection_probe(build_constraint_system("identity", 2),
                                         starts=1).passed
     monkeypatch.setattr(probe, "_slot_map", pi_pi_only)
@@ -142,11 +143,14 @@ def test_dropped_row_entry_fails_offdiagonal_sums(monkeypatch):
 
 
 def test_aliasing_a3_grid_fails_span_lemmas(monkeypatch):
-    # on a 2-point grid the A3 degree vectors with an entry +-2 alias to 0;
-    # on the doubled 4-point grid they do not, so the average moves
-    build, _, _ = span._LEMMAS["A3"]
+    # on a 2-point grid the A3 degree vectors with an entry +-2 alias to 0,
+    # which the average's exactness guard, read off the degrees, refuses
+    phase_averages = span._phase_averages
+
+    def a3_on_two_points(gens, n, tables=None):
+        return phase_averages(gens, 2 if gens[0].lemma_id == "A3" else n, tables)
+
     assert span.verify_span_lemmas(3).passed
-    monkeypatch.setitem(span._LEMMAS, "A3", (build, 2, 2))
-    rep = span.verify_span_lemmas(3)
-    assert rep.name == "span_lemmas_d3"
-    assert failed_checks(rep) == ["max_target_residual", "max_grid_doubling_change"]
+    monkeypatch.setattr(span, "_phase_averages", a3_on_two_points)
+    with pytest.raises(ValueError, match="^grid 2 is not above the degree 2 of A3$"):
+        span.verify_span_lemmas(3)

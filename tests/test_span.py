@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -94,13 +93,30 @@ def test_phase_average_examples():
     assert resid <= 1e-14
 
 
+def least_grid(gens):
+    """The least grid that ``_phase_averages`` accepts for ``gens``."""
+    n = 1
+    while True:
+        try:
+            _phase_averages(gens, n)
+            return n
+        except ValueError:
+            n += 1
+
+
 def test_phase_average_grid_threshold():
     gen = build_span_generator("A5", (0, 1), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid 3 is not above the degree 3 of A5"):
         _phase_averages([gen], 3)
     a4 = _phase_averages([gen], 4)[0]
     a8 = _phase_averages([gen], 8)[0]
     assert frobenius(a4, a8) <= 1e-13
+    # each lemma's threshold, read off its degrees: one above the largest
+    # |m| of a term pair with a nonzero coefficient, below PHASE_GRID at every d
+    want = {"A1": 3, "A2": 3, "A3": 3, "A4": 2, "A5": 4, "A5-variant": 4}
+    for d in range(2, 7):
+        assert all(least_grid(gens) == want[gens[0].lemma_id] <= span.PHASE_GRID
+                   for gens in lemma_groups(d))
 
 
 def test_a3_compensated_targets():
@@ -112,7 +128,7 @@ def test_a3_compensated_targets():
             ph = rng.uniform(0, 2 * np.pi, gen.phase_count)
             psi = _branch_states([gen], ph[None])[0, 0]
             assert _scaled_unitary_deviations(psi, 3)[0] <= 1e-12
-        avg = _phase_averages([gen], gen.default_grid)[0]
+        avg = _phase_averages([gen], span.PHASE_GRID)[0]
         resid, _ = scale_match_residual(avg, gen.target)
         assert resid <= 1e-13
         # and the compensated difference of lone ket-bras is in the span
@@ -273,11 +289,10 @@ def pointwise_phase_average(gen, n):
 
 
 def test_phase_average_matches_pointwise_loop():
-    # also on grids below the exactness threshold, where both alias alike
+    # at the exactness threshold and on the grids the span lemmas replay
     for d in (2, 3):
         for gen in enumerate_generators(d):
-            gen = dataclasses.replace(gen, min_grid=1)
-            for n in (1, 2, gen.default_grid, 2 * gen.default_grid):
+            for n in (least_grid([gen]), span.PHASE_GRID, 2 * span.PHASE_GRID):
                 assert frobenius(_phase_averages([gen], n)[0],
                                  pointwise_phase_average(gen, n)) <= 1e-13
 
@@ -307,7 +322,7 @@ def lemma_groups(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_grouped_phase_averages_match_per_generator_loop(d):
     for gens in lemma_groups(d):
-        for n in (gens[0].default_grid, 2 * gens[0].default_grid):
+        for n in (span.PHASE_GRID, 2 * span.PHASE_GRID):
             avgs = _phase_averages(gens, n)
             assert len(avgs) == len(gens)
             for gen, avg in zip(gens, avgs):
